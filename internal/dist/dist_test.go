@@ -279,6 +279,45 @@ func TestRemoteWorkerFaultRelayed(t *testing.T) {
 	}
 }
 
+// TestOnceRuleSpentAcrossSessions re-Connects to the same nodes with the
+// same once-only fault plan: the rule must fire exactly once in the
+// node's lifetime — the first session dies of it, the replacement
+// session completes the same job — as it does for in-process replicas
+// sharing one parsed plan.
+func TestOnceRuleSpentAcrossSessions(t *testing.T) {
+	leakcheck.Check(t)
+	sc := radar.DefaultScene(radar.Small())
+	_, addrs := startNodes(t, 2)
+	cfg := testCluster(t, addrs, sc)
+	cfg.FaultPlan = "pulse:0:2:panic"
+	cfg.Seed = 3
+	cpis := makeJob(sc, 6)
+	want := runSerial(sc, len(cpis))
+
+	first := connectRetry(t, cfg)
+	t.Cleanup(first.Abort)
+	var rl *ReplicaLostError
+	if _, err := first.ProcessJob(cpis); !errors.As(err, &rl) {
+		t.Fatalf("first session ProcessJob = %v, want *ReplicaLostError", err)
+	}
+	first.Abort()
+
+	for session := 2; session <= 3; session++ {
+		rep := connectRetry(t, cfg)
+		t.Cleanup(rep.Abort)
+		got, err := rep.ProcessJob(cpis)
+		if err != nil {
+			t.Fatalf("session %d: the spent rule fired again: %v", session, err)
+		}
+		for i := range want {
+			if !sameDetections(got[i], want[i]) {
+				t.Errorf("session %d CPI %d differs from serial reference", session, i)
+			}
+		}
+		rep.Close()
+	}
+}
+
 // TestBadSecretRejected: a coordinator with the wrong secret must not get
 // a session.
 func TestBadSecretRejected(t *testing.T) {

@@ -69,6 +69,11 @@ type Node struct {
 	sess   *session
 	parked []parkedConn
 	closed bool
+	// plans keeps every fault plan a manifest has armed here, for the
+	// node's lifetime: a once-only rule's fired state lives on the parsed
+	// Plan, so re-parsing per session would re-arm it on every re-Connect
+	// and kill the replacement replica the same way.
+	plans map[planKey]*fault.Plan
 
 	// Telemetry state of the most recent session, kept past its end so
 	// the HTTP surface stays useful for post-mortems between sessions.
@@ -86,6 +91,11 @@ type Node struct {
 	histDone chan struct{}
 
 	wg sync.WaitGroup
+}
+
+type planKey struct {
+	text string
+	seed int64
 }
 
 type parkedConn struct {
@@ -111,7 +121,7 @@ func NewNode(ln net.Listener, cfg NodeConfig) *Node {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	return &Node{cfg: cfg, ln: ln}
+	return &Node{cfg: cfg, ln: ln, plans: make(map[planKey]*fault.Plan)}
 }
 
 // Addr returns the agent's listen address.
@@ -300,7 +310,7 @@ func (n *Node) runSession(s *session, coordConn net.Conn) {
 	}
 	var inj *fault.Injector
 	if man.FaultPlan != "" {
-		plan, err := fault.ParsePlan(man.FaultPlan)
+		plan, err := n.faultPlan(man.FaultPlan, man.Seed)
 		if err != nil {
 			logf("stapnode: session %s: bad fault plan: %v", s.id, err)
 			coordConn.Close()
@@ -420,6 +430,23 @@ func (n *Node) runSession(s *session, coordConn net.Conn) {
 		}
 	}
 	logf("stapnode: session %s: ended (%s)", s.id, orDash(reason))
+}
+
+// faultPlan returns the node's parsed plan for a manifest's plan text and
+// seed, parsing it the first time it is seen.
+func (n *Node) faultPlan(text string, seed int64) (*fault.Plan, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	key := planKey{text, seed}
+	if p := n.plans[key]; p != nil {
+		return p, nil
+	}
+	p, err := fault.ParsePlan(text)
+	if err != nil {
+		return nil, err
+	}
+	n.plans[key] = p
+	return p, nil
 }
 
 // clearSession removes the finished session so the next manifest can

@@ -240,6 +240,9 @@ func (c *Collector) Tasks() []TaskMeta { return c.cfg.Tasks }
 // Window returns the gauge window in CPIs.
 func (c *Collector) Window() int { return c.cfg.Window }
 
+// RingSize returns the span journal's capacity in events.
+func (c *Collector) RingSize() int { return len(c.ring) }
+
 // RecordSpan journals one worker-CPI span and bumps the counters. The
 // timestamps follow the Figure-10 loop: t0 loop start (receive begins),
 // t1 input ready (compute begins), t2 compute done (send begins), t3 loop

@@ -15,8 +15,8 @@ import (
 // weights apply, so a long-lived pipeline (see Stream) produces output for
 // each job bit-identical to a fresh run. EOF marks the end of the input
 // stream: each task forwards it downstream and its workers exit — the
-// graceful-drain path of a persistent pipeline. Batch runs set Reset on
-// CPI 0 and never send EOF (workers exit on the NumCPIs bound instead).
+// graceful-drain path, and the only way a worker loop ends short of an
+// abort.
 //
 // Trace and Hop are the CPI's observability lineage: the feeder stamps a
 // fresh obs.NewTraceID at Doppler ingest, and every task forwards the

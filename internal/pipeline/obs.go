@@ -6,12 +6,11 @@ import (
 	"pstap/internal/stap"
 )
 
-// Observability integration: when a Config carries an obs.Collector, every
-// worker journals its Figure-10 span there as it completes (in batch and
-// streaming mode alike) and the mp world reports each message through the
-// collector's OnSend hook — the always-on telemetry feed behind the live
-// eq. (1)–(3) gauges, the Prometheus exposition and the Perfetto trace
-// export.
+// Observability integration: when a stream carries an obs.Collector, every
+// worker journals its Figure-10 span there as it completes and the mp
+// world reports each message through the collector's OnSend hook — the
+// always-on telemetry feed behind the live eq. (1)–(3) gauges, the
+// Prometheus exposition and the Perfetto trace export.
 
 // DefaultObsConfig returns the obs configuration describing this
 // assignment's seven tasks, with the paper's eq. (2) latency path
@@ -74,34 +73,8 @@ func AttrConfig(a Assignment) obs.AttributeConfig {
 }
 
 // TaskMeta describes the run's task/worker grid for the obs exporters.
-func (r *Result) TaskMeta() []obs.TaskMeta {
-	tasks := make([]obs.TaskMeta, NumTasks)
-	for t := range tasks {
-		tasks[t] = obs.TaskMeta{Name: stap.TaskNames[t], Workers: len(r.Spans[t])}
-	}
-	return tasks
-}
+func (r *Result) TaskMeta() []obs.TaskMeta { return r.tasks }
 
-// Events converts the run's recorded spans into obs span events with
-// offsets relative to the run's start — the bridge from a finished batch
-// run to the event-based exporters (obs.WriteChromeTrace, trace.Gantt).
-func (r *Result) Events() []obs.SpanEvent {
-	var out []obs.SpanEvent
-	for task := range r.Spans {
-		for w, spans := range r.Spans[task] {
-			for cpi, s := range spans {
-				if s.T0.IsZero() {
-					continue
-				}
-				out = append(out, obs.SpanEvent{
-					Task: task, Worker: w, CPI: cpi,
-					T0: s.T0.Sub(r.Start).Nanoseconds(),
-					T1: s.T1.Sub(r.Start).Nanoseconds(),
-					T2: s.T2.Sub(r.Start).Nanoseconds(),
-					T3: s.T3.Sub(r.Start).Nanoseconds(),
-				})
-			}
-		}
-	}
-	return out
-}
+// Events returns the run's span journal, offsets relative to Start — the
+// input of the event-based exporters (obs.WriteChromeTrace, trace.Gantt).
+func (r *Result) Events() []obs.SpanEvent { return r.Spans }

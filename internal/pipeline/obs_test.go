@@ -62,7 +62,8 @@ func TestObsGaugesAgreeWithResult(t *testing.T) {
 	}
 }
 
-// TestResultEventsRoundTrip checks Events() mirrors the recorded spans.
+// TestResultEventsRoundTrip checks Events() is the run's journal: one
+// span per worker per CPI, offsets relative to Start, lineage intact.
 func TestResultEventsRoundTrip(t *testing.T) {
 	sc := radar.DefaultScene(radar.Small())
 	a := NewAssignment(2, 1, 1, 1, 1, 1, 1)
@@ -74,15 +75,20 @@ func TestResultEventsRoundTrip(t *testing.T) {
 	if want := a.Total() * 4; len(evs) != want {
 		t.Fatalf("events %d, want %d", len(evs), want)
 	}
+	seen := make(map[[3]int]bool)
 	for _, ev := range evs {
-		s := res.Spans[ev.Task][ev.Worker][ev.CPI]
-		if got := s.T0.Sub(res.Start).Nanoseconds(); got != ev.T0 {
-			t.Fatalf("event T0 %d, span %d", ev.T0, got)
+		seen[[3]int{ev.Task, ev.Worker, ev.CPI}] = true
+		if ev.T0 < 0 {
+			t.Fatalf("event before Start: %+v", ev)
 		}
 		if ev.T0 > ev.T1 || ev.T1 > ev.T2 || ev.T2 > ev.T3 {
 			t.Fatalf("non-monotonic event %+v", ev)
 		}
 	}
+	if len(seen) != len(evs) {
+		t.Fatalf("%d distinct (task, worker, cpi) in %d events", len(seen), len(evs))
+	}
+	checkLineage(t, evs)
 	meta := res.TaskMeta()
 	if len(meta) != NumTasks || meta[TaskDoppler].Workers != 2 {
 		t.Fatalf("task meta %+v", meta)
@@ -119,5 +125,68 @@ func TestStreamFeedsObs(t *testing.T) {
 	}
 	if g.Eq1Throughput <= 0 || g.Eq3Samples == 0 {
 		t.Errorf("live gauges not populated: %+v", g)
+	}
+}
+
+// TestRunJournalHoldsLongRun guards the private journal's sizing: a run
+// with more spans than obs's default 4096-event ring must still average
+// over the whole [Warmup, NumCPIs-Cooldown) window.
+func TestRunJournalHoldsLongRun(t *testing.T) {
+	sc := radar.DefaultScene(radar.Small())
+	a := NewAssignment(4, 2, 4, 2, 2, 4, 2)
+	const n, warm, cool = 210, 3, 2
+	if a.Total()*n <= 4096 {
+		t.Fatal("run fits the default ring; the test would be vacuous")
+	}
+	cubes := job(sc, 0, 4) // cycled: this test is about timing, not data
+	res, err := Run(Config{Scene: sc, Assign: a, NumCPIs: n, Warmup: warm, Cooldown: cool,
+		RawSource: func(i int) *cube.Cube { return cubes[i%len(cubes)] }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Latencies) != n-warm-cool {
+		t.Errorf("latencies %d, want %d", len(res.Latencies), n-warm-cool)
+	}
+	var perCPI [n]int
+	for _, ev := range res.Spans {
+		perCPI[ev.CPI]++
+	}
+	for cpi, c := range perCPI {
+		if c != a.Total() {
+			t.Fatalf("CPI %d has %d spans, want %d", cpi, c, a.Total())
+		}
+	}
+}
+
+// TestRunReusedCollector checks a collector handed to two Runs in turn:
+// the second Result must be built from the second run's spans only, even
+// though the first run's are still in the journal.
+func TestRunReusedCollector(t *testing.T) {
+	sc := radar.DefaultScene(radar.Small())
+	a := NewAssignment(2, 1, 1, 1, 1, 1, 1)
+	const n = 4
+	col := obs.New(DefaultObsConfig(a))
+	var res [2]*Result
+	for i := range res {
+		var err error
+		if res[i], err = Run(Config{Scene: sc, Assign: a, NumCPIs: n, Obs: col}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(col.Journal()); got != 2*a.Total()*n {
+		t.Fatalf("journal %d spans, want both runs' %d", got, 2*a.Total()*n)
+	}
+	for i, r := range res {
+		if len(r.Spans) != a.Total()*n {
+			t.Errorf("run %d: %d spans, want %d", i, len(r.Spans), a.Total()*n)
+		}
+		for _, ev := range r.Spans {
+			if ev.T0 < 0 || time.Duration(ev.T0) > r.Elapsed {
+				t.Fatalf("run %d: span starts outside the run: %+v (elapsed %v)", i, ev, r.Elapsed)
+			}
+		}
+		if r.Latency <= 0 || r.Latency > r.Elapsed {
+			t.Errorf("run %d: latency %v outside (0, elapsed %v]", i, r.Latency, r.Elapsed)
+		}
 	}
 }

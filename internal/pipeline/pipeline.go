@@ -14,13 +14,18 @@
 // weights applied to CPI i were trained on CPIs up to i-1, and the first
 // CPI uses steering-only weights, making the pipeline output equal to the
 // serial reference bit for bit.
+//
+// There is one executor: a Stream (NewHostedStream is the only place
+// workers are spawned) whose worker loops end on the EOF control message
+// and journal their timing to the stream's obs.Collector. Run is one job
+// on a private Stream, its Result read back from that journal.
 package pipeline
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"pstap/internal/cube"
@@ -91,10 +96,10 @@ type Config struct {
 	// Warmup and Cooldown CPIs are excluded from averaged timing (the
 	// paper excludes the first 3 and last 2 of its 25).
 	Warmup, Cooldown int
-	// Window bounds the number of CPIs in flight (0 means the default of
-	// 8). Bounded buffering is what makes the system a pipeline rather
-	// than a sequence of batch stages — the role the paper's double
-	// buffering and finite MPI buffers play.
+	// Window bounds the number of CPIs in flight (0 means defaultWindow).
+	// Bounded buffering is what makes the system a pipeline rather than a
+	// sequence of batch stages — the role the paper's double buffering
+	// and finite MPI buffers play.
 	Window int
 	// CPIMap, when non-nil, maps the pipeline's local CPI index to the
 	// scene's global CPI index (used by replicated pipelines, where
@@ -112,27 +117,23 @@ type Config struct {
 	// (the Paragon had three i860s per node). 0 or 1 means single
 	// threaded. Results are bit-identical for any value.
 	Threads int
-	// Context, when non-nil, cancels the run: on Done the message-passing
-	// world is aborted, every task goroutine unwinds (no leaks), and Run
-	// returns the context's error. Detections and timing of a cancelled
-	// run are discarded.
+	// Context, when non-nil, cancels the run: on Done the stream is
+	// aborted, every task goroutine unwinds (no leaks), and Run returns
+	// the context's error. Detections and timing of a cancelled run are
+	// discarded.
 	Context context.Context
 	// Obs, when non-nil, receives every worker's span and every inter-task
 	// message as the run executes — the always-on telemetry feed (live
-	// gauges, Prometheus exposition, Perfetto export). Batch runs also
-	// keep their private span slices for Result; streaming runs
-	// (NumCPIs == 0) journal to Obs only.
+	// gauges, Prometheus exposition, Perfetto export) — and is the journal
+	// Result is built from, so its ring must hold Assign.Total() × NumCPIs
+	// spans and it must not be shared with a concurrently running
+	// pipeline. Nil means a private collector of exactly that size.
 	Obs *obs.Collector
 	// Fault, when non-nil, is the run's fault-injection plane
 	// (internal/fault): compute faults fire at the top of each worker's
 	// CPI loop and droppayload rules corrupt inter-task messages. The
 	// injector must be fresh (one injector per pipeline world).
 	Fault *fault.Injector
-
-	// sup is the run's supervisor, created by Run/NewStream; workers
-	// report loop progress to it and the recover wrappers file
-	// WorkerFaults with it.
-	sup *supervisor
 }
 
 // Span is one worker's absolute phase timestamps for one CPI, following
@@ -187,11 +188,14 @@ type Result struct {
 	BytesSent int64
 	// Messages counts inter-task messages.
 	Messages int64
-	// Spans holds every worker's absolute phase timestamps,
-	// Spans[task][worker][cpi], for tracing (see internal/trace).
-	Spans [NumTasks][][]Span
+	// Spans is the run's span journal — one event per worker per CPI, in
+	// completion order, offsets relative to Start, trace/hop lineage
+	// included — for tracing (see internal/trace, obs.WriteChromeTrace).
+	Spans []obs.SpanEvent
 	// Start is the run's reference time for rendering spans.
 	Start time.Time
+
+	tasks []obs.TaskMeta
 }
 
 // EquationThroughput evaluates the paper's equation (1) on the measured
@@ -235,9 +239,9 @@ const (
 	tagDet
 )
 
-// tagCPIMask wraps the CPI index into the tag's low bits. Streaming runs
-// count CPIs without bound; the wraparound is safe because far fewer than
-// 2^20 CPIs can ever be in flight (the window bounds them).
+// tagCPIMask wraps the CPI index into the tag's low bits. A stream counts
+// CPIs without bound; the wraparound is safe because far fewer than 2^20
+// CPIs can ever be in flight (the window bounds them).
 const tagCPIMask = 1<<20 - 1
 
 func tag(stream, cpi int) int { return stream<<20 | (cpi & tagCPIMask) }
@@ -307,246 +311,139 @@ func sortDetections(dets []stap.Detection) {
 	})
 }
 
-// Run executes the pipeline and blocks until every CPI has been processed.
+// Run executes the pipeline over NumCPIs CPIs and blocks until every one
+// has been processed: one job on a private Stream, with the timing of
+// Result read back from the stream's span journal.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Scene == nil {
 		return nil, fmt.Errorf("pipeline: nil scene")
 	}
-	if err := cfg.Scene.Validate(); err != nil {
-		return nil, err
-	}
 	if err := cfg.Assign.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.NumCPIs <= 0 {
-		return nil, fmt.Errorf("pipeline: NumCPIs %d", cfg.NumCPIs)
-	}
-	if cfg.Warmup+cfg.Cooldown >= cfg.NumCPIs {
-		return nil, fmt.Errorf("pipeline: warmup %d + cooldown %d >= CPIs %d",
-			cfg.Warmup, cfg.Cooldown, cfg.NumCPIs)
-	}
-
-	p := cfg.Scene.Params
-	topo := newTopology(p, cfg.Assign)
-	world := mp.NewWorld(cfg.Assign.Total() + 1)
-	if cfg.Obs != nil {
-		world.SetObserver(cfg.Obs.OnSend)
-		installWaitObserver(world, topo, cfg.Obs)
-	}
-	cfg.sup = newSupervisor(cfg.Assign)
-	if cfg.Fault != nil {
-		installFaultHooks(world, topo, cfg.Fault)
-	}
 	n := cfg.NumCPIs
-	beamAz := cfg.Scene.BeamAzimuths()
-	gain := make([]float64, p.K)
-	for r := range gain {
-		gain[r] = 1 / cfg.Scene.RangeGain(r)
+	if n <= 0 {
+		return nil, fmt.Errorf("pipeline: NumCPIs %d", n)
+	}
+	if cfg.Warmup+cfg.Cooldown >= n {
+		return nil, fmt.Errorf("pipeline: warmup %d + cooldown %d >= CPIs %d",
+			cfg.Warmup, cfg.Cooldown, n)
+	}
+	col, need := cfg.Obs, cfg.Assign.Total()*n
+	if col == nil {
+		oc := DefaultObsConfig(cfg.Assign)
+		oc.RingSize = need
+		col = obs.New(oc)
+	} else if col.RingSize() < need {
+		return nil, fmt.Errorf("pipeline: Obs journal holds %d spans, run needs %d (%d workers x %d CPIs)",
+			col.RingSize(), need, cfg.Assign.Total(), n)
+	}
+	mapCPI, source := cfg.CPIMap, cfg.RawSource
+	if mapCPI == nil {
+		mapCPI = func(i int) int { return i }
+	}
+	if source == nil {
+		source = cfg.Scene.GenerateCPI
 	}
 
-	// Timing collection: per task, per worker, per CPI.
-	var spans [NumTasks][][]Span
-	for ti := range spans {
-		spans[ti] = make([][]Span, cfg.Assign[ti])
-		for w := range spans[ti] {
-			spans[ti][w] = make([]Span, n)
-		}
-	}
-	// Per-Doppler-worker input-ready timestamps for latency measurement.
-	ready := make([][]time.Time, cfg.Assign[TaskDoppler])
-	for i := range ready {
-		ready[i] = make([]time.Time, n)
-	}
-	// Per-CFAR-worker report timestamps; a CPI is complete when its last
-	// CFAR worker has emitted its report (timestamping at the workers
-	// avoids collector-goroutine scheduling noise).
-	cfarDone := make([][]time.Time, cfg.Assign[TaskCFAR])
-	for i := range cfarDone {
-		cfarDone[i] = make([]time.Time, n)
-	}
-	detections := make([][]stap.Detection, n)
-
-	var wg sync.WaitGroup
 	start := time.Now()
-
-	// Cancellation: when the context fires mid-run, abort the world so
-	// every blocked Recv unwinds and all task goroutines exit.
+	s, err := NewStream(StreamConfig{
+		Scene: cfg.Scene, Assign: cfg.Assign, Window: cfg.Window,
+		Threads: cfg.Threads, Obs: col, Fault: cfg.Fault,
+	})
+	if err != nil {
+		return nil, err
+	}
 	if cfg.Context != nil {
-		watcherDone := make(chan struct{})
-		defer close(watcherDone)
-		go func() {
-			select {
-			case <-cfg.Context.Done():
-				world.Abort()
-			case <-watcherDone:
-			}
-		}()
+		defer context.AfterFunc(cfg.Context, s.Abort)()
 	}
-
-	// Input feeder: plays the phased-array front end, slicing each CPI
-	// across the Doppler task's range blocks. A credit semaphore bounds
-	// the CPIs in flight so the system behaves as a pipeline in steady
-	// state instead of batching through unbounded buffers.
-	window := cfg.Window
-	if window <= 0 {
-		window = 8
+	detections, err := s.processJob(n, func(i int) *cube.Cube { return source(mapCPI(i)) }, JobOpts{})
+	elapsed := time.Since(start)
+	if err != nil {
+		s.Abort()
+	} else {
+		s.Close()
 	}
-	credits := make(chan struct{}, window)
-	for i := 0; i < window; i++ {
-		credits <- struct{}{}
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		feeder := world.Comm(topo.driver)
-		mapCPI := cfg.CPIMap
-		if mapCPI == nil {
-			mapCPI = func(i int) int { return i }
-		}
-		source := cfg.RawSource
-		if source == nil {
-			source = cfg.Scene.GenerateCPI
-		}
-		for cpi := 0; cpi < n; cpi++ {
-			select {
-			case <-credits:
-			case <-world.Done():
-				return
-			}
-			raw := source(mapCPI(cpi))
-			// One trace identifier per CPI, shared by every Doppler slab —
-			// the root of the CPI's span lineage.
-			c := ctl{Reset: cpi == 0, Trace: obs.NewTraceID()}
-			for w, blk := range topo.kBlocks {
-				feeder.Send(topo.groups[TaskDoppler].Global(w), tag(tagRaw, cpi),
-					rawMsg{slab: raw.SliceAxis0(blk), ctl: c})
-			}
-		}
-	}()
-
-	// Workers run supervised: a panic becomes a recorded WorkerFault plus
-	// a world abort instead of a process crash.
-	spawn := func(task int, run func(w int)) {
-		for w := 0; w < cfg.Assign[task]; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				superviseWorker(world, cfg.sup, task, w, func() { run(w) })
-			}(w)
-		}
-	}
-	spawn(TaskDoppler, func(w int) {
-		dopplerWorker(world, topo, cfg, gain, w, spans[TaskDoppler][w], ready[w])
-	})
-	spawn(TaskEasyWeight, func(w int) {
-		easyWeightWorker(world, topo, cfg, beamAz, w, spans[TaskEasyWeight][w])
-	})
-	spawn(TaskHardWeight, func(w int) {
-		hardWeightWorker(world, topo, cfg, beamAz, w, spans[TaskHardWeight][w])
-	})
-	spawn(TaskEasyBF, func(w int) {
-		easyBFWorker(world, topo, cfg, beamAz, w, spans[TaskEasyBF][w])
-	})
-	spawn(TaskHardBF, func(w int) {
-		hardBFWorker(world, topo, cfg, beamAz, w, spans[TaskHardBF][w])
-	})
-	spawn(TaskPulseComp, func(w int) {
-		pulseCompWorker(world, topo, cfg, w, spans[TaskPulseComp][w])
-	})
-	spawn(TaskCFAR, func(w int) {
-		cfarWorker(world, topo, cfg, w, spans[TaskCFAR][w], cfarDone[w])
-	})
-
-	// Report collector (the pipeline output).
-	aborted := mp.Protect(func() {
-		collector := world.Comm(topo.driver)
-		for cpi := 0; cpi < n; cpi++ {
-			var merged []stap.Detection
-			for _, src := range topo.groups[TaskCFAR].Ranks() {
-				msg := collector.Recv(src, tag(tagDet, cpi)).(detMsg)
-				merged = append(merged, msg.dets...)
-			}
-			sortDetections(merged)
-			detections[cpi] = merged
-			credits <- struct{}{}
-		}
-	})
-	wg.Wait()
-	if f, ok := cfg.sup.first(); ok {
+	if f, ok := s.sup.first(); ok {
 		return nil, &FaultError{Fault: f}
 	}
-	if aborted || world.Aborted() {
+	if err != nil || s.world.Aborted() {
 		if cfg.Context != nil && cfg.Context.Err() != nil {
 			return nil, fmt.Errorf("pipeline: run cancelled: %w", cfg.Context.Err())
 		}
 		return nil, fmt.Errorf("pipeline: run aborted")
 	}
-	elapsed := time.Since(start)
-
-	complete := make([]time.Time, n)
-	for cpi := 0; cpi < n; cpi++ {
-		for w := range cfarDone {
-			if cfarDone[w][cpi].After(complete[cpi]) {
-				complete[cpi] = cfarDone[w][cpi]
-			}
-		}
-	}
 
 	res := &Result{
 		Detections: detections,
 		Elapsed:    elapsed,
-		BytesSent:  world.BytesSent(),
-		Messages:   world.MessagesSent(),
-		Spans:      spans,
+		BytesSent:  s.world.BytesSent(),
+		Messages:   s.world.MessagesSent(),
+		Spans:      make([]obs.SpanEvent, 0, need),
 		Start:      start,
+		tasks:      col.Tasks(),
 	}
-	lo, hi := cfg.Warmup, n-cfg.Cooldown
-	for ti := 0; ti < NumTasks; ti++ {
-		var sum TaskStats
-		count := 0
-		for w := range spans[ti] {
-			for cpi := lo; cpi < hi; cpi++ {
-				tt := spans[ti][w][cpi].Times()
-				sum.Recv += tt.Recv
-				sum.Comp += tt.Comp
-				sum.Send += tt.Send
-				count++
-			}
+	// This run's spans are the journal entries stamped since start (a
+	// caller's collector may still hold an earlier run's), rebased to it.
+	origin := start.Sub(col.Start()).Nanoseconds()
+	for _, ev := range col.Journal() {
+		if ev.T0 >= origin {
+			ev.T0, ev.T1, ev.T2, ev.T3 = ev.T0-origin, ev.T1-origin, ev.T2-origin, ev.T3-origin
+			res.Spans = append(res.Spans, ev)
 		}
-		if count > 0 {
-			res.Stats[ti] = TaskStats{
-				Recv: sum.Recv / time.Duration(count),
-				Comp: sum.Comp / time.Duration(count),
-				Send: sum.Send / time.Duration(count),
-			}
+	}
+	if len(res.Spans) != need {
+		return nil, fmt.Errorf("pipeline: journal holds %d of the run's %d spans (collector shared with another pipeline?)",
+			len(res.Spans), need)
+	}
+	res.measure(cfg.Warmup, n-cfg.Cooldown)
+	return res, nil
+}
+
+// measure fills the timing fields from the span journal over the CPI
+// window [lo, hi). A CPI is ready when its first Doppler worker enters
+// its loop and complete when its last CFAR worker has sent its report
+// (stamping at the workers avoids collector-goroutine scheduling noise).
+func (r *Result) measure(lo, hi int) {
+	ready := make([]int64, hi)
+	for i := range ready {
+		ready[i] = math.MaxInt64
+	}
+	complete := make([]int64, hi)
+	var sum [NumTasks]TaskStats
+	var count [NumTasks]int
+	for _, ev := range r.Spans {
+		if ev.CPI < lo || ev.CPI >= hi {
+			continue
 		}
+		t := ev.Task
+		sum[t].Recv += time.Duration(ev.T1 - ev.T0)
+		sum[t].Comp += time.Duration(ev.T2 - ev.T1)
+		sum[t].Send += time.Duration(ev.T3 - ev.T2)
+		count[t]++
+		if t == TaskDoppler && ev.T0 < ready[ev.CPI] {
+			ready[ev.CPI] = ev.T0
+		}
+		if t == TaskCFAR && ev.T3 > complete[ev.CPI] {
+			complete[ev.CPI] = ev.T3
+		}
+	}
+	for t, c := range count {
+		d := time.Duration(c)
+		r.Stats[t] = TaskStats{Recv: sum[t].Recv / d, Comp: sum[t].Comp / d, Send: sum[t].Send / d}
 	}
 	// Measured throughput: completion gaps inside the window.
-	if hi-lo >= 2 {
-		span := complete[hi-1].Sub(complete[lo])
-		if span > 0 {
-			res.Throughput = float64(hi-lo-1) / span.Seconds()
-		}
+	if span := complete[hi-1] - complete[lo]; hi-lo >= 2 && span > 0 {
+		r.Throughput = float64(hi-lo-1) / time.Duration(span).Seconds()
 	}
 	// Measured latency: first-task-ready to report, averaged.
 	var latSum time.Duration
 	for cpi := lo; cpi < hi; cpi++ {
-		first := ready[0][cpi]
-		for w := 1; w < len(ready); w++ {
-			if ready[w][cpi].Before(first) {
-				first = ready[w][cpi]
-			}
-		}
-		if !first.IsZero() {
-			l := complete[cpi].Sub(first)
-			res.Latencies = append(res.Latencies, l)
-			latSum += l
-		}
+		l := time.Duration(complete[cpi] - ready[cpi])
+		r.Latencies = append(r.Latencies, l)
+		latSum += l
 	}
-	if len(res.Latencies) > 0 {
-		res.Latency = latSum / time.Duration(len(res.Latencies))
-	}
-	return res, nil
+	r.Latency = latSum / time.Duration(hi-lo)
 }
 
 // LatencyPercentile returns the q-quantile (0..1) of the measured per-CPI

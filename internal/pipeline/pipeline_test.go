@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pstap/internal/obs"
 	"pstap/internal/radar"
 	"pstap/internal/stap"
 )
@@ -201,6 +202,9 @@ func TestPipelineConfigValidation(t *testing.T) {
 		{Scene: sc, Assign: NewAssignment(0, 1, 1, 1, 1, 1, 1), NumCPIs: 3},
 		{Scene: sc, Assign: NewAssignment(1, 1, 1, 1, 1, 1, 1), NumCPIs: 0},
 		{Scene: sc, Assign: NewAssignment(1, 1, 1, 1, 1, 1, 1), NumCPIs: 3, Warmup: 2, Cooldown: 1},
+		// A caller's journal too small for the run would truncate Stats.
+		{Scene: sc, Assign: NewAssignment(1, 1, 1, 1, 1, 1, 1), NumCPIs: 3, Obs: obs.New(obs.Config{
+			Tasks: DefaultObsConfig(NewAssignment(1, 1, 1, 1, 1, 1, 1)).Tasks, RingSize: 3*7 - 1})},
 	}
 	for i, cfg := range cases {
 		if _, err := Run(cfg); err == nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pstap/internal/cube"
@@ -31,6 +32,9 @@ var ErrCPITimeout = errors.New("pipeline: CPI timeout exceeded")
 // the stream is unusable afterwards and the serving layer rebuilds it.
 var ErrDeadlineExceeded = errors.New("pipeline: job deadline exceeded")
 
+// defaultWindow bounds the CPIs in flight when Window is 0.
+const defaultWindow = 8
+
 // StreamConfig describes a persistent pipeline instance.
 type StreamConfig struct {
 	Scene   *radar.Scene
@@ -57,7 +61,7 @@ type StreamConfig struct {
 // fixed CPI stream — the serving building block behind internal/serve's
 // replica pool. A job is an independent CPI sequence; the job boundary
 // resets the adaptive weight state, so each job's detections are
-// bit-identical to a fresh batch run (and to the serial reference) no
+// bit-identical to a fresh instance's (and to the serial reference) no
 // matter what the instance processed before.
 //
 // ProcessJob must not be called concurrently: a Stream is owned by one
@@ -77,9 +81,7 @@ type Stream struct {
 
 	closeOnce sync.Once
 
-	// CPIsProcessed counts CPIs that produced a detection report.
-	cpis int64
-	mu   sync.Mutex
+	cpis atomic.Int64 // CPIs that produced a detection report
 }
 
 type streamInput struct {
@@ -135,19 +137,24 @@ func NewHostedStream(cfg StreamConfig, h Hosting) (*Stream, error) {
 	if h.Driver && !world.Hosts(topo.driver) {
 		return nil, fmt.Errorf("pipeline: driver rank %d not hosted", topo.driver)
 	}
-	beamAz := cfg.Scene.BeamAzimuths()
-	gain := make([]float64, p.K)
-	for r := range gain {
-		gain[r] = 1 / cfg.Scene.RangeGain(r)
-	}
 	window := cfg.Window
 	if window <= 0 {
-		window = 8
+		window = defaultWindow
 	}
-	sup := newSupervisor(cfg.Assign)
-	// NumCPIs == 0 puts the workers in open-ended streaming mode: they
-	// exit on the EOF control message Close injects.
-	wcfg := Config{Scene: cfg.Scene, Assign: cfg.Assign, Threads: cfg.Threads, Obs: cfg.Obs, Fault: cfg.Fault, sup: sup}
+	e := &env{
+		world:   world,
+		topo:    topo,
+		scene:   cfg.Scene,
+		threads: cfg.Threads,
+		obs:     cfg.Obs,
+		fault:   cfg.Fault,
+		sup:     newSupervisor(cfg.Assign),
+		gain:    make([]float64, p.K),
+		beamAz:  cfg.Scene.BeamAzimuths(),
+	}
+	for r := range e.gain {
+		e.gain[r] = 1 / cfg.Scene.RangeGain(r)
+	}
 	if cfg.Obs != nil {
 		world.SetObserver(cfg.Obs.OnSend)
 		installWaitObserver(world, topo, cfg.Obs)
@@ -158,7 +165,7 @@ func NewHostedStream(cfg StreamConfig, h Hosting) (*Stream, error) {
 
 	s := &Stream{
 		world:      world,
-		sup:        sup,
+		sup:        e.sup,
 		driver:     h.Driver,
 		cpiTimeout: cfg.CPITimeout,
 		in:         make(chan streamInput),
@@ -212,40 +219,23 @@ func NewHostedStream(cfg StreamConfig, h Hosting) (*Stream, error) {
 	// Workers run supervised (see superviseWorker): a panic is recorded
 	// and aborts this instance's world instead of crashing the process.
 	// Only locally hosted task groups spawn; the rest of the world's
-	// ranks run in peer processes.
-	spawn := func(task int, run func(w int)) {
+	// ranks run in peer processes. Every loop ends the same way: on the
+	// EOF control message the feeder injects at Close.
+	for task, run := range [NumTasks]func(w int){
+		e.dopplerWorker, e.easyWeightWorker, e.hardWeightWorker,
+		e.easyBFWorker, e.hardBFWorker, e.pulseCompWorker, e.cfarWorker,
+	} {
 		if !hostTask(task) {
-			return
+			continue
 		}
 		for w := 0; w < cfg.Assign[task]; w++ {
 			s.wg.Add(1)
-			go func(w int) {
+			go func() {
 				defer s.wg.Done()
-				superviseWorker(world, sup, task, w, func() { run(w) })
-			}(w)
+				superviseWorker(world, e.sup, task, w, func() { run(w) })
+			}()
 		}
 	}
-	spawn(TaskDoppler, func(w int) {
-		dopplerWorker(world, topo, wcfg, gain, w, nil, nil)
-	})
-	spawn(TaskEasyWeight, func(w int) {
-		easyWeightWorker(world, topo, wcfg, beamAz, w, nil)
-	})
-	spawn(TaskHardWeight, func(w int) {
-		hardWeightWorker(world, topo, wcfg, beamAz, w, nil)
-	})
-	spawn(TaskEasyBF, func(w int) {
-		easyBFWorker(world, topo, wcfg, beamAz, w, nil)
-	})
-	spawn(TaskHardBF, func(w int) {
-		hardBFWorker(world, topo, wcfg, beamAz, w, nil)
-	})
-	spawn(TaskPulseComp, func(w int) {
-		pulseCompWorker(world, topo, wcfg, w, nil)
-	})
-	spawn(TaskCFAR, func(w int) {
-		cfarWorker(world, topo, wcfg, w, nil, nil)
-	})
 
 	// Collector (driver only): merges per-CFAR-worker reports into per-CPI
 	// detection lists, in submission order.
@@ -273,9 +263,7 @@ func NewHostedStream(cfg StreamConfig, h Hosting) (*Stream, error) {
 					return
 				}
 				sortDetections(merged)
-				s.mu.Lock()
-				s.cpis++
-				s.mu.Unlock()
+				s.cpis.Add(1)
 				select {
 				case s.out <- merged:
 				case <-world.Done():
@@ -319,6 +307,14 @@ func (s *Stream) ProcessJobOpts(cpis []*cube.Cube, opts JobOpts) ([][]stap.Detec
 	if len(cpis) == 0 {
 		return nil, fmt.Errorf("pipeline: empty job")
 	}
+	return s.processJob(len(cpis), func(i int) *cube.Cube { return cpis[i] }, opts)
+}
+
+// processJob runs an n-CPI job whose cubes are produced on demand: at(i)
+// is called from the submitter goroutine just before the feeder takes CPI
+// i, so a long run (see Run) never holds more cubes than the in-flight
+// window plus the one being handed over.
+func (s *Stream) processJob(n int, at func(i int) *cube.Cube, opts JobOpts) ([][]stap.Detection, error) {
 	if !s.driver {
 		return nil, fmt.Errorf("pipeline: ProcessJob on a non-driver hosted stream")
 	}
@@ -339,13 +335,17 @@ func (s *Stream) ProcessJobOpts(cpis []*cube.Cube, opts JobOpts) ([][]stap.Detec
 	// Submit from a separate goroutine so the bounded in-flight window
 	// cannot deadlock submission against result collection. The submitter
 	// always finishes before the final result arrives (the feeder must
-	// consume the last CPI before CFAR can report it), so ProcessJob's
-	// return synchronizes with it on the success path; on the close and
-	// abort paths it exits via the quit or done channel.
+	// consume the last CPI before CFAR can report it); every error return
+	// below implies a closed quit or done channel, which also ends it. So
+	// waiting for it on return never blocks, and at is never called after
+	// processJob returns.
+	submitted := make(chan struct{})
+	defer func() { <-submitted }()
 	go func() {
-		for i, c := range cpis {
+		defer close(submitted)
+		for i := 0; i < n; i++ {
 			select {
-			case s.in <- streamInput{raw: c, reset: i == 0}:
+			case s.in <- streamInput{raw: at(i), reset: i == 0}:
 			case <-s.quit:
 				return
 			case <-s.world.Done():
@@ -360,8 +360,8 @@ func (s *Stream) ProcessJobOpts(cpis []*cube.Cube, opts JobOpts) ([][]stap.Detec
 		defer timer.Stop()
 		timeout = timer.C
 	}
-	out := make([][]stap.Detection, 0, len(cpis))
-	for range cpis {
+	out := make([][]stap.Detection, 0, n)
+	for len(out) < n {
 		select {
 		case dets, ok := <-s.out:
 			if !ok {
@@ -406,11 +406,7 @@ func (s *Stream) deathErr() error {
 func (s *Stream) Faults() []WorkerFault { return s.sup.Faults() }
 
 // CPIsProcessed returns the number of CPIs the stream has fully processed.
-func (s *Stream) CPIsProcessed() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cpis
-}
+func (s *Stream) CPIsProcessed() int64 { return s.cpis.Load() }
 
 // Close drains the stream gracefully: everything already submitted is
 // processed, then the worker goroutines exit. Close blocks until the

@@ -3,11 +3,13 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"pstap/internal/cube"
 	"pstap/internal/leakcheck"
+	"pstap/internal/obs"
 	"pstap/internal/radar"
 	"pstap/internal/stap"
 )
@@ -125,5 +127,45 @@ func TestStreamCloseAndAbortStopGoroutines(t *testing.T) {
 	leakcheck.Wait(t, before)
 	if _, err := st2.ProcessJob([]*cube.Cube{sc.GenerateCPI(2)}); !errors.Is(err, ErrStreamClosed) {
 		t.Fatalf("ProcessJob after Abort: err = %v, want ErrStreamClosed", err)
+	}
+}
+
+// TestRunIsOneJobOnAStream pins the executor seam: Run over N CPIs and
+// NewStream + ProcessJob + Close over the same cubes produce identical
+// detections and identical world traffic (Run ends like every stream
+// does: last weights shipped, one EOF per edge), and Result's traffic
+// totals are the collector's.
+func TestRunIsOneJobOnAStream(t *testing.T) {
+	sc := radar.DefaultScene(radar.Small())
+	a := NewAssignment(2, 1, 2, 1, 1, 2, 1)
+	const n = 5
+	cubes := job(sc, 0, n)
+
+	runCol := obs.New(DefaultObsConfig(a))
+	res, err := Run(Config{Scene: sc, Assign: a, NumCPIs: n, Obs: runCol,
+		RawSource: func(i int) *cube.Cube { return cubes[i] }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stCol := obs.New(DefaultObsConfig(a))
+	st, err := NewStream(StreamConfig{Scene: sc, Assign: a, Obs: stCol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dets, err := st.ProcessJob(cubes)
+	st.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Detections, dets) {
+		t.Error("Run and ProcessJob detections differ")
+	}
+	if res.Messages != runCol.Messages() || res.BytesSent != runCol.Bytes() {
+		t.Errorf("Result traffic %d msgs / %d B, collector %d / %d",
+			res.Messages, res.BytesSent, runCol.Messages(), runCol.Bytes())
+	}
+	if res.Messages != stCol.Messages() || res.BytesSent != stCol.Bytes() {
+		t.Errorf("Run traffic %d msgs / %d B, stream %d / %d",
+			res.Messages, res.BytesSent, stCol.Messages(), stCol.Bytes())
 	}
 }

@@ -101,12 +101,10 @@ func superviseWorker(world *mp.World, sup *supervisor, task, w int, body func())
 // fault attribution and runs any injected compute-phase faults for this
 // (task, worker, cpi) — the pipeline-side half of the fault plane (the
 // other half corrupts messages through the mp send hook).
-func (c Config) faultPoint(task, w, cpi int) {
-	if c.sup != nil {
-		c.sup.enter(task, w, cpi)
-	}
-	if c.Fault != nil {
-		c.Fault.Compute(task, w, cpi)
+func (e *env) faultPoint(task, w, cpi int) {
+	e.sup.enter(task, w, cpi)
+	if e.fault != nil {
+		e.fault.Compute(task, w, cpi)
 	}
 }
 

@@ -4,39 +4,35 @@ import (
 	"time"
 
 	"pstap/internal/cube"
+	"pstap/internal/fault"
 	"pstap/internal/linalg"
 	"pstap/internal/mp"
+	"pstap/internal/obs"
 	"pstap/internal/radar"
 	"pstap/internal/redist"
 	"pstap/internal/stap"
 )
 
-// more reports whether a worker's loop continues at CPI index cpi. Batch
-// runs bound the loop with NumCPIs; streaming runs (NumCPIs == 0, see
-// Stream) run until an EOF control message arrives.
-func (c Config) more(cpi int) bool { return c.NumCPIs == 0 || cpi < c.NumCPIs }
-
-// streaming reports whether the run is open-ended.
-func (c Config) streaming() bool { return c.NumCPIs == 0 }
-
-// emit publishes one worker-CPI span: into the run's private span slice
-// when the run collects timing (batch mode; streaming runs pass nil
-// slices), and into the obs collector when one is attached (always-on
-// telemetry, both modes). tr is the control message the worker received
-// for this CPI — its trace/hop lineage labels the span.
-func (c Config) emit(task, w int, spans []Span, cpi int, s Span, tr ctl) {
-	if cpi < len(spans) {
-		spans[cpi] = s
-	}
-	if c.Obs != nil {
-		c.Obs.RecordTracedSpan(task, w, cpi, tr.Trace, tr.Hop, s.T0, s.T1, s.T2, s.T3)
-	}
+// env is what the workers of one pipeline instance share: the world they
+// message through, the routing tables, the scene-derived constants and the
+// instance's telemetry, fault and supervision planes.
+type env struct {
+	world   *mp.World
+	topo    *topology
+	scene   *radar.Scene
+	threads int
+	obs     *obs.Collector  // nil: spans are not journaled
+	fault   *fault.Injector // nil: no injected faults
+	sup     *supervisor
+	gain    []float64 // per-range-gate gain correction applied by Doppler
+	beamAz  []float64
 }
 
-// stamp stores a timestamp when the run collects them.
-func stamp(ts []time.Time, cpi int, t time.Time) {
-	if cpi < len(ts) {
-		ts[cpi] = t
+// emit journals one worker-CPI span. tr is the control message the worker
+// received for this CPI — its trace/hop lineage labels the span.
+func (e *env) emit(task, w, cpi int, s Span, tr ctl) {
+	if e.obs != nil {
+		e.obs.RecordTracedSpan(task, w, cpi, tr.Trace, tr.Hop, s.T0, s.T1, s.T2, s.T3)
 	}
 }
 
@@ -46,14 +42,13 @@ func stamp(ts []time.Time, cpi int, t time.Time) {
 // beamforming tasks) and send — the all-to-all personalized phase. The
 // control flags of the incoming slab (job reset, stream EOF) are forwarded
 // verbatim to every successor worker.
-func dopplerWorker(world *mp.World, topo *topology, cfg Config, gain []float64, w int, spans []Span, ready []time.Time) {
-	p := topo.p
-	comm := world.Comm(topo.groups[TaskDoppler].Global(w))
+func (e *env) dopplerWorker(w int) {
+	topo, p := e.topo, e.topo.p
+	comm := e.world.Comm(topo.groups[TaskDoppler].Global(w))
 	blk := topo.kBlocks[w]
-	for cpi := 0; cfg.more(cpi); cpi++ {
+	for cpi := 0; ; cpi++ {
 		t0 := time.Now()
-		stamp(ready, cpi, t0)
-		cfg.faultPoint(TaskDoppler, w, cpi)
+		e.faultPoint(TaskDoppler, w, cpi)
 		msg := comm.Recv(topo.driver, tag(tagRaw, cpi)).(rawMsg)
 		fwd := msg.ctl.next()
 		if msg.ctl.EOF {
@@ -72,7 +67,7 @@ func dopplerWorker(world *mp.World, topo *topology, cfg Config, gain []float64, 
 			return
 		}
 		t1 := time.Now()
-		stag := stap.DopplerFilterBlockThreaded(p, msg.slab, gain, blk, cfg.Threads)
+		stag := stap.DopplerFilterBlockThreaded(p, msg.slab, e.gain, blk, e.threads)
 		t2 := time.Now()
 		for dw, pos := range topo.easyWPos {
 			rows := stap.ExtractEasyRows(p, stag, blk, binsAt(topo.easyBins, pos))
@@ -91,7 +86,7 @@ func dopplerWorker(world *mp.World, topo *topology, cfg Config, gain []float64, 
 			comm.Send(topo.groups[TaskHardBF].Global(dw), tag(tagHardBFData, cpi), bfDataMsg{piece: piece, ctl: fwd})
 		}
 		t3 := time.Now()
-		cfg.emit(TaskDoppler, w, spans, cpi, Span{T0: t0, T1: t1, T2: t2, T3: t3}, msg.ctl)
+		e.emit(TaskDoppler, w, cpi, Span{T0: t0, T1: t1, T2: t2, T3: t3}, msg.ctl)
 	}
 }
 
@@ -101,17 +96,17 @@ func dopplerWorker(world *mp.World, topo *topology, cfg Config, gain []float64, 
 // bins, and ship the weights to the easy beamforming workers that own
 // those bins — for the *next* CPI (temporal dependency TD(1,3)). A job
 // reset re-creates the training state so independent jobs in a stream see
-// exactly the fresh-start semantics of a batch run.
-func easyWeightWorker(world *mp.World, topo *topology, cfg Config, beamAz []float64, w int, spans []Span) {
-	p := topo.p
-	comm := world.Comm(topo.groups[TaskEasyWeight].Global(w))
+// exactly the fresh-start semantics of a new instance.
+func (e *env) easyWeightWorker(w int) {
+	topo, p, beamAz := e.topo, e.topo.p, e.beamAz
+	comm := e.world.Comm(topo.groups[TaskEasyWeight].Global(w))
 	pos := topo.easyWPos[w]
 	bins := binsAt(topo.easyBins, pos)
 	state := stap.NewEasyWeightStateForBins(p, beamAz, bins)
 	p0 := topo.groups[TaskDoppler].N
-	for cpi := 0; cfg.more(cpi); cpi++ {
+	for cpi := 0; ; cpi++ {
 		t0 := time.Now()
-		cfg.faultPoint(TaskEasyWeight, w, cpi)
+		e.faultPoint(TaskEasyWeight, w, cpi)
 		var c ctl
 		perSrc := make([][]*linalg.Matrix, p0)
 		for s := 0; s < p0; s++ {
@@ -137,18 +132,16 @@ func easyWeightWorker(world *mp.World, topo *topology, cfg Config, beamAz []floa
 		state.ObserveRows(stacked)
 		ws := state.Compute()
 		t2 := time.Now()
-		if cfg.streaming() || cpi+1 < cfg.NumCPIs {
-			for bw, bfPos := range topo.easyBFPos {
-				ov := redist.Intersect(pos, bfPos)
-				if ov.Size() == 0 {
-					continue
-				}
-				comm.Send(topo.groups[TaskEasyBF].Global(bw), tag(tagEasyW, cpi+1),
-					easyWeightsMsg{ws: ws[ov.Lo-pos.Lo : ov.Hi-pos.Lo]})
+		for bw, bfPos := range topo.easyBFPos {
+			ov := redist.Intersect(pos, bfPos)
+			if ov.Size() == 0 {
+				continue
 			}
+			comm.Send(topo.groups[TaskEasyBF].Global(bw), tag(tagEasyW, cpi+1),
+				easyWeightsMsg{ws: ws[ov.Lo-pos.Lo : ov.Hi-pos.Lo]})
 		}
 		t3 := time.Now()
-		cfg.emit(TaskEasyWeight, w, spans, cpi, Span{T0: t0, T1: t1, T2: t2, T3: t3}, c)
+		e.emit(TaskEasyWeight, w, cpi, Span{T0: t0, T1: t1, T2: t2, T3: t3}, c)
 	}
 }
 
@@ -156,17 +149,17 @@ func easyWeightWorker(world *mp.World, topo *topology, cfg Config, beamAz []floa
 // with exponential forgetting per (segment, bin), then the constrained
 // solves, shipping 2J x M weights to the hard beamforming workers for the
 // next CPI (TD(2,4)).
-func hardWeightWorker(world *mp.World, topo *topology, cfg Config, beamAz []float64, w int, spans []Span) {
-	p := topo.p
-	comm := world.Comm(topo.groups[TaskHardWeight].Global(w))
+func (e *env) hardWeightWorker(w int) {
+	topo, p, beamAz := e.topo, e.topo.p, e.beamAz
+	comm := e.world.Comm(topo.groups[TaskHardWeight].Global(w))
 	pos := topo.hardWPos[w]
 	bins := binsAt(topo.hardBins, pos)
 	state := stap.NewHardWeightStateForBins(p, beamAz, bins)
 	p0 := topo.groups[TaskDoppler].N
 	nSeg := p.NumSegments()
-	for cpi := 0; cfg.more(cpi); cpi++ {
+	for cpi := 0; ; cpi++ {
 		t0 := time.Now()
-		cfg.faultPoint(TaskHardWeight, w, cpi)
+		e.faultPoint(TaskHardWeight, w, cpi)
 		var c ctl
 		perSrc := make([][][]*linalg.Matrix, p0)
 		for s := 0; s < p0; s++ {
@@ -195,21 +188,19 @@ func hardWeightWorker(world *mp.World, topo *topology, cfg Config, beamAz []floa
 		state.ObserveRows(stacked)
 		ws := state.Compute()
 		t2 := time.Now()
-		if cfg.streaming() || cpi+1 < cfg.NumCPIs {
-			for bw, bfPos := range topo.hardBFPos {
-				ov := redist.Intersect(pos, bfPos)
-				if ov.Size() == 0 {
-					continue
-				}
-				sub := make([][]*linalg.Matrix, nSeg)
-				for seg := 0; seg < nSeg; seg++ {
-					sub[seg] = ws[seg][ov.Lo-pos.Lo : ov.Hi-pos.Lo]
-				}
-				comm.Send(topo.groups[TaskHardBF].Global(bw), tag(tagHardW, cpi+1), hardWeightsMsg{ws: sub})
+		for bw, bfPos := range topo.hardBFPos {
+			ov := redist.Intersect(pos, bfPos)
+			if ov.Size() == 0 {
+				continue
 			}
+			sub := make([][]*linalg.Matrix, nSeg)
+			for seg := 0; seg < nSeg; seg++ {
+				sub[seg] = ws[seg][ov.Lo-pos.Lo : ov.Hi-pos.Lo]
+			}
+			comm.Send(topo.groups[TaskHardBF].Global(bw), tag(tagHardW, cpi+1), hardWeightsMsg{ws: sub})
 		}
 		t3 := time.Now()
-		cfg.emit(TaskHardWeight, w, spans, cpi, Span{T0: t0, T1: t1, T2: t2, T3: t3}, c)
+		e.emit(TaskHardWeight, w, cpi, Span{T0: t0, T1: t1, T2: t2, T3: t3}, c)
 	}
 }
 
@@ -218,17 +209,17 @@ func hardWeightWorker(world *mp.World, topo *topology, cfg Config, beamAz []floa
 // on a job reset), beamform, and forward rows to the pulse-compression
 // workers that own them. Weights shipped across a job boundary are
 // received and discarded to keep the per-CPI streams aligned.
-func easyBFWorker(world *mp.World, topo *topology, cfg Config, beamAz []float64, w int, spans []Span) {
-	p := topo.p
-	comm := world.Comm(topo.groups[TaskEasyBF].Global(w))
+func (e *env) easyBFWorker(w int) {
+	topo, p, beamAz := e.topo, e.topo.p, e.beamAz
+	comm := e.world.Comm(topo.groups[TaskEasyBF].Global(w))
 	pos := topo.easyBFPos[w]
 	bins := binsAt(topo.easyBins, pos)
 	steer := stap.SteeringWeights(p, beamAz)
 	p0 := topo.groups[TaskDoppler].N
 	pieces := make([]*cube.Cube, p0)
-	for cpi := 0; cfg.more(cpi); cpi++ {
+	for cpi := 0; ; cpi++ {
 		t0 := time.Now()
-		cfg.faultPoint(TaskEasyBF, w, cpi)
+		e.faultPoint(TaskEasyBF, w, cpi)
 		var c ctl
 		for s := 0; s < p0; s++ {
 			msg := comm.Recv(topo.groups[TaskDoppler].Global(s), tag(tagEasyBFData, cpi)).(bfDataMsg)
@@ -236,7 +227,7 @@ func easyBFWorker(world *mp.World, topo *topology, cfg Config, beamAz []float64,
 			c = msg.ctl
 		}
 		if c.EOF {
-			sendBeamEOF(comm, topo, TaskEasyBeamStream, cpi, bins, c.next())
+			sendBeamEOF(comm, topo, tagEasyBeam, cpi, bins, c.next())
 			return
 		}
 		ws := make([]*linalg.Matrix, len(bins))
@@ -258,20 +249,13 @@ func easyBFWorker(world *mp.World, topo *topology, cfg Config, beamAz []float64,
 		slab := redist.AssembleBeamformInput(p, pieces, topo.kBlocks, p.J)
 		t1 := time.Now()
 		out := cube.New(radar.BeamOrder, len(bins), p.M, p.K)
-		stap.BeamformEasySlabThreaded(p, slab, ws, out, cfg.Threads)
+		stap.BeamformEasySlabThreaded(p, slab, ws, out, e.threads)
 		t2 := time.Now()
-		sendBeamRows(comm, topo, TaskEasyBeamStream, cpi, bins, out, c.next())
+		sendBeamRows(comm, topo, tagEasyBeam, cpi, bins, out, c.next())
 		t3 := time.Now()
-		cfg.emit(TaskEasyBF, w, spans, cpi, Span{T0: t0, T1: t1, T2: t2, T3: t3}, c)
+		e.emit(TaskEasyBF, w, cpi, Span{T0: t0, T1: t1, T2: t2, T3: t3}, c)
 	}
 }
-
-// TaskEasyBeamStream and TaskHardBeamStream alias the wire streams used by
-// sendBeamRows.
-const (
-	TaskEasyBeamStream = tagEasyBeam
-	TaskHardBeamStream = tagHardBeam
-)
 
 // sendBeamRows routes a beamforming worker's output rows to the
 // pulse-compression workers owning the corresponding global bins. Both
@@ -304,18 +288,18 @@ func sendBeamEOF(comm *mp.Comm, topo *topology, stream, cpi int, bins []int, c c
 
 // hardBFWorker is one processor of task 4: like easyBFWorker but with 2J
 // channels and per-segment weights.
-func hardBFWorker(world *mp.World, topo *topology, cfg Config, beamAz []float64, w int, spans []Span) {
-	p := topo.p
-	comm := world.Comm(topo.groups[TaskHardBF].Global(w))
+func (e *env) hardBFWorker(w int) {
+	topo, p, beamAz := e.topo, e.topo.p, e.beamAz
+	comm := e.world.Comm(topo.groups[TaskHardBF].Global(w))
 	pos := topo.hardBFPos[w]
 	bins := binsAt(topo.hardBins, pos)
 	steer := stap.SteeringWeights(p, beamAz)
 	p0 := topo.groups[TaskDoppler].N
 	nSeg := p.NumSegments()
 	pieces := make([]*cube.Cube, p0)
-	for cpi := 0; cfg.more(cpi); cpi++ {
+	for cpi := 0; ; cpi++ {
 		t0 := time.Now()
-		cfg.faultPoint(TaskHardBF, w, cpi)
+		e.faultPoint(TaskHardBF, w, cpi)
 		var c ctl
 		for s := 0; s < p0; s++ {
 			msg := comm.Recv(topo.groups[TaskDoppler].Global(s), tag(tagHardBFData, cpi)).(bfDataMsg)
@@ -323,7 +307,7 @@ func hardBFWorker(world *mp.World, topo *topology, cfg Config, beamAz []float64,
 			c = msg.ctl
 		}
 		if c.EOF {
-			sendBeamEOF(comm, topo, TaskHardBeamStream, cpi, bins, c.next())
+			sendBeamEOF(comm, topo, tagHardBeam, cpi, bins, c.next())
 			return
 		}
 		ws := make([][]*linalg.Matrix, nSeg)
@@ -352,22 +336,22 @@ func hardBFWorker(world *mp.World, topo *topology, cfg Config, beamAz []float64,
 		slab := redist.AssembleBeamformInput(p, pieces, topo.kBlocks, 2*p.J)
 		t1 := time.Now()
 		out := cube.New(radar.BeamOrder, len(bins), p.M, p.K)
-		stap.BeamformHardSlabThreaded(p, slab, ws, out, cfg.Threads)
+		stap.BeamformHardSlabThreaded(p, slab, ws, out, e.threads)
 		t2 := time.Now()
-		sendBeamRows(comm, topo, TaskHardBeamStream, cpi, bins, out, c.next())
+		sendBeamRows(comm, topo, tagHardBeam, cpi, bins, out, c.next())
 		t3 := time.Now()
-		cfg.emit(TaskHardBF, w, spans, cpi, Span{T0: t0, T1: t1, T2: t2, T3: t3}, c)
+		e.emit(TaskHardBF, w, cpi, Span{T0: t0, T1: t1, T2: t2, T3: t3}, c)
 	}
 }
 
 // pulseCompWorker is one processor of task 5: assemble its global-bin
 // block from the beamforming workers, fast-convolve with the matched
 // filter, square to power, and forward to the CFAR workers.
-func pulseCompWorker(world *mp.World, topo *topology, cfg Config, w int, spans []Span) {
-	p := topo.p
-	comm := world.Comm(topo.groups[TaskPulseComp].Global(w))
+func (e *env) pulseCompWorker(w int) {
+	topo, p := e.topo, e.topo.p
+	comm := e.world.Comm(topo.groups[TaskPulseComp].Global(w))
 	blk := topo.pcBlocks[w]
-	mf := stap.NewMatchedFilter(p.K, cfg.Scene.Chirp())
+	mf := stap.NewMatchedFilter(p.K, e.scene.Chirp())
 
 	// Which beamforming workers send to this block, and on which stream?
 	type pcSrc struct{ rank, stream int }
@@ -382,9 +366,9 @@ func pulseCompWorker(world *mp.World, topo *topology, cfg Config, w int, spans [
 			senders = append(senders, pcSrc{rank: topo.groups[TaskHardBF].Global(bw), stream: tagHardBeam})
 		}
 	}
-	for cpi := 0; cfg.more(cpi); cpi++ {
+	for cpi := 0; ; cpi++ {
 		t0 := time.Now()
-		cfg.faultPoint(TaskPulseComp, w, cpi)
+		e.faultPoint(TaskPulseComp, w, cpi)
 		var c ctl
 		local := cube.New(radar.BeamOrder, blk.Size(), p.M, p.K)
 		for _, s := range senders {
@@ -412,7 +396,7 @@ func pulseCompWorker(world *mp.World, topo *topology, cfg Config, w int, spans [
 		}
 		t1 := time.Now()
 		power := cube.NewReal(radar.BeamOrder, blk.Size(), p.M, p.K)
-		stap.PulseCompressRowsThreaded(p, local, mf, power, 0, blk.Size(), cfg.Threads)
+		stap.PulseCompressRowsThreaded(p, local, mf, power, 0, blk.Size(), e.threads)
 		t2 := time.Now()
 		for cw, cblk := range topo.cfBlocks {
 			ov := redist.Intersect(blk, cblk)
@@ -423,16 +407,16 @@ func pulseCompWorker(world *mp.World, topo *topology, cfg Config, w int, spans [
 			comm.Send(topo.groups[TaskCFAR].Global(cw), tag(tagPower, cpi), powerMsg{slab: sub, blk: ov, ctl: c.next()})
 		}
 		t3 := time.Now()
-		cfg.emit(TaskPulseComp, w, spans, cpi, Span{T0: t0, T1: t1, T2: t2, T3: t3}, c)
+		e.emit(TaskPulseComp, w, cpi, Span{T0: t0, T1: t1, T2: t2, T3: t3}, c)
 	}
 }
 
 // cfarWorker is one processor of task 6: assemble power rows, run the
 // sliding-window detector, and emit the detection report to the pipeline
 // output.
-func cfarWorker(world *mp.World, topo *topology, cfg Config, w int, spans []Span, done []time.Time) {
-	p := topo.p
-	comm := world.Comm(topo.groups[TaskCFAR].Global(w))
+func (e *env) cfarWorker(w int) {
+	topo, p := e.topo, e.topo.p
+	comm := e.world.Comm(topo.groups[TaskCFAR].Global(w))
 	blk := topo.cfBlocks[w]
 	var senders []int
 	for pw, pblk := range topo.pcBlocks {
@@ -440,9 +424,9 @@ func cfarWorker(world *mp.World, topo *topology, cfg Config, w int, spans []Span
 			senders = append(senders, topo.groups[TaskPulseComp].Global(pw))
 		}
 	}
-	for cpi := 0; cfg.more(cpi); cpi++ {
+	for cpi := 0; ; cpi++ {
 		t0 := time.Now()
-		cfg.faultPoint(TaskCFAR, w, cpi)
+		e.faultPoint(TaskCFAR, w, cpi)
 		var c ctl
 		local := cube.NewReal(radar.BeamOrder, blk.Size(), p.M, p.K)
 		for _, src := range senders {
@@ -462,11 +446,10 @@ func cfarWorker(world *mp.World, topo *topology, cfg Config, w int, spans []Span
 		}
 		t1 := time.Now()
 		var dets []stap.Detection
-		stap.CFARRowsThreaded(p, local, blk.Lo, blk.Hi, true, &dets, cfg.Threads)
+		stap.CFARRowsThreaded(p, local, blk.Lo, blk.Hi, true, &dets, e.threads)
 		t2 := time.Now()
 		comm.Send(topo.driver, tag(tagDet, cpi), detMsg{dets: dets, ctl: c.next()})
 		t3 := time.Now()
-		stamp(done, cpi, t3)
-		cfg.emit(TaskCFAR, w, spans, cpi, Span{T0: t0, T1: t1, T2: t2, T3: t3}, c)
+		e.emit(TaskCFAR, w, cpi, Span{T0: t0, T1: t1, T2: t2, T3: t3}, c)
 	}
 }
