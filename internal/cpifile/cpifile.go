@@ -2,14 +2,11 @@
 // format for recorded CPI streams (the stand-in for the RTMCARM flight
 // tapes). cmd/stapgen writes recording files; cmd/stappipe -replay and
 // library users feed them back through the pipeline. Framed network
-// exchange goes through internal/wire, the shared length-prefixed codec;
-// the frame helpers here are kept as thin forwarders for callers that
-// predate the extraction.
+// exchange goes through internal/wire, the shared length-prefixed codec.
 //
-// All decoding paths are hardened against corrupt or truncated input:
-// they return descriptive errors, never panic, and refuse frames whose
-// declared length exceeds wire.MaxFrameBytes (a corrupt prefix must not
-// drive an allocation).
+// Decoding is hardened against corrupt or truncated input: it returns a
+// descriptive error, never panics, and a decoded cube whose sample count
+// does not match its declared shape is refused.
 package cpifile
 
 import (
@@ -20,7 +17,6 @@ import (
 
 	"pstap/internal/cube"
 	"pstap/internal/radar"
-	"pstap/internal/wire"
 )
 
 // File is a recorded CPI stream plus the scene ground truth needed to
@@ -62,12 +58,8 @@ func (f *File) Validate() error {
 	}
 	want := [3]int{f.Params.K, f.Params.J, f.Params.N}
 	for i, c := range f.CPIs {
-		if c == nil {
-			return fmt.Errorf("cpifile: CPI %d is nil", i)
-		}
-		if c.Axes != radar.RawOrder || c.Dim != want {
-			return fmt.Errorf("cpifile: CPI %d shape %v %v, want %v %v",
-				i, c.Axes, c.Dim, radar.RawOrder, want)
+		if err := c.CheckShape(radar.RawOrder, want); err != nil {
+			return fmt.Errorf("cpifile: CPI %d: %w", i, err)
 		}
 	}
 	return nil
@@ -99,16 +91,6 @@ func guard(err *error, what string) {
 		*err = fmt.Errorf("cpifile: %s: malformed input: %v", what, r)
 	}
 }
-
-// MaxFrameBytes mirrors wire.MaxFrameBytes for callers of the forwarders
-// below.
-const MaxFrameBytes = wire.MaxFrameBytes
-
-// WriteFrame forwards to wire.WriteFrame, the shared frame codec.
-func WriteFrame(w io.Writer, v any) error { return wire.WriteFrame(w, v) }
-
-// ReadFrame forwards to wire.ReadFrame, the shared frame codec.
-func ReadFrame(r io.Reader, v any) error { return wire.ReadFrame(r, v) }
 
 // Save writes the file to path.
 func (f *File) Save(path string) error {

@@ -2,10 +2,7 @@ package cpifile
 
 import (
 	"bytes"
-	"encoding/binary"
-	"io"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"pstap/internal/cube"
@@ -80,6 +77,12 @@ func TestValidateCatchesBadShapes(t *testing.T) {
 	f.CPIs[0] = nil
 	if f.Validate() == nil {
 		t.Error("nil cube should fail validation")
+	}
+	// A truncated payload under an intact header: Dim right, Data short.
+	f.CPIs[0] = cube.New(radar.RawOrder, f.Params.K, f.Params.J, f.Params.N)
+	f.CPIs[0].Data = f.CPIs[0].Data[:10]
+	if f.Validate() == nil {
+		t.Error("cube with fewer samples than its shape should fail validation")
 	}
 	f2, _ := sampleFile(t, 1)
 	f2.Params.K = 0
@@ -164,65 +167,5 @@ func TestReadTruncated(t *testing.T) {
 	}
 	if _, err := Read(bytes.NewReader(flipped)); err == nil {
 		t.Error("Read of corrupted bytes: want error, got nil")
-	}
-}
-
-func TestFrameRoundTrip(t *testing.T) {
-	type msg struct {
-		ID   uint64
-		CPIs []*cube.Cube
-	}
-	f, _ := sampleFile(t, 2)
-	var buf bytes.Buffer
-	for i := 0; i < 3; i++ {
-		if err := WriteFrame(&buf, msg{ID: uint64(i), CPIs: f.CPIs}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 3; i++ {
-		var got msg
-		if err := ReadFrame(&buf, &got); err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if got.ID != uint64(i) || len(got.CPIs) != 2 {
-			t.Fatalf("frame %d: ID=%d CPIs=%d", i, got.ID, len(got.CPIs))
-		}
-		if !got.CPIs[0].Equalish(f.CPIs[0], 0) {
-			t.Fatalf("frame %d: cube mismatch", i)
-		}
-	}
-	var v msg
-	if err := ReadFrame(&buf, &v); err != io.EOF {
-		t.Fatalf("clean end: err = %v, want io.EOF", err)
-	}
-}
-
-func TestReadFrameRejectsCorruptInput(t *testing.T) {
-	var v struct{ X int }
-	// Truncated header.
-	if err := ReadFrame(bytes.NewReader([]byte{1, 2, 3}), &v); err == nil || err == io.EOF {
-		t.Errorf("truncated header: err = %v", err)
-	}
-	// Oversized declared length must not allocate.
-	var huge bytes.Buffer
-	binary.Write(&huge, binary.BigEndian, uint64(1<<40))
-	if err := ReadFrame(&huge, &v); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
-		t.Errorf("oversized length: err = %v", err)
-	}
-	// Truncated payload.
-	var short bytes.Buffer
-	if err := WriteFrame(&short, struct{ X int }{7}); err != nil {
-		t.Fatal(err)
-	}
-	b := short.Bytes()[:short.Len()-2]
-	if err := ReadFrame(bytes.NewReader(b), &v); err == nil || err == io.EOF {
-		t.Errorf("truncated payload: err = %v", err)
-	}
-	// Garbage payload of the declared length.
-	var garbage bytes.Buffer
-	binary.Write(&garbage, binary.BigEndian, uint64(16))
-	garbage.Write(bytes.Repeat([]byte{0xFF}, 16))
-	if err := ReadFrame(&garbage, &v); err == nil || err == io.EOF {
-		t.Errorf("garbage payload: err = %v", err)
 	}
 }

@@ -87,6 +87,22 @@ func New(axes Order, d0, d1, d2 int) *Cube {
 	}
 }
 
+// CheckShape reports whether c is a well-formed cube of exactly the given
+// axis order and dimensions, its Data holding d0·d1·d2 samples — the check
+// for a cube decoded from outside the program (a network frame, a
+// recording), whose Dim and Data need not agree.
+func (c *Cube) CheckShape(axes Order, dim [3]int) error {
+	switch {
+	case c == nil:
+		return fmt.Errorf("cube: nil cube")
+	case c.Axes != axes || c.Dim != dim:
+		return fmt.Errorf("cube: shape %v %v, want %v %v", c.Axes, c.Dim, axes, dim)
+	case dim[0] < 0 || dim[1] < 0 || dim[2] < 0 || len(c.Data) != dim[0]*dim[1]*dim[2]:
+		return fmt.Errorf("cube: %d samples for shape %v", len(c.Data), dim)
+	}
+	return nil
+}
+
 // Len returns the total element count.
 func (c *Cube) Len() int { return len(c.Data) }
 

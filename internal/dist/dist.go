@@ -8,6 +8,10 @@
 // internal/pipeline spawns the same worker bodies against a partial
 // mp.World whose non-hosted traffic rides length-prefixed gob frames
 // (internal/wire) with per-link credit-based flow control and heartbeats.
+// The frames carry the pipeline's message structs as they are (plain data,
+// registered with gob by pipeline.RegisterWire), so every process of a
+// replica must be the same build: gob rejects a message whose struct
+// differs with a type error — it does not mis-decode.
 //
 // Wiring: the coordinator dials every node and sends the HMAC-signed
 // placement Manifest as its hello; node j then dials nodes 1..j-1, so every

@@ -389,6 +389,25 @@ func (c *Collector) Journal() []SpanEvent {
 	return out
 }
 
+// SpansSince cuts the part of a span timeline that lies at or after
+// origin (ns on the events' own time base) and rebases it to origin: one
+// run's or one job's spans out of a journal that outlives it. Events that
+// ended before origin are dropped; a span that straddles it — a worker's
+// loop opens when its previous CPI ended, so its first span of a job
+// starts waiting before the job arrives — is clipped to start at origin.
+func SpansSince(events []SpanEvent, origin int64) []SpanEvent {
+	var out []SpanEvent
+	for _, ev := range events {
+		if ev.T3 < origin {
+			continue
+		}
+		ev.T0, ev.T1 = max(ev.T0-origin, 0), max(ev.T1-origin, 0)
+		ev.T2, ev.T3 = max(ev.T2-origin, 0), ev.T3-origin
+		out = append(out, ev)
+	}
+	return out
+}
+
 // WorkerSnapshot is one worker's counter totals. Wait is the blocked
 // share of Recv (zero when the runtime's wait observer is not wired).
 type WorkerSnapshot struct {

@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"encoding/gob"
+
 	"pstap/internal/cube"
 	"pstap/internal/linalg"
 	"pstap/internal/redist"
@@ -9,6 +11,30 @@ import (
 
 // Message payloads. Every type reports its wire size (mp.Sizer) so the
 // world can account communication volume against the Paragon cost model.
+// The messages are plain data: their exported fields are their wire form,
+// so a distributed transport (internal/dist) ships them between processes
+// through gob exactly as the in-process mailboxes pass them by reference,
+// and a decoded payload is structurally identical to the original — the
+// cubes and matrices carry float64 values that gob round-trips losslessly,
+// which keeps a split pipeline bit-exact. What a payload's bytes are is
+// therefore decided by the four types gob walks inside them: cube.Cube,
+// cube.RealCube, linalg.Matrix and stap.Detection.
+
+// RegisterWire registers every inter-task payload type with gob so the
+// types can travel inside a transport frame's `any` payload slot. Every
+// process of a distributed world must call it (internal/dist does, from
+// its init) before encoding or decoding pipeline traffic.
+func RegisterWire() {
+	gob.Register(rawMsg{})
+	gob.Register(easyTrainMsg{})
+	gob.Register(hardTrainMsg{})
+	gob.Register(bfDataMsg{})
+	gob.Register(easyWeightsMsg{})
+	gob.Register(hardWeightsMsg{})
+	gob.Register(beamMsg{})
+	gob.Register(powerMsg{})
+	gob.Register(detMsg{})
+}
 
 // ctl carries per-CPI stream control alongside the data. Reset marks the
 // first CPI of an independent job: weight state restarts and steering
@@ -21,7 +47,7 @@ import (
 // Trace and Hop are the CPI's observability lineage: the feeder stamps a
 // fresh obs.NewTraceID at Doppler ingest, and every task forwards the
 // trace with Hop incremented (see ctl.next), so spans recorded on any
-// process — the wire codecs carry ctl whole across dist links — are
+// process — ctl crosses dist links whole, inside its message — are
 // attributable to one CPI lineage end to end. The weight streams
 // (TD(1,3)/TD(2,4)) deliberately carry no ctl: weights computed at CPI
 // i apply to CPI i+1, a different lineage.
@@ -42,54 +68,63 @@ func (c ctl) next() ctl {
 	return c
 }
 
+// merge folds one sender's control flags into the flags a stage with
+// several senders has seen so far for a CPI: EOF from any sender wins.
+func (c ctl) merge(m ctl) ctl {
+	if c.EOF && !m.EOF {
+		return c
+	}
+	return m
+}
+
 // ObsTrace implements obs.Traced on every ctl-carrying payload: the
 // distributed transport asks payloads for their trace id to attribute
 // per-hop wire costs (serialize/transmit/deserialize) to the CPI whose
 // data crossed the link. The weight messages deliberately do not
 // implement it — they carry no ctl, being a different lineage.
-func (m rawMsg) ObsTrace() uint64       { return m.ctl.Trace }
-func (m easyTrainMsg) ObsTrace() uint64 { return m.ctl.Trace }
-func (m hardTrainMsg) ObsTrace() uint64 { return m.ctl.Trace }
-func (m bfDataMsg) ObsTrace() uint64    { return m.ctl.Trace }
-func (m beamMsg) ObsTrace() uint64      { return m.ctl.Trace }
-func (m powerMsg) ObsTrace() uint64     { return m.ctl.Trace }
-func (m detMsg) ObsTrace() uint64       { return m.ctl.Trace }
+func (m rawMsg) ObsTrace() uint64       { return m.Ctl.Trace }
+func (m easyTrainMsg) ObsTrace() uint64 { return m.Ctl.Trace }
+func (m hardTrainMsg) ObsTrace() uint64 { return m.Ctl.Trace }
+func (m bfDataMsg) ObsTrace() uint64    { return m.Ctl.Trace }
+func (m beamMsg) ObsTrace() uint64      { return m.Ctl.Trace }
+func (m powerMsg) ObsTrace() uint64     { return m.Ctl.Trace }
+func (m detMsg) ObsTrace() uint64       { return m.Ctl.Trace }
 
 // rawMsg carries one Doppler worker's range slab of a raw CPI.
 type rawMsg struct {
-	slab *cube.Cube
-	ctl  ctl
+	Slab *cube.Cube
+	Ctl  ctl
 }
 
 // Bytes implements mp.Sizer.
 func (m rawMsg) Bytes() int64 {
-	if m.slab == nil {
+	if m.Slab == nil {
 		return 0
 	}
-	return m.slab.Bytes()
+	return m.Slab.Bytes()
 }
 
 // easyTrainMsg carries collected easy training rows, one matrix per
 // destination-owned easy bin (the paper's irregular "data collection"
 // transfer, Figure 6b).
 type easyTrainMsg struct {
-	rows []*linalg.Matrix
-	ctl  ctl
+	Rows []*linalg.Matrix
+	Ctl  ctl
 }
 
 // Bytes implements mp.Sizer.
-func (m easyTrainMsg) Bytes() int64 { return redist.RowsBytes(m.rows) }
+func (m easyTrainMsg) Bytes() int64 { return redist.RowsBytes(m.Rows) }
 
 // hardTrainMsg carries collected hard training rows, [segment][binIdx].
 type hardTrainMsg struct {
-	rows [][]*linalg.Matrix
-	ctl  ctl
+	Rows [][]*linalg.Matrix
+	Ctl  ctl
 }
 
 // Bytes implements mp.Sizer.
 func (m hardTrainMsg) Bytes() int64 {
 	var n int64
-	for _, seg := range m.rows {
+	for _, seg := range m.Rows {
 		n += redist.RowsBytes(seg)
 	}
 	return n
@@ -98,75 +133,75 @@ func (m hardTrainMsg) Bytes() int64 {
 // bfDataMsg carries a reorganized Doppler-major piece of the staggered CPI
 // for a beamforming worker (Figure 8).
 type bfDataMsg struct {
-	piece *cube.Cube
-	ctl   ctl
+	Piece *cube.Cube
+	Ctl   ctl
 }
 
 // Bytes implements mp.Sizer.
 func (m bfDataMsg) Bytes() int64 {
-	if m.piece == nil {
+	if m.Piece == nil {
 		return 0
 	}
-	return m.piece.Bytes()
+	return m.Piece.Bytes()
 }
 
 // easyWeightsMsg carries J x M weight matrices for a contiguous run of
 // easy bins.
-type easyWeightsMsg struct{ ws []*linalg.Matrix }
+type easyWeightsMsg struct{ Ws []*linalg.Matrix }
 
 // Bytes implements mp.Sizer.
-func (m easyWeightsMsg) Bytes() int64 { return redist.WeightsBytes(m.ws) }
+func (m easyWeightsMsg) Bytes() int64 { return redist.WeightsBytes(m.Ws) }
 
 // hardWeightsMsg carries 2J x M weight matrices, [segment][binIdx].
-type hardWeightsMsg struct{ ws [][]*linalg.Matrix }
+type hardWeightsMsg struct{ Ws [][]*linalg.Matrix }
 
 // Bytes implements mp.Sizer.
 func (m hardWeightsMsg) Bytes() int64 {
 	var n int64
-	for _, seg := range m.ws {
+	for _, seg := range m.Ws {
 		n += redist.WeightsBytes(seg)
 	}
 	return n
 }
 
 // beamMsg carries beamformed rows for a contiguous run of the sender's
-// bins; globalBins identifies each row's Doppler bin.
+// bins; GlobalBins identifies each row's Doppler bin.
 type beamMsg struct {
-	slab       *cube.Cube
-	globalBins []int
-	ctl        ctl
+	Slab       *cube.Cube
+	GlobalBins []int
+	Ctl        ctl
 }
 
 // Bytes implements mp.Sizer.
 func (m beamMsg) Bytes() int64 {
-	if m.slab == nil {
+	if m.Slab == nil {
 		return 0
 	}
-	return m.slab.Bytes()
+	return m.Slab.Bytes()
 }
 
 // powerMsg carries pulse-compressed power rows covering global bins
-// [blk.Lo, blk.Hi).
+// [Blk.Lo, Blk.Hi).
 type powerMsg struct {
-	slab *cube.RealCube
-	blk  cube.Block
-	ctl  ctl
+	Slab *cube.RealCube
+	Blk  cube.Block
+	Ctl  ctl
 }
 
 // Bytes implements mp.Sizer.
 func (m powerMsg) Bytes() int64 {
-	if m.slab == nil {
+	if m.Slab == nil {
 		return 0
 	}
-	return m.slab.Bytes()
+	return m.Slab.Bytes()
 }
 
 // detMsg carries one CFAR worker's detections for a CPI.
 type detMsg struct {
-	dets []stap.Detection
-	ctl  ctl
+	Dets []stap.Detection
+	Ctl  ctl
 }
 
 // Bytes implements mp.Sizer; a detection report entry is 3 int32 plus 2
 // float32 on the wire (20 bytes).
-func (m detMsg) Bytes() int64 { return int64(len(m.dets)) * 20 }
+func (m detMsg) Bytes() int64 { return int64(len(m.Dets)) * 20 }

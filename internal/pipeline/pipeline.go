@@ -16,9 +16,11 @@
 // serial reference bit for bit.
 //
 // There is one executor: a Stream (NewHostedStream is the only place
-// workers are spawned) whose worker loops end on the EOF control message
-// and journal their timing to the stream's obs.Collector. Run is one job
-// on a private Stream, its Result read back from that journal.
+// workers are spawned). Every worker runs one loop, runStage, over its
+// task's stage — the receive, compute and send callables of the Figure 10
+// iteration; the loop ends on the EOF control message and journals its
+// timing to the stream's obs.Collector. Run is one job on a private
+// Stream, its Result read back from that journal.
 package pipeline
 
 import (
@@ -30,6 +32,7 @@ import (
 
 	"pstap/internal/cube"
 	"pstap/internal/fault"
+	"pstap/internal/linalg"
 	"pstap/internal/mp"
 	"pstap/internal/obs"
 	"pstap/internal/radar"
@@ -255,16 +258,42 @@ type topology struct {
 
 	kBlocks []cube.Block // Doppler task's range blocks
 
-	easyBins []int // global easy bins, ascending
-	hardBins []int // global hard bins, ascending
+	easy, hard side
 
-	easyWPos  []cube.Block // easy weight workers' position blocks in easyBins
-	hardWPos  []cube.Block
-	easyBFPos []cube.Block
-	hardBFPos []cube.Block
-	pcBlocks  []cube.Block // over global bin space [0, N)
-	cfBlocks  []cube.Block
+	pcBlocks []cube.Block // over global bin space [0, N)
+	cfBlocks []cube.Block
 }
+
+// side is one of the two bin classes the pipeline forks into after
+// Doppler filtering: easy bins (J channels, one weight matrix per bin)
+// and hard bins (2J staggered channels, one per range segment and bin).
+// It is the table weightStage and bfStage are written once over — the
+// side's routing, and its typed half (messages and stap kernels) adapted
+// to one shape: rows and weights as [segment][binIdx], the easy side being
+// a single segment.
+type side struct {
+	wTask, bfTask                    int
+	trainTag, dataTag, wTag, beamTag int
+
+	bins        []int        // the side's global Doppler bins, ascending
+	wPos, bfPos []cube.Block // the two tasks' workers' position blocks in bins
+	channels    int
+	segs        int
+
+	// rows unpacks a training message from a Doppler worker.
+	rows func(msg any) ([][]*linalg.Matrix, ctl)
+	// train starts a training state for bins and returns its per-CPI step:
+	// observe the CPI's stacked rows, solve for the next CPI's weights.
+	train func(p radar.Params, beamAz []float64, bins []int) func(rows [][]*linalg.Matrix) [][]*linalg.Matrix
+	// weightsMsg packs weights for a beamforming worker; weights unpacks.
+	weightsMsg func(ws [][]*linalg.Matrix) any
+	weights    func(msg any) [][]*linalg.Matrix
+	steer      func(s *stap.Weights) [][]*linalg.Matrix
+	beamform   func(p radar.Params, slab *cube.Cube, ws [][]*linalg.Matrix, out *cube.Cube, threads int)
+}
+
+// sides returns the two bin classes in routing order: easy, then hard.
+func (t *topology) sides() []*side { return []*side{&t.easy, &t.hard} }
 
 func newTopology(p radar.Params, a Assignment) *topology {
 	t := &topology{p: p}
@@ -272,12 +301,52 @@ func newTopology(p radar.Params, a Assignment) *topology {
 	copy(t.groups[:], groups)
 	t.driver = a.Total()
 	t.kBlocks = cube.BlockPartition(p.K, a[TaskDoppler])
-	t.easyBins = p.EasyBins()
-	t.hardBins = p.HardBins()
-	t.easyWPos = cube.BlockPartition(len(t.easyBins), a[TaskEasyWeight])
-	t.hardWPos = cube.BlockPartition(len(t.hardBins), a[TaskHardWeight])
-	t.easyBFPos = cube.BlockPartition(len(t.easyBins), a[TaskEasyBF])
-	t.hardBFPos = cube.BlockPartition(len(t.hardBins), a[TaskHardBF])
+	t.easy = side{
+		wTask: TaskEasyWeight, bfTask: TaskEasyBF,
+		trainTag: tagEasyTrain, dataTag: tagEasyBFData, wTag: tagEasyW, beamTag: tagEasyBeam,
+		bins: p.EasyBins(), channels: p.J, segs: 1,
+		rows: func(msg any) ([][]*linalg.Matrix, ctl) {
+			m := msg.(easyTrainMsg)
+			return [][]*linalg.Matrix{m.Rows}, m.Ctl
+		},
+		train: func(p radar.Params, beamAz []float64, bins []int) func([][]*linalg.Matrix) [][]*linalg.Matrix {
+			state := stap.NewEasyWeightStateForBins(p, beamAz, bins)
+			return func(rows [][]*linalg.Matrix) [][]*linalg.Matrix {
+				state.ObserveRows(rows[0])
+				return [][]*linalg.Matrix{state.Compute()}
+			}
+		},
+		weightsMsg: func(ws [][]*linalg.Matrix) any { return easyWeightsMsg{Ws: ws[0]} },
+		weights:    func(msg any) [][]*linalg.Matrix { return [][]*linalg.Matrix{msg.(easyWeightsMsg).Ws} },
+		steer:      func(s *stap.Weights) [][]*linalg.Matrix { return [][]*linalg.Matrix{s.Easy} },
+		beamform: func(p radar.Params, slab *cube.Cube, ws [][]*linalg.Matrix, out *cube.Cube, threads int) {
+			stap.BeamformEasySlabThreaded(p, slab, ws[0], out, threads)
+		},
+	}
+	t.hard = side{
+		wTask: TaskHardWeight, bfTask: TaskHardBF,
+		trainTag: tagHardTrain, dataTag: tagHardBFData, wTag: tagHardW, beamTag: tagHardBeam,
+		bins: p.HardBins(), channels: 2 * p.J, segs: p.NumSegments(),
+		rows: func(msg any) ([][]*linalg.Matrix, ctl) {
+			m := msg.(hardTrainMsg)
+			return m.Rows, m.Ctl
+		},
+		train: func(p radar.Params, beamAz []float64, bins []int) func([][]*linalg.Matrix) [][]*linalg.Matrix {
+			state := stap.NewHardWeightStateForBins(p, beamAz, bins)
+			return func(rows [][]*linalg.Matrix) [][]*linalg.Matrix {
+				state.ObserveRows(rows)
+				return state.Compute()
+			}
+		},
+		weightsMsg: func(ws [][]*linalg.Matrix) any { return hardWeightsMsg{Ws: ws} },
+		weights:    func(msg any) [][]*linalg.Matrix { return msg.(hardWeightsMsg).Ws },
+		steer:      func(s *stap.Weights) [][]*linalg.Matrix { return s.Hard },
+		beamform:   stap.BeamformHardSlabThreaded,
+	}
+	for _, sd := range t.sides() {
+		sd.wPos = cube.BlockPartition(len(sd.bins), a[sd.wTask])
+		sd.bfPos = cube.BlockPartition(len(sd.bins), a[sd.bfTask])
+	}
 	t.pcBlocks = cube.BlockPartition(p.N, a[TaskPulseComp])
 	t.cfBlocks = cube.BlockPartition(p.N, a[TaskCFAR])
 	return t
@@ -379,18 +448,11 @@ func Run(cfg Config) (*Result, error) {
 		Elapsed:    elapsed,
 		BytesSent:  s.world.BytesSent(),
 		Messages:   s.world.MessagesSent(),
-		Spans:      make([]obs.SpanEvent, 0, need),
-		Start:      start,
-		tasks:      col.Tasks(),
-	}
-	// This run's spans are the journal entries stamped since start (a
-	// caller's collector may still hold an earlier run's), rebased to it.
-	origin := start.Sub(col.Start()).Nanoseconds()
-	for _, ev := range col.Journal() {
-		if ev.T0 >= origin {
-			ev.T0, ev.T1, ev.T2, ev.T3 = ev.T0-origin, ev.T1-origin, ev.T2-origin, ev.T3-origin
-			res.Spans = append(res.Spans, ev)
-		}
+		// This run's spans are the journal entries since start (a caller's
+		// collector may still hold an earlier run's).
+		Spans: obs.SpansSince(col.Journal(), start.Sub(col.Start()).Nanoseconds()),
+		Start: start,
+		tasks: col.Tasks(),
 	}
 	if len(res.Spans) != need {
 		return nil, fmt.Errorf("pipeline: journal holds %d of the run's %d spans (collector shared with another pipeline?)",

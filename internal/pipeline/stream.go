@@ -201,12 +201,12 @@ func NewHostedStream(cfg StreamConfig, h Hosting) (*Stream, error) {
 					c := ctl{Reset: item.reset, Trace: obs.NewTraceID()}
 					for w, blk := range topo.kBlocks {
 						feeder.Send(topo.groups[TaskDoppler].Global(w), tag(tagRaw, cpi),
-							rawMsg{slab: item.raw.SliceAxis0(blk), ctl: c})
+							rawMsg{Slab: item.raw.SliceAxis0(blk), Ctl: c})
 					}
 					cpi++
 				case <-s.quit:
 					for w := range topo.kBlocks {
-						feeder.Send(topo.groups[TaskDoppler].Global(w), tag(tagRaw, cpi), rawMsg{ctl: ctl{EOF: true}})
+						feeder.Send(topo.groups[TaskDoppler].Global(w), tag(tagRaw, cpi), rawMsg{Ctl: ctl{EOF: true}})
 					}
 					return
 				case <-world.Done():
@@ -221,9 +221,13 @@ func NewHostedStream(cfg StreamConfig, h Hosting) (*Stream, error) {
 	// Only locally hosted task groups spawn; the rest of the world's
 	// ranks run in peer processes. Every loop ends the same way: on the
 	// EOF control message the feeder injects at Close.
-	for task, run := range [NumTasks]func(w int){
-		e.dopplerWorker, e.easyWeightWorker, e.hardWeightWorker,
-		e.easyBFWorker, e.hardBFWorker, e.pulseCompWorker, e.cfarWorker,
+	for task, newStage := range [NumTasks]func(w int) stage{
+		e.dopplerStage,
+		func(w int) stage { return e.weightStage(&topo.easy, w) },
+		func(w int) stage { return e.weightStage(&topo.hard, w) },
+		func(w int) stage { return e.bfStage(&topo.easy, w) },
+		func(w int) stage { return e.bfStage(&topo.hard, w) },
+		e.pulseCompStage, e.cfarStage,
 	} {
 		if !hostTask(task) {
 			continue
@@ -232,7 +236,7 @@ func NewHostedStream(cfg StreamConfig, h Hosting) (*Stream, error) {
 			s.wg.Add(1)
 			go func() {
 				defer s.wg.Done()
-				superviseWorker(world, e.sup, task, w, func() { run(w) })
+				superviseWorker(world, e.sup, task, w, func() { e.runStage(task, w, newStage(w)) })
 			}()
 		}
 	}
@@ -253,11 +257,11 @@ func NewHostedStream(cfg StreamConfig, h Hosting) (*Stream, error) {
 				eof := false
 				for _, src := range topo.groups[TaskCFAR].Ranks() {
 					msg := collector.Recv(src, tag(tagDet, cpi)).(detMsg)
-					if msg.ctl.EOF {
+					if msg.Ctl.EOF {
 						eof = true
 						continue
 					}
-					merged = append(merged, msg.dets...)
+					merged = append(merged, msg.Dets...)
 				}
 				if eof {
 					return

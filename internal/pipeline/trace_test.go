@@ -85,8 +85,8 @@ func TestHopSaturates(t *testing.T) {
 func TestObsTraceOnPayloads(t *testing.T) {
 	c := ctl{Trace: 42}
 	traced := []any{
-		rawMsg{ctl: c}, easyTrainMsg{ctl: c}, hardTrainMsg{ctl: c},
-		bfDataMsg{ctl: c}, beamMsg{ctl: c}, powerMsg{ctl: c}, detMsg{ctl: c},
+		rawMsg{Ctl: c}, easyTrainMsg{Ctl: c}, hardTrainMsg{Ctl: c},
+		bfDataMsg{Ctl: c}, beamMsg{Ctl: c}, powerMsg{Ctl: c}, detMsg{Ctl: c},
 	}
 	for _, m := range traced {
 		if got := obs.TraceOf(m); got != 42 {

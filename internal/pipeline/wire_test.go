@@ -52,19 +52,24 @@ func TestWireRoundTrip(t *testing.T) {
 	dets := []stap.Detection{{Range: 3, DopplerBin: 4, Beam: 2, Power: 5.5, Threshold: 1.5}}
 
 	cases := []any{
-		rawMsg{slab: testCube(t), ctl: ctl{Reset: true, Trace: 0xdeadbeefcafe, Hop: 0}},
-		rawMsg{ctl: ctl{EOF: true}}, // nil slab: the EOF control frame
-		easyTrainMsg{rows: []*linalg.Matrix{m}, ctl: ctl{Reset: true, Trace: 7, Hop: 1}},
-		hardTrainMsg{rows: [][]*linalg.Matrix{{m, m}}},
-		bfDataMsg{piece: testCube(t), ctl: ctl{Trace: 1<<63 + 5, Hop: 1}},
-		easyWeightsMsg{ws: []*linalg.Matrix{m}},
-		hardWeightsMsg{ws: [][]*linalg.Matrix{{m}}},
-		beamMsg{slab: testCube(t), globalBins: []int{0, 3, 5}, ctl: ctl{Trace: 42, Hop: 2}},
-		powerMsg{slab: rc, blk: cube.Block{Lo: 1, Hi: 2}, ctl: ctl{Trace: 42, Hop: 3}},
-		detMsg{dets: dets, ctl: ctl{Trace: 42, Hop: 4}},
-		detMsg{ctl: ctl{EOF: true}},
+		rawMsg{Slab: testCube(t), Ctl: ctl{Reset: true, Trace: 0xdeadbeefcafe, Hop: 0}},
+		rawMsg{Ctl: ctl{EOF: true}}, // nil Slab: the EOF control frame
+		easyTrainMsg{Rows: []*linalg.Matrix{m}, Ctl: ctl{Reset: true, Trace: 7, Hop: 1}},
+		hardTrainMsg{Rows: [][]*linalg.Matrix{{m, m}}},
+		bfDataMsg{Piece: testCube(t), Ctl: ctl{Trace: 1<<63 + 5, Hop: 1}},
+		easyWeightsMsg{Ws: []*linalg.Matrix{m}},
+		hardWeightsMsg{Ws: [][]*linalg.Matrix{{m}}},
+		beamMsg{Slab: testCube(t), GlobalBins: []int{0, 3, 5}, Ctl: ctl{Trace: 42, Hop: 2}},
+		powerMsg{Slab: rc, Blk: cube.Block{Lo: 1, Hi: 2}, Ctl: ctl{Trace: 42, Hop: 3}},
+		detMsg{Dets: dets, Ctl: ctl{Trace: 42, Hop: 4}},
+		detMsg{Ctl: ctl{EOF: true}},
 	}
 	for _, want := range cases {
+		// The messages are plain data walked by the frame's own encoder; a
+		// GobEncoder here would be the per-message shadow codec growing back.
+		if _, ok := want.(gob.GobEncoder); ok {
+			t.Errorf("%T implements gob.GobEncoder", want)
+		}
 		got := roundTrip(t, want)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%T: round-trip mismatch\n got %+v\nwant %+v", want, got, want)

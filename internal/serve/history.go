@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"pstap/internal/dist"
 	"pstap/internal/history"
 	"pstap/internal/obs"
 	"pstap/internal/slo"
@@ -191,37 +190,12 @@ func (s *Server) historyLeadUp(slotIdx int) map[string][]history.Point {
 func (s *Server) sloBreach(a slo.Alert) {
 	s.cfg.Logf("stapd: SLO %q breached: series %s last=%.6g threshold=%.6g (fast burn %.2f, slow burn %.2f)",
 		a.Spec.Name, a.Spec.Series, a.LastValue, a.Spec.Threshold, a.Fast.BurnRate, a.Slow.BurnRate)
-	if s.cfg.FlightDir == "" {
-		return
-	}
 	slot := s.planSlot()
 	if idx, ok := seriesSlot(a.Spec.Series); ok && idx < len(s.slots) {
 		slot = s.slots[idx]
 	}
-	session := ""
-	var links []dist.LinkStats
-	if r, ok := slot.stream().(*dist.Replica); ok {
-		session = r.Session()
-		links = r.LinkStats()
-	}
-	reason := fmt.Sprintf("slo breach: %s (series %s, burn fast=%.2f slow=%.2f)",
-		a.Spec.Name, a.Spec.Series, a.Fast.BurnRate, a.Slow.BurnRate)
-	rec := obs.NewFlightRecord(fmt.Sprintf("stapd-replica-%d", slot.idx), session, reason, slot.collector())
-	if len(links) > 0 {
-		rec.Links = links
-	}
-	if s.fed != nil {
-		if snaps := s.fed.snapshots(slot.idx); len(snaps) > 0 {
-			rec.Nodes = snaps
-		}
-	}
-	rec.History = s.historyLeadUp(slot.idx)
-	path, err := obs.WriteFlightRecordKeep(s.cfg.FlightDir, rec, s.cfg.FlightKeep)
-	if err != nil {
-		s.cfg.Logf("stapd: SLO breach flight record: %v", err)
-		return
-	}
-	s.cfg.Logf("stapd: SLO breach flight record written to %s", path)
+	s.flightRecord(slot, fmt.Errorf("slo breach: %s (series %s, burn fast=%.2f slow=%.2f)",
+		a.Spec.Name, a.Spec.Series, a.Fast.BurnRate, a.Slow.BurnRate))
 }
 
 // seriesSlot extracts the replica index from a "r<i>/..." series name.

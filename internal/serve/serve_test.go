@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http/httptest"
@@ -288,13 +289,35 @@ func TestServeValidation(t *testing.T) {
 	if _, err := cl.Submit([]*cube.Cube{bad}); err == nil || !strings.Contains(err.Error(), "shape") {
 		t.Errorf("bad shape: err = %v", err)
 	}
+	// Right shape, short payload: admitted, this would panic the feeder's
+	// slicing and take the process down.
+	short := cube.New(radar.RawOrder, sc.Params.K, sc.Params.J, sc.Params.N)
+	short.Data = short.Data[:10]
+	resp, err := cl.Do(&Request{CPIs: []*cube.Cube{short}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Status != StatusBadRequest || !strings.Contains(resp.Err, "samples") {
+		t.Errorf("short payload: %s (%s), want %s naming the sample count", resp.Status, resp.Err, StatusBadRequest)
+	}
 	if snap := s.Metrics().Snapshot(); snap.Accepted != 0 {
 		t.Errorf("invalid jobs were admitted: accepted = %d", snap.Accepted)
 	}
+	// The server is still up and the connection still usable.
+	good := []*cube.Cube{sc.GenerateCPI(0)}
+	dets, err := cl.Submit(good)
+	if err != nil {
+		t.Fatalf("good job after the bad ones: %v", err)
+	}
+	if !sameDetections(dets[0], serialReference(sc, good)[0]) {
+		t.Error("good job after the bad ones differs from serial reference")
+	}
 }
 
-// TestServeTraceCapture submits a traced job and checks the server wrote
-// a Gantt file while still returning reference-exact detections.
+// TestServeTraceCapture submits a traced job and checks it was served by
+// the warm pool like any other job — reference-exact detections, counted
+// on the replica, bound by its deadline — with the trace cut from the
+// replica's span journal holding that job's CPIs and nothing else.
 func TestServeTraceCapture(t *testing.T) {
 	sc := radar.DefaultScene(radar.Small())
 	dir := t.TempDir()
@@ -319,20 +342,91 @@ func TestServeTraceCapture(t *testing.T) {
 	if resp.Status != StatusOK {
 		t.Fatalf("traced job: %s (%s)", resp.Status, resp.Err)
 	}
-	if resp.TraceFile == "" {
+	want := serialReference(sc, cpis)
+	for i := range want {
+		if !sameDetections(resp.Detections[i], want[i]) {
+			t.Errorf("traced job CPI %d differs from serial reference", i)
+		}
+	}
+	if jobs := s.Metrics().Snapshot().Replicas[0].Jobs; jobs != 1 {
+		t.Errorf("replica 0 served %d jobs, want the traced job (1)", jobs)
+	}
+	if len(s.Collectors()[0].Journal()) == 0 {
+		t.Error("traced job left no spans on the warm replica's journal")
+	}
+	checkJobTrace(t, resp.TraceFile, len(cpis))
+
+	// A traced job after an untraced one: the journal holds both, the
+	// trace only its own CPIs, rebased to 0.
+	if _, err := cl.Submit(cpis[:2]); err != nil {
+		t.Fatal(err)
+	}
+	resp, err = cl.Do(&Request{CPIs: cpis, Trace: true})
+	if err != nil || resp.Status != StatusOK {
+		t.Fatalf("second traced job: %v / %+v", err, resp)
+	}
+	checkJobTrace(t, resp.TraceFile, len(cpis))
+
+	// A deadline binds a traced job exactly as it does an untraced one.
+	long := make([]*cube.Cube, 12)
+	for i := range long {
+		long[i] = cpis[i%len(cpis)]
+	}
+	for _, traced := range []bool{false, true} {
+		resp, err := cl.Do(&Request{CPIs: long, DeadlineMs: 1, Trace: traced})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Status != StatusDeadlineExceeded {
+			t.Errorf("1 ms deadline, trace=%v: %s (%s), want %s", traced, resp.Status, resp.Err, StatusDeadlineExceeded)
+		}
+		// The expiry recycled the replica; wait for it to serve again.
+		submitRecover(t, cl, cpis[:1])
+	}
+}
+
+// checkJobTrace reads a job's Chrome trace and checks it names the
+// Doppler task and holds one recv/comp/send triple per worker for each of
+// the job's CPIs 0..n-1 (the weight tasks may still be working on the last
+// CPI when the job completes) and no other CPI.
+func checkJobTrace(t *testing.T, path string, n int) {
+	t.Helper()
+	if path == "" {
 		t.Fatal("traced job returned no trace file")
 	}
-	body, err := os.ReadFile(resp.TraceFile)
+	body, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(string(body), "Doppler") {
 		t.Error("trace file does not mention the Doppler task")
 	}
-	want := serialReference(sc, cpis)
-	for i := range want {
-		if !sameDetections(resp.Detections[i], want[i]) {
-			t.Errorf("traced job CPI %d differs from serial reference", i)
+	var tr struct {
+		TraceEvents []struct {
+			Name string
+			Ph   string
+			Pid  int
+			Args struct{ CPI int }
+		}
+	}
+	if err := json.Unmarshal(body, &tr); err != nil {
+		t.Fatalf("trace %s: %v", path, err)
+	}
+	comp := map[[2]int]int{} // (task, cpi) -> comp slices
+	for _, ev := range tr.TraceEvents {
+		if ev.Ph == "X" && ev.Name == "comp" {
+			comp[[2]int{ev.Pid, ev.Args.CPI}]++
+		}
+		if ev.Ph == "X" && (ev.Args.CPI < 0 || ev.Args.CPI >= n) {
+			t.Fatalf("trace %s holds a slice of CPI %d, want only 0..%d", path, ev.Args.CPI, n-1)
+		}
+	}
+	for task := 0; task < pipeline.NumTasks; task++ {
+		for cpi := 0; cpi < n; cpi++ {
+			weight := task == pipeline.TaskEasyWeight || task == pipeline.TaskHardWeight
+			if got := comp[[2]int{task, cpi}]; got > 1 || (got == 0 && !(weight && cpi == n-1)) {
+				t.Errorf("trace %s: task %d CPI %d has %d comp slices, want 1", path, task, cpi, got)
+			}
 		}
 	}
 }

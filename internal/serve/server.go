@@ -54,10 +54,10 @@ type Config struct {
 	Window, Threads int
 	// RetryAfter is the backoff hint in busy replies (default 100ms).
 	RetryAfter time.Duration
-	// TraceDir, when set, enables per-job trace capture: jobs submitted
-	// with Request.Trace run through an instrumented batch pipeline and a
-	// Perfetto-loadable Chrome trace (plus a Gantt text companion) is
-	// written here.
+	// TraceDir, when set, enables per-job trace capture: a job submitted
+	// with Request.Trace is served by the pool like any other, and the
+	// spans its replica journaled for it are written here as a
+	// Perfetto-loadable Chrome trace (plus a Gantt text companion).
 	TraceDir string
 	// ObsWindow is each replica collector's gauge window in CPIs
 	// (default 32): the live eq. (1)-(3) gauges on /metrics.prom are
@@ -184,7 +184,6 @@ type job struct {
 // *pipeline.Stream or a *dist.Replica spanning remote stapnodes — the
 // pool treats both identically.
 type Replica interface {
-	ProcessJob(cpis []*cube.Cube) ([][]stap.Detection, error)
 	ProcessJobOpts(cpis []*cube.Cube, opts pipeline.JobOpts) ([][]stap.Detection, error)
 	Faults() []pipeline.WorkerFault
 	CPIsProcessed() int64
@@ -298,11 +297,6 @@ type Server struct {
 	acceptWG sync.WaitGroup
 	replWG   sync.WaitGroup
 
-	// hardCtx cancels traced batch runs when a shutdown deadline forces
-	// an abort.
-	hardCtx    context.Context
-	hardCancel context.CancelFunc
-
 	shutdownOnce sync.Once
 	shutdownErr  error
 }
@@ -374,7 +368,6 @@ func New(cfg Config) (*Server, error) {
 		stopping: make(chan struct{}),
 		conns:    make(map[net.Conn]struct{}),
 	}
-	s.hardCtx, s.hardCancel = context.WithCancel(context.Background())
 	s.metrics = newMetrics(total, func() int { return len(s.queue) })
 	s.metrics.links = func(i int) []dist.LinkStats { return s.slots[i].linkStats() }
 	for i := 0; i < total; i++ {
@@ -425,16 +418,21 @@ func (s *Server) newSlotReplica(slot *replicaSlot) (Replica, *obs.Collector, err
 	return s.newReplica()
 }
 
+// newCollector builds a replica's telemetry collector.
+func (s *Server) newCollector() *obs.Collector {
+	ocfg := pipeline.DefaultObsConfig(s.cfg.Assign)
+	ocfg.Window = s.cfg.ObsWindow
+	ocfg.SlowMultiple = s.cfg.SlowMultiple
+	ocfg.SlowLogf = s.cfg.Logf
+	return obs.New(ocfg)
+}
+
 // newDistReplica connects one distributed replica across the slot's
 // cluster, filling the pipeline parameters in from the server config. The
 // cluster config is copied under the slot lock because the replanner may
 // be rewriting its placement concurrently.
 func (s *Server) newDistReplica(slot *replicaSlot) (Replica, *obs.Collector, error) {
-	ocfg := pipeline.DefaultObsConfig(s.cfg.Assign)
-	ocfg.Window = s.cfg.ObsWindow
-	ocfg.SlowMultiple = s.cfg.SlowMultiple
-	ocfg.SlowLogf = s.cfg.Logf
-	col := obs.New(ocfg)
+	col := s.newCollector()
 	slot.mu.Lock()
 	cc := *slot.cluster
 	slot.mu.Unlock()
@@ -456,11 +454,7 @@ func (s *Server) newDistReplica(slot *replicaSlot) (Replica, *obs.Collector, err
 // collector and, when the server has a fault plan, a fresh injector
 // sharing the plan's fire-once state.
 func (s *Server) newReplica() (Replica, *obs.Collector, error) {
-	ocfg := pipeline.DefaultObsConfig(s.cfg.Assign)
-	ocfg.Window = s.cfg.ObsWindow
-	ocfg.SlowMultiple = s.cfg.SlowMultiple
-	ocfg.SlowLogf = s.cfg.Logf
-	col := obs.New(ocfg)
+	col := s.newCollector()
 	scfg := pipeline.StreamConfig{
 		Scene:      s.cfg.Scene,
 		Assign:     s.cfg.Assign,
@@ -701,11 +695,8 @@ func (s *Server) validate(req *Request) error {
 	p := s.cfg.Scene.Params
 	want := [3]int{p.K, p.J, p.N}
 	for i, c := range req.CPIs {
-		if c == nil {
-			return fmt.Errorf("serve: job CPI %d is nil", i)
-		}
-		if c.Axes != radar.RawOrder || c.Dim != want {
-			return fmt.Errorf("serve: job CPI %d shape %v %v, want %v %v", i, c.Axes, c.Dim, radar.RawOrder, want)
+		if err := c.CheckShape(radar.RawOrder, want); err != nil {
+			return fmt.Errorf("serve: job CPI %d: %w", i, err)
 		}
 	}
 	return nil
@@ -841,13 +832,9 @@ func (s *Server) recycleAfter(slot *replicaSlot, gen int64, cause error, failedO
 // and deadline headroom left, another replica must be live to take it
 // (the caller's slot still counts itself, hence >= 2 — a job handed off
 // with nobody else to run it would wait out the whole recycle instead
-// of failing fast), and traced jobs are excluded (their batch path does
-// not run on the pool).
+// of failing fast).
 func (s *Server) failoverEligible(j *job, code Status) bool {
 	if code != StatusReplicaLost && code != StatusTimeout {
-		return false
-	}
-	if j.req.Trace {
 		return false
 	}
 	if j.attempts >= s.cfg.FailoverBudget {
@@ -1094,18 +1081,15 @@ func (s *Server) drainFailover() {
 	}
 }
 
-// process runs one job: on the slot's warm stream normally, or through an
-// instrumented batch pipeline when a Gantt trace was requested. The
-// stream path carries the job's deadline into the pipeline (and, for
-// distributed slots, onto the wire) and journals every delivered CPI
-// result on the job — the high-water mark a failover replay splices
-// against. The journal only fills entries the previous attempts never
-// delivered, so first-attempt results always win the splice.
+// process runs one job on the slot's warm stream. It carries the job's
+// deadline into the pipeline (and, for distributed slots, onto the wire)
+// and journals every delivered CPI result on the job — the high-water mark
+// a failover replay splices against. The journal only fills entries the
+// previous attempts never delivered, so first-attempt results always win
+// the splice. A completed job that asked for a trace gets one cut from the
+// slot's span journal.
 func (s *Server) process(slot *replicaSlot, j *job) (dets [][]stap.Detection, traceFile string, err error) {
 	req := j.req
-	if req.Trace && s.cfg.TraceDir != "" {
-		return s.processTraced(req)
-	}
 	if j.results == nil {
 		j.results = make([][]stap.Detection, len(req.CPIs))
 	}
@@ -1117,48 +1101,62 @@ func (s *Server) process(slot *replicaSlot, j *job) (dets [][]stap.Detection, tr
 			}
 		},
 	}
-	d, err := slot.stream().ProcessJobOpts(req.CPIs, opts)
-	return d, "", err
+	slot.mu.Lock()
+	st, col := slot.st, slot.col
+	slot.mu.Unlock()
+	start, firstCPI := time.Now(), int(st.CPIsProcessed())
+	dets, err = st.ProcessJobOpts(req.CPIs, opts)
+	if err == nil && req.Trace && s.cfg.TraceDir != "" {
+		journal := col.Journal()
+		if _, ok := st.(*dist.Replica); ok {
+			// The workers' journals live on the nodes: poll them now and
+			// merge them onto the coordinator collector's clock.
+			s.pollNodes()
+			journal = s.clusterEvents(slot)
+		}
+		traceFile, err = s.writeJobTrace(col, journal, start, firstCPI, len(req.CPIs))
+	}
+	return dets, traceFile, err
 }
 
-// processTraced runs the job through pipeline.Run with span collection
-// enabled and writes the trace to TraceDir: a Perfetto-loadable Chrome
-// trace (job%06d.trace.json, returned as the response's TraceFile) and a
-// rendered Gantt + utilization text companion. Detections are identical to
-// the stream path (both reproduce the serial reference).
-func (s *Server) processTraced(req *Request) ([][]stap.Detection, string, error) {
-	cpis := req.CPIs
-	res, err := pipeline.Run(pipeline.Config{
-		Scene:     s.cfg.Scene,
-		Assign:    s.cfg.Assign,
-		NumCPIs:   len(cpis),
-		RawSource: func(i int) *cube.Cube { return cpis[i] },
-		Window:    s.cfg.Window,
-		Threads:   s.cfg.Threads,
-		Context:   s.hardCtx,
-	})
-	if err != nil {
-		return nil, "", err
+// writeJobTrace cuts one served job's trace out of its replica's span
+// journal (on col's time base) and writes it to TraceDir: a
+// Perfetto-loadable Chrome trace (job%06d.trace.json, the response's
+// TraceFile) and a rendered Gantt + utilization text companion. The job
+// is the n CPIs from stream CPI index firstCPI, started at start; CPI
+// indices and time are rebased to it.
+func (s *Server) writeJobTrace(col *obs.Collector, journal []obs.SpanEvent, start time.Time, firstCPI, n int) (string, error) {
+	var events []obs.SpanEvent
+	for _, ev := range obs.SpansSince(journal, start.Sub(col.Start()).Nanoseconds()) {
+		if ev.CPI >= firstCPI && ev.CPI < firstCPI+n {
+			ev.CPI -= firstCPI
+			events = append(events, ev)
+		}
+	}
+	body := trace.EventGantt(events, col.Tasks(), start, trace.Options{Width: 100}) + "\n" +
+		trace.EventUtilization(events, col.Tasks())
+	if want := s.cfg.Assign.Total() * n; len(events) < want {
+		body += fmt.Sprintf("\ntrace: %d of the job's %d spans; the rest were not in the span journal when the job"+
+			" completed (a job longer than the journal ring keeps its newest spans; the weight tasks may still be"+
+			" working on the last CPI, whose weights no CPI of this job uses)\n", len(events), want)
 	}
 	seq := s.traceSeq.Add(1)
 	name := filepath.Join(s.cfg.TraceDir, fmt.Sprintf("job%06d.trace.json", seq))
 	f, err := os.Create(name)
 	if err != nil {
-		return nil, "", fmt.Errorf("serve: write trace: %w", err)
+		return "", fmt.Errorf("serve: write trace: %w", err)
 	}
-	err = obs.WriteChromeTrace(f, res.Events(), res.TaskMeta())
+	err = obs.WriteChromeTrace(f, events, col.Tasks())
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = os.WriteFile(filepath.Join(s.cfg.TraceDir, fmt.Sprintf("job%06d.trace.txt", seq)), []byte(body), 0o644)
+	}
 	if err != nil {
-		return nil, "", fmt.Errorf("serve: write trace: %w", err)
+		return "", fmt.Errorf("serve: write trace: %w", err)
 	}
-	txt := filepath.Join(s.cfg.TraceDir, fmt.Sprintf("job%06d.trace.txt", seq))
-	body := trace.Gantt(res, trace.Options{Width: 100}) + "\n" + trace.Utilization(res)
-	if werr := os.WriteFile(txt, []byte(body), 0o644); werr != nil {
-		return nil, "", fmt.Errorf("serve: write trace: %w", werr)
-	}
-	return res.Detections, name, nil
+	return name, nil
 }
 
 // Shutdown stops the server gracefully: it stops accepting connections
@@ -1189,7 +1187,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			select {
 			case <-ctx.Done():
 				hard.Store(true)
-				s.hardCancel()
 				close(s.stopping) // interrupt restart backoffs
 				for _, sl := range s.slots {
 					sl.stream().Abort()

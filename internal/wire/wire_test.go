@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -26,7 +27,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err := ReadFrame(&buf, &got); err != nil {
 			t.Fatalf("ReadFrame %d: %v", i, err)
 		}
-		if got.ID != w.ID || len(got.Body) != len(w.Body) {
+		if !reflect.DeepEqual(got, w) {
 			t.Fatalf("frame %d: got %+v want %+v", i, got, w)
 		}
 	}

@@ -3,7 +3,9 @@
 # coordinator as separate OS processes on loopback, one distributed
 # replica split 0-2/3-6 across them, load pushed through stapload with
 # bit-exact verification against the serial reference (-check makes any
-# mismatch a non-zero exit). Asserts the per-link transport counters and
+# mismatch a non-zero exit). Asserts a traced job (stapload -trace) is
+# served by the distributed slot with a per-job trace holding compute
+# slices of all seven tasks, the per-link transport counters and
 # the cluster observability surfaces: node-local /metrics.prom, the
 # federated stapd_node_*/stapd_cluster_* series, the clock-corrected
 # merged /cluster/trace.json with spans from both nodes, the
@@ -41,7 +43,7 @@ go build -o "$WORK/stapplan" ./cmd/stapplan
 go build -o "$WORK/staptop" ./cmd/staptop
 
 FLIGHT="$WORK/flight"
-mkdir -p "$FLIGHT"
+mkdir -p "$FLIGHT" "$WORK/traces"
 
 "$WORK/stapnode" -listen 127.0.0.1:7441 -secret "$SECRET" \
   -obs 127.0.0.1:7443 -name node1 -flightdir "$FLIGHT" >"$WORK/node1.log" 2>&1 &
@@ -53,7 +55,8 @@ sleep 0.5
 
 "$WORK/stapd" -listen 127.0.0.1:7431 -metrics 127.0.0.1:7432 -size small \
   -replicas 0 -distnodes 127.0.0.1:7441,127.0.0.1:7442 -distsecret "$SECRET" \
-  -placement 0-2/3-6 -cpitimeout 60s -flightdir "$FLIGHT" >"$WORK/stapd.log" 2>&1 &
+  -placement 0-2/3-6 -cpitimeout 60s -flightdir "$FLIGHT" -tracedir "$WORK/traces" \
+  >"$WORK/stapd.log" 2>&1 &
 STAPD_PID=$!
 
 for i in $(seq 1 50); do
@@ -69,12 +72,25 @@ done
 grep -q '"mismatched"' "$WORK/report.json" && { echo "mismatches reported"; exit 1; }
 grep -q '"ok"' "$WORK/report.json"
 
+# One traced job on the distributed slot: served by the pool like the
+# eight before it, its trace cut from the nodes' journals — so it must
+# hold compute slices of all seven tasks (pids 0-6; Doppler ran on node 1,
+# CFAR on node 2).
+"$WORK/stapload" -addr 127.0.0.1:7431 -rate 20 -jobs 1 -cpis 2 -conns 1 \
+  -maxretries 10 -trace -check
+JOBTRACE="$WORK/traces/job000001.trace.json"
+grep -q traceEvents "$JOBTRACE"
+for pid in 0 1 2 3 4 5 6; do
+  grep -q "\"name\":\"comp\",\"ph\":\"X\",\"pid\":$pid," "$JOBTRACE" ||
+    { echo "job trace has no compute slice of task $pid"; cat "$WORK/traces/job000001.trace.txt"; exit 1; }
+done
+
 curl -sf http://127.0.0.1:7432/metrics.prom >"$WORK/metrics.prom"
 # The distributed replica's links must have moved data frames to node 1
 # (raw cubes in) and back from node 2 (detections out).
 grep '^stapd_link_messages_sent_total{replica="0",member="1"} ' "$WORK/metrics.prom" | grep -v ' 0$'
 grep '^stapd_link_messages_received_total{replica="0",member="2"} ' "$WORK/metrics.prom" | grep -v ' 0$'
-grep -q '^stapd_jobs_completed_total 8$' "$WORK/metrics.prom"
+grep -q '^stapd_jobs_completed_total 9$' "$WORK/metrics.prom"
 
 # Each node serves its own telemetry: worker CPI counters must be nonzero
 # on the node-local exposition.
