@@ -137,25 +137,63 @@ func (n *Node) stopHistory() {
 	<-done
 }
 
-// sampleHistory records one tick of the node's gauge and link series.
+// sampleHistory records one tick of every family that has a series.
 func (n *Node) sampleHistory(st *history.Store, t int64) {
+	obs.ObserveFamilies(n.families(), func(series string, v float64) { st.ObserveName(series, t, v) })
+}
+
+// families is the node's metric table: the most recent session's
+// collector, gauge and attribution rows, the node's own link plane, and
+// the process runtime — the same sub-tables stapd composes.
+func (n *Node) families() []obs.Family {
 	col, _, _, tr := n.obsState()
+	var fams []obs.Family
 	if col != nil {
-		g := col.Gauges()
-		st.ObserveName("eq1_throughput_cpis_per_sec", t, g.Eq1Throughput)
-		st.ObserveName("eq2_latency_seconds", t, g.Eq2Latency.Seconds())
-		st.ObserveName("eq3_latency_seconds", t, g.Eq3Latency.Seconds())
-		st.ObserveName("real_throughput_cpis_per_sec", t, g.RealThroughput)
-		st.ObserveName("window_cpis", t, float64(g.WindowCPIs))
+		l := []obs.Label{{Name: "replica", Value: "0"}}
+		fams = append(fams, obs.CollectorFamilies(l, col)...)
+		fams = append(fams, obs.GaugeFamilies("stap_", "", nil, l, col.Gauges())...)
+		// Attribution is scrape-only here (a node hosting part of the
+		// latency path completes no CPI locally), so a history tick
+		// builds no report.
+		for _, f := range obs.AttrFamilies("attr/", l, n.Bottlenecks) {
+			f.Series = ""
+			fams = append(fams, f)
+		}
 	}
 	if tr != nil {
-		for _, l := range tr.Stats() {
-			base := "link/m" + strconv.Itoa(l.Member) + "/"
-			st.ObserveName(base+"rtt_seconds", t, float64(l.RTTNs)/float64(time.Second))
-			st.ObserveName(base+"offset_seconds", t, float64(l.OffsetNs)/float64(time.Second))
-			st.ObserveName(base+"bytes_sent_total", t, float64(l.BytesSent))
-			st.ObserveName(base+"bytes_recv_total", t, float64(l.BytesRecv))
-		}
+		fams = append(fams, LinkFamilies("stap_link_", "link/m{member}/", nil, tr.Stats())...)
+	}
+	return append(fams, obs.RuntimeFamilies()...)
+}
+
+// LinkFamilies declares the per-link transport rows of one link plane;
+// every sample adds the link's member label to l. name prefixes the
+// family names and series the history series ("stapd_link_" and
+// "r{replica}/link/m{member}/" on stapd, "stap_link_" and
+// "link/m{member}/" on a node).
+func LinkFamilies(name, series string, l []obs.Label, links []LinkStats) []obs.Family {
+	row := func(prom, ser, typ, help string, v func(LinkStats) float64) obs.Family {
+		return obs.Family{Name: name + prom, Type: typ, Help: help, Series: series + ser,
+			Collect: func(emit func([]obs.Label, float64)) {
+				for _, ls := range links {
+					emit(append(l[:len(l):len(l)], obs.Label{Name: "member", Value: strconv.Itoa(ls.Member)}), v(ls))
+				}
+			}}
+	}
+	seconds := func(ns int64) float64 { return float64(ns) / float64(time.Second) }
+	return []obs.Family{
+		row("messages_sent_total", "messages_sent_total", "counter", "Data frames sent per distributed replica link.",
+			func(ls LinkStats) float64 { return float64(ls.MsgsSent) }),
+		row("messages_received_total", "messages_recv_total", "counter", "Data frames received per distributed replica link.",
+			func(ls LinkStats) float64 { return float64(ls.MsgsRecv) }),
+		row("bytes_sent_total", "bytes_sent_total", "counter", "Bytes written per distributed replica link.",
+			func(ls LinkStats) float64 { return float64(ls.BytesSent) }),
+		row("bytes_received_total", "bytes_recv_total", "counter", "Bytes read per distributed replica link.",
+			func(ls LinkStats) float64 { return float64(ls.BytesRecv) }),
+		row("rtt_seconds", "rtt_seconds", "gauge", "Heartbeat round-trip EWMA per distributed replica link.",
+			func(ls LinkStats) float64 { return seconds(ls.RTTNs) }),
+		row("clock_offset_seconds", "offset_seconds", "gauge", "Estimated peer clock minus local clock per distributed replica link (heartbeat midpoint EWMA).",
+			func(ls LinkStats) float64 { return seconds(ls.OffsetNs) }),
 	}
 }
 
@@ -171,12 +209,13 @@ func (n *Node) History() *history.Store {
 // node's metric-history sampler):
 //
 //	/snapshot.json     — the NodeSnapshot (federation feed)
-//	/metrics.prom      — Prometheus exposition of the session collector
+//	/metrics.prom      — Prometheus exposition of the node's metric table
+//	                     (session collector, links, process runtime)
 //	/trace.json        — this node's spans as a Perfetto-loadable trace
 //	                     (gzip-encoded when the client accepts it)
 //	/bottlenecks.json  — the node-local attribution report
-//	/history.json      — ring time-series history of the session gauges
-//	                     and link stats (1 s / 10 s / 60 s tiers)
+//	/history.json      — ring time-series history of the same table's
+//	                     series (1 s / 10 s / 60 s tiers)
 //	/debug/pprof/      — the standard Go profiling endpoints
 func (n *Node) ObsMux() *http.ServeMux {
 	n.startHistory()
@@ -195,10 +234,7 @@ func (n *Node) ObsMux() *http.ServeMux {
 	})
 	mux.HandleFunc("/metrics.prom", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		if col := n.Collector(); col != nil {
-			obs.WriteProm(w, []*obs.Collector{col})
-			obs.WriteAttrProm(w, []*obs.BottleneckReport{n.Bottlenecks()})
-		}
+		obs.WriteFamilies(w, n.families())
 	})
 	mux.Handle("/trace.json", obs.GzipHandler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

@@ -2,9 +2,10 @@
 // condition variables — the repository's stand-in for MPI (the paper's
 // implementation language is ANSI C + MPI). It provides the primitives the
 // parallel pipeline uses: point-to-point Send/Recv with (source, tag)
-// matching, non-blocking Isend/Irecv with request handles (the paper's
-// asynchronous communication + double buffering, Figure 10), barriers, and
-// byte accounting for the communication model.
+// matching, barriers, and byte accounting for the communication model.
+// The overlap the paper buys with double buffering (Figure 10) comes from
+// the asynchronous Send into the receiver's mailbox, bounded by the
+// pipeline's in-flight CPI window.
 //
 // Semantics: sends are asynchronous and buffered (they never block);
 // messages between a (src, dst) pair with equal tags are matched in send
@@ -20,20 +21,16 @@ import (
 	"time"
 )
 
-// AnySource matches messages from every rank in Recv/Irecv.
+// AnySource matches messages from every rank in Recv/TryRecv.
 const AnySource = -1
 
 // ErrAborted is the panic value raised by blocking operations (Recv,
-// Request.Wait, Barrier) on an aborted world — the runtime's analogue of
+// TryRecv, Barrier) on an aborted world — the runtime's analogue of
 // MPI_Abort tearing down a communicator. Rank goroutines written in the
 // straight-line MPI style have no error-return path for cancellation, so
 // the abort propagates as a panic; wrap each rank's body in Protect to
 // convert it back into a normal goroutine exit.
 var ErrAborted = errors.New("mp: world aborted")
-
-// abortSentinel marks an aborted non-blocking operation inside a
-// Request's completion channel.
-type abortSentinel struct{}
 
 // Sizer lets payloads report their wire size for accounting. cube.Cube and
 // cube.RealCube implement it via their Bytes methods.
@@ -174,10 +171,10 @@ func (w *World) QueueDepths() []int {
 // single consistent concrete type).
 type abortReason struct{ err error }
 
-// Abort tears the world down: every rank blocked in Recv, TryRecv,
-// Request.Wait or Barrier — and every such call made afterwards — panics
-// with ErrAborted, and subsequent Sends are dropped. Safe to call from
-// any goroutine and idempotent.
+// Abort tears the world down: every rank blocked in Recv, TryRecv or
+// Barrier — and every such call made afterwards — panics with ErrAborted,
+// and subsequent Sends are dropped. Safe to call from any goroutine and
+// idempotent.
 func (w *World) Abort() { w.AbortWith(nil) }
 
 // AbortWith aborts the world recording why — the path a transport takes
@@ -456,67 +453,6 @@ func (c *Comm) TryRecv(src, tag int) (data any, ok bool) {
 	m := box.queue[best]
 	box.queue = append(box.queue[:best], box.queue[best+1:]...)
 	return m.data, true
-}
-
-// Request is a handle for a non-blocking operation.
-type Request struct {
-	done chan any
-	data any
-	got  bool
-}
-
-// Wait blocks until the operation completes and returns the received
-// payload (nil for sends). Wait panics with ErrAborted when the operation
-// was cut short by a world abort.
-func (r *Request) Wait() any {
-	if !r.got {
-		r.data = <-r.done
-		r.got = true
-	}
-	if _, aborted := r.data.(abortSentinel); aborted {
-		panic(ErrAborted)
-	}
-	return r.data
-}
-
-// Ready reports whether Wait would return without blocking.
-func (r *Request) Ready() bool {
-	if r.got {
-		return true
-	}
-	select {
-	case d := <-r.done:
-		r.data, r.got = d, true
-		return true
-	default:
-		return false
-	}
-}
-
-// Isend posts an asynchronous send. Sends in this runtime complete
-// immediately; the request exists for symmetry with the MPI call
-// structure of Figure 10.
-func (c *Comm) Isend(dst, tag int, data any) *Request {
-	c.Send(dst, tag, data)
-	r := &Request{done: make(chan any, 1)}
-	r.done <- nil
-	return r
-}
-
-// Irecv posts an asynchronous receive for (src, tag). To keep posted-order
-// matching deterministic, callers must not post two outstanding Irecvs for
-// the same (src, tag) pair (the pipeline encodes the CPI index in the tag,
-// so this never happens there).
-func (c *Comm) Irecv(src, tag int) *Request {
-	r := &Request{done: make(chan any, 1)}
-	go func() {
-		var data any
-		if Protect(func() { data = c.Recv(src, tag) }) {
-			data = abortSentinel{}
-		}
-		r.done <- data
-	}()
-	return r
 }
 
 // Barrier blocks until every rank of the world has entered it. In a

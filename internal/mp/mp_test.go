@@ -95,37 +95,6 @@ func TestTryRecv(t *testing.T) {
 	}
 }
 
-func TestIrecvWait(t *testing.T) {
-	w := NewWorld(2)
-	req := w.Comm(1).Irecv(0, 9)
-	if req.Ready() {
-		t.Fatal("ready before send")
-	}
-	w.Comm(0).Send(1, 9, 3.14)
-	if got := req.Wait(); got != 3.14 {
-		t.Fatalf("got %v", got)
-	}
-	// Wait is idempotent
-	if got := req.Wait(); got != 3.14 {
-		t.Fatalf("second wait got %v", got)
-	}
-	if !req.Ready() {
-		t.Fatal("ready after wait")
-	}
-}
-
-func TestIsendCompletesImmediately(t *testing.T) {
-	w := NewWorld(2)
-	req := w.Comm(0).Isend(1, 1, "x")
-	if !req.Ready() {
-		t.Fatal("isend should be immediately ready")
-	}
-	req.Wait()
-	if got := w.Comm(1).Recv(0, 1); got != "x" {
-		t.Fatalf("got %v", got)
-	}
-}
-
 func TestByteAccounting(t *testing.T) {
 	w := NewWorld(2)
 	c := cube.New(cube.Order{cube.Range, cube.Channel, cube.Pulse}, 2, 2, 2)
@@ -302,16 +271,12 @@ func TestAbortUnblocksRecv(t *testing.T) {
 	}
 }
 
-func TestAbortUnblocksIrecvAndBarrier(t *testing.T) {
+func TestAbortUnblocksBarrier(t *testing.T) {
 	w := NewWorld(2)
-	req := w.Comm(0).Irecv(1, 3)
 	done := make(chan bool, 1)
 	go func() { done <- Protect(func() { w.Barrier() }) }()
 	time.Sleep(10 * time.Millisecond)
 	w.Abort()
-	if !Protect(func() { req.Wait() }) {
-		t.Error("Wait on aborted Irecv should panic ErrAborted")
-	}
 	if !<-done {
 		t.Error("Barrier on aborted world should panic ErrAborted")
 	}

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -22,8 +23,8 @@ func escapeLabel(v string) string {
 	return strings.ReplaceAll(v, "\n", `\n`)
 }
 
-// PromWriter emits exposition lines. Emit each metric's Head exactly once
-// before its samples.
+// PromWriter emits exposition lines; WriteFamilies is the one caller of
+// Head, so a family's preamble is written exactly once.
 type PromWriter struct {
 	W io.Writer
 }
@@ -52,105 +53,121 @@ func (p PromWriter) Sample(name string, labels []Label, v float64) {
 	fmt.Fprintf(p.W, "%s %s\n", b.String(), strconv.FormatFloat(v, 'g', -1, 64))
 }
 
-// WriteProm writes the collectors' counters and live gauges. Each
-// collector's samples carry a replica="i" label so a serving pool's
-// replicas stay distinguishable under one metric family.
-func WriteProm(w io.Writer, cols []*Collector) {
+// Family is one row of a process's metric table — a metric declared
+// once: what it is called on the Prometheus page (Name, Type, Help), what
+// it is called in a history store (Series, a template over the row's
+// label values such as "r{replica}/link/m{member}/rtt_seconds"), and
+// where its samples come from (Collect). An empty Series is the decision
+// that a row is scrape-only — per-worker counters, histograms, per-hop
+// rows — not an omission. A histogram row's Collect emits raw
+// observations in seconds; the exposition renderer buckets them. Rows
+// that share a Name (one per replica, per link, per quantile) are one
+// Prometheus family and must agree on Type and Help.
+type Family struct {
+	Name, Type, Help string
+	Series           string
+	Collect          func(emit func(labels []Label, v float64))
+}
+
+// Sample is the row of one sample whose value is already read.
+func Sample(name, typ, help, series string, labels []Label, v float64) Family {
+	return Family{Name: name, Type: typ, Help: help, Series: series,
+		Collect: func(emit func([]Label, float64)) { emit(labels, v) }}
+}
+
+// WriteFamilies renders a table as Prometheus exposition text: one head
+// per Name, in order of first appearance, over all the rows sharing it.
+func WriteFamilies(w io.Writer, fams []Family) {
 	p := PromWriter{W: w}
-	snaps := make([]Snapshot, len(cols))
-	gauges := make([]GaugeSet, len(cols))
-	for i, c := range cols {
-		snaps[i] = c.Snapshot()
-		gauges[i] = c.Gauges()
-	}
-
-	p.Head("stap_cpis_total", "counter", "CPIs processed per task worker.")
-	forEach(cols, func(i int, rep Label) {
-		for _, ts := range snaps[i].Tasks {
-			for wi, ws := range ts.Workers {
-				p.Sample("stap_cpis_total", []Label{rep, taskLabel(ts.Name), workerLabel(wi)}, float64(ws.CPIs))
+	seen := make(map[string]bool)
+	for i, f := range fams {
+		if seen[f.Name] {
+			continue
+		}
+		seen[f.Name] = true
+		p.Head(f.Name, f.Type, f.Help)
+		for _, row := range fams[i:] {
+			switch {
+			case row.Name != f.Name:
+			case row.Type == "histogram":
+				writeHistogram(p, row)
+			default:
+				row.Collect(func(labels []Label, v float64) { p.Sample(row.Name, labels, v) })
 			}
 		}
-	})
-
-	p.Head("stap_phase_seconds_total", "counter", "Cumulative receive/compute/send time per task worker (Figure 10 phases).")
-	forEach(cols, func(i int, rep Label) {
-		for _, ts := range snaps[i].Tasks {
-			for wi, ws := range ts.Workers {
-				base := []Label{rep, taskLabel(ts.Name), workerLabel(wi)}
-				p.Sample("stap_phase_seconds_total", with(base, Label{"phase", "recv"}), ws.Recv.Seconds())
-				p.Sample("stap_phase_seconds_total", with(base, Label{"phase", "comp"}), ws.Comp.Seconds())
-				p.Sample("stap_phase_seconds_total", with(base, Label{"phase", "send"}), ws.Send.Seconds())
-			}
-		}
-	})
-
-	p.Head("stap_wait_seconds_total", "counter", "Blocked receive-wait time per task worker (the queue-wait share of the recv phase).")
-	forEach(cols, func(i int, rep Label) {
-		for _, ts := range snaps[i].Tasks {
-			for wi, ws := range ts.Workers {
-				p.Sample("stap_wait_seconds_total", []Label{rep, taskLabel(ts.Name), workerLabel(wi)}, ws.Wait.Seconds())
-			}
-		}
-	})
-
-	p.Head("stap_messages_total", "counter", "Inter-task messages sent through the mp runtime.")
-	forEach(cols, func(i int, rep Label) { p.Sample("stap_messages_total", []Label{rep}, float64(snaps[i].Messages)) })
-
-	p.Head("stap_bytes_sent_total", "counter", "Inter-task payload bytes sent through the mp runtime.")
-	forEach(cols, func(i int, rep Label) { p.Sample("stap_bytes_sent_total", []Label{rep}, float64(snaps[i].Bytes)) })
-
-	p.Head("stap_task_seconds", "gauge", "Mean per-CPI phase time per task over the gauge window.")
-	forEach(cols, func(i int, rep Label) {
-		for _, pm := range gauges[i].Tasks {
-			if pm.Samples == 0 {
-				continue
-			}
-			base := []Label{rep, taskLabel(pm.Name)}
-			p.Sample("stap_task_seconds", with(base, Label{"phase", "recv"}), pm.Recv.Seconds())
-			p.Sample("stap_task_seconds", with(base, Label{"phase", "comp"}), pm.Comp.Seconds())
-			p.Sample("stap_task_seconds", with(base, Label{"phase", "send"}), pm.Send.Seconds())
-		}
-	})
-
-	p.Head("stap_eq1_throughput_cpis_per_sec", "gauge", "Paper eq. 1 throughput 1/max_i T_i over the gauge window.")
-	forEach(cols, func(i int, rep Label) {
-		p.Sample("stap_eq1_throughput_cpis_per_sec", []Label{rep}, gauges[i].Eq1Throughput)
-	})
-
-	p.Head("stap_eq2_latency_seconds", "gauge", "Paper eq. 2 latency bound over the gauge window.")
-	forEach(cols, func(i int, rep Label) {
-		p.Sample("stap_eq2_latency_seconds", []Label{rep}, gauges[i].Eq2Latency.Seconds())
-	})
-
-	p.Head("stap_eq3_latency_seconds", "gauge", "Paper eq. 3 measured (real) latency over the gauge window.")
-	forEach(cols, func(i int, rep Label) {
-		p.Sample("stap_eq3_latency_seconds", []Label{rep}, gauges[i].Eq3Latency.Seconds())
-	})
-
-	p.Head("stap_real_throughput_cpis_per_sec", "gauge", "Measured completion-gap throughput over the gauge window.")
-	forEach(cols, func(i int, rep Label) {
-		p.Sample("stap_real_throughput_cpis_per_sec", []Label{rep}, gauges[i].RealThroughput)
-	})
-
-	p.Head("stap_obs_window_cpis", "gauge", "Distinct CPIs currently inside the gauge window.")
-	forEach(cols, func(i int, rep Label) {
-		p.Sample("stap_obs_window_cpis", []Label{rep}, float64(gauges[i].WindowCPIs))
-	})
-}
-
-func forEach(cols []*Collector, f func(i int, rep Label)) {
-	for i := range cols {
-		f(i, Label{"replica", strconv.Itoa(i)})
 	}
 }
 
-func taskLabel(name string) Label { return Label{"task", name} }
-func workerLabel(w int) Label     { return Label{"worker", strconv.Itoa(w)} }
+// ObserveFamilies renders a table into a history store: every sample of
+// every family that has a Series goes to observe under the expanded
+// series name. A sample missing a label the template names is skipped.
+func ObserveFamilies(fams []Family, observe func(series string, v float64)) {
+	for _, f := range fams {
+		if f.Series == "" {
+			continue
+		}
+		f.Collect(func(labels []Label, v float64) {
+			if name, ok := expandSeries(f.Series, labels); ok {
+				observe(name, v)
+			}
+		})
+	}
+}
 
-// with copies base and appends l, so shared base slices are never aliased.
-func with(base []Label, l Label) []Label {
-	out := make([]Label, len(base), len(base)+1)
+// expandSeries substitutes each {label} of a series template; ok is false
+// when a placeholder is left with no label to fill it.
+func expandSeries(tmpl string, labels []Label) (string, bool) {
+	for _, l := range labels {
+		tmpl = strings.ReplaceAll(tmpl, "{"+l.Name+"}", l.Value)
+	}
+	return tmpl, !strings.Contains(tmpl, "{")
+}
+
+// histBuckets are the histogram upper bounds in seconds — exponential
+// decades from 100µs, wide enough for the paper-size scenes and the
+// small test scenes alike.
+var histBuckets = []float64{1e-4, 1e-3, 1e-2, 1e-1, 1, 10}
+
+// writeHistogram buckets a histogram row's observations per label set
+// and writes the _bucket/_sum/_count samples.
+func writeHistogram(p PromWriter, f Family) {
+	type hist struct {
+		labels []Label
+		counts []int
+		sum    float64
+	}
+	byKey := map[string]*hist{}
+	var order []*hist
+	f.Collect(func(labels []Label, v float64) {
+		key := fmt.Sprint(labels)
+		h := byKey[key]
+		if h == nil {
+			h = &hist{labels: labels, counts: make([]int, len(histBuckets)+1)}
+			byKey[key] = h
+			order = append(order, h)
+		}
+		h.sum += v
+		h.counts[sort.SearchFloat64s(histBuckets, v)]++
+	})
+	for _, h := range order {
+		cum := 0
+		for i, c := range h.counts {
+			cum += c
+			le := "+Inf"
+			if i < len(histBuckets) {
+				le = strconv.FormatFloat(histBuckets[i], 'g', -1, 64)
+			}
+			p.Sample(f.Name+"_bucket", with(h.labels, Label{"le", le}), float64(cum))
+		}
+		p.Sample(f.Name+"_sum", h.labels, h.sum)
+		p.Sample(f.Name+"_count", h.labels, float64(cum))
+	}
+}
+
+// with copies base and appends more, so shared base slices are never
+// aliased.
+func with(base []Label, more ...Label) []Label {
+	out := make([]Label, len(base), len(base)+len(more))
 	copy(out, base)
-	return append(out, l)
+	return append(out, more...)
 }

@@ -112,7 +112,12 @@ func TestStreamFeedsObs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A stage sends before it emits its span, so the last CPI's CFAR span
+	// can still be un-journaled when ProcessJob returns: wait for it.
 	s := col.Snapshot()
+	for deadline := time.Now().Add(2 * time.Second); s.Tasks[TaskCFAR].Workers[0].CPIs < 4 && time.Now().Before(deadline); s = col.Snapshot() {
+		time.Sleep(time.Millisecond)
+	}
 	if got := s.Tasks[TaskCFAR].Workers[0].CPIs; got != 4 {
 		t.Errorf("CFAR CPIs %d, want 4", got)
 	}

@@ -55,16 +55,6 @@ func (s *Server) slotBottlenecks(slot *replicaSlot) *obs.BottleneckReport {
 		s.slotSpans(slot), s.slotWire(slot), s.cfg.ObsWindow, 0)
 }
 
-// Bottlenecks builds the per-slot attribution reports, indexed like the
-// replica pool (WriteAttrProm labels each by its position).
-func (s *Server) Bottlenecks() []*obs.BottleneckReport {
-	out := make([]*obs.BottleneckReport, len(s.slots))
-	for i, slot := range s.slots {
-		out[i] = s.slotBottlenecks(slot)
-	}
-	return out
-}
-
 // BottleneckReport builds the report for the server's primary slot — the
 // first distributed slot when the pool has one (where the wire tax lives),
 // the first slot otherwise. Same slot choice as /plan.

@@ -266,88 +266,39 @@ func (s *Server) ClusterTraceHandler() http.Handler {
 	}))
 }
 
-// writeClusterProm emits the federated per-node series and the
-// cluster-wide merged-timeline gauges. No-op without distributed slots.
-func (s *Server) writeClusterProm(p obs.PromWriter) {
-	if s.fed == nil {
-		return
-	}
-	type nodeRow struct {
-		labels []obs.Label
-		st     nodeState
-	}
-	var rows []nodeRow
-	type slotGauges struct {
-		idx int
-		g   obs.GaugeSet
-	}
-	var gauges []slotGauges
-	for _, slot := range s.slots {
-		if slot.cluster == nil {
-			continue
-		}
-		members, states := s.fed.states(slot.idx)
-		for i, st := range states {
-			rows = append(rows, nodeRow{
-				labels: []obs.Label{
-					{Name: "replica", Value: strconv.Itoa(slot.idx)},
-					{Name: "node", Value: strconv.Itoa(members[i])},
-				},
-				st: st,
-			})
-		}
-		gauges = append(gauges, slotGauges{idx: slot.idx, g: s.clusterGauges(slot)})
-	}
-	if len(rows) == 0 && len(gauges) == 0 {
-		return
-	}
+// clusterGaugeHelp words the shared gauge rows for the merged timeline.
+var clusterGaugeHelp = []string{
+	"Mean per-CPI phase time per task over the merged cross-node window.",
+	"Paper eq. 1 throughput over the merged cross-node window.",
+	"Paper eq. 2 latency bound over the merged cross-node window.",
+	"Paper eq. 3 measured latency over the merged clock-corrected timeline.",
+	"Measured completion-gap throughput over the merged cross-node window.",
+	"Distinct CPIs inside the merged cluster gauge window.",
+}
 
-	p.Head("stapd_node_up", "gauge", "Whether the node's last telemetry poll succeeded.")
-	for _, r := range rows {
-		up := 0.0
-		if r.st.Up {
-			up = 1
-		}
-		p.Sample("stapd_node_up", r.labels, up)
-	}
-	p.Head("stapd_node_clock_offset_seconds", "gauge", "Estimated node clock minus coordinator clock (heartbeat midpoint EWMA).")
-	for _, r := range rows {
-		p.Sample("stapd_node_clock_offset_seconds", r.labels, float64(r.st.OffsetNs)/float64(time.Second))
-	}
-	p.Head("stapd_node_rtt_seconds", "gauge", "Heartbeat round-trip EWMA to the node.")
-	for _, r := range rows {
-		p.Sample("stapd_node_rtt_seconds", r.labels, float64(r.st.RTTNs)/float64(time.Second))
-	}
-	p.Head("stapd_node_cpis_total", "counter", "CPIs processed on the node's hosted workers (federated).")
-	for _, r := range rows {
+// clusterFamilies declares one distributed slot's federated per-node
+// rows and its cluster-wide merged-timeline gauges; l is the slot's
+// replica label. The node clock offset and RTT are the link rows'
+// quantities as of the last poll, so only node health gets a series.
+func (s *Server) clusterFamilies(slot *replicaSlot, l []obs.Label) []obs.Family {
+	var fams []obs.Family
+	members, states := s.fed.states(slot.idx)
+	for i, st := range states {
 		var cpis int64
-		if r.st.Snap.Counters != nil {
-			for _, ts := range r.st.Snap.Counters.Tasks {
+		if st.Snap.Counters != nil {
+			for _, ts := range st.Snap.Counters.Tasks {
 				for _, ws := range ts.Workers {
 					cpis += ws.CPIs
 				}
 			}
 		}
-		p.Sample("stapd_node_cpis_total", r.labels, float64(cpis))
+		nl := append(l[:len(l):len(l)], obs.Label{Name: "node", Value: strconv.Itoa(members[i])})
+		fams = append(fams,
+			obs.Sample("stapd_node_up", "gauge", "Whether the node's last telemetry poll succeeded.", "r{replica}/node/m{node}/up", nl, b2f(st.Up)),
+			obs.Sample("stapd_node_clock_offset_seconds", "gauge", "Estimated node clock minus coordinator clock (heartbeat midpoint EWMA).", "", nl, float64(st.OffsetNs)/float64(time.Second)),
+			obs.Sample("stapd_node_rtt_seconds", "gauge", "Heartbeat round-trip EWMA to the node.", "", nl, float64(st.RTTNs)/float64(time.Second)),
+			obs.Sample("stapd_node_cpis_total", "counter", "CPIs processed on the node's hosted workers (federated).", "", nl, float64(cpis)),
+		)
 	}
-
-	slotLabel := func(idx int) []obs.Label {
-		return []obs.Label{{Name: "replica", Value: strconv.Itoa(idx)}}
-	}
-	p.Head("stapd_cluster_eq1_throughput_cpis_per_sec", "gauge", "Paper eq. 1 throughput over the merged cross-node window.")
-	for _, sg := range gauges {
-		p.Sample("stapd_cluster_eq1_throughput_cpis_per_sec", slotLabel(sg.idx), sg.g.Eq1Throughput)
-	}
-	p.Head("stapd_cluster_eq2_latency_seconds", "gauge", "Paper eq. 2 latency bound over the merged cross-node window.")
-	for _, sg := range gauges {
-		p.Sample("stapd_cluster_eq2_latency_seconds", slotLabel(sg.idx), sg.g.Eq2Latency.Seconds())
-	}
-	p.Head("stapd_cluster_eq3_latency_seconds", "gauge", "Paper eq. 3 measured latency over the merged clock-corrected timeline.")
-	for _, sg := range gauges {
-		p.Sample("stapd_cluster_eq3_latency_seconds", slotLabel(sg.idx), sg.g.Eq3Latency.Seconds())
-	}
-	p.Head("stapd_cluster_obs_window_cpis", "gauge", "Distinct CPIs inside the merged cluster gauge window.")
-	for _, sg := range gauges {
-		p.Sample("stapd_cluster_obs_window_cpis", slotLabel(sg.idx), float64(sg.g.WindowCPIs))
-	}
+	return append(fams, obs.GaugeFamilies("stapd_cluster_", "r{replica}/cluster/", clusterGaugeHelp, l, s.clusterGauges(slot))...)
 }

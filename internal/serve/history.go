@@ -13,24 +13,21 @@ import (
 	"pstap/internal/slo"
 )
 
-// Metrics history and SLO evaluation: a background sampler walks the
-// whole observability surface once per second — serve-level job counters,
-// every replica's live eq. (1)-(3) gauges, per-task attribution
-// components, distributed link wire/RTT/offset stats, federated node
-// health and the cluster-merged gauges — into a bounded internal/history
-// ring store (1 s raw, 10 s / 60 s rollups). The same tick then evaluates
+// Metrics history and SLO evaluation: a background sampler renders the
+// server's metric table (families, prom.go) once per second — every
+// family that declares a series — into a bounded internal/history ring
+// store (1 s raw, 10 s / 60 s rollups). The same tick then evaluates
 // the configured SLOs as multi-window burn rates (internal/slo); a
 // breach-start dumps a flight record with the faulted replica's recent
 // history embedded, and with Config.SLOReplan the firing set feeds the
 // replanner's drift trigger.
 
-// Series name prefixes. Serve-level series live under "serve/", replica
-// slot i's under "r<i>/" (attribution under "r<i>/attr/<task>/...",
-// links under "r<i>/link/m<M>/...", federated node health under
-// "r<i>/node/m<M>/up", cluster-merged gauges under "r<i>/cluster/...").
-const (
-	servePrefix = "serve/"
-)
+// servePrefix is where the serve-level series live; replica slot i's live
+// under "r<i>/" (attribution under "r<i>/attr/<task>/...", links under
+// "r<i>/link/m<M>/...", federated node health under "r<i>/node/m<M>/up",
+// cluster-merged gauges under "r<i>/cluster/...") and the process runtime
+// under "runtime/". The table's Series templates name them.
+const servePrefix = "serve/"
 
 // sampler is the server's history/SLO loop state.
 type sampler struct {
@@ -90,78 +87,10 @@ func (s *Server) stopSampler() {
 // History returns the server's metric history store.
 func (s *Server) History() *history.Store { return s.sampler.store }
 
-// sampleOnce records one tick of every series.
+// sampleOnce records one tick of every family that has a series.
 func (s *Server) sampleOnce(now time.Time) {
-	st := s.sampler.store
 	t := now.UnixNano()
-	snap := s.metrics.Snapshot()
-
-	st.ObserveName(servePrefix+"queue_depth", t, float64(snap.QueueDepth))
-	st.ObserveName(servePrefix+"live_replicas", t, float64(snap.LiveReplicas))
-	st.ObserveName(servePrefix+"jobs_accepted_total", t, float64(snap.Accepted))
-	st.ObserveName(servePrefix+"jobs_rejected_total", t, float64(snap.Rejected))
-	st.ObserveName(servePrefix+"jobs_completed_total", t, float64(snap.Completed))
-	st.ObserveName(servePrefix+"jobs_failed_total", t, float64(snap.Failed))
-	st.ObserveName(servePrefix+"job_failovers_total", t, float64(snap.Failovers))
-	st.ObserveName(servePrefix+"replica_restarts_total", t, float64(snap.ReplicaRestarts))
-	st.ObserveName(servePrefix+"deadline_exceeded_total", t, float64(snap.DeadlineExc))
-	st.ObserveName(servePrefix+"jobs_per_sec", t, snap.JobsPerSec)
-	st.ObserveName(servePrefix+"latency_p50_seconds", t, snap.LatencyP50Ms/1e3)
-	st.ObserveName(servePrefix+"latency_p95_seconds", t, snap.LatencyP95Ms/1e3)
-	st.ObserveName(servePrefix+"latency_p99_seconds", t, snap.LatencyP99Ms/1e3)
-
-	for _, slot := range s.slots {
-		s.sampleSlot(st, slot, t)
-	}
-}
-
-// sampleSlot records one replica slot's gauges, attribution, links and —
-// for distributed slots — federated node health and cluster gauges.
-func (s *Server) sampleSlot(st *history.Store, slot *replicaSlot, t int64) {
-	pfx := "r" + strconv.Itoa(slot.idx) + "/"
-	col := slot.collector()
-	if col == nil {
-		return
-	}
-	g := col.Gauges()
-	st.ObserveName(pfx+"eq1_throughput_cpis_per_sec", t, g.Eq1Throughput)
-	st.ObserveName(pfx+"eq2_latency_seconds", t, g.Eq2Latency.Seconds())
-	st.ObserveName(pfx+"eq3_latency_seconds", t, g.Eq3Latency.Seconds())
-	st.ObserveName(pfx+"real_throughput_cpis_per_sec", t, g.RealThroughput)
-	st.ObserveName(pfx+"window_cpis", t, float64(g.WindowCPIs))
-
-	if rep := s.slotBottlenecks(slot); rep != nil {
-		for _, ta := range rep.Tasks {
-			base := pfx + "attr/" + ta.Name + "/"
-			for c, name := range obs.ComponentNames {
-				st.ObserveName(base+name+"_seconds", t, float64(ta.Mean.Get(c))/float64(time.Second))
-			}
-			st.ObserveName(base+"utilization", t, ta.Utilization)
-		}
-	}
-
-	for _, l := range slot.linkStats() {
-		base := pfx + "link/m" + strconv.Itoa(l.Member) + "/"
-		st.ObserveName(base+"rtt_seconds", t, float64(l.RTTNs)/float64(time.Second))
-		st.ObserveName(base+"offset_seconds", t, float64(l.OffsetNs)/float64(time.Second))
-		st.ObserveName(base+"bytes_sent_total", t, float64(l.BytesSent))
-		st.ObserveName(base+"bytes_recv_total", t, float64(l.BytesRecv))
-	}
-
-	if slot.cluster != nil && s.fed != nil {
-		members, states := s.fed.states(slot.idx)
-		for i, ns := range states {
-			up := 0.0
-			if ns.Up {
-				up = 1
-			}
-			st.ObserveName(pfx+"node/m"+strconv.Itoa(members[i])+"/up", t, up)
-		}
-		cg := s.clusterGauges(slot)
-		st.ObserveName(pfx+"cluster/eq1_throughput_cpis_per_sec", t, cg.Eq1Throughput)
-		st.ObserveName(pfx+"cluster/eq2_latency_seconds", t, cg.Eq2Latency.Seconds())
-		st.ObserveName(pfx+"cluster/eq3_latency_seconds", t, cg.Eq3Latency.Seconds())
-	}
+	obs.ObserveFamilies(s.families(), func(series string, v float64) { s.sampler.store.ObserveName(series, t, v) })
 }
 
 // historyLeadUp dumps the breach/fault lead-up for one replica slot: the
@@ -339,29 +268,22 @@ func (s *Server) proxyNodeHistory(w http.ResponseWriter, r *http.Request, node s
 	_ = enc.Encode(rr)
 }
 
-// writeSLOProm emits the SLO burn-rate and firing-alert families.
-func (s *Server) writeSLOProm(p obs.PromWriter) {
-	alerts := s.Alerts()
-	if len(alerts) == 0 {
-		return
-	}
+// sloFamilies declares the SLO burn-rate and firing-alert rows. All are
+// scrape-only: they are derived from the history store, not fed to it.
+func sloFamilies(alerts []slo.Alert) []obs.Family {
+	const burnHelp = "Error-budget burn rate per SLO and window (1.0 = spending exactly the budget)."
+	var fams []obs.Family
 	firing := 0
-	p.Head("stapd_slo_burn_rate", "gauge", "Error-budget burn rate per SLO and window (1.0 = spending exactly the budget).")
 	for _, a := range alerts {
-		p.Sample("stapd_slo_burn_rate", []obs.Label{{Name: "slo", Value: a.Spec.Name}, {Name: "window", Value: "fast"}}, a.Fast.BurnRate)
-		p.Sample("stapd_slo_burn_rate", []obs.Label{{Name: "slo", Value: a.Spec.Name}, {Name: "window", Value: "slow"}}, a.Slow.BurnRate)
+		l := obs.Label{Name: "slo", Value: a.Spec.Name}
+		fams = append(fams,
+			obs.Sample("stapd_slo_burn_rate", "gauge", burnHelp, "", []obs.Label{l, {Name: "window", Value: "fast"}}, a.Fast.BurnRate),
+			obs.Sample("stapd_slo_burn_rate", "gauge", burnHelp, "", []obs.Label{l, {Name: "window", Value: "slow"}}, a.Slow.BurnRate),
+			obs.Sample("stapd_slo_firing", "gauge", "Whether each SLO's alert is currently firing.", "", []obs.Label{l}, b2f(a.Firing)),
+		)
 		if a.Firing {
 			firing++
 		}
 	}
-	p.Head("stapd_slo_firing", "gauge", "Whether each SLO's alert is currently firing.")
-	for _, a := range alerts {
-		v := 0.0
-		if a.Firing {
-			v = 1
-		}
-		p.Sample("stapd_slo_firing", []obs.Label{{Name: "slo", Value: a.Spec.Name}}, v)
-	}
-	p.Head("stapd_alerts_firing", "gauge", "Number of SLO alerts currently firing.")
-	p.Sample("stapd_alerts_firing", nil, float64(firing))
+	return append(fams, obs.Sample("stapd_alerts_firing", "gauge", "Number of SLO alerts currently firing.", "", nil, float64(firing)))
 }

@@ -128,6 +128,10 @@ type ReplicaSnapshot struct {
 	// and byte totals each way plus the heartbeat round-trip EWMA);
 	// empty for in-process replicas.
 	Links []dist.LinkStats `json:"links,omitempty"`
+
+	// health and breaker are the states behind Health and Breaker, for
+	// the numeric stapd_replica_up / stapd_breaker_state rows.
+	health, breaker int32
 }
 
 // Snapshot is a point-in-time JSON-friendly view of the metrics — the
@@ -175,25 +179,19 @@ func (m *Metrics) Snapshot() Snapshot {
 	if up > 0 {
 		s.JobsPerSec = float64(s.Completed) / up.Seconds()
 	}
-	m.mu.Lock()
-	window := make([]time.Duration, m.latN)
-	if m.latN < len(m.lat) {
-		copy(window, m.lat[:m.latN])
-	} else {
-		copy(window, m.lat)
-	}
-	m.mu.Unlock()
-	sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
+	window := m.sortedWindow()
 	s.LatencyP50Ms = quantileMs(window, 0.50)
 	s.LatencyP95Ms = quantileMs(window, 0.95)
 	s.LatencyP99Ms = quantileMs(window, 0.99)
 	for i, r := range m.replicas {
-		h := r.health.Load()
+		h, b := r.health.Load(), r.breaker.Load()
 		rs := ReplicaSnapshot{
 			Jobs:     r.jobs.Load(),
 			Restarts: r.restarts.Load(),
 			Health:   healthName(h),
-			Breaker:  breakerName(r.breaker.Load()),
+			Breaker:  breakerName(b),
+			health:   h,
+			breaker:  b,
 		}
 		if m.links != nil {
 			rs.Links = m.links(i)
@@ -213,16 +211,17 @@ func (m *Metrics) Snapshot() Snapshot {
 // window (zero with no history) — the admission queue-wait estimator's
 // fallback when the pipeline gauges have no samples yet.
 func (m *Metrics) latencyP50() time.Duration {
+	return obs.Quantile(m.sortedWindow(), 0.50)
+}
+
+// sortedWindow copies the latency ring's filled part, ascending.
+func (m *Metrics) sortedWindow() []time.Duration {
 	m.mu.Lock()
 	window := make([]time.Duration, m.latN)
-	if m.latN < len(m.lat) {
-		copy(window, m.lat[:m.latN])
-	} else {
-		copy(window, m.lat)
-	}
+	copy(window, m.lat[:m.latN])
 	m.mu.Unlock()
 	sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
-	return obs.Quantile(window, 0.50)
+	return window
 }
 
 // quantileMs returns the q-quantile of a sorted window in milliseconds,

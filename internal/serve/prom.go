@@ -4,132 +4,84 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"time"
 
 	"pstap/internal/dist"
 	"pstap/internal/obs"
 )
 
-// Prometheus-style exposition and live trace export for the daemon: the
-// server-level job counters join the per-replica pipeline telemetry
-// (internal/obs) in one scrape, and the replicas' span journals merge into
-// one Perfetto-loadable trace.
+// The daemon's metric table and live trace export. Every metric stapd
+// has is one obs.Family row of families(); /metrics.prom and the history
+// store behind /history.json and the SLO engine are two renderings of
+// that one table, and the replicas' span journals merge into one
+// Perfetto-loadable trace.
 
-// WritePrometheus writes the full exposition: stapd_* serving metrics
-// (jobs, queue, latency quantiles, replica utilization) followed by the
-// stap_* pipeline families from each replica's collector, including the
-// live eq. (1)-(3) gauges.
-func (s *Server) WritePrometheus(w io.Writer) {
-	p := obs.PromWriter{W: w}
-	m := s.metrics
-	snap := m.Snapshot()
-
-	p.Head("stapd_uptime_seconds", "gauge", "Server uptime.")
-	p.Sample("stapd_uptime_seconds", nil, snap.UptimeSec)
-
-	p.Head("stapd_jobs_accepted_total", "counter", "Jobs admitted to the queue.")
-	p.Sample("stapd_jobs_accepted_total", nil, float64(snap.Accepted))
-	p.Head("stapd_jobs_rejected_total", "counter", "Jobs rejected with busy backpressure.")
-	p.Sample("stapd_jobs_rejected_total", nil, float64(snap.Rejected))
-	p.Head("stapd_jobs_completed_total", "counter", "Jobs completed successfully.")
-	p.Sample("stapd_jobs_completed_total", nil, float64(snap.Completed))
-	p.Head("stapd_jobs_failed_total", "counter", "Jobs that failed in processing.")
-	p.Sample("stapd_jobs_failed_total", nil, float64(snap.Failed))
-	p.Head("stapd_cpis_processed_total", "counter", "CPIs processed across all completed jobs.")
-	p.Sample("stapd_cpis_processed_total", nil, float64(snap.CPIsProcessed))
-
-	p.Head("stapd_worker_faults_total", "counter", "Supervised worker goroutine deaths across all replicas.")
-	p.Sample("stapd_worker_faults_total", nil, float64(snap.WorkerFaults))
-	p.Head("stapd_replica_restarts_total", "counter", "Replica recycles after a fault or watchdog timeout.")
-	p.Sample("stapd_replica_restarts_total", nil, float64(snap.ReplicaRestarts))
-	p.Head("stapd_replans_total", "counter", "Planned placement rolls by the replanner.")
-	p.Sample("stapd_replans_total", nil, float64(snap.Replans))
-	p.Head("stapd_job_failovers_total", "counter", "Jobs re-dispatched onto another replica after theirs died mid-flight.")
-	p.Sample("stapd_job_failovers_total", nil, float64(snap.Failovers))
-	p.Head("stapd_deadline_exceeded_total", "counter", "Jobs rejected or aborted because their client deadline expired.")
-	p.Sample("stapd_deadline_exceeded_total", nil, float64(snap.DeadlineExc))
-	p.Head("stapd_live_replicas", "gauge", "Replicas currently healthy and serving.")
-	p.Sample("stapd_live_replicas", nil, float64(snap.LiveReplicas))
-
-	p.Head("stapd_queue_depth", "gauge", "Jobs waiting in the admission queue.")
-	p.Sample("stapd_queue_depth", nil, float64(snap.QueueDepth))
-
-	p.Head("stapd_job_latency_seconds", "gauge", "End-to-end job latency quantiles over the sliding window.")
-	for _, ql := range []struct {
-		q string
-		v float64
-	}{{"0.5", snap.LatencyP50Ms}, {"0.95", snap.LatencyP95Ms}, {"0.99", snap.LatencyP99Ms}} {
-		p.Sample("stapd_job_latency_seconds", []obs.Label{{Name: "quantile", Value: ql.q}},
-			ql.v*float64(time.Millisecond)/float64(time.Second))
+// families builds the server's metric table from one read of each
+// source: the Metrics snapshot for the stapd_* serving rows, then per
+// replica slot its link plane, its collector's stap_* counters and live
+// eq. (1)-(3) gauges, its stap_attr_* attribution report and — for a
+// distributed slot — the federated node rows; then the SLO rows and the
+// process runtime.
+func (s *Server) families() []obs.Family {
+	const g, c = "gauge", "counter"
+	snap := s.metrics.Snapshot()
+	quantile := func(q, series string, ms float64) obs.Family {
+		return obs.Sample("stapd_job_latency_seconds", g, "End-to-end job latency quantiles over the sliding window.",
+			series, []obs.Label{{Name: "quantile", Value: q}}, ms/1e3)
 	}
-
-	p.Head("stapd_replica_jobs_total", "counter", "Jobs processed per replica.")
-	for i, r := range snap.Replicas {
-		p.Sample("stapd_replica_jobs_total", []obs.Label{{Name: "replica", Value: strconv.Itoa(i)}}, float64(r.Jobs))
+	fams := []obs.Family{
+		obs.Sample("stapd_uptime_seconds", g, "Server uptime.", "", nil, snap.UptimeSec),
+		obs.Sample("stapd_jobs_accepted_total", c, "Jobs admitted to the queue.", "serve/jobs_accepted_total", nil, float64(snap.Accepted)),
+		obs.Sample("stapd_jobs_rejected_total", c, "Jobs rejected with busy backpressure.", "serve/jobs_rejected_total", nil, float64(snap.Rejected)),
+		obs.Sample("stapd_jobs_completed_total", c, "Jobs completed successfully.", "serve/jobs_completed_total", nil, float64(snap.Completed)),
+		obs.Sample("stapd_jobs_failed_total", c, "Jobs that failed in processing.", "serve/jobs_failed_total", nil, float64(snap.Failed)),
+		obs.Sample("stapd_cpis_processed_total", c, "CPIs processed across all completed jobs.", "serve/cpis_processed_total", nil, float64(snap.CPIsProcessed)),
+		obs.Sample("stapd_worker_faults_total", c, "Supervised worker goroutine deaths across all replicas.", "serve/worker_faults_total", nil, float64(snap.WorkerFaults)),
+		obs.Sample("stapd_replica_restarts_total", c, "Replica recycles after a fault or watchdog timeout.", "serve/replica_restarts_total", nil, float64(snap.ReplicaRestarts)),
+		obs.Sample("stapd_replans_total", c, "Planned placement rolls by the replanner.", "serve/replans_total", nil, float64(snap.Replans)),
+		obs.Sample("stapd_job_failovers_total", c, "Jobs re-dispatched onto another replica after theirs died mid-flight.", "serve/job_failovers_total", nil, float64(snap.Failovers)),
+		obs.Sample("stapd_deadline_exceeded_total", c, "Jobs rejected or aborted because their client deadline expired.", "serve/deadline_exceeded_total", nil, float64(snap.DeadlineExc)),
+		obs.Sample("stapd_live_replicas", g, "Replicas currently healthy and serving.", "serve/live_replicas", nil, float64(snap.LiveReplicas)),
+		obs.Sample("stapd_queue_depth", g, "Jobs waiting in the admission queue.", "serve/queue_depth", nil, float64(snap.QueueDepth)),
+		obs.Sample("stapd_jobs_per_sec", g, "Completed jobs per second of server uptime.", "serve/jobs_per_sec", nil, snap.JobsPerSec),
+		quantile("0.5", "serve/latency_p50_seconds", snap.LatencyP50Ms),
+		quantile("0.95", "serve/latency_p95_seconds", snap.LatencyP95Ms),
+		quantile("0.99", "serve/latency_p99_seconds", snap.LatencyP99Ms),
 	}
-	p.Head("stapd_replica_utilization", "gauge", "Fraction of server lifetime each replica spent processing.")
-	for i, r := range snap.Replicas {
-		p.Sample("stapd_replica_utilization", []obs.Label{{Name: "replica", Value: strconv.Itoa(i)}}, r.Utilization)
-	}
-	p.Head("stapd_replica_up", "gauge", "Replica health (1 live, 0 restarting or dead).")
-	for i, r := range snap.Replicas {
-		up := 0.0
-		if r.Health == "live" {
-			up = 1
+	for i, slot := range s.slots {
+		l := []obs.Label{{Name: "replica", Value: strconv.Itoa(i)}}
+		r, col := snap.Replicas[i], slot.collector()
+		fams = append(fams,
+			obs.Sample("stapd_replica_jobs_total", c, "Jobs processed per replica.", "r{replica}/jobs_total", l, float64(r.Jobs)),
+			obs.Sample("stapd_replica_utilization", g, "Fraction of server lifetime each replica spent processing.", "r{replica}/utilization", l, r.Utilization),
+			obs.Sample("stapd_replica_up", g, "Replica health (1 live, 0 restarting or dead).", "r{replica}/up", l, b2f(r.health == replicaLive)),
+			obs.Sample("stapd_replica_restarts", c, "Recycles per replica slot.", "r{replica}/restarts", l, float64(r.Restarts)),
+			obs.Sample("stapd_breaker_state", g, "Dispatch circuit-breaker state per replica slot (0 closed, 1 open, 2 half-open).", "r{replica}/breaker_state", l, float64(r.breaker)),
+		)
+		// One sample per coordinator↔node link (heads only for an
+		// in-process slot).
+		fams = append(fams, dist.LinkFamilies("stapd_link_", "r{replica}/link/m{member}/", l, r.Links)...)
+		if slot.cluster != nil && s.fed != nil {
+			fams = append(fams, s.clusterFamilies(slot, l)...)
 		}
-		p.Sample("stapd_replica_up", []obs.Label{{Name: "replica", Value: strconv.Itoa(i)}}, up)
+		fams = append(fams, obs.CollectorFamilies(l, col)...)
+		fams = append(fams, obs.GaugeFamilies("stap_", "r{replica}/", nil, l, col.Gauges())...)
+		fams = append(fams, obs.AttrFamilies("r{replica}/attr/", l, func() *obs.BottleneckReport { return s.slotBottlenecks(slot) })...)
 	}
-	p.Head("stapd_replica_restarts", "counter", "Recycles per replica slot.")
-	for i, r := range snap.Replicas {
-		p.Sample("stapd_replica_restarts", []obs.Label{{Name: "replica", Value: strconv.Itoa(i)}}, float64(r.Restarts))
-	}
-	p.Head("stapd_breaker_state", "gauge", "Dispatch circuit-breaker state per replica slot (0 closed, 1 open, 2 half-open).")
-	for i, r := range snap.Replicas {
-		st := 0.0
-		switch r.Breaker {
-		case "open":
-			st = 1
-		case "half-open":
-			st = 2
-		}
-		p.Sample("stapd_breaker_state", []obs.Label{{Name: "replica", Value: strconv.Itoa(i)}}, st)
-	}
-
-	// Per-link transport counters of the distributed replica slots (one
-	// series per coordinator↔node link; absent without distributed slots).
-	linkLabels := func(i int, l dist.LinkStats) []obs.Label {
-		return []obs.Label{
-			{Name: "replica", Value: strconv.Itoa(i)},
-			{Name: "member", Value: strconv.Itoa(l.Member)},
-		}
-	}
-	eachLink := func(name string, v func(dist.LinkStats) float64) {
-		for i, r := range snap.Replicas {
-			for _, l := range r.Links {
-				p.Sample(name, linkLabels(i, l), v(l))
-			}
-		}
-	}
-	p.Head("stapd_link_messages_sent_total", "counter", "Data frames sent per distributed replica link.")
-	eachLink("stapd_link_messages_sent_total", func(l dist.LinkStats) float64 { return float64(l.MsgsSent) })
-	p.Head("stapd_link_messages_received_total", "counter", "Data frames received per distributed replica link.")
-	eachLink("stapd_link_messages_received_total", func(l dist.LinkStats) float64 { return float64(l.MsgsRecv) })
-	p.Head("stapd_link_bytes_sent_total", "counter", "Bytes written per distributed replica link.")
-	eachLink("stapd_link_bytes_sent_total", func(l dist.LinkStats) float64 { return float64(l.BytesSent) })
-	p.Head("stapd_link_bytes_received_total", "counter", "Bytes read per distributed replica link.")
-	eachLink("stapd_link_bytes_received_total", func(l dist.LinkStats) float64 { return float64(l.BytesRecv) })
-	p.Head("stapd_link_rtt_seconds", "gauge", "Heartbeat round-trip EWMA per distributed replica link.")
-	eachLink("stapd_link_rtt_seconds", func(l dist.LinkStats) float64 { return float64(l.RTTNs) / float64(time.Second) })
-
-	// SLO burn rates and firing alerts (absent without configured SLOs).
-	s.writeSLOProm(p)
-
-	// Federated node series and cluster-merged gauges (distributed slots).
-	s.writeClusterProm(p)
-
-	obs.WriteProm(w, s.Collectors())
-	obs.WriteAttrProm(w, s.Bottlenecks())
+	fams = append(fams, sloFamilies(s.Alerts())...)
+	return append(fams, obs.RuntimeFamilies()...)
 }
+
+// b2f renders a condition as a 0/1 gauge value.
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// WritePrometheus writes the server's metric table as Prometheus
+// exposition text.
+func (s *Server) WritePrometheus(w io.Writer) { obs.WriteFamilies(w, s.families()) }
 
 // PromHandler serves WritePrometheus — mount as /metrics.prom next to the
 // JSON Metrics().Handler().

@@ -96,6 +96,9 @@ grep -q '^stapd_jobs_completed_total 9$' "$WORK/metrics.prom"
 # on the node-local exposition.
 curl -sf http://127.0.0.1:7443/metrics.prom >"$WORK/node1.prom"
 grep '^stap_cpis_total' "$WORK/node1.prom" | grep -qv ' 0$'
+# The node renders its link plane from the same table stapd does: node 1
+# (Doppler + weights) must have written bytes to node 2.
+grep '^stap_link_bytes_sent_total{member="2"} ' "$WORK/node1.prom" | grep -qv ' 0$'
 
 # Federation: stapd's poller (1s interval) must surface both nodes up and
 # a nonzero merged eq. (1) throughput gauge.
