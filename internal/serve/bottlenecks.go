@@ -20,7 +20,7 @@ import (
 // local collector's journal, extended for distributed slots with the
 // clock-corrected federated node journals.
 func (s *Server) slotSpans(slot *replicaSlot) []obs.SpanEvent {
-	col := slot.collector()
+	col := slot.record().col
 	if col == nil {
 		return nil
 	}
@@ -35,7 +35,7 @@ func (s *Server) slotSpans(slot *replicaSlot) []obs.SpanEvent {
 // collector's events plus, for a distributed slot, every federated node's.
 func (s *Server) slotWire(slot *replicaSlot) []obs.WireEvent {
 	var wire []obs.WireEvent
-	if col := slot.collector(); col != nil {
+	if col := slot.record().col; col != nil {
 		wire = col.WireJournal()
 	}
 	if slot.cluster == nil || s.fed == nil {

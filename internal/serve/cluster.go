@@ -95,7 +95,7 @@ func (s *Server) pollNodes() {
 		if slot.cluster == nil {
 			continue
 		}
-		rep, ok := slot.stream().(*dist.Replica)
+		rep, ok := slot.record().rep.(*dist.Replica)
 		if !ok || rep == nil {
 			continue
 		}
@@ -203,7 +203,7 @@ func correctedEvents(st nodeState, coordStartUnixNs int64) []obs.SpanEvent {
 // clusterEvents merges one distributed slot's federated node journals
 // onto the coordinator collector's timeline.
 func (s *Server) clusterEvents(slot *replicaSlot) []obs.SpanEvent {
-	col := slot.collector()
+	col := slot.record().col
 	if col == nil || s.fed == nil {
 		return nil
 	}
@@ -236,7 +236,7 @@ func (s *Server) WriteClusterTrace(w io.Writer) error {
 		if slot.cluster == nil || s.fed == nil {
 			continue
 		}
-		col := slot.collector()
+		col := slot.record().col
 		if col == nil {
 			continue
 		}

@@ -41,9 +41,8 @@ type Metrics struct {
 	deadlineExceeded atomic.Int64
 
 	queueDepth func() int
-	// links, when set, resolves a replica slot's per-link transfer
-	// counters (non-nil only for live distributed slots).
-	links func(i int) []dist.LinkStats
+	// slot resolves a replica slot's state record.
+	slot  func(i int) slotState
 	start time.Time
 
 	mu     sync.Mutex
@@ -54,41 +53,19 @@ type Metrics struct {
 	replicas []*ReplicaStats
 }
 
-// Replica health states, stored in ReplicaStats.health. The zero value is
-// live so a fresh pool starts healthy.
-const (
-	replicaLive int32 = iota
-	replicaRestarting
-	replicaDead
-)
-
-// healthName renders a health state for JSON and logs.
-func healthName(h int32) string {
-	switch h {
-	case replicaLive:
-		return "live"
-	case replicaRestarting:
-		return "restarting"
-	case replicaDead:
-		return "dead"
-	}
-	return "unknown"
-}
-
-// ReplicaStats tracks one pipeline replica's work and lifecycle.
+// ReplicaStats tracks one pipeline replica's work and, per destination
+// (moveNames), the moves of its slot's state record.
 type ReplicaStats struct {
-	jobs     atomic.Int64
-	busyNs   atomic.Int64
-	restarts atomic.Int64
-	health   atomic.Int32
-	// breaker mirrors the slot's circuit-breaker state (see breaker.go).
-	breaker atomic.Int32
+	jobs   atomic.Int64
+	busyNs atomic.Int64
+	moves  [len(moveNames)]atomic.Int64
 }
 
 // newMetrics builds the metrics for a replica pool of the given size.
-func newMetrics(replicas int, queueDepth func() int) *Metrics {
+func newMetrics(replicas int, queueDepth func() int, slot func(i int) slotState) *Metrics {
 	m := &Metrics{
 		queueDepth: queueDepth,
+		slot:       slot,
 		start:      time.Now(),
 		lat:        make([]time.Duration, latencyWindow),
 		replicas:   make([]*ReplicaStats, replicas),
@@ -124,14 +101,19 @@ type ReplicaSnapshot struct {
 	// Breaker is the slot's dispatch circuit-breaker state: "closed",
 	// "open" or "half-open".
 	Breaker string `json:"breaker"`
+	// Fallback marks a distributed slot that exhausted its restart budget
+	// and now rebuilds in-process (Config.FallbackInproc).
+	Fallback bool `json:"fallback,omitempty"`
 	// Links holds a distributed slot's per-node link counters (message
 	// and byte totals each way plus the heartbeat round-trip EWMA);
 	// empty for in-process replicas.
 	Links []dist.LinkStats `json:"links,omitempty"`
 
-	// health and breaker are the states behind Health and Breaker, for
-	// the numeric stapd_replica_up / stapd_breaker_state rows.
-	health, breaker int32
+	// state is the record behind Health and Breaker, for the numeric
+	// stapd_replica_up / stapd_breaker_state rows; moves feeds
+	// stapd_slot_transitions_total.
+	state slotState
+	moves [len(moveNames)]int64
 }
 
 // Snapshot is a point-in-time JSON-friendly view of the metrics — the
@@ -184,22 +166,23 @@ func (m *Metrics) Snapshot() Snapshot {
 	s.LatencyP95Ms = quantileMs(window, 0.95)
 	s.LatencyP99Ms = quantileMs(window, 0.99)
 	for i, r := range m.replicas {
-		h, b := r.health.Load(), r.breaker.Load()
+		st := m.slot(i)
 		rs := ReplicaSnapshot{
 			Jobs:     r.jobs.Load(),
-			Restarts: r.restarts.Load(),
-			Health:   healthName(h),
-			Breaker:  breakerName(b),
-			health:   h,
-			breaker:  b,
+			Restarts: int64(st.restarts),
+			Health:   healthName(st.phase),
+			Breaker:  breakerName(st.breaker),
+			Fallback: st.fallback,
+			Links:    st.linkStats(),
+			state:    st,
 		}
-		if m.links != nil {
-			rs.Links = m.links(i)
+		for to := range r.moves {
+			rs.moves[to] = r.moves[to].Load()
 		}
 		if up > 0 {
 			rs.Utilization = float64(r.busyNs.Load()) / float64(up.Nanoseconds())
 		}
-		if h == replicaLive {
+		if st.phase == phaseLive {
 			s.LiveReplicas++
 		}
 		s.Replicas = append(s.Replicas, rs)

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"math"
 	"net/http"
 	"sync"
@@ -36,13 +35,6 @@ const planAlpha = 0.5
 // bottleneck (max per-process busy-time sum) that justifies rolling a
 // live replica — drift alone, with nothing to win, never rolls.
 const replanMinGain = 0.05
-
-// errReplanRoll is the recycle cause of a planned placement roll. The
-// recycle path treats it specially: no flight record, and the first
-// reconnect attempt is free (a planned roll is not a fault, so it does
-// not charge the slot's restart budget unless the reconnect itself
-// fails).
-var errReplanRoll = errors.New("serve: planned placement roll")
 
 // planner is the server's calibration state and, with Replan on, the
 // background replanning loop.
@@ -110,7 +102,7 @@ func (s *Server) planEvents(slot *replicaSlot) []obs.SpanEvent {
 	if slot.cluster != nil {
 		return s.clusterEvents(slot)
 	}
-	col := slot.collector()
+	col := slot.record().col
 	if col == nil {
 		return nil
 	}
@@ -292,16 +284,16 @@ func (s *Server) replanPass() {
 }
 
 // rollSlot applies a recommended placement to a distributed slot and
-// recycles it so the next session connects under the new split. The
-// generation guard inside recycle makes the roll safe against a job
+// recycles it, as a planned event, so the next session connects under the
+// new split. The event's generation makes the roll safe against a job
 // failure observed concurrently on the old incarnation.
 func (s *Server) rollSlot(slot *replicaSlot, from string, to dist.Placement) {
-	gen := slot.gen.Load()
 	slot.mu.Lock()
+	gen := slot.state.gen
 	slot.cluster.Placement = to
 	slot.mu.Unlock()
 	s.cfg.Logf("stapd: replica %d replan: rolling placement %s -> %s", slot.idx, from, to)
-	if s.recycle(slot, gen, errReplanRoll, true) {
+	if s.recycle(slot, slotEvent{kind: evPlanned, gen: gen}) {
 		s.metrics.replans.Add(1)
 	} else {
 		s.cfg.Logf("stapd: replica %d replan: roll failed, slot dead", slot.idx)

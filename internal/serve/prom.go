@@ -49,14 +49,18 @@ func (s *Server) families() []obs.Family {
 	}
 	for i, slot := range s.slots {
 		l := []obs.Label{{Name: "replica", Value: strconv.Itoa(i)}}
-		r, col := snap.Replicas[i], slot.collector()
+		r, col := snap.Replicas[i], snap.Replicas[i].state.col
 		fams = append(fams,
 			obs.Sample("stapd_replica_jobs_total", c, "Jobs processed per replica.", "r{replica}/jobs_total", l, float64(r.Jobs)),
 			obs.Sample("stapd_replica_utilization", g, "Fraction of server lifetime each replica spent processing.", "r{replica}/utilization", l, r.Utilization),
-			obs.Sample("stapd_replica_up", g, "Replica health (1 live, 0 restarting or dead).", "r{replica}/up", l, b2f(r.health == replicaLive)),
+			obs.Sample("stapd_replica_up", g, "Replica health (1 live, 0 restarting or dead).", "r{replica}/up", l, b2f(r.state.phase == phaseLive)),
 			obs.Sample("stapd_replica_restarts", c, "Recycles per replica slot.", "r{replica}/restarts", l, float64(r.Restarts)),
-			obs.Sample("stapd_breaker_state", g, "Dispatch circuit-breaker state per replica slot (0 closed, 1 open, 2 half-open).", "r{replica}/breaker_state", l, float64(r.breaker)),
+			obs.Sample("stapd_breaker_state", g, "Dispatch circuit-breaker state per replica slot (0 closed, 1 open, 2 half-open).", "r{replica}/breaker_state", l, float64(r.state.breaker)),
 		)
+		for to, n := range r.moves {
+			fams = append(fams, obs.Sample("stapd_slot_transitions_total", c, "Moves of each replica slot's state record, by destination (a phase, a breaker state or the in-process fallback).", "",
+				[]obs.Label{l[0], {Name: "to", Value: moveNames[to]}}, float64(n)))
+		}
 		// One sample per coordinator↔node link (heads only for an
 		// in-process slot).
 		fams = append(fams, dist.LinkFamilies("stapd_link_", "r{replica}/link/m{member}/", l, r.Links)...)

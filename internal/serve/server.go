@@ -191,67 +191,38 @@ type Replica interface {
 	Abort()
 }
 
-// replicaSlot is one position in the replica pool. The replica and
-// collector it holds are replaced when the slot is recycled after a
-// fault, so readers must go through the mutex (the slot identity — its
-// index, cluster binding, stats and restart schedule — is stable).
+// replicaSlot is one position in the replica pool. Its state record —
+// which holds the replica and collector that are replaced when the slot
+// is rebuilt — changes only in moveSlot (slot.go) and is read through
+// the mutex; the slot identity — index and cluster binding — is stable.
 type replicaSlot struct {
 	idx int
 	// cluster, when non-nil, makes this a distributed slot: recycling
 	// re-Connects the cluster instead of building a local stream.
 	cluster *dist.ClusterConfig
 
-	mu  sync.Mutex
-	st  Replica
-	col *obs.Collector
+	mu    sync.Mutex
+	state slotState
 
-	// gen counts the slot's replica incarnations. recycle refuses a
-	// caller whose observed generation is stale, so a planned placement
-	// roll and a job failure observed concurrently on the old incarnation
-	// cannot double-recycle the slot; recycleMu serializes the recycles
-	// themselves.
-	gen       atomic.Int64
+	// recycleMu serializes the slot's recycles: whoever holds it runs the
+	// rebuild loop, and a second recycler waits for the outcome.
 	recycleMu sync.Mutex
-
-	// nextAttempt is the unix-nano time of the slot's next restart
-	// attempt while it is restarting — the basis of honest retry-after
-	// hints when no replica is live.
-	nextAttempt atomic.Int64
-
-	// brk gates the slot's job dispatch (see breaker.go).
-	brk *breaker
-	// degraded marks a distributed slot that exhausted its restart
-	// budget and was backfilled with an in-process replica
-	// (Config.FallbackInproc); newSlotReplica then builds local.
-	// budgetBonus is the extra restart allowance the fallback granted.
-	// Both are guarded by recycleMu.
-	degraded    bool
-	budgetBonus int
 }
 
-// stream returns the slot's current replica instance.
-func (sl *replicaSlot) stream() Replica {
+// record returns the slot's current state record.
+func (sl *replicaSlot) record() slotState {
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	return sl.st
+	return sl.state
 }
 
-// linkStats returns the slot's per-link transfer counters when it is a
-// live distributed replica, nil otherwise.
-func (sl *replicaSlot) linkStats() []dist.LinkStats {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	if r, ok := sl.st.(*dist.Replica); ok {
+// linkStats returns the per-link transfer counters of a record whose
+// replica is a live distributed one, nil otherwise.
+func (st slotState) linkStats() []dist.LinkStats {
+	if r, ok := st.rep.(*dist.Replica); ok {
 		return r.LinkStats()
 	}
 	return nil
-}
-
-// collector returns the slot's current telemetry collector.
-func (sl *replicaSlot) collector() *obs.Collector {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	return sl.col
 }
 
 // Server is the stapd daemon core: listener, admission queue, replica
@@ -269,11 +240,13 @@ type Server struct {
 	// failing replica's loop never blocks handing its job off.
 	failover chan *job
 
-	// live is the number of currently healthy replicas; admission
-	// capacity scales with it (graceful degradation).
+	// live is the number of slots in the live phase; admission capacity
+	// scales with it (graceful degradation).
 	live atomic.Int32
-	// stopping is closed on hard shutdown to interrupt restart backoffs.
-	stopping chan struct{}
+	// draining is closed when shutdown begins, to wake a slot parked
+	// behind an open breaker; stopping is closed on hard shutdown, to
+	// interrupt restart backoffs.
+	draining, stopping chan struct{}
 
 	ln        net.Listener
 	admitting atomic.Bool
@@ -365,25 +338,24 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		queue:    make(chan *job, cfg.QueueDepth),
 		failover: make(chan *job, cfg.QueueDepth+total),
+		draining: make(chan struct{}),
 		stopping: make(chan struct{}),
 		conns:    make(map[net.Conn]struct{}),
 	}
-	s.metrics = newMetrics(total, func() int { return len(s.queue) })
-	s.metrics.links = func(i int) []dist.LinkStats { return s.slots[i].linkStats() }
+	s.metrics = newMetrics(total, func() int { return len(s.queue) }, func(i int) slotState { return s.slots[i].record() })
 	for i := 0; i < total; i++ {
-		slot := &replicaSlot{idx: i}
-		slot.brk = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, &s.metrics.replicas[i].breaker)
+		slot := &replicaSlot{idx: i, state: slotState{budget: cfg.RestartBudget, dist: i >= cfg.Replicas}}
 		if i >= cfg.Replicas {
 			slot.cluster = &cfg.DistClusters[i-cfg.Replicas]
 		}
 		st, col, err := s.newSlotReplica(slot)
 		if err != nil {
 			for _, prev := range s.slots {
-				prev.stream().Abort()
+				prev.record().rep.Abort()
 			}
 			return nil, err
 		}
-		slot.st, slot.col = st, col
+		slot.state.rep, slot.state.col = st, col
 		s.slots = append(s.slots, slot)
 	}
 	s.live.Store(int32(total))
@@ -395,7 +367,7 @@ func New(cfg Config) (*Server, error) {
 		s.stopPlanner()
 		s.stopFederation()
 		for _, prev := range s.slots {
-			prev.stream().Abort()
+			prev.record().rep.Abort()
 		}
 		return nil, err
 	}
@@ -408,11 +380,11 @@ func New(cfg Config) (*Server, error) {
 }
 
 // newSlotReplica builds the slot's replica: a local warm pipeline for
-// in-process slots (and for distributed slots degraded to the in-process
-// fallback), a freshly Connected cluster session for distributed ones.
-// Both paths return a new telemetry collector.
+// in-process slots (and for distributed slots fallen back in-process), a
+// freshly Connected cluster session for distributed ones. Both paths
+// return a new telemetry collector.
 func (s *Server) newSlotReplica(slot *replicaSlot) (Replica, *obs.Collector, error) {
-	if slot.cluster != nil && !slot.degraded {
+	if slot.cluster != nil && !slot.record().fallback {
 		return s.newDistReplica(slot)
 	}
 	return s.newReplica()
@@ -483,7 +455,7 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 func (s *Server) Collectors() []*obs.Collector {
 	out := make([]*obs.Collector, len(s.slots))
 	for i, sl := range s.slots {
-		out[i] = sl.collector()
+		out[i] = sl.record().col
 	}
 	return out
 }
@@ -669,17 +641,14 @@ func (s *Server) queueWait(cpis, live int) time.Duration {
 // restarting slots, as a duration from now (clamped to at least the
 // configured RetryAfter); ok is false when no slot is coming back.
 func (s *Server) restartETA() (time.Duration, bool) {
-	now := time.Now().UnixNano()
 	var best time.Duration
 	found := false
-	for i, r := range s.metrics.replicas {
-		if r.health.Load() != replicaRestarting {
+	for _, slot := range s.slots {
+		st := slot.record()
+		if st.phase != phaseRestarting {
 			continue
 		}
-		eta := time.Duration(s.slots[i].nextAttempt.Load() - now)
-		if eta < s.cfg.RetryAfter {
-			eta = s.cfg.RetryAfter
-		}
+		eta := max(time.Until(st.nextAttempt), s.cfg.RetryAfter)
 		if !found || eta < best {
 			best, found = eta, true
 		}
@@ -709,19 +678,29 @@ func (s *Server) validate(req *Request) error {
 // every pull: an open breaker parks the loop for the cooldown instead
 // of feeding jobs to a flapping replica. A fatal processing error
 // (worker fault, watchdog timeout) recycles the slot's pipeline under
-// its restart budget; when the slot dies for good and nothing else is
-// live, the loop stays behind as a drainer so every admitted job is
-// still answered.
+// its restart budget. A slot that died for good leaves the queue to its
+// siblings — one merely restarting serves it when it is back — unless
+// the whole pool is dead: then the loop stays as a drainer, so admitted
+// work is never silently dropped (jobs that raced past the admission
+// check get their answer, jobs orphaned by the last death the
+// ReplicaLost their exhausted failover earned).
 func (s *Server) replicaLoop(slot *replicaSlot) {
 	defer s.replWG.Done()
 	for {
-		if wait, ok := slot.brk.allow(); !ok {
+		st := slot.record()
+		switch {
+		case st.phase == phaseDead && !s.allDead():
+			return
+		case st.phase != phaseDead && st.breaker == breakerOpen:
+			// Parked. Shutdown ends the park early: nothing admitted may
+			// wait out a cooldown, so the probe is whatever is still
+			// queued, and the pull below exits on the closed queue if
+			// nothing is.
 			select {
-			case <-time.After(wait):
-			case <-s.stopping:
-				return
+			case <-time.After(s.cfg.BreakerCooldown - time.Since(st.openedAt)):
+			case <-s.draining:
 			}
-			continue
+			s.moveSlot(slot, slotEvent{kind: evCooldownElapsed})
 		}
 		var j *job
 		select {
@@ -736,18 +715,28 @@ func (s *Server) replicaLoop(slot *replicaSlot) {
 				j = qj
 			}
 		}
-		if !s.runJob(slot, j) {
-			if s.live.Load() == 0 {
-				s.drainDead()
-			}
-			return
+		if st.phase == phaseDead {
+			s.failDead(j)
+		} else {
+			s.runJob(slot, j)
 		}
 	}
 }
 
-// runJob runs one job on the slot and answers or fails it over. It
-// reports false when the slot died for good and its loop must exit.
-func (s *Server) runJob(slot *replicaSlot, j *job) bool {
+// allDead reports whether every slot has died for good. A slot marks
+// itself dead before it looks, so of the slots dying last at least one
+// sees the whole pool dead and becomes the drainer.
+func (s *Server) allDead() bool {
+	for _, slot := range s.slots {
+		if slot.record().phase != phaseDead {
+			return false
+		}
+	}
+	return true
+}
+
+// runJob runs one job on the slot and answers or fails it over.
+func (s *Server) runJob(slot *replicaSlot, j *job) {
 	stats := s.metrics.replicas[slot.idx]
 	if !j.deadline.IsZero() && !time.Now().Before(j.deadline) {
 		// Expired while queued: answer without burning a replica on it.
@@ -755,11 +744,10 @@ func (s *Server) runJob(slot *replicaSlot, j *job) bool {
 		s.metrics.deadlineExceeded.Add(1)
 		j.done <- &Response{ID: j.req.ID, Status: StatusDeadlineExceeded,
 			Err: pipeline.ErrDeadlineExceeded.Error(), QueueNs: int64(time.Since(j.enq))}
-		return true
+		return
 	}
-	gen := slot.gen.Load()
 	svcStart := time.Now()
-	dets, traceFile, err := s.process(slot, j)
+	dets, traceFile, gen, err := s.process(slot, j)
 	svc := time.Since(svcStart)
 	stats.jobs.Add(1)
 	stats.busyNs.Add(int64(svc))
@@ -769,14 +757,18 @@ func (s *Server) runJob(slot *replicaSlot, j *job) bool {
 		ServiceNs: int64(svc),
 	}
 	fatal := false
+	var ev slotEvent
 	if err != nil {
 		var code Status
 		code, fatal = s.classify(err)
-		if fatal && code != StatusDeadlineExceeded {
-			opened := slot.brk.failure(s.slotFlaky(slot))
-			if opened {
-				s.cfg.Logf("stapd: replica %d breaker open (cooldown %v)", slot.idx, s.cfg.BreakerCooldown)
-			}
+		// A fatal error is a fault of the incarnation the job ran on —
+		// except the job's own deadline aborting the stream under it: the
+		// client's bound, not the replica's doing, so a planned event.
+		ev = slotEvent{kind: evFault, gen: gen, cause: err}
+		if code == StatusDeadlineExceeded {
+			ev.kind = evPlanned
+		} else if fatal {
+			ev.flaky = s.slotFlaky(slot)
 		}
 		if fatal && s.failoverEligible(j, code) {
 			// Hand the job back to the pool before recycling: another
@@ -787,7 +779,9 @@ func (s *Server) runJob(slot *replicaSlot, j *job) bool {
 			s.cfg.Logf("stapd: replica %d lost job %d mid-flight (%v); failover attempt %d/%d",
 				slot.idx, j.req.ID, err, j.attempts, s.cfg.FailoverBudget)
 			s.failover <- j
-			return s.recycleAfter(slot, gen, err, true)
+			ev.handedOff = true
+			s.recycle(slot, ev)
+			return
 		}
 		s.metrics.failed.Add(1)
 		if code == StatusDeadlineExceeded {
@@ -796,7 +790,7 @@ func (s *Server) runJob(slot *replicaSlot, j *job) bool {
 		resp.Status = code
 		resp.Err = err.Error()
 	} else {
-		slot.brk.success()
+		s.moveSlot(slot, slotEvent{kind: evJobOK})
 		s.metrics.completed.Add(1)
 		s.metrics.cpis.Add(int64(len(j.req.CPIs)))
 		resp.Status = StatusOK
@@ -812,18 +806,8 @@ func (s *Server) runJob(slot *replicaSlot, j *job) bool {
 	s.metrics.observe(time.Since(j.enq))
 	j.done <- resp
 	if fatal {
-		return s.recycleAfter(slot, gen, err, false)
+		s.recycle(slot, ev)
 	}
-	return true
-}
-
-// recycleAfter recycles the slot after a fatal error, suppressing the
-// flight record when the job was successfully handed to failover — the
-// job survived, so there is nothing to black-box; the slot's death
-// itself is still logged and budgeted. It reports whether the slot came
-// back.
-func (s *Server) recycleAfter(slot *replicaSlot, gen int64, cause error, failedOver bool) bool {
-	return s.recycle(slot, gen, cause, !failedOver)
 }
 
 // failoverEligible reports whether a fatally-failed job should be
@@ -861,7 +845,7 @@ func (s *Server) slotFlaky(slot *replicaSlot) bool {
 	if hb <= 0 {
 		hb = dist.DefaultHeartbeat
 	}
-	for _, l := range slot.linkStats() {
+	for _, l := range slot.record().linkStats() {
 		if l.RTTNs > int64(hb) {
 			return true
 		}
@@ -877,9 +861,7 @@ func (s *Server) classify(err error) (Status, bool) {
 	switch {
 	case errors.Is(err, pipeline.ErrDeadlineExceeded):
 		// The job's own deadline aborted the stream mid-CPI; the replica
-		// is unwound and must be recycled, but the expiry is the client's
-		// bound, not a replica fault — recycle treats it like a planned
-		// roll (no flight record, no budget charge).
+		// is unwound and must be recycled (runJob makes it a planned event).
 		return StatusDeadlineExceeded, true
 	case errors.Is(err, pipeline.ErrCPITimeout):
 		return StatusTimeout, true
@@ -903,96 +885,41 @@ func (s *Server) classify(err error) (Status, bool) {
 	}
 }
 
-// recycle replaces a dead slot's pipeline with a fresh warm one, within
-// the slot's restart budget and with exponential backoff between
-// attempts. It reports false when the slot is out of budget (or the
-// server is stopping) — the slot is then permanently dead. cause is the
-// fatal error that killed the replica; the flight recorder dumps the
-// slot's final telemetry under it before the old instance is discarded.
-//
-// gen is the slot generation the caller observed its failure on: if the
-// slot has already been recycled past it (a planned roll raced a job
-// failure, or two failures raced each other) the call is a no-op that
-// just reports whether the slot came back. A planned roll
-// (cause errReplanRoll) and a job-deadline expiry skip the flight
-// record and get their first rebuild attempt without backoff or budget
-// charge — neither is a replica fault; only a failed rebuild afterwards
-// is. record=false additionally suppresses the flight record when the
-// dying replica's job was successfully handed to failover (the job
-// survived; there is nothing to black-box).
-//
-// A distributed slot that exhausts its budget with Config.FallbackInproc
-// set degrades to a warm in-process replica with a fresh budget instead
-// of dying — capacity shrinks to local compute rather than to zero.
-func (s *Server) recycle(slot *replicaSlot, gen int64, cause error, record bool) bool {
+// recycle applies a fault or planned event observed on the slot and, if
+// that moved it to restarting, discards the old instance and rebuilds —
+// one attempt per backoff the record schedules, until the record says
+// live or dead (restart budget and in-process fallback are its rules,
+// see next). An event the record refuses (a stale generation: a roll
+// raced a job failure, or two failures raced each other) only waits out
+// the recycle that got there first. It reports whether the slot is live.
+func (s *Server) recycle(slot *replicaSlot, ev slotEvent) bool {
 	slot.recycleMu.Lock()
 	defer slot.recycleMu.Unlock()
-	stats := s.metrics.replicas[slot.idx]
-	if slot.gen.Load() != gen {
-		return stats.health.Load() == replicaLive
+	st, eff := s.moveSlot(slot, ev)
+	if !eff.applied {
+		return st.phase == phaseLive
 	}
-	if stats.health.Load() == replicaDead {
-		return false
-	}
-	planned := errors.Is(cause, errReplanRoll) || errors.Is(cause, pipeline.ErrDeadlineExceeded)
-	if !planned && record {
-		s.flightRecord(slot, cause)
-	}
-	stats.health.Store(replicaRestarting)
-	s.live.Add(-1)
-	old := slot.stream()
-	old.Abort()
-	for _, f := range old.Faults() {
+	st.rep.Abort()
+	for _, f := range st.rep.Faults() {
 		s.metrics.workerFaults.Add(1)
 		s.cfg.Logf("stapd: replica %d worker fault: %s", slot.idx, f)
 	}
-	first := true
-	for {
-		n := stats.restarts.Load()
-		if int(n) >= s.cfg.RestartBudget+slot.budgetBonus {
-			if slot.cluster != nil && !slot.degraded && s.cfg.FallbackInproc {
-				slot.degraded = true
-				slot.budgetBonus += s.cfg.RestartBudget
-				s.cfg.Logf("stapd: replica %d cluster budget exhausted; degrading to in-process fallback", slot.idx)
-				continue
-			}
-			stats.health.Store(replicaDead)
-			s.cfg.Logf("stapd: replica %d dead: restart budget %d exhausted", slot.idx, s.cfg.RestartBudget+slot.budgetBonus)
-			return false
-		}
-		if !planned || !first {
-			backoff := s.cfg.RestartBackoff << uint(min(n, 10))
-			slot.nextAttempt.Store(time.Now().Add(backoff).UnixNano())
-			select {
-			case <-time.After(backoff):
-			case <-s.stopping:
-				stats.health.Store(replicaDead)
-				return false
-			}
-		}
-		st, col, err := s.newSlotReplica(slot)
-		if !planned || !first {
-			stats.restarts.Add(1)
-			s.metrics.replicaRestarts.Add(1)
-		}
-		first = false
-		if err != nil {
-			s.cfg.Logf("stapd: replica %d restart failed: %v", slot.idx, err)
+	for st.phase == phaseRestarting {
+		select {
+		case <-time.After(eff.wait):
+		case <-s.stopping:
+			st, eff = s.moveSlot(slot, slotEvent{kind: evStopping})
 			continue
 		}
-		slot.mu.Lock()
-		slot.st, slot.col = st, col
-		slot.mu.Unlock()
-		slot.gen.Add(1)
-		stats.health.Store(replicaLive)
-		s.live.Add(1)
-		if planned {
-			s.cfg.Logf("stapd: replica %d reconnected under new placement", slot.idx)
-		} else {
-			s.cfg.Logf("stapd: replica %d restarted (restart %d, budget %d)", slot.idx, n+1, s.cfg.RestartBudget)
+		rep, col, err := s.newSlotReplica(slot)
+		if err != nil {
+			s.cfg.Logf("stapd: replica %d rebuild failed: %v", slot.idx, err)
+			st, eff = s.moveSlot(slot, slotEvent{kind: evRebuildFailed})
+			continue
 		}
-		return true
+		st, eff = s.moveSlot(slot, slotEvent{kind: evRebuilt, rep: rep, col: col})
 	}
+	return st.phase == phaseLive
 }
 
 // flightRecord dumps a fatally-failed slot's final telemetry — the span
@@ -1002,21 +929,17 @@ func (s *Server) flightRecord(slot *replicaSlot, cause error) {
 	if s.cfg.FlightDir == "" {
 		return
 	}
-	slot.mu.Lock()
-	st, col := slot.st, slot.col
-	slot.mu.Unlock()
+	st := slot.record()
 	session := ""
-	var links []dist.LinkStats
-	if r, ok := st.(*dist.Replica); ok {
+	if r, ok := st.rep.(*dist.Replica); ok {
 		session = r.Session()
-		links = r.LinkStats()
 	}
 	reason := "unknown"
 	if cause != nil {
 		reason = cause.Error()
 	}
-	rec := obs.NewFlightRecord(fmt.Sprintf("stapd-replica-%d", slot.idx), session, reason, col)
-	if len(links) > 0 {
+	rec := obs.NewFlightRecord(fmt.Sprintf("stapd-replica-%d", slot.idx), session, reason, st.col)
+	if links := st.linkStats(); len(links) > 0 {
 		rec.Links = links
 	}
 	if s.fed != nil {
@@ -1031,26 +954,6 @@ func (s *Server) flightRecord(slot *replicaSlot, cause error) {
 		return
 	}
 	s.cfg.Logf("stapd: replica %d flight record written to %s", slot.idx, path)
-}
-
-// drainDead answers queued and failed-over jobs once no replica is live,
-// so admitted work is never silently dropped: jobs racing past the
-// admission check while the last replica died still get a response, and
-// jobs orphaned by the final replica's death get the ReplicaLost their
-// exhausted failover earned. Runs until shutdown closes the queue.
-func (s *Server) drainDead() {
-	for {
-		select {
-		case j := <-s.failover:
-			s.failDead(j)
-		case j, ok := <-s.queue:
-			if !ok {
-				s.drainFailover()
-				return
-			}
-			s.failDead(j)
-		}
-	}
 }
 
 // failDead answers one undispatchable job on a dead pool.
@@ -1068,8 +971,8 @@ func (s *Server) failDead(j *job) {
 }
 
 // drainFailover answers whatever still sits in the failover channel.
-// Called when no replica loop can run jobs anymore (dead pool after the
-// queue closed, or end of shutdown).
+// Called at the end of shutdown, when no replica loop can run jobs
+// anymore.
 func (s *Server) drainFailover() {
 	for {
 		select {
@@ -1088,7 +991,7 @@ func (s *Server) drainFailover() {
 // previous attempts never delivered, so first-attempt results always win
 // the splice. A completed job that asked for a trace gets one cut from the
 // slot's span journal.
-func (s *Server) process(slot *replicaSlot, j *job) (dets [][]stap.Detection, traceFile string, err error) {
+func (s *Server) process(slot *replicaSlot, j *job) (dets [][]stap.Detection, traceFile string, gen int64, err error) {
 	req := j.req
 	if j.results == nil {
 		j.results = make([][]stap.Detection, len(req.CPIs))
@@ -1101,22 +1004,20 @@ func (s *Server) process(slot *replicaSlot, j *job) (dets [][]stap.Detection, tr
 			}
 		},
 	}
-	slot.mu.Lock()
-	st, col := slot.st, slot.col
-	slot.mu.Unlock()
-	start, firstCPI := time.Now(), int(st.CPIsProcessed())
-	dets, err = st.ProcessJobOpts(req.CPIs, opts)
+	st := slot.record()
+	start, firstCPI := time.Now(), int(st.rep.CPIsProcessed())
+	dets, err = st.rep.ProcessJobOpts(req.CPIs, opts)
 	if err == nil && req.Trace && s.cfg.TraceDir != "" {
-		journal := col.Journal()
-		if _, ok := st.(*dist.Replica); ok {
+		journal := st.col.Journal()
+		if _, ok := st.rep.(*dist.Replica); ok {
 			// The workers' journals live on the nodes: poll them now and
 			// merge them onto the coordinator collector's clock.
 			s.pollNodes()
 			journal = s.clusterEvents(slot)
 		}
-		traceFile, err = s.writeJobTrace(col, journal, start, firstCPI, len(req.CPIs))
+		traceFile, err = s.writeJobTrace(st.col, journal, start, firstCPI, len(req.CPIs))
 	}
-	return dets, traceFile, err
+	return dets, traceFile, st.gen, err
 }
 
 // writeJobTrace cuts one served job's trace out of its replica's span
@@ -1168,6 +1069,7 @@ func (s *Server) writeJobTrace(col *obs.Collector, journal []obs.SpanEvent, star
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.shutdownOnce.Do(func() {
 		s.admitting.Store(false)
+		close(s.draining)
 		// The replanner recycles slots, the sampler scrapes them, and the
 		// federation poller dials them; stop all three before the pool
 		// starts tearing them down.
@@ -1189,7 +1091,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 				hard.Store(true)
 				close(s.stopping) // interrupt restart backoffs
 				for _, sl := range s.slots {
-					sl.stream().Abort()
+					sl.record().rep.Abort()
 				}
 				s.closeConns()
 			case <-done:
@@ -1215,7 +1117,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// failover that nobody picked up.
 		s.drainFailover()
 		for _, sl := range s.slots {
-			sl.stream().Close()
+			sl.record().rep.Close()
 		}
 		close(done)
 		<-watcher

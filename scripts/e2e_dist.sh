@@ -322,6 +322,19 @@ curl -sf http://127.0.0.1:7438/metrics.prom >"$WORK/metrics4.prom"
 grep -q '^stapd_jobs_completed_total 4$' "$WORK/metrics4.prom"
 grep '^stapd_job_failovers_total ' "$WORK/metrics4.prom" | grep -v ' 0$' \
   || { echo "node kill produced no failover"; cat "$WORK/stapd4.log"; exit 1; }
+# Full strength: the distributed slot exhausted its one restart against
+# the dead node, fell back in-process exactly once, and is live again.
+FALLBACK_OK=0
+for i in $(seq 1 40); do
+  curl -sf http://127.0.0.1:7438/metrics.prom >"$WORK/metrics4.prom"
+  if grep -q '^stapd_slot_transitions_total{replica="1",to="fallback"} 1$' "$WORK/metrics4.prom" &&
+     grep -q '^stapd_live_replicas 2$' "$WORK/metrics4.prom"; then
+    FALLBACK_OK=1
+    break
+  fi
+  sleep 0.25
+done
+[ "$FALLBACK_OK" = 1 ] || { echo "pool did not end at full strength through the in-process fallback"; grep -E '^stapd_(slot_transitions_total|live_replicas|replica_up)' "$WORK/metrics4.prom"; cat "$WORK/stapd4.log"; exit 1; }
 
 kill -TERM "$STAPD_PID"
 wait "$STAPD_PID"
