@@ -11,25 +11,15 @@ package pstap_test
 // values side by side.
 
 import (
-	"context"
 	"strings"
 	"testing"
 
-	"pstap/internal/cube"
+	"pstap/internal/paperdata"
 	"pstap/internal/paragon"
 	"pstap/internal/pipeline"
+	"pstap/internal/plan"
 	"pstap/internal/radar"
-	"pstap/internal/sched"
-	"pstap/internal/serve"
 	"pstap/internal/stap"
-)
-
-var (
-	case1 = pipeline.NewAssignment(32, 16, 112, 16, 28, 16, 16)
-	case2 = pipeline.NewAssignment(16, 8, 56, 8, 14, 8, 8)
-	case3 = pipeline.NewAssignment(8, 4, 28, 4, 7, 4, 4)
-	tbl9  = pipeline.NewAssignment(20, 8, 56, 8, 14, 8, 8)
-	tbl10 = pipeline.NewAssignment(20, 8, 56, 8, 14, 16, 16)
 )
 
 func model() *paragon.Model {
@@ -57,12 +47,12 @@ func BenchmarkTable2DopplerComm(b *testing.B) {
 	mo := model()
 	var send, recv float64
 	for i := 0; i < b.N; i++ {
-		send, recv = mo.PairComm(pipeline.TaskDoppler, pipeline.TaskEasyBF, 8, 16, case2)
+		send, recv = mo.PairComm(pipeline.TaskDoppler, pipeline.TaskEasyBF, 8, 16, paperdata.Case2)
 	}
 	b.ReportMetric(send, "send8-s")
 	b.ReportMetric(recv, "recv8-s")
-	_, r16 := mo.PairComm(pipeline.TaskDoppler, pipeline.TaskEasyBF, 16, 16, case2)
-	_, r32 := mo.PairComm(pipeline.TaskDoppler, pipeline.TaskEasyBF, 32, 16, case2)
+	_, r16 := mo.PairComm(pipeline.TaskDoppler, pipeline.TaskEasyBF, 16, 16, paperdata.Case2)
+	_, r32 := mo.PairComm(pipeline.TaskDoppler, pipeline.TaskEasyBF, 32, 16, paperdata.Case2)
 	b.ReportMetric(r16, "recv16-s")
 	b.ReportMetric(r32, "recv32-s")
 }
@@ -73,9 +63,9 @@ func BenchmarkTable3EasyWeightComm(b *testing.B) {
 	mo := model()
 	var sSlow float64
 	for i := 0; i < b.N; i++ {
-		sSlow, _ = mo.PairComm(pipeline.TaskEasyWeight, pipeline.TaskEasyBF, 16, 8, case2)
+		sSlow, _ = mo.PairComm(pipeline.TaskEasyWeight, pipeline.TaskEasyBF, 16, 8, paperdata.Case2)
 	}
-	sFast, rFast := mo.PairComm(pipeline.TaskEasyWeight, pipeline.TaskEasyBF, 16, 16, case2)
+	sFast, rFast := mo.PairComm(pipeline.TaskEasyWeight, pipeline.TaskEasyBF, 16, 16, paperdata.Case2)
 	b.ReportMetric(sSlow, "send16to8-s")
 	b.ReportMetric(sFast, "send16to16-s")
 	b.ReportMetric(rFast, "recv16to16-s")
@@ -86,7 +76,7 @@ func BenchmarkTable4HardWeightComm(b *testing.B) {
 	mo := model()
 	var send, recv float64
 	for i := 0; i < b.N; i++ {
-		send, recv = mo.PairComm(pipeline.TaskHardWeight, pipeline.TaskHardBF, 56, 16, case2)
+		send, recv = mo.PairComm(pipeline.TaskHardWeight, pipeline.TaskHardBF, 56, 16, paperdata.Case2)
 	}
 	b.ReportMetric(send, "send56to16-s")
 	b.ReportMetric(recv, "recv56to16-s")
@@ -98,7 +88,7 @@ func BenchmarkTable5BeamToPulseComm(b *testing.B) {
 	mo := model()
 	var send, recv float64
 	for i := 0; i < b.N; i++ {
-		send, recv = mo.PairComm(pipeline.TaskEasyBF, pipeline.TaskPulseComp, 8, 16, case2)
+		send, recv = mo.PairComm(pipeline.TaskEasyBF, pipeline.TaskPulseComp, 8, 16, paperdata.Case2)
 	}
 	b.ReportMetric(send, "send8to16-s")
 	b.ReportMetric(recv, "recv8to16-s")
@@ -110,7 +100,7 @@ func BenchmarkTable6PulseToCFARComm(b *testing.B) {
 	mo := model()
 	var send, recv float64
 	for i := 0; i < b.N; i++ {
-		send, recv = mo.PairComm(pipeline.TaskPulseComp, pipeline.TaskCFAR, 16, 8, case2)
+		send, recv = mo.PairComm(pipeline.TaskPulseComp, pipeline.TaskCFAR, 16, 8, paperdata.Case2)
 	}
 	b.ReportMetric(send, "send16to8-s")
 	b.ReportMetric(recv, "recv16to8-s")
@@ -130,9 +120,9 @@ func benchCase(b *testing.B, a pipeline.Assignment) {
 	b.ReportMetric(res.Period, "period-s")
 }
 
-func BenchmarkTable7Case1_236nodes(b *testing.B) { benchCase(b, case1) }
-func BenchmarkTable7Case2_118nodes(b *testing.B) { benchCase(b, case2) }
-func BenchmarkTable7Case3_59nodes(b *testing.B)  { benchCase(b, case3) }
+func BenchmarkTable7Case1_236nodes(b *testing.B) { benchCase(b, paperdata.Case1) }
+func BenchmarkTable7Case2_118nodes(b *testing.B) { benchCase(b, paperdata.Case2) }
+func BenchmarkTable7Case3_59nodes(b *testing.B)  { benchCase(b, paperdata.Case3) }
 
 // BenchmarkTable8Scaling reports the 236-vs-59-node throughput and latency
 // ratios behind the linear-scalability claim.
@@ -140,18 +130,18 @@ func BenchmarkTable8Scaling(b *testing.B) {
 	mo := model()
 	var r1, r3 paragon.SimResult
 	for i := 0; i < b.N; i++ {
-		r1 = mo.Simulate(case1)
-		r3 = mo.Simulate(case3)
+		r1 = mo.Simulate(paperdata.Case1)
+		r3 = mo.Simulate(paperdata.Case3)
 	}
 	b.ReportMetric(r1.Throughput/r3.Throughput, "throughput-ratio-236/59")
 	b.ReportMetric(r3.RealLatency/r1.RealLatency, "latency-ratio-59/236")
 }
 
 // BenchmarkTable9AddDopplerNodes regenerates the Table 9 experiment.
-func BenchmarkTable9AddDopplerNodes(b *testing.B) { benchCase(b, tbl9) }
+func BenchmarkTable9AddDopplerNodes(b *testing.B) { benchCase(b, paperdata.Table9) }
 
 // BenchmarkTable10AddBackendNodes regenerates the Table 10 experiment.
-func BenchmarkTable10AddBackendNodes(b *testing.B) { benchCase(b, tbl10) }
+func BenchmarkTable10AddBackendNodes(b *testing.B) { benchCase(b, paperdata.Tbl10) }
 
 // BenchmarkFigure11ComputeScaling regenerates Figure 11: per-task compute
 // time vs node count (speedup is exactly linear in the model; the real
@@ -167,12 +157,12 @@ func BenchmarkFigure11ComputeScaling(b *testing.B) {
 	b.ReportMetric(mo.CompTime(pipeline.TaskDoppler, 1)/mo.CompTime(pipeline.TaskDoppler, 32), "speedup32")
 }
 
-// BenchmarkSchedOptimize measures the Section 4.1.2 assignment search at
+// BenchmarkPlanOptimize measures the Section 4.1.2 assignment search at
 // the paper's 236-node budget.
-func BenchmarkSchedOptimize(b *testing.B) {
+func BenchmarkPlanOptimize(b *testing.B) {
 	mo := model()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := sched.Optimize(mo, 236, sched.MaxThroughput); err != nil {
+		if _, err := plan.Optimize(plan.Request{Model: mo, Nodes: 236, Top: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -212,52 +202,6 @@ func BenchmarkRealPipeline(b *testing.B) {
 	b.ReportMetric(res.Throughput, "throughput-CPI/s")
 	b.ReportMetric(res.Latency.Seconds(), "latency-s")
 	b.ReportMetric(float64(res.BytesSent), "bytes")
-}
-
-// BenchmarkServeThroughput measures the stapd serving stack end to end
-// over loopback TCP: gob framing, admission queue, replica pool dispatch
-// and response demultiplexing. Each iteration is one 2-CPI job submitted
-// through a shared client; parallel submitters keep the replicas busy.
-// The committed reference numbers live in BENCH_serve.json.
-func BenchmarkServeThroughput(b *testing.B) {
-	sc := radar.DefaultScene(radar.Small())
-	s, err := serve.New(serve.Config{
-		Scene:      sc,
-		Assign:     pipeline.NewAssignment(1, 1, 1, 1, 1, 1, 1),
-		Replicas:   2,
-		QueueDepth: 8,
-		Window:     2,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := s.Start("127.0.0.1:0"); err != nil {
-		b.Fatal(err)
-	}
-	defer s.Shutdown(context.Background())
-	cl, err := serve.Dial(s.Addr().String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cl.Close()
-
-	const jobCPIs = 2
-	cpis := []*cube.Cube{sc.GenerateCPI(0), sc.GenerateCPI(1)}
-	if _, err := cl.Submit(cpis); err != nil { // warm the replicas
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := cl.SubmitRetry(cpis, 1000); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
-	b.ReportMetric(float64(b.N*jobCPIs)/b.Elapsed().Seconds(), "CPI/s")
 }
 
 // BenchmarkRealDopplerPaperSize runs the Doppler filter kernel at the full

@@ -20,15 +20,6 @@
 //	stapbench -figure 11
 //	stapbench -real
 //	stapbench -quality -qout BENCH_quality.json
-//	stapbench -compare BENCH_serve.json fresh_serve.json -tolerance 0.2
-//
-// -compare diffs a fresh benchmark JSON against a committed BENCH_*
-// baseline: the "results" subtree is flattened to numeric leaves,
-// direction is inferred from metric names (ns_per*/latency* regress
-// upward, *per_sec/throughput* downward), and the process exits nonzero
-// when any metric regresses beyond -tolerance — or only warns with
-// -warnonly, the advisory mode CI uses since host wall-clock numbers
-// drift with the machine.
 //
 // -quality runs the detection-quality regression sweep: every
 // internal/scenario catalog entry through the full parallel pipeline,
@@ -44,12 +35,13 @@ import (
 
 	"pstap/internal/dessim"
 	"pstap/internal/mesh"
+	"pstap/internal/paperdata"
 	"pstap/internal/paragon"
 	"pstap/internal/pipeline"
+	"pstap/internal/plan"
 	"pstap/internal/plot"
 	"pstap/internal/radar"
 	"pstap/internal/roundrobin"
-	"pstap/internal/sched"
 	"pstap/internal/stap"
 )
 
@@ -64,29 +56,13 @@ var (
 	flagQSize   = flag.String("qsize", "small", "quality sweep problem size")
 	flagQSeed   = flag.Int64("qseed", 1, "quality sweep scene seed")
 	flagQOut    = flag.String("qout", "BENCH_quality.json", "quality sweep report file")
-
-	flagCompare   = flag.String("compare", "", "baseline benchmark JSON; compares against the positional new-results file and exits nonzero on regression")
-	flagTolerance = flag.Float64("tolerance", 0.10, "fractional regression tolerance for -compare")
-	flagWarnOnly  = flag.Bool("warnonly", false, "report -compare regressions without failing (CI advisory mode)")
 )
 
-var (
-	case1 = pipeline.NewAssignment(32, 16, 112, 16, 28, 16, 16)
-	case2 = pipeline.NewAssignment(16, 8, 56, 8, 14, 8, 8)
-	case3 = pipeline.NewAssignment(8, 4, 28, 4, 7, 4, 4)
-	tbl9  = pipeline.NewAssignment(20, 8, 56, 8, 14, 8, 8)
-	tbl10 = pipeline.NewAssignment(20, 8, 56, 8, 14, 16, 16)
-)
+// The paper's three integrated-system cases, largest first.
+var cases = []pipeline.Assignment{paperdata.Case1, paperdata.Case2, paperdata.Case3}
 
 func main() {
 	flag.Parse()
-	if *flagCompare != "" {
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "usage: stapbench -compare old.json new.json")
-			os.Exit(2)
-		}
-		os.Exit(compareFiles(*flagCompare, flag.Arg(0), *flagTolerance, *flagWarnOnly, os.Stdout, os.Stderr))
-	}
 	mo := paragon.NewModel(paragon.AFRLParagon(), radar.Paper())
 	printed := false
 	want := func(t int) bool {
@@ -194,7 +170,7 @@ func table2(mo *paragon.Model) {
 		fmt.Printf("--- Doppler -> %s ---\n", c.name)
 		fmt.Printf("%10s | %9s %9s | %9s %9s\n", "#doppler", "send", "recv", "send(p)", "recv(p)")
 		for si, p0 := range []int{8, 16, 32} {
-			send, recv := mo.PairComm(pipeline.TaskDoppler, c.dst, p0, c.dstN, case2)
+			send, recv := mo.PairComm(pipeline.TaskDoppler, c.dst, p0, c.dstN, paperdata.Case2)
 			fmt.Printf("%10d | %9.4f %9.4f | %9.4f %9.4f\n",
 				p0, send, recv, c.paper[si][0], c.paper[si][1])
 		}
@@ -253,7 +229,7 @@ func commTable(mo *paragon.Model, n int) {
 		fmt.Printf("--- %s nodes = %d ---\n", stap.TaskNames[c.dst], dn)
 		fmt.Printf("%10s | %9s %9s | %9s %9s\n", "#src", "send", "recv", "send(p)", "recv(p)")
 		for si, sn := range c.srcN {
-			send, recv := mo.PairComm(c.src, c.dst, sn, dn, case2)
+			send, recv := mo.PairComm(c.src, c.dst, sn, dn, paperdata.Case2)
 			fmt.Printf("%10d | %9.4f %9.4f | %9.4f %9.4f\n",
 				sn, send, recv, c.paper[di][si][0], c.paper[di][si][1])
 		}
@@ -264,14 +240,9 @@ func commTable(mo *paragon.Model, n int) {
 
 func table7(mo *paragon.Model) {
 	fmt.Println("== Table 7: integrated system performance (model, seconds) ==")
-	for _, c := range []struct {
-		name string
-		a    pipeline.Assignment
-	}{
-		{"case 1", case1}, {"case 2", case2}, {"case 3", case3},
-	} {
-		res := mo.Simulate(c.a)
-		fmt.Printf("--- %s: total nodes = %d ---\n", c.name, c.a.Total())
+	for i, a := range cases {
+		res := mo.Simulate(a)
+		fmt.Printf("--- case %d: total nodes = %d ---\n", i+1, a.Total())
 		fmt.Printf("%-16s %6s %8s %8s %8s %8s\n", "task", "#nodes", "recv", "comp", "send", "total")
 		for t, ts := range res.Tasks {
 			fmt.Printf("%-16s %6d %8.4f %8.4f %8.4f %8.4f\n",
@@ -283,31 +254,26 @@ func table7(mo *paragon.Model) {
 
 func table8(mo *paragon.Model) {
 	fmt.Println("== Table 8: throughput and latency, equation vs real ==")
-	paper := map[int][4]float64{ // nodes -> {thrEq, thrReal, latEq, latReal}
-		236: {7.1019, 7.2659, 0.5362, 0.3622},
-		118: {3.7919, 3.7959, 1.0346, 0.6805},
-		59:  {1.9791, 1.9898, 1.9996, 1.3530},
-	}
 	fmt.Printf("%8s | %9s %9s %9s %9s | %9s %9s %9s %9s\n",
 		"#nodes", "thr(eq)", "thr", "lat(eq)", "lat", "p.thr(eq)", "p.thr", "p.lat(eq)", "p.lat")
-	for _, a := range []pipeline.Assignment{case1, case2, case3} {
+	for i, a := range cases {
 		res := mo.Simulate(a)
-		p := paper[a.Total()]
+		p := paperdata.Table8[i]
 		fmt.Printf("%8d | %9.4f %9.4f %9.4f %9.4f | %9.4f %9.4f %9.4f %9.4f\n",
 			a.Total(), res.Throughput, res.Throughput, res.EqLatency, res.RealLatency,
-			p[0], p[1], p[2], p[3])
+			p.ThroughputEq, p.ThroughputReal, p.LatencyEq, p.LatencyReal)
 	}
 	fmt.Println("(model throughput is the steady-state 1/period for both columns)")
 	fmt.Println()
 }
 
 func table9or10(mo *paragon.Model, n int) {
-	a := tbl9
-	paperThr, paperLat := 5.0213, 0.5498
+	a := paperdata.Table9
+	paperThr, paperLat := paperdata.Table9Throughput, paperdata.Table9Latency
 	title := "Table 9: case 2 + 4 Doppler nodes (122 total)"
 	if n == 10 {
-		a = tbl10
-		paperThr, paperLat = 4.9052, 0.4247
+		a = paperdata.Tbl10
+		paperThr, paperLat = paperdata.Table10Throughput, paperdata.Table10Latency
 		title = "Table 10: Table 9 + 16 pulse-compression/CFAR nodes (138 total)"
 	}
 	fmt.Printf("== %s ==\n", title)
@@ -319,7 +285,7 @@ func table9or10(mo *paragon.Model, n int) {
 	}
 	fmt.Printf("throughput %.4f (paper %.4f)   latency %.4f (paper %.4f)\n",
 		res.Throughput, paperThr, res.RealLatency, paperLat)
-	base := mo.Simulate(case2)
+	base := mo.Simulate(paperdata.Case2)
 	fmt.Printf("vs case 2: throughput %+.1f%%, latency %+.1f%%\n\n",
 		100*(res.Throughput/base.Throughput-1), 100*(res.RealLatency/base.RealLatency-1))
 }
@@ -359,12 +325,14 @@ func figure11(mo *paragon.Model) {
 	fmt.Println(plot.LogLog(series, 64, 16))
 
 	// Bonus: the optimizer's scaling curve (Section 4.1.2 automated).
-	pts, err := sched.Sweep(mo, []int{59, 118, 236}, sched.MaxThroughput)
-	if err == nil {
-		fmt.Println("optimized assignments (sched):")
-		for _, p := range pts {
-			fmt.Printf("  %3d nodes -> %v  thr=%.3f lat=%.3f\n", p.Budget, p.Assign, p.Throughput, p.Latency)
+	fmt.Println("optimized assignments (plan):")
+	for _, budget := range []int{59, 118, 236} {
+		ranked, err := plan.Optimize(plan.Request{Model: mo, Nodes: budget, Top: 1})
+		if err != nil {
+			break
 		}
+		c := ranked[0]
+		fmt.Printf("  %3d nodes -> %v  thr=%.3f lat=%.3f\n", budget, c.Assign, c.Throughput, c.RealLatency)
 	}
 	fmt.Println()
 }
@@ -375,7 +343,8 @@ func baseline(mo *paragon.Model) {
 	fmt.Printf("flight demonstration reference: %d nodes, %.0f CPI/s, %.2f s latency\n",
 		nodes, flightThr, flightLat)
 	fmt.Printf("%8s | %22s | %22s\n", "#nodes", "round-robin thr/lat", "pipeline thr/lat")
-	for _, a := range []pipeline.Assignment{case3, case2, case1} {
+	for i := len(cases) - 1; i >= 0; i-- {
+		a := cases[i]
 		rrThr, rrLat := roundrobin.SimulateModel(mo, a.Total())
 		res := mo.Simulate(a)
 		fmt.Printf("%8d | %9.2f  %9.2f s | %9.2f  %9.2f s\n",
@@ -385,7 +354,7 @@ func baseline(mo *paragon.Model) {
 	fmt.Println(" single-node serial time — the limitation the paper's pipeline removes)")
 	fmt.Println()
 	rep := 4
-	n, thr, lat := mo.SimulateReplicated(case3, rep)
+	n, thr, lat := mo.SimulateReplicated(paperdata.Case3, rep)
 	fmt.Printf("multiple pipelines (future work): %d x case-3 = %d nodes -> %.2f CPI/s at %.3f s latency\n\n",
 		rep, n, thr, lat)
 }
@@ -395,7 +364,8 @@ func verify(mo *paragon.Model) {
 	fmt.Printf("%8s | %10s %10s | %10s %10s | %12s\n",
 		"#nodes", "DES thr", "model thr", "DES fill", "model lat", "max link B")
 	msh := mesh.AFRL()
-	for _, a := range []pipeline.Assignment{case3, case2, case1} {
+	for i := len(cases) - 1; i >= 0; i-- {
+		a := cases[i]
 		des, err := dessim.Simulate(mo, a, 50)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dessim:", err)

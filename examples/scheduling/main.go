@@ -9,10 +9,11 @@ package main
 import (
 	"fmt"
 
+	"pstap/internal/paperdata"
 	"pstap/internal/paragon"
 	"pstap/internal/pipeline"
+	"pstap/internal/plan"
 	"pstap/internal/radar"
-	"pstap/internal/sched"
 	"pstap/internal/stap"
 )
 
@@ -20,16 +21,15 @@ func main() {
 	mo := paragon.NewModel(paragon.AFRLParagon(), radar.Paper())
 
 	fmt.Println("--- the paper's Table 9/10 experiment, replayed on the model ---")
-	case2 := pipeline.NewAssignment(16, 8, 56, 8, 14, 8, 8)
 	steps := []struct {
 		name string
 		a    pipeline.Assignment
 	}{
-		{"case 2 (118 nodes)", case2},
-		{"+4 Doppler nodes (122)", pipeline.NewAssignment(20, 8, 56, 8, 14, 8, 8)},
-		{"+16 PC/CFAR nodes (138)", pipeline.NewAssignment(20, 8, 56, 8, 14, 16, 16)},
+		{"case 2 (118 nodes)", paperdata.Case2},
+		{"+4 Doppler nodes (122)", paperdata.Table9},
+		{"+16 PC/CFAR nodes (138)", paperdata.Tbl10},
 	}
-	base := mo.Simulate(case2)
+	base := mo.Simulate(paperdata.Case2)
 	for _, s := range steps {
 		r := mo.Simulate(s.a)
 		fmt.Printf("%-26s throughput %6.3f CPI/s (%+5.1f%%)   latency %6.4f s (%+5.1f%%)\n",
@@ -45,29 +45,34 @@ func main() {
 	fmt.Println("--- optimizer: best assignments per node budget ---")
 	fmt.Printf("%7s  %-28s %10s %10s\n", "budget", "assignment [D,eW,hW,eBF,hBF,PC,CF]", "thr CPI/s", "latency s")
 	for _, budget := range []int{20, 59, 118, 236, 321} {
-		for _, obj := range []sched.Objective{sched.MaxThroughput, sched.MinLatency} {
-			a, res, err := sched.Optimize(mo, budget, obj)
-			if err != nil {
-				panic(err)
-			}
+		for _, obj := range []plan.Objective{plan.MaxThroughput, plan.MinLatency} {
+			c := best(plan.Request{Model: mo, Nodes: budget, Objective: obj})
 			fmt.Printf("%7d  %-28v %10.3f %10.4f  (%v)\n",
-				budget, a, res.Throughput, res.RealLatency, obj)
+				budget, c.Assign, c.Throughput, c.RealLatency, obj)
 		}
 	}
 	fmt.Println()
 
 	fmt.Println("--- min latency subject to keeping up with a 5 CPI/s input rate (236 nodes) ---")
-	if a, res, err := sched.OptimizeLatencyWithFloor(mo, 236, 5.0); err == nil {
-		fmt.Printf("%v -> throughput %.3f CPI/s, latency %.4f s\n", a, res.Throughput, res.RealLatency)
-	} else {
-		fmt.Println(err)
-	}
+	c := best(plan.Request{Model: mo, Nodes: 236, Objective: plan.MinLatency, ThroughputFloor: 5})
+	fmt.Printf("%v -> throughput %.3f CPI/s, latency %.4f s (meets floor: %v)\n",
+		c.Assign, c.Throughput, c.RealLatency, c.Feasible)
 	fmt.Println()
 
 	fmt.Println("--- where the nodes go (throughput objective, 236 nodes) ---")
-	a, res, _ := sched.Optimize(mo, 236, sched.MaxThroughput)
+	c = best(plan.Request{Model: mo, Nodes: 236})
 	for t := 0; t < pipeline.NumTasks; t++ {
-		fmt.Printf("%-16s %3d nodes   busy %.4f s\n", stap.TaskNames[t], a[t], mo.Busy(t, a))
+		fmt.Printf("%-16s %3d nodes   busy %.4f s\n", stap.TaskNames[t], c.Assign[t], mo.Busy(t, c.Assign))
 	}
-	fmt.Printf("pipeline period %.4f s -> %.3f CPI/s\n", res.Period, res.Throughput)
+	fmt.Printf("pipeline period %.4f s -> %.3f CPI/s\n", c.Period, c.Throughput)
+}
+
+// best returns the planner's top candidate for a request.
+func best(req plan.Request) plan.Candidate {
+	req.Top = 1
+	ranked, err := plan.Optimize(req)
+	if err != nil {
+		panic(err)
+	}
+	return ranked[0]
 }

@@ -56,11 +56,8 @@ func (f *File) Validate() error {
 	if err := f.Params.Validate(); err != nil {
 		return err
 	}
-	want := [3]int{f.Params.K, f.Params.J, f.Params.N}
-	for i, c := range f.CPIs {
-		if err := c.CheckShape(radar.RawOrder, want); err != nil {
-			return fmt.Errorf("cpifile: CPI %d: %w", i, err)
-		}
+	if err := f.Params.CheckCPIs(f.CPIs); err != nil {
+		return fmt.Errorf("cpifile: %w", err)
 	}
 	return nil
 }

@@ -17,7 +17,7 @@ import (
 // stall components sum to the measured end-to-end latency within the
 // pinned tolerance — and, because the data genuinely crosses process
 // links here, a nonzero wire share on every CPI (the wire tax behind the
-// split-vs-inproc gap BENCH_dist.json records).
+// split-vs-inproc gap the benchmark's dist.small workload records).
 func TestSplitReplicaAttribution(t *testing.T) {
 	leakcheck.Check(t)
 	sc := radar.DefaultScene(radar.Small())

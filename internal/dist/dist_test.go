@@ -125,6 +125,11 @@ func TestSplitReplicaBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A malformed cube is refused before it reaches the feeder or the
+	// wire; the replica stays up for the jobs below.
+	if _, err := rep.ProcessJob([]*cube.Cube{cube.New(radar.RawOrder, 2, 2, 2)}); err == nil {
+		t.Fatal("malformed job accepted")
+	}
 	n := 5
 	want := runSerial(sc, n)
 	for job := 0; job < 2; job++ {

@@ -72,6 +72,7 @@ type StreamConfig struct {
 type Stream struct {
 	world      *mp.World
 	sup        *supervisor
+	params     radar.Params
 	driver     bool // this process hosts the feeder + collector
 	cpiTimeout time.Duration
 	in         chan streamInput
@@ -166,6 +167,7 @@ func NewHostedStream(cfg StreamConfig, h Hosting) (*Stream, error) {
 	s := &Stream{
 		world:      world,
 		sup:        e.sup,
+		params:     p,
 		driver:     h.Driver,
 		cpiTimeout: cfg.CPITimeout,
 		in:         make(chan streamInput),
@@ -181,38 +183,42 @@ func NewHostedStream(cfg StreamConfig, h Hosting) (*Stream, error) {
 	// workers' range blocks; a closed quit channel becomes the EOF message
 	// that drains the task chain. The input channel itself is never
 	// closed, so a submitter racing Close can never send on a closed
-	// channel.
+	// channel. It runs supervised (see superviseWorker), so a cube that
+	// cannot be sliced aborts this instance, not the process.
 	if h.Driver {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			feeder := world.Comm(topo.driver)
-			cpi := 0
-			for {
-				select {
-				case item := <-s.in:
+			superviseWorker(world, e.sup, DriverTask, driverFeeder, func() {
+				feeder := world.Comm(topo.driver)
+				cpi := 0
+				for {
 					select {
-					case <-credits:
+					case item := <-s.in:
+						select {
+						case <-credits:
+						case <-world.Done():
+							return
+						}
+						e.sup.enter(DriverTask, driverFeeder, cpi)
+						// One trace identifier per CPI, shared by every Doppler
+						// slab — the root of the CPI's span lineage.
+						c := ctl{Reset: item.reset, Trace: obs.NewTraceID()}
+						for w, blk := range topo.kBlocks {
+							feeder.Send(topo.groups[TaskDoppler].Global(w), tag(tagRaw, cpi),
+								rawMsg{Slab: item.raw.SliceAxis0(blk), Ctl: c})
+						}
+						cpi++
+					case <-s.quit:
+						for w := range topo.kBlocks {
+							feeder.Send(topo.groups[TaskDoppler].Global(w), tag(tagRaw, cpi), rawMsg{Ctl: ctl{EOF: true}})
+						}
+						return
 					case <-world.Done():
 						return
 					}
-					// One trace identifier per CPI, shared by every Doppler
-					// slab — the root of the CPI's span lineage.
-					c := ctl{Reset: item.reset, Trace: obs.NewTraceID()}
-					for w, blk := range topo.kBlocks {
-						feeder.Send(topo.groups[TaskDoppler].Global(w), tag(tagRaw, cpi),
-							rawMsg{Slab: item.raw.SliceAxis0(blk), Ctl: c})
-					}
-					cpi++
-				case <-s.quit:
-					for w := range topo.kBlocks {
-						feeder.Send(topo.groups[TaskDoppler].Global(w), tag(tagRaw, cpi), rawMsg{Ctl: ctl{EOF: true}})
-					}
-					return
-				case <-world.Done():
-					return
 				}
-			}
+			})
 		}()
 	}
 
@@ -241,8 +247,9 @@ func NewHostedStream(cfg StreamConfig, h Hosting) (*Stream, error) {
 		}
 	}
 
-	// Collector (driver only): merges per-CFAR-worker reports into per-CPI
-	// detection lists, in submission order.
+	// Collector (driver only, supervised like the feeder): merges
+	// per-CFAR-worker reports into per-CPI detection lists, in submission
+	// order.
 	if !h.Driver {
 		return s, nil
 	}
@@ -250,9 +257,10 @@ func NewHostedStream(cfg StreamConfig, h Hosting) (*Stream, error) {
 	go func() {
 		defer s.wg.Done()
 		defer close(s.out)
-		mp.Protect(func() {
+		superviseWorker(world, e.sup, DriverTask, driverCollector, func() {
 			collector := world.Comm(topo.driver)
 			for cpi := 0; ; cpi++ {
+				e.sup.enter(DriverTask, driverCollector, cpi)
 				var merged []stap.Detection
 				eof := false
 				for _, src := range topo.groups[TaskCFAR].Ranks() {
@@ -306,10 +314,15 @@ type JobOpts struct {
 }
 
 // ProcessJobOpts is ProcessJob with per-job options: an absolute deadline
-// and a per-CPI progress callback.
+// and a per-CPI progress callback. A job holding a cube of the wrong
+// shape is refused before any of it is submitted, so the stream stays
+// warm for the next job.
 func (s *Stream) ProcessJobOpts(cpis []*cube.Cube, opts JobOpts) ([][]stap.Detection, error) {
 	if len(cpis) == 0 {
 		return nil, fmt.Errorf("pipeline: empty job")
+	}
+	if err := s.params.CheckCPIs(cpis); err != nil {
+		return nil, fmt.Errorf("pipeline: job %w", err)
 	}
 	return s.processJob(len(cpis), func(i int) *cube.Cube { return cpis[i] }, opts)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -167,5 +168,59 @@ func TestRunIsOneJobOnAStream(t *testing.T) {
 	if res.Messages != stCol.Messages() || res.BytesSent != stCol.Bytes() {
 		t.Errorf("Run traffic %d msgs / %d B, stream %d / %d",
 			res.Messages, res.BytesSent, stCol.Messages(), stCol.Bytes())
+	}
+}
+
+// TestProcessJobRejectsMalformedCube pins the input check: a job holding
+// a cube of the wrong shape is refused before any of it is submitted —
+// the feeder would otherwise panic slicing it — and the same stream then
+// serves the next job bit-exactly.
+func TestProcessJobRejectsMalformedCube(t *testing.T) {
+	sc := radar.DefaultScene(radar.Small())
+	st, err := NewStream(StreamConfig{Scene: sc, Assign: NewAssignment(2, 1, 2, 1, 1, 2, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+
+	bad := []*cube.Cube{sc.GenerateCPI(0), cube.New(radar.RawOrder, 2, 2, 2)}
+	if _, err := st.ProcessJob(bad); err == nil || !strings.Contains(err.Error(), "CPI 1") {
+		t.Fatalf("malformed job: err = %v, want a shape error naming CPI 1", err)
+	}
+	if n := st.CPIsProcessed(); n != 0 {
+		t.Fatalf("refused job processed %d CPIs", n)
+	}
+
+	good := job(sc, 1, 2)
+	got, err := st.ProcessJob(good)
+	if err != nil {
+		t.Fatalf("job after the refused one: %v", err)
+	}
+	pr := stap.NewProcessor(sc)
+	for i, raw := range good {
+		if want := pr.Process(raw).Detections; !sameDetections(got[i], want) {
+			t.Errorf("CPI %d: stream %v != serial %v", i, got[i], want)
+		}
+	}
+}
+
+// TestRunMalformedSourceIsDriverFault: Run's source is not shape-checked
+// up front, so a bad cube reaches the feeder; supervision turns its panic
+// into a driver FaultError instead of a dead process.
+func TestRunMalformedSourceIsDriverFault(t *testing.T) {
+	leakcheck.Check(t)
+	sc := radar.DefaultScene(radar.Small())
+	_, err := Run(Config{
+		Scene:     sc,
+		Assign:    NewAssignment(1, 1, 1, 1, 1, 1, 1),
+		NumCPIs:   3,
+		RawSource: func(int) *cube.Cube { return cube.New(radar.RawOrder, 2, 2, 2) },
+	})
+	var fe *FaultError
+	if !errors.As(err, &fe) || fe.Fault.Task != DriverTask || fe.Fault.Worker != driverFeeder {
+		t.Fatalf("err = %v, want a feeder FaultError", err)
+	}
+	if !strings.HasPrefix(fe.Fault.String(), "driver[0] cpi 0: ") {
+		t.Errorf("fault renders as %q", fe.Fault)
 	}
 }

@@ -19,9 +19,23 @@ type WorkerFault struct {
 	Cause             string
 }
 
+// DriverTask is the Task of a fault in the driver rank's own goroutines,
+// which belong to no task group: the feeder (Worker 0) and the collector
+// (Worker 1).
+const DriverTask = NumTasks
+
+const (
+	driverFeeder = iota
+	driverCollector
+)
+
 // String renders the fault for logs and wire errors.
 func (f WorkerFault) String() string {
-	return fmt.Sprintf("%s[%d] cpi %d: %s", stap.TaskNames[f.Task], f.Worker, f.CPI, f.Cause)
+	name := "driver"
+	if f.Task < NumTasks {
+		name = stap.TaskNames[f.Task]
+	}
+	return fmt.Sprintf("%s[%d] cpi %d: %s", name, f.Worker, f.CPI, f.Cause)
 }
 
 // FaultError is returned by Run and Stream.ProcessJob when a supervised
@@ -35,7 +49,7 @@ func (e *FaultError) Error() string { return "pipeline: worker fault: " + e.Faul
 // supervisor tracks every worker's loop progress and collects the faults
 // the recover wrappers report. One supervisor serves one pipeline world.
 type supervisor struct {
-	cur [NumTasks][]atomic.Int64 // current CPI per worker
+	cur [NumTasks + 1][]atomic.Int64 // current CPI per worker; row DriverTask is the feeder and collector
 
 	mu     sync.Mutex
 	faults []WorkerFault
@@ -43,9 +57,10 @@ type supervisor struct {
 
 func newSupervisor(a Assignment) *supervisor {
 	s := &supervisor{}
-	for t := range s.cur {
+	for t := range a {
 		s.cur[t] = make([]atomic.Int64, a[t])
 	}
+	s.cur[DriverTask] = make([]atomic.Int64, driverCollector+1)
 	return s
 }
 

@@ -17,7 +17,9 @@ func paperModel() *paragon.Model { return paragon.NewModel(paragon.AFRLParagon()
 // TestOptimizeReproducesPaperCases is the acceptance pin: at the paper's
 // three node budgets against the AFRL Paragon profile, the search must
 // find the hand-chosen case assignment or one with a strictly better
-// predicted period.
+// predicted period, give hard weight the most nodes as the paper does
+// (112 of 236), and scale throughput monotonically and near-linearly
+// with the budget — the paper's scalability claim.
 func TestOptimizeReproducesPaperCases(t *testing.T) {
 	mo := paperModel()
 	cases := []struct {
@@ -54,6 +56,12 @@ func TestOptimizeReproducesPaperCases(t *testing.T) {
 		if !best.Feasible {
 			t.Errorf("budget %d: unconstrained best not feasible", c.budget)
 		}
+		for task, n := range best.Assign {
+			if n > best.Assign[pipeline.TaskHardWeight] {
+				t.Errorf("budget %d: task %d got %d nodes > hard weight's %d (%v)",
+					c.budget, task, n, best.Assign[pipeline.TaskHardWeight], best.Assign)
+			}
+		}
 		// Candidates come back ranked: periods must be non-decreasing.
 		for i := 1; i < len(ranked); i++ {
 			if ranked[i].Period < ranked[i-1].Period-1e-15 {
@@ -61,6 +69,25 @@ func TestOptimizeReproducesPaperCases(t *testing.T) {
 					c.budget, i, ranked[i].Period, i-1, ranked[i-1].Period)
 			}
 		}
+	}
+
+	thr := map[int]float64{}
+	prev := 0.0
+	for _, budget := range []int{7, 15, 30, 59, 118, 236} {
+		ranked, err := Optimize(Request{Model: mo, Nodes: budget, Top: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		thr[budget] = ranked[0].Throughput
+		if thr[budget] < prev*0.999 {
+			t.Errorf("budget %d throughput %.3f below a smaller budget's %.3f", budget, thr[budget], prev)
+		}
+		prev = thr[budget]
+	}
+	// 4.11 on the AFRL profile: the optimised 236-node pipeline keeps up
+	// with ~4x the 59-node one.
+	if ratio := thr[236] / thr[59]; ratio < 3.2 || ratio > 4.8 {
+		t.Errorf("236/59-node throughput ratio %.2f, want ~4", ratio)
 	}
 }
 
@@ -100,6 +127,20 @@ func TestOptimizeMinLatencyWithFloor(t *testing.T) {
 	}
 	if best.RealLatency > ref.RealLatency*(1+1e-12) {
 		t.Errorf("min-latency best %.4f worse than the paper case's %.4f", best.RealLatency, ref.RealLatency)
+	}
+
+	// The weight tasks are off the latency path (eq. 3), so an unconstrained
+	// latency search never gives them more nodes than the throughput one.
+	weights := func(obj Objective) int {
+		ranked, err := Optimize(Request{Model: mo, Nodes: 236, Objective: obj, Top: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := ranked[0].Assign
+		return a[pipeline.TaskEasyWeight] + a[pipeline.TaskHardWeight]
+	}
+	if lat, thr := weights(MinLatency), weights(MaxThroughput); lat > thr {
+		t.Errorf("min-latency gave the weight tasks %d nodes, max-throughput %d", lat, thr)
 	}
 }
 

@@ -215,6 +215,20 @@ func (p Params) HardBins() []int {
 // produce to speed Doppler processing).
 var RawOrder = cube.Order{cube.Range, cube.Channel, cube.Pulse}
 
+// CheckCPIs reports the first cube of a job that is not a well-formed raw
+// CPI for these parameters (RawOrder, K x J x N, Data holding every
+// sample) — the check a cube from a client, a recording or a library
+// caller passes before any of it reaches a kernel.
+func (p Params) CheckCPIs(cpis []*cube.Cube) error {
+	want := [3]int{p.K, p.J, p.N}
+	for i, c := range cpis {
+		if err := c.CheckShape(RawOrder, want); err != nil {
+			return fmt.Errorf("CPI %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // StaggeredOrder is the Doppler-filter output order: K x 2J x N.
 var StaggeredOrder = cube.Order{cube.Range, cube.Channel, cube.Doppler}
 

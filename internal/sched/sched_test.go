@@ -1,11 +1,16 @@
+// Package sched holds the paper's Section 4.1.2 scheduling claims as tests.
+// There is no scheduler here: the one assignment optimiser is
+// plan.Optimize, and these tests pin the claims on it under the names
+// they have always had.
 package sched
 
 import (
-	"math"
 	"testing"
 
+	"pstap/internal/paperdata"
 	"pstap/internal/paragon"
 	"pstap/internal/pipeline"
+	"pstap/internal/plan"
 	"pstap/internal/radar"
 )
 
@@ -13,45 +18,46 @@ func model() *paragon.Model {
 	return paragon.NewModel(paragon.AFRLParagon(), radar.Paper())
 }
 
-func TestOptimizeBeatsPaperCase1(t *testing.T) {
-	mo := model()
-	paperAssign := pipeline.NewAssignment(32, 16, 112, 16, 28, 16, 16)
-	paperRes := mo.Simulate(paperAssign)
-	a, res, err := Optimize(mo, 236, MaxThroughput)
+// best is the top candidate plan.Optimize returns for req.
+func best(t *testing.T, req plan.Request) plan.Candidate {
+	t.Helper()
+	req.Top = 1
+	ranked, err := plan.Optimize(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Total() != 236 {
-		t.Fatalf("assignment uses %d of 236 nodes", a.Total())
+	return ranked[0]
+}
+
+func TestOptimizeBeatsPaperCase1(t *testing.T) {
+	mo := model()
+	paperRes := mo.Simulate(paperdata.Case1)
+	c := best(t, plan.Request{Model: mo, Nodes: 236, Objective: plan.MaxThroughput})
+	if c.Assign.Total() != 236 {
+		t.Fatalf("assignment uses %d of 236 nodes", c.Assign.Total())
 	}
-	if res.Throughput < paperRes.Throughput*0.999 {
+	if c.Throughput < paperRes.Throughput*0.999 {
 		t.Errorf("optimizer throughput %.3f below paper assignment's %.3f",
-			res.Throughput, paperRes.Throughput)
+			c.Throughput, paperRes.Throughput)
 	}
-	t.Logf("optimizer: %v -> %.3f CPI/s (paper case 1: %.3f)", a, res.Throughput, paperRes.Throughput)
+	t.Logf("optimizer: %v -> %.3f CPI/s (paper case 1: %.3f)", c.Assign, c.Throughput, paperRes.Throughput)
 }
 
 func TestOptimizeMinLatency(t *testing.T) {
 	mo := model()
-	paperRes := mo.Simulate(pipeline.NewAssignment(32, 16, 112, 16, 28, 16, 16))
-	a, res, err := Optimize(mo, 236, MinLatency)
-	if err != nil {
-		t.Fatal(err)
+	paperRes := mo.Simulate(paperdata.Case1)
+	c := best(t, plan.Request{Model: mo, Nodes: 236, Objective: plan.MinLatency})
+	if c.Assign.Total() != 236 {
+		t.Fatalf("uses %d nodes", c.Assign.Total())
 	}
-	if a.Total() != 236 {
-		t.Fatalf("uses %d nodes", a.Total())
-	}
-	if res.RealLatency > paperRes.RealLatency {
+	if c.RealLatency > paperRes.RealLatency {
 		t.Errorf("min-latency %.4f worse than paper's throughput-oriented %.4f",
-			res.RealLatency, paperRes.RealLatency)
+			c.RealLatency, paperRes.RealLatency)
 	}
 	// Latency objective should starve the weight tasks (they are off the
 	// latency path) relative to the throughput objective.
-	at, _, err := Optimize(mo, 236, MaxThroughput)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wLat := a[pipeline.TaskEasyWeight] + a[pipeline.TaskHardWeight]
+	at := best(t, plan.Request{Model: mo, Nodes: 236, Objective: plan.MaxThroughput}).Assign
+	wLat := c.Assign[pipeline.TaskEasyWeight] + c.Assign[pipeline.TaskHardWeight]
 	wThr := at[pipeline.TaskEasyWeight] + at[pipeline.TaskHardWeight]
 	if wLat > wThr {
 		t.Errorf("latency objective gave weight tasks %d nodes, throughput gave %d", wLat, wThr)
@@ -61,11 +67,7 @@ func TestOptimizeMinLatency(t *testing.T) {
 func TestOptimizeGivesHardWeightMostNodesForThroughput(t *testing.T) {
 	// The paper assigns by far the most nodes to hard weight computation
 	// (112 of 236); the optimizer must reproduce that structural choice.
-	mo := model()
-	a, _, err := Optimize(mo, 236, MaxThroughput)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := best(t, plan.Request{Model: model(), Nodes: 236, Objective: plan.MaxThroughput}).Assign
 	for task := 0; task < pipeline.NumTasks; task++ {
 		if task == pipeline.TaskHardWeight {
 			continue
@@ -80,14 +82,11 @@ func TestOptimizeMonotoneInBudget(t *testing.T) {
 	mo := model()
 	prev := 0.0
 	for _, budget := range []int{7, 15, 30, 59, 118, 236} {
-		_, res, err := Optimize(mo, budget, MaxThroughput)
-		if err != nil {
-			t.Fatal(err)
+		c := best(t, plan.Request{Model: mo, Nodes: budget, Objective: plan.MaxThroughput})
+		if c.Throughput < prev*0.999 {
+			t.Errorf("budget %d throughput %.3f below smaller budget's %.3f", budget, c.Throughput, prev)
 		}
-		if res.Throughput < prev*0.999 {
-			t.Errorf("budget %d throughput %.3f below smaller budget's %.3f", budget, res.Throughput, prev)
-		}
-		prev = res.Throughput
+		prev = c.Throughput
 	}
 }
 
@@ -95,14 +94,8 @@ func TestOptimizeNearLinearScaling(t *testing.T) {
 	// The paper's core claim: optimized throughput scales ~linearly from
 	// 59 to 236 nodes.
 	mo := model()
-	_, r59, err := Optimize(mo, 59, MaxThroughput)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, r236, err := Optimize(mo, 236, MaxThroughput)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r59 := best(t, plan.Request{Model: mo, Nodes: 59, Objective: plan.MaxThroughput})
+	r236 := best(t, plan.Request{Model: mo, Nodes: 236, Objective: plan.MaxThroughput})
 	ratio := r236.Throughput / r59.Throughput
 	if ratio < 3.2 || ratio > 4.8 {
 		t.Errorf("236/59-node throughput ratio %.2f, want ~4", ratio)
@@ -110,71 +103,48 @@ func TestOptimizeNearLinearScaling(t *testing.T) {
 }
 
 func TestOptimizeBudgetTooSmall(t *testing.T) {
-	if _, _, err := Optimize(model(), 3, MaxThroughput); err == nil {
+	if _, err := plan.Optimize(plan.Request{Model: model(), Nodes: 3, Objective: plan.MaxThroughput}); err == nil {
 		t.Error("budget below task count should fail")
 	}
 }
 
 func TestOptimizeLatencyWithFloor(t *testing.T) {
 	mo := model()
-	a, res, err := OptimizeLatencyWithFloor(mo, 236, 5.0)
-	if err != nil {
-		t.Fatal(err)
+	c := best(t, plan.Request{Model: mo, Nodes: 236, Objective: plan.MinLatency, ThroughputFloor: 5.0})
+	if c.Assign.Total() != 236 {
+		t.Fatalf("uses %d nodes", c.Assign.Total())
 	}
-	if a.Total() != 236 {
-		t.Fatalf("uses %d nodes", a.Total())
-	}
-	if res.Throughput < 5.0 {
-		t.Errorf("floor violated: %.3f", res.Throughput)
+	if !c.Feasible || c.Throughput < 5.0 {
+		t.Errorf("floor violated: %.3f (feasible %v)", c.Throughput, c.Feasible)
 	}
 	// With the floor it must do no worse on latency than the pure
 	// throughput optimum.
-	_, thrRes, _ := Optimize(mo, 236, MaxThroughput)
-	if res.RealLatency > thrRes.RealLatency+1e-12 {
+	thr := best(t, plan.Request{Model: mo, Nodes: 236, Objective: plan.MaxThroughput})
+	if c.RealLatency > thr.RealLatency+1e-12 {
 		t.Errorf("floored latency %.4f worse than throughput-optimal %.4f",
-			res.RealLatency, thrRes.RealLatency)
+			c.RealLatency, thr.RealLatency)
 	}
-	// Unreachable floor errors out.
-	if _, _, err := OptimizeLatencyWithFloor(mo, 10, 100.0); err == nil {
-		t.Error("unreachable floor should error")
+	// An unreachable floor leaves the best candidate infeasible.
+	if c := best(t, plan.Request{Model: mo, Nodes: 10, Objective: plan.MinLatency, ThroughputFloor: 100}); c.Feasible {
+		t.Errorf("unreachable floor reported feasible: %v %.3f CPI/s", c.Assign, c.Throughput)
 	}
 }
 
 func TestSweep(t *testing.T) {
+	// stapbench -figure 11's sweep: at the paper's three budgets the
+	// throughput-optimal assignment gains throughput and loses latency.
 	mo := model()
-	pts, err := Sweep(mo, []int{59, 118, 236}, MaxThroughput)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 3 {
-		t.Fatalf("points %d", len(pts))
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Throughput <= pts[i-1].Throughput {
-			t.Error("sweep throughput not increasing")
+	var prev plan.Candidate
+	for i, budget := range []int{59, 118, 236} {
+		c := best(t, plan.Request{Model: mo, Nodes: budget, Objective: plan.MaxThroughput})
+		if i > 0 {
+			if c.Throughput <= prev.Throughput {
+				t.Error("sweep throughput not increasing")
+			}
+			if c.RealLatency >= prev.RealLatency {
+				t.Error("sweep latency not decreasing")
+			}
 		}
-		if pts[i].Latency >= pts[i-1].Latency {
-			t.Error("sweep latency not decreasing")
-		}
-	}
-}
-
-func TestEquations(t *testing.T) {
-	totals := [pipeline.NumTasks]float64{.1, .2, .25, .12, .15, .11, .09}
-	if got := Throughput(totals); math.Abs(got-4.0) > 1e-12 {
-		t.Errorf("eq1 = %g, want 4", got)
-	}
-	// eq2 = .1 + max(.12,.15) + .11 + .09 = .45
-	if got := Latency(totals); math.Abs(got-0.45) > 1e-12 {
-		t.Errorf("eq2 = %g, want .45", got)
-	}
-	if Throughput([pipeline.NumTasks]float64{}) != 0 {
-		t.Error("zero totals should give zero throughput")
-	}
-}
-
-func TestObjectiveString(t *testing.T) {
-	if MaxThroughput.String() == "" || MinLatency.String() == "" || Objective(9).String() == "" {
-		t.Error("objective names")
+		prev = c
 	}
 }

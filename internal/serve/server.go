@@ -661,12 +661,8 @@ func (s *Server) validate(req *Request) error {
 	if len(req.CPIs) == 0 {
 		return fmt.Errorf("serve: empty job")
 	}
-	p := s.cfg.Scene.Params
-	want := [3]int{p.K, p.J, p.N}
-	for i, c := range req.CPIs {
-		if err := c.CheckShape(radar.RawOrder, want); err != nil {
-			return fmt.Errorf("serve: job CPI %d: %w", i, err)
-		}
+	if err := s.cfg.Scene.Params.CheckCPIs(req.CPIs); err != nil {
+		return fmt.Errorf("serve: job %w", err)
 	}
 	return nil
 }
