@@ -1,7 +1,8 @@
 // Command stapd runs the STAP pipeline as a network service: it listens
-// on TCP for CPI-cube jobs (length-prefixed gob frames, see
-// internal/serve), processes them on a pool of persistent warm pipeline
-// replicas, and streams detection reports back. A bounded admission queue
+// on TCP for CPI-cube jobs (flat internal/wire frames: a versioned header,
+// then the cubes' samples as float64 bit patterns; see internal/serve),
+// processes them on a pool of persistent warm pipeline replicas, and
+// streams detection reports back. A bounded admission queue
 // pushes back with busy/retry-after replies when the replicas fall behind
 // — the daemon never buffers without bound.
 //

@@ -6,12 +6,15 @@
 // pipeline.Stream), members 1..M are stapnode agents each hosting a
 // contiguous run of task groups per a Placement. Worker code is untouched:
 // internal/pipeline spawns the same worker bodies against a partial
-// mp.World whose non-hosted traffic rides length-prefixed gob frames
-// (internal/wire) with per-link credit-based flow control and heartbeats.
-// The frames carry the pipeline's message structs as they are (plain data,
-// registered with gob by pipeline.RegisterWire), so every process of a
-// replica must be the same build: gob rejects a message whose struct
-// differs with a type error — it does not mis-decode.
+// mp.World whose non-hosted traffic rides internal/wire frames with
+// per-link credit-based flow control and heartbeats. A data frame is flat:
+// a fixed header (Seq, Src, Dst, Tag, Deadline) and the pipeline message
+// in pipeline.AppendMessage's form, its samples as float64 bit patterns;
+// the rare control frames (hello with the manifest, credit, ping/pong,
+// barrier, ready, goodbye) are gob. Every frame starts with the wire
+// format version, so every process of a replica must be the same build:
+// a node or coordinator from another build is refused at the hello with
+// an error naming both versions — never a mis-decode.
 //
 // Wiring: the coordinator dials every node and sends the HMAC-signed
 // placement Manifest as its hello; node j then dials nodes 1..j-1, so every
@@ -25,15 +28,7 @@ package dist
 import (
 	"fmt"
 	"time"
-
-	"pstap/internal/pipeline"
 )
-
-func init() {
-	// Every process moving pipeline traffic across links needs the
-	// payload types registered with gob.
-	pipeline.RegisterWire()
-}
 
 // Defaults for the tunable link timings and window.
 const (
@@ -100,7 +95,7 @@ type LinkStats struct {
 	// re-anchor node journals onto the coordinator's timeline.
 	OffsetNs int64 `json:"offset_ns"`
 	// Cumulative wire-cost counters for data frames on this link, in
-	// nanoseconds: gob encode on send (SerNs), gob decode on receive
+	// nanoseconds: flat encode on send (SerNs), flat decode on receive
 	// (DeserNs), socket copy in both directions (XmitNs), and sender time
 	// blocked on the credit window (StallNs) — the per-link running totals
 	// behind the attribution engine's per-hop wire-tax view.

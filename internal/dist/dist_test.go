@@ -1,9 +1,13 @@
 package dist
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"math"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,6 +18,7 @@ import (
 	"pstap/internal/pipeline"
 	"pstap/internal/radar"
 	"pstap/internal/stap"
+	"pstap/internal/wire"
 )
 
 var testSecret = []byte("cluster-secret-for-tests")
@@ -425,4 +430,72 @@ func tcpPair(t *testing.T) (net.Conn, net.Conn) {
 		t.Fatal(r.err)
 	}
 	return a, r.c
+}
+
+// TestOtherBuildRefusedAtHello: every frame starts with the wire format
+// version, so a peer of another build is refused at the hello with both
+// versions named, in both directions — never a gob type error or a
+// mis-decode.
+func TestOtherBuildRefusedAtHello(t *testing.T) {
+	leakcheck.Check(t)
+	// A fake node answering the coordinator's hello with one of the next
+	// format version.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		var hello frame
+		if err := wire.ReadFrame(conn, &hello); err != nil || hello.Manifest == nil {
+			t.Errorf("coordinator hello: %+v, %v", hello.Kind, err)
+		}
+		var b bytes.Buffer
+		wire.WriteFrame(&b, &frame{Kind: frameHello, Session: hello.Session, From: 1})
+		b.Bytes()[0]++ // the format version byte
+		conn.Write(b.Bytes())
+		io.Copy(io.Discard, conn) // until the coordinator hangs up
+	}()
+	cfg := testCluster(t, []string{ln.Addr().String()}, radar.DefaultScene(radar.Small()))
+	if _, err := cfg.Connect(); err == nil || !strings.Contains(err.Error(), "format version") {
+		t.Fatalf("Connect to a node of another build = %v, want an error naming the format versions", err)
+	}
+	<-served
+
+	// A real node answers a hello of the next version with a goodbye in its
+	// own, whose reason names both. The hello is a whole frame, body and
+	// all — the node reads only its header — and the goodbye must still
+	// arrive, followed by a clean close.
+	_, addrs := startNodes(t, 1)
+	conn, err := net.Dial("tcp", addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var hello bytes.Buffer
+	// A body larger than the socket buffers.
+	wire.WriteFrame(&hello, &frame{Kind: frameHello, Session: "s", From: 2, To: 1, Auth: make([]byte, 1<<20)})
+	hello.Bytes()[0]++ // the format version byte
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		conn.Write(hello.Bytes())
+	}()
+	var bye frame
+	if err := wire.ReadFrame(conn, &bye); err != nil || bye.Kind != frameGoodbye ||
+		!strings.Contains(bye.Reason, fmt.Sprintf("format version %d, this build speaks format version %d", wire.FormatVersion+1, wire.FormatVersion)) {
+		t.Fatalf("node's answer: %+v, %v; want a goodbye naming both versions", bye, err)
+	}
+	if err := wire.ReadFrame(conn, &bye); err != io.EOF {
+		t.Errorf("after the goodbye: %v, want the connection closed (io.EOF)", err)
+	}
+	conn.Close()
+	<-sent
 }

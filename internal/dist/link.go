@@ -9,6 +9,7 @@ import (
 
 	"pstap/internal/fault"
 	"pstap/internal/obs"
+	"pstap/internal/pipeline"
 	"pstap/internal/wire"
 )
 
@@ -27,9 +28,12 @@ const (
 	frameGoodbye                  // orderly teardown; Reason names a fault
 )
 
-// frame is the single wire message of the link protocol; Kind selects
-// which fields are meaningful. It rides wire.WriteFrame/ReadFrame, so
-// every frame is length-prefixed, self-contained gob.
+// frame is the single message of the link protocol; Kind selects which
+// fields are meaningful. It has two wire forms (internal/wire): a data
+// frame is flat — the fixed header Seq, Src, Dst, Tag, Deadline and the
+// pipeline message in pipeline.AppendMessage's form (see dataFrame) — and
+// every other kind, rare by comparison, is a gob-encoded frame. A reader
+// therefore knows a data frame from its header's codec byte alone.
 type frame struct {
 	Kind frameKind
 
@@ -63,6 +67,36 @@ type frame struct {
 	ObsAddr string
 }
 
+// dataFrame is a data frame's flat wire form: the fixed header, then the
+// message. frame.DecodeFlat reads it back.
+type dataFrame struct {
+	seq, src, dst, tag int
+	deadline           int64
+	msg                any
+}
+
+// AppendFlat implements wire.Flattener.
+func (f *dataFrame) AppendFlat(e *wire.Enc) error {
+	e.Int(f.seq)
+	e.Int(f.src)
+	e.Int(f.dst)
+	e.Int(f.tag)
+	e.Int64(f.deadline)
+	return pipeline.AppendMessage(e, f.msg)
+}
+
+// DecodeFlat implements wire.FlatDecoder: a flat body is a data frame.
+func (f *frame) DecodeFlat(d *wire.Dec) (err error) {
+	*f = frame{Kind: frameData}
+	f.Seq = d.Int()
+	f.Src = d.Int()
+	f.Dst = d.Int()
+	f.Tag = d.Int()
+	f.Deadline = d.Int64()
+	f.Data, err = pipeline.DecodeMessage(d)
+	return err
+}
+
 // goodbyeError is the error a link dies with when the peer said goodbye
 // carrying a fault reason — the remote world aborted and told us why.
 type goodbyeError struct{ reason string }
@@ -77,12 +111,16 @@ var errClosedGracefully = &goodbyeError{reason: "session closed"}
 // link is one full-duplex connection to a peer member: a locked writer, a
 // credit gate for outbound data frames, heartbeat bookkeeping and transfer
 // counters. The reader loop lives on the Transport, which owns dispatch.
+// Each direction owns one frame buffer (wire.Writer, wire.Reader), grown
+// to the largest frame the link has carried and reused for every frame.
 type link struct {
 	member int
 	addr   string
 	conn   net.Conn
 
-	wmu sync.Mutex // serializes WriteFrame calls
+	wmu sync.Mutex   // serializes frame writes
+	fw  *wire.Writer // guarded by wmu
+	fr  *wire.Reader // owned by the Transport's reader loop
 
 	// credits gates outbound data frames; the peer returns tokens with
 	// credit frames as it drains. window is the total in each direction.
@@ -103,14 +141,14 @@ type link struct {
 	pmu       sync.Mutex
 	pings     map[int]time.Time
 	pingSeq   int
-	lastHeard atomic.Int64 // unix nanos of the last inbound frame
+	lastHeard atomic.Int64 // unix nanos of the last inbound frame header
 
 	msgsSent, msgsRecv   atomic.Int64
 	bytesSent, bytesRecv atomic.Int64
 	rttNs                atomic.Int64 // EWMA
 	offsetNs             atomic.Int64 // EWMA clock offset: peer clock − local clock
 
-	// Cumulative wire-cost counters for data frames: gob encode (ser) and
+	// Cumulative wire-cost counters for data frames: flat encode (ser) and
 	// decode (deser), socket copy both directions (xmit), and time senders
 	// spent blocked on the credit window (stall).
 	serNs, deserNs atomic.Int64
@@ -126,6 +164,8 @@ func newLink(member int, addr string, conn net.Conn, window int) *link {
 		member:  member,
 		addr:    addr,
 		conn:    conn,
+		fw:      wire.NewWriter(conn),
+		fr:      wire.NewReader(conn),
 		credits: window,
 		window:  window,
 		pings:   make(map[int]time.Time),
@@ -135,18 +175,20 @@ func newLink(member int, addr string, conn net.Conn, window int) *link {
 	return l
 }
 
-// write sends one frame under the writer lock, counting its bytes.
+// write sends one control frame (gob) under the writer lock, counting
+// its bytes.
 func (l *link) write(f *frame) error {
 	_, err := l.writeTimed(f)
 	return err
 }
 
-// writeTimed sends one frame under the writer lock, counting its bytes
-// and returning the codec/IO split for the wire-cost accounting.
-func (l *link) writeTimed(f *frame) (wire.FrameTiming, error) {
+// writeTimed sends one frame — a *frame control frame or a *dataFrame —
+// under the writer lock, counting its bytes and returning the codec/IO
+// split for the wire-cost accounting.
+func (l *link) writeTimed(v any) (wire.FrameTiming, error) {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
-	ft, err := wire.WriteFrameTimed(l.conn, f)
+	ft, err := l.fw.WriteFrame(v)
 	if err != nil {
 		return ft, err
 	}
@@ -188,7 +230,7 @@ func (l *link) sendData(src, dst, tag int, data any, deadline int64, inj *fault.
 			return err
 		}
 	}
-	ft, err := l.writeTimed(&frame{Kind: frameData, Seq: seq, Src: src, Dst: dst, Tag: tag, Data: data, Deadline: deadline})
+	ft, err := l.writeTimed(&dataFrame{seq: seq, src: src, dst: dst, tag: tag, deadline: deadline, msg: data})
 	if err != nil {
 		return err
 	}

@@ -222,7 +222,17 @@ func (n *Node) Kill() {
 func (n *Node) handshake(conn net.Conn) {
 	conn.SetReadDeadline(time.Now().Add(helloTimeout))
 	var f frame
-	if err := wire.ReadFrame(conn, &f); err != nil || f.Kind != frameHello {
+	err := wire.ReadFrame(conn, &f)
+	var verr *wire.VersionError
+	if errors.As(err, &verr) {
+		// A peer from another build: say so in this build's format, which
+		// the peer's reader refuses with both versions named.
+		n.cfg.Logf("stapnode: refusing hello from %v: %v", conn.RemoteAddr(), err)
+		wire.WriteFrame(conn, &frame{Kind: frameGoodbye, Reason: err.Error()})
+		wire.CloseAfterReply(conn) // the refused hello's body is unread
+		return
+	}
+	if err != nil || f.Kind != frameHello {
 		conn.Close()
 		return
 	}

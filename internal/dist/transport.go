@@ -215,8 +215,7 @@ func (t *Transport) runLink(l *link) {
 func (t *Transport) readLoop(l *link) {
 	defer t.wg.Done()
 	for {
-		var f frame
-		ft, err := wire.ReadFrameTimed(l.conn, &f)
+		codec, err := l.fr.Next()
 		if err != nil {
 			t.linkDied(l, err)
 			return
@@ -224,11 +223,11 @@ func (t *Transport) readLoop(l *link) {
 		// An active partition/flap window holds the frame here — before
 		// the silence clock below resets — so the peer's traffic is
 		// delayed, not lost, while heartbeat misses accumulate exactly as
-		// they would across a dark route. Only data frames may open a
-		// window: anchoring on control traffic would start partitions
-		// during the connect handshake.
+		// they would across a dark route. Only data frames (the flat
+		// ones) may open a window: anchoring on control traffic would
+		// start partitions during the connect handshake.
 		if t.inj != nil {
-			if f.Kind == frameData {
+			if codec == wire.Flat {
 				t.inj.LinkHold(l.member)
 			} else {
 				t.inj.LinkHoldPassive(l.member)
@@ -237,8 +236,19 @@ func (t *Transport) readLoop(l *link) {
 				return
 			}
 		}
-		l.bytesRecv.Add(ft.Bytes)
+		// Life is byte progress: a header proves the peer alive before its
+		// body is read or decoded, however long a large frame takes.
 		l.lastHeard.Store(time.Now().UnixNano())
+		var f frame
+		ft, err := l.fr.Decode(&f)
+		if err == nil && codec == wire.Gob && f.Kind == frameData {
+			err = fmt.Errorf("dist: gob-encoded data frame")
+		}
+		if err != nil {
+			t.linkDied(l, err)
+			return
+		}
+		l.bytesRecv.Add(ft.Bytes)
 		switch f.Kind {
 		case frameData:
 			t.noteDeadline(f.Deadline, l.offsetNs.Load())

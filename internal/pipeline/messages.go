@@ -1,39 +1,137 @@
 package pipeline
 
 import (
-	"encoding/gob"
+	"fmt"
 
 	"pstap/internal/cube"
 	"pstap/internal/linalg"
 	"pstap/internal/redist"
 	"pstap/internal/stap"
+	"pstap/internal/wire"
 )
 
 // Message payloads. Every type reports its wire size (mp.Sizer) so the
 // world can account communication volume against the Paragon cost model.
-// The messages are plain data: their exported fields are their wire form,
-// so a distributed transport (internal/dist) ships them between processes
-// through gob exactly as the in-process mailboxes pass them by reference,
-// and a decoded payload is structurally identical to the original — the
-// cubes and matrices carry float64 values that gob round-trips losslessly,
-// which keeps a split pipeline bit-exact. What a payload's bytes are is
-// therefore decided by the four types gob walks inside them: cube.Cube,
-// cube.RealCube, linalg.Matrix and stap.Detection.
+// The messages are plain data that the in-process mailboxes pass by
+// reference; a distributed transport (internal/dist) ships them between
+// processes in the flat form of AppendMessage/DecodeMessage, whose
+// decoded payload is structurally identical to the original — the cubes
+// and matrices cross as their float64 bit patterns, which keeps a split
+// pipeline bit-exact. What a payload's bytes are is decided by the four
+// types inside them (cube.Cube, cube.RealCube, linalg.Matrix and
+// stap.Detection; internal/wire's flat.go) and by the two switches below.
 
-// RegisterWire registers every inter-task payload type with gob so the
-// types can travel inside a transport frame's `any` payload slot. Every
-// process of a distributed world must call it (internal/dist does, from
-// its init) before encoding or decoding pipeline traffic.
-func RegisterWire() {
-	gob.Register(rawMsg{})
-	gob.Register(easyTrainMsg{})
-	gob.Register(hardTrainMsg{})
-	gob.Register(bfDataMsg{})
-	gob.Register(easyWeightsMsg{})
-	gob.Register(hardWeightsMsg{})
-	gob.Register(beamMsg{})
-	gob.Register(powerMsg{})
-	gob.Register(detMsg{})
+// Message kinds, the first byte of a message's flat form.
+const (
+	kindNil byte = iota // a nil payload: what a droppayload fault leaves
+	kindRaw
+	kindEasyTrain
+	kindHardTrain
+	kindBFData
+	kindEasyWeights
+	kindHardWeights
+	kindBeam
+	kindPower
+	kindDet
+)
+
+// AppendMessage appends the flat form of one inter-task message: its
+// kind byte, then its fields in declaration order. A type that is not a
+// pipeline message is an error.
+func AppendMessage(e *wire.Enc, m any) error {
+	switch m := m.(type) {
+	case nil:
+		e.Byte(kindNil)
+	case rawMsg:
+		e.Byte(kindRaw)
+		e.Cube(m.Slab)
+		m.Ctl.put(e)
+	case easyTrainMsg:
+		e.Byte(kindEasyTrain)
+		wire.PutSlice(e, m.Rows, (*wire.Enc).Matrix)
+		m.Ctl.put(e)
+	case hardTrainMsg:
+		e.Byte(kindHardTrain)
+		putSegments(e, m.Rows)
+		m.Ctl.put(e)
+	case bfDataMsg:
+		e.Byte(kindBFData)
+		e.Cube(m.Piece)
+		m.Ctl.put(e)
+	case easyWeightsMsg:
+		e.Byte(kindEasyWeights)
+		wire.PutSlice(e, m.Ws, (*wire.Enc).Matrix)
+	case hardWeightsMsg:
+		e.Byte(kindHardWeights)
+		putSegments(e, m.Ws)
+	case beamMsg:
+		e.Byte(kindBeam)
+		e.Cube(m.Slab)
+		wire.PutSlice(e, m.GlobalBins, (*wire.Enc).Int)
+		m.Ctl.put(e)
+	case powerMsg:
+		e.Byte(kindPower)
+		e.RealCube(m.Slab)
+		e.Int(m.Blk.Lo)
+		e.Int(m.Blk.Hi)
+		m.Ctl.put(e)
+	case detMsg:
+		e.Byte(kindDet)
+		e.Detections(m.Dets)
+		m.Ctl.put(e)
+	default:
+		return fmt.Errorf("pipeline: %T is not an inter-task message", m)
+	}
+	return nil
+}
+
+// DecodeMessage reads one message AppendMessage wrote. Corrupt input is
+// an error (the Dec's), never a panic; the caller checks that the body
+// ends where the message does. The reads inside each composite literal
+// run in field order: Go evaluates an expression's calls left to right.
+func DecodeMessage(d *wire.Dec) (any, error) {
+	var m any
+	switch k := d.Byte(); k {
+	case kindNil:
+	case kindRaw:
+		m = rawMsg{Slab: d.Cube(), Ctl: getCtl(d)}
+	case kindEasyTrain:
+		m = easyTrainMsg{Rows: wire.GetSlice(d, 1, (*wire.Dec).Matrix), Ctl: getCtl(d)}
+	case kindHardTrain:
+		m = hardTrainMsg{Rows: getSegments(d), Ctl: getCtl(d)}
+	case kindBFData:
+		m = bfDataMsg{Piece: d.Cube(), Ctl: getCtl(d)}
+	case kindEasyWeights:
+		m = easyWeightsMsg{Ws: wire.GetSlice(d, 1, (*wire.Dec).Matrix)}
+	case kindHardWeights:
+		m = hardWeightsMsg{Ws: getSegments(d)}
+	case kindBeam:
+		m = beamMsg{Slab: d.Cube(), GlobalBins: wire.GetSlice(d, 8, (*wire.Dec).Int), Ctl: getCtl(d)}
+	case kindPower:
+		m = powerMsg{Slab: d.RealCube(), Blk: cube.Block{Lo: d.Int(), Hi: d.Int()}, Ctl: getCtl(d)}
+	case kindDet:
+		m = detMsg{Dets: d.Detections(), Ctl: getCtl(d)}
+	default:
+		d.Fail(fmt.Errorf("pipeline: unknown message kind %d", k))
+	}
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// putSegments appends a [segment][binIdx] matrix table.
+func putSegments(e *wire.Enc, segs [][]*linalg.Matrix) {
+	wire.PutSlice(e, segs, func(e *wire.Enc, seg []*linalg.Matrix) {
+		wire.PutSlice(e, seg, (*wire.Enc).Matrix)
+	})
+}
+
+// getSegments reads a putSegments table.
+func getSegments(d *wire.Dec) [][]*linalg.Matrix {
+	return wire.GetSlice(d, 8, func(d *wire.Dec) []*linalg.Matrix {
+		return wire.GetSlice(d, 1, (*wire.Dec).Matrix)
+	})
 }
 
 // ctl carries per-CPI stream control alongside the data. Reset marks the
@@ -75,6 +173,19 @@ func (c ctl) merge(m ctl) ctl {
 		return c
 	}
 	return m
+}
+
+// put appends c's flat form, its fields in declaration order.
+func (c ctl) put(e *wire.Enc) {
+	e.Bool(c.Reset)
+	e.Bool(c.EOF)
+	e.Uint64(c.Trace)
+	e.Byte(c.Hop)
+}
+
+// getCtl reads a ctl.put.
+func getCtl(d *wire.Dec) ctl {
+	return ctl{Reset: d.Bool(), EOF: d.Bool(), Trace: d.Uint64(), Hop: d.Byte()}
 }
 
 // ObsTrace implements obs.Traced on every ctl-carrying payload: the

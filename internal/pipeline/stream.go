@@ -355,20 +355,25 @@ func (s *Stream) processJob(n int, at func(i int) *cube.Cube, opts JobOpts) ([][
 	// consume the last CPI before CFAR can report it); every error return
 	// below implies a closed quit or done channel, which also ends it. So
 	// waiting for it on return never blocks, and at is never called after
-	// processJob returns.
+	// processJob returns. at is the caller's code (Run's RawSource), so
+	// the submitter runs supervised like the feeder: a panic in it is a
+	// driver fault that aborts this instance, not the process.
 	submitted := make(chan struct{})
 	defer func() { <-submitted }()
 	go func() {
 		defer close(submitted)
-		for i := 0; i < n; i++ {
-			select {
-			case s.in <- streamInput{raw: at(i), reset: i == 0}:
-			case <-s.quit:
-				return
-			case <-s.world.Done():
-				return
+		superviseWorker(s.world, s.sup, DriverTask, driverSubmitter, func() {
+			for i := 0; i < n; i++ {
+				s.sup.enter(DriverTask, driverSubmitter, i)
+				select {
+				case s.in <- streamInput{raw: at(i), reset: i == 0}:
+				case <-s.quit:
+					return
+				case <-s.world.Done():
+					return
+				}
 			}
-		}
+		})
 	}()
 	var timer *time.Timer
 	var timeout <-chan time.Time

@@ -224,3 +224,29 @@ func TestRunMalformedSourceIsDriverFault(t *testing.T) {
 		t.Errorf("fault renders as %q", fe.Fault)
 	}
 }
+
+// TestRunPanickingSourceIsDriverFault: Run's RawSource is the caller's
+// code, called from the job's submitter goroutine; a panic in it is a
+// driver FaultError naming the submitter and the CPI, not a dead process.
+func TestRunPanickingSourceIsDriverFault(t *testing.T) {
+	leakcheck.Check(t)
+	sc := radar.DefaultScene(radar.Small())
+	_, err := Run(Config{
+		Scene:   sc,
+		Assign:  NewAssignment(1, 1, 1, 1, 1, 1, 1),
+		NumCPIs: 6,
+		RawSource: func(i int) *cube.Cube {
+			if i == 3 {
+				panic("source ran dry")
+			}
+			return sc.GenerateCPI(i)
+		},
+	})
+	var fe *FaultError
+	if !errors.As(err, &fe) || fe.Fault.Task != DriverTask || fe.Fault.Worker != driverSubmitter || fe.Fault.CPI != 3 {
+		t.Fatalf("err = %v, want a submitter FaultError at CPI 3", err)
+	}
+	if fe.Fault.Cause != "source ran dry" {
+		t.Errorf("fault cause %q", fe.Fault.Cause)
+	}
+}

@@ -20,13 +20,15 @@ type WorkerFault struct {
 }
 
 // DriverTask is the Task of a fault in the driver rank's own goroutines,
-// which belong to no task group: the feeder (Worker 0) and the collector
-// (Worker 1).
+// which belong to no task group: the feeder (Worker 0), the collector
+// (Worker 1) and a job's submitter (Worker 2), which calls the caller's
+// CPI source.
 const DriverTask = NumTasks
 
 const (
 	driverFeeder = iota
 	driverCollector
+	driverSubmitter
 )
 
 // String renders the fault for logs and wire errors.
@@ -49,7 +51,7 @@ func (e *FaultError) Error() string { return "pipeline: worker fault: " + e.Faul
 // supervisor tracks every worker's loop progress and collects the faults
 // the recover wrappers report. One supervisor serves one pipeline world.
 type supervisor struct {
-	cur [NumTasks + 1][]atomic.Int64 // current CPI per worker; row DriverTask is the feeder and collector
+	cur [NumTasks + 1][]atomic.Int64 // current CPI per worker; row DriverTask is the feeder, collector and submitter
 
 	mu     sync.Mutex
 	faults []WorkerFault
@@ -60,7 +62,7 @@ func newSupervisor(a Assignment) *supervisor {
 	for t := range a {
 		s.cur[t] = make([]atomic.Int64, a[t])
 	}
-	s.cur[DriverTask] = make([]atomic.Int64, driverCollector+1)
+	s.cur[DriverTask] = make([]atomic.Int64, driverSubmitter+1)
 	return s
 }
 

@@ -1,34 +1,85 @@
 package pipeline
 
 import (
-	"bytes"
-	"encoding/gob"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pstap/internal/cube"
 	"pstap/internal/linalg"
 	"pstap/internal/stap"
+	"pstap/internal/wire"
 )
 
-// roundTrip ships v through gob as an `any` payload — exactly how a
-// transport frame carries inter-task messages — and returns the decoded
-// concrete value.
-func roundTrip(t *testing.T, v any) any {
+// roundTrip ships m through the flat form — exactly how a dist data frame
+// carries inter-task messages — and returns the decoded concrete value.
+func roundTrip(t *testing.T, m any) any {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
-		t.Fatalf("encode %T: %v", v, err)
+	var e wire.Enc
+	if err := AppendMessage(&e, m); err != nil {
+		t.Fatalf("encode %T: %v", m, err)
 	}
-	var out any
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&out); err != nil {
-		t.Fatalf("decode %T: %v", v, err)
+	d := wire.NewDec(e.Bytes())
+	got, err := DecodeMessage(d)
+	if err == nil {
+		err = d.End()
 	}
-	return out
+	if err != nil {
+		t.Fatalf("decode %T: %v", m, err)
+	}
+	return got
 }
 
-func testCube(t *testing.T) *cube.Cube {
-	t.Helper()
+// sameBits is reflect.DeepEqual with floats compared by their bit
+// patterns (NaN payloads, −0 and ±Inf included) and nil slices distinct
+// from empty ones.
+func sameBits(a, b reflect.Value) bool {
+	if a.Kind() != b.Kind() || a.Type() != b.Type() {
+		return false
+	}
+	switch a.Kind() {
+	case reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Complex128:
+		x, y := a.Complex(), b.Complex()
+		return math.Float64bits(real(x)) == math.Float64bits(real(y)) &&
+			math.Float64bits(imag(x)) == math.Float64bits(imag(y))
+	case reflect.Pointer, reflect.Interface:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return sameBits(a.Elem(), b.Elem())
+	case reflect.Slice:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return false
+		}
+		fallthrough
+	case reflect.Array:
+		for i := 0; i < a.Len(); i++ {
+			if !sameBits(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameBits(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	default:
+		return a.Interface() == b.Interface()
+	}
+}
+
+func testCube() *cube.Cube {
 	c := cube.New(cube.Order{cube.Range, cube.Channel, cube.Pulse}, 2, 3, 2)
 	for i := range c.Data {
 		c.Data[i] = complex(float64(i), -float64(i))
@@ -36,43 +87,125 @@ func testCube(t *testing.T) *cube.Cube {
 	return c
 }
 
-// TestWireRoundTrip checks every inter-task payload survives the wire as a
-// structurally identical concrete value — the property that keeps a split
-// replica bit-exact and keeps worker type assertions (msg.(rawMsg) etc.)
-// working on decoded traffic.
-func TestWireRoundTrip(t *testing.T) {
-	RegisterWire()
-	m := linalg.NewMatrix(2, 2)
-	m.Data[0] = 1 + 2i
-	m.Data[3] = -3i
-	rc := cube.NewReal(cube.Order{cube.Beam, cube.Doppler, cube.Range}, 1, 2, 2)
-	for i := range rc.Data {
-		rc.Data[i] = float64(i) + 0.25
-	}
-	dets := []stap.Detection{{Range: 3, DopplerBin: 4, Beam: 2, Power: 5.5, Threshold: 1.5}}
+// oddFloats are the values a value-comparing codec would lose.
+var oddFloats = []float64{math.Float64frombits(0x7ff8_0000_dead_beef), math.Copysign(0, -1), math.Inf(1), math.Inf(-1)}
 
-	cases := []any{
-		rawMsg{Slab: testCube(t), Ctl: ctl{Reset: true, Trace: 0xdeadbeefcafe, Hop: 0}},
-		rawMsg{Ctl: ctl{EOF: true}}, // nil Slab: the EOF control frame
-		easyTrainMsg{Rows: []*linalg.Matrix{m}, Ctl: ctl{Reset: true, Trace: 7, Hop: 1}},
-		hardTrainMsg{Rows: [][]*linalg.Matrix{{m, m}}},
-		bfDataMsg{Piece: testCube(t), Ctl: ctl{Trace: 1<<63 + 5, Hop: 1}},
+// wireCases is one or more instances of every inter-task message, with
+// nil slabs, nil and empty slices, and samples a value-comparing codec
+// would lose (NaN payloads, −0, ±Inf).
+func wireCases() []any {
+	m := linalg.NewMatrix(2, 2)
+	m.Data[0] = complex(oddFloats[0], oddFloats[1])
+	m.Data[3] = complex(oddFloats[2], oddFloats[3])
+	rc := cube.NewReal(cube.Order{cube.Beam, cube.Doppler, cube.Range}, 1, 2, 2)
+	copy(rc.Data, oddFloats)
+	odd := testCube()
+	odd.Data[1] = complex(oddFloats[1], oddFloats[0])
+	short := testCube()
+	short.Data = short.Data[:3] // Dim and Data disagree: crosses as it is
+	dets := []stap.Detection{
+		{Range: 3, DopplerBin: 4, Beam: 2, Power: 5.5, Threshold: 1.5},
+		{Range: -1, DopplerBin: 1 << 40, Beam: 0, Power: oddFloats[0], Threshold: oddFloats[3]},
+	}
+	return []any{
+		nil, // a droppayload fault's payload
+		rawMsg{Slab: testCube(), Ctl: ctl{Reset: true, Trace: 0xdeadbeefcafe, Hop: 0}},
+		rawMsg{Slab: odd, Ctl: ctl{Reset: true, EOF: true, Trace: math.MaxUint64, Hop: 255}},
+		rawMsg{Ctl: ctl{EOF: true}}, // nil Slab: the EOF control message
+		rawMsg{Slab: short},
+		rawMsg{Slab: &cube.Cube{Dim: [3]int{0, 4, 4}}}, // nil Data
+		rawMsg{Slab: &cube.Cube{Data: []complex128{}}}, // empty Data
+		easyTrainMsg{Rows: []*linalg.Matrix{m, nil, linalg.NewMatrix(0, 3)}, Ctl: ctl{Reset: true, Trace: 7, Hop: 1}},
+		easyTrainMsg{Rows: []*linalg.Matrix{}},
+		easyTrainMsg{},
+		hardTrainMsg{Rows: [][]*linalg.Matrix{{m, m}, nil, {}}},
+		hardTrainMsg{},
+		bfDataMsg{Piece: testCube(), Ctl: ctl{Trace: 1<<63 + 5, Hop: 1}},
+		bfDataMsg{Ctl: ctl{EOF: true}},
 		easyWeightsMsg{Ws: []*linalg.Matrix{m}},
-		hardWeightsMsg{Ws: [][]*linalg.Matrix{{m}}},
-		beamMsg{Slab: testCube(t), GlobalBins: []int{0, 3, 5}, Ctl: ctl{Trace: 42, Hop: 2}},
+		easyWeightsMsg{},
+		hardWeightsMsg{Ws: [][]*linalg.Matrix{{m}, {}}},
+		hardWeightsMsg{Ws: [][]*linalg.Matrix{}},
+		beamMsg{Slab: testCube(), GlobalBins: []int{0, 3, -5, math.MaxInt}, Ctl: ctl{Trace: 42, Hop: 2}},
+		beamMsg{GlobalBins: []int{}, Ctl: ctl{EOF: true}},
 		powerMsg{Slab: rc, Blk: cube.Block{Lo: 1, Hi: 2}, Ctl: ctl{Trace: 42, Hop: 3}},
+		powerMsg{Ctl: ctl{EOF: true}},
 		detMsg{Dets: dets, Ctl: ctl{Trace: 42, Hop: 4}},
+		detMsg{Dets: []stap.Detection{}},
 		detMsg{Ctl: ctl{EOF: true}},
 	}
-	for _, want := range cases {
-		// The messages are plain data walked by the frame's own encoder; a
-		// GobEncoder here would be the per-message shadow codec growing back.
-		if _, ok := want.(gob.GobEncoder); ok {
-			t.Errorf("%T implements gob.GobEncoder", want)
+}
+
+// TestWireRoundTrip checks every inter-task message survives the flat
+// form as a structurally identical concrete value, bit for bit — the
+// property that keeps a split replica bit-exact and keeps worker type
+// assertions (msg.(rawMsg) etc.) working on decoded traffic. Every
+// message type declared in messages.go must appear in the table, so a
+// type missing from either switch fails here.
+func TestWireRoundTrip(t *testing.T) {
+	covered := map[string]bool{}
+	for _, want := range wireCases() {
+		if want != nil {
+			covered[reflect.TypeOf(want).Name()] = true
 		}
 		got := roundTrip(t, want)
-		if !reflect.DeepEqual(got, want) {
+		if !sameBits(reflect.ValueOf(&got).Elem(), reflect.ValueOf(&want).Elem()) {
 			t.Errorf("%T: round-trip mismatch\n got %+v\nwant %+v", want, got, want)
+		}
+	}
+	for _, name := range messageTypes(t) {
+		if !covered[name] {
+			t.Errorf("message type %s is not in the round-trip table", name)
+		}
+	}
+
+	var e wire.Enc
+	if err := AppendMessage(&e, struct{ Slab *cube.Cube }{}); err == nil {
+		t.Error("a non-message type encoded without error")
+	}
+	if _, err := DecodeMessage(wire.NewDec([]byte{kindDet + 1})); err == nil {
+		t.Error("an unknown message kind decoded without error")
+	}
+}
+
+// messageTypes lists the struct types messages.go declares whose names
+// end in "Msg": the inter-task messages.
+func messageTypes(t *testing.T) []string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "messages.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		if ts, ok := n.(*ast.TypeSpec); ok && strings.HasSuffix(ts.Name.Name, "Msg") {
+			names = append(names, ts.Name.Name)
+		}
+		return true
+	})
+	if len(names) < 9 {
+		t.Fatalf("found %d message types %v in messages.go, want at least the nine", len(names), names)
+	}
+	return names
+}
+
+// TestNoGobRegistration: the messages have one wire form, the flat one;
+// registering them with gob would be a second.
+func TestNoGobRegistration(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(src), "gob.Register") {
+			t.Errorf("%s calls gob.Register", name)
 		}
 	}
 }

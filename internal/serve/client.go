@@ -18,7 +18,8 @@ import (
 type Client struct {
 	conn net.Conn
 
-	wmu sync.Mutex // serializes request frames
+	wmu sync.Mutex   // serializes request frames
+	fw  *wire.Writer // the connection's one write buffer, guarded by wmu
 
 	mu       sync.Mutex
 	pending  map[uint64]chan *Response
@@ -41,6 +42,7 @@ func Dial(addr string) (*Client, error) {
 func NewClient(conn net.Conn) *Client {
 	c := &Client{
 		conn:     conn,
+		fw:       wire.NewWriter(conn),
 		pending:  make(map[uint64]chan *Response),
 		readDone: make(chan struct{}),
 	}
@@ -48,11 +50,13 @@ func NewClient(conn net.Conn) *Client {
 	return c
 }
 
-// readLoop demultiplexes response frames to their waiting callers.
+// readLoop demultiplexes response frames to their waiting callers,
+// reading every frame through the connection's one read buffer.
 func (c *Client) readLoop() {
+	fr := wire.NewReader(c.conn)
 	for {
 		resp := &Response{}
-		if err := wire.ReadFrame(c.conn, resp); err != nil {
+		if _, err := fr.ReadFrame(resp); err != nil {
 			c.mu.Lock()
 			c.readErr = fmt.Errorf("serve: connection lost: %w", err)
 			close(c.readDone)
@@ -84,7 +88,7 @@ func (c *Client) Do(req *Request) (*Response, error) {
 	c.mu.Unlock()
 
 	c.wmu.Lock()
-	err := wire.WriteFrame(c.conn, req)
+	_, err := c.fw.WriteFrame(req)
 	c.wmu.Unlock()
 	if err != nil {
 		c.mu.Lock()

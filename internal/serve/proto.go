@@ -1,6 +1,7 @@
 // Package serve turns the parallel pipelined STAP system into a network
-// service: stapd (cmd/stapd) listens on TCP, accepts CPI-cube jobs over a
-// length-prefixed gob protocol (internal/wire frames), queues them in a
+// service: stapd (cmd/stapd) listens on TCP, accepts CPI-cube jobs as
+// flat internal/wire frames (the cubes' samples as float64 bit patterns
+// behind a fixed header), queues them in a
 // bounded admission queue with explicit backpressure, and processes them
 // on a pool of persistent pipeline replicas (pipeline.Stream) — the
 // serving-layer realization of the replicated-pipelines extension the
@@ -16,14 +17,18 @@ import (
 
 	"pstap/internal/cube"
 	"pstap/internal/stap"
+	"pstap/internal/wire"
 )
 
 // Wire protocol: the client sends Request frames and the server answers
 // with one Response frame per request, matched by ID. Responses may
 // arrive out of submission order (jobs run on different replicas), so a
-// client must demultiplex by ID. Frames are encoded by
-// wire.WriteFrame/ReadFrame (internal/wire); each frame is a self-contained gob
-// stream, hardened against truncation and corrupt length prefixes.
+// client must demultiplex by ID. Each frame is one internal/wire frame
+// whose body is the message's flat form (AppendFlat/DecodeFlat below:
+// every field in declaration order), hardened against truncation,
+// corrupt lengths and counts the frame cannot hold. Every frame carries
+// the wire format version: a frame from another build is answered with
+// StatusBadRequest naming both versions, and the connection is closed.
 
 // Request is one client frame: a job holding an independent CPI sequence.
 // The cubes must match the server scene's dimensions (K x J x N in raw
@@ -46,6 +51,24 @@ type Request struct {
 	// StatusDeadlineExceeded and its remaining CPIs are aborted all the
 	// way down to remote stapnode workers. Zero means no deadline.
 	DeadlineMs int64
+}
+
+// AppendFlat implements wire.Flattener.
+func (r *Request) AppendFlat(e *wire.Enc) error {
+	e.Uint64(r.ID)
+	wire.PutSlice(e, r.CPIs, (*wire.Enc).Cube)
+	e.Bool(r.Trace)
+	e.Int64(r.DeadlineMs)
+	return nil
+}
+
+// DecodeFlat implements wire.FlatDecoder.
+func (r *Request) DecodeFlat(d *wire.Dec) error {
+	r.ID = d.Uint64()
+	r.CPIs = wire.GetSlice(d, 1, (*wire.Dec).Cube)
+	r.Trace = d.Bool()
+	r.DeadlineMs = d.Int64()
+	return d.Err()
 }
 
 // Status classifies a Response.
@@ -121,6 +144,32 @@ type Response struct {
 	// TraceFile is the server-side path of the Gantt trace, when requested
 	// and enabled.
 	TraceFile string
+}
+
+// AppendFlat implements wire.Flattener.
+func (r *Response) AppendFlat(e *wire.Enc) error {
+	e.Uint64(r.ID)
+	e.Int(int(r.Status))
+	e.Int64(r.RetryAfterMs)
+	e.Text(r.Err)
+	wire.PutSlice(e, r.Detections, (*wire.Enc).Detections)
+	e.Int64(r.QueueNs)
+	e.Int64(r.ServiceNs)
+	e.Text(r.TraceFile)
+	return nil
+}
+
+// DecodeFlat implements wire.FlatDecoder.
+func (r *Response) DecodeFlat(d *wire.Dec) error {
+	r.ID = d.Uint64()
+	r.Status = Status(d.Int())
+	r.RetryAfterMs = d.Int64()
+	r.Err = d.Text()
+	r.Detections = wire.GetSlice(d, 8, (*wire.Dec).Detections)
+	r.QueueNs = d.Int64()
+	r.ServiceNs = d.Int64()
+	r.TraceFile = d.Text()
+	return d.Err()
 }
 
 // BusyError is returned by Client.Submit when the server rejected the job

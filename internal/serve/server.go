@@ -502,28 +502,44 @@ func (s *Server) Addr() net.Addr {
 
 // handleConn is one connection's read loop. A paired writer goroutine
 // serializes the response frames, so replies from different replicas can
-// complete out of order without interleaving on the wire.
+// complete out of order without interleaving on the wire. Replies are
+// encoded into the connection's one write buffer; each request is read
+// one-shot, so an idle connection holds no request-sized memory.
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.readerWG.Done()
 	replies := make(chan *Response, 16)
 	var inflight sync.WaitGroup
+	refused := false // set before replies closes, read after
 	s.writerWG.Add(1)
 	go func() {
 		defer s.writerWG.Done()
-		defer conn.Close()
+		fw := wire.NewWriter(conn)
 		broken := false
 		for r := range replies {
 			if broken {
 				continue // keep draining so job forwarders never block
 			}
-			if err := wire.WriteFrame(conn, r); err != nil {
+			if _, err := fw.WriteFrame(r); err != nil {
 				broken = true
 			}
+		}
+		if refused {
+			wire.CloseAfterReply(conn) // the refused frame's body is unread
+		} else {
+			conn.Close()
 		}
 	}()
 	for {
 		var req Request
-		if err := wire.ReadFrame(conn, &req); err != nil {
+		err := wire.ReadFrame(conn, &req)
+		var verr *wire.VersionError
+		if errors.As(err, &verr) {
+			// A client from another build: answer in this build's format,
+			// which its reader refuses with both versions named.
+			replies <- &Response{Status: StatusBadRequest, Err: err.Error()}
+			refused = true
+		}
+		if err != nil {
 			break // clean EOF, shutdown deadline, or corrupt frame
 		}
 		if resp := s.admit(&req, replies, &inflight); resp != nil {

@@ -1,0 +1,419 @@
+package wire
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+
+	"pstap/internal/cube"
+	"pstap/internal/linalg"
+	"pstap/internal/stap"
+)
+
+// The flat form. Every integer is a little-endian int64, every float the
+// little-endian bits of math.Float64bits (complex128 = real, imag), so
+// NaN payloads, −0 and ±Inf survive bit for bit. A slice is an int64
+// count — −1 for nil, so nil and empty stay distinct — followed by its
+// elements; a pointer is a presence byte (0 nil, 1 present) followed by
+// the value. The four payload types:
+//
+//	*cube.Cube      presence, Axes [3]int64, Dim [3]int64, Data count, Data × (re, im)
+//	*cube.RealCube  presence, Axes [3]int64, Dim [3]int64, Data count, Data × value
+//	*linalg.Matrix  presence, Rows, Cols, Data count, Data × (re, im)
+//	[]stap.Detection count, each Range, DopplerBin, Beam, Power, Threshold
+//
+// Data carries its own count rather than being implied by Dim: a value
+// whose Dim and Data disagree crosses the wire as it is, for the
+// receiver's shape check (cube.CheckShape) to refuse with a message.
+
+// Flattener is a value with a flat form of its own, built from the Enc
+// primitives; WriteFrame writes it as a flat frame.
+type Flattener interface {
+	AppendFlat(e *Enc) error
+}
+
+// FlatDecoder is a pointer a flat frame decodes into through the Dec
+// primitives. It must set every field: the target may be reused.
+type FlatDecoder interface {
+	DecodeFlat(d *Dec) error
+}
+
+// detectionBytes is one stap.Detection's flat size.
+const detectionBytes = 5 * 8
+
+// Enc appends values in the flat form to a byte slice.
+type Enc struct{ b []byte }
+
+// Bytes returns everything appended so far.
+func (e *Enc) Bytes() []byte { return e.b }
+
+// grow extends the slice by n bytes and returns them for writing.
+func (e *Enc) grow(n int) []byte {
+	off := len(e.b)
+	e.b = slices.Grow(e.b, n)[:off+n]
+	return e.b[off:]
+}
+
+// Byte appends one byte.
+func (e *Enc) Byte(v byte) { e.b = append(e.b, v) }
+
+// Bool appends v as one byte.
+func (e *Enc) Bool(v bool) {
+	if v {
+		e.Byte(1)
+	} else {
+		e.Byte(0)
+	}
+}
+
+// Uint64 appends v.
+func (e *Enc) Uint64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
+
+// Int64 appends v.
+func (e *Enc) Int64(v int64) { e.Uint64(uint64(v)) }
+
+// Int appends v as an int64.
+func (e *Enc) Int(v int) { e.Uint64(uint64(int64(v))) }
+
+// Text appends a count and the bytes of s.
+func (e *Enc) Text(s string) {
+	e.Int(len(s))
+	e.b = append(e.b, s...)
+}
+
+// count appends a slice count, −1 for nil.
+func (e *Enc) count(n int, isNil bool) {
+	if isNil {
+		n = -1
+	}
+	e.Int(n)
+}
+
+// PutSlice appends s — its count, then put for each element.
+func PutSlice[T any](e *Enc, s []T, put func(*Enc, T)) {
+	e.count(len(s), s == nil)
+	for _, v := range s {
+		put(e, v)
+	}
+}
+
+// complexes appends v's samples in one pass.
+func (e *Enc) complexes(v []complex128) {
+	e.count(len(v), v == nil)
+	p := e.grow(16 * len(v))
+	for i, c := range v {
+		binary.LittleEndian.PutUint64(p[16*i:], math.Float64bits(real(c)))
+		binary.LittleEndian.PutUint64(p[16*i+8:], math.Float64bits(imag(c)))
+	}
+}
+
+// floats appends v's samples in one pass.
+func (e *Enc) floats(v []float64) {
+	e.count(len(v), v == nil)
+	p := e.grow(8 * len(v))
+	for i, f := range v {
+		binary.LittleEndian.PutUint64(p[8*i:], math.Float64bits(f))
+	}
+}
+
+// shape appends a cube's axis order and dimensions.
+func (e *Enc) shape(axes cube.Order, dim [3]int) {
+	for _, a := range axes {
+		e.Int(int(a))
+	}
+	for _, d := range dim {
+		e.Int(d)
+	}
+}
+
+// Cube appends c (nil allowed).
+func (e *Enc) Cube(c *cube.Cube) {
+	e.Bool(c != nil)
+	if c != nil {
+		e.shape(c.Axes, c.Dim)
+		e.complexes(c.Data)
+	}
+}
+
+// RealCube appends c (nil allowed).
+func (e *Enc) RealCube(c *cube.RealCube) {
+	e.Bool(c != nil)
+	if c != nil {
+		e.shape(c.Axes, c.Dim)
+		e.floats(c.Data)
+	}
+}
+
+// Matrix appends m (nil allowed).
+func (e *Enc) Matrix(m *linalg.Matrix) {
+	e.Bool(m != nil)
+	if m != nil {
+		e.Int(m.Rows)
+		e.Int(m.Cols)
+		e.complexes(m.Data)
+	}
+}
+
+// Detections appends a detection report.
+func (e *Enc) Detections(ds []stap.Detection) {
+	e.count(len(ds), ds == nil)
+	for _, d := range ds {
+		e.Int(d.Range)
+		e.Int(d.DopplerBin)
+		e.Int(d.Beam)
+		e.Uint64(math.Float64bits(d.Power))
+		e.Uint64(math.Float64bits(d.Threshold))
+	}
+}
+
+// Dec reads values in the flat form. The first error sticks: every later
+// read returns a zero value, and End or Err reports it.
+type Dec struct {
+	b   []byte
+	err error
+}
+
+// NewDec returns a Dec reading b. Decoded values never alias b.
+func NewDec(b []byte) *Dec { return &Dec{b: b} }
+
+// Err returns the first decoding error.
+func (d *Dec) Err() error { return d.err }
+
+// Fail records err as the decoding error unless one is already recorded.
+func (d *Dec) Fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+}
+
+// End returns the first decoding error, or an error when bytes remain
+// unread: a well-formed body is consumed exactly.
+func (d *Dec) End() error {
+	if d.err == nil && len(d.b) > 0 {
+		d.err = fmt.Errorf("wire: %d trailing bytes after the flat body", len(d.b))
+	}
+	return d.err
+}
+
+// take consumes n bytes, or records truncation and returns nil.
+func (d *Dec) take(n int) []byte {
+	if d.err != nil {
+		return nil
+	}
+	if n > len(d.b) {
+		d.err = fmt.Errorf("wire: flat body truncated: need %d bytes, %d left", n, len(d.b))
+		return nil
+	}
+	p := d.b[:n:n]
+	d.b = d.b[n:]
+	return p
+}
+
+// Byte reads one byte.
+func (d *Dec) Byte() byte {
+	if p := d.take(1); p != nil {
+		return p[0]
+	}
+	return 0
+}
+
+// Bool reads one byte that must be 0 or 1.
+func (d *Dec) Bool() bool {
+	switch v := d.Byte(); v {
+	case 0:
+		return false
+	case 1:
+		return true
+	default:
+		d.Fail(fmt.Errorf("wire: bool byte %#x", v))
+		return false
+	}
+}
+
+// Uint64 reads a uint64.
+func (d *Dec) Uint64() uint64 {
+	if p := d.take(8); p != nil {
+		return binary.LittleEndian.Uint64(p)
+	}
+	return 0
+}
+
+// Int64 reads an int64.
+func (d *Dec) Int64() int64 { return int64(d.Uint64()) }
+
+// Int reads an int64 as an int.
+func (d *Dec) Int() int { return int(d.Int64()) }
+
+// Text reads a count and that many bytes.
+func (d *Dec) Text() string {
+	n := d.count(1)
+	if n < 0 {
+		d.Fail(fmt.Errorf("wire: nil string"))
+		return ""
+	}
+	return string(d.take(n))
+}
+
+// count reads a slice count, −1 for nil. A count the remaining bytes
+// cannot hold at min bytes per element is refused before anything is
+// allocated for it.
+func (d *Dec) count(min int) int {
+	n := d.Int64()
+	switch {
+	case d.err != nil:
+		return -1
+	case n < -1:
+		d.Fail(fmt.Errorf("wire: negative count %d", n))
+		return -1
+	case n > int64(len(d.b)/min):
+		d.Fail(fmt.Errorf("wire: count %d cannot fit in the %d bytes left", n, len(d.b)))
+		return -1
+	}
+	return int(n)
+}
+
+// GetSlice reads a PutSlice: its count, then get for each element. min
+// is the fewest bytes one element occupies, so a count the body cannot
+// hold is refused before the slice is made.
+func GetSlice[T any](d *Dec, min int, get func(*Dec) T) []T {
+	n := d.count(min)
+	if n < 0 {
+		return nil
+	}
+	s := make([]T, n)
+	for i := range s {
+		s[i] = get(d)
+	}
+	return s
+}
+
+// complexes reads samples into a fresh slice.
+func (d *Dec) complexes() []complex128 {
+	n := d.count(16)
+	if n < 0 {
+		return nil
+	}
+	p := d.take(16 * n) // count checked that the bytes are there
+	v := make([]complex128, n)
+	for i := range v {
+		v[i] = complex(math.Float64frombits(binary.LittleEndian.Uint64(p[16*i:])),
+			math.Float64frombits(binary.LittleEndian.Uint64(p[16*i+8:])))
+	}
+	return v
+}
+
+// floats reads samples into a fresh slice.
+func (d *Dec) floats() []float64 {
+	n := d.count(8)
+	if n < 0 {
+		return nil
+	}
+	p := d.take(8 * n) // count checked that the bytes are there
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
+	}
+	return v
+}
+
+// shape reads a cube's axis order and dimensions.
+func (d *Dec) shape() (axes cube.Order, dim [3]int) {
+	for i := range axes {
+		axes[i] = cube.Axis(d.Int())
+	}
+	for i := range dim {
+		dim[i] = d.Int()
+	}
+	return axes, dim
+}
+
+// Cube reads a cube (nil when absent or on error).
+func (d *Dec) Cube() *cube.Cube {
+	if !d.Bool() {
+		return nil
+	}
+	axes, dim := d.shape()
+	data := d.complexes()
+	if d.err != nil {
+		return nil
+	}
+	return &cube.Cube{Axes: axes, Dim: dim, Data: data}
+}
+
+// RealCube reads a real cube (nil when absent or on error).
+func (d *Dec) RealCube() *cube.RealCube {
+	if !d.Bool() {
+		return nil
+	}
+	axes, dim := d.shape()
+	data := d.floats()
+	if d.err != nil {
+		return nil
+	}
+	return &cube.RealCube{Axes: axes, Dim: dim, Data: data}
+}
+
+// Matrix reads a matrix (nil when absent or on error).
+func (d *Dec) Matrix() *linalg.Matrix {
+	if !d.Bool() {
+		return nil
+	}
+	rows, cols := d.Int(), d.Int()
+	data := d.complexes()
+	if d.err != nil {
+		return nil
+	}
+	return &linalg.Matrix{Rows: rows, Cols: cols, Data: data}
+}
+
+// Detections reads a detection report.
+func (d *Dec) Detections() []stap.Detection {
+	return GetSlice(d, detectionBytes, func(d *Dec) stap.Detection {
+		return stap.Detection{Range: d.Int(), DopplerBin: d.Int(), Beam: d.Int(),
+			Power: math.Float64frombits(d.Uint64()), Threshold: math.Float64frombits(d.Uint64())}
+	})
+}
+
+// errNilCube refuses a nil cube as a whole frame: the value a receiver
+// would decode it into has no nil.
+var errNilCube = errors.New("wire: a frame cannot hold a nil cube")
+
+// appendFlat appends v's flat form when it has one and reports whether
+// it does. A bare *cube.Cube is a frame of its own so that a probe of
+// the codec (bench's wire layer) prices the samples' path.
+func appendFlat(e *Enc, v any) (bool, error) {
+	switch v := v.(type) {
+	case Flattener:
+		return true, v.AppendFlat(e)
+	case *cube.Cube:
+		if v == nil {
+			return true, errNilCube
+		}
+		e.Cube(v)
+		return true, nil
+	}
+	return false, nil
+}
+
+// decodeFlat decodes a whole flat body into v.
+func decodeFlat(body []byte, v any) error {
+	d := Dec{b: body}
+	switch v := v.(type) {
+	case FlatDecoder:
+		d.Fail(v.DecodeFlat(&d))
+	case *cube.Cube:
+		if c := d.Cube(); c != nil {
+			*v = *c
+		} else {
+			d.Fail(errNilCube)
+		}
+	default:
+		return fmt.Errorf("wire: a flat frame cannot decode into %T", v)
+	}
+	if err := d.End(); err != nil {
+		return fmt.Errorf("wire: decode flat frame: %w", err)
+	}
+	return nil
+}

@@ -3,15 +3,75 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
+
+	"pstap/internal/cube"
+	"pstap/internal/linalg"
+	"pstap/internal/stap"
 )
 
+// msg has no flat form: it travels as gob, like a dist control frame.
 type msg struct {
 	ID   uint64
 	Body []float64
+}
+
+// payload is a message built from the four payload types, the way the
+// pipeline's messages and serve's Request/Response are.
+type payload struct {
+	C  *cube.Cube
+	RC *cube.RealCube
+	M  *linalg.Matrix
+	D  []stap.Detection
+}
+
+func (p *payload) AppendFlat(e *Enc) error {
+	e.Cube(p.C)
+	e.RealCube(p.RC)
+	e.Matrix(p.M)
+	e.Detections(p.D)
+	return nil
+}
+
+func (p *payload) DecodeFlat(d *Dec) error {
+	p.C, p.RC, p.M, p.D = d.Cube(), d.RealCube(), d.Matrix(), d.Detections()
+	return nil
+}
+
+// header builds a frame header by hand.
+func header(version byte, codec Codec, n uint32) []byte {
+	h := []byte{version, byte(codec), 0, 0, 0, 0}
+	binary.BigEndian.PutUint32(h[2:], n)
+	return h
+}
+
+func testCube() *cube.Cube {
+	c := cube.New(cube.Order{cube.Range, cube.Channel, cube.Pulse}, 2, 3, 2)
+	for i := range c.Data {
+		c.Data[i] = complex(float64(i), -float64(i))
+	}
+	c.Data[1] = complex(math.NaN(), math.Copysign(0, -1))
+	c.Data[2] = complex(math.Inf(1), math.Inf(-1))
+	return c
+}
+
+// sameCube compares two cubes sample by sample on their bit patterns.
+func sameCube(a, b *cube.Cube) bool {
+	if a.Axes != b.Axes || a.Dim != b.Dim || len(a.Data) != len(b.Data) || (a.Data == nil) != (b.Data == nil) {
+		return false
+	}
+	for i := range a.Data {
+		if math.Float64bits(real(a.Data[i])) != math.Float64bits(real(b.Data[i])) ||
+			math.Float64bits(imag(a.Data[i])) != math.Float64bits(imag(b.Data[i])) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -35,6 +95,73 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := ReadFrame(&buf, &v); err != io.EOF {
 		t.Fatalf("clean end: got %v, want io.EOF", err)
 	}
+
+	// The payload types travel flat, bit for bit, through one Writer/Reader
+	// pair reusing its buffers, interleaved with gob frames.
+	c := testCube()
+	rc := cube.NewReal(cube.Order{cube.Beam, cube.Doppler, cube.Range}, 1, 1, 3)
+	rc.Data[0], rc.Data[1] = math.NaN(), math.Inf(-1)
+	m := linalg.NewMatrix(2, 1)
+	m.Data[1] = complex(math.Copysign(0, -1), 7)
+	dets := []stap.Detection{{Range: 1, DopplerBin: 2, Beam: 3, Power: 4, Threshold: 5}}
+	fw, fr := NewWriter(&buf), NewReader(&buf)
+	for _, v := range []any{c, msg{ID: 4}, &payload{C: c, RC: rc, M: m, D: dets}, &payload{D: []stap.Detection{}}, &cube.Cube{}} {
+		if _, err := fw.WriteFrame(v); err != nil {
+			t.Fatalf("WriteFrame %T: %v", v, err)
+		}
+	}
+	read := func(v any, codec Codec) {
+		t.Helper()
+		got, err := fr.Next()
+		if err != nil || got != codec {
+			t.Fatalf("Next = %q, %v; want %q", got, err, codec)
+		}
+		if _, err := fr.Decode(v); err != nil {
+			t.Fatalf("Decode %T: %v", v, err)
+		}
+	}
+	var gc cube.Cube
+	read(&gc, Flat)
+	if !sameCube(&gc, c) {
+		t.Errorf("cube: got %v, want %v", gc.Data, c.Data)
+	}
+	first := gc
+	read(&v, Gob)
+	if v.ID != 4 {
+		t.Errorf("gob frame between flat ones: %+v", v)
+	}
+	var p payload
+	read(&p, Flat)
+	if !sameCube(p.C, c) {
+		t.Errorf("payload cube: got %v, want %v", p.C.Data, c.Data)
+	}
+	if p.RC.Axes != rc.Axes || p.RC.Dim != rc.Dim || math.Float64bits(p.RC.Data[0]) != math.Float64bits(rc.Data[0]) ||
+		p.RC.Data[1] != rc.Data[1] || p.RC.Data[2] != 0 {
+		t.Errorf("real cube: got %+v, want %+v", p.RC, rc)
+	}
+	if p.M.Rows != 2 || p.M.Cols != 1 || math.Float64bits(real(p.M.Data[1])) != math.Float64bits(real(m.Data[1])) || imag(p.M.Data[1]) != 7 {
+		t.Errorf("matrix: got %+v, want %+v", p.M, m)
+	}
+	if !reflect.DeepEqual(p.D, dets) {
+		t.Errorf("detections: got %+v, want %+v", p.D, dets)
+	}
+	read(&p, Flat) // a reused target is overwritten whole
+	if p.C != nil || p.RC != nil || p.M != nil || p.D == nil || len(p.D) != 0 {
+		t.Errorf("nil values and an empty report decoded as %+v", p)
+	}
+	gc.Data = []complex128{1}
+	read(&gc, Flat)
+	if gc.Data != nil || gc.Dim != [3]int{} {
+		t.Errorf("empty cube into a reused target: %+v", gc)
+	}
+	// Decoded samples are fresh memory: the frames read since through the
+	// same buffer left the first cube intact.
+	if !sameCube(&first, c) {
+		t.Errorf("first cube changed under later frames: %v", first.Data)
+	}
+	if _, err := fr.Next(); err != io.EOF {
+		t.Fatalf("clean end: got %v, want io.EOF", err)
+	}
 }
 
 func TestReadFrameRejectsCorruptInput(t *testing.T) {
@@ -45,12 +172,22 @@ func TestReadFrameRejectsCorruptInput(t *testing.T) {
 	}
 
 	// Oversized length prefix must be refused before allocating.
-	var huge bytes.Buffer
-	var hdr [8]byte
-	binary.BigEndian.PutUint64(hdr[:], MaxFrameBytes+1)
-	huge.Write(hdr[:])
-	if err := ReadFrame(&huge, &v); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+	if err := ReadFrame(bytes.NewReader(header(FormatVersion, Gob, MaxFrameBytes+1)), &v); err == nil ||
+		!strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("oversized prefix: got %v", err)
+	}
+
+	// Another build's frame is refused with both versions named.
+	err := ReadFrame(bytes.NewReader(header(FormatVersion+1, Gob, 0)), &v)
+	var verr *VersionError
+	if !errors.As(err, &verr) || verr.Got != FormatVersion+1 || verr.Want != FormatVersion ||
+		!strings.Contains(err.Error(), "format version") {
+		t.Fatalf("other version: got %v", err)
+	}
+
+	// An unknown codec byte.
+	if err := ReadFrame(bytes.NewReader(header(FormatVersion, 'x', 0)), &v); err == nil || !strings.Contains(err.Error(), "codec") {
+		t.Fatalf("unknown codec: got %v", err)
 	}
 
 	// Truncated payload.
@@ -64,21 +201,112 @@ func TestReadFrameRejectsCorruptInput(t *testing.T) {
 	}
 
 	// Well-framed garbage gob bytes: error, not panic.
-	var garbage bytes.Buffer
-	binary.BigEndian.PutUint64(hdr[:], 4)
-	garbage.Write(hdr[:])
-	garbage.Write([]byte{0xff, 0xfe, 0xfd, 0xfc})
-	if err := ReadFrame(&garbage, &v); err == nil || err == io.EOF {
+	garbage := append(header(FormatVersion, Gob, 4), 0xff, 0xfe, 0xfd, 0xfc)
+	if err := ReadFrame(bytes.NewReader(garbage), &v); err == nil || err == io.EOF {
 		t.Fatalf("garbage payload: got %v", err)
+	}
+
+	// A flat frame into a type without a flat form.
+	var flat bytes.Buffer
+	if err := WriteFrame(&flat, testCube()); err != nil {
+		t.Fatal(err)
+	}
+	if err := ReadFrame(bytes.NewReader(flat.Bytes()), &v); err == nil || !strings.Contains(err.Error(), "cannot decode into") {
+		t.Fatalf("flat frame into %T: got %v", &v, err)
+	}
+}
+
+// flatCorpus is a cube frame and frames of messages built from all four
+// payload types, as bytes.
+func flatCorpus(t testing.TB) [][]byte {
+	m := linalg.NewMatrix(1, 2)
+	m.Data[0] = 3 - 4i
+	var out [][]byte
+	for _, v := range []any{testCube(),
+		&payload{RC: cube.NewReal(cube.Order{cube.Beam, cube.Doppler, cube.Range}, 1, 2, 1), M: m,
+			D: []stap.Detection{{Range: 1, Power: 2}}},
+		&payload{C: testCube(), D: []stap.Detection{}}} {
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, v); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, buf.Bytes())
+	}
+	return out
+}
+
+// TestFlatFrameTruncatedEverywhere cuts each flat frame at every byte
+// offset: every strict prefix is an error (io.EOF only for the empty
+// one), and so is every cut body re-framed with its length patched to
+// match — never a panic.
+func TestFlatFrameTruncatedEverywhere(t *testing.T) {
+	for _, full := range flatCorpus(t) {
+		var v any
+		for _, tv := range []any{&cube.Cube{}, &payload{}} {
+			if ReadFrame(bytes.NewReader(full), tv) == nil {
+				v = tv
+			}
+		}
+		if v == nil {
+			t.Fatal("corpus frame decodes into no flat type")
+		}
+		for n := 0; n < len(full); n++ {
+			err := ReadFrame(bytes.NewReader(full[:n]), v)
+			if n == 0 && err != io.EOF {
+				t.Errorf("empty stream: got %v, want io.EOF", err)
+			}
+			if n > 0 && (err == nil || err == io.EOF) {
+				t.Errorf("prefix %d/%d: got %v, want an error", n, len(full), err)
+			}
+			if n < headerBytes {
+				continue
+			}
+			// The same prefix, re-framed as a complete shorter body.
+			cut := append(header(FormatVersion, Flat, uint32(n-headerBytes)), full[headerBytes:n]...)
+			if err := ReadFrame(bytes.NewReader(cut), v); err == nil {
+				t.Errorf("body cut to %d bytes decoded without error", n-headerBytes)
+			}
+		}
+	}
+}
+
+// TestFlatCountRefusedBeforeAllocating: a count the body cannot hold is
+// an error, whatever it claims.
+func TestFlatCountRefusedBeforeAllocating(t *testing.T) {
+	var e Enc
+	e.Bool(true)
+	e.shape(cube.Order{}, [3]int{1 << 20, 1 << 20, 1 << 20})
+	e.Int(1 << 60) // samples claimed; none follow
+	body := e.Bytes()
+	err := decodeFlat(body, &cube.Cube{})
+	if err == nil || !strings.Contains(err.Error(), "cannot fit") {
+		t.Fatalf("huge sample count: got %v", err)
+	}
+	e = Enc{}
+	e.Cube(nil)
+	e.RealCube(nil)
+	e.Matrix(nil)
+	e.Int(-7) // the detection count
+	if err := decodeFlat(e.Bytes(), &payload{}); err == nil || !strings.Contains(err.Error(), "negative count") {
+		t.Fatalf("negative count: got %v", err)
+	}
+	if err := decodeFlat([]byte{2}, &cube.Cube{}); err == nil {
+		t.Fatal("a bad presence byte decoded")
+	}
+	var ok Enc
+	(&payload{}).AppendFlat(&ok)
+	if err := decodeFlat(append(ok.Bytes(), 0), &payload{}); err == nil || !strings.Contains(err.Error(), "trailing") {
+		t.Fatalf("trailing byte: got %v", err)
 	}
 }
 
 func TestTimedFramesMeasure(t *testing.T) {
 	var buf bytes.Buffer
 	m := msg{ID: 9, Body: make([]float64, 4096)}
-	wt, err := WriteFrameTimed(&buf, m)
+	fw, fr := NewWriter(&buf), NewReader(&buf)
+	wt, err := fw.WriteFrame(m)
 	if err != nil {
-		t.Fatalf("WriteFrameTimed: %v", err)
+		t.Fatalf("WriteFrame: %v", err)
 	}
 	if wt.Bytes != int64(buf.Len()) {
 		t.Errorf("write Bytes %d, want buffered %d", wt.Bytes, buf.Len())
@@ -92,9 +320,9 @@ func TestTimedFramesMeasure(t *testing.T) {
 
 	wireLen := int64(buf.Len())
 	var got msg
-	rt, err := ReadFrameTimed(&buf, &got)
+	rt, err := fr.ReadFrame(&got)
 	if err != nil {
-		t.Fatalf("ReadFrameTimed: %v", err)
+		t.Fatalf("ReadFrame: %v", err)
 	}
 	if got.ID != 9 || len(got.Body) != 4096 {
 		t.Fatalf("round trip: %+v", got)
@@ -106,8 +334,21 @@ func TestTimedFramesMeasure(t *testing.T) {
 		t.Errorf("read timing %+v", rt)
 	}
 
+	// A flat frame is timed the same way, and counts its exact size.
+	c := cube.New(cube.Order{}, 4, 4, 4)
+	ft, err := fw.WriteFrame(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(headerBytes + 1 + 6*8 + 8 + 16*64); ft.Bytes != want || ft.CodecNs <= 0 {
+		t.Errorf("flat write timing %+v, want %d bytes", ft, want)
+	}
+	if rt, err := fr.ReadFrame(&cube.Cube{}); err != nil || rt.Bytes != ft.Bytes || rt.CodecNs <= 0 {
+		t.Errorf("flat read timing %+v, %v", rt, err)
+	}
+
 	// A timed read that hits clean EOF reports it exactly like ReadFrame.
-	if _, err := ReadFrameTimed(&buf, &got); err != io.EOF {
+	if _, err := fr.ReadFrame(&got); err != io.EOF {
 		t.Fatalf("clean end: got %v, want io.EOF", err)
 	}
 }
