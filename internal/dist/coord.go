@@ -9,12 +9,10 @@ import (
 
 	"pstap/internal/cube"
 	"pstap/internal/fault"
-	"pstap/internal/mp"
 	"pstap/internal/obs"
 	"pstap/internal/pipeline"
 	"pstap/internal/radar"
 	"pstap/internal/stap"
-	"pstap/internal/wire"
 )
 
 // ClusterConfig names a set of stapnode agents and how one pipeline
@@ -102,9 +100,7 @@ type Replica struct {
 	cluster string
 	session string
 	nodes   []string // dial addresses, for rewriting advertised obs addrs
-	st      *pipeline.Stream
-	tr      *Transport
-	world   *mp.World
+	hosted
 
 	closeOnce sync.Once
 }
@@ -135,54 +131,36 @@ func (c *ClusterConfig) Connect() (*Replica, error) {
 	for i, addr := range cfg.Nodes {
 		man.Nodes[i] = NodeSpec{Addr: addr, Tasks: cfg.Placement[i]}
 	}
-	if err := man.Sign(cfg.Secret); err != nil {
+	signed, err := man.Sign(cfg.Secret)
+	if err != nil {
 		return nil, err
 	}
-
-	tr := newTransport(0, len(cfg.Nodes), cfg.Placement.Owners(cfg.Assign), cfg.LinkWindow, cfg.Heartbeat, cfg.Fault)
-	world := mp.NewPartialWorld(cfg.Assign.Total()+1, cfg.Placement.HostedRanks(cfg.Assign, 0), tr)
-	tr.Bind(world)
-	if cfg.Obs != nil {
-		tr.Observe(cfg.Obs)
-	}
-	if cfg.Fault != nil {
-		cfg.Fault.Bind(world.Done())
-	}
-
-	fail := func(err error) (*Replica, error) {
-		world.Abort()
-		tr.Close("")
+	h, err := openSession(man, 0, cfg.LinkWindow, cfg.Obs, cfg.Fault, cfg.CPITimeout)
+	if err != nil {
 		return nil, err
 	}
+	r := &Replica{cluster: cfg.Name, session: session, nodes: cfg.Nodes, hosted: h}
 	for j := 1; j <= len(cfg.Nodes); j++ {
 		addr := cfg.Nodes[j-1]
-		conn, derr := net.DialTimeout("tcp", addr, cfg.DialTimeout)
-		if derr == nil {
-			derr = wire.WriteFrame(conn, &frame{Kind: frameHello, Session: session, From: 0, To: j, Manifest: man})
+		conn, err := net.DialTimeout("tcp", addr, cfg.DialTimeout)
+		if err == nil {
+			if err = writeFrame(conn, &frame{Kind: frameHello, Session: session, To: j, Manifest: signed, Auth: man.Sig}); err != nil {
+				conn.Close()
+			}
 		}
-		if derr != nil {
-			return fail(&LinkError{Member: j, Addr: addr, Err: derr})
+		if err != nil {
+			r.Abort()
+			return nil, &LinkError{Member: j, Addr: addr, Err: err}
 		}
-		tr.runLink(newLink(j, addr, conn, cfg.LinkWindow))
+		h.tr.runLink(j, addr, conn)
 	}
-	if err := tr.awaitReady(len(cfg.Nodes), cfg.ReadyTimeout); err != nil {
-		return fail(err)
-	}
-
-	st, err := pipeline.NewHostedStream(pipeline.StreamConfig{
-		Scene:      cfg.Scene,
-		Assign:     cfg.Assign,
-		Window:     cfg.Window,
-		Threads:    cfg.Threads,
-		Obs:        cfg.Obs,
-		CPITimeout: cfg.CPITimeout,
-	}, pipeline.Hosting{World: world, Driver: true})
-	if err != nil {
-		return fail(err)
+	if err := h.tr.awaitReady(len(cfg.Nodes), cfg.ReadyTimeout); err != nil {
+		r.Abort()
+		return nil, err
 	}
 	cfg.Logf("dist: cluster %s session %s live: %d nodes, placement %s, manifest %s",
 		cfg.Name, session, len(cfg.Nodes), cfg.Placement, man.SigPrefix())
-	return &Replica{cluster: cfg.Name, session: session, nodes: cfg.Nodes, st: st, tr: tr, world: world}, nil
+	return r, nil
 }
 
 // Session returns the replica's session identifier.
@@ -219,10 +197,8 @@ func (r *Replica) ProcessJobOpts(cpis []*cube.Cube, opts pipeline.JobOpts) ([][]
 		return nil, &ReplicaLostError{Cluster: r.cluster, Session: r.session, Cause: err}
 	}
 	if errors.Is(err, pipeline.ErrStreamClosed) && r.world.Aborted() {
-		if cause := r.world.AbortCause(); cause != nil {
-			if errors.As(cause, &le) {
-				return nil, &ReplicaLostError{Cluster: r.cluster, Session: r.session, Cause: cause}
-			}
+		if cause := r.world.AbortCause(); errors.As(cause, &le) {
+			return nil, &ReplicaLostError{Cluster: r.cluster, Session: r.session, Cause: cause}
 		}
 	}
 	return nil, err
@@ -244,8 +220,10 @@ func (r *Replica) LinkStats() []LinkStats { return r.tr.Stats() }
 // coordinator dialed the node on, so the addresses are fetchable from
 // here.
 func (r *Replica) NodeObs() map[int]string {
-	out := make(map[int]string)
-	for m, addr := range r.tr.ObsAddrs() {
+	r.tr.mu.Lock()
+	defer r.tr.mu.Unlock()
+	out := make(map[int]string, len(r.tr.obsAddrs))
+	for m, addr := range r.tr.obsAddrs {
 		dial := ""
 		if m >= 1 && m <= len(r.nodes) {
 			dial = r.nodes[m-1]

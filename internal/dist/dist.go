@@ -7,27 +7,35 @@
 // contiguous run of task groups per a Placement. Worker code is untouched:
 // internal/pipeline spawns the same worker bodies against a partial
 // mp.World whose non-hosted traffic rides internal/wire frames with
-// per-link credit-based flow control and heartbeats. A data frame is flat:
-// a fixed header (Seq, Src, Dst, Tag, Deadline) and the pipeline message
-// in pipeline.AppendMessage's form, its samples as float64 bit patterns;
-// the rare control frames (hello with the manifest, credit, ping/pong,
-// barrier, ready, goodbye) are gob. Every frame starts with the wire
+// per-link credit-based flow control and heartbeats. Every frame is flat:
+// its header names its kind (hello, data, credit, ping/pong,
+// barrier/release, ready, goodbye) and its body holds exactly that kind's
+// fields — a data frame's pipeline message in pipeline.AppendMessage's
+// form, samples as float64 bit patterns. Every frame starts with the wire
 // format version, so every process of a replica must be the same build:
 // a node or coordinator from another build is refused at the hello with
 // an error naming both versions — never a mis-decode.
 //
-// Wiring: the coordinator dials every node and sends the HMAC-signed
-// placement Manifest as its hello; node j then dials nodes 1..j-1, so every
-// member pair shares exactly one full-duplex link. A link failure — read
-// error, heartbeat loss, or a peer's goodbye carrying a fault — aborts the
-// local world with a typed *LinkError as its cause; the coordinator's
-// Replica wraps that into *ReplicaLostError, which internal/serve maps to
-// StatusReplicaLost and answers by recycling the slot.
+// Wiring: the coordinator and each node open their share of a session the
+// same way (openSession). The coordinator dials every node and sends the
+// HMAC-signed placement Manifest as its hello — the signed bytes and their
+// MAC, which the node checks before it decodes a byte of them; node j
+// then dials nodes 1..j-1, so every member pair shares exactly one
+// full-duplex link. A link failure — read error, heartbeat loss, or a
+// peer's goodbye carrying a fault — aborts the local world with a typed
+// *LinkError as its cause; the coordinator's Replica wraps that into
+// *ReplicaLostError, which internal/serve maps to StatusReplicaLost and
+// answers by recycling the slot.
 package dist
 
 import (
 	"fmt"
 	"time"
+
+	"pstap/internal/fault"
+	"pstap/internal/mp"
+	"pstap/internal/obs"
+	"pstap/internal/pipeline"
 )
 
 // Defaults for the tunable link timings and window.
@@ -40,6 +48,46 @@ const (
 
 // heartbeatMisses is how many silent heartbeat intervals mark a link dead.
 const heartbeatMisses = 3
+
+// hosted is one member's live share of a replica session: the transport
+// to its peers, the partial world bound to it and the stream running the
+// ranks it hosts.
+type hosted struct {
+	tr    *Transport
+	world *mp.World
+	st    *pipeline.Stream
+}
+
+// openSession builds member's share of the replica man describes, the
+// coordinator's (member 0: the driver rank) and a node's (its task
+// groups) alike: a transport routing every other rank to the member
+// hosting it, the partial world bound to it, and the hosted stream. col,
+// when non-nil, journals spans and wire costs; inj, when non-nil, arms
+// the links — and a node's workers: the coordinator's injector is
+// link-plane only. Links attach afterwards, through runLink.
+func openSession(man *Manifest, member, window int, col *obs.Collector, inj *fault.Injector, cpiTimeout time.Duration) (hosted, error) {
+	p := man.Placement()
+	if err := p.Validate(); err != nil {
+		return hosted{}, err
+	}
+	tr := newTransport(member, len(man.Nodes), p.Owners(man.Assign), window, man.Heartbeat, inj)
+	world := mp.NewPartialWorld(man.Assign.Total()+1, p.HostedRanks(man.Assign, member), tr)
+	tr.world, tr.obs = world, col
+	cfg := pipeline.StreamConfig{Scene: man.Scene, Assign: man.Assign, Window: man.Window,
+		Threads: man.Threads, Obs: col, CPITimeout: cpiTimeout}
+	if inj != nil {
+		inj.Bind(world.Done())
+		if member != 0 {
+			cfg.Fault = inj
+		}
+	}
+	st, err := pipeline.NewHostedStream(cfg, pipeline.Hosting{World: world, Driver: member == 0, Tasks: p.Tasks(member)})
+	if err != nil {
+		world.Abort()
+		return hosted{}, err
+	}
+	return hosted{tr: tr, world: world, st: st}, nil
+}
 
 // LinkError is the typed connection-loss failure: the first wire-level
 // error observed on the link to a peer member. It becomes the world's

@@ -2,12 +2,14 @@ package dist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -343,6 +345,109 @@ func TestBadSecretRejected(t *testing.T) {
 	}
 }
 
+// TestHelloCheckedBeforeDecoding: a node refuses what it cannot trust
+// before it parses it. A first frame that is not a hello, or that claims
+// more than maxHelloBytes, is refused on its header alone — the node
+// hangs up without waiting for the body; a hello whose MAC is wrong is
+// refused without its manifest bytes being decoded, however much garbage
+// they hold. The same node then serves a real session bit-exact.
+func TestHelloCheckedBeforeDecoding(t *testing.T) {
+	leakcheck.Check(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logMu sync.Mutex
+	var logs []string
+	node := NewNode(ln, NodeConfig{Secret: testSecret, Logf: func(format string, args ...any) {
+		logMu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		logMu.Unlock()
+		t.Logf(format, args...)
+	}})
+	go node.Serve()
+	t.Cleanup(node.Close)
+	refusedWith := func(want string) bool {
+		logMu.Lock()
+		defer logMu.Unlock()
+		for _, l := range logs {
+			if strings.Contains(l, want) {
+				return true
+			}
+		}
+		return false
+	}
+	// send writes b and reports whether the node hung up within a second,
+	// well before the hello timeout that a wait for more bytes would run
+	// into.
+	send := func(b []byte) bool {
+		t.Helper()
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		go conn.Write(b)
+		conn.SetReadDeadline(time.Now().Add(time.Second))
+		_, err = conn.Read(make([]byte, 1))
+		var ne net.Error
+		return err != nil && !(errors.As(err, &ne) && ne.Timeout())
+	}
+	header := func(kind frameKind, n uint32) []byte {
+		h := []byte{wire.FormatVersion, byte(kind), 0, 0, 0, 0}
+		binary.BigEndian.PutUint32(h[2:], n)
+		return h
+	}
+
+	// Headers alone, their bodies never sent.
+	if !send(header(framePing, 16)) {
+		t.Error("a first frame of kind ping was not refused on its header")
+	}
+	if !send(header(frameHello, maxHelloBytes+1)) {
+		t.Error("a hello longer than maxHelloBytes was not refused on its header")
+	}
+	// A control: a hello header within the bound is waited on for its body.
+	if send(header(frameHello, 64)) {
+		t.Fatal("the node hung up on a hello header within the bound; the probes above prove nothing")
+	}
+
+	// A coordinator hello with a wrong MAC over 1 MiB of garbage is refused
+	// on its length; under the bound, the same garbage is refused on its
+	// MAC — neither reaches the manifest decoder.
+	garbage := bytes.Repeat([]byte{0xff, 0x00, 0x7f, 0x80}, 1<<18) // 1 MiB
+	for _, n := range []int{len(garbage), maxHelloBytes / 2} {
+		var b bytes.Buffer
+		writeFrame(&b, &frame{Kind: frameHello, Session: "s", To: 1, Manifest: garbage[:n], Auth: make([]byte, 32)})
+		if !send(b.Bytes()) {
+			t.Errorf("hello with a wrong MAC over %d bytes of garbage was not refused", n)
+		}
+	}
+	if !refusedWith(fmt.Sprintf("want a hello of at most %d", maxHelloBytes)) {
+		t.Error("no refusal on the hello's length was logged")
+	}
+	if !refusedWith("manifest signature does not verify") {
+		t.Error("no refusal on the hello's MAC was logged")
+	}
+	if refusedWith("decode signed manifest") {
+		t.Error("an unauthenticated manifest reached the decoder")
+	}
+
+	sc := radar.DefaultScene(radar.Small())
+	cfg := testCluster(t, []string{ln.Addr().String()}, sc)
+	rep := connectRetry(t, cfg)
+	defer rep.Close()
+	want := runSerial(sc, 3)
+	dets, err := rep.ProcessJob(makeJob(sc, len(want)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if !sameDetections(dets[i], want[i]) {
+			t.Errorf("CPI %d: dist %v != serial %v", i, dets[i], want[i])
+		}
+	}
+}
+
 // TestCrossProcessBarrier runs mp.World.Barrier across a coordinator and
 // two node transports wired over loopback: every rank of every member
 // must block until all have arrived, generation after generation.
@@ -358,7 +463,7 @@ func TestCrossProcessBarrier(t *testing.T) {
 	trans := map[int]*Transport{0: t0, 1: t1, 2: t2}
 	bind := func(tr *Transport, first, n int) *mp.World {
 		w := mp.NewPartialWorld(5, mp.Group{First: first, N: n}, tr)
-		tr.Bind(w)
+		tr.world = w
 		return w
 	}
 	w0 := bind(t0, 4, 1)
@@ -366,8 +471,8 @@ func TestCrossProcessBarrier(t *testing.T) {
 	w2 := bind(t2, 2, 2)
 	connect := func(a, b int) {
 		ca, cb := tcpPair(t)
-		trans[a].runLink(newLink(b, "pair", ca, 0))
-		trans[b].runLink(newLink(a, "pair", cb, 0))
+		trans[a].runLink(b, "pair", ca)
+		trans[b].runLink(a, "pair", cb)
 	}
 	connect(0, 1)
 	connect(0, 2)
@@ -432,70 +537,88 @@ func tcpPair(t *testing.T) (net.Conn, net.Conn) {
 	return a, r.c
 }
 
+// readFrame reads one link frame from r the way a link's reader does: the
+// kind from the header, then the body into a frame of that kind.
+func readFrame(r io.Reader) (frame, error) {
+	fr := wire.NewReader(r)
+	k, _, err := fr.Next()
+	f := frame{Kind: frameKind(k)}
+	if err == nil {
+		_, err = fr.Decode(&f)
+	}
+	return f, err
+}
+
 // TestOtherBuildRefusedAtHello: every frame starts with the wire format
-// version, so a peer of another build is refused at the hello with both
-// versions named, in both directions — never a gob type error or a
-// mis-decode.
+// version, so a peer of another build — the next format version or the
+// previous one — is refused at the hello with both versions named, in
+// both directions — never a mis-decode.
 func TestOtherBuildRefusedAtHello(t *testing.T) {
 	leakcheck.Check(t)
-	// A fake node answering the coordinator's hello with one of the next
-	// format version.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	served := make(chan struct{})
-	go func() {
-		defer close(served)
-		conn, err := ln.Accept()
+	for _, delta := range []int{+1, -1} {
+		other := byte(int(wire.FormatVersion) + delta)
+		// A fake node answering the coordinator's hello with one of the
+		// other format version.
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			return
+			t.Fatal(err)
 		}
-		defer conn.Close()
-		var hello frame
-		if err := wire.ReadFrame(conn, &hello); err != nil || hello.Manifest == nil {
-			t.Errorf("coordinator hello: %+v, %v", hello.Kind, err)
+		defer ln.Close()
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			hello, err := readFrame(conn)
+			if err != nil || hello.Kind != frameHello || len(hello.Manifest) == 0 {
+				t.Errorf("coordinator hello: %+v, %v", hello.Kind, err)
+			}
+			var b bytes.Buffer
+			writeFrame(&b, &frame{Kind: frameHello, Session: hello.Session, From: 1})
+			b.Bytes()[0] = other // the format version byte
+			conn.Write(b.Bytes())
+			io.Copy(io.Discard, conn) // until the coordinator hangs up
+		}()
+		cfg := testCluster(t, []string{ln.Addr().String()}, radar.DefaultScene(radar.Small()))
+		if _, err := cfg.Connect(); err == nil || !strings.Contains(err.Error(), "format version") {
+			t.Fatalf("Connect to a node of format version %d = %v, want an error naming the format versions", other, err)
 		}
-		var b bytes.Buffer
-		wire.WriteFrame(&b, &frame{Kind: frameHello, Session: hello.Session, From: 1})
-		b.Bytes()[0]++ // the format version byte
-		conn.Write(b.Bytes())
-		io.Copy(io.Discard, conn) // until the coordinator hangs up
-	}()
-	cfg := testCluster(t, []string{ln.Addr().String()}, radar.DefaultScene(radar.Small()))
-	if _, err := cfg.Connect(); err == nil || !strings.Contains(err.Error(), "format version") {
-		t.Fatalf("Connect to a node of another build = %v, want an error naming the format versions", err)
+		<-served
 	}
-	<-served
 
-	// A real node answers a hello of the next version with a goodbye in its
+	// A real node answers a hello of another version with a goodbye in its
 	// own, whose reason names both. The hello is a whole frame, body and
 	// all — the node reads only its header — and the goodbye must still
 	// arrive, followed by a clean close.
 	_, addrs := startNodes(t, 1)
-	conn, err := net.Dial("tcp", addrs[0])
-	if err != nil {
-		t.Fatal(err)
+	for _, delta := range []int{+1, -1} {
+		other := byte(int(wire.FormatVersion) + delta)
+		conn, err := net.Dial("tcp", addrs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		var hello bytes.Buffer
+		// A body larger than the socket buffers.
+		writeFrame(&hello, &frame{Kind: frameHello, Session: "s", From: 2, To: 1, Auth: make([]byte, 1<<20)})
+		hello.Bytes()[0] = other // the format version byte
+		sent := make(chan struct{})
+		go func() {
+			defer close(sent)
+			conn.Write(hello.Bytes())
+		}()
+		bye, err := readFrame(conn)
+		if err != nil || bye.Kind != frameGoodbye ||
+			!strings.Contains(bye.Reason, fmt.Sprintf("format version %d, this build speaks format version %d", other, wire.FormatVersion)) {
+			t.Fatalf("node's answer to format version %d: %+v, %v; want a goodbye naming both versions", other, bye, err)
+		}
+		if _, err := readFrame(conn); err != io.EOF {
+			t.Errorf("after the goodbye: %v, want the connection closed (io.EOF)", err)
+		}
+		conn.Close()
+		<-sent
 	}
-	defer conn.Close()
-	var hello bytes.Buffer
-	// A body larger than the socket buffers.
-	wire.WriteFrame(&hello, &frame{Kind: frameHello, Session: "s", From: 2, To: 1, Auth: make([]byte, 1<<20)})
-	hello.Bytes()[0]++ // the format version byte
-	sent := make(chan struct{})
-	go func() {
-		defer close(sent)
-		conn.Write(hello.Bytes())
-	}()
-	var bye frame
-	if err := wire.ReadFrame(conn, &bye); err != nil || bye.Kind != frameGoodbye ||
-		!strings.Contains(bye.Reason, fmt.Sprintf("format version %d, this build speaks format version %d", wire.FormatVersion+1, wire.FormatVersion)) {
-		t.Fatalf("node's answer: %+v, %v; want a goodbye naming both versions", bye, err)
-	}
-	if err := wire.ReadFrame(conn, &bye); err != io.EOF {
-		t.Errorf("after the goodbye: %v, want the connection closed (io.EOF)", err)
-	}
-	conn.Close()
-	<-sent
 }

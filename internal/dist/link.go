@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -29,19 +30,18 @@ const (
 )
 
 // frame is the single message of the link protocol; Kind selects which
-// fields are meaningful. It has two wire forms (internal/wire): a data
-// frame is flat — the fixed header Seq, Src, Dst, Tag, Deadline and the
-// pipeline message in pipeline.AppendMessage's form (see dataFrame) — and
-// every other kind, rare by comparison, is a gob-encoded frame. A reader
-// therefore knows a data frame from its header's codec byte alone.
+// fields are meaningful. Its wire form (internal/wire) names the kind in
+// the frame header — so a reader can hold, time or refuse a frame before
+// its body is read — and the body is flat: exactly the fields AppendFlat
+// writes for that kind, in the order DecodeFlat reads them back.
 type frame struct {
 	Kind frameKind
 
 	// Hello fields.
 	Session  string
-	From, To int       // member indices
-	Manifest *Manifest // coordinator hellos only
-	Auth     []byte    // node→node hellos: peerAuth MAC
+	From, To int    // member indices
+	Manifest []byte // coordinator hellos: the manifest's signed form (Manifest.Sign)
+	Auth     []byte // the hello's MAC: over Manifest from the coordinator, peerAuth from a node
 
 	// Data fields.
 	Seq           int // per-link outbound data sequence (fault addressing)
@@ -67,33 +67,77 @@ type frame struct {
 	ObsAddr string
 }
 
-// dataFrame is a data frame's flat wire form: the fixed header, then the
-// message. frame.DecodeFlat reads it back.
-type dataFrame struct {
-	seq, src, dst, tag int
-	deadline           int64
-	msg                any
+// AppendFlat implements wire.Flattener: the fields of f's kind, the
+// pipeline message of a data frame in pipeline.AppendMessage's form.
+func (f *frame) AppendFlat(e *wire.Enc) error {
+	switch f.Kind {
+	case frameHello:
+		e.Text(f.Session)
+		e.Int(f.From)
+		e.Int(f.To)
+		wire.PutSlice(e, f.Manifest, (*wire.Enc).Byte)
+		wire.PutSlice(e, f.Auth, (*wire.Enc).Byte)
+	case frameData:
+		e.Int(f.Seq)
+		e.Int(f.Src)
+		e.Int(f.Dst)
+		e.Int(f.Tag)
+		e.Int64(f.Deadline)
+		return pipeline.AppendMessage(e, f.Data)
+	case frameCredit:
+		e.Int(f.Credits)
+	case framePing:
+		e.Int(f.Seq)
+		e.Int64(f.Deadline)
+	case framePong:
+		e.Int(f.Seq)
+		e.Int64(f.T)
+	case frameBarrier, frameRelease:
+		e.Int(f.Gen)
+	case frameReady:
+		e.Text(f.ObsAddr)
+	case frameGoodbye:
+		e.Text(f.Reason)
+	default:
+		return fmt.Errorf("dist: unknown frame kind %d", f.Kind)
+	}
+	return nil
 }
 
-// AppendFlat implements wire.Flattener.
-func (f *dataFrame) AppendFlat(e *wire.Enc) error {
-	e.Int(f.seq)
-	e.Int(f.src)
-	e.Int(f.dst)
-	e.Int(f.tag)
-	e.Int64(f.deadline)
-	return pipeline.AppendMessage(e, f.msg)
-}
-
-// DecodeFlat implements wire.FlatDecoder: a flat body is a data frame.
+// DecodeFlat implements wire.FlatDecoder for a frame whose Kind the
+// caller set from the frame header. The reads on each line run in field
+// order: Go evaluates an assignment's calls left to right.
 func (f *frame) DecodeFlat(d *wire.Dec) (err error) {
-	*f = frame{Kind: frameData}
-	f.Seq = d.Int()
-	f.Src = d.Int()
-	f.Dst = d.Int()
-	f.Tag = d.Int()
-	f.Deadline = d.Int64()
-	f.Data, err = pipeline.DecodeMessage(d)
+	*f = frame{Kind: f.Kind}
+	switch f.Kind {
+	case frameHello:
+		f.Session, f.From, f.To = d.Text(), d.Int(), d.Int()
+		f.Manifest, f.Auth = wire.GetSlice(d, 1, (*wire.Dec).Byte), wire.GetSlice(d, 1, (*wire.Dec).Byte)
+	case frameData:
+		f.Seq, f.Src, f.Dst, f.Tag, f.Deadline = d.Int(), d.Int(), d.Int(), d.Int(), d.Int64()
+		f.Data, err = pipeline.DecodeMessage(d)
+	case frameCredit:
+		f.Credits = d.Int()
+	case framePing:
+		f.Seq, f.Deadline = d.Int(), d.Int64()
+	case framePong:
+		f.Seq, f.T = d.Int(), d.Int64()
+	case frameBarrier, frameRelease:
+		f.Gen = d.Int()
+	case frameReady:
+		f.ObsAddr = d.Text()
+	case frameGoodbye:
+		f.Reason = d.Text()
+	default:
+		return fmt.Errorf("dist: unknown frame kind %d", f.Kind)
+	}
+	return err
+}
+
+// writeFrame writes f to a connection that has no link yet: a hello, or
+// the goodbye refusing one.
+func writeFrame(w io.Writer, f *frame) error {
+	_, err := wire.NewWriter(w).WriteFrame(wire.Kind(f.Kind), f)
 	return err
 }
 
@@ -120,6 +164,7 @@ type link struct {
 
 	wmu sync.Mutex   // serializes frame writes
 	fw  *wire.Writer // guarded by wmu
+	out frame        // the frame being written, guarded by wmu
 	fr  *wire.Reader // owned by the Transport's reader loop
 
 	// credits gates outbound data frames; the peer returns tokens with
@@ -175,20 +220,16 @@ func newLink(member int, addr string, conn net.Conn, window int) *link {
 	return l
 }
 
-// write sends one control frame (gob) under the writer lock, counting
-// its bytes.
-func (l *link) write(f *frame) error {
-	_, err := l.writeTimed(f)
-	return err
-}
-
-// writeTimed sends one frame — a *frame control frame or a *dataFrame —
-// under the writer lock, counting its bytes and returning the codec/IO
-// split for the wire-cost accounting.
-func (l *link) writeTimed(v any) (wire.FrameTiming, error) {
+// write sends one frame under the writer lock, counting its bytes and
+// returning the codec/IO split for the wire-cost accounting. The frame is
+// encoded from the link's own copy, so a send allocates nothing, and the
+// copy is cleared after so the link pins no payload between sends.
+func (l *link) write(f frame) (wire.FrameTiming, error) {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
-	ft, err := l.fw.WriteFrame(v)
+	l.out = f
+	ft, err := l.fw.WriteFrame(wire.Kind(f.Kind), &l.out)
+	l.out = frame{}
 	if err != nil {
 		return ft, err
 	}
@@ -230,7 +271,7 @@ func (l *link) sendData(src, dst, tag int, data any, deadline int64, inj *fault.
 			return err
 		}
 	}
-	ft, err := l.writeTimed(&dataFrame{seq: seq, src: src, dst: dst, tag: tag, deadline: deadline, msg: data})
+	ft, err := l.write(frame{Kind: frameData, Seq: seq, Src: src, Dst: dst, Tag: tag, Deadline: deadline, Data: data})
 	if err != nil {
 		return err
 	}
@@ -310,7 +351,8 @@ func (l *link) ping(deadline int64) error {
 		}
 	}
 	l.pmu.Unlock()
-	return l.write(&frame{Kind: framePing, Seq: seq, Deadline: deadline})
+	_, err := l.write(frame{Kind: framePing, Seq: seq, Deadline: deadline})
+	return err
 }
 
 // pong matches a heartbeat echo to its probe, folds the round-trip into

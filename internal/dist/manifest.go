@@ -7,6 +7,7 @@ import (
 	"crypto/sha256"
 	"encoding/gob"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -168,7 +169,7 @@ type Manifest struct {
 	// distributed face of stapd's chaos mode.
 	FaultPlan string
 	Seed      int64
-	Sig       []byte // HMAC-SHA256 over the gob of the manifest with Sig nil
+	Sig       []byte // HMAC-SHA256 over the signed form (Sign)
 }
 
 // Placement reconstructs the Placement from the node specs.
@@ -190,38 +191,40 @@ func (m *Manifest) SigPrefix() string {
 	return hex.EncodeToString(m.Sig[:4])
 }
 
-// signingBytes is the canonical byte form the signature covers.
-func (m *Manifest) signingBytes() ([]byte, error) {
+// Sign encodes the manifest's signed form — the gob of the manifest with
+// Sig nil, the bytes a hello carries — and stores their HMAC under the
+// cluster secret in Sig. It returns the signed form.
+func (m *Manifest) Sign(secret []byte) ([]byte, error) {
 	c := *m
 	c.Sig = nil
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&c); err != nil {
 		return nil, err
 	}
+	m.Sig = manifestMAC(secret, buf.Bytes())
 	return buf.Bytes(), nil
 }
 
-// Sign computes and stores the manifest's HMAC under the cluster secret.
-func (m *Manifest) Sign(secret []byte) error {
-	b, err := m.signingBytes()
-	if err != nil {
-		return err
+// verifyManifest is the receiving side of Sign: it checks sig over the
+// signed form exactly as received, and only then decodes it — bytes from
+// a peer that does not hold the cluster secret never reach the decoder.
+func verifyManifest(secret, signed, sig []byte) (*Manifest, error) {
+	if !hmac.Equal(manifestMAC(secret, signed), sig) {
+		return nil, errors.New("dist: manifest signature does not verify under the cluster secret")
 	}
-	h := hmac.New(sha256.New, secret)
-	h.Write(b)
-	m.Sig = h.Sum(nil)
-	return nil
+	m := new(Manifest)
+	if err := gob.NewDecoder(bytes.NewReader(signed)).Decode(m); err != nil {
+		return nil, fmt.Errorf("dist: decode signed manifest: %w", err)
+	}
+	m.Sig = sig
+	return m, nil
 }
 
-// Verify checks the manifest's signature under the cluster secret.
-func (m *Manifest) Verify(secret []byte) bool {
-	b, err := m.signingBytes()
-	if err != nil {
-		return false
-	}
+// manifestMAC is the HMAC-SHA256 of a manifest's signed form.
+func manifestMAC(secret, signed []byte) []byte {
 	h := hmac.New(sha256.New, secret)
-	h.Write(b)
-	return hmac.Equal(h.Sum(nil), m.Sig)
+	h.Write(signed)
+	return h.Sum(nil)
 }
 
 // peerAuth authenticates a node→node hello: an HMAC over the session and

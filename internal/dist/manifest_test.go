@@ -1,7 +1,9 @@
 package dist
 
 import (
+	"bytes"
 	"encoding/hex"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -106,7 +108,7 @@ func TestManifestSigPrefix(t *testing.T) {
 	if got := man.SigPrefix(); got != "unsigned" {
 		t.Errorf("unsigned manifest SigPrefix = %q", got)
 	}
-	if err := man.Sign([]byte("s3cret")); err != nil {
+	if _, err := man.Sign([]byte("s3cret")); err != nil {
 		t.Fatal(err)
 	}
 	got := man.SigPrefix()
@@ -167,17 +169,36 @@ func TestManifestSignVerify(t *testing.T) {
 		Heartbeat: time.Second,
 	}
 	secret := []byte("s3cret")
-	if err := man.Sign(secret); err != nil {
+	signed, err := man.Sign(secret)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !man.Verify(secret) {
-		t.Fatal("freshly signed manifest does not verify")
+	got, err := verifyManifest(secret, signed, man.Sig)
+	if err != nil {
+		t.Fatalf("freshly signed manifest does not verify: %v", err)
 	}
-	if man.Verify([]byte("other")) {
+	if got.Session != man.Session || !reflect.DeepEqual(got.Nodes, man.Nodes) || got.Heartbeat != man.Heartbeat ||
+		!bytes.Equal(got.Sig, man.Sig) {
+		t.Errorf("verified manifest %+v, want %+v", got, man)
+	}
+	if _, err := verifyManifest([]byte("other"), signed, man.Sig); err == nil {
 		t.Error("manifest verifies under the wrong secret")
 	}
-	man.Nodes[0].Addr = "evil:1"
-	if man.Verify(secret) {
+	tampered := bytes.Replace(signed, []byte("a:1"), []byte("e:1"), 1)
+	if bytes.Equal(tampered, signed) {
+		t.Fatal("node address not found in the signed form")
+	}
+	if _, err := verifyManifest(secret, tampered, man.Sig); err == nil {
 		t.Error("tampered manifest still verifies")
+	}
+	// The MAC is checked before anything is decoded: garbage under a wrong
+	// MAC is refused as unsigned; only under the right one does it reach
+	// the decoder.
+	garbage := bytes.Repeat([]byte{0xff}, 64)
+	if _, err := verifyManifest(secret, garbage, man.Sig); err == nil || !strings.Contains(err.Error(), "signature") {
+		t.Errorf("garbage under a wrong MAC: %v, want a signature error", err)
+	}
+	if _, err := verifyManifest(secret, garbage, manifestMAC(secret, garbage)); err == nil || !strings.Contains(err.Error(), "decode") {
+		t.Errorf("garbage under its own MAC: %v, want a decode error", err)
 	}
 }

@@ -1,17 +1,17 @@
 package dist
 
 import (
+	"cmp"
 	"crypto/hmac"
 	"errors"
 	"fmt"
+	"io"
 	"net"
-	"time"
-
 	"sync"
+	"time"
 
 	"pstap/internal/fault"
 	"pstap/internal/history"
-	"pstap/internal/mp"
 	"pstap/internal/obs"
 	"pstap/internal/pipeline"
 	"pstap/internal/wire"
@@ -75,14 +75,10 @@ type Node struct {
 	// and kill the replacement replica the same way.
 	plans map[planKey]*fault.Plan
 
-	// Telemetry state of the most recent session, kept past its end so
-	// the HTTP surface stays useful for post-mortems between sessions.
-	obsMu      sync.Mutex
-	lastCol    *obs.Collector
-	lastSess   string
-	lastMember int
-	lastTr     *Transport
-	lastAssign pipeline.Assignment
+	// The most recent wired session, kept past its end so the telemetry
+	// surface stays useful for post-mortems between sessions.
+	obsMu sync.Mutex
+	last  *session
 
 	// Metric history sampler (started by ObsMux, see obs.go).
 	histMu   sync.Mutex
@@ -110,10 +106,9 @@ type session struct {
 	id     string
 	member int
 	man    *Manifest
-	tr     *Transport
-	world  *mp.World
-	st     *pipeline.Stream
-	done   chan struct{} // closed when run returns
+	col    *obs.Collector // the session's telemetry
+	hosted                // set under the node mutex once wired; zero until then
+	done   chan struct{}  // closed when run returns
 }
 
 // NewNode wraps a listener as a stapnode agent; call Serve to run it.
@@ -159,46 +154,27 @@ func (n *Node) Serve() error {
 }
 
 // Close shuts the agent down: stop accepting, tear down the live session
-// and parked connections, and join every goroutine.
-func (n *Node) Close() {
-	n.mu.Lock()
-	n.closed = true
-	sess := n.sess
-	parked := n.parked
-	n.parked = nil
-	var world *mp.World
-	if sess != nil {
-		world = sess.world
-	}
-	n.mu.Unlock()
-	n.stopHistory()
-	n.ln.Close()
-	for _, p := range parked {
-		p.conn.Close()
-	}
-	if world != nil {
-		world.Abort()
-	}
-	if sess != nil {
-		<-sess.done
-	}
-	n.wg.Wait()
-}
+// (its links say goodbye) and parked connections, and join every
+// goroutine.
+func (n *Node) Close() { n.shutdown(false) }
 
 // Kill hard-stops the agent without goodbyes, modeling a killed process:
 // every socket drops cold and peers must detect the loss through read
 // errors or missed heartbeats. Used by chaos tests; real deployments die
 // with the process.
-func (n *Node) Kill() {
+func (n *Node) Kill() { n.shutdown(true) }
+
+// shutdown is Close, or Kill when cold: the live session's sockets drop
+// before its world is aborted, so the goodbyes its teardown sends go
+// nowhere.
+func (n *Node) shutdown(cold bool) {
 	n.mu.Lock()
 	n.closed = true
-	sess := n.sess
-	parked := n.parked
+	sess, parked := n.sess, n.parked
 	n.parked = nil
-	var tr *Transport
-	var world *mp.World
+	var h hosted
 	if sess != nil {
-		tr, world = sess.tr, sess.world
+		h = sess.hosted
 	}
 	n.mu.Unlock()
 	n.stopHistory()
@@ -206,11 +182,11 @@ func (n *Node) Kill() {
 	for _, p := range parked {
 		p.conn.Close()
 	}
-	if tr != nil {
-		tr.dropConns()
-	}
-	if world != nil {
-		world.Abort()
+	if h.world != nil {
+		if cold {
+			h.tr.dropConns()
+		}
+		h.world.Abort()
 	}
 	if sess != nil {
 		<-sess.done
@@ -218,55 +194,83 @@ func (n *Node) Kill() {
 	n.wg.Wait()
 }
 
-// handshake reads a connection's hello and routes it.
+// maxHelloBytes bounds the first frame of an accepted connection, checked
+// on its header. The largest hello is a coordinator's, nearly all signed
+// manifest: 1.4–1.7 KB for each of the seven scenarios at radar.Medium()
+// with seven nodes at maximum-length addresses (swarm, with the most
+// targets, is the largest). 64 KiB is ~40 times that: room for a long
+// fault plan, and all an unauthenticated peer can make a node buffer.
+const maxHelloBytes = 64 << 10
+
+// handshake reads a connection's hello and routes it. The header is
+// checked before the body is read — a hello, and at most maxHelloBytes —
+// and a coordinator's manifest is decoded only after its MAC checks out
+// over the bytes received.
 func (n *Node) handshake(conn net.Conn) {
 	conn.SetReadDeadline(time.Now().Add(helloTimeout))
-	var f frame
-	err := wire.ReadFrame(conn, &f)
+	fr := wire.NewReader(conn)
+	k, size, err := fr.Next()
 	var verr *wire.VersionError
 	if errors.As(err, &verr) {
 		// A peer from another build: say so in this build's format, which
 		// the peer's reader refuses with both versions named.
 		n.cfg.Logf("stapnode: refusing hello from %v: %v", conn.RemoteAddr(), err)
-		wire.WriteFrame(conn, &frame{Kind: frameGoodbye, Reason: err.Error()})
+		writeFrame(conn, &frame{Kind: frameGoodbye, Reason: err.Error()})
 		wire.CloseAfterReply(conn) // the refused hello's body is unread
 		return
 	}
-	if err != nil || f.Kind != frameHello {
+	f := frame{Kind: frameKind(k)}
+	if err == nil && (f.Kind != frameHello || size > maxHelloBytes) {
+		err = fmt.Errorf("first frame is kind %d of %d bytes, want a hello of at most %d", k, size, maxHelloBytes)
+	}
+	if err == nil {
+		_, err = fr.Decode(&f)
+	}
+	if err != nil {
+		if err != io.EOF {
+			n.cfg.Logf("stapnode: refusing connection from %v: %v", conn.RemoteAddr(), err)
+		}
 		conn.Close()
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
+	var man *Manifest
 	switch {
-	case f.Manifest != nil:
-		if !f.Manifest.Verify(n.cfg.Secret) || f.Session != f.Manifest.Session ||
-			f.From != 0 || f.To < 1 || f.To > len(f.Manifest.Nodes) {
-			n.cfg.Logf("stapnode: rejecting unauthenticated manifest hello from %v", conn.RemoteAddr())
-			conn.Close()
-			return
-		}
-		n.startSession(conn, &f)
-	default:
-		if !hmac.Equal(f.Auth, peerAuth(n.cfg.Secret, f.Session, f.From, f.To)) {
-			n.cfg.Logf("stapnode: rejecting unauthenticated peer hello from %v", conn.RemoteAddr())
-			conn.Close()
-			return
-		}
+	case f.From != 0 && hmac.Equal(f.Auth, peerAuth(n.cfg.Secret, f.Session, f.From, f.To)):
 		n.routePeer(conn, &f)
+		return
+	case f.From != 0:
+		err = errors.New("peer hello MAC does not verify under the cluster secret")
+	default:
+		man, err = verifyManifest(n.cfg.Secret, f.Manifest, f.Auth)
+		if err == nil && (f.Session != man.Session || f.To < 1 || f.To > len(man.Nodes)) {
+			err = fmt.Errorf("hello for session %s member %d does not match its manifest", f.Session, f.To)
+		}
 	}
-}
-
-// startSession spins up the session a manifest hello describes, unless
-// one is already live.
-func (n *Node) startSession(conn net.Conn, f *frame) {
-	n.mu.Lock()
-	if n.closed || n.sess != nil {
-		n.mu.Unlock()
-		wire.WriteFrame(conn, &frame{Kind: frameGoodbye, Reason: "node busy"})
+	if err != nil {
+		n.cfg.Logf("stapnode: rejecting hello from %v: %v", conn.RemoteAddr(), err)
 		conn.Close()
 		return
 	}
-	s := &session{id: f.Session, member: f.To, man: f.Manifest, done: make(chan struct{})}
+	n.startSession(conn, f.To, man)
+}
+
+// refuse answers a connection with a goodbye naming why, then closes it.
+func refuse(conn net.Conn, reason string) {
+	writeFrame(conn, &frame{Kind: frameGoodbye, Reason: reason})
+	conn.Close()
+}
+
+// startSession spins up member's share of the session a manifest
+// describes, unless one is already live.
+func (n *Node) startSession(conn net.Conn, member int, man *Manifest) {
+	n.mu.Lock()
+	if n.closed || n.sess != nil {
+		n.mu.Unlock()
+		refuse(conn, "node busy")
+		return
+	}
+	s := &session{id: man.Session, member: member, man: man, done: make(chan struct{})}
 	n.sess = s
 	n.mu.Unlock()
 
@@ -279,8 +283,8 @@ func (n *Node) startSession(conn net.Conn, f *frame) {
 
 // routePeer attaches a peer connection to its live session or parks it
 // until the session's manifest arrives. The park-or-attach decision and
-// the session's transport publication share the node mutex, so no
-// connection can fall between them.
+// the session's publication share the node mutex, so no connection can
+// fall between them.
 func (n *Node) routePeer(conn net.Conn, f *frame) {
 	n.mu.Lock()
 	if n.closed {
@@ -289,7 +293,7 @@ func (n *Node) routePeer(conn net.Conn, f *frame) {
 		return
 	}
 	var tr *Transport
-	if s := n.sess; s != nil && s.id == f.Session && s.tr != nil {
+	if s := n.sess; s != nil && s.id == f.Session {
 		tr = s.tr
 	}
 	if tr == nil {
@@ -298,60 +302,44 @@ func (n *Node) routePeer(conn net.Conn, f *frame) {
 		return
 	}
 	n.mu.Unlock()
-	tr.runLink(newLink(f.From, conn.RemoteAddr().String(), conn, n.cfg.Window))
+	tr.runLink(f.From, conn.RemoteAddr().String(), conn)
 }
 
-// runSession hosts one replica incarnation end to end: build the partial
-// world and transport, wire every peer link, spawn the hosted task
-// groups, report ready, then serve until the world dies — a graceful
-// goodbye from the coordinator, a link failure, or a local worker fault —
-// and tear everything down.
+// runSession hosts one replica incarnation end to end: open the member's
+// share of the session, wire every peer link, report ready, then serve
+// until the world dies — a graceful goodbye from the coordinator, a link
+// failure, or a local worker fault — and tear everything down.
 func (n *Node) runSession(s *session, coordConn net.Conn) {
 	defer close(s.done)
 	defer n.clearSession(s)
 	man := s.man
 	logf := n.cfg.Logf
 
-	placement := man.Placement()
-	if err := placement.Validate(); err != nil {
-		logf("stapnode: session %s: bad placement: %v", s.id, err)
-		coordConn.Close()
-		return
-	}
-	var inj *fault.Injector
-	if man.FaultPlan != "" {
-		plan, err := n.faultPlan(man.FaultPlan, man.Seed)
-		if err != nil {
-			logf("stapnode: session %s: bad fault plan: %v", s.id, err)
-			coordConn.Close()
-			return
-		}
-		inj = plan.Injector(man.Seed)
-	}
-
-	tr := newTransport(s.member, len(man.Nodes), placement.Owners(man.Assign), n.cfg.Window, man.Heartbeat, inj)
-	world := mp.NewPartialWorld(man.Assign.Total()+1, placement.HostedRanks(man.Assign, s.member), tr)
-	tr.Bind(world)
 	ocfg := pipeline.DefaultObsConfig(man.Assign)
 	ocfg.Window = n.cfg.ObsWindow
 	ocfg.Logf = logf
 	ocfg.SlowLogf = logf
-	col := obs.New(ocfg)
-	tr.Observe(col)
-	n.obsMu.Lock()
-	n.lastCol, n.lastSess, n.lastMember, n.lastTr = col, s.id, s.member, tr
-	n.lastAssign = man.Assign
-	n.obsMu.Unlock()
-	if inj != nil {
-		inj.Bind(world.Done())
+	s.col = obs.New(ocfg)
+	var h hosted
+	inj, err := n.injector(man)
+	if err == nil {
+		h, err = openSession(man, s.member, n.cfg.Window, s.col, inj, 0)
 	}
-	// Publish the transport and claim connections parked for this session
-	// under one lock: every peer hello either lands in the claimed set or
-	// attaches directly through routePeer afterwards.
+	if err != nil {
+		logf("stapnode: session %s: %v", s.id, err)
+		refuse(coordConn, err.Error())
+		return
+	}
+	// Publish the session and claim connections parked for it under one
+	// lock: every peer hello either lands in the claimed set or attaches
+	// directly through routePeer afterwards. A node closed meanwhile found
+	// nothing to abort, so the session aborts itself.
 	n.mu.Lock()
-	s.tr, s.world = tr, world
-	var claimed []parkedConn
-	var keep []parkedConn
+	s.hosted = h
+	if n.closed {
+		h.world.Abort()
+	}
+	var claimed, keep []parkedConn
 	for _, p := range n.parked {
 		switch {
 		case p.session == s.id:
@@ -364,99 +352,93 @@ func (n *Node) runSession(s *session, coordConn net.Conn) {
 	}
 	n.parked = keep
 	n.mu.Unlock()
+	n.obsMu.Lock()
+	n.last = s
+	n.obsMu.Unlock()
 
 	// The coordinator link is the accepted manifest connection; parked
 	// peers attach now; lower-indexed peers we dial ourselves.
-	tr.runLink(newLink(0, coordConn.RemoteAddr().String(), coordConn, n.cfg.Window))
+	h.tr.runLink(0, coordConn.RemoteAddr().String(), coordConn)
 	for _, p := range claimed {
-		tr.runLink(newLink(p.from, p.conn.RemoteAddr().String(), p.conn, n.cfg.Window))
+		h.tr.runLink(p.from, p.conn.RemoteAddr().String(), p.conn)
 	}
 	for j := 1; j < s.member; j++ {
 		addr := man.Nodes[j-1].Addr
 		conn, err := net.DialTimeout("tcp", addr, DefaultDialTimeout)
 		if err == nil {
-			err = wire.WriteFrame(conn, &frame{Kind: frameHello, Session: s.id, From: s.member, To: j,
-				Auth: peerAuth(n.cfg.Secret, s.id, s.member, j)})
+			if err = writeFrame(conn, &frame{Kind: frameHello, Session: s.id, From: s.member, To: j,
+				Auth: peerAuth(n.cfg.Secret, s.id, s.member, j)}); err != nil {
+				conn.Close()
+			}
 		}
 		if err != nil {
 			logf("stapnode: session %s: dial peer %d (%s): %v", s.id, j, addr, err)
-			world.AbortWith(&LinkError{Member: j, Addr: addr, Err: err})
-			tr.Close(fmt.Sprintf("peer %d unreachable", j))
+			h.world.AbortWith(&LinkError{Member: j, Addr: addr, Err: err})
+			h.tr.Close(fmt.Sprintf("peer %d unreachable", j))
+			h.st.Abort()
 			return
 		}
-		tr.runLink(newLink(j, addr, conn, n.cfg.Window))
+		h.tr.runLink(j, addr, conn)
 	}
 
-	st, err := pipeline.NewHostedStream(pipeline.StreamConfig{
-		Scene:   man.Scene,
-		Assign:  man.Assign,
-		Window:  man.Window,
-		Threads: man.Threads,
-		Obs:     col,
-		Fault:   inj,
-	}, pipeline.Hosting{World: world, Tasks: placement.Tasks(s.member)})
-	if err != nil {
-		logf("stapnode: session %s: %v", s.id, err)
-		world.AbortWith(err)
-		tr.Close(err.Error())
-		return
-	}
-	s.st = st
-
-	if l, lerr := tr.waitLink(0); lerr == nil {
-		if werr := l.write(&frame{Kind: frameReady, ObsAddr: n.cfg.ObsAddr}); werr != nil {
-			tr.linkDied(l, werr)
+	if l, lerr := h.tr.waitLink(0); lerr == nil {
+		if _, werr := l.write(frame{Kind: frameReady, ObsAddr: n.cfg.ObsAddr}); werr != nil {
+			h.tr.linkDied(l, werr)
 		}
 	}
+	placement := man.Placement()
 	logf("stapnode: session %s: member %d hosting tasks %d-%d (%d ranks) ready, manifest %s",
 		s.id, s.member, placement[s.member-1][0], placement[s.member-1][1],
 		placement.HostedRanks(man.Assign, s.member).N, man.SigPrefix())
 
-	<-world.Done()
+	<-h.world.Done()
 
 	// Explain the death to the peers that have not seen it themselves: a
 	// local worker fault or abort cause rides the goodbye frame.
 	reason := ""
 	deadlined := false
-	if faults := st.Faults(); len(faults) > 0 {
+	if faults := h.st.Faults(); len(faults) > 0 {
 		reason = faults[0].String()
-	} else if cause := world.AbortCause(); cause != nil {
+	} else if cause := h.world.AbortCause(); cause != nil {
 		reason = cause.Error()
 		// A job deadline expiring is the client's bound, not a node
 		// fault: say why on the goodbye, but keep the flight recorder for
 		// real post-mortems.
 		deadlined = errors.Is(cause, pipeline.ErrDeadlineExceeded)
 	}
-	tr.Close(reason)
-	st.Abort()
+	h.tr.Close(reason)
+	h.st.Abort()
 	if reason != "" && !deadlined && n.cfg.FlightDir != "" {
-		rec := obs.NewFlightRecord(n.name(), s.id, reason, col)
-		rec.Links = tr.Stats()
-		rec.Pending = world.QueueDepths()
+		rec := obs.NewFlightRecord(n.name(), s.id, reason, s.col)
+		rec.Links = h.tr.Stats()
+		rec.Pending = h.world.QueueDepths()
 		if path, werr := obs.WriteFlightRecordKeep(n.cfg.FlightDir, rec, n.cfg.FlightKeep); werr != nil {
 			logf("stapnode: session %s: flight record: %v", s.id, werr)
 		} else {
 			logf("stapnode: session %s: flight record written to %s", s.id, path)
 		}
 	}
-	logf("stapnode: session %s: ended (%s)", s.id, orDash(reason))
+	logf("stapnode: session %s: ended (%s)", s.id, cmp.Or(reason, "graceful"))
 }
 
-// faultPlan returns the node's parsed plan for a manifest's plan text and
-// seed, parsing it the first time it is seen.
-func (n *Node) faultPlan(text string, seed int64) (*fault.Plan, error) {
+// injector arms the manifest's fault plan (nil when it has none) from the
+// node's parsed copy of it, parsing the plan the first time it is seen.
+func (n *Node) injector(man *Manifest) (*fault.Injector, error) {
+	if man.FaultPlan == "" {
+		return nil, nil
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	key := planKey{text, seed}
-	if p := n.plans[key]; p != nil {
-		return p, nil
+	key := planKey{man.FaultPlan, man.Seed}
+	p := n.plans[key]
+	if p == nil {
+		var err error
+		if p, err = fault.ParsePlan(man.FaultPlan); err != nil {
+			return nil, fmt.Errorf("bad fault plan: %w", err)
+		}
+		n.plans[key] = p
 	}
-	p, err := fault.ParsePlan(text)
-	if err != nil {
-		return nil, err
-	}
-	n.plans[key] = p
-	return p, nil
+	return p.Injector(man.Seed), nil
 }
 
 // clearSession removes the finished session so the next manifest can
@@ -467,11 +449,4 @@ func (n *Node) clearSession(s *session) {
 		n.sess = nil
 	}
 	n.mu.Unlock()
-}
-
-func orDash(s string) string {
-	if s == "" {
-		return "graceful"
-	}
-	return s
 }

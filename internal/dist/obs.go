@@ -38,36 +38,39 @@ type NodeSnapshot struct {
 	Wire []obs.WireEvent `json:"wire,omitempty"`
 }
 
-// obsState reads the most recent session's telemetry handles.
-func (n *Node) obsState() (*obs.Collector, string, int, *Transport) {
+// lastSession returns the most recent wired session (nil before the
+// first).
+func (n *Node) lastSession() *session {
 	n.obsMu.Lock()
 	defer n.obsMu.Unlock()
-	return n.lastCol, n.lastSess, n.lastMember, n.lastTr
+	return n.last
 }
 
 // Collector returns the most recent session's telemetry collector (nil
 // before the first session starts).
 func (n *Node) Collector() *obs.Collector {
-	col, _, _, _ := n.obsState()
-	return col
+	if s := n.lastSession(); s != nil {
+		return s.col
+	}
+	return nil
 }
 
 // Snapshot exports the most recent session's telemetry as a NodeSnapshot
 // (zero-valued before the first session starts).
 func (n *Node) Snapshot() NodeSnapshot {
-	col, sess, member, tr := n.obsState()
-	snap := NodeSnapshot{Node: n.name(), Session: sess, Member: member}
-	if col != nil {
-		snap.StartUnixNs = col.Start().UnixNano()
-		snap.Tasks = col.Tasks()
-		snap.Events = col.Journal()
-		counters := col.Snapshot()
-		snap.Counters = &counters
-		snap.Wire = col.WireJournal()
+	snap := NodeSnapshot{Node: n.name()}
+	s := n.lastSession()
+	if s == nil {
+		return snap
 	}
-	if tr != nil {
-		snap.Links = tr.Stats()
-	}
+	snap.Session, snap.Member = s.id, s.member
+	snap.StartUnixNs = s.col.Start().UnixNano()
+	snap.Tasks = s.col.Tasks()
+	snap.Events = s.col.Journal()
+	counters := s.col.Snapshot()
+	snap.Counters = &counters
+	snap.Wire = s.col.WireJournal()
+	snap.Links = s.tr.Stats()
 	return snap
 }
 
@@ -77,13 +80,11 @@ func (n *Node) Snapshot() NodeSnapshot {
 // the hop table carries the wire costs measured here; a node hosting the
 // whole pipeline reports full waterfalls. Nil before the first session.
 func (n *Node) Bottlenecks() *obs.BottleneckReport {
-	n.obsMu.Lock()
-	col, assign := n.lastCol, n.lastAssign
-	n.obsMu.Unlock()
-	if col == nil {
+	s := n.lastSession()
+	if s == nil {
 		return nil
 	}
-	return obs.BuildBottleneckReport(pipeline.AttrConfig(assign), col.Journal(), col.WireJournal(), 0, 0)
+	return obs.BuildBottleneckReport(pipeline.AttrConfig(s.man.Assign), s.col.Journal(), s.col.WireJournal(), 0, 0)
 }
 
 // nodeHistoryInterval is the node sampler's period (a variable so tests
@@ -146,12 +147,11 @@ func (n *Node) sampleHistory(st *history.Store, t int64) {
 // collector, gauge and attribution rows, the node's own link plane, and
 // the process runtime — the same sub-tables stapd composes.
 func (n *Node) families() []obs.Family {
-	col, _, _, tr := n.obsState()
 	var fams []obs.Family
-	if col != nil {
+	if s := n.lastSession(); s != nil {
 		l := []obs.Label{{Name: "replica", Value: "0"}}
-		fams = append(fams, obs.CollectorFamilies(l, col)...)
-		fams = append(fams, obs.GaugeFamilies("stap_", "", nil, l, col.Gauges())...)
+		fams = append(fams, obs.CollectorFamilies(l, s.col)...)
+		fams = append(fams, obs.GaugeFamilies("stap_", "", nil, l, s.col.Gauges())...)
 		// Attribution is scrape-only here (a node hosting part of the
 		// latency path completes no CPI locally), so a history tick
 		// builds no report.
@@ -159,9 +159,7 @@ func (n *Node) families() []obs.Family {
 			f.Series = ""
 			fams = append(fams, f)
 		}
-	}
-	if tr != nil {
-		fams = append(fams, LinkFamilies("stap_link_", "link/m{member}/", nil, tr.Stats())...)
+		fams = append(fams, LinkFamilies("stap_link_", "link/m{member}/", nil, s.tr.Stats())...)
 	}
 	return append(fams, obs.RuntimeFamilies()...)
 }

@@ -3,6 +3,7 @@ package dist
 import (
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,7 +12,6 @@ import (
 	"pstap/internal/mp"
 	"pstap/internal/obs"
 	"pstap/internal/pipeline"
-	"pstap/internal/wire"
 )
 
 // errTransportClosed is what operations on a closed transport return; it
@@ -23,15 +23,12 @@ var errTransportClosed = errors.New("dist: transport closed")
 // the destination's owning member and ride that link's data frames;
 // inbound data frames are injected into the local partial world with
 // mp.World.Deliver. Barrier is hub-and-spoke through the coordinator.
-//
-// Construction order matters: create the Transport, build the partial
-// world against it, Bind the world, then attach links with runLink — the
-// reader goroutines deliver into the bound world.
+// openSession builds and binds it; links attach afterwards (runLink).
 type Transport struct {
 	self    int   // this process's member index
 	members int   // node count (members 1..members are nodes)
 	owners  []int // rank → owning member
-	window  int
+	window  int   // per-link credit window
 	hb      time.Duration
 	inj     *fault.Injector // link-plane faults (may be nil)
 
@@ -70,30 +67,22 @@ type Transport struct {
 
 func newTransport(self, members int, owners []int, window int, hb time.Duration, inj *fault.Injector) *Transport {
 	t := &Transport{
-		self:    self,
-		members: members,
-		owners:  owners,
-		window:  window,
-		hb:      hb,
-		inj:     inj,
-		links:   make(map[int]*link),
-		arrived: make(map[int]int),
-		ready:   make(chan int, members+1),
-		stop:    make(chan struct{}),
+		self:     self,
+		members:  members,
+		owners:   owners,
+		window:   window,
+		hb:       hb,
+		inj:      inj,
+		links:    make(map[int]*link),
+		obsAddrs: make(map[int]string),
+		arrived:  make(map[int]int),
+		ready:    make(chan int, members+1),
+		stop:     make(chan struct{}),
 	}
 	t.cond = sync.NewCond(&t.mu)
 	t.barCond = sync.NewCond(&t.barMu)
 	return t
 }
-
-// Bind attaches the partial world inbound frames deliver into. Must be
-// called before the first runLink.
-func (t *Transport) Bind(w *mp.World) { t.world = w }
-
-// Observe attaches the collector that journals per-message wire-cost
-// events (serialize/deserialize, socket copy, credit stalls) for the
-// attribution engine. Must be called before the first runLink.
-func (t *Transport) Observe(col *obs.Collector) { t.obs = col }
 
 // Send implements mp.Transport: it routes one message to the member
 // hosting dst, blocking on link registration (peers may still be dialing
@@ -129,17 +118,22 @@ func (t *Transport) SetDeadline(ns int64) {
 	if old == 0 {
 		return
 	}
-	t.mu.Lock()
-	links := make([]*link, 0, len(t.links))
-	for _, l := range t.links {
-		links = append(links, l)
-	}
-	t.mu.Unlock()
-	for _, l := range links {
+	for _, l := range t.linkList() {
 		if !l.dead.Load() {
 			l.ping(0)
 		}
 	}
+}
+
+// linkList snapshots the registered links.
+func (t *Transport) linkList() []*link {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	links := make([]*link, 0, len(t.links))
+	for _, l := range t.links {
+		links = append(links, l)
+	}
+	return links
 }
 
 // noteDeadline folds an inbound frame's deadline stamp into the local
@@ -200,10 +194,17 @@ func (t *Transport) waitLink(member int) (*link, error) {
 	}
 }
 
-// runLink registers a peer link and starts its reader and heartbeat.
-func (t *Transport) runLink(l *link) {
+// runLink registers the link to member over conn and starts its reader
+// and heartbeat; on a closed transport it closes conn instead.
+func (t *Transport) runLink(member int, addr string, conn net.Conn) {
 	t.mu.Lock()
-	t.links[l.member] = l
+	if t.closed {
+		t.mu.Unlock()
+		conn.Close()
+		return
+	}
+	l := newLink(member, addr, conn, t.window)
+	t.links[member] = l
 	t.mu.Unlock()
 	t.cond.Broadcast()
 	t.wg.Add(2)
@@ -211,23 +212,26 @@ func (t *Transport) runLink(l *link) {
 	go t.heartbeat(l)
 }
 
-// readLoop dispatches every inbound frame of one link until it dies.
+// readLoop dispatches every inbound frame of one link until it dies,
+// decoding each into the same frame value.
 func (t *Transport) readLoop(l *link) {
 	defer t.wg.Done()
+	var f frame
 	for {
-		codec, err := l.fr.Next()
+		k, _, err := l.fr.Next()
 		if err != nil {
 			t.linkDied(l, err)
 			return
 		}
+		f.Kind = frameKind(k)
 		// An active partition/flap window holds the frame here — before
 		// the silence clock below resets — so the peer's traffic is
 		// delayed, not lost, while heartbeat misses accumulate exactly as
-		// they would across a dark route. Only data frames (the flat
-		// ones) may open a window: anchoring on control traffic would
-		// start partitions during the connect handshake.
+		// they would across a dark route. Only data frames may open a
+		// window: anchoring on control traffic would start partitions
+		// during the connect handshake.
 		if t.inj != nil {
-			if codec == wire.Flat {
+			if f.Kind == frameData {
 				t.inj.LinkHold(l.member)
 			} else {
 				t.inj.LinkHoldPassive(l.member)
@@ -239,11 +243,7 @@ func (t *Transport) readLoop(l *link) {
 		// Life is byte progress: a header proves the peer alive before its
 		// body is read or decoded, however long a large frame takes.
 		l.lastHeard.Store(time.Now().UnixNano())
-		var f frame
 		ft, err := l.fr.Decode(&f)
-		if err == nil && codec == wire.Gob && f.Kind == frameData {
-			err = fmt.Errorf("dist: gob-encoded data frame")
-		}
 		if err != nil {
 			t.linkDied(l, err)
 			return
@@ -264,7 +264,7 @@ func (t *Transport) readLoop(l *link) {
 			}
 			t.world.Deliver(f.Src, f.Dst, f.Tag, f.Data)
 			if n := l.noteDelivered(); n > 0 {
-				if err := l.write(&frame{Kind: frameCredit, Credits: n}); err != nil {
+				if _, err := l.write(frame{Kind: frameCredit, Credits: n}); err != nil {
 					t.linkDied(l, err)
 					return
 				}
@@ -275,7 +275,7 @@ func (t *Transport) readLoop(l *link) {
 			t.noteDeadline(f.Deadline, l.offsetNs.Load())
 			// Stamp the local clock on the echo: the probe's sender uses it
 			// for NTP-style offset estimation.
-			if err := l.write(&frame{Kind: framePong, Seq: f.Seq, T: time.Now().UnixNano()}); err != nil {
+			if _, err := l.write(frame{Kind: framePong, Seq: f.Seq, T: time.Now().UnixNano()}); err != nil {
 				t.linkDied(l, err)
 				return
 			}
@@ -288,9 +288,6 @@ func (t *Transport) readLoop(l *link) {
 		case frameReady:
 			if f.ObsAddr != "" {
 				t.mu.Lock()
-				if t.obsAddrs == nil {
-					t.obsAddrs = make(map[int]string)
-				}
 				t.obsAddrs[l.member] = f.ObsAddr
 				t.mu.Unlock()
 			}
@@ -386,7 +383,7 @@ func (t *Transport) Barrier() error {
 	if err != nil {
 		return err
 	}
-	if err := l.write(&frame{Kind: frameBarrier, Gen: gen}); err != nil {
+	if _, err := l.write(frame{Kind: frameBarrier, Gen: gen}); err != nil {
 		t.linkDied(l, err)
 		return l.deathErr()
 	}
@@ -420,7 +417,7 @@ func (t *Transport) hubBarrier(gen int) error {
 		if lerr != nil {
 			return lerr
 		}
-		if werr := l.write(&frame{Kind: frameRelease, Gen: gen}); werr != nil {
+		if _, werr := l.write(frame{Kind: frameRelease, Gen: gen}); werr != nil {
 			t.linkDied(l, werr)
 			return l.deathErr()
 		}
@@ -492,24 +489,10 @@ func (t *Transport) Stats() []LinkStats {
 	return out
 }
 
-// ObsAddrs returns a copy of the telemetry addresses members advertised
-// on their ready frames (member index → HTTP listen address).
-func (t *Transport) ObsAddrs() map[int]string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[int]string, len(t.obsAddrs))
-	for m, a := range t.obsAddrs {
-		out[m] = a
-	}
-	return out
-}
-
 // dropConns severs every link's raw connection without any goodbye — the
 // kill-test hook simulating a dead process.
 func (t *Transport) dropConns() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, l := range t.links {
+	for _, l := range t.linkList() {
 		l.conn.Close()
 	}
 }
@@ -523,16 +506,12 @@ func (t *Transport) Close(reason string) {
 		t.disarmDeadline()
 		t.mu.Lock()
 		t.closed = true
-		links := make([]*link, 0, len(t.links))
-		for _, l := range t.links {
-			links = append(links, l)
-		}
 		t.mu.Unlock()
 		t.cond.Broadcast()
 		close(t.stop)
-		for _, l := range links {
+		for _, l := range t.linkList() {
 			if !l.dead.Load() {
-				l.write(&frame{Kind: frameGoodbye, Reason: reason})
+				l.write(frame{Kind: frameGoodbye, Reason: reason})
 			}
 			l.kill(errClosedGracefully)
 		}

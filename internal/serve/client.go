@@ -88,7 +88,7 @@ func (c *Client) Do(req *Request) (*Response, error) {
 	c.mu.Unlock()
 
 	c.wmu.Lock()
-	_, err := c.fw.WriteFrame(req)
+	_, err := c.fw.WriteFrame(wire.Plain, req)
 	c.wmu.Unlock()
 	if err != nil {
 		c.mu.Lock()

@@ -61,8 +61,8 @@ func TestProtoRoundTrip(t *testing.T) {
 	fr := wire.NewReader(&buf)
 	for _, want := range reqs {
 		got := &Request{ID: 77, Trace: true, CPIs: []*cube.Cube{nil}} // a reused target is overwritten whole
-		if codec, err := fr.Next(); err != nil || codec != wire.Flat {
-			t.Fatalf("request header: %q, %v", codec, err)
+		if kind, _, err := fr.Next(); err != nil || kind != wire.Plain {
+			t.Fatalf("request header: %q, %v", kind, err)
 		}
 		if _, err := fr.Decode(got); err != nil {
 			t.Fatal(err)

@@ -519,7 +519,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			if broken {
 				continue // keep draining so job forwarders never block
 			}
-			if _, err := fw.WriteFrame(r); err != nil {
+			if _, err := fw.WriteFrame(wire.Plain, r); err != nil {
 				broken = true
 			}
 		}

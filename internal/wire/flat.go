@@ -29,12 +29,12 @@ import (
 // receiver's shape check (cube.CheckShape) to refuse with a message.
 
 // Flattener is a value with a flat form of its own, built from the Enc
-// primitives; WriteFrame writes it as a flat frame.
+// primitives; WriteFrame writes it as a frame.
 type Flattener interface {
 	AppendFlat(e *Enc) error
 }
 
-// FlatDecoder is a pointer a flat frame decodes into through the Dec
+// FlatDecoder is a pointer a frame decodes into through the Dec
 // primitives. It must set every field: the target may be reused.
 type FlatDecoder interface {
 	DecodeFlat(d *Dec) error
@@ -380,21 +380,21 @@ func (d *Dec) Detections() []stap.Detection {
 // would decode it into has no nil.
 var errNilCube = errors.New("wire: a frame cannot hold a nil cube")
 
-// appendFlat appends v's flat form when it has one and reports whether
-// it does. A bare *cube.Cube is a frame of its own so that a probe of
-// the codec (bench's wire layer) prices the samples' path.
-func appendFlat(e *Enc, v any) (bool, error) {
+// appendFlat appends v's flat form. A bare *cube.Cube is a frame of its
+// own so that a probe of the codec (bench's wire layer) prices the
+// samples' path.
+func appendFlat(e *Enc, v any) error {
 	switch v := v.(type) {
 	case Flattener:
-		return true, v.AppendFlat(e)
+		return v.AppendFlat(e)
 	case *cube.Cube:
 		if v == nil {
-			return true, errNilCube
+			return errNilCube
 		}
 		e.Cube(v)
-		return true, nil
+		return nil
 	}
-	return false, nil
+	return fmt.Errorf("wire: %T has no flat form", v)
 }
 
 // decodeFlat decodes a whole flat body into v.

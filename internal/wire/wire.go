@@ -2,21 +2,20 @@
 // it: the stapd job protocol (internal/serve) and the distributed
 // pipeline links (internal/dist).
 //
-// One frame is a 6-byte header — the format version, the body's codec
+// One frame is a 6-byte header — the format version, the frame's kind
 // and the body length as a big-endian uint32 — followed by the body, so
 // frames decode independently and a receiver resynchronizes at every
 // frame boundary. The version byte comes first so that any build can
 // read it: a frame from another build is refused with a *VersionError
-// naming both versions before its body is looked at.
+// naming both versions before its body is looked at. The kind byte is
+// opaque here: the writer names what the body is (a dist link frame's
+// kind, Plain elsewhere), so a receiver can route or refuse a frame on
+// its header alone.
 //
-// A body has one of two codecs. The data — cube.Cube, cube.RealCube,
-// linalg.Matrix, []stap.Detection and the messages built from them (the
-// pipeline's inter-task messages, serve.Request/Response) — is flat: a
-// fixed header per value and its complex128/float64 samples as
-// little-endian IEEE-754 bit patterns (see flat.go), so every bit
-// survives and a split replica stays bit-exact. Everything else — the
-// rare control frames of the dist link protocol — is a self-contained
-// gob stream.
+// There is one codec, the flat form of flat.go: cube.Cube,
+// cube.RealCube, linalg.Matrix, []stap.Detection and every message built
+// from them as fixed-width fields, samples as little-endian IEEE-754 bit
+// patterns, so every bit survives and a split replica stays bit-exact.
 //
 // A Writer and a Reader own one reusable buffer each, so a long-lived
 // connection encodes into and reads through the same memory frame after
@@ -34,9 +33,7 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
@@ -50,22 +47,20 @@ const MaxFrameBytes = 1 << 30
 
 // FormatVersion is the frame format this build speaks, the first byte of
 // every frame. Bump it whenever a frame's bytes change meaning — a flat
-// layout, a control frame's fields — so two builds refuse each other at
+// layout, a dist frame kind's fields — so two builds refuse each other at
 // the first frame instead of mis-decoding.
-const FormatVersion = 1
+const FormatVersion = 2
 
-// headerBytes is the frame header: version, codec, uint32 body length.
+// headerBytes is the frame header: version, kind, uint32 body length.
 const headerBytes = 6
 
-// Codec is how a frame's body is encoded, the header's second byte.
-type Codec byte
+// Kind is the header's second byte: what the body is, as its writer
+// names it. This package only carries it.
+type Kind byte
 
-const (
-	// Gob bodies are one self-contained gob stream.
-	Gob Codec = 'g'
-	// Flat bodies are the fixed-layout form of flat.go.
-	Flat Codec = 'f'
-)
+// Plain is the kind of every frame on a connection that carries one kind
+// of frame: stapd's job protocol and the one-shot WriteFrame/ReadFrame.
+const Plain Kind = 'f'
 
 // VersionError is a frame from a build that speaks another format
 // version.
@@ -74,18 +69,6 @@ type VersionError struct{ Got, Want byte }
 // Error implements error.
 func (e *VersionError) Error() string {
 	return fmt.Sprintf("wire: peer speaks frame format version %d, this build speaks format version %d (stapd, stapnode and clients must be the same build)", e.Got, e.Want)
-}
-
-// Guard converts a decoding panic (gob on adversarial bytes) into an
-// error, so no corrupt input can crash a caller. Use it as
-//
-//	defer wire.Guard(&err, "decode thing")
-//
-// around any gob decode of untrusted bytes.
-func Guard(err *error, what string) {
-	if r := recover(); r != nil {
-		*err = fmt.Errorf("wire: %s: malformed input: %v", what, r)
-	}
 }
 
 // FrameTiming is the measured cost of one frame codec operation: CodecNs
@@ -111,22 +94,15 @@ type Writer struct {
 // NewWriter returns a Writer on w.
 func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
-// WriteFrame encodes v — flat when it has a flat form, gob otherwise —
-// and writes it as one frame in one Write call, returning the measured
-// encode and write costs.
-func (fw *Writer) WriteFrame(v any) (FrameTiming, error) {
+// WriteFrame encodes v in its flat form (see flat.go) and writes it as
+// one frame of kind k in one Write call, returning the measured encode
+// and write costs.
+func (fw *Writer) WriteFrame(k Kind, v any) (FrameTiming, error) {
 	var t FrameTiming
-	b := append(fw.buf[:0], FormatVersion, byte(Flat), 0, 0, 0, 0)
 	encStart := time.Now()
-	e := Enc{b: b}
-	flat, err := appendFlat(&e, v)
-	b = e.b
-	if !flat {
-		b[1] = byte(Gob)
-		buf := bytes.NewBuffer(b)
-		err = gob.NewEncoder(buf).Encode(v)
-		b = buf.Bytes()
-	}
+	e := Enc{b: append(fw.buf[:0], FormatVersion, byte(k), 0, 0, 0, 0)}
+	err := appendFlat(&e, v)
+	b := e.b
 	fw.buf = b
 	if err != nil {
 		return t, fmt.Errorf("wire: encode frame: %w", err)
@@ -150,10 +126,9 @@ func (fw *Writer) WriteFrame(v any) (FrameTiming, error) {
 // every frame. One goroutine owns it: Next announces a frame, Decode
 // reads and decodes that frame's body.
 type Reader struct {
-	r     io.Reader
-	buf   []byte
-	codec Codec
-	n     int // body length of the announced frame
+	r   io.Reader
+	buf []byte
+	n   int // body length of the announced frame
 }
 
 // NewReader returns a Reader on r. It reads exactly one frame's bytes per
@@ -161,35 +136,31 @@ type Reader struct {
 func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 
 // Next blocks until the next frame's header has arrived and returns its
-// codec. It returns io.EOF — and only io.EOF — when the stream ends
-// cleanly at a frame boundary; a frame of another format version is a
-// *VersionError.
-func (fr *Reader) Next() (Codec, error) {
+// kind and body length, so the caller can refuse the frame before its
+// body is read. It returns io.EOF — and only io.EOF — when the stream
+// ends cleanly at a frame boundary; a frame of another format version is
+// a *VersionError.
+func (fr *Reader) Next() (Kind, int, error) {
 	var hdr [headerBytes]byte
 	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
 		if err == io.EOF {
-			return 0, io.EOF
+			return 0, 0, io.EOF
 		}
-		return 0, fmt.Errorf("wire: read frame header: %w", err)
+		return 0, 0, fmt.Errorf("wire: read frame header: %w", err)
 	}
 	if hdr[0] != FormatVersion {
-		return 0, &VersionError{Got: hdr[0], Want: FormatVersion}
-	}
-	fr.codec = Codec(hdr[1])
-	if fr.codec != Gob && fr.codec != Flat {
-		return 0, fmt.Errorf("wire: unknown frame codec %#x (corrupt header?)", hdr[1])
+		return 0, 0, &VersionError{Got: hdr[0], Want: FormatVersion}
 	}
 	n := binary.BigEndian.Uint32(hdr[2:])
 	if n > MaxFrameBytes {
-		return 0, fmt.Errorf("wire: frame length %d exceeds limit %d (corrupt header?)", n, MaxFrameBytes)
+		return 0, 0, fmt.Errorf("wire: frame length %d exceeds limit %d (corrupt header?)", n, MaxFrameBytes)
 	}
 	fr.n = int(n)
-	return fr.codec, nil
+	return Kind(hdr[1]), fr.n, nil
 }
 
 // Decode reads the body of the frame Next announced and decodes it into
-// v, a pointer: a flat body into one of the flat types (or a
-// FlatDecoder), a gob body into anything gob accepts. Truncation and
+// v, a pointer to one of the flat types or a FlatDecoder. Truncation and
 // corrupt content are descriptive errors, never panics.
 func (fr *Reader) Decode(v any) (t FrameTiming, err error) {
 	t.Bytes = int64(headerBytes + fr.n)
@@ -200,12 +171,7 @@ func (fr *Reader) Decode(v any) (t FrameTiming, err error) {
 	}
 	t.IONs = time.Since(ioStart).Nanoseconds()
 	decStart := time.Now()
-	if fr.codec == Flat {
-		err = decodeFlat(body, v)
-	} else {
-		err = decodeGob(body, v)
-	}
-	if err != nil {
+	if err := decodeFlat(body, v); err != nil {
 		return t, err
 	}
 	t.CodecNs = time.Since(decStart).Nanoseconds()
@@ -234,36 +200,32 @@ func (fr *Reader) readBody() ([]byte, error) {
 	return b, nil
 }
 
-// decodeGob decodes one gob body into v.
-func decodeGob(body []byte, v any) (err error) {
-	defer Guard(&err, "decode frame")
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(v); err != nil {
-		return fmt.Errorf("wire: decode frame: %w", err)
-	}
-	return nil
-}
-
-// ReadFrame is Next then Decode: it reads the next frame into v.
+// ReadFrame is Next then Decode for a Plain frame: it reads the next
+// frame into v, refusing a frame of any other kind on its header.
 func (fr *Reader) ReadFrame(v any) (FrameTiming, error) {
-	if _, err := fr.Next(); err != nil {
+	k, _, err := fr.Next()
+	if err != nil {
 		return FrameTiming{}, err
+	}
+	if k != Plain {
+		return FrameTiming{}, fmt.Errorf("wire: frame kind %#x where plain frames are expected (corrupt header?)", byte(k))
 	}
 	return fr.Decode(v)
 }
 
-// ReadFrame reads one frame from r through a fresh buffer and decodes it
-// into v (a pointer). It returns io.EOF — and only io.EOF — when the
-// stream ends cleanly at a frame boundary.
+// ReadFrame reads one Plain frame from r through a fresh buffer and
+// decodes it into v (a pointer). It returns io.EOF — and only io.EOF —
+// when the stream ends cleanly at a frame boundary.
 func ReadFrame(r io.Reader, v any) error {
 	_, err := NewReader(r).ReadFrame(v)
 	return err
 }
 
-// WriteFrame writes v to w as one frame through a fresh buffer, in one
-// Write call so concurrent writers interleave only at frame boundaries
-// when the callers serialize above this layer.
+// WriteFrame writes v to w as one Plain frame through a fresh buffer, in
+// one Write call so concurrent writers interleave only at frame
+// boundaries when the callers serialize above this layer.
 func WriteFrame(w io.Writer, v any) error {
-	_, err := NewWriter(w).WriteFrame(v)
+	_, err := NewWriter(w).WriteFrame(Plain, v)
 	return err
 }
 

@@ -15,10 +15,23 @@ import (
 	"pstap/internal/stap"
 )
 
-// msg has no flat form: it travels as gob, like a dist control frame.
+// msg is a small message with a flat form of its own, like a dist link
+// frame.
 type msg struct {
 	ID   uint64
 	Body []float64
+}
+
+func (m *msg) AppendFlat(e *Enc) error {
+	e.Uint64(m.ID)
+	PutSlice(e, m.Body, func(e *Enc, v float64) { e.Uint64(math.Float64bits(v)) })
+	return nil
+}
+
+func (m *msg) DecodeFlat(d *Dec) error {
+	m.ID = d.Uint64()
+	m.Body = GetSlice(d, 8, func(d *Dec) float64 { return math.Float64frombits(d.Uint64()) })
+	return nil
 }
 
 // payload is a message built from the four payload types, the way the
@@ -44,8 +57,8 @@ func (p *payload) DecodeFlat(d *Dec) error {
 }
 
 // header builds a frame header by hand.
-func header(version byte, codec Codec, n uint32) []byte {
-	h := []byte{version, byte(codec), 0, 0, 0, 0}
+func header(version byte, kind Kind, n uint32) []byte {
+	h := []byte{version, byte(kind), 0, 0, 0, 0}
 	binary.BigEndian.PutUint32(h[2:], n)
 	return h
 }
@@ -78,7 +91,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	want := []msg{{1, []float64{1, 2, 3}}, {2, nil}, {3, []float64{-0.5}}}
 	for _, m := range want {
-		if err := WriteFrame(&buf, m); err != nil {
+		if err := WriteFrame(&buf, &m); err != nil {
 			t.Fatalf("WriteFrame: %v", err)
 		}
 	}
@@ -97,7 +110,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 
 	// The payload types travel flat, bit for bit, through one Writer/Reader
-	// pair reusing its buffers, interleaved with gob frames.
+	// pair reusing its buffers, each frame under the kind its writer named.
 	c := testCube()
 	rc := cube.NewReal(cube.Order{cube.Beam, cube.Doppler, cube.Range}, 1, 1, 3)
 	rc.Data[0], rc.Data[1] = math.NaN(), math.Inf(-1)
@@ -105,33 +118,34 @@ func TestFrameRoundTrip(t *testing.T) {
 	m.Data[1] = complex(math.Copysign(0, -1), 7)
 	dets := []stap.Detection{{Range: 1, DopplerBin: 2, Beam: 3, Power: 4, Threshold: 5}}
 	fw, fr := NewWriter(&buf), NewReader(&buf)
-	for _, v := range []any{c, msg{ID: 4}, &payload{C: c, RC: rc, M: m, D: dets}, &payload{D: []stap.Detection{}}, &cube.Cube{}} {
-		if _, err := fw.WriteFrame(v); err != nil {
+	kinds := []Kind{Plain, 0, 'p', 0xff, Plain}
+	for i, v := range []any{c, &msg{ID: 4}, &payload{C: c, RC: rc, M: m, D: dets}, &payload{D: []stap.Detection{}}, &cube.Cube{}} {
+		if _, err := fw.WriteFrame(kinds[i], v); err != nil {
 			t.Fatalf("WriteFrame %T: %v", v, err)
 		}
 	}
-	read := func(v any, codec Codec) {
+	read := func(v any, kind Kind) {
 		t.Helper()
-		got, err := fr.Next()
-		if err != nil || got != codec {
-			t.Fatalf("Next = %q, %v; want %q", got, err, codec)
+		got, _, err := fr.Next()
+		if err != nil || got != kind {
+			t.Fatalf("Next = %q, %v; want %q", got, err, kind)
 		}
 		if _, err := fr.Decode(v); err != nil {
 			t.Fatalf("Decode %T: %v", v, err)
 		}
 	}
 	var gc cube.Cube
-	read(&gc, Flat)
+	read(&gc, Plain)
 	if !sameCube(&gc, c) {
 		t.Errorf("cube: got %v, want %v", gc.Data, c.Data)
 	}
 	first := gc
-	read(&v, Gob)
-	if v.ID != 4 {
-		t.Errorf("gob frame between flat ones: %+v", v)
+	read(&v, 0)
+	if v.ID != 4 || v.Body != nil {
+		t.Errorf("msg frame between payload ones: %+v", v)
 	}
 	var p payload
-	read(&p, Flat)
+	read(&p, 'p')
 	if !sameCube(p.C, c) {
 		t.Errorf("payload cube: got %v, want %v", p.C.Data, c.Data)
 	}
@@ -145,12 +159,12 @@ func TestFrameRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(p.D, dets) {
 		t.Errorf("detections: got %+v, want %+v", p.D, dets)
 	}
-	read(&p, Flat) // a reused target is overwritten whole
+	read(&p, 0xff) // a reused target is overwritten whole
 	if p.C != nil || p.RC != nil || p.M != nil || p.D == nil || len(p.D) != 0 {
 		t.Errorf("nil values and an empty report decoded as %+v", p)
 	}
 	gc.Data = []complex128{1}
-	read(&gc, Flat)
+	read(&gc, Plain)
 	if gc.Data != nil || gc.Dim != [3]int{} {
 		t.Errorf("empty cube into a reused target: %+v", gc)
 	}
@@ -159,7 +173,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if !sameCube(&first, c) {
 		t.Errorf("first cube changed under later frames: %v", first.Data)
 	}
-	if _, err := fr.Next(); err != io.EOF {
+	if _, _, err := fr.Next(); err != io.EOF {
 		t.Fatalf("clean end: got %v, want io.EOF", err)
 	}
 }
@@ -172,27 +186,27 @@ func TestReadFrameRejectsCorruptInput(t *testing.T) {
 	}
 
 	// Oversized length prefix must be refused before allocating.
-	if err := ReadFrame(bytes.NewReader(header(FormatVersion, Gob, MaxFrameBytes+1)), &v); err == nil ||
+	if err := ReadFrame(bytes.NewReader(header(FormatVersion, Plain, MaxFrameBytes+1)), &v); err == nil ||
 		!strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("oversized prefix: got %v", err)
 	}
 
 	// Another build's frame is refused with both versions named.
-	err := ReadFrame(bytes.NewReader(header(FormatVersion+1, Gob, 0)), &v)
+	err := ReadFrame(bytes.NewReader(header(FormatVersion+1, Plain, 0)), &v)
 	var verr *VersionError
 	if !errors.As(err, &verr) || verr.Got != FormatVersion+1 || verr.Want != FormatVersion ||
 		!strings.Contains(err.Error(), "format version") {
 		t.Fatalf("other version: got %v", err)
 	}
 
-	// An unknown codec byte.
-	if err := ReadFrame(bytes.NewReader(header(FormatVersion, 'x', 0)), &v); err == nil || !strings.Contains(err.Error(), "codec") {
-		t.Fatalf("unknown codec: got %v", err)
+	// A frame of another kind where plain ones are expected.
+	if err := ReadFrame(bytes.NewReader(header(FormatVersion, 'x', 0)), &v); err == nil || !strings.Contains(err.Error(), "kind") {
+		t.Fatalf("other kind: got %v", err)
 	}
 
 	// Truncated payload.
 	var short bytes.Buffer
-	if err := WriteFrame(&short, msg{ID: 7}); err != nil {
+	if err := WriteFrame(&short, &msg{ID: 7}); err != nil {
 		t.Fatalf("WriteFrame: %v", err)
 	}
 	b := short.Bytes()[:short.Len()-1]
@@ -200,19 +214,23 @@ func TestReadFrameRejectsCorruptInput(t *testing.T) {
 		t.Fatalf("truncated payload: got %v", err)
 	}
 
-	// Well-framed garbage gob bytes: error, not panic.
-	garbage := append(header(FormatVersion, Gob, 4), 0xff, 0xfe, 0xfd, 0xfc)
+	// Well-framed garbage bytes: error, not panic.
+	garbage := append(header(FormatVersion, Plain, 4), 0xff, 0xfe, 0xfd, 0xfc)
 	if err := ReadFrame(bytes.NewReader(garbage), &v); err == nil || err == io.EOF {
 		t.Fatalf("garbage payload: got %v", err)
 	}
 
-	// A flat frame into a type without a flat form.
+	// A type without a flat form is neither written nor read.
 	var flat bytes.Buffer
+	if err := WriteFrame(&flat, struct{ X int }{}); err == nil || !strings.Contains(err.Error(), "no flat form") {
+		t.Fatalf("writing a type without a flat form: got %v", err)
+	}
 	if err := WriteFrame(&flat, testCube()); err != nil {
 		t.Fatal(err)
 	}
-	if err := ReadFrame(bytes.NewReader(flat.Bytes()), &v); err == nil || !strings.Contains(err.Error(), "cannot decode into") {
-		t.Fatalf("flat frame into %T: got %v", &v, err)
+	var nf struct{ X int }
+	if err := ReadFrame(bytes.NewReader(flat.Bytes()), &nf); err == nil || !strings.Contains(err.Error(), "cannot decode into") {
+		t.Fatalf("frame into %T: got %v", &nf, err)
 	}
 }
 
@@ -262,7 +280,7 @@ func TestFlatFrameTruncatedEverywhere(t *testing.T) {
 				continue
 			}
 			// The same prefix, re-framed as a complete shorter body.
-			cut := append(header(FormatVersion, Flat, uint32(n-headerBytes)), full[headerBytes:n]...)
+			cut := append(header(FormatVersion, Plain, uint32(n-headerBytes)), full[headerBytes:n]...)
 			if err := ReadFrame(bytes.NewReader(cut), v); err == nil {
 				t.Errorf("body cut to %d bytes decoded without error", n-headerBytes)
 			}
@@ -304,7 +322,7 @@ func TestTimedFramesMeasure(t *testing.T) {
 	var buf bytes.Buffer
 	m := msg{ID: 9, Body: make([]float64, 4096)}
 	fw, fr := NewWriter(&buf), NewReader(&buf)
-	wt, err := fw.WriteFrame(m)
+	wt, err := fw.WriteFrame(Plain, &m)
 	if err != nil {
 		t.Fatalf("WriteFrame: %v", err)
 	}
@@ -334,9 +352,9 @@ func TestTimedFramesMeasure(t *testing.T) {
 		t.Errorf("read timing %+v", rt)
 	}
 
-	// A flat frame is timed the same way, and counts its exact size.
+	// A cube frame is timed the same way, and counts its exact size.
 	c := cube.New(cube.Order{}, 4, 4, 4)
-	ft, err := fw.WriteFrame(c)
+	ft, err := fw.WriteFrame(Plain, c)
 	if err != nil {
 		t.Fatal(err)
 	}
