@@ -11,7 +11,7 @@ import (
 	"pstap/internal/stap"
 )
 
-func sampleFile(t *testing.T, n int) (*File, *radar.Scene) {
+func sampleFile(t testing.TB, n int) (*File, *radar.Scene) {
 	t.Helper()
 	sc := radar.DefaultScene(radar.Small())
 	f := &File{Params: sc.Params, Targets: sc.Targets, Seed: sc.Seed}

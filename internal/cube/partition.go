@@ -65,6 +65,17 @@ func (c *Cube) SliceAxis0(blk Block) *Cube {
 	return out
 }
 
+// ViewAxis0 returns rows [blk.Lo, blk.Hi) along axis 0 as a cube sharing
+// c's storage: writes through either are seen by both. It is SliceAxis0
+// without the copy, for a sender that hands out rows of a buffer it keeps.
+func (c *Cube) ViewAxis0(blk Block) *Cube {
+	if blk.Lo < 0 || blk.Hi > c.Dim[0] || blk.Lo > blk.Hi {
+		panic(fmt.Sprintf("cube: view %v of dim0 %d", blk, c.Dim[0]))
+	}
+	stride := c.Dim[1] * c.Dim[2]
+	return &Cube{Axes: c.Axes, Dim: [3]int{blk.Size(), c.Dim[1], c.Dim[2]}, Data: c.Data[blk.Lo*stride : blk.Hi*stride]}
+}
+
 // PasteAxis0 writes sub (a slab of rows along axis 0) back into c at the
 // given block.
 func (c *Cube) PasteAxis0(blk Block, sub *Cube) {
@@ -103,6 +114,16 @@ func (c *RealCube) SliceAxis0(blk Block) *RealCube {
 	return out
 }
 
+// ViewAxis0 returns rows [blk.Lo, blk.Hi) along axis 0 of a real cube,
+// sharing its storage.
+func (c *RealCube) ViewAxis0(blk Block) *RealCube {
+	if blk.Lo < 0 || blk.Hi > c.Dim[0] || blk.Lo > blk.Hi {
+		panic(fmt.Sprintf("cube: view %v of dim0 %d", blk, c.Dim[0]))
+	}
+	stride := c.Dim[1] * c.Dim[2]
+	return &RealCube{Axes: c.Axes, Dim: [3]int{blk.Size(), c.Dim[1], c.Dim[2]}, Data: c.Data[blk.Lo*stride : blk.Hi*stride]}
+}
+
 // PasteAxis0 writes sub back into c at the given block.
 func (c *RealCube) PasteAxis0(blk Block, sub *RealCube) {
 	if sub.Dim[0] != blk.Size() || sub.Dim[1] != c.Dim[1] || sub.Dim[2] != c.Dim[2] {
@@ -119,12 +140,18 @@ func EvenlySpaced(n, count int) []int {
 	if count <= 0 || n <= 0 {
 		return nil
 	}
-	if count > n {
-		count = n
+	return AppendEvenlySpaced(make([]int, 0, min(count, n)), n, count)
+}
+
+// AppendEvenlySpaced appends EvenlySpaced(n, count) to dst and returns the
+// extended slice — the form for a caller that reuses one index buffer.
+func AppendEvenlySpaced(dst []int, n, count int) []int {
+	if count <= 0 || n <= 0 {
+		return dst
 	}
-	idx := make([]int, count)
+	count = min(count, n)
 	for i := 0; i < count; i++ {
-		idx[i] = i * n / count
+		dst = append(dst, i*n/count)
 	}
-	return idx
+	return dst
 }

@@ -7,6 +7,14 @@
 // routines mirror what the paper's weight-computation tasks perform: a
 // regular QR plus block update for the easy Doppler bins and a recursive
 // (exponentially forgotten) QR update for the hard bins.
+//
+// Each factorization exists once, in a workspace form — QRFactorInto,
+// RFactorInto, UpdateRInto, BackSubstituteInto, plus VStackInto and HInto
+// — that writes into a caller-owned destination (reshaped with
+// Matrix.Reshape, reusing its storage) and takes its scratch from a
+// Workspace, so a caller that keeps both factorizes every CPI without
+// allocating. QRFactor, RFactor, UpdateR, BackSubstitute, VStack and H are
+// thin wrappers that pass fresh ones.
 package linalg
 
 import (
@@ -55,6 +63,24 @@ func (m *Matrix) Set(i, j int, v complex128) { m.Data[i*m.Cols+j] = v }
 // Row returns a mutable view of row i.
 func (m *Matrix) Row(i int) []complex128 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
+// Reshape makes m an r x c matrix and returns it, reusing m's storage when
+// it holds r*c elements (allocating only to grow). The elements' values
+// are unspecified afterwards; callers overwrite them.
+func (m *Matrix) Reshape(r, c int) *Matrix {
+	if r < 0 || c < 0 {
+		panic(fmt.Sprintf("linalg: invalid dims %dx%d", r, c))
+	}
+	m.Rows, m.Cols = r, c
+	m.Data = grow(m.Data, r*c)
+	return m
+}
+
+// CopyFrom makes m a copy of o, reusing m's storage, and returns m.
+func (m *Matrix) CopyFrom(o *Matrix) *Matrix {
+	copy(m.Reshape(o.Rows, o.Cols).Data, o.Data)
+	return m
+}
+
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
 	out := NewMatrix(m.Rows, m.Cols)
@@ -76,8 +102,12 @@ func (m *Matrix) Equalish(o *Matrix, tol float64) bool {
 }
 
 // H returns the conjugate transpose of m as a new matrix.
-func (m *Matrix) H() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
+func (m *Matrix) H() *Matrix { return HInto(new(Matrix), m) }
+
+// HInto writes the conjugate transpose of m into dst (reshaped; must not
+// alias m) and returns dst.
+func HInto(dst, m *Matrix) *Matrix {
+	out := dst.Reshape(m.Cols, m.Rows)
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
 		for j, v := range row {
@@ -117,9 +147,13 @@ func Identity(n int) *Matrix {
 }
 
 // VStack stacks matrices vertically. All must share the column count.
-func VStack(ms ...*Matrix) *Matrix {
+func VStack(ms ...*Matrix) *Matrix { return VStackInto(new(Matrix), ms...) }
+
+// VStackInto stacks matrices vertically into dst (reshaped; must not alias
+// any of them) and returns dst. All must share the column count.
+func VStackInto(dst *Matrix, ms ...*Matrix) *Matrix {
 	if len(ms) == 0 {
-		return NewMatrix(0, 0)
+		return dst.Reshape(0, 0)
 	}
 	c := ms[0].Cols
 	r := 0
@@ -129,7 +163,7 @@ func VStack(ms ...*Matrix) *Matrix {
 		}
 		r += m.Rows
 	}
-	out := NewMatrix(r, c)
+	out := dst.Reshape(r, c)
 	off := 0
 	for _, m := range ms {
 		copy(out.Data[off:off+len(m.Data)], m.Data)

@@ -13,58 +13,126 @@ type QR struct {
 	R *Matrix
 }
 
+// Workspace is the scratch memory of the factorizations in this file: the
+// Householder column and vector, the reflector store QR accumulates Q
+// from, and the working copy of the matrix being reduced (for UpdateRInto,
+// the stacked [λ·R; rows]). Every slice grows to the largest problem seen
+// and is then reused, so a warm workspace factorizes without allocating.
+// The zero value is ready to use; a Workspace must not be shared by
+// concurrent calls.
+type Workspace struct {
+	x, v    []complex128 // householderColumn's column copy and reflector
+	refl    []complex128 // QRFactorInto's reflectors, k-th at [k*m, k*m+m-k)
+	applied []bool       // refl[k] holds a reflector
+	work    Matrix       // the matrix being reduced in place
+}
+
+// grow returns s resized to n, reusing its storage when large enough. The
+// result is never nil (the wire form tells nil from empty).
+func grow[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // QRFactor computes the thin QR factorization of a (m x n, m >= n) using
-// Householder reflections. a is not modified.
+// Householder reflections. a is not modified. It is QRFactorInto with a
+// fresh workspace and result.
 func QRFactor(a *Matrix) (*QR, error) {
+	qr := &QR{Q: new(Matrix), R: new(Matrix)}
+	if err := QRFactorInto(new(Workspace), qr, a); err != nil {
+		return nil, err
+	}
+	return qr, nil
+}
+
+// QRFactorInto computes the thin QR factorization of a (m x n, m >= n)
+// into dst, reshaping dst.Q to m x n and dst.R to n x n (nil matrices are
+// allocated), using w for scratch. a is not modified and must not alias
+// dst's matrices.
+func QRFactorInto(w *Workspace, dst *QR, a *Matrix) error {
 	m, n := a.Rows, a.Cols
 	if m < n {
-		return nil, fmt.Errorf("linalg: QRFactor needs rows >= cols, got %dx%d", m, n)
+		return fmt.Errorf("linalg: QRFactor needs rows >= cols, got %dx%d", m, n)
 	}
-	r := a.Clone()
-	vs := make([][]complex128, 0, n) // Householder vectors
+	r := w.work.Reshape(m, n)
+	copy(r.Data, a.Data)
+	w.refl = grow(w.refl, n*m)
+	w.applied = grow(w.applied, n)
 	for k := 0; k < n; k++ {
-		v, ok := householderColumn(r, k)
-		if ok {
+		v := w.refl[k*m : k*m+m-k]
+		w.applied[k] = w.householderColumn(r, k, v)
+		if w.applied[k] {
 			applyHouseholderLeft(r, v, k)
 		}
-		vs = append(vs, v)
+	}
+	if dst.Q == nil {
+		dst.Q = new(Matrix)
+	}
+	if dst.R == nil {
+		dst.R = new(Matrix)
 	}
 	// Zero out strictly-lower part and keep the top n x n block as R.
-	rOut := NewMatrix(n, n)
+	rOut := dst.R.Reshape(n, n)
+	clear(rOut.Data)
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
 			rOut.Set(i, j, r.At(i, j))
 		}
 	}
 	// Accumulate Q by applying reflectors to the first n columns of I.
-	q := NewMatrix(m, n)
+	q := dst.Q.Reshape(m, n)
+	clear(q.Data)
 	for i := 0; i < n; i++ {
 		q.Set(i, i, 1)
 	}
 	for k := n - 1; k >= 0; k-- {
-		if vs[k] != nil {
-			applyHouseholderLeft(q, vs[k], k)
+		if w.applied[k] {
+			applyHouseholderLeft(q, w.refl[k*m:k*m+m-k], k)
 		}
 	}
-	return &QR{Q: q, R: rOut}, nil
+	return nil
 }
 
 // RFactor computes only the triangular factor R of the thin QR of a,
 // in O(mn^2) without accumulating Q. a is not modified. The returned R has
 // a real non-negative diagonal, making it unique and therefore directly
-// comparable across incremental updates.
+// comparable across incremental updates. It is RFactorInto with a fresh
+// workspace and result.
 func RFactor(a *Matrix) (*Matrix, error) {
+	out := new(Matrix)
+	if err := RFactorInto(new(Workspace), out, a); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// RFactorInto is RFactor writing the n x n factor into dst (reshaped),
+// using w for scratch. a is not modified; dst may alias a.
+func RFactorInto(w *Workspace, dst, a *Matrix) error {
 	m, n := a.Rows, a.Cols
 	if m < n {
-		return nil, fmt.Errorf("linalg: RFactor needs rows >= cols, got %dx%d", m, n)
+		return fmt.Errorf("linalg: RFactor needs rows >= cols, got %dx%d", m, n)
 	}
-	r := a.Clone()
+	r := w.work.Reshape(m, n)
+	copy(r.Data, a.Data)
+	w.reduceR(dst, r)
+	return nil
+}
+
+// reduceR triangularizes r (m x n, m >= n) in place and writes its
+// normalized n x n factor into dst.
+func (w *Workspace) reduceR(dst, r *Matrix) {
+	m, n := r.Rows, r.Cols
+	w.v = grow(w.v, m)
 	for k := 0; k < n; k++ {
-		if v, ok := householderColumn(r, k); ok {
+		if v := w.v[:m-k]; w.householderColumn(r, k, v) {
 			applyHouseholderLeft(r, v, k)
 		}
 	}
-	out := NewMatrix(n, n)
+	out := dst.Reshape(n, n)
+	clear(out.Data)
 	for i := 0; i < n; i++ {
 		// Householder with our beta convention leaves diag real negative or
 		// positive; normalize rows so diag >= 0 for uniqueness.
@@ -77,21 +145,22 @@ func RFactor(a *Matrix) (*Matrix, error) {
 			out.Set(i, j, phase*r.At(i, j))
 		}
 	}
-	return out, nil
 }
 
-// householderColumn builds the Householder vector that annihilates column k
-// of r below the diagonal. Returns (nil, false) if the column is already
-// zero below the diagonal.
-func householderColumn(r *Matrix, k int) ([]complex128, bool) {
+// householderColumn builds in v (length r.Rows-k) the Householder vector
+// that annihilates column k of r below the diagonal, using w.x for the
+// column copy. Returns false, leaving v unspecified, if the column is
+// already zero below the diagonal.
+func (w *Workspace) householderColumn(r *Matrix, k int, v []complex128) bool {
 	m := r.Rows
-	x := make([]complex128, m-k)
+	w.x = grow(w.x, m)
+	x := w.x[:m-k]
 	for i := k; i < m; i++ {
 		x[i-k] = r.At(i, k)
 	}
 	alpha := Norm2(x)
 	if alpha == 0 {
-		return nil, false
+		return false
 	}
 	// beta = -sign(x0)*|x|, with complex sign = x0/|x0|.
 	var beta complex128
@@ -100,18 +169,17 @@ func householderColumn(r *Matrix, k int) ([]complex128, bool) {
 	} else {
 		beta = -(x[0] / complex(cmplx.Abs(x[0]), 0)) * complex(alpha, 0)
 	}
-	v := make([]complex128, m-k)
 	copy(v, x)
 	v[0] -= beta
 	nv := Norm2(v)
 	if nv < 1e-300 {
-		return nil, false
+		return false
 	}
 	inv := complex(1/nv, 0)
 	for i := range v {
 		v[i] *= inv
 	}
-	return v, true
+	return true
 }
 
 // applyHouseholderLeft applies (I - 2 v v^H) to rows k.. of r, columns k..,
@@ -136,13 +204,23 @@ func applyHouseholderLeft(r *Matrix, v []complex128, k int) {
 	}
 }
 
-// BackSubstitute solves R x = b for upper-triangular R (n x n).
+// BackSubstitute solves R x = b for upper-triangular R (n x n). It is
+// BackSubstituteInto with a fresh solution vector.
 func BackSubstitute(r *Matrix, b []complex128) ([]complex128, error) {
-	n := r.Rows
-	if r.Cols != n || len(b) != n {
-		return nil, fmt.Errorf("linalg: BackSubstitute dims R %dx%d b %d", r.Rows, r.Cols, len(b))
+	x := make([]complex128, len(b))
+	if err := BackSubstituteInto(x, r, b); err != nil {
+		return nil, err
 	}
-	x := make([]complex128, n)
+	return x, nil
+}
+
+// BackSubstituteInto solves R x = b for upper-triangular R (n x n) into
+// x (length n), which must not alias b.
+func BackSubstituteInto(x []complex128, r *Matrix, b []complex128) error {
+	n := r.Rows
+	if r.Cols != n || len(b) != n || len(x) != n {
+		return fmt.Errorf("linalg: BackSubstitute dims R %dx%d b %d x %d", r.Rows, r.Cols, len(b), len(x))
+	}
 	for i := n - 1; i >= 0; i-- {
 		sum := b[i]
 		row := r.Row(i)
@@ -151,11 +229,11 @@ func BackSubstitute(r *Matrix, b []complex128) ([]complex128, error) {
 		}
 		d := row[i]
 		if cmplx.Abs(d) < 1e-300 {
-			return nil, fmt.Errorf("linalg: singular R at %d", i)
+			return fmt.Errorf("linalg: singular R at %d", i)
 		}
 		x[i] = sum / d
 	}
-	return x, nil
+	return nil
 }
 
 // ForwardSubstitute solves L x = b for lower-triangular L (n x n).
@@ -208,25 +286,39 @@ func LeastSquares(a *Matrix, b []complex128) ([]complex128, error) {
 // the triangular factor of the stacked matrix [lambda*rOld; newRows]. This
 // is algebraically the "block update form of the QR decomposition" the
 // paper uses to incorporate exponentially forgotten past looks. rOld may be
-// nil, meaning no prior state (cold start).
+// nil, meaning no prior state (cold start). It is UpdateRInto with a fresh
+// workspace and result.
 func UpdateR(rOld *Matrix, lambda float64, newRows *Matrix) (*Matrix, error) {
+	out := new(Matrix)
+	if err := UpdateRInto(new(Workspace), out, rOld, lambda, newRows); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// UpdateRInto is UpdateR writing the n x n factor into dst (reshaped),
+// stacking [lambda*rOld; newRows] in w instead of allocating it. dst may
+// alias rOld: the stack is built before dst is written.
+func UpdateRInto(w *Workspace, dst, rOld *Matrix, lambda float64, newRows *Matrix) error {
 	n := newRows.Cols
-	var stacked *Matrix
-	if rOld == nil {
-		stacked = newRows
-	} else {
+	top := 0
+	if rOld != nil {
 		if rOld.Rows != n || rOld.Cols != n {
-			return nil, fmt.Errorf("linalg: UpdateR rOld %dx%d, want %dx%d", rOld.Rows, rOld.Cols, n, n)
+			return fmt.Errorf("linalg: UpdateR rOld %dx%d, want %dx%d", rOld.Rows, rOld.Cols, n, n)
 		}
-		scaled := rOld.Clone().Scale(complex(lambda, 0))
-		stacked = VStack(scaled, newRows)
+		top = n
 	}
-	if stacked.Rows < n {
-		// Pad with zero rows so the factorization is defined even for a
-		// cold start with fewer samples than channels.
-		stacked = VStack(stacked, NewMatrix(n-stacked.Rows, n))
+	// Pad with zero rows so the factorization is defined even for a cold
+	// start with fewer samples than channels.
+	stacked := w.work.Reshape(max(top+newRows.Rows, n), n)
+	s := complex(lambda, 0)
+	for i := 0; i < top*n; i++ {
+		stacked.Data[i] = rOld.Data[i] * s
 	}
-	return RFactor(stacked)
+	copy(stacked.Data[top*n:], newRows.Data)
+	clear(stacked.Data[(top+newRows.Rows)*n:])
+	w.reduceR(dst, stacked)
+	return nil
 }
 
 // FlopsQR returns the flop-count convention for a complex Householder QR of

@@ -160,6 +160,15 @@ func AttrFamilies(series string, l []Label, report func() *BottleneckReport) []F
 	}
 }
 
+// HeapAllocBytes returns the calling process's cumulative heap allocation
+// in bytes — stap_runtime_heap_alloc_bytes_total's reading, for a caller
+// that differences it over its own interval.
+func HeapAllocBytes() uint64 {
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
 // RuntimeFamilies declares the Go runtime gauges of the calling process,
 // read with runtime/metrics (no stop-the-world, so a 1 Hz sampler can
 // afford them) — the quantities an "allocates nothing" claim is judged on.

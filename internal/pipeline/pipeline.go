@@ -280,20 +280,31 @@ type side struct {
 	channels    int
 	segs        int
 
-	// rows unpacks a training message from a Doppler worker.
-	rows func(msg any) ([][]*linalg.Matrix, ctl)
-	// train starts a training state for bins and returns its per-CPI step:
-	// observe the CPI's stacked rows, solve for the next CPI's weights.
-	train func(p radar.Params, beamAz []float64, bins []int) func(rows [][]*linalg.Matrix) [][]*linalg.Matrix
-	// weightsMsg packs weights for a beamforming worker; weights unpacks.
+	// rows unpacks a training message from a Doppler worker into dst
+	// (one entry per segment) and returns its control flags.
+	rows func(msg any, dst [][]*linalg.Matrix) ctl
+	// train starts a training state for bins.
+	train func(p radar.Params, beamAz []float64, bins []int) trainer
+	// weightsMsg packs weights for a beamforming worker; weights unpacks
+	// one segment of them.
 	weightsMsg func(ws [][]*linalg.Matrix) any
-	weights    func(msg any) [][]*linalg.Matrix
+	weights    func(msg any, seg int) []*linalg.Matrix
 	steer      func(s *stap.Weights) [][]*linalg.Matrix
-	beamform   func(p radar.Params, slab *cube.Cube, ws [][]*linalg.Matrix, out *cube.Cube, threads int)
+	beamform   func(w *stap.Workspace, p radar.Params, slab *cube.Cube, ws [][]*linalg.Matrix, out *cube.Cube, threads int)
+}
+
+// trainer is one weight worker's training state: step observes a CPI's
+// stacked rows and writes the weights for the next CPI into out; reset
+// restarts it at a job boundary, keeping its memory, so that independent
+// jobs in a stream see exactly the fresh-start semantics of a new
+// instance.
+type trainer struct {
+	step  func(rows, out [][]*linalg.Matrix)
+	reset func()
 }
 
 // sides returns the two bin classes in routing order: easy, then hard.
-func (t *topology) sides() []*side { return []*side{&t.easy, &t.hard} }
+func (t *topology) sides() [2]*side { return [2]*side{&t.easy, &t.hard} }
 
 func newTopology(p radar.Params, a Assignment) *topology {
 	t := &topology{p: p}
@@ -305,43 +316,51 @@ func newTopology(p radar.Params, a Assignment) *topology {
 		wTask: TaskEasyWeight, bfTask: TaskEasyBF,
 		trainTag: tagEasyTrain, dataTag: tagEasyBFData, wTag: tagEasyW, beamTag: tagEasyBeam,
 		bins: p.EasyBins(), channels: p.J, segs: 1,
-		rows: func(msg any) ([][]*linalg.Matrix, ctl) {
+		rows: func(msg any, dst [][]*linalg.Matrix) ctl {
 			m := msg.(easyTrainMsg)
-			return [][]*linalg.Matrix{m.Rows}, m.Ctl
+			dst[0] = m.Rows
+			return m.Ctl
 		},
-		train: func(p radar.Params, beamAz []float64, bins []int) func([][]*linalg.Matrix) [][]*linalg.Matrix {
+		train: func(p radar.Params, beamAz []float64, bins []int) trainer {
 			state := stap.NewEasyWeightStateForBins(p, beamAz, bins)
-			return func(rows [][]*linalg.Matrix) [][]*linalg.Matrix {
-				state.ObserveRows(rows[0])
-				return [][]*linalg.Matrix{state.Compute()}
+			return trainer{
+				step: func(rows, out [][]*linalg.Matrix) {
+					state.ObserveRows(rows[0])
+					state.ComputeInto(out[0])
+				},
+				reset: state.Reset,
 			}
 		},
 		weightsMsg: func(ws [][]*linalg.Matrix) any { return easyWeightsMsg{Ws: ws[0]} },
-		weights:    func(msg any) [][]*linalg.Matrix { return [][]*linalg.Matrix{msg.(easyWeightsMsg).Ws} },
+		weights:    func(msg any, _ int) []*linalg.Matrix { return msg.(easyWeightsMsg).Ws },
 		steer:      func(s *stap.Weights) [][]*linalg.Matrix { return [][]*linalg.Matrix{s.Easy} },
-		beamform: func(p radar.Params, slab *cube.Cube, ws [][]*linalg.Matrix, out *cube.Cube, threads int) {
-			stap.BeamformEasySlabThreaded(p, slab, ws[0], out, threads)
+		beamform: func(w *stap.Workspace, p radar.Params, slab *cube.Cube, ws [][]*linalg.Matrix, out *cube.Cube, threads int) {
+			w.BeamformEasySlab(p, slab, ws[0], out, threads)
 		},
 	}
 	t.hard = side{
 		wTask: TaskHardWeight, bfTask: TaskHardBF,
 		trainTag: tagHardTrain, dataTag: tagHardBFData, wTag: tagHardW, beamTag: tagHardBeam,
 		bins: p.HardBins(), channels: 2 * p.J, segs: p.NumSegments(),
-		rows: func(msg any) ([][]*linalg.Matrix, ctl) {
+		rows: func(msg any, dst [][]*linalg.Matrix) ctl {
 			m := msg.(hardTrainMsg)
-			return m.Rows, m.Ctl
+			copy(dst, m.Rows)
+			return m.Ctl
 		},
-		train: func(p radar.Params, beamAz []float64, bins []int) func([][]*linalg.Matrix) [][]*linalg.Matrix {
+		train: func(p radar.Params, beamAz []float64, bins []int) trainer {
 			state := stap.NewHardWeightStateForBins(p, beamAz, bins)
-			return func(rows [][]*linalg.Matrix) [][]*linalg.Matrix {
-				state.ObserveRows(rows)
-				return state.Compute()
+			return trainer{
+				step: func(rows, out [][]*linalg.Matrix) {
+					state.ObserveRows(rows)
+					state.ComputeInto(out)
+				},
+				reset: state.Reset,
 			}
 		},
 		weightsMsg: func(ws [][]*linalg.Matrix) any { return hardWeightsMsg{Ws: ws} },
-		weights:    func(msg any) [][]*linalg.Matrix { return msg.(hardWeightsMsg).Ws },
+		weights:    func(msg any, seg int) []*linalg.Matrix { return msg.(hardWeightsMsg).Ws[seg] },
 		steer:      func(s *stap.Weights) [][]*linalg.Matrix { return s.Hard },
-		beamform:   stap.BeamformHardSlabThreaded,
+		beamform:   (*stap.Workspace).BeamformHardSlab,
 	}
 	for _, sd := range t.sides() {
 		sd.wPos = cube.BlockPartition(len(sd.bins), a[sd.wTask])

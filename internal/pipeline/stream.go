@@ -152,6 +152,7 @@ func NewHostedStream(cfg StreamConfig, h Hosting) (*Stream, error) {
 		sup:     newSupervisor(cfg.Assign),
 		gain:    make([]float64, p.K),
 		beamAz:  cfg.Scene.BeamAzimuths(),
+		depth:   window + 1,
 	}
 	for r := range e.gain {
 		e.gain[r] = 1 / cfg.Scene.RangeGain(r)
@@ -179,8 +180,9 @@ func NewHostedStream(cfg StreamConfig, h Hosting) (*Stream, error) {
 		credits <- struct{}{}
 	}
 
-	// Feeder (driver only): slices each submitted CPI across the Doppler
-	// workers' range blocks; a closed quit channel becomes the EOF message
+	// Feeder (driver only): hands each Doppler worker a view of its range
+	// block of the submitted CPI (no copy: the job's cubes are read in
+	// place, see ProcessJob); a closed quit channel becomes the EOF message
 	// that drains the task chain. The input channel itself is never
 	// closed, so a submitter racing Close can never send on a closed
 	// channel. It runs supervised (see superviseWorker), so a cube that
@@ -206,7 +208,7 @@ func NewHostedStream(cfg StreamConfig, h Hosting) (*Stream, error) {
 						c := ctl{Reset: item.reset, Trace: obs.NewTraceID()}
 						for w, blk := range topo.kBlocks {
 							feeder.Send(topo.groups[TaskDoppler].Global(w), tag(tagRaw, cpi),
-								rawMsg{Slab: item.raw.SliceAxis0(blk), Ctl: c})
+								rawMsg{Slab: item.raw.ViewAxis0(blk), Ctl: c})
 						}
 						cpi++
 					case <-s.quit:
@@ -259,11 +261,12 @@ func NewHostedStream(cfg StreamConfig, h Hosting) (*Stream, error) {
 		defer close(s.out)
 		superviseWorker(world, e.sup, DriverTask, driverCollector, func() {
 			collector := world.Comm(topo.driver)
+			cfar := topo.groups[TaskCFAR].Ranks()
 			for cpi := 0; ; cpi++ {
 				e.sup.enter(DriverTask, driverCollector, cpi)
 				var merged []stap.Detection
 				eof := false
-				for _, src := range topo.groups[TaskCFAR].Ranks() {
+				for _, src := range cfar {
 					msg := collector.Recv(src, tag(tagDet, cpi)).(detMsg)
 					if msg.Ctl.EOF {
 						eof = true
@@ -295,6 +298,11 @@ func NewHostedStream(cfg StreamConfig, h Hosting) (*Stream, error) {
 // serial stap.Processor. When the stream dies mid-job the error states
 // why: *FaultError for a supervised worker fault, ErrCPITimeout when the
 // per-CPI watchdog fired, ErrStreamClosed for a plain close or abort.
+//
+// The cubes are read in place, not copied: the caller must not modify them
+// while the job runs — and, after an error return, until the stream has
+// been closed or aborted, since workers of a dying instance may still be
+// reading them.
 func (s *Stream) ProcessJob(cpis []*cube.Cube) ([][]stap.Detection, error) {
 	return s.ProcessJobOpts(cpis, JobOpts{})
 }

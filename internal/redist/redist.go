@@ -65,8 +65,18 @@ func IntersectList(list []int, blk cube.Block) (lo, hi int) {
 // len(bins) x Kblk x channels with channels unit stride.
 //
 // This is exactly the Figure 8 reorganization; the innermost gather is a
-// strided read from the source slab.
+// strided read from the source slab. It is PackForBeamformInto a fresh
+// cube.
 func PackForBeamform(p radar.Params, slab *cube.Cube, slabBlk cube.Block, bins []int, channels int) *cube.Cube {
+	out := cube.New(radar.BeamformInOrder, len(bins), slabBlk.Size(), channels)
+	PackForBeamformInto(out, p, slab, slabBlk, bins, channels)
+	return out
+}
+
+// PackForBeamformInto is PackForBeamform writing every element of dst,
+// which must be a len(bins) x slabBlk.Size() x channels BeamformInOrder
+// cube — the form for a sender that packs into a buffer it keeps.
+func PackForBeamformInto(dst *cube.Cube, p radar.Params, slab *cube.Cube, slabBlk cube.Block, bins []int, channels int) {
 	if slab.Axes != radar.StaggeredOrder {
 		panic(fmt.Sprintf("redist: PackForBeamform wants %v, got %v", radar.StaggeredOrder, slab.Axes))
 	}
@@ -76,28 +86,44 @@ func PackForBeamform(p radar.Params, slab *cube.Cube, slabBlk cube.Block, bins [
 	if channels > slab.Dim[1] {
 		panic("redist: channel count exceeds slab channels")
 	}
-	out := cube.New(radar.BeamformInOrder, len(bins), slabBlk.Size(), channels)
+	if dst.Axes != radar.BeamformInOrder || dst.Dim != [3]int{len(bins), slabBlk.Size(), channels} {
+		panic(fmt.Sprintf("redist: pack into %v %v, want [%d %d %d]", dst.Axes, dst.Dim, len(bins), slabBlk.Size(), channels))
+	}
 	for bi, d := range bins {
 		for r := 0; r < slabBlk.Size(); r++ {
-			dst := out.Vec(bi, r)
+			out := dst.Vec(bi, r)
 			for j := 0; j < channels; j++ {
-				dst[j] = slab.At(r, j, d)
+				out[j] = slab.At(r, j, d)
 			}
 		}
 	}
-	return out
 }
 
 // AssembleBeamformInput is the receiver-side unpack: pieces from every
 // Doppler processor (piece i covering global ranges blocks[i], all in
 // Doppler-major layout with identical bin and channel counts) are pasted
-// into one nBins x K x channels cube. Blocks must tile [0, K).
+// into one nBins x K x channels cube. Blocks must tile [0, K). It is
+// AssembleBeamformInputInto a fresh cube.
 func AssembleBeamformInput(p radar.Params, pieces []*cube.Cube, blocks []cube.Block, channels int) *cube.Cube {
+	if len(pieces) == 0 {
+		panic("redist: pieces/blocks mismatch")
+	}
+	out := cube.New(radar.BeamformInOrder, pieces[0].Dim[0], p.K, channels)
+	AssembleBeamformInputInto(out, p, pieces, blocks, channels)
+	return out
+}
+
+// AssembleBeamformInputInto is AssembleBeamformInput writing into dst, an
+// nBins x K x channels BeamformInOrder cube the receiver keeps; since the
+// blocks tile [0, K), every element is overwritten.
+func AssembleBeamformInputInto(dst *cube.Cube, p radar.Params, pieces []*cube.Cube, blocks []cube.Block, channels int) {
 	if len(pieces) == 0 || len(pieces) != len(blocks) {
 		panic("redist: pieces/blocks mismatch")
 	}
 	nBins := pieces[0].Dim[0]
-	out := cube.New(radar.BeamformInOrder, nBins, p.K, channels)
+	if dst.Axes != radar.BeamformInOrder || dst.Dim != [3]int{nBins, p.K, channels} {
+		panic(fmt.Sprintf("redist: assemble into %v %v, want [%d %d %d]", dst.Axes, dst.Dim, nBins, p.K, channels))
+	}
 	for i, piece := range pieces {
 		blk := blocks[i]
 		if piece.Dim != [3]int{nBins, blk.Size(), channels} {
@@ -105,11 +131,10 @@ func AssembleBeamformInput(p radar.Params, pieces []*cube.Cube, blocks []cube.Bl
 		}
 		for b := 0; b < nBins; b++ {
 			for r := 0; r < blk.Size(); r++ {
-				copy(out.Vec(b, blk.Lo+r), piece.Vec(b, r))
+				copy(dst.Vec(b, blk.Lo+r), piece.Vec(b, r))
 			}
 		}
 	}
-	return out
 }
 
 // PackForBeamformNoReorg is the ablation alternative to PackForBeamform:
@@ -173,9 +198,11 @@ func AssembleWithReorg(p radar.Params, pieces []*cube.Cube, blocks []cube.Block,
 // SliceBins returns rows [lo, hi) along axis 0 of a Doppler-major cube —
 // the sender-side selection when a beamforming task forwards a contiguous
 // subset of its bins to a pulse-compression processor. No reorganization
-// is needed (both sides are partitioned along N, as the paper notes).
+// is needed (both sides are partitioned along N, as the paper notes), and
+// no copy either: the result is a view sharing c's storage, so a sender
+// builds it once over an output buffer it keeps.
 func SliceBins(c *cube.Cube, lo, hi int) *cube.Cube {
-	return c.SliceAxis0(cube.Block{Lo: lo, Hi: hi})
+	return c.ViewAxis0(cube.Block{Lo: lo, Hi: hi})
 }
 
 // WeightsBytes returns the wire size of a set of weight matrices under the

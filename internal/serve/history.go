@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"pstap/internal/history"
@@ -33,9 +34,47 @@ const servePrefix = "serve/"
 type sampler struct {
 	store  *history.Store
 	engine *slo.Engine // nil without configured SLOs
+	alloc  allocRate
 
 	stop chan struct{}
 	done chan struct{}
+}
+
+// allocRate is the sampler's per-CPI allocation reading: at each tick, the
+// process's heap allocation since the previous tick over the CPIs the
+// server completed in it — the live counterpart of the benchmark's
+// alloc_bytes_per_cpi.
+type allocRate struct {
+	mu          sync.Mutex
+	bytes, cpis uint64 // the counters at the previous tick
+	perCPI      float64
+	ok          bool // the last tick saw a CPI complete
+}
+
+// tick differences the counters against the previous tick's.
+func (a *allocRate) tick(bytes, cpis uint64) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.ok = cpis > a.cpis
+	if a.ok {
+		a.perCPI = float64(bytes-a.bytes) / float64(cpis-a.cpis)
+	}
+	a.bytes, a.cpis = bytes, cpis
+}
+
+// family is the reading's row: no sample while the last tick saw no CPI.
+func (a *allocRate) family() obs.Family {
+	return obs.Family{Name: "stap_runtime_alloc_bytes_per_cpi", Type: "gauge",
+		Help:   "Heap bytes the process allocated per CPI completed, over the last history tick (no sample when none completed).",
+		Series: "runtime/alloc_bytes_per_cpi",
+		Collect: func(emit func([]obs.Label, float64)) {
+			a.mu.Lock()
+			v, ok := a.perCPI, a.ok
+			a.mu.Unlock()
+			if ok {
+				emit(nil, v)
+			}
+		}}
 }
 
 // startSampler builds the store (and engine, when SLOs are configured)
@@ -44,6 +83,7 @@ type sampler struct {
 func (s *Server) startSampler() error {
 	sa := &sampler{
 		store: history.NewStore(s.cfg.HistoryConfig),
+		alloc: allocRate{bytes: obs.HeapAllocBytes()},
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
@@ -89,6 +129,7 @@ func (s *Server) History() *history.Store { return s.sampler.store }
 
 // sampleOnce records one tick of every family that has a series.
 func (s *Server) sampleOnce(now time.Time) {
+	s.sampler.alloc.tick(obs.HeapAllocBytes(), uint64(s.metrics.cpis.Load()))
 	t := now.UnixNano()
 	obs.ObserveFamilies(s.families(), func(series string, v float64) { s.sampler.store.ObserveName(series, t, v) })
 }

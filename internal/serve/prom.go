@@ -72,7 +72,7 @@ func (s *Server) families() []obs.Family {
 		fams = append(fams, obs.AttrFamilies("r{replica}/attr/", l, func() *obs.BottleneckReport { return s.slotBottlenecks(slot) })...)
 	}
 	fams = append(fams, sloFamilies(s.Alerts())...)
-	return append(fams, obs.RuntimeFamilies()...)
+	return append(append(fams, obs.RuntimeFamilies()...), s.sampler.alloc.family())
 }
 
 // b2f renders a condition as a 0/1 gauge value.

@@ -49,6 +49,9 @@ func startSurfaceFixture(t *testing.T) (*Server, *dist.Node) {
 			Heartbeat: 200 * time.Millisecond, ReadyTimeout: 5 * time.Second,
 		}},
 		CPITimeout: 20 * time.Second,
+		// Only the fixture's own tick below samples, so the per-CPI
+		// allocation row's tick is the one that saw the jobs.
+		HistoryInterval: time.Hour,
 		SLOs: []slo.Spec{{Name: "p99", Series: "serve/latency_p99_seconds", Kind: slo.LatencyBound,
 			Threshold: 60, Objective: 0.9, FastWindowSec: 1, FastBurn: 2, SlowWindowSec: 5, SlowBurn: 2, MinSamples: 2}},
 	})
@@ -182,6 +185,14 @@ func TestSurfacesAgree(t *testing.T) {
 		if !declared[name] {
 			t.Errorf("history series %q is declared by no family", name)
 		}
+	}
+	// The fixture's tick saw its jobs complete, so the per-CPI allocation
+	// reading is on both surfaces, and a CPI allocates something.
+	if v, ok := lastValue(st, "runtime/alloc_bytes_per_cpi"); !ok || v <= 0 {
+		t.Errorf("runtime/alloc_bytes_per_cpi = %v (present %v), want a positive reading", v, ok)
+	}
+	if pv, ok := promValue(body, "stap_runtime_alloc_bytes_per_cpi", nil); !ok || pv <= 0 {
+		t.Errorf("stap_runtime_alloc_bytes_per_cpi = %v (present %v) on /metrics.prom", pv, ok)
 	}
 }
 

@@ -13,8 +13,16 @@ import (
 // — the unstaggered spectrum — are used); ws[i] is the J x M weight matrix
 // of slab row i; out is nb x M x K (radar.BeamOrder). This is the
 // per-processor kernel of the easy beamforming task: nb matrix multiplies
-// of (M x J)(J x K).
+// of (M x J)(J x K). It is Workspace.BeamformEasySlab on a fresh
+// workspace, single-threaded.
 func BeamformEasySlab(p radar.Params, slab *cube.Cube, ws []*linalg.Matrix, out *cube.Cube) {
+	new(Workspace).BeamformEasySlab(p, slab, ws, out, 1)
+}
+
+// BeamformEasySlab is the per-processor kernel of the easy beamforming
+// task (see the package-level BeamformEasySlab), writing every element of
+// out; threads > 1 spreads the slab's rows over that many threads.
+func (w *Workspace) BeamformEasySlab(p radar.Params, slab *cube.Cube, ws []*linalg.Matrix, out *cube.Cube, threads int) {
 	nb := slab.Dim[0]
 	if len(ws) != nb || out.Dim[0] != nb {
 		panic(fmt.Sprintf("stap: easy slab %d bins, %d weights, %d out rows", nb, len(ws), out.Dim[0]))
@@ -22,14 +30,23 @@ func BeamformEasySlab(p radar.Params, slab *cube.Cube, ws []*linalg.Matrix, out 
 	if slab.Dim[1] != p.K || slab.Dim[2] < p.J || out.Dim[1] != p.M || out.Dim[2] != p.K {
 		panic(fmt.Sprintf("stap: easy slab dims %v out %v", slab.Dim, out.Dim))
 	}
-	beamformEasyRows(p, slab, ws, out, 0, nb)
+	if threaded(nb, threads) {
+		w.beamformEasyThreaded(p, slab, ws, out, threads)
+		return
+	}
+	w.beamformEasyRows(p, slab, ws, out, 0, nb)
 }
 
-// beamformEasyRows processes slab rows [lo, hi) with its own scratch; the
-// threaded kernels give each thread one contiguous row block.
-func beamformEasyRows(p radar.Params, slab *cube.Cube, ws []*linalg.Matrix, out *cube.Cube, lo, hi int) {
-	x := linalg.NewMatrix(p.J, p.K)
-	y := linalg.NewMatrix(p.M, p.K)
+// beamformEasyThreaded is BeamformEasySlab's threads > 1 path (see
+// threaded).
+func (w *Workspace) beamformEasyThreaded(p radar.Params, slab *cube.Cube, ws []*linalg.Matrix, out *cube.Cube, threads int) {
+	w.forThreads(slab.Dim[0], threads, func(tw *Workspace, lo, hi int) { tw.beamformEasyRows(p, slab, ws, out, lo, hi) })
+}
+
+// beamformEasyRows processes slab rows [lo, hi).
+func (w *Workspace) beamformEasyRows(p radar.Params, slab *cube.Cube, ws []*linalg.Matrix, out *cube.Cube, lo, hi int) {
+	x := w.x.Reshape(p.J, p.K)
+	y := w.y.Reshape(p.M, p.K)
 	for row := lo; row < hi; row++ {
 		for r := 0; r < p.K; r++ {
 			v := slab.Vec(row, r)
@@ -37,7 +54,7 @@ func beamformEasyRows(p radar.Params, slab *cube.Cube, ws []*linalg.Matrix, out 
 				x.Set(j, r, v[j])
 			}
 		}
-		linalg.MulInto(y, ws[row].H(), x)
+		linalg.MulInto(y, linalg.HInto(&w.wh, ws[row]), x)
 		for m := 0; m < p.M; m++ {
 			copy(out.Vec(row, m), y.Row(m))
 		}
@@ -47,8 +64,16 @@ func beamformEasyRows(p radar.Params, slab *cube.Cube, ws []*linalg.Matrix, out 
 // BeamformHardSlab applies hard weights to a bin-local Doppler slab. slab
 // is nb x K x 2J; ws[seg][i] is the 2J x M weight matrix of segment seg
 // for slab row i; out is nb x M x K. Each row performs one matrix multiply
-// per range segment (the paper's 6*Nhard multiplications).
+// per range segment (the paper's 6*Nhard multiplications). It is
+// Workspace.BeamformHardSlab on a fresh workspace, single-threaded.
 func BeamformHardSlab(p radar.Params, slab *cube.Cube, ws [][]*linalg.Matrix, out *cube.Cube) {
+	new(Workspace).BeamformHardSlab(p, slab, ws, out, 1)
+}
+
+// BeamformHardSlab is the per-processor kernel of the hard beamforming
+// task (see the package-level BeamformHardSlab), writing every element of
+// out; threads > 1 spreads the slab's rows over that many threads.
+func (w *Workspace) BeamformHardSlab(p radar.Params, slab *cube.Cube, ws [][]*linalg.Matrix, out *cube.Cube, threads int) {
 	nb := slab.Dim[0]
 	if len(ws) != p.NumSegments() || out.Dim[0] != nb {
 		panic(fmt.Sprintf("stap: hard slab %d segments, out rows %d for %d bins", len(ws), out.Dim[0], nb))
@@ -61,23 +86,33 @@ func BeamformHardSlab(p radar.Params, slab *cube.Cube, ws [][]*linalg.Matrix, ou
 			panic("stap: hard weight count mismatch")
 		}
 	}
-	beamformHardRows(p, slab, ws, out, 0, nb)
+	if threaded(nb, threads) {
+		w.beamformHardThreaded(p, slab, ws, out, threads)
+		return
+	}
+	w.beamformHardRows(p, slab, ws, out, 0, nb)
 }
 
-// beamformHardRows processes slab rows [lo, hi).
-func beamformHardRows(p radar.Params, slab *cube.Cube, ws [][]*linalg.Matrix, out *cube.Cube, rowLo, rowHi int) {
+// beamformHardThreaded is BeamformHardSlab's threads > 1 path (see
+// threaded).
+func (w *Workspace) beamformHardThreaded(p radar.Params, slab *cube.Cube, ws [][]*linalg.Matrix, out *cube.Cube, threads int) {
+	w.forThreads(slab.Dim[0], threads, func(tw *Workspace, lo, hi int) { tw.beamformHardRows(p, slab, ws, out, lo, hi) })
+}
+
+// beamformHardRows processes slab rows [rowLo, rowHi).
+func (w *Workspace) beamformHardRows(p radar.Params, slab *cube.Cube, ws [][]*linalg.Matrix, out *cube.Cube, rowLo, rowHi int) {
 	for row := rowLo; row < rowHi; row++ {
 		for seg := 0; seg < p.NumSegments(); seg++ {
 			lo, hi := p.Segment(seg)
-			wh := ws[seg][row].H() // M x 2J
-			x := linalg.NewMatrix(2*p.J, hi-lo)
+			wh := linalg.HInto(&w.wh, ws[seg][row]) // M x 2J
+			x := w.x.Reshape(2*p.J, hi-lo)
 			for r := lo; r < hi; r++ {
 				v := slab.Vec(row, r)
 				for j := 0; j < 2*p.J; j++ {
 					x.Set(j, r-lo, v[j])
 				}
 			}
-			y := linalg.NewMatrix(p.M, hi-lo)
+			y := w.y.Reshape(p.M, hi-lo)
 			linalg.MulInto(y, wh, x)
 			for m := 0; m < p.M; m++ {
 				copy(out.Vec(row, m)[lo:hi], y.Row(m))

@@ -54,18 +54,42 @@ func CFAR(p radar.Params, power *cube.RealCube) []Detection {
 // CFARRows scans Doppler bins [lo, hi). When local is true the cube is a
 // bin-local slab whose row 0 corresponds to bin lo; reported DopplerBin
 // values are the global bins. Results are appended to *out in scan order
-// (unsorted). This is the per-processor kernel of task 6.
+// (unsorted). It is Workspace.CFARRows on a fresh workspace,
+// single-threaded.
 func CFARRows(p radar.Params, power *cube.RealCube, lo, hi int, local bool, out *[]Detection) {
-	cfarScan(p, power, lo, lo, hi, local, out)
+	new(Workspace).CFARRows(p, power, lo, hi, local, out, 1)
+}
+
+// CFARRows is the per-processor kernel of task 6 (see the package-level
+// CFARRows); a caller that passes out = &dets with dets[:0] of a slice it
+// keeps reuses its storage. threads > 1 spreads the rows over that many
+// threads, concatenating their detections in row order, which preserves
+// the single-threaded scan order.
+func (w *Workspace) CFARRows(p radar.Params, power *cube.RealCube, lo, hi int, local bool, out *[]Detection, threads int) {
+	if threaded(hi-lo, threads) {
+		w.cfarThreaded(p, power, lo, hi, local, out, threads)
+		return
+	}
+	w.cfarScan(p, power, lo, lo, hi, local, out)
+}
+
+// cfarThreaded is CFARRows' threads > 1 path (see threaded).
+func (w *Workspace) cfarThreaded(p radar.Params, power *cube.RealCube, lo, hi int, local bool, out *[]Detection, threads int) {
+	w.forThreads(hi-lo, threads, func(tw *Workspace, a, b int) {
+		tw.dets = tw.dets[:0]
+		tw.cfarScan(p, power, lo, lo+a, lo+b, local, &tw.dets)
+	})
+	for _, tw := range w.threads[:min(threads, hi-lo)] {
+		*out = append(*out, tw.dets...)
+	}
 }
 
 // cfarScan scans bins [lo, hi); when local is true, the slab's row 0
 // corresponds to bin `base`. The reference-level estimator is selected by
 // p.CFARKind (cell averaging by default, the paper's detector).
-func cfarScan(p radar.Params, power *cube.RealCube, base, lo, hi int, local bool, out *[]Detection) {
+func (w *Workspace) cfarScan(p radar.Params, power *cube.RealCube, base, lo, hi int, local bool, out *[]Detection) {
 	g, ref, scale := p.CFARGuard, p.CFARRef, p.CFARScale
 	kind := CFARKind(p.CFARKind)
-	var osBuf []float64
 	for d := lo; d < hi; d++ {
 		row := d
 		if local {
@@ -74,12 +98,16 @@ func cfarScan(p radar.Params, power *cube.RealCube, base, lo, hi int, local bool
 		for m := 0; m < p.M; m++ {
 			vec := power.Vec(row, m)
 			// Prefix sums make each window sum O(1).
-			prefix := make([]float64, len(vec)+1)
+			if cap(w.prefix) < len(vec)+1 {
+				w.prefix = make([]float64, len(vec)+1)
+			}
+			prefix := w.prefix[:len(vec)+1]
+			prefix[0] = 0
 			for i, v := range vec {
 				prefix[i+1] = prefix[i] + v
 			}
 			for t := 0; t < len(vec); t++ {
-				level, ok := refLevel(kind, vec, prefix, t, g, ref, &osBuf)
+				level, ok := refLevel(kind, vec, prefix, t, g, ref, &w.osBuf)
 				if !ok {
 					continue
 				}

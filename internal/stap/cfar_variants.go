@@ -136,7 +136,7 @@ func CFARWith(p radar.Params, power *cube.RealCube, kind CFARKind) []Detection {
 	}
 	p.CFARKind = int(kind)
 	var out []Detection
-	cfarScan(p, power, 0, 0, p.N, false, &out)
+	new(Workspace).cfarScan(p, power, 0, 0, p.N, false, &out)
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.DopplerBin != b.DopplerBin {

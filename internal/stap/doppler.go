@@ -5,6 +5,17 @@
 // paper's temporal semantics (weights trained on CPI i-1 are applied to
 // CPI i). The parallel pipeline in internal/pipeline decomposes exactly
 // these functions across worker groups.
+//
+// Every per-CPI kernel has one implementation, in the form a pipeline
+// worker calls: a Workspace method (DopplerFilterBlock, ExtractEasyRows,
+// ExtractHardRows, BeamformEasySlab, BeamformHardSlab, PulseCompressRows,
+// CFARRows) writing into buffers the caller owns, and for the weight tasks
+// EasyWeightState / HardWeightState, which own their training history,
+// steering vectors and solver workspace and write weights with
+// ComputeInto. Warm, none of these allocates. The package-level functions
+// of the same names, and Compute, are wrappers over a fresh Workspace or
+// fresh output, kept for callers that process one CPI and keep its
+// results (the serial Processor, tests, the benchmark's layer probes).
 package stap
 
 import (
@@ -41,33 +52,20 @@ func DopplerFilter(p radar.Params, raw *cube.Cube, rangeGain []float64) *cube.Cu
 		panic("stap: rangeGain length mismatch")
 	}
 	out := cube.New(radar.StaggeredOrder, p.K, 2*p.J, p.N)
-	filterRangeBlock(p, raw, rangeGain, out, cube.Block{Lo: 0, Hi: p.K}, nil)
+	new(Workspace).DopplerFilterBlock(p, out, raw, rangeGain, cube.Block{Lo: 0, Hi: p.K}, 1)
 	return out
 }
 
-// filterRangeBlock runs the Doppler filter over range cells [blk.Lo,
-// blk.Hi), writing into out at the same global range indices. out may be a
-// full-size cube or a block-local cube when outBlk is non-nil (then output
-// rows are written at r-blk.Lo). plan may be nil (allocated internally).
-// This is the unit of work one Doppler-task processor executes in the
-// parallel pipeline, where the CPI cube is partitioned across dimension K.
-func filterRangeBlock(p radar.Params, raw *cube.Cube, rangeGain []float64, out *cube.Cube, blk cube.Block, plan *fft.Plan) {
-	if plan == nil {
-		plan = fft.MustCachedPlan(p.N)
-	}
-	win := fft.Window(p.Window, p.N-p.Stagger)
-	buf := make([]complex128, p.N)
-	outLocal := out.Dim[0] != p.K
-	inLocal := raw.Dim[0] != p.K
-	for r := blk.Lo; r < blk.Hi; r++ {
-		outR := r
-		if outLocal {
-			outR = r - blk.Lo
-		}
-		inR := r
-		if inLocal {
-			inR = r - blk.Lo
-		}
+// filterRanges runs the Doppler filter over global range cells [lo, hi),
+// reading raw row r-inOff and writing out row r-outOff. This is the unit
+// of work one Doppler-task processor (or one of its threads) executes in
+// the parallel pipeline, where the CPI cube is partitioned across
+// dimension K.
+func (w *Workspace) filterRanges(p radar.Params, raw *cube.Cube, rangeGain []float64, out *cube.Cube, lo, hi, inOff, outOff int) {
+	plan, win := w.doppler(p)
+	buf := w.lineBuf(p.N)
+	for r := lo; r < hi; r++ {
+		outR, inR := r-outOff, r-inOff
 		gain := 1.0
 		if rangeGain != nil {
 			gain = rangeGain[r]
@@ -100,16 +98,48 @@ func filterRangeBlock(p radar.Params, raw *cube.Cube, rangeGain []float64, out *
 // block only, returning a block-local staggered cube of
 // blk.Size() x 2J x N. raw may be the full K-range cube or a block-local
 // slab of blk.Size() ranges (the form a parallel Doppler-task processor
-// receives). rangeGain is always indexed by global range cell. This is
-// the per-processor kernel of task 0.
+// receives). rangeGain is always indexed by global range cell. plan, when
+// non-nil, is the N-point FFT plan to use. It is Workspace.DopplerFilterBlock
+// into a fresh cube.
 func DopplerFilterBlock(p radar.Params, raw *cube.Cube, rangeGain []float64, blk cube.Block, plan *fft.Plan) *cube.Cube {
+	out := cube.New(radar.StaggeredOrder, blk.Size(), 2*p.J, p.N)
+	(&Workspace{plan: plan}).DopplerFilterBlock(p, out, raw, rangeGain, blk, 1)
+	return out
+}
+
+// DopplerFilterBlock is the per-processor kernel of task 0: the Doppler
+// filter over range block blk, written into dst (blk.Size() x 2J x N,
+// radar.StaggeredOrder, every element overwritten). raw may be the full
+// K-range cube or a block-local slab of blk.Size() ranges; rangeGain is
+// indexed by global range cell. threads > 1 spreads the block's range
+// cells over that many threads; results are bit-identical for any count.
+func (w *Workspace) DopplerFilterBlock(p radar.Params, dst, raw *cube.Cube, rangeGain []float64, blk cube.Block, threads int) {
 	if raw.Axes != radar.RawOrder {
 		panic(fmt.Sprintf("stap: DopplerFilterBlock wants %v, got %v", radar.RawOrder, raw.Axes))
 	}
 	if raw.Dim[0] != p.K && raw.Dim[0] != blk.Size() {
 		panic(fmt.Sprintf("stap: DopplerFilterBlock raw dim0 %d, want %d or %d", raw.Dim[0], p.K, blk.Size()))
 	}
-	out := cube.New(radar.StaggeredOrder, blk.Size(), 2*p.J, p.N)
-	filterRangeBlock(p, raw, rangeGain, out, blk, plan)
-	return out
+	if dst.Axes != radar.StaggeredOrder || dst.Dim != [3]int{blk.Size(), 2 * p.J, p.N} {
+		panic(fmt.Sprintf("stap: DopplerFilterBlock output %v %v, want [%d %d %d]", dst.Axes, dst.Dim, blk.Size(), 2*p.J, p.N))
+	}
+	if rangeGain != nil && len(rangeGain) != p.K {
+		panic("stap: rangeGain length mismatch")
+	}
+	inOff := 0
+	if raw.Dim[0] != p.K {
+		inOff = blk.Lo
+	}
+	if threaded(blk.Size(), threads) {
+		w.filterThreaded(p, dst, raw, rangeGain, blk, inOff, threads)
+		return
+	}
+	w.filterRanges(p, raw, rangeGain, dst, blk.Lo, blk.Hi, inOff, blk.Lo)
+}
+
+// filterThreaded is DopplerFilterBlock's threads > 1 path (see threaded).
+func (w *Workspace) filterThreaded(p radar.Params, dst, raw *cube.Cube, rangeGain []float64, blk cube.Block, inOff, threads int) {
+	w.forThreads(blk.Size(), threads, func(tw *Workspace, lo, hi int) {
+		tw.filterRanges(p, raw, rangeGain, dst, blk.Lo+lo, blk.Lo+hi, inOff, blk.Lo)
+	})
 }

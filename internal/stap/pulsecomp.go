@@ -54,13 +54,34 @@ func PulseCompress(p radar.Params, beams *cube.Cube, mf *MatchedFilter) *cube.Re
 
 // PulseCompressRows compresses Doppler bins [lo, hi) only; beams and out
 // may be global (dim0 == N) or bin-local slabs of identical dim0 (then lo
-// and hi index the slab). This is the per-processor kernel of task 5,
-// partitioned along the Doppler dimension.
+// and hi index the slab). It is Workspace.PulseCompressRows on a fresh
+// workspace, single-threaded.
 func PulseCompressRows(p radar.Params, beams *cube.Cube, mf *MatchedFilter, out *cube.RealCube, lo, hi int) {
+	new(Workspace).PulseCompressRows(p, beams, mf, out, lo, hi, 1)
+}
+
+// PulseCompressRows is the per-processor kernel of task 5, partitioned
+// along the Doppler dimension: rows [lo, hi) of beams compressed into the
+// same rows of out. threads > 1 spreads the rows over that many threads.
+func (w *Workspace) PulseCompressRows(p radar.Params, beams *cube.Cube, mf *MatchedFilter, out *cube.RealCube, lo, hi, threads int) {
 	if mf.K != p.K {
 		panic("stap: matched filter length mismatch")
 	}
-	buf := make([]complex128, p.K)
+	if threaded(hi-lo, threads) {
+		w.compressThreaded(p, beams, mf, out, lo, hi, threads)
+		return
+	}
+	w.compressRows(p, beams, mf, out, lo, hi)
+}
+
+// compressThreaded is PulseCompressRows' threads > 1 path (see threaded).
+func (w *Workspace) compressThreaded(p radar.Params, beams *cube.Cube, mf *MatchedFilter, out *cube.RealCube, lo, hi, threads int) {
+	w.forThreads(hi-lo, threads, func(tw *Workspace, a, b int) { tw.compressRows(p, beams, mf, out, lo+a, lo+b) })
+}
+
+// compressRows compresses rows [lo, hi) on the calling goroutine.
+func (w *Workspace) compressRows(p radar.Params, beams *cube.Cube, mf *MatchedFilter, out *cube.RealCube, lo, hi int) {
+	buf := w.lineBuf(p.K)
 	for d := lo; d < hi; d++ {
 		for m := 0; m < p.M; m++ {
 			copy(buf, beams.Vec(d, m))

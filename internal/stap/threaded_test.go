@@ -14,13 +14,15 @@ func TestDopplerFilterThreadedBitIdentical(t *testing.T) {
 	blk := cube.Block{Lo: 8, Hi: 40}
 	want := DopplerFilterBlock(p, raw, nil, blk, nil)
 	for _, threads := range []int{2, 3, 7, 64} {
-		got := DopplerFilterBlockThreaded(p, raw, nil, blk, threads)
+		got := cube.New(radar.StaggeredOrder, blk.Size(), 2*p.J, p.N)
+		new(Workspace).DopplerFilterBlock(p, got, raw, nil, blk, threads)
 		if !got.Equalish(want, 0) {
 			t.Fatalf("threads=%d differs from serial", threads)
 		}
 		// block-local input path
 		local := raw.SliceAxis0(blk)
-		got2 := DopplerFilterBlockThreaded(p, local, nil, blk, threads)
+		got2 := cube.New(radar.StaggeredOrder, blk.Size(), 2*p.J, p.N)
+		new(Workspace).DopplerFilterBlock(p, got2, local, nil, blk, threads)
 		if !got2.Equalish(want, 0) {
 			t.Fatalf("threads=%d local-input differs", threads)
 		}
@@ -39,7 +41,7 @@ func TestBeamformThreadedBitIdentical(t *testing.T) {
 	BeamformEasySlab(p, slab, w.Easy, want)
 	for _, threads := range []int{2, 4, 9} {
 		got := cube.New(radar.BeamOrder, len(easyBins), p.M, p.K)
-		BeamformEasySlabThreaded(p, slab, w.Easy, got, threads)
+		new(Workspace).BeamformEasySlab(p, slab, w.Easy, got, threads)
 		if !got.Equalish(want, 0) {
 			t.Fatalf("easy threads=%d differs", threads)
 		}
@@ -51,7 +53,7 @@ func TestBeamformThreadedBitIdentical(t *testing.T) {
 	BeamformHardSlab(p, hslab, w.Hard, hwant)
 	for _, threads := range []int{2, 5} {
 		got := cube.New(radar.BeamOrder, len(hardBins), p.M, p.K)
-		BeamformHardSlabThreaded(p, hslab, w.Hard, got, threads)
+		new(Workspace).BeamformHardSlab(p, hslab, w.Hard, got, threads)
 		if !got.Equalish(hwant, 0) {
 			t.Fatalf("hard threads=%d differs", threads)
 		}
@@ -70,7 +72,7 @@ func TestPulseCompressThreadedBitIdentical(t *testing.T) {
 	PulseCompressRows(p, beams, mf, want, 0, p.N)
 	for _, threads := range []int{2, 3, 16} {
 		got := cube.NewReal(radar.BeamOrder, p.N, p.M, p.K)
-		PulseCompressRowsThreaded(p, beams, mf, got, 0, p.N, threads)
+		new(Workspace).PulseCompressRows(p, beams, mf, got, 0, p.N, threads)
 		if got.MaxAbsDiff(want) != 0 {
 			t.Fatalf("threads=%d differs", threads)
 		}
@@ -90,7 +92,7 @@ func TestCFARThreadedSameDetections(t *testing.T) {
 	CFARRows(p, pw, 0, p.N, false, &want)
 	for _, threads := range []int{2, 4, 32} {
 		var got []Detection
-		CFARRowsThreaded(p, pw, 0, p.N, false, &got, threads)
+		new(Workspace).CFARRows(p, pw, 0, p.N, false, &got, threads)
 		if len(got) != len(want) {
 			t.Fatalf("threads=%d: %d vs %d detections", threads, len(got), len(want))
 		}
@@ -107,7 +109,7 @@ func TestCFARThreadedSameDetections(t *testing.T) {
 	CFARRows(p, slab, 4, 14, true, &wantLocal)
 	for _, threads := range []int{2, 3} {
 		var got []Detection
-		CFARRowsThreaded(p, slab, 4, 14, true, &got, threads)
+		new(Workspace).CFARRows(p, slab, 4, 14, true, &got, threads)
 		if len(got) != len(wantLocal) {
 			t.Fatalf("local threads=%d: %d vs %d detections", threads, len(got), len(wantLocal))
 		}
@@ -120,7 +122,7 @@ func TestCFARThreadedSameDetections(t *testing.T) {
 
 	// empty range
 	var none []Detection
-	CFARRowsThreaded(p, pw, 3, 3, false, &none, 4)
+	new(Workspace).CFARRows(p, pw, 3, 3, false, &none, 4)
 	if len(none) != 0 {
 		t.Error("empty range should yield nothing")
 	}
@@ -130,8 +132,10 @@ func BenchmarkDopplerFilterThreaded(b *testing.B) {
 	p := radar.Paper()
 	raw := cube.New(radar.RawOrder, p.K, p.J, p.N)
 	blk := cube.Block{Lo: 0, Hi: p.K}
+	out := cube.New(radar.StaggeredOrder, blk.Size(), 2*p.J, p.N)
+	var ws Workspace
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		DopplerFilterBlockThreaded(p, raw, nil, blk, 3)
+		ws.DopplerFilterBlock(p, out, raw, nil, blk, 3)
 	}
 }
