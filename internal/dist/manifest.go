@@ -27,9 +27,13 @@ type Placement [][2]int
 // ranges separated by `/`, e.g. "0-2/3-6" puts Doppler through hard
 // weights on node 1 and beamforming through CFAR on node 2. A single task
 // may be written without the dash ("3"). An empty spec yields
-// DefaultPlacement for the node count.
+// DefaultPlacement for the node count, which must not exceed the task
+// count: every node hosts at least one task.
 func ParsePlacement(s string, nodes int) (Placement, error) {
 	if strings.TrimSpace(s) == "" {
+		if nodes > pipeline.NumTasks {
+			return nil, fmt.Errorf("dist: %d nodes for %d tasks leaves a node without one", nodes, pipeline.NumTasks)
+		}
 		return DefaultPlacement(nodes), nil
 	}
 	parts := strings.Split(s, "/")

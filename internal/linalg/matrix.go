@@ -15,6 +15,16 @@
 // Workspace, so a caller that keeps both factorizes every CPI without
 // allocating. QRFactor, RFactor, UpdateR, BackSubstitute, VStack and H are
 // thin wrappers that pass fresh ones.
+//
+// The three factorizations share one Householder loop. It builds reflector
+// k over its support: pivot row k and the rows below it whose first
+// nonzero input column is at most k. For the hard task's [λR; X] that is
+// row k and the new rows; for a damped [R; κI] it is row k and identity
+// rows 0..k; for a dense matrix it is every row from k down. The rows it
+// skips are untouched zeros in column k, and the loop keeps the dense
+// loop's order on the rest, so R and Q are bit-identical to the dense
+// loop's for finite input (the one exception, an input -0 in a skipped
+// row, is stated at the loop).
 package linalg
 
 import (

@@ -494,3 +494,23 @@ func BenchmarkMatMul6x16x512(b *testing.B) {
 		MulInto(dst, w, x)
 	}
 }
+
+// BenchmarkUpdateRMedium is the hard task's recursive update at Medium
+// size: a 56 x 16 stack of λR over 40 new rows, on a warm workspace.
+func BenchmarkUpdateRMedium(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	r, err := RFactor(randMatrix(rng, 40, 16))
+	if err != nil {
+		b.Fatal(err)
+	}
+	blk := randMatrix(rng, 40, 16)
+	var w Workspace
+	var dst Matrix
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := UpdateRInto(&w, &dst, r, 0.6, blk); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -69,7 +69,10 @@ func TestWorkspaceFormsMatchWrappers(t *testing.T) {
 
 // TestWorkspaceFormsAllocateNothing pins the zero-allocation contract of
 // the workspace forms once the workspace and the destinations have seen
-// the problem's shape.
+// the problem's shape. The hard task's stacks at Small and Medium size
+// ([λR; X] for the update, [R; κI] for the damped solve) share one
+// workspace, so its profile, support and column-product slices are
+// reused across both shapes.
 func TestWorkspaceFormsAllocateNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under -race are the race runtime's")
@@ -82,18 +85,34 @@ func TestWorkspaceFormsAllocateNothing(t *testing.T) {
 	var qr QR
 	var r, upd Matrix
 	x := make([]complex128, 16)
-	for _, c := range []struct {
+	type kernel struct {
 		name string
 		f    func()
-	}{
+	}
+	cases := []kernel{
 		{"QRFactorInto", func() { _ = QRFactorInto(&w, &qr, a) }},
 		{"RFactorInto", func() { _ = RFactorInto(&w, &r, a) }},
 		{"UpdateRInto", func() { _ = UpdateRInto(&w, &upd, &r, 0.6, blk) }},
 		{"BackSubstituteInto", func() { _ = BackSubstituteInto(x, &r, b) }},
 		{"VStackInto", func() { VStackInto(&upd, a, blk) }},
 		{"HInto", func() { HInto(&upd, a) }},
-	} {
+	}
+	for _, s := range []struct {
+		name string
+		n, k int
+	}{{"Small", 8, 10}, {"Medium", 16, 40}} {
+		rOld, fresh := hardStack(rng, s.n, s.k)
+		damped := VStack(rOld, Identity(s.n).Scale(0.5))
+		var hr Matrix
+		var hqr QR
+		cases = append(cases,
+			kernel{s.name + " [λR; X] UpdateRInto", func() { _ = UpdateRInto(&w, &hr, rOld, 0.6, fresh) }},
+			kernel{s.name + " [R; κI] QRFactorInto", func() { _ = QRFactorInto(&w, &hqr, damped) }})
+	}
+	for _, c := range cases {
 		c.f() // size the workspace and destinations
+	}
+	for _, c := range cases {
 		if allocs := testing.AllocsPerRun(20, c.f); allocs != 0 {
 			t.Errorf("%s allocates %g times per call once warm", c.name, allocs)
 		}

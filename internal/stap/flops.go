@@ -20,6 +20,17 @@ import (
 //   - triangular solve of size n: 4 n^2 per right-hand side
 //   - CFAR: 5 flops per usable test cell + 1 per (bin, beam) row, with
 //     usable = K - 2(ref+guard)
+//
+// The weight rows are the paper's count, not the arithmetic this code
+// executes. The hard task's Householder loop (linalg's one loop) reflects
+// only each reflector's support: row k and the new rows of [λR; X], row k
+// and identity rows 0..k of the damped [R; κI]. It also forms the solve's
+// thin Q, at 8 flops per complex multiply-add. At Medium that executes
+// about 22 Mflop per CPI, about half the ~41 Mflop the dense loop executed,
+// against this model's 12.2 Mflop. The model keeps the paper's
+// dense-stack convention, which the Table 1 reproduction pins, so a rate
+// derived from it (the benchmark's stap.mflops) is an effective rate under
+// the paper's count, not a measure of executed arithmetic.
 type FlopCounts struct {
 	Doppler    int64
 	EasyWeight int64

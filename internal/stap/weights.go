@@ -328,9 +328,13 @@ func (sv *solver) solve(dst, data *linalg.Matrix, steer [][]complex128, k comple
 		}
 		// rhs is zero on the data rows, so Q^H b only touches the constraint
 		// block: (Q^H b)[c] = sum_j conj(Q[data.Rows+j, c]) * k * ws[j].
+		// Constraint row j joins the reflectors' supports at reflector j, so
+		// its entries in columns c < j are exact zeros and the sum stops at
+		// the diagonal; the terms it skips would add signed zeros to a sum
+		// that is never -0, leaving its bits as they are.
 		for c := 0; c < nch; c++ {
 			var sum complex128
-			for j := 0; j < nch; j++ {
+			for j := 0; j <= c; j++ {
 				sum += conj(sv.qr.Q.At(data.Rows+j, c)) * k * ws[j]
 			}
 			sv.qhb[c] = sum

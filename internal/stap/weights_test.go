@@ -365,15 +365,41 @@ func BenchmarkEasyWeightsSmall(b *testing.B) {
 	}
 }
 
-func BenchmarkHardWeightsSmall(b *testing.B) {
-	p := radar.Small()
+func BenchmarkHardWeightsSmall(b *testing.B) { benchHardWeights(b, radar.Small()) }
+
+func BenchmarkHardWeightsMedium(b *testing.B) { benchHardWeights(b, radar.Medium()) }
+
+// benchHardWeights times one CPI of the hard weight task: the recursive
+// update and the constrained solve of every (segment, hard bin) pair.
+func benchHardWeights(b *testing.B, p radar.Params) {
 	sc := radar.DefaultScene(p)
 	hs := NewHardWeightState(p, sc.BeamAzimuths())
 	d := DopplerFilter(p, sc.GenerateCPI(0), nil)
 	hs.Observe(d)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		hs.Observe(d)
 		hs.Compute()
+	}
+}
+
+// BenchmarkDampedSolveMedium is the solve constrainedWeightsFromR runs at
+// Medium size, on a warm solver: the 32 x 16 damped stack [R; κI] and
+// M = 4 beams.
+func BenchmarkDampedSolveMedium(b *testing.B) {
+	p := radar.Medium()
+	sc := radar.DefaultScene(p)
+	hs := NewHardWeightState(p, sc.BeamAzimuths())
+	hs.Observe(DopplerFilter(p, sc.GenerateCPI(0), nil))
+	r, steer, kEff := hs.r[0][0], hs.steer[0], p.BeamConstraintWt*hs.rms[0][0]
+	var sv solver
+	var dst linalg.Matrix
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sv.fromR(&dst, r, steer, kEff); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
