@@ -218,13 +218,26 @@ func TestNodeKillReplicaLost(t *testing.T) {
 	}
 	t.Cleanup(rep.Abort)
 
+	// Kill once the job is in steady state, while its caller is held at
+	// CPI 10: the job cannot finish before the kill however fast it runs.
+	reached, killed := make(chan struct{}), make(chan struct{})
 	errc := make(chan error, 1)
 	go func() {
-		_, err := rep.ProcessJob(makeJob(sc, 200))
+		_, err := rep.ProcessJobOpts(makeJob(sc, 200), pipeline.JobOpts{OnCPI: func(cpi int, _ []stap.Detection) {
+			if cpi == 10 {
+				close(reached)
+				<-killed
+			}
+		}})
 		errc <- err
 	}()
-	time.Sleep(150 * time.Millisecond) // let the job reach steady state
+	select {
+	case <-reached:
+	case err := <-errc:
+		t.Fatalf("job ended before CPI 10: %v", err)
+	}
 	nodes[1].Kill()
+	close(killed)
 
 	select {
 	case err := <-errc:

@@ -137,10 +137,22 @@ func getSegments(d *wire.Dec) [][]*linalg.Matrix {
 // ctl carries per-CPI stream control alongside the data. Reset marks the
 // first CPI of an independent job: weight state restarts and steering
 // weights apply, so a long-lived pipeline (see Stream) produces output for
-// each job bit-identical to a fresh run. EOF marks the end of the input
-// stream: each task forwards it downstream and its workers exit — the
-// graceful-drain path, and the only way a worker loop ends short of an
-// abort.
+// each job bit-identical to a fresh run. Last marks a job's last CPI: no
+// CPI of the job follows it to apply weights trained on it, so Doppler
+// extracts no training rows, the weight tasks neither train nor send, and
+// the temporal edges TD(1,3)/TD(2,4) stop at the job boundary. EOF marks
+// the end of the input stream: each task forwards it downstream and its
+// workers exit — the graceful-drain path, and the only way a worker loop
+// ends short of an abort.
+//
+// Reset at CPI c holds exactly when c = 0 or Last was set at CPI c−1:
+// both flags are set in one place, the submitter loop of
+// Stream.processJob, which numbers each job's CPIs 0..n−1. That is what
+// keeps the weight streams aligned: a beamformer receives weights for CPI
+// c iff !Reset, and a weight worker sends weights for CPI c+1 iff CPI c
+// is not Last. A job whose Last CPI is never submitted is cut short by
+// a dying stream (quit or an aborted world), and a dead stream is never
+// fed again.
 //
 // Trace and Hop are the CPI's observability lineage: the feeder stamps a
 // fresh obs.NewTraceID at Doppler ingest, and every task forwards the
@@ -150,9 +162,9 @@ func getSegments(d *wire.Dec) [][]*linalg.Matrix {
 // (TD(1,3)/TD(2,4)) deliberately carry no ctl: weights computed at CPI
 // i apply to CPI i+1, a different lineage.
 type ctl struct {
-	Reset, EOF bool
-	Trace      uint64
-	Hop        uint8
+	Reset, Last, EOF bool
+	Trace            uint64
+	Hop              uint8
 }
 
 // next returns the control flags to forward one task hop downstream:
@@ -166,6 +178,10 @@ func (c ctl) next() ctl {
 	return c
 }
 
+// trains reports whether this CPI's data trains weights: it is neither
+// the stream's end nor a job's last CPI.
+func (c ctl) trains() bool { return !c.EOF && !c.Last }
+
 // merge folds one sender's control flags into the flags a stage with
 // several senders has seen so far for a CPI: EOF from any sender wins.
 func (c ctl) merge(m ctl) ctl {
@@ -178,6 +194,7 @@ func (c ctl) merge(m ctl) ctl {
 // put appends c's flat form, its fields in declaration order.
 func (c ctl) put(e *wire.Enc) {
 	e.Bool(c.Reset)
+	e.Bool(c.Last)
 	e.Bool(c.EOF)
 	e.Uint64(c.Trace)
 	e.Byte(c.Hop)
@@ -185,7 +202,7 @@ func (c ctl) put(e *wire.Enc) {
 
 // getCtl reads a ctl.put.
 func getCtl(d *wire.Dec) ctl {
-	return ctl{Reset: d.Bool(), EOF: d.Bool(), Trace: d.Uint64(), Hop: d.Byte()}
+	return ctl{Reset: d.Bool(), Last: d.Bool(), EOF: d.Bool(), Trace: d.Uint64(), Hop: d.Byte()}
 }
 
 // ObsTrace implements obs.Traced on every ctl-carrying payload: the

@@ -67,13 +67,21 @@ func TestRingDepthHoldsTheWindow(t *testing.T) {
 // TestWarmStreamAllocsPerCPI bounds what a warm stream allocates per CPI
 // at radar.Small() with the A10 assignment (2,1,2,1,1,2,1) and 4-CPI jobs:
 // every stage's buffers and payloads are sized once, so what is left is
-// the message plane and the driver, not the kernels. Of the ~29 measured:
-// 25 messages boxed into `any` by Send (2 raw slabs, 12 Doppler sends, 4
-// weight sets, 4 beam slabs, 2 power slabs, 1 report), the feeder's 2
-// raw-slab views, the collector's merged report and its sort, and
-// ProcessJob's per-job channel, submitter goroutine and result slice
-// spread over the job's 4 CPIs. The bound leaves room for a few more; a
-// kernel or stage that allocates per CPI again costs tens to thousands.
+// the message plane and the driver, not the kernels. The 28.25 measured
+// break down, by an allocation profile of the warm loop, into:
+//   - 19 payloads boxed into `any` by Send on every CPI: 2 raw slabs (the
+//     feeder), 10 Doppler sends (2 workers × 3 training + 2 beamforming
+//     messages), 4 beam slabs, 2 power slabs, 1 report;
+//   - 2.25 weight messages: 3 on a CPI that trains (one per
+//     weight→beamformer edge: easy 1→1, hard 2→1) and none on a job's
+//     last CPI, ¾ × 3 on 4-CPI jobs;
+//   - 2 raw-slab views (the feeder);
+//   - 4 in the collector: its merged report, and 3 in sorting it;
+//   - 1: ProcessJob's 4 per job (the cube accessor, the submitter's
+//     channel and goroutine, the result slice) over the job's 4 CPIs.
+//
+// The bound leaves room for a few more; a kernel or stage that allocates
+// per CPI again costs tens to thousands.
 func TestWarmStreamAllocsPerCPI(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under -race are the race runtime's")

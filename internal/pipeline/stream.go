@@ -85,9 +85,11 @@ type Stream struct {
 	cpis atomic.Int64 // CPIs that produced a detection report
 }
 
+// streamInput is one submitted CPI and its job flags (Reset, Last), which
+// the submitter sets and the feeder stamps onto the CPI's ctl.
 type streamInput struct {
-	raw   *cube.Cube
-	reset bool
+	raw *cube.Cube
+	job ctl
 }
 
 // Hosting selects which pieces of the pipeline world one process runs —
@@ -205,7 +207,8 @@ func NewHostedStream(cfg StreamConfig, h Hosting) (*Stream, error) {
 						e.sup.enter(DriverTask, driverFeeder, cpi)
 						// One trace identifier per CPI, shared by every Doppler
 						// slab — the root of the CPI's span lineage.
-						c := ctl{Reset: item.reset, Trace: obs.NewTraceID()}
+						c := item.job
+						c.Trace = obs.NewTraceID()
 						for w, blk := range topo.kBlocks {
 							feeder.Send(topo.groups[TaskDoppler].Global(w), tag(tagRaw, cpi),
 								rawMsg{Slab: item.raw.ViewAxis0(blk), Ctl: c})
@@ -366,6 +369,13 @@ func (s *Stream) processJob(n int, at func(i int) *cube.Cube, opts JobOpts) ([][
 	// processJob returns. at is the caller's code (Run's RawSource), so
 	// the submitter runs supervised like the feeder: a panic in it is a
 	// driver fault that aborts this instance, not the process.
+	//
+	// This loop is the one place a CPI's job flags are set: Reset on the
+	// job's first CPI, Last on its last (one CPI may be both). So Reset
+	// holds at the stream's first CPI and exactly at those that follow a
+	// Last one, the invariant that keeps the weight streams aligned
+	// across jobs (see ctl). The loop stops short only when the stream is
+	// dying.
 	submitted := make(chan struct{})
 	defer func() { <-submitted }()
 	go func() {
@@ -374,7 +384,7 @@ func (s *Stream) processJob(n int, at func(i int) *cube.Cube, opts JobOpts) ([][
 			for i := 0; i < n; i++ {
 				s.sup.enter(DriverTask, driverSubmitter, i)
 				select {
-				case s.in <- streamInput{raw: at(i), reset: i == 0}:
+				case s.in <- streamInput{raw: at(i), job: ctl{Reset: i == 0, Last: i == n-1}}:
 				case <-s.quit:
 					return
 				case <-s.world.Done():

@@ -112,22 +112,28 @@ func wireCases() []any {
 		rawMsg{Slab: testCube(), Ctl: ctl{Reset: true, Trace: 0xdeadbeefcafe, Hop: 0}},
 		rawMsg{Slab: odd, Ctl: ctl{Reset: true, EOF: true, Trace: math.MaxUint64, Hop: 255}},
 		rawMsg{Ctl: ctl{EOF: true}}, // nil Slab: the EOF control message
+		rawMsg{Slab: testCube(), Ctl: ctl{Last: true, Trace: 8}},
+		rawMsg{Slab: testCube(), Ctl: ctl{Reset: true, Last: true, Trace: 9}},
 		rawMsg{Slab: short},
 		rawMsg{Slab: &cube.Cube{Dim: [3]int{0, 4, 4}}}, // nil Data
 		rawMsg{Slab: &cube.Cube{Data: []complex128{}}}, // empty Data
 		easyTrainMsg{Rows: []*linalg.Matrix{m, nil, linalg.NewMatrix(0, 3)}, Ctl: ctl{Reset: true, Trace: 7, Hop: 1}},
+		easyTrainMsg{Ctl: ctl{Last: true, Trace: 8, Hop: 1}}, // a job's last CPI: flags, no rows
 		easyTrainMsg{Rows: []*linalg.Matrix{}},
 		easyTrainMsg{},
 		hardTrainMsg{Rows: [][]*linalg.Matrix{{m, m}, nil, {}}},
 		hardTrainMsg{},
+		hardTrainMsg{Ctl: ctl{Reset: true, Last: true, Trace: 9, Hop: 1}}, // a 1-CPI job
 		bfDataMsg{Piece: testCube(), Ctl: ctl{Trace: 1<<63 + 5, Hop: 1}},
 		bfDataMsg{Ctl: ctl{EOF: true}},
+		bfDataMsg{Piece: testCube(), Ctl: ctl{Last: true, Trace: 8, Hop: 1}},
 		easyWeightsMsg{Ws: []*linalg.Matrix{m}},
 		easyWeightsMsg{},
 		hardWeightsMsg{Ws: [][]*linalg.Matrix{{m}, {}}},
 		hardWeightsMsg{Ws: [][]*linalg.Matrix{}},
 		beamMsg{Slab: testCube(), GlobalBins: []int{0, 3, -5, math.MaxInt}, Ctl: ctl{Trace: 42, Hop: 2}},
 		beamMsg{GlobalBins: []int{}, Ctl: ctl{EOF: true}},
+		beamMsg{Slab: testCube(), GlobalBins: []int{7}, Ctl: ctl{Reset: true, Last: true, Trace: 9, Hop: 2}},
 		powerMsg{Slab: rc, Blk: cube.Block{Lo: 1, Hi: 2}, Ctl: ctl{Trace: 42, Hop: 3}},
 		powerMsg{Ctl: ctl{EOF: true}},
 		detMsg{Dets: dets, Ctl: ctl{Trace: 42, Hop: 4}},

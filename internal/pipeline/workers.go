@@ -56,7 +56,7 @@ type stage struct {
 	// the control flags fwd. When fwd.EOF it sends the same destinations a
 	// bare control message instead, so a task's routing is written once
 	// for data and for the drain; the weight stages, whose streams carry
-	// no control flags, send nothing then.
+	// no control flags, send nothing then, nor on a job's last CPI.
 	send func(cpi int, fwd ctl)
 }
 
@@ -93,7 +93,9 @@ func (e *env) runStage(task, w int, st stage) {
 //     worker's buffers, pieces assembled into the beamformer's slab, beam
 //     and power rows pasted into the next task's block, detections
 //     appended to the collector's report); weights shipped at CPI c are
-//     applied by the beamformers at CPI c+1.
+//     applied by the beamformers at CPI c+1. That holds across jobs too:
+//     no weights are shipped at a job's last CPI, so none wait for a CPI
+//     that will not read them.
 //   - A sender writes slot c % depth while processing CPI c, which the
 //     feeder admitted only after CPI c−window completed (the stream's
 //     in-flight window). The slot's previous payload is CPI c−window−1's,
@@ -144,8 +146,9 @@ type dopplerOut struct {
 // data collection (training subsets for the weight tasks) and
 // reorganization (Doppler-major pieces for the beamforming tasks) into the
 // CPI's ring slot and send — the all-to-all personalized phase. The
-// control flags of the incoming slab (job reset, stream EOF) are forwarded
-// to every successor worker.
+// control flags of the incoming slab (job reset and last CPI, stream EOF)
+// are forwarded to every successor worker. A CPI that trains no weights
+// (a job's last) sends the weight tasks its flags without rows.
 func (e *env) dopplerStage(w int) stage {
 	topo, p := e.topo, e.topo.p
 	comm := e.world.Comm(topo.groups[TaskDoppler].Global(w))
@@ -179,7 +182,7 @@ func (e *env) dopplerStage(w int) stage {
 			o := out.at(cpi)
 			for dw, pos := range topo.easy.wPos {
 				m := easyTrainMsg{Ctl: fwd}
-				if !fwd.EOF {
+				if fwd.trains() {
 					ws.ExtractEasyRows(o.easy[dw], p, stag, blk, binsAt(topo.easy.bins, pos))
 					m.Rows = o.easy[dw]
 				}
@@ -187,7 +190,7 @@ func (e *env) dopplerStage(w int) stage {
 			}
 			for dw, pos := range topo.hard.wPos {
 				m := hardTrainMsg{Ctl: fwd}
-				if !fwd.EOF {
+				if fwd.trains() {
 					ws.ExtractHardRows(o.hard[dw], p, stag, blk, binsAt(topo.hard.bins, pos))
 					m.Rows = o.hard[dw]
 				}
@@ -224,7 +227,9 @@ type weightOut struct {
 // per (segment, bin) on the hard side — into the CPI's ring slot, and ship
 // them to the beamforming workers that own those bins, for the *next* CPI
 // (temporal dependencies TD(1,3) and TD(2,4)). A job reset restarts the
-// training state.
+// training state. No weights cross a job boundary: a job's last CPI has
+// no next CPI in the job, so on it the worker receives the flags, trains
+// nothing and sends nothing.
 func (e *env) weightStage(sd *side, w int) stage {
 	topo, p := e.topo, e.topo.p
 	comm := e.world.Comm(topo.groups[sd.wTask].Global(w))
@@ -251,13 +256,14 @@ func (e *env) weightStage(sd *side, w int) stage {
 		return o
 	})
 	var cur weightOut
+	var trains bool // this CPI trains weights (see ctl.trains)
 	return stage{
 		recv: func(cpi int) ctl {
 			var c ctl
 			for s := range perSrc {
 				c = sd.rows(comm.Recv(topo.groups[TaskDoppler].Global(s), tag(sd.trainTag, cpi)), perSrc[s])
 			}
-			if c.EOF {
+			if trains = c.trains(); !trains {
 				return c
 			}
 			if c.Reset {
@@ -274,9 +280,13 @@ func (e *env) weightStage(sd *side, w int) stage {
 			cur = out.at(cpi)
 			return c
 		},
-		compute: func() { train.step(stacked, cur.ws) },
+		compute: func() {
+			if trains {
+				train.step(stacked, cur.ws)
+			}
+		},
 		send: func(cpi int, fwd ctl) {
-			if fwd.EOF {
+			if !trains {
 				return
 			}
 			for bw, share := range cur.share {
@@ -303,8 +313,9 @@ type bfOut struct {
 // and forward rows to the pulse-compression workers owning the
 // corresponding global bins. Both sides of that last transfer partition
 // along N, so it needs no reorganization (the paper's observation in
-// Section 5.4). Weights shipped across a job boundary are received and
-// discarded to keep the per-CPI streams aligned.
+// Section 5.4). Weights are received iff the CPI is not a job's first:
+// none cross a job boundary, because the weight workers send none on a
+// job's last CPI (see ctl).
 func (e *env) bfStage(sd *side, w int) stage {
 	topo, p := e.topo, e.topo.p
 	comm := e.world.Comm(topo.groups[sd.bfTask].Global(w))
@@ -338,23 +349,20 @@ func (e *env) bfStage(sd *side, w int) stage {
 			if c.EOF {
 				return c
 			}
-			if cpi > 0 {
+			if c.Reset {
+				for seg := range ws {
+					copy(ws[seg], steer[seg][pos.Lo:pos.Hi])
+				}
+			} else {
 				for ww, wPos := range sd.wPos {
 					ov := redist.Intersect(pos, wPos)
 					if ov.Size() == 0 {
 						continue
 					}
 					msg := comm.Recv(topo.groups[sd.wTask].Global(ww), tag(sd.wTag, cpi))
-					if !c.Reset {
-						for seg := range ws {
-							copy(ws[seg][ov.Lo-pos.Lo:ov.Hi-pos.Lo], sd.weights(msg, seg))
-						}
+					for seg := range ws {
+						copy(ws[seg][ov.Lo-pos.Lo:ov.Hi-pos.Lo], sd.weights(msg, seg))
 					}
-				}
-			}
-			if c.Reset {
-				for seg := range ws {
-					copy(ws[seg], steer[seg][pos.Lo:pos.Hi])
 				}
 			}
 			redist.AssembleBeamformInputInto(slab, p, pieces, topo.kBlocks, sd.channels)

@@ -45,6 +45,13 @@ func (o Observation) Busy() float64 { return o.Recv + o.Comp + o.Send + o.Deser 
 // ok is false unless every pipeline task journaled at least one span —
 // a partial journal (federation still warming up, a node down) must not
 // drive calibration.
+//
+// A weight task's observation is the mean over the window's CPIs, job-end
+// CPIs included: on a job's last CPI it trains and sends nothing (see
+// pipeline's ctl), so its span is mostly the receive. That mean is the
+// per-CPI cost eq. 1 should predict for the job mix the replica serves:
+// it falls as jobs get shorter, and a window of one long job sees almost
+// only training CPIs.
 func ObserveJournal(window int, evs []obs.SpanEvent) (o [pipeline.NumTasks]Observation, ok bool) {
 	return ObserveJournalWire(window, evs, nil, nil)
 }
