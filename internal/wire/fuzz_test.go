@@ -2,6 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"pstap/internal/cube"
@@ -43,4 +48,37 @@ func FuzzReadFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestFuzzSeedsSpeakThisVersion holds every checked-in FuzzReadFrame seed
+// to the current FormatVersion. A seed of an older version is refused at
+// the header, so after a bump it would pass without ever reaching the body
+// decoder it was kept to exercise.
+func TestFuzzSeedsSpeakThisVersion(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzReadFrame", "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no FuzzReadFrame seeds found (err %v)", err)
+	}
+	for _, name := range files {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		if len(lines) != 2 || lines[0] != "go test fuzz v1" ||
+			!strings.HasPrefix(lines[1], "[]byte(") || !strings.HasSuffix(lines[1], ")") {
+			t.Fatalf("%s: not a one-value []byte corpus file", name)
+		}
+		b, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(b) == 0 || b[0] != FormatVersion {
+			t.Fatalf("%s: seed is not stamped with version %d; re-stamp its first byte", name, FormatVersion)
+		}
+		var ve *VersionError
+		if err := ReadFrame(bytes.NewReader([]byte(b)), &msg{}); errors.As(err, &ve) {
+			t.Fatalf("%s: refused at the header: %v", name, err)
+		}
+	}
 }
