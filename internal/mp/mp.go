@@ -56,6 +56,25 @@ type message struct {
 	seq      uint64 // arrival order for FIFO matching
 }
 
+// mailbox is one rank's queue of delivered, not yet received messages.
+// Send never blocks, so nothing here bounds it; its user's flow control
+// does. The pipeline's (internal/pipeline) is its in-flight window W: the
+// feeder admits CPI c only after the collector finished CPI c−W, and a
+// rank's messages are tagged with the CPI they serve. So while jobs of at
+// least two CPIs run, a rank with in inbound messages per CPI holds at
+// most
+//
+//	W·in + ahead   messages, ahead of them the weights it receives: they
+//	               are shipped one CPI ahead of their use, so their tags
+//	               run one past the last CPI admitted;
+//	(W+2)·in       on a weight task's rank: the collector waits for the
+//	               weights of every CPI but a job's last, so this rank may
+//	               trail it by one CPI, or by two across a job boundary.
+//
+// Close's EOF adds one message per inbound edge. A run of one-CPI jobs
+// trains no weights, so nothing waits for the weight tasks and their
+// queues are bounded only by how fast they drain those CPIs' flags.
+// TestMailboxBound (internal/pipeline) checks the bound.
 type mailbox struct {
 	mu    sync.Mutex
 	cond  *sync.Cond

@@ -42,6 +42,8 @@ func (s *Server) families() []obs.Family {
 		obs.Sample("stapd_deadline_exceeded_total", c, "Jobs rejected or aborted because their client deadline expired.", "serve/deadline_exceeded_total", nil, float64(snap.DeadlineExc)),
 		obs.Sample("stapd_live_replicas", g, "Replicas currently healthy and serving.", "serve/live_replicas", nil, float64(snap.LiveReplicas)),
 		obs.Sample("stapd_queue_depth", g, "Jobs waiting in the admission queue.", "serve/queue_depth", nil, float64(snap.QueueDepth)),
+		obs.Sample("stapd_request_slots", g, "Request slots, the most requests the server holds at once: queue depth plus replicas.", "serve/request_slots", nil, float64(s.reqs.limit)),
+		obs.Sample("stapd_request_slots_in_use", g, "Request slots held by a request being decoded, a queued or running job, or a job awaiting failover.", "serve/request_slots_in_use", nil, float64(s.reqs.inUse())),
 		obs.Sample("stapd_jobs_per_sec", g, "Completed jobs per second of server uptime.", "serve/jobs_per_sec", nil, snap.JobsPerSec),
 		quantile("0.5", "serve/latency_p50_seconds", snap.LatencyP50Ms),
 		quantile("0.95", "serve/latency_p95_seconds", snap.LatencyP95Ms),

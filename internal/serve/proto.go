@@ -62,10 +62,12 @@ func (r *Request) AppendFlat(e *wire.Enc) error {
 	return nil
 }
 
-// DecodeFlat implements wire.FlatDecoder.
+// DecodeFlat implements wire.FlatDecoder. It decodes into r's cubes,
+// reusing their memory, so a server that keeps one Request per request
+// slot decodes a warm slot without allocating.
 func (r *Request) DecodeFlat(d *wire.Dec) error {
 	r.ID = d.Uint64()
-	r.CPIs = wire.GetSlice(d, 1, (*wire.Dec).Cube)
+	r.CPIs = wire.GetSliceInto(d, r.CPIs, 1, (*wire.Dec).CubeInto)
 	r.Trace = d.Bool()
 	r.DeadlineMs = d.Int64()
 	return d.Err()
@@ -77,9 +79,10 @@ type Status int
 const (
 	// StatusOK means the job completed and Detections is valid.
 	StatusOK Status = iota
-	// StatusBusy means the admission queue was full and the job was
-	// rejected without queueing — the backpressure signal. The client
-	// should retry after RetryAfterMs.
+	// StatusBusy means the server could not hold the job — the admission
+	// queue was full, or every request slot was taken (the request's body
+	// was read past, not kept) — and rejected it without queueing: the
+	// backpressure signal. The client should retry after RetryAfterMs.
 	StatusBusy
 	// StatusError means the job failed for an unclassified reason; Err
 	// describes why.

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"reflect"
@@ -128,12 +129,18 @@ func TestServeRefusesOtherBuild(t *testing.T) {
 }
 
 // FuzzServeRequest feeds arbitrary bytes to what a stapd connection does
-// with them: read one frame into a Request, then validate it against the
-// scene. Any input is an error or a valid job, never a panic or a
-// runaway allocation. Seeds: a good job, the malformed jobs of
-// TestServeValidation (empty, nil cube, wrong shape, short payload), and
-// truncated and corrupted copies of the good one as in cpifile's
-// TestReadTruncated. Run it with
+// with them: read one frame into a request slot, then validate it against
+// the scene. The slot is one warm slot reused across inputs, as the server
+// reuses its pool. Any input is an error or a valid job, never a panic or
+// a runaway allocation: a count the body cannot hold is refused before the
+// slot grows, and a slot that decoded a request holds that request's
+// samples and no more, whatever earlier inputs left. A decode into the
+// warm slot yields exactly what a one-shot decode into a fresh Request
+// yields, and afterwards the known-good seed still decodes to its own
+// values, so a corrupt request leaves nothing a later one can see. Seeds:
+// a good job, the malformed jobs of TestServeValidation (empty, nil cube,
+// wrong shape, short payload), and truncated and corrupted copies of the
+// good one as in cpifile's TestReadTruncated. Run it with
 //
 //	go test -run '^$' -fuzz FuzzServeRequest -fuzztime 10s ./internal/serve
 func FuzzServeRequest(f *testing.F) {
@@ -173,12 +180,48 @@ func FuzzServeRequest(f *testing.F) {
 		flipped[i] ^= 0xA5
 	}
 	f.Add(flipped)
+
+	var sl requestSlot
+	var goodReq Request
+	if err := wire.ReadFrame(bytes.NewReader(good), &goodReq); err != nil {
+		f.Fatal(err)
+	}
+	goodFlat := flatOf(f, &goodReq)
 	f.Fuzz(func(t *testing.T, b []byte) {
-		var req Request
-		if wire.ReadFrame(bytes.NewReader(b), &req) != nil {
+		var fresh Request
+		freshErr := wire.ReadFrame(bytes.NewReader(b), &fresh)
+		body, cpis, samples := slotCaps(&sl)
+		err := readSlot(&sl, b)
+		if (err == nil) != (freshErr == nil) {
+			t.Fatalf("warm slot decode: %v; one-shot decode: %v", err, freshErr)
+		}
+		body2, cpis2, samples2 := slotCaps(&sl)
+		if body2 > max(body, 2*len(b)+64<<10) || cpis2 > max(cpis, len(b)) || samples2 > max(samples, len(b)) {
+			t.Fatalf("a %d-byte input left the slot with a %d B body buffer (was %d), a cube list of %d (was %d) and %d B of samples (was %d)",
+				len(b), body2, body, cpis2, cpis, samples2, samples)
+		}
+		defer func() {
+			if err := readSlot(&sl, good); err != nil || !bytes.Equal(flatOf(t, &sl.req), goodFlat) {
+				t.Fatalf("the known-good request no longer decodes to its values after this input (%v)", err)
+			}
+		}()
+		if err != nil {
 			return
 		}
-		if s.validate(&req) != nil {
+		if !bytes.Equal(flatOf(t, &sl.req), flatOf(t, &fresh)) {
+			t.Fatal("the warm slot decoded other values than a one-shot decode")
+		}
+		want := 0
+		for _, c := range fresh.CPIs {
+			if c != nil {
+				want += 16 * len(c.Data)
+			}
+		}
+		if samples2 != want {
+			t.Fatalf("the slot holds %d B of samples after decoding %d", samples2, want)
+		}
+		req := &sl.req
+		if s.validate(req) != nil {
 			return
 		}
 		if len(req.CPIs) == 0 {
@@ -190,4 +233,42 @@ func FuzzServeRequest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// readSlot reads one frame from b into sl the way handleConn does: the
+// header, then the body into the slot.
+func readSlot(sl *requestSlot, b []byte) error {
+	fr := wire.NewReader(bytes.NewReader(b))
+	k, _, err := fr.Next()
+	if err != nil {
+		return err
+	}
+	if k != wire.Plain {
+		return fmt.Errorf("kind %#x", byte(k))
+	}
+	return sl.decode(fr)
+}
+
+// slotCaps returns the memory a slot holds: its body buffer's capacity in
+// bytes, its cube list's capacity and the sample capacity, in bytes, of
+// every cube the list's backing array still points at.
+func slotCaps(sl *requestSlot) (body, cpis, samples int) {
+	all := sl.req.CPIs[:cap(sl.req.CPIs)]
+	for _, c := range all {
+		if c != nil {
+			samples += 16 * cap(c.Data)
+		}
+	}
+	return cap(sl.body), len(all), samples
+}
+
+// flatOf returns r's flat form: two requests with the same flat form hold
+// the same values bit for bit, nil and empty slices told apart.
+func flatOf(tb testing.TB, r *Request) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := wire.WriteFrame(&buf, r); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
 }

@@ -87,12 +87,12 @@ type Config struct {
 	// FailoverBudget caps how many times one job may be re-dispatched
 	// onto another live replica after the replica running it died
 	// (default 2; negative disables failover). The job's input journal —
-	// the already-decoded cubes it was admitted with — replays from CPI 0
-	// to re-prime the adaptive-weight lineage, and per-CPI results
-	// already delivered by the failed attempt are kept, so the spliced
-	// output is bit-exact with an unfailed run. Clients see
-	// StatusReplicaLost only when every attempt inside the deadline is
-	// exhausted.
+	// the cubes decoded into its request slot, which it keeps until its
+	// final response — replays from CPI 0 to re-prime the adaptive-weight
+	// lineage, and per-CPI results already delivered by the failed
+	// attempt are kept, so the spliced output is bit-exact with an
+	// unfailed run. Clients see StatusReplicaLost only when every attempt
+	// inside the deadline is exhausted.
 	FailoverBudget int
 	// BreakerThreshold is the consecutive fatal-fault count that opens a
 	// slot's dispatch circuit breaker (default 3). A slot with link-plane
@@ -160,7 +160,8 @@ type Config struct {
 // job is one admitted request flowing from a connection to a replica —
 // possibly several replicas, when failover re-dispatches it.
 type job struct {
-	req  *Request
+	slot *requestSlot // held until the final response (see requestSlots)
+	req  *Request     // &slot.req
 	enq  time.Time
 	done chan *Response // buffered; the replica's reply
 
@@ -233,6 +234,7 @@ type Server struct {
 	metrics *Metrics
 	queue   chan *job
 	slots   []*replicaSlot
+	reqs    requestSlots
 
 	// failover carries jobs whose replica died mid-processing back to the
 	// pool for re-dispatch. Its capacity is the most jobs that can exist
@@ -337,6 +339,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		queue:    make(chan *job, cfg.QueueDepth),
+		reqs:     requestSlots{limit: cfg.QueueDepth + total},
 		failover: make(chan *job, cfg.QueueDepth+total),
 		draining: make(chan struct{}),
 		stopping: make(chan struct{}),
@@ -503,8 +506,10 @@ func (s *Server) Addr() net.Addr {
 // handleConn is one connection's read loop. A paired writer goroutine
 // serializes the response frames, so replies from different replicas can
 // complete out of order without interleaving on the wire. Replies are
-// encoded into the connection's one write buffer; each request is read
-// one-shot, so an idle connection holds no request-sized memory.
+// encoded into the connection's one write buffer. A request is read into
+// a request slot taken at its header (see requestSlots), so an idle
+// connection holds no request-sized memory, and a request the pool has
+// no slot for is answered Busy without its body being kept.
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.readerWG.Done()
 	replies := make(chan *Response, 16)
@@ -529,9 +534,9 @@ func (s *Server) handleConn(conn net.Conn) {
 			conn.Close()
 		}
 	}()
+	fr := wire.NewReader(conn)
 	for {
-		var req Request
-		err := wire.ReadFrame(conn, &req)
+		k, _, err := fr.Next()
 		var verr *wire.VersionError
 		if errors.As(err, &verr) {
 			// A client from another build: answer in this build's format,
@@ -539,10 +544,29 @@ func (s *Server) handleConn(conn net.Conn) {
 			replies <- &Response{Status: StatusBadRequest, Err: err.Error()}
 			refused = true
 		}
-		if err != nil {
-			break // clean EOF, shutdown deadline, or corrupt frame
+		if err != nil || k != wire.Plain {
+			break // clean EOF, shutdown deadline, or corrupt header
 		}
-		if resp := s.admit(&req, replies, &inflight); resp != nil {
+		sl := s.reqs.take()
+		if sl == nil {
+			// At the admission bound: read past the body, keeping only
+			// the ID (a Request's first field) the reply is matched by.
+			var id [8]byte
+			n, err := fr.Skip(id[:])
+			if err != nil {
+				break
+			}
+			s.metrics.rejected.Add(1)
+			replies <- &Response{ID: wire.NewDec(id[:n]).Uint64(), Status: StatusBusy,
+				RetryAfterMs: s.cfg.RetryAfter.Milliseconds(), Err: "serve: every request slot is held"}
+			continue
+		}
+		if err := sl.decode(fr); err != nil {
+			s.reqs.release(sl, true)
+			break // truncated or corrupt body
+		}
+		if resp := s.admit(sl, replies, &inflight); resp != nil {
+			s.reqs.release(sl, true)
 			replies <- resp
 		}
 	}
@@ -555,14 +579,16 @@ func (s *Server) handleConn(conn net.Conn) {
 	close(replies)
 }
 
-// admit validates a request and tries to enqueue it. It returns an
-// immediate response (rejection or validation error) or nil when the job
-// was queued — in which case a forwarder goroutine relays the replica's
-// reply to the connection writer. Admission capacity tracks the live
+// admit validates the request decoded into sl and tries to enqueue it.
+// It returns an immediate response (rejection or validation error), and
+// the caller releases sl, or nil when the job was queued with sl — in
+// which case a forwarder goroutine relays the replica's reply to the
+// connection writer. Admission capacity tracks the live
 // replica count: a degraded pool accepts proportionally less, and a pool
 // with nothing live rejects outright — with an honest retry-after hint
 // when a restart is already scheduled.
-func (s *Server) admit(req *Request, replies chan<- *Response, inflight *sync.WaitGroup) *Response {
+func (s *Server) admit(sl *requestSlot, replies chan<- *Response, inflight *sync.WaitGroup) *Response {
+	req := &sl.req
 	if err := s.validate(req); err != nil {
 		return &Response{ID: req.ID, Status: StatusBadRequest, Err: err.Error()}
 	}
@@ -582,7 +608,7 @@ func (s *Server) admit(req *Request, replies chan<- *Response, inflight *sync.Wa
 	if depth < 1 {
 		depth = 1
 	}
-	j := &job{req: req, enq: time.Now(), done: make(chan *Response, 1)}
+	j := &job{slot: sl, req: req, enq: time.Now(), done: make(chan *Response, 1)}
 	if req.DeadlineMs > 0 {
 		budget := time.Duration(req.DeadlineMs) * time.Millisecond
 		if wait := s.queueWait(len(req.CPIs), live); wait > budget {
@@ -754,8 +780,8 @@ func (s *Server) runJob(slot *replicaSlot, j *job) {
 		// Expired while queued: answer without burning a replica on it.
 		s.metrics.failed.Add(1)
 		s.metrics.deadlineExceeded.Add(1)
-		j.done <- &Response{ID: j.req.ID, Status: StatusDeadlineExceeded,
-			Err: pipeline.ErrDeadlineExceeded.Error(), QueueNs: int64(time.Since(j.enq))}
+		s.answer(j, &Response{ID: j.req.ID, Status: StatusDeadlineExceeded,
+			Err: pipeline.ErrDeadlineExceeded.Error(), QueueNs: int64(time.Since(j.enq))}, true)
 		return
 	}
 	svcStart := time.Now()
@@ -816,7 +842,7 @@ func (s *Server) runJob(slot *replicaSlot, j *job) {
 		resp.TraceFile = traceFile
 	}
 	s.metrics.observe(time.Since(j.enq))
-	j.done <- resp
+	s.answer(j, resp, err == nil)
 	if fatal {
 		s.recycle(slot, ev)
 	}
@@ -975,11 +1001,21 @@ func (s *Server) failDead(j *job) {
 		// The job survived its replica's death but ran out of pool:
 		// every failover attempt is exhausted, so the client finally
 		// sees the loss.
-		j.done <- &Response{ID: j.req.ID, Status: StatusReplicaLost,
-			Err: "serve: replica lost; no live replicas for failover"}
+		s.answer(j, &Response{ID: j.req.ID, Status: StatusReplicaLost,
+			Err: "serve: replica lost; no live replicas for failover"}, false)
 		return
 	}
-	j.done <- &Response{ID: j.req.ID, Status: StatusError, Err: "serve: no live replicas"}
+	s.answer(j, &Response{ID: j.req.ID, Status: StatusError, Err: "serve: no live replicas"}, true)
+}
+
+// answer produces a job's final response and releases its request slot
+// first, so a client's next request finds it free: for reuse when clean
+// says no replica incarnation can still read the job's cubes — none ran
+// it, or the one that did completed it — and the job never failed over;
+// retired otherwise (see requestSlots).
+func (s *Server) answer(j *job, resp *Response, clean bool) {
+	s.reqs.release(j.slot, clean && j.attempts == 0)
+	j.done <- resp
 }
 
 // drainFailover answers whatever still sits in the failover channel.

@@ -289,14 +289,42 @@ func GetSlice[T any](d *Dec, min int, get func(*Dec) T) []T {
 	return s
 }
 
-// complexes reads samples into a fresh slice.
-func (d *Dec) complexes() []complex128 {
+// GetSliceInto is GetSlice decoding into s's memory: the result reuses
+// s's backing array when its capacity holds the count, else a new array
+// of exactly the count holding s's elements, and get receives each
+// element's previous value to decode into. Elements past the count are
+// dropped, so the result holds the values of this decode only. The count
+// is checked before anything grows, and the values are GetSlice's: nil
+// for a nil slice, a non-nil empty one for count 0.
+func GetSliceInto[T any](d *Dec, s []T, min int, get func(*Dec, T) T) []T {
+	n := d.count(min)
+	if n < 0 {
+		return nil
+	}
+	if s == nil || n > cap(s) {
+		s = append(make([]T, 0, n), s[:cap(s)]...)
+	}
+	clear(s[n:cap(s)])
+	s = s[:n]
+	for i := range s {
+		s[i] = get(d, s[i])
+	}
+	return s
+}
+
+// complexesInto reads samples into v's memory when it was made for this
+// count (its capacity), else into a fresh slice of exactly the count, so
+// the result never holds more memory than the samples that came.
+func (d *Dec) complexesInto(v []complex128) []complex128 {
 	n := d.count(16)
 	if n < 0 {
 		return nil
 	}
 	p := d.take(16 * n) // count checked that the bytes are there
-	v := make([]complex128, n)
+	if v == nil || cap(v) != n {
+		v = make([]complex128, n)
+	}
+	v = v[:n]
 	for i := range v {
 		v[i] = complex(math.Float64frombits(binary.LittleEndian.Uint64(p[16*i:])),
 			math.Float64frombits(binary.LittleEndian.Uint64(p[16*i+8:])))
@@ -330,16 +358,30 @@ func (d *Dec) shape() (axes cube.Order, dim [3]int) {
 }
 
 // Cube reads a cube (nil when absent or on error).
-func (d *Dec) Cube() *cube.Cube {
+func (d *Dec) Cube() *cube.Cube { return d.CubeInto(nil) }
+
+// CubeInto is Cube decoding into c when c is non-nil: c's samples keep
+// their memory when the sample count is the one it was made for. The
+// value is Cube's — nil when absent or on error, Dim and Data as they
+// came, so a mismatch still reaches the receiver's shape check.
+func (d *Dec) CubeInto(c *cube.Cube) *cube.Cube {
 	if !d.Bool() {
 		return nil
 	}
 	axes, dim := d.shape()
-	data := d.complexes()
+	var prev []complex128
+	if c != nil {
+		prev = c.Data
+	}
+	data := d.complexesInto(prev)
 	if d.err != nil {
 		return nil
 	}
-	return &cube.Cube{Axes: axes, Dim: dim, Data: data}
+	if c == nil {
+		c = new(cube.Cube)
+	}
+	*c = cube.Cube{Axes: axes, Dim: dim, Data: data}
+	return c
 }
 
 // RealCube reads a real cube (nil when absent or on error).
@@ -361,7 +403,7 @@ func (d *Dec) Matrix() *linalg.Matrix {
 		return nil
 	}
 	rows, cols := d.Int(), d.Int()
-	data := d.complexes()
+	data := d.complexesInto(nil)
 	if d.err != nil {
 		return nil
 	}

@@ -21,9 +21,12 @@
 // connection encodes into and reads through the same memory frame after
 // frame; WriteFrame/ReadFrame are the one-shot forms. A Reader's buffer
 // never shrinks, so it suits a link whose frames stay alike in size (a
-// dist link); a connection that idles between frames of any size (stapd's
-// job intake) reads one-shot. Decoded values never alias a Reader's
-// buffer.
+// dist link). A receiver that bounds its memory some other way reads
+// each body into a buffer it owns instead (DecodeBuf: stapd reads every
+// request into one slot of a pool sized by its admission bound), and
+// decodes into values it reuses (Dec.CubeInto, GetSliceInto), or drops
+// a body it refuses through a small fixed buffer (Skip). Decoded values
+// never alias the body they were read from.
 //
 // Every decoding path is hardened against corrupt or truncated input: it
 // returns a descriptive error, never panics, refuses a frame whose
@@ -134,7 +137,9 @@ type Reader struct {
 }
 
 // NewReader returns a Reader on r. It reads exactly one frame's bytes per
-// frame, so a connection can change hands between frames.
+// frame, so a connection can change hands between frames. Its own buffer
+// is allocated by the first Decode; a reader that only announces frames
+// (Next) and reads their bodies with DecodeBuf or Skip holds none.
 func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 
 // Next blocks until the next frame's header has arrived and returns its
@@ -161,13 +166,22 @@ func (fr *Reader) Next() (Kind, int, error) {
 	return Kind(hdr[1]), fr.n, nil
 }
 
-// Decode reads the body of the frame Next announced and decodes it into
-// v, a pointer to one of the flat types or a FlatDecoder. Truncation and
-// corrupt content are descriptive errors, never panics.
-func (fr *Reader) Decode(v any) (t FrameTiming, err error) {
+// Decode reads the body of the frame Next announced into the Reader's
+// own buffer and decodes it into v, a pointer to one of the flat types or
+// a FlatDecoder. Truncation and corrupt content are descriptive errors,
+// never panics.
+func (fr *Reader) Decode(v any) (FrameTiming, error) { return fr.DecodeBuf(&fr.buf, v) }
+
+// DecodeBuf is Decode reading the body into *buf, a buffer the caller
+// owns and keeps for its next frame: it is reused when its capacity
+// holds the body and grows only as bytes arrive, doubling from 64 KiB,
+// so a header that overstates its length costs no more memory than the
+// bytes that came.
+func (fr *Reader) DecodeBuf(buf *[]byte, v any) (t FrameTiming, err error) {
 	t.Bytes = int64(headerBytes + fr.n)
 	ioStart := time.Now()
-	body, err := fr.readBody()
+	body, err := fr.readBody((*buf)[:0])
+	*buf = body
 	if err != nil {
 		return t, fmt.Errorf("wire: frame truncated (want %d bytes): %w", fr.n, err)
 	}
@@ -180,11 +194,9 @@ func (fr *Reader) Decode(v any) (t FrameTiming, err error) {
 	return t, nil
 }
 
-// readBody reads the announced body into the reused buffer. The buffer
-// grows only as bytes arrive, doubling from 64 KiB, so a header that
-// overstates its length costs no more memory than the bytes that came.
-func (fr *Reader) readBody() ([]byte, error) {
-	b := fr.buf[:0]
+// readBody reads the announced body into b, growing it only as bytes
+// arrive. On error it returns what arrived.
+func (fr *Reader) readBody(b []byte) ([]byte, error) {
 	for len(b) < fr.n {
 		step := min(fr.n-len(b), cap(b)-len(b))
 		if step == 0 {
@@ -194,12 +206,26 @@ func (fr *Reader) readBody() ([]byte, error) {
 		k, err := io.ReadFull(fr.r, b[len(b):len(b)+step])
 		b = b[:len(b)+k]
 		if err != nil {
-			fr.buf = b
-			return nil, err
+			return b, err
 		}
 	}
-	fr.buf = b
 	return b, nil
+}
+
+// Skip reads the body of the frame Next announced without keeping it:
+// the first len(head) bytes (fewer when the body is shorter) land in
+// head and the rest is dropped through a small fixed buffer, so a
+// refused frame leaves the stream at the next frame boundary having
+// held nothing of the body. It returns how many bytes head received.
+func (fr *Reader) Skip(head []byte) (int, error) {
+	k, err := io.ReadFull(fr.r, head[:min(len(head), fr.n)])
+	if err == nil {
+		_, err = io.CopyN(io.Discard, fr.r, int64(fr.n-k))
+	}
+	if err != nil {
+		return k, fmt.Errorf("wire: frame truncated (want %d bytes): %w", fr.n, err)
+	}
+	return k, nil
 }
 
 // ReadFrame is Next then Decode for a Plain frame: it reads the next
@@ -217,7 +243,8 @@ func (fr *Reader) ReadFrame(v any) (FrameTiming, error) {
 
 // ReadFrame reads one Plain frame from r through a fresh buffer and
 // decodes it into v (a pointer). It returns io.EOF — and only io.EOF —
-// when the stream ends cleanly at a frame boundary.
+// when the stream ends cleanly at a frame boundary. A receiver that
+// reads many frames keeps a Reader instead.
 func ReadFrame(r io.Reader, v any) error {
 	_, err := NewReader(r).ReadFrame(v)
 	return err

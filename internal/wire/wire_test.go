@@ -370,3 +370,116 @@ func TestTimedFramesMeasure(t *testing.T) {
 		t.Fatalf("clean end: got %v, want io.EOF", err)
 	}
 }
+
+// cubes is a list of cubes decoded into the memory of the previous
+// decode, the way serve's Request is.
+type cubes struct{ C []*cube.Cube }
+
+func (c *cubes) AppendFlat(e *Enc) error {
+	PutSlice(e, c.C, (*Enc).Cube)
+	return nil
+}
+
+func (c *cubes) DecodeFlat(d *Dec) error {
+	c.C = GetSliceInto(d, c.C, 1, (*Dec).CubeInto)
+	return nil
+}
+
+// TestDecodeIntoWarmValues reads a run of frames through one body buffer
+// (DecodeBuf) into one reused value: each decode equals a one-shot decode
+// of the same frame bit for bit (their flat forms are equal) — nil and
+// empty lists and samples, a Dim that disagrees with Data. Samples of the
+// count a cube was made for land in its memory; any other count gets
+// memory of its own size, and list entries past the count are dropped, so
+// the value holds no more than the frame it was decoded from.
+func TestDecodeIntoWarmValues(t *testing.T) {
+	big, again := testCube(), testCube()
+	again.Data[0] = 7
+	mismatched := testCube()
+	mismatched.Dim[0]++
+	var stream bytes.Buffer
+	frames := []*cubes{
+		{C: []*cube.Cube{big, big}},
+		{C: []*cube.Cube{again}},
+		{C: []*cube.Cube{{Axes: big.Axes, Dim: big.Dim, Data: big.Data[:3]}}},
+		{C: []*cube.Cube{nil, {Data: []complex128{}}, {}}},
+		{},
+		{C: []*cube.Cube{}},
+		{C: []*cube.Cube{mismatched, big, big}},
+	}
+	for _, f := range frames {
+		if err := WriteFrame(&stream, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fr := NewReader(bytes.NewReader(stream.Bytes()))
+	var body []byte
+	var warm cubes
+	for i, f := range frames {
+		var fresh cubes
+		var one bytes.Buffer
+		WriteFrame(&one, f)
+		if err := ReadFrame(&one, &fresh); err != nil {
+			t.Fatal(err)
+		}
+		var prev *complex128
+		if len(warm.C) > 0 && warm.C[0] != nil && len(warm.C[0].Data) > 0 {
+			prev = &warm.C[0].Data[0]
+		}
+		if _, _, err := fr.Next(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fr.DecodeBuf(&body, &warm); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		var a, b bytes.Buffer
+		WriteFrame(&a, &warm)
+		WriteFrame(&b, &fresh)
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Errorf("frame %d: the warm decode differs from a one-shot decode", i)
+		}
+		switch i {
+		case 1:
+			if &warm.C[0].Data[0] != prev {
+				t.Error("samples of the same count were decoded into new memory")
+			}
+			if tail := warm.C[:cap(warm.C)]; len(tail) != 2 || tail[1] != nil {
+				t.Error("the list entry past the count was kept")
+			}
+		case 2:
+			if &warm.C[0].Data[0] == prev || cap(warm.C[0].Data) != 3 {
+				t.Errorf("3 samples decoded into the memory of 12 (capacity %d)", cap(warm.C[0].Data))
+			}
+		}
+	}
+	if fr.buf != nil {
+		t.Error("DecodeBuf used the Reader's own buffer")
+	}
+}
+
+// TestSkipKeepsTheHeadOnly reads past a frame's body, keeping its first
+// bytes, and leaves the stream at the next frame.
+func TestSkipKeepsTheHeadOnly(t *testing.T) {
+	var stream bytes.Buffer
+	WriteFrame(&stream, &msg{ID: 42, Body: make([]float64, 1000)})
+	WriteFrame(&stream, &msg{ID: 43, Body: []float64{1}})
+	stream.Write(header(FormatVersion, Plain, 100)) // cut short
+	stream.Write([]byte{1, 2, 3})
+	fr := NewReader(&stream)
+	fr.Next()
+	var head [8]byte
+	if n, err := fr.Skip(head[:]); err != nil || n != 8 || NewDec(head[:]).Uint64() != 42 {
+		t.Fatalf("skip: %d bytes, %v, head %x", n, err, head)
+	}
+	if fr.buf != nil {
+		t.Error("Skip used the Reader's own buffer")
+	}
+	var m msg
+	if _, err := fr.ReadFrame(&m); err != nil || m.ID != 43 {
+		t.Fatalf("frame after the skipped one: %+v, %v", m, err)
+	}
+	fr.Next()
+	if n, err := fr.Skip(head[:]); err == nil || n != 3 {
+		t.Fatalf("truncated body skipped: %d bytes, %v", n, err)
+	}
+}
