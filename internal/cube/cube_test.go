@@ -161,24 +161,6 @@ func TestBlockPartitionPaperSizes(t *testing.T) {
 	}
 }
 
-func TestOwnerOfMatchesPartition(t *testing.T) {
-	f := func(nRaw, pRaw uint8) bool {
-		n := 1 + int(nRaw)
-		p := 1 + int(pRaw)%16
-		blocks := BlockPartition(n, p)
-		for idx := 0; idx < n; idx++ {
-			o := OwnerOf(idx, n, p)
-			if o < 0 || o >= p || !blocks[o].Contains(idx) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSlicePasteRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	c := randCube(rng, Order{Range, Channel, Pulse}, 16, 4, 6)

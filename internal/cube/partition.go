@@ -36,21 +36,6 @@ func BlockPartition(n, p int) []Block {
 	return blocks
 }
 
-// OwnerOf returns which block of a BlockPartition(n, p) owns index idx.
-func OwnerOf(idx, n, p int) int {
-	base := n / p
-	rem := n % p
-	// First rem blocks have size base+1.
-	boundary := rem * (base + 1)
-	if idx < boundary {
-		return idx / (base + 1)
-	}
-	if base == 0 {
-		return p - 1
-	}
-	return rem + (idx-boundary)/base
-}
-
 // SliceAxis0 returns a copy of the sub-cube rows [blk.Lo, blk.Hi) along
 // axis 0. Axis 0 is the partitioned axis for every task in the paper
 // (range for Doppler filtering, Doppler for everything downstream), so the

@@ -8,8 +8,8 @@
 // internal/pipeline spawns the same worker bodies against a partial
 // mp.World whose non-hosted traffic rides internal/wire frames with
 // per-link credit-based flow control and heartbeats. Every frame is flat:
-// its header names its kind (hello, data, credit, ping/pong,
-// barrier/release, ready, goodbye) and its body holds exactly that kind's
+// its header names its kind (hello, data, credit, ping/pong, ready,
+// goodbye) and its body holds exactly that kind's
 // fields — a data frame's pipeline message in pipeline.AppendMessage's
 // form, samples as float64 bit patterns. Every frame starts with the wire
 // format version, so every process of a replica must be the same build:

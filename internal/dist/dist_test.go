@@ -461,12 +461,15 @@ func TestHelloCheckedBeforeDecoding(t *testing.T) {
 	}
 }
 
-// TestCrossProcessBarrier runs mp.World.Barrier across a coordinator and
-// two node transports wired over loopback: every rank of every member
-// must block until all have arrived, generation after generation.
+// TestCrossProcessBarrier runs an all-pairs Send/Recv exchange across a
+// coordinator and two node transports wired over loopback, generation
+// after generation: every rank sends to every other rank and receives
+// from each of them, so every member↔member link carries traffic both
+// ways. Payloads are nil, so only (src, tag) routing delivers them: a
+// message routed to the wrong rank or tag leaves its receiver parked.
 func TestCrossProcessBarrier(t *testing.T) {
 	leakcheck.Check(t)
-	// World of 5 ranks: member 0 hosts rank 4 (hub), member 1 ranks 0-1,
+	// World of 5 ranks: member 0 hosts rank 4, member 1 ranks 0-1,
 	// member 2 ranks 2-3.
 	owners := []int{1, 1, 2, 2, 0}
 	mk := func(self int) *Transport {
@@ -479,9 +482,7 @@ func TestCrossProcessBarrier(t *testing.T) {
 		tr.world = w
 		return w
 	}
-	w0 := bind(t0, 4, 1)
-	w1 := bind(t1, 0, 2)
-	w2 := bind(t2, 2, 2)
+	worlds := []*mp.World{bind(t0, 4, 1), bind(t1, 0, 2), bind(t2, 2, 2)}
 	connect := func(a, b int) {
 		ca, cb := tcpPair(t)
 		trans[a].runLink(b, "pair", ca)
@@ -492,32 +493,46 @@ func TestCrossProcessBarrier(t *testing.T) {
 	connect(1, 2)
 	t.Cleanup(func() { t0.Close(""); t1.Close(""); t2.Close("") })
 
-	const gens = 3
-	done := make(chan int, 5*gens)
-	barrier := func(w *mp.World) {
+	const ranks, gens = 5, 3
+	done := make(chan int, ranks*gens)
+	exchange := func(w *mp.World, rank int) {
+		c := w.Comm(rank)
 		for g := 0; g < gens; g++ {
-			w.Barrier()
+			for dst := 0; dst < ranks; dst++ {
+				if dst != rank {
+					c.Send(dst, g, nil)
+				}
+			}
+			for src := 0; src < ranks; src++ {
+				if src != rank {
+					c.Recv(src, g)
+				}
+			}
 			done <- g
 		}
 	}
-	go barrier(w0)
-	go barrier(w1)
-	go barrier(w1)
-	go barrier(w2)
-	go barrier(w2)
+	for r := 0; r < ranks; r++ {
+		go exchange(worlds[owners[r]], r)
+	}
 
 	counts := make(map[int]int)
 	deadline := time.After(10 * time.Second)
-	for i := 0; i < 5*gens; i++ {
+	for i := 0; i < ranks*gens; i++ {
 		select {
 		case g := <-done:
 			counts[g]++
-			// No rank may clear generation g+1 before all cleared g.
-			if g > 0 && counts[g-1] != 5 {
-				t.Fatalf("generation %d released with %d/5 ranks done with %d", g, counts[g-1], g-1)
-			}
 		case <-deadline:
-			t.Fatalf("barrier stuck: %v", counts)
+			t.Fatalf("exchange stuck: generations done per rank %v", counts)
+		}
+	}
+	for m, w := range worlds {
+		if w.Aborted() {
+			t.Errorf("member %d's world aborted: %v", m, w.AbortCause())
+		}
+		for r, d := range w.QueueDepths() {
+			if d > 0 {
+				t.Errorf("member %d: rank %d holds %d unreceived messages", m, r, d)
+			}
 		}
 	}
 }

@@ -23,8 +23,6 @@ const (
 	frameCredit                   // returns Credits send tokens to the peer
 	framePing                     // heartbeat probe (Seq matches the pong)
 	framePong                     // heartbeat echo
-	frameBarrier                  // member arrival at barrier generation Gen
-	frameRelease                  // hub releases barrier generation Gen
 	frameReady                    // node finished wiring its session
 	frameGoodbye                  // orderly teardown; Reason names a fault
 )
@@ -49,7 +47,6 @@ type frame struct {
 	Data          any
 
 	Credits int    // frameCredit
-	Gen     int    // frameBarrier / frameRelease
 	Reason  string // frameGoodbye: non-empty when a fault caused it
 
 	// T is the sender's wall clock in unix nanoseconds, stamped on pong
@@ -92,8 +89,6 @@ func (f *frame) AppendFlat(e *wire.Enc) error {
 	case framePong:
 		e.Int(f.Seq)
 		e.Int64(f.T)
-	case frameBarrier, frameRelease:
-		e.Int(f.Gen)
 	case frameReady:
 		e.Text(f.ObsAddr)
 	case frameGoodbye:
@@ -122,8 +117,6 @@ func (f *frame) DecodeFlat(d *wire.Dec) (err error) {
 		f.Seq, f.Deadline = d.Int(), d.Int64()
 	case framePong:
 		f.Seq, f.T = d.Int(), d.Int64()
-	case frameBarrier, frameRelease:
-		f.Gen = d.Int()
 	case frameReady:
 		f.ObsAddr = d.Text()
 	case frameGoodbye:

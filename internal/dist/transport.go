@@ -22,7 +22,7 @@ var errTransportClosed = errors.New("dist: transport closed")
 // session. Each process owns one Transport: rank-addressed sends resolve
 // the destination's owning member and ride that link's data frames;
 // inbound data frames are injected into the local partial world with
-// mp.World.Deliver. Barrier is hub-and-spoke through the coordinator.
+// mp.World.Deliver.
 // openSession builds and binds it; links attach afterwards (runLink).
 type Transport struct {
 	self    int   // this process's member index
@@ -51,13 +51,6 @@ type Transport struct {
 	failure  error          // first link failure, sticky
 	obsAddrs map[int]string // member → telemetry addr from ready frames
 
-	barMu    sync.Mutex
-	barCond  *sync.Cond
-	arrived  map[int]int // hub: generation → member arrivals
-	released int         // leaf: generations released so far
-	localGen int
-	barErr   error
-
 	ready chan int // coordinator: members that reported ready
 
 	stop     chan struct{} // ends heartbeat loops
@@ -75,12 +68,10 @@ func newTransport(self, members int, owners []int, window int, hb time.Duration,
 		inj:      inj,
 		links:    make(map[int]*link),
 		obsAddrs: make(map[int]string),
-		arrived:  make(map[int]int),
 		ready:    make(chan int, members+1),
 		stop:     make(chan struct{}),
 	}
 	t.cond = sync.NewCond(&t.mu)
-	t.barCond = sync.NewCond(&t.barMu)
 	return t
 }
 
@@ -281,10 +272,6 @@ func (t *Transport) readLoop(l *link) {
 			}
 		case framePong:
 			l.pong(f.Seq, f.T)
-		case frameBarrier:
-			t.barrierArrive(f.Gen)
-		case frameRelease:
-			t.barrierRelease(f.Gen)
 		case frameReady:
 			if f.ObsAddr != "" {
 				t.mu.Lock()
@@ -343,7 +330,7 @@ func (t *Transport) heartbeat(l *link) {
 }
 
 // linkDied handles a link failure exactly once: it records the sticky
-// transport failure, wakes everyone waiting on links or barriers, and
+// transport failure, wakes everyone waiting on links, and
 // aborts the bound world — with the typed LinkError as the cause for real
 // failures, plainly for a graceful goodbye.
 func (t *Transport) linkDied(l *link, err error) {
@@ -357,7 +344,6 @@ func (t *Transport) linkDied(l *link, err error) {
 	}
 	t.mu.Unlock()
 	t.cond.Broadcast()
-	t.barrierFail(l.deathErr())
 	if w := t.world; w != nil {
 		if graceful {
 			w.Abort()
@@ -365,89 +351,6 @@ func (t *Transport) linkDied(l *link, err error) {
 			w.AbortWith(l.deathErr())
 		}
 	}
-}
-
-// Barrier implements mp.Transport's cross-process barrier phase,
-// hub-and-spoke through the coordinator: nodes report arrival and wait
-// for the release; the coordinator collects every node's arrival and
-// releases them all.
-func (t *Transport) Barrier() error {
-	t.barMu.Lock()
-	gen := t.localGen
-	t.localGen++
-	t.barMu.Unlock()
-	if t.self == 0 {
-		return t.hubBarrier(gen)
-	}
-	l, err := t.waitLink(0)
-	if err != nil {
-		return err
-	}
-	if _, err := l.write(frame{Kind: frameBarrier, Gen: gen}); err != nil {
-		t.linkDied(l, err)
-		return l.deathErr()
-	}
-	t.barMu.Lock()
-	defer t.barMu.Unlock()
-	for t.released <= gen && t.barErr == nil {
-		t.barCond.Wait()
-	}
-	if t.released <= gen {
-		return t.barErr
-	}
-	return nil
-}
-
-// hubBarrier is the coordinator side: wait for every node's arrival at
-// this generation, then release them.
-func (t *Transport) hubBarrier(gen int) error {
-	t.barMu.Lock()
-	for t.arrived[gen] < t.members && t.barErr == nil {
-		t.barCond.Wait()
-	}
-	err := t.barErr
-	complete := t.arrived[gen] >= t.members
-	delete(t.arrived, gen)
-	t.barMu.Unlock()
-	if !complete {
-		return err
-	}
-	for m := 1; m <= t.members; m++ {
-		l, lerr := t.waitLink(m)
-		if lerr != nil {
-			return lerr
-		}
-		if _, werr := l.write(frame{Kind: frameRelease, Gen: gen}); werr != nil {
-			t.linkDied(l, werr)
-			return l.deathErr()
-		}
-	}
-	return nil
-}
-
-func (t *Transport) barrierArrive(gen int) {
-	t.barMu.Lock()
-	t.arrived[gen]++
-	t.barMu.Unlock()
-	t.barCond.Broadcast()
-}
-
-func (t *Transport) barrierRelease(gen int) {
-	t.barMu.Lock()
-	if gen+1 > t.released {
-		t.released = gen + 1
-	}
-	t.barMu.Unlock()
-	t.barCond.Broadcast()
-}
-
-func (t *Transport) barrierFail(err error) {
-	t.barMu.Lock()
-	if t.barErr == nil {
-		t.barErr = err
-	}
-	t.barMu.Unlock()
-	t.barCond.Broadcast()
 }
 
 // awaitReady blocks until n distinct members have reported ready, or the
@@ -515,7 +418,6 @@ func (t *Transport) Close(reason string) {
 			}
 			l.kill(errClosedGracefully)
 		}
-		t.barrierFail(errTransportClosed)
 	})
 	t.wg.Wait()
 }

@@ -335,109 +335,6 @@ func TestWindowNames(t *testing.T) {
 	}
 }
 
-func TestApplyWindowZeroPads(t *testing.T) {
-	x := make([]complex128, 8)
-	for i := range x {
-		x[i] = complex(1, 1)
-	}
-	w := []float64{0.5, 0.5, 0.5}
-	ApplyWindow(x, w)
-	for i := 0; i < 3; i++ {
-		if cmplx.Abs(x[i]-complex(0.5, 0.5)) > eps {
-			t.Errorf("x[%d] = %v", i, x[i])
-		}
-	}
-	for i := 3; i < 8; i++ {
-		if x[i] != 0 {
-			t.Errorf("x[%d] = %v, want 0 (zero pad)", i, x[i])
-		}
-	}
-}
-
-func TestApplyWindowLongerWindow(t *testing.T) {
-	x := []complex128{1, 1}
-	ApplyWindow(x, []float64{2, 3, 4, 5})
-	if x[0] != 2 || x[1] != 3 {
-		t.Errorf("got %v", x)
-	}
-}
-
-func TestTaylorWindowProperties(t *testing.T) {
-	w := TaylorWindow(128, 4, 30)
-	if len(w) != 128 {
-		t.Fatal("length")
-	}
-	// symmetric, positive, peak 1 in the middle
-	peak := 0.0
-	for i := range w {
-		j := len(w) - 1 - i
-		if math.Abs(w[i]-w[j]) > 1e-12 {
-			t.Fatalf("asymmetric at %d", i)
-		}
-		if w[i] <= 0 || w[i] > 1+1e-12 {
-			t.Fatalf("w[%d] = %g out of (0,1]", i, w[i])
-		}
-		if w[i] > peak {
-			peak = w[i]
-		}
-	}
-	if math.Abs(peak-1) > 1e-12 {
-		t.Errorf("peak %g", peak)
-	}
-	if w[0] >= w[64] {
-		t.Error("taper should be smaller at the edges")
-	}
-}
-
-func TestTaylorWindowSidelobes(t *testing.T) {
-	// The first sidelobes of the tapered spectrum must sit near the design
-	// level (-30 dB) instead of the rectangular window's -13 dB.
-	n := 128
-	w := TaylorWindow(n, 4, 30)
-	pad := 8 * n
-	x := make([]complex128, pad)
-	for i := 0; i < n; i++ {
-		x[i] = complex(w[i], 0)
-	}
-	MustPlan(pad).Forward(x)
-	mag := make([]float64, pad)
-	for i, v := range x {
-		mag[i] = cmplx.Abs(v)
-	}
-	peak := mag[0]
-	// Find the highest sidelobe beyond the mainlobe (first local minimum).
-	i := 1
-	for i < pad/2 && mag[i] < mag[i-1] {
-		i++
-	}
-	worst := 0.0
-	for ; i < pad/2; i++ {
-		if mag[i] > worst {
-			worst = mag[i]
-		}
-	}
-	sll := 20 * math.Log10(worst/peak)
-	if sll > -27 || sll < -40 {
-		t.Errorf("peak sidelobe %.1f dB, want ~-30", sll)
-	}
-}
-
-func TestTaylorWindowDegenerate(t *testing.T) {
-	if TaylorWindow(0, 4, 30) != nil {
-		t.Error("n=0")
-	}
-	one := TaylorWindow(1, 4, 30)
-	if len(one) != 1 || one[0] != 1 {
-		t.Error("n=1")
-	}
-	flat := TaylorWindow(8, 1, 30)
-	for _, v := range flat {
-		if v != 1 {
-			t.Error("nbar<2 should be rectangular")
-		}
-	}
-}
-
 func TestFlopsForward(t *testing.T) {
 	if got := FlopsForward(128); got != 5*128*7 {
 		t.Errorf("FlopsForward(128) = %d, want %d", got, 5*128*7)

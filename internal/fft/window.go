@@ -78,80 +78,3 @@ func Window(kind WindowKind, n int) []float64 {
 	}
 	return w
 }
-
-// TaylorWindow returns the n-point Taylor taper with nbar nearly-constant
-// sidelobes at sllDB decibels below the mainlobe (sllDB given as a
-// positive number, e.g. 30 for -30 dB sidelobes). Taylor weighting is the
-// standard radar compromise between sidelobe level and mainlobe width —
-// exactly the tradeoff the paper discusses for the Doppler taper ("the
-// selection of a window ... impacts the leakage of clutter returns across
-// Doppler bins, traded off against the width of the clutter passband").
-func TaylorWindow(n, nbar int, sllDB float64) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	if n == 1 || nbar < 2 {
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = 1
-		}
-		return out
-	}
-	a := math.Acosh(math.Pow(10, sllDB/20)) / math.Pi
-	sigma2 := float64(nbar*nbar) / (a*a + (float64(nbar)-0.5)*(float64(nbar)-0.5))
-	coef := make([]float64, nbar) // coef[m] = F_m, m = 1..nbar-1
-	for m := 1; m < nbar; m++ {
-		num := 1.0
-		for i := 1; i < nbar; i++ {
-			num *= 1 - float64(m*m)/(sigma2*(a*a+(float64(i)-0.5)*(float64(i)-0.5)))
-		}
-		den := 1.0
-		for i := 1; i < nbar; i++ {
-			if i == m {
-				continue
-			}
-			den *= 1 - float64(m*m)/float64(i*i)
-		}
-		sign := 1.0
-		if m%2 == 0 {
-			sign = -1
-		}
-		coef[m] = sign * num / (2 * den)
-	}
-	w := make([]float64, n)
-	peak := 0.0
-	for i := 0; i < n; i++ {
-		x := 2 * math.Pi * (float64(i) - (float64(n)-1)/2) / float64(n)
-		v := 1.0
-		for m := 1; m < nbar; m++ {
-			v += 2 * coef[m] * math.Cos(float64(m)*x)
-		}
-		w[i] = v
-		if v > peak {
-			peak = v
-		}
-	}
-	if peak > 0 {
-		for i := range w {
-			w[i] /= peak
-		}
-	}
-	return w
-}
-
-// ApplyWindow multiplies x element-wise by the real window w. len(w) may be
-// shorter than len(x); remaining elements are zeroed (zero padding), which
-// matches the PRI-stagger usage where N-stagger pulses are windowed and the
-// tail is padded to the FFT length.
-func ApplyWindow(x []complex128, w []float64) {
-	n := len(w)
-	if n > len(x) {
-		n = len(x)
-	}
-	for i := 0; i < n; i++ {
-		x[i] *= complex(w[i], 0)
-	}
-	for i := n; i < len(x); i++ {
-		x[i] = 0
-	}
-}

@@ -32,36 +32,11 @@ func TestSendHookReplaceAndDrop(t *testing.T) {
 	}
 	sent := w.MessagesSent()
 	tx.Send(1, 2, "drop me")
-	if _, ok := rx.TryRecv(0, 2); ok {
-		t.Error("dropped message was delivered")
+	if d := w.QueueDepths()[1]; d != 0 {
+		t.Errorf("dropped message was delivered: rank 1 holds %d", d)
 	}
 	if w.MessagesSent() != sent {
 		t.Error("dropped message was counted as sent")
-	}
-}
-
-// TestRecvHookDelays checks the receive-side hook fires with the
-// receiver's view of the match and that sleeping in it delays receipt.
-func TestRecvHookDelays(t *testing.T) {
-	w := NewWorld(2)
-	var calls atomic.Int64
-	w.SetRecvHook(func(rank, src, tag int) {
-		if rank != 1 || src != 0 || tag != 7 {
-			t.Errorf("recv hook saw (%d, %d, %d), want (1, 0, 7)", rank, src, tag)
-		}
-		calls.Add(1)
-		time.Sleep(20 * time.Millisecond)
-	})
-	w.Comm(0).Send(1, 7, "x")
-	t0 := time.Now()
-	if got := w.Comm(1).Recv(0, 7); got != "x" {
-		t.Errorf("Recv = %v", got)
-	}
-	if d := time.Since(t0); d < 15*time.Millisecond {
-		t.Errorf("recv hook delay not applied: %v", d)
-	}
-	if calls.Load() != 1 {
-		t.Errorf("recv hook called %d times, want 1", calls.Load())
 	}
 }
 

@@ -1,11 +1,12 @@
 // Package mp is a rank-based message-passing runtime over goroutines and
 // condition variables — the repository's stand-in for MPI (the paper's
-// implementation language is ANSI C + MPI). It provides the primitives the
-// parallel pipeline uses: point-to-point Send/Recv with (source, tag)
-// matching, barriers, and byte accounting for the communication model.
-// The overlap the paper buys with double buffering (Figure 10) comes from
-// the asynchronous Send into the receiver's mailbox, bounded by the
-// pipeline's in-flight CPI window.
+// implementation language is ANSI C + MPI). It carries exactly the
+// primitive pair every pipeline task's receive → compute → send loop
+// (Figure 10) is built from: an asynchronous Send and a blocking Recv
+// matched on (source, tag), plus byte accounting for the communication
+// model. No rank ever waits at a barrier. The overlap the paper buys with
+// double buffering comes from the asynchronous Send into the receiver's
+// mailbox, bounded by the pipeline's in-flight CPI window.
 //
 // Semantics: sends are asynchronous and buffered (they never block);
 // messages between a (src, dst) pair with equal tags are matched in send
@@ -21,15 +22,12 @@ import (
 	"time"
 )
 
-// AnySource matches messages from every rank in Recv/TryRecv.
-const AnySource = -1
-
-// ErrAborted is the panic value raised by blocking operations (Recv,
-// TryRecv, Barrier) on an aborted world — the runtime's analogue of
-// MPI_Abort tearing down a communicator. Rank goroutines written in the
-// straight-line MPI style have no error-return path for cancellation, so
-// the abort propagates as a panic; wrap each rank's body in Protect to
-// convert it back into a normal goroutine exit.
+// ErrAborted is the panic value Recv raises on an aborted world — the
+// runtime's analogue of MPI_Abort tearing down a communicator. Rank
+// goroutines written in the straight-line MPI style have no error-return
+// path for cancellation, so the abort propagates as a panic; the
+// pipeline's worker supervision (internal/pipeline) recovers it as a
+// normal goroutine exit.
 var ErrAborted = errors.New("mp: world aborted")
 
 // Sizer lets payloads report their wire size for accounting. cube.Cube and
@@ -40,23 +38,24 @@ type Sizer interface{ Bytes() int64 }
 // the seam that lets one logical World span OS processes (internal/dist
 // provides the TCP implementation). Send delivers (src, dst, tag, data)
 // to dst's hosting process; it may block on flow control but must return
-// an error, not hang forever, when the peer is unreachable. Barrier runs
-// the cross-process phase of World.Barrier after all locally hosted ranks
-// have arrived, returning once every process's hosted ranks have entered;
-// it must unblock with an error when the world is aborted. Both are
-// called concurrently from many rank goroutines.
+// an error, not hang forever, when the peer is unreachable. It is called
+// concurrently from many rank goroutines. Inbound traffic arrives through
+// World.Deliver.
 type Transport interface {
 	Send(src, dst, tag int, data any) error
-	Barrier() error
 }
 
 type message struct {
 	src, tag int
 	data     any
-	seq      uint64 // arrival order for FIFO matching
 }
 
 // mailbox is one rank's queue of delivered, not yet received messages.
+// The queue is always in arrival order: enqueue appends under the lock,
+// and Recv removes a message without reordering the rest. So the first
+// (src, tag) match in the queue is the earliest one, which is what keeps
+// equal-tagged messages from one sender in send order.
+//
 // Send never blocks, so nothing here bounds it; its user's flow control
 // does. The pipeline's (internal/pipeline) is its in-flight window W: the
 // feeder admits CPI c only after the collector finished CPI c−W, and a
@@ -79,7 +78,6 @@ type mailbox struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
 	queue []message
-	seq   uint64
 }
 
 // World is a fixed-size collection of ranks sharing mailboxes. A world
@@ -104,14 +102,11 @@ type World struct {
 	// with SetObserver before any rank goroutine starts.
 	observer func(bytes int64)
 
-	// sendHook and recvHook, when non-nil, intercept the message plane for
-	// fault injection (internal/fault): sendHook may corrupt or drop a
-	// message before delivery (or sleep, delaying the sender), recvHook
-	// runs on entry to every blocking Recv (sleeping there delays the
-	// receiver). Set them with SetSendHook/SetRecvHook before any rank
-	// goroutine starts.
+	// sendHook, when non-nil, intercepts the message plane for fault
+	// injection (internal/fault): it may corrupt or drop a message before
+	// delivery, or sleep, delaying the sender. Set it with SetSendHook
+	// before any rank goroutine starts.
 	sendHook func(src, dst, tag int, data any) (any, bool)
-	recvHook func(rank, src, tag int)
 
 	// waitObserver, when non-nil, receives the time each blocking Recv
 	// spent waiting for its message — the queue-wait share of a worker's
@@ -124,11 +119,6 @@ type World struct {
 	aborted   atomic.Bool
 	done      chan struct{}
 	abortOnce sync.Once
-
-	barMu    sync.Mutex
-	barCond  *sync.Cond
-	barCount int
-	barGen   int
 }
 
 // NewWorld creates a world of n ranks, all hosted in-process.
@@ -157,12 +147,8 @@ func NewPartialWorld(n int, hosted Group, t Transport) *World {
 		b.cond = sync.NewCond(&b.mu)
 		w.boxes[i] = b
 	}
-	w.barCond = sync.NewCond(&w.barMu)
 	return w
 }
-
-// Hosted returns the rank interval whose mailboxes live in this process.
-func (w *World) Hosted() Group { return w.hosted }
 
 // Hosts reports whether the rank's mailbox lives in this process.
 func (w *World) Hosts(rank int) bool { return w.hosted.Contains(rank) }
@@ -190,9 +176,9 @@ func (w *World) QueueDepths() []int {
 // single consistent concrete type).
 type abortReason struct{ err error }
 
-// Abort tears the world down: every rank blocked in Recv, TryRecv or
-// Barrier — and every such call made afterwards — panics with ErrAborted,
-// and subsequent Sends are dropped. Safe to call from any goroutine and
+// Abort tears the world down: every rank blocked in Recv — and every Recv
+// made afterwards — panics with ErrAborted, and subsequent Sends and
+// Delivers are dropped. Safe to call from any goroutine and
 // idempotent.
 func (w *World) Abort() { w.AbortWith(nil) }
 
@@ -212,9 +198,6 @@ func (w *World) AbortWith(cause error) {
 			b.cond.Broadcast()
 			b.mu.Unlock()
 		}
-		w.barMu.Lock()
-		w.barCond.Broadcast()
-		w.barMu.Unlock()
 	})
 }
 
@@ -265,23 +248,6 @@ func (w *World) Aborted() bool { return w.aborted.Load() }
 // select statements alongside ordinary channel operations.
 func (w *World) Done() <-chan struct{} { return w.done }
 
-// Protect runs f, converting an ErrAborted panic raised by a blocking
-// operation on an aborted world into a normal return. Any other panic
-// propagates. It returns true when f was cut short by an abort.
-func Protect(f func()) (aborted bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if r == ErrAborted {
-				aborted = true
-				return
-			}
-			panic(r)
-		}
-	}()
-	f()
-	return false
-}
-
 // Size returns the number of ranks.
 func (w *World) Size() int { return len(w.boxes) }
 
@@ -305,12 +271,6 @@ func (w *World) SetObserver(f func(bytes int64)) { w.observer = f }
 // concurrency rules as SetObserver.
 func (w *World) SetSendHook(f func(src, dst, tag int, data any) (any, bool)) { w.sendHook = f }
 
-// SetRecvHook installs a receive interceptor, called on entry to every
-// blocking Recv with the receiver's rank and requested (src, tag).
-// Sleeping in the hook delays receipt. Same timing and concurrency rules
-// as SetObserver.
-func (w *World) SetRecvHook(f func(rank, src, tag int)) { w.recvHook = f }
-
 // SetWaitObserver installs a queue-wait accounting hook: every blocking
 // Recv that actually waited reports how long. The hook runs with the
 // receiving mailbox locked, so it must be fast and must not call back
@@ -332,9 +292,6 @@ func (w *World) Comm(rank int) *Comm {
 	}
 	return &Comm{w: w, rank: rank}
 }
-
-// Rank returns this endpoint's rank.
-func (c *Comm) Rank() int { return c.rank }
 
 // Size returns the world size.
 func (c *Comm) Size() int { return c.w.Size() }
@@ -369,8 +326,7 @@ func (c *Comm) Send(dst, tag int, data any) {
 // enqueue appends a message to the mailbox and wakes its waiters.
 func (b *mailbox) enqueue(src, tag int, data any) {
 	b.mu.Lock()
-	b.seq++
-	b.queue = append(b.queue, message{src: src, tag: tag, data: data, seq: b.seq})
+	b.queue = append(b.queue, message{src: src, tag: tag, data: data})
 	b.mu.Unlock()
 	b.cond.Broadcast()
 }
@@ -403,12 +359,9 @@ func (w *World) Deliver(src, dst, tag int, data any) {
 }
 
 // Recv blocks until a message matching (src, tag) arrives and returns its
-// payload. src may be AnySource. Among matching messages the earliest
-// arrival wins. Recv panics with ErrAborted when the world is aborted.
+// payload. Among matching messages the earliest arrival wins. Recv panics
+// with ErrAborted when the world is aborted.
 func (c *Comm) Recv(src, tag int) any {
-	if h := c.w.recvHook; h != nil {
-		h(c.rank, src, tag)
-	}
 	if !c.w.Hosts(c.rank) {
 		panic(fmt.Sprintf("mp: Recv on rank %d not hosted here", c.rank))
 	}
@@ -420,17 +373,11 @@ func (c *Comm) Recv(src, tag int) any {
 		if c.w.aborted.Load() {
 			panic(ErrAborted)
 		}
-		best := -1
 		for i, m := range box.queue {
-			if (src == AnySource || m.src == src) && m.tag == tag {
-				if best == -1 || m.seq < box.queue[best].seq {
-					best = i
-				}
+			if m.src != src || m.tag != tag {
+				continue
 			}
-		}
-		if best >= 0 {
-			m := box.queue[best]
-			box.queue = append(box.queue[:best], box.queue[best+1:]...)
+			box.queue = append(box.queue[:i], box.queue[i+1:]...)
 			if wo := c.w.waitObserver; wo != nil && !waitStart.IsZero() {
 				wo(c.rank, time.Since(waitStart).Nanoseconds())
 			}
@@ -441,80 +388,6 @@ func (c *Comm) Recv(src, tag int) any {
 		}
 		box.cond.Wait()
 	}
-}
-
-// TryRecv returns a matching message if one is already queued, without
-// blocking. ok is false when nothing matches. Like Recv, TryRecv panics
-// with ErrAborted on an aborted world — local mailboxes and remote links
-// honor identical abort semantics, so polling loops unwind the same way
-// blocking ones do.
-func (c *Comm) TryRecv(src, tag int) (data any, ok bool) {
-	if !c.w.Hosts(c.rank) {
-		panic(fmt.Sprintf("mp: TryRecv on rank %d not hosted here", c.rank))
-	}
-	box := c.w.boxes[c.rank]
-	box.mu.Lock()
-	defer box.mu.Unlock()
-	if c.w.aborted.Load() {
-		panic(ErrAborted)
-	}
-	best := -1
-	for i, m := range box.queue {
-		if (src == AnySource || m.src == src) && m.tag == tag {
-			if best == -1 || m.seq < box.queue[best].seq {
-				best = i
-			}
-		}
-	}
-	if best < 0 {
-		return nil, false
-	}
-	m := box.queue[best]
-	box.queue = append(box.queue[:best], box.queue[best+1:]...)
-	return m.data, true
-}
-
-// Barrier blocks until every rank of the world has entered it. In a
-// partial world the last locally hosted arriver additionally runs the
-// transport's cross-process barrier before anyone is released, so the
-// semantics match the single-process case. Barrier panics with ErrAborted
-// when the world is aborted.
-func (w *World) Barrier() {
-	w.barMu.Lock()
-	if w.aborted.Load() {
-		w.barMu.Unlock()
-		panic(ErrAborted)
-	}
-	gen := w.barGen
-	w.barCount++
-	if w.barCount == w.hosted.N {
-		if w.trans != nil {
-			// Cross-process phase, run unlocked so Deliver and Abort stay
-			// live. No local rank can re-enter this generation: none has
-			// been released yet.
-			w.barMu.Unlock()
-			err := w.trans.Barrier()
-			w.barMu.Lock()
-			if err != nil || w.aborted.Load() {
-				w.barMu.Unlock()
-				w.AbortWith(err)
-				panic(ErrAborted)
-			}
-		}
-		w.barCount = 0
-		w.barGen++
-		w.barMu.Unlock()
-		w.barCond.Broadcast()
-		return
-	}
-	for gen == w.barGen {
-		if w.aborted.Load() {
-			w.barMu.Unlock()
-			panic(ErrAborted)
-		}
-		w.barCond.Wait()
-	}
-	w.barMu.Unlock()
 }
 
 // Group is a contiguous rank interval [First, First+Size) representing one

@@ -7,7 +7,6 @@ import "testing"
 type stubTransport struct{}
 
 func (stubTransport) Send(src, dst, tag int, data any) error { return nil }
-func (stubTransport) Barrier() error                         { return nil }
 
 func TestQueueDepths(t *testing.T) {
 	w := NewWorld(3)

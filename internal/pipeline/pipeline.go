@@ -104,15 +104,10 @@ type Config struct {
 	// sequence of batch stages — the role the paper's double buffering
 	// and finite MPI buffers play.
 	Window int
-	// CPIMap, when non-nil, maps the pipeline's local CPI index to the
-	// scene's global CPI index (used by replicated pipelines, where
-	// replica r processes global CPIs r, r+R, r+2R, ...). Nil means
-	// identity.
-	CPIMap func(int) int
-	// RawSource, when non-nil, supplies raw CPI cubes by (mapped) index
-	// instead of synthesizing them from the scene — used to replay
-	// recorded data (cpifile). The scene still provides the parameters,
-	// replica waveform and beam geometry.
+	// RawSource, when non-nil, supplies CPI i's raw cube instead of
+	// synthesizing it from the scene — used to replay recorded data
+	// (cpifile). The scene still provides the parameters, replica
+	// waveform and beam geometry.
 	RawSource func(int) *cube.Cube
 	// Threads spreads each worker's data-parallel kernels (Doppler
 	// filtering, beamforming, pulse compression, CFAR) over this many
@@ -185,7 +180,9 @@ type Result struct {
 	// Latencies holds the per-CPI measured latencies of the window, in CPI
 	// order (for percentile analysis).
 	Latencies []time.Duration
-	// Elapsed is the total wall time of the run.
+	// Elapsed is the total wall time of the run, read after every worker
+	// has exited, so it bounds every span in Spans — the weight tasks'
+	// spans for a job's last CPI included, which nothing else waits for.
 	Elapsed time.Duration
 	// BytesSent counts all inter-task payload bytes.
 	BytesSent int64
@@ -426,10 +423,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("pipeline: Obs journal holds %d spans, run needs %d (%d workers x %d CPIs)",
 			col.RingSize(), need, cfg.Assign.Total(), n)
 	}
-	mapCPI, source := cfg.CPIMap, cfg.RawSource
-	if mapCPI == nil {
-		mapCPI = func(i int) int { return i }
-	}
+	source := cfg.RawSource
 	if source == nil {
 		source = cfg.Scene.GenerateCPI
 	}
@@ -445,13 +439,13 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Context != nil {
 		defer context.AfterFunc(cfg.Context, s.Abort)()
 	}
-	detections, err := s.processJob(n, func(i int) *cube.Cube { return source(mapCPI(i)) }, JobOpts{})
-	elapsed := time.Since(start)
+	detections, err := s.processJob(n, source, JobOpts{})
 	if err != nil {
 		s.Abort()
 	} else {
 		s.Close()
 	}
+	elapsed := time.Since(start)
 	if f, ok := s.sup.first(); ok {
 		return nil, &FaultError{Fault: f}
 	}

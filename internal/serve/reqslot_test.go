@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"slices"
@@ -202,6 +203,81 @@ func TestSlotLifeRefusedHoldsNothing(t *testing.T) {
 	waitFor(t, "every slot to come back", func() bool { return s.reqs.inUse() == 0 && len(s.reqs.freeList()) == 2 })
 	if _, u := slotGauges(t, s); u != 0 {
 		t.Errorf("%v slots in use after the refusals, want 0", u)
+	}
+}
+
+// TestSlotLifeStalledBodyReleasesSlot stalls QueueDepth + replicas
+// clients halfway through a request body, which takes every request slot.
+// Each body's read deadline expires: its slot goes back, its connection
+// is closed, and another client's jobs are then served bit-exactly.
+func TestSlotLifeStalledBodyReleasesSlot(t *testing.T) {
+	sc := radar.DefaultScene(radar.Small())
+	leakcheck.Check(t)
+	s := startServer(t, Config{
+		Scene:      sc,
+		Assign:     pipeline.NewAssignment(1, 1, 1, 1, 1, 1, 1),
+		Replicas:   1,
+		QueueDepth: 1,
+		Window:     2,
+		RetryAfter: 5 * time.Millisecond,
+	})
+	t.Cleanup(func() { s.Shutdown(context.Background()) })
+
+	var frame bytes.Buffer
+	if _, err := wire.NewWriter(&frame).WriteFrame(wire.Plain, &Request{ID: 1, CPIs: []*cube.Cube{sc.GenerateCPI(0)}}); err != nil {
+		t.Fatal(err)
+	}
+	half := frame.Bytes()[:frame.Len()/2]
+	var stalled []net.Conn
+	for i := 0; i < 2; i++ {
+		conn, err := net.Dial("tcp", s.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write(half); err != nil {
+			t.Fatal(err)
+		}
+		stalled = append(stalled, conn)
+	}
+	waitFor(t, "the stalled bodies to take every slot", func() bool { return s.reqs.inUse() == 2 })
+
+	// Another client submits during the stall: it is Busy until the
+	// stalled bodies expire, then served.
+	cl, err := Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	served := make(chan error, 1)
+	go func() {
+		for i := 1; i <= 3; i++ {
+			cpis := []*cube.Cube{sc.GenerateCPI(i), sc.GenerateCPI(i + 1)}
+			got, err := cl.SubmitRetry(cpis, 2000) // 5 ms apart: 10 s
+			if err != nil {
+				served <- fmt.Errorf("job %d: %w", i, err)
+				return
+			}
+			if !bitExact(got, serialReference(sc, cpis)) {
+				served <- fmt.Errorf("job %d differs from the serial reference", i)
+				return
+			}
+		}
+		served <- nil
+	}()
+
+	for i, conn := range stalled {
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if n, err := io.Copy(io.Discard, conn); err != nil || n != 0 {
+			t.Errorf("stalled client %d: read %d bytes, %v; want the server to hang up", i, n, err)
+		}
+	}
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "every slot to come back", func() bool { return s.reqs.inUse() == 0 })
+	if _, u := slotGauges(t, s); u != 0 {
+		t.Errorf("%v slots in use after the stalled bodies expired, want 0", u)
 	}
 }
 

@@ -509,7 +509,9 @@ func (s *Server) Addr() net.Addr {
 // encoded into the connection's one write buffer. A request is read into
 // a request slot taken at its header (see requestSlots), so an idle
 // connection holds no request-sized memory, and a request the pool has
-// no slot for is answered Busy without its body being kept.
+// no slot for is answered Busy without its body being kept. A body must
+// arrive within its bodyDeadline: one that stalls releases its slot and
+// its connection is closed, so stalled clients cannot hold every slot.
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.readerWG.Done()
 	replies := make(chan *Response, 16)
@@ -536,7 +538,8 @@ func (s *Server) handleConn(conn net.Conn) {
 	}()
 	fr := wire.NewReader(conn)
 	for {
-		k, _, err := fr.Next()
+		s.setReadDeadline(conn, time.Time{}) // between requests a connection may idle
+		k, n, err := fr.Next()
 		var verr *wire.VersionError
 		if errors.As(err, &verr) {
 			// A client from another build: answer in this build's format,
@@ -547,6 +550,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		if err != nil || k != wire.Plain {
 			break // clean EOF, shutdown deadline, or corrupt header
 		}
+		s.setReadDeadline(conn, time.Now().Add(bodyDeadline(n)))
 		sl := s.reqs.take()
 		if sl == nil {
 			// At the admission bound: read past the body, keeping only
@@ -563,7 +567,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		if err := sl.decode(fr); err != nil {
 			s.reqs.release(sl, true)
-			break // truncated or corrupt body
+			break // truncated, stalled or corrupt body
 		}
 		if resp := s.admit(sl, replies, &inflight); resp != nil {
 			s.reqs.release(sl, true)
@@ -577,6 +581,30 @@ func (s *Server) handleConn(conn net.Conn) {
 	s.connMu.Unlock()
 	inflight.Wait()
 	close(replies)
+}
+
+// minBodyRate is the slowest a request body may arrive, in bytes per
+// second.
+const minBodyRate = 1 << 20
+
+// bodyDeadline is how long a body of n bytes may take to arrive: a
+// second, plus its length at minBodyRate.
+func bodyDeadline(n int) time.Duration {
+	return time.Second + time.Duration(n)*time.Second/minBodyRate
+}
+
+// setReadDeadline sets conn's read deadline to t (zero clears it), unless
+// Shutdown has begun: then it sets it to now, as Shutdown does, so a
+// reader between two reads cannot put back a deadline Shutdown already
+// cut short. It holds connMu, under which Shutdown sets the deadlines
+// after it stops admitting.
+func (s *Server) setReadDeadline(conn net.Conn, t time.Time) {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	if !s.admitting.Load() {
+		t = time.Now()
+	}
+	conn.SetReadDeadline(t)
 }
 
 // admit validates the request decoded into sl and tries to enqueue it.
