@@ -26,7 +26,8 @@
 // -planfile adopts its worker assignment and, when the file names
 // stapnode addresses, builds the distributed cluster from them. With
 // -replan the daemon re-optimizes the placement online from observed
-// timings and rolls distributed replicas onto it when the model drifts.
+// timings (a 2 s pass) and rolls distributed replicas onto it when the
+// observed period drifts 25% from the model's prediction.
 //
 // A signed SLO file from stapslo (-slofile, requires -distsecret for the
 // signature) arms the burn-rate alert engine over the history store:
@@ -34,8 +35,8 @@
 // floor, link RTT ceiling) is evaluated as fast/slow multi-window burn
 // rates, surfaced on /alerts.json and as stapd_slo_* Prometheus
 // families, and a breach dumps a flight record with the lead-up history
-// embedded. With -sloreplan a firing latency or throughput alert also
-// counts as drift pressure for the -replan trigger.
+// embedded. With -replan a firing latency or throughput alert also
+// arms a roll, beside the drift trigger.
 //
 // Usage:
 //
@@ -84,7 +85,6 @@ var (
 	flagQueue    = flag.Int("queue", 0, "admission queue depth (0 = 2 per replica)")
 	flagWindow   = flag.Int("window", 0, "per-replica flow-control window (0 = default)")
 	flagThreads  = flag.Int("threads", 1, "threads per worker")
-	flagRetry    = flag.Duration("retry", 100*time.Millisecond, "retry-after hint in busy replies")
 	flagTraceDir = flag.String("tracedir", "", "directory for per-job traces (empty disables)")
 	flagDrain    = flag.Duration("drain", 30*time.Second, "graceful shutdown deadline")
 	flagObsWin   = flag.Int("obswindow", 0, "live gauge window in CPIs (0 = default 32)")
@@ -93,23 +93,18 @@ var (
 	flagDistNodes  = flag.String("distnodes", "", "comma-separated stapnode addresses forming one distributed replica (empty disables)")
 	flagPlacement  = flag.String("placement", "", "task ranges per stapnode, e.g. '0-2/3-6' (empty = even split)")
 	flagDistSecret = flag.String("distsecret", "", "shared cluster secret for -distnodes (required with it)")
-	flagHeartbeat  = flag.Duration("heartbeat", 0, "distributed link heartbeat interval (0 = default)")
 
-	flagPlanFile    = flag.String("planfile", "", "signed stapplan file to adopt: assignment, and cluster when it names nodes (requires -distsecret, excludes -nodes/-distnodes)")
-	flagReplan      = flag.Bool("replan", false, "re-optimize placement online and roll distributed replicas when the model drifts")
-	flagReplanInt   = flag.Duration("replaninterval", 0, "replanner evaluation interval (0 = default 2s)")
-	flagReplanDrift = flag.Float64("replandrift", 0, "fractional period drift that triggers a replan (0 = default 0.25)")
+	flagPlanFile = flag.String("planfile", "", "signed stapplan file to adopt: assignment, and cluster when it names nodes (requires -distsecret, excludes -nodes/-distnodes)")
+	flagReplan   = flag.Bool("replan", false, "re-optimize placement online and roll distributed replicas when the model drifts or a latency/throughput SLO fires")
 
-	flagSLOFile   = flag.String("slofile", "", "signed stapslo file declaring SLOs to evaluate as burn-rate alerts (requires -distsecret)")
-	flagSLOReplan = flag.Bool("sloreplan", false, "treat firing latency/throughput alerts as drift pressure for -replan")
+	flagSLOFile = flag.String("slofile", "", "signed stapslo file declaring SLOs to evaluate as burn-rate alerts (requires -distsecret)")
 
 	flagCPITimeout = flag.Duration("cpitimeout", 0, "per-CPI processing deadline; a stalled replica is reaped and recycled (0 disables)")
 	flagFaultPlan  = flag.String("faultplan", "", "fault injection plan, e.g. 'doppler:0:3:panic; cfar:*:*:slow(10ms)*@0.1' (see internal/fault)")
 	flagFaultSeed  = flag.Int64("faultseed", 1, "seed for probabilistic fault rules")
 	flagRestarts   = flag.Int("restartbudget", 0, "max automatic restarts per replica slot (0 = default 5)")
 	flagBackoff    = flag.Duration("restartbackoff", 0, "base delay before restarting a dead replica, doubling per restart (0 = default 50ms)")
-	flagFlightDir  = flag.String("flightdir", "", "directory for fault flight records (empty disables)")
-	flagFlightKeep = flag.Int("flightkeep", 0, "flight records to retain in -flightdir, oldest pruned (0 = default 16)")
+	flagFlightDir  = flag.String("flightdir", "", "directory for fault flight records, the newest 16 kept (empty disables)")
 
 	flagFailover       = flag.Int("failoverbudget", 0, "max re-dispatches of one job after its replica dies (0 = default 2, negative disables)")
 	flagBreakerTrip    = flag.Int("breakerthreshold", 0, "consecutive fatal faults opening a slot's dispatch breaker (0 = default 3)")
@@ -168,10 +163,11 @@ func main() {
 		log.Printf("fault injection armed: %s (seed %d)", fplan, *flagFaultSeed)
 	}
 
-	// A signed plan file supplies the assignment (and the cluster, when
-	// it names nodes) instead of -nodes/-distnodes/-placement.
-	var planNodes []string
-	var planPlacement dist.Placement
+	// The distributed replica's nodes and placement come from a signed
+	// plan file (which also supplies the assignment, and names nodes or
+	// not) or from -distnodes/-placement, and feed one ClusterConfig.
+	var distNodes []string
+	var placement dist.Placement
 	if *flagPlanFile != "" {
 		if *flagDistSecret == "" {
 			fmt.Fprintln(os.Stderr, "-planfile requires -distsecret (verifies the plan signature)")
@@ -198,13 +194,26 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		if planPlacement, err = pf.ParsedPlacement(); err != nil {
+		if placement, err = pf.ParsedPlacement(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		planNodes = pf.Nodes
+		distNodes = pf.Nodes
 		log.Printf("plan %s adopted: assign %s, predicted period %.6fs",
 			*flagPlanFile, a, pf.Predicted.PeriodSec)
+	} else if *flagDistNodes != "" {
+		if *flagDistSecret == "" {
+			fmt.Fprintln(os.Stderr, "-distnodes requires -distsecret")
+			os.Exit(2)
+		}
+		distNodes = strings.Split(*flagDistNodes, ",")
+		for i := range distNodes {
+			distNodes[i] = strings.TrimSpace(distNodes[i])
+		}
+		if placement, err = dist.ParsePlacement(*flagPlacement, len(distNodes)); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 	}
 
 	// A signed SLO file arms the burn-rate alert engine. The signature
@@ -235,43 +244,18 @@ func main() {
 	}
 
 	var clusters []dist.ClusterConfig
-	if len(planNodes) > 0 {
+	if len(distNodes) > 0 {
 		clusters = append(clusters, dist.ClusterConfig{
 			Name:      "dist0",
-			Nodes:     planNodes,
-			Placement: planPlacement,
-			Secret:    []byte(*flagDistSecret),
-			Heartbeat: *flagHeartbeat,
-			FaultPlan: *flagFaultPlan,
-			Seed:      *flagFaultSeed,
-		})
-		log.Printf("distributed replica: %d stapnodes from plan file", len(planNodes))
-	} else if *flagDistNodes != "" {
-		if *flagDistSecret == "" {
-			fmt.Fprintln(os.Stderr, "-distnodes requires -distsecret")
-			os.Exit(2)
-		}
-		nodes := strings.Split(*flagDistNodes, ",")
-		for i := range nodes {
-			nodes[i] = strings.TrimSpace(nodes[i])
-		}
-		placement, perr := dist.ParsePlacement(*flagPlacement, len(nodes))
-		if perr != nil {
-			fmt.Fprintln(os.Stderr, perr)
-			os.Exit(2)
-		}
-		clusters = append(clusters, dist.ClusterConfig{
-			Name:      "dist0",
-			Nodes:     nodes,
+			Nodes:     distNodes,
 			Placement: placement,
 			Secret:    []byte(*flagDistSecret),
-			Heartbeat: *flagHeartbeat,
 			FaultPlan: *flagFaultPlan,
 			Seed:      *flagFaultSeed,
 		})
 		// Connect logs the live placement with the manifest signature
 		// prefix; logging it here too would just duplicate the spec.
-		log.Printf("distributed replica: %d stapnodes configured", len(nodes))
+		log.Printf("distributed replica: %d stapnodes configured", len(distNodes))
 	}
 
 	srv, err := serve.New(serve.Config{
@@ -282,7 +266,6 @@ func main() {
 		QueueDepth:       *flagQueue,
 		Window:           *flagWindow,
 		Threads:          *flagThreads,
-		RetryAfter:       *flagRetry,
 		TraceDir:         *flagTraceDir,
 		ObsWindow:        *flagObsWin,
 		SlowMultiple:     *flagSlowMult,
@@ -292,16 +275,12 @@ func main() {
 		RestartBudget:    *flagRestarts,
 		RestartBackoff:   *flagBackoff,
 		FlightDir:        *flagFlightDir,
-		FlightKeep:       *flagFlightKeep,
 		FailoverBudget:   *flagFailover,
 		BreakerThreshold: *flagBreakerTrip,
 		BreakerCooldown:  *flagBreakerCool,
 		FallbackInproc:   *flagFallbackInproc,
 		Replan:           *flagReplan,
-		ReplanInterval:   *flagReplanInt,
-		ReplanDrift:      *flagReplanDrift,
 		SLOs:             sloSpecs,
-		SLOReplan:        *flagSLOReplan,
 		Logf:             log.Printf,
 	})
 	if err != nil {

@@ -9,7 +9,6 @@
 // Usage:
 //
 //	stapnode -listen :7441 -secret swordfish
-//	stapnode -listen :7442 -secret swordfish -window 128
 //	stapnode -listen :7441 -secret s -obs :7443 -name node1 -flightdir /tmp/fr
 //
 // With -obs, the agent serves its telemetry over HTTP: /metrics.prom
@@ -20,8 +19,11 @@
 // (the node-local ring time-series store — 1 s gauge and link samples
 // with 10 s / 60 s rollups, which stapd federates clock-corrected into
 // its own /history.json) and /debug/pprof. The obs address is advertised
-// to the coordinator on the ready frame. With -flightdir, a session that dies of a fault dumps a
-// flight record there (-flightkeep bounds how many are retained).
+// to the coordinator on the ready frame. With -flightdir, a session that
+// dies of a fault dumps a flight record there; the newest 16 are kept.
+//
+// Every link runs dist.DefaultWindow credits at both ends. The window is
+// not a setting because the two ends of a link must agree on it.
 //
 // A stapd with matching -distnodes/-distsecret flags (or any
 // dist.ClusterConfig) drives a set of these agents as one pipeline
@@ -46,14 +48,12 @@ import (
 )
 
 var (
-	flagListen     = flag.String("listen", ":7441", "agent listen address")
-	flagSecret     = flag.String("secret", "", "shared cluster secret (must match the coordinator)")
-	flagWindow     = flag.Int("window", 0, "per-link credit window (0 = default)")
-	flagObs        = flag.String("obs", "", "telemetry HTTP listen address (empty disables)")
-	flagName       = flag.String("name", "", "node label in traces and flight records (default: listen address)")
-	flagObsWin     = flag.Int("obswindow", 0, "live gauge window in CPIs (0 = default 32)")
-	flagFlightDir  = flag.String("flightdir", "", "directory for fault flight records and the final telemetry flush (empty disables)")
-	flagFlightKeep = flag.Int("flightkeep", 0, "flight records to retain in -flightdir, oldest pruned (0 = default 16)")
+	flagListen    = flag.String("listen", ":7441", "agent listen address")
+	flagSecret    = flag.String("secret", "", "shared cluster secret (must match the coordinator)")
+	flagObs       = flag.String("obs", "", "telemetry HTTP listen address (empty disables)")
+	flagName      = flag.String("name", "", "node label in traces and flight records (default: listen address)")
+	flagObsWin    = flag.Int("obswindow", 0, "live gauge window in CPIs (0 = default 32)")
+	flagFlightDir = flag.String("flightdir", "", "directory for fault flight records and the final telemetry flush (empty disables)")
 )
 
 func main() {
@@ -69,14 +69,12 @@ func main() {
 		log.Fatal(err)
 	}
 	node := dist.NewNode(ln, dist.NodeConfig{
-		Secret:     []byte(*flagSecret),
-		Window:     *flagWindow,
-		Logf:       log.Printf,
-		Name:       *flagName,
-		ObsAddr:    *flagObs,
-		ObsWindow:  *flagObsWin,
-		FlightDir:  *flagFlightDir,
-		FlightKeep: *flagFlightKeep,
+		Secret:    []byte(*flagSecret),
+		Logf:      log.Printf,
+		Name:      *flagName,
+		ObsAddr:   *flagObs,
+		ObsWindow: *flagObsWin,
+		FlightDir: *flagFlightDir,
 	})
 	log.Printf("listening on %v", ln.Addr())
 

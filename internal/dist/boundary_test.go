@@ -109,7 +109,7 @@ func TestJobBoundarySplitReplica(t *testing.T) {
 func TestLinkCarriesJobFlags(t *testing.T) {
 	leakcheck.Check(t)
 	owners := []int{0, 1} // rank 0 on member 0, rank 1 on member 1
-	t0, t1 := newTransport(0, 1, owners, 0, 0, nil), newTransport(1, 1, owners, 0, 0, nil)
+	t0, t1 := newTransport(0, 1, owners, 0, nil), newTransport(1, 1, owners, 0, nil)
 	w0 := mp.NewPartialWorld(2, mp.Group{First: 0, N: 1}, t0)
 	w1 := mp.NewPartialWorld(2, mp.Group{First: 1, N: 1}, t1)
 	t0.world, t1.world = w0, w1

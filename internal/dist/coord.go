@@ -40,10 +40,6 @@ type ClusterConfig struct {
 
 	// Heartbeat is the link heartbeat interval (DefaultHeartbeat if 0).
 	Heartbeat time.Duration
-	// LinkWindow overrides the per-link credit window (DefaultWindow if 0).
-	LinkWindow int
-	// DialTimeout and ReadyTimeout bound Connect's phases.
-	DialTimeout, ReadyTimeout time.Duration
 
 	// Obs, when non-nil, receives the driver-side telemetry (message
 	// accounting for frames the coordinator sends; worker spans stay on
@@ -79,12 +75,6 @@ func (c *ClusterConfig) defaults() (ClusterConfig, error) {
 	}
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = DefaultHeartbeat
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = DefaultDialTimeout
-	}
-	if cfg.ReadyTimeout <= 0 {
-		cfg.ReadyTimeout = DefaultReadyTimeout
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -135,14 +125,14 @@ func (c *ClusterConfig) Connect() (*Replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := openSession(man, 0, cfg.LinkWindow, cfg.Obs, cfg.Fault, cfg.CPITimeout)
+	h, err := openSession(man, 0, cfg.Obs, cfg.Fault, cfg.CPITimeout)
 	if err != nil {
 		return nil, err
 	}
 	r := &Replica{cluster: cfg.Name, session: session, nodes: cfg.Nodes, hosted: h}
 	for j := 1; j <= len(cfg.Nodes); j++ {
 		addr := cfg.Nodes[j-1]
-		conn, err := net.DialTimeout("tcp", addr, cfg.DialTimeout)
+		conn, err := net.DialTimeout("tcp", addr, DefaultDialTimeout)
 		if err == nil {
 			if err = writeFrame(conn, &frame{Kind: frameHello, Session: session, To: j, Manifest: signed, Auth: man.Sig}); err != nil {
 				conn.Close()
@@ -154,7 +144,7 @@ func (c *ClusterConfig) Connect() (*Replica, error) {
 		}
 		h.tr.runLink(j, addr, conn)
 	}
-	if err := h.tr.awaitReady(len(cfg.Nodes), cfg.ReadyTimeout); err != nil {
+	if err := h.tr.awaitReady(len(cfg.Nodes), DefaultReadyTimeout); err != nil {
 		r.Abort()
 		return nil, err
 	}

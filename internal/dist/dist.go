@@ -38,7 +38,10 @@ import (
 	"pstap/internal/pipeline"
 )
 
-// Defaults for the tunable link timings and window.
+// Link timings and the credit window. Only the heartbeat is tunable
+// (ClusterConfig.Heartbeat, shipped in the manifest); every link uses
+// DefaultWindow at both ends, and Connect's phases are bounded by the two
+// timeouts.
 const (
 	DefaultHeartbeat    = 500 * time.Millisecond
 	DefaultWindow       = 64 // per-link, per-direction data-frame credits
@@ -65,12 +68,12 @@ type hosted struct {
 // when non-nil, journals spans and wire costs; inj, when non-nil, arms
 // the links — and a node's workers: the coordinator's injector is
 // link-plane only. Links attach afterwards, through runLink.
-func openSession(man *Manifest, member, window int, col *obs.Collector, inj *fault.Injector, cpiTimeout time.Duration) (hosted, error) {
+func openSession(man *Manifest, member int, col *obs.Collector, inj *fault.Injector, cpiTimeout time.Duration) (hosted, error) {
 	p := man.Placement()
 	if err := p.Validate(); err != nil {
 		return hosted{}, err
 	}
-	tr := newTransport(member, len(man.Nodes), p.Owners(man.Assign), window, man.Heartbeat, inj)
+	tr := newTransport(member, len(man.Nodes), p.Owners(man.Assign), man.Heartbeat, inj)
 	world := mp.NewPartialWorld(man.Assign.Total()+1, p.HostedRanks(man.Assign, member), tr)
 	tr.world, tr.obs = world, col
 	cfg := pipeline.StreamConfig{Scene: man.Scene, Assign: man.Assign, Window: man.Window,
@@ -152,8 +155,9 @@ type LinkStats struct {
 	XmitNs  int64 `json:"xmit_ns"`
 	StallNs int64 `json:"stall_ns"`
 	// Credits is the sender's remaining data-frame tokens and Window the
-	// per-direction total — the flow-control state the flight recorder
-	// dumps to show whether a death was a stall or a wire loss.
+	// per-direction total (DefaultWindow) — the flow-control state the
+	// flight recorder dumps to show whether a death was a stall or a wire
+	// loss.
 	Credits int `json:"credits"`
 	Window  int `json:"window"`
 }

@@ -351,7 +351,6 @@ func TestBadSecretRejected(t *testing.T) {
 	_, addrs := startNodes(t, 2)
 	cfg := testCluster(t, addrs, sc)
 	cfg.Secret = []byte("wrong")
-	cfg.ReadyTimeout = 2 * time.Second
 
 	if _, err := cfg.Connect(); err == nil {
 		t.Fatal("Connect with wrong secret succeeded")
@@ -473,7 +472,7 @@ func TestCrossProcessBarrier(t *testing.T) {
 	// member 2 ranks 2-3.
 	owners := []int{1, 1, 2, 2, 0}
 	mk := func(self int) *Transport {
-		return newTransport(self, 2, owners, 0, 0, nil) // no heartbeat in this harness
+		return newTransport(self, 2, owners, 0, nil) // no heartbeat in this harness
 	}
 	t0, t1, t2 := mk(0), mk(1), mk(2)
 	trans := map[int]*Transport{0: t0, 1: t1, 2: t2}

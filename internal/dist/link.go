@@ -150,6 +150,24 @@ var errClosedGracefully = &goodbyeError{reason: "session closed"}
 // counters. The reader loop lives on the Transport, which owns dispatch.
 // Each direction owns one frame buffer (wire.Writer, wire.Reader), grown
 // to the largest frame the link has carried and reused for every frame.
+//
+// Flow control is one constant at both ends. A sender starts each
+// direction with DefaultWindow credits and spends one per data frame; the
+// receiver delivers each frame into its world and grants the delivered
+// count back once it reaches DefaultWindow/2. Per direction, at every
+// instant,
+//
+//	credits + written-undelivered + delivered-ungranted + granted-in-flight = DefaultWindow,
+//
+// so a link holds at most DefaultWindow data frames of flow-control
+// memory per direction: in socket buffers, in the reader, or delivered
+// and not yet granted back. Delivered-ungranted stays below
+// DefaultWindow/2, so a sender at zero credits either has a grant in
+// flight or has more than DefaultWindow/2 frames still undelivered, and
+// delivering them brings the grant it waits for. Because the window is
+// one constant, no two ends can disagree on it: a receiver whose grant
+// threshold exceeded the sender's credits would leave the sender waiting
+// for a grant that never comes.
 type link struct {
 	member int
 	addr   string
@@ -161,15 +179,14 @@ type link struct {
 	fr  *wire.Reader // owned by the Transport's reader loop
 
 	// credits gates outbound data frames; the peer returns tokens with
-	// credit frames as it drains. window is the total in each direction.
+	// credit frames as it drains.
 	cmu     sync.Mutex
 	cond    *sync.Cond
 	credits int
-	window  int
 	seq     int // outbound data-frame sequence
 
 	// delivered counts inbound data frames not yet acknowledged with a
-	// credit grant; the reader returns tokens in window/2 batches.
+	// credit grant; the reader returns tokens in DefaultWindow/2 batches.
 	delivered int
 
 	dead    atomic.Bool
@@ -194,18 +211,14 @@ type link struct {
 	stallNs        atomic.Int64
 }
 
-func newLink(member int, addr string, conn net.Conn, window int) *link {
-	if window <= 0 {
-		window = DefaultWindow
-	}
+func newLink(member int, addr string, conn net.Conn) *link {
 	l := &link{
 		member:  member,
 		addr:    addr,
 		conn:    conn,
 		fw:      wire.NewWriter(conn),
 		fr:      wire.NewReader(conn),
-		credits: window,
-		window:  window,
+		credits: DefaultWindow,
 		pings:   make(map[int]time.Time),
 	}
 	l.cond = sync.NewCond(&l.cmu)
@@ -295,7 +308,7 @@ func (l *link) noteDelivered() int {
 	l.cmu.Lock()
 	defer l.cmu.Unlock()
 	l.delivered++
-	if l.delivered >= l.window/2 {
+	if l.delivered >= DefaultWindow/2 {
 		n := l.delivered
 		l.delivered = 0
 		return n
@@ -385,7 +398,7 @@ func (l *link) pong(seq int, peerT int64) {
 // stats snapshots the link's transfer counters and flow/clock state.
 func (l *link) stats() LinkStats {
 	l.cmu.Lock()
-	credits, window := l.credits, l.window
+	credits := l.credits
 	l.cmu.Unlock()
 	return LinkStats{
 		Member:    l.member,
@@ -401,6 +414,6 @@ func (l *link) stats() LinkStats {
 		XmitNs:    l.xmitNs.Load(),
 		StallNs:   l.stallNs.Load(),
 		Credits:   credits,
-		Window:    window,
+		Window:    DefaultWindow,
 	}
 }

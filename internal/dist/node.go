@@ -29,8 +29,6 @@ type NodeConfig struct {
 	// Secret is the cluster secret: manifests and peer hellos must carry
 	// a valid HMAC under it or the connection is refused.
 	Secret []byte
-	// Window overrides the per-link credit window (DefaultWindow if 0).
-	Window int
 	// Logf, when non-nil, receives agent log lines.
 	Logf func(format string, args ...any)
 
@@ -46,12 +44,9 @@ type NodeConfig struct {
 	ObsWindow int
 	// FlightDir, when non-empty, is where the node dumps a flight record
 	// (span journal, link state, queue depths, slow-CPI log) whenever a
-	// session dies of a fault. Graceful session teardown writes nothing.
+	// session dies of a fault. Graceful session teardown writes nothing;
+	// the oldest records beyond obs.DefaultFlightKeep are pruned.
 	FlightDir string
-	// FlightKeep bounds how many flight records accumulate in FlightDir:
-	// after each write the oldest beyond this count are pruned
-	// (obs.DefaultFlightKeep when <= 0).
-	FlightKeep int
 }
 
 // Node is a stapnode agent: it listens for a coordinator's signed
@@ -323,7 +318,7 @@ func (n *Node) runSession(s *session, coordConn net.Conn) {
 	var h hosted
 	inj, err := n.injector(man)
 	if err == nil {
-		h, err = openSession(man, s.member, n.cfg.Window, s.col, inj, 0)
+		h, err = openSession(man, s.member, s.col, inj, 0)
 	}
 	if err != nil {
 		logf("stapnode: session %s: %v", s.id, err)
@@ -412,7 +407,7 @@ func (n *Node) runSession(s *session, coordConn net.Conn) {
 		rec := obs.NewFlightRecord(n.name(), s.id, reason, s.col)
 		rec.Links = h.tr.Stats()
 		rec.Pending = h.world.QueueDepths()
-		if path, werr := obs.WriteFlightRecordKeep(n.cfg.FlightDir, rec, n.cfg.FlightKeep); werr != nil {
+		if path, werr := obs.WriteFlightRecord(n.cfg.FlightDir, rec); werr != nil {
 			logf("stapnode: session %s: flight record: %v", s.id, werr)
 		} else {
 			logf("stapnode: session %s: flight record written to %s", s.id, path)

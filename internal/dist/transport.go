@@ -28,7 +28,6 @@ type Transport struct {
 	self    int   // this process's member index
 	members int   // node count (members 1..members are nodes)
 	owners  []int // rank → owning member
-	window  int   // per-link credit window
 	hb      time.Duration
 	inj     *fault.Injector // link-plane faults (may be nil)
 
@@ -58,12 +57,11 @@ type Transport struct {
 	wg       sync.WaitGroup
 }
 
-func newTransport(self, members int, owners []int, window int, hb time.Duration, inj *fault.Injector) *Transport {
+func newTransport(self, members int, owners []int, hb time.Duration, inj *fault.Injector) *Transport {
 	t := &Transport{
 		self:     self,
 		members:  members,
 		owners:   owners,
-		window:   window,
 		hb:       hb,
 		inj:      inj,
 		links:    make(map[int]*link),
@@ -194,7 +192,7 @@ func (t *Transport) runLink(member int, addr string, conn net.Conn) {
 		conn.Close()
 		return
 	}
-	l := newLink(member, addr, conn, t.window)
+	l := newLink(member, addr, conn)
 	t.links[member] = l
 	t.mu.Unlock()
 	t.cond.Broadcast()

@@ -55,22 +55,14 @@ func NewFlightRecord(process, session, reason string, c *Collector) FlightRecord
 	return rec
 }
 
-// DefaultFlightKeep is how many flight records a directory retains when
-// the caller does not configure a bound.
+// DefaultFlightKeep is how many flight records a directory retains.
 const DefaultFlightKeep = 16
 
 // WriteFlightRecord writes rec as flightrec-<unixnanos>-<process>.json
 // under dir (created if missing), prunes all but the newest
-// DefaultFlightKeep records, and returns the file path.
+// DefaultFlightKeep records, and returns the file path. Repeatedly
+// faulted replicas therefore cannot fill the disk with post-mortems.
 func WriteFlightRecord(dir string, rec FlightRecord) (string, error) {
-	return WriteFlightRecordKeep(dir, rec, 0)
-}
-
-// WriteFlightRecordKeep is WriteFlightRecord with an explicit retention
-// bound: after the write, only the newest `keep` flightrec-*.json files
-// survive in dir (keep <= 0 means DefaultFlightKeep). Repeatedly faulted
-// replicas therefore cannot fill the disk with post-mortems.
-func WriteFlightRecordKeep(dir string, rec FlightRecord, keep int) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
@@ -82,27 +74,24 @@ func WriteFlightRecordKeep(dir string, rec FlightRecord, keep int) (string, erro
 	if err := os.WriteFile(name, data, 0o644); err != nil {
 		return "", err
 	}
-	rotateFlightRecords(dir, keep)
+	rotateFlightRecords(dir)
 	return name, nil
 }
 
-// rotateFlightRecords deletes all but the newest `keep` flight records in
-// dir. The unix-nanosecond timestamp embedded in the file name orders the
-// records, so rotation needs no stat calls and survives clock-skewed
-// mtimes. Removal errors are ignored: rotation is best-effort hygiene and
-// must never fail the record write that triggered it.
-func rotateFlightRecords(dir string, keep int) {
-	if keep <= 0 {
-		keep = DefaultFlightKeep
-	}
+// rotateFlightRecords deletes all but the newest DefaultFlightKeep flight
+// records in dir. The unix-nanosecond timestamp embedded in the file name
+// orders the records, so rotation needs no stat calls and survives
+// clock-skewed mtimes. Removal errors are ignored: rotation is best-effort
+// hygiene and must never fail the record write that triggered it.
+func rotateFlightRecords(dir string) {
 	matches, err := filepath.Glob(filepath.Join(dir, "flightrec-*.json"))
-	if err != nil || len(matches) <= keep {
+	if err != nil || len(matches) <= DefaultFlightKeep {
 		return
 	}
 	// Lexicographic order matches numeric order while the nanosecond
 	// timestamps share a digit count (they do until the 2200s).
 	sort.Strings(matches)
-	for _, stale := range matches[:len(matches)-keep] {
+	for _, stale := range matches[:len(matches)-DefaultFlightKeep] {
 		os.Remove(stale)
 	}
 }

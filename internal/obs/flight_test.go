@@ -67,8 +67,8 @@ func TestFlightRecordRotation(t *testing.T) {
 	dir := t.TempDir()
 	rec := NewFlightRecord("node", "", "fault", nil)
 	var last string
-	for i := 0; i < 9; i++ {
-		p, err := WriteFlightRecordKeep(dir, rec, 3)
+	for i := 0; i < DefaultFlightKeep+5; i++ {
+		p, err := WriteFlightRecord(dir, rec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,8 +78,8 @@ func TestFlightRecordRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(matches) != 3 {
-		t.Fatalf("records after rotation: %d, want 3: %v", len(matches), matches)
+	if len(matches) != DefaultFlightKeep {
+		t.Fatalf("records after rotation: %d, want %d: %v", len(matches), DefaultFlightKeep, matches)
 	}
 	// The newest record always survives its own rotation.
 	found := false
@@ -91,12 +91,13 @@ func TestFlightRecordRotation(t *testing.T) {
 	if !found {
 		t.Errorf("latest record %s rotated away; kept %v", last, matches)
 	}
-	// A foreign file in the directory is never touched.
+	// A foreign file in the directory is never touched by a write that
+	// prunes.
 	alien := filepath.Join(dir, "stapnode-final.snapshot.json")
 	if err := os.WriteFile(alien, []byte("{}"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := WriteFlightRecordKeep(dir, rec, 1); err != nil {
+	if _, err := WriteFlightRecord(dir, rec); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(alien); err != nil {

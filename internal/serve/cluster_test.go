@@ -101,8 +101,7 @@ func TestClusterFederationAndFlightRecorder(t *testing.T) {
 			Secret:    secret,
 			// Generous heartbeat: under -race the workers can starve the
 			// ping goroutines long enough to trip a tighter miss limit.
-			Heartbeat:    200 * time.Millisecond,
-			ReadyTimeout: 5 * time.Second,
+			Heartbeat: 200 * time.Millisecond,
 		}},
 		CPITimeout:     20 * time.Second,
 		RetryAfter:     5 * time.Millisecond,

@@ -48,12 +48,11 @@ func TestServeDistributedSlot(t *testing.T) {
 		Scene:  sc,
 		Assign: pipeline.NewAssignment(2, 1, 2, 1, 1, 2, 1),
 		DistClusters: []dist.ClusterConfig{{
-			Name:         "c0",
-			Nodes:        []string{addr1, addr2},
-			Placement:    placement,
-			Secret:       secret,
-			Heartbeat:    50 * time.Millisecond,
-			ReadyTimeout: 5 * time.Second,
+			Name:      "c0",
+			Nodes:     []string{addr1, addr2},
+			Placement: placement,
+			Secret:    secret,
+			Heartbeat: 50 * time.Millisecond,
 		}},
 		CPITimeout:     20 * time.Second,
 		RetryAfter:     5 * time.Millisecond,

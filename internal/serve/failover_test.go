@@ -42,14 +42,13 @@ func failoverPool(t *testing.T, sc *radar.Scene, nodeFaults string) (*Server, [2
 		Assign:   pipeline.NewAssignment(2, 1, 2, 1, 1, 2, 1),
 		Replicas: 1,
 		DistClusters: []dist.ClusterConfig{{
-			Name:         "c0",
-			Nodes:        []string{addr1, addr2},
-			Placement:    placement,
-			Secret:       secret,
-			Heartbeat:    200 * time.Millisecond,
-			ReadyTimeout: 5 * time.Second,
-			FaultPlan:    nodeFaults,
-			Seed:         1,
+			Name:      "c0",
+			Nodes:     []string{addr1, addr2},
+			Placement: placement,
+			Secret:    secret,
+			Heartbeat: 200 * time.Millisecond,
+			FaultPlan: nodeFaults,
+			Seed:      1,
 		}},
 		QueueDepth:     4,
 		CPITimeout:     20 * time.Second,

@@ -20,8 +20,8 @@ import (
 // store (1 s raw, 10 s / 60 s rollups). The same tick then evaluates
 // the configured SLOs as multi-window burn rates (internal/slo); a
 // breach-start dumps a flight record with the faulted replica's recent
-// history embedded, and with Config.SLOReplan the firing set feeds the
-// replanner's drift trigger.
+// history embedded, and with Config.Replan a firing latency or
+// throughput alert arms the replanner's roll beside its drift trigger.
 
 // servePrefix is where the serve-level series live; replica slot i's live
 // under "r<i>/" (attribution under "r<i>/attr/<task>/...", links under
@@ -82,7 +82,7 @@ func (a *allocRate) family() obs.Family {
 // built; errors come only from invalid SLO specs.
 func (s *Server) startSampler() error {
 	sa := &sampler{
-		store: history.NewStore(s.cfg.HistoryConfig),
+		store: history.NewStore(history.Config{}),
 		alloc: allocRate{bytes: obs.HeapAllocBytes()},
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),

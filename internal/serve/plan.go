@@ -16,20 +16,25 @@ import (
 )
 
 // Live placement replanning: the server keeps a paragon cost model seeded
-// from Config.PlanMachine (the coarse host-scale profile by default) and
+// from the coarse host-scale profile (paragon.HostScale) and
 // re-calibrates it from observed span journals — the federated
 // cluster-wide journal for a distributed slot, the local collector's for
 // an in-process one. /plan serves the resulting current-vs-recommended
 // view (which stapplan -observe consumes to seed an offline search); with
 // Config.Replan on, a background loop also acts on it: when the observed
-// steady-state period has drifted past ReplanDrift away from the model's
-// prediction and the re-split placement wins back enough of the predicted
-// bottleneck, the distributed slot rolls onto the recommended placement
-// through the ordinary recycle machinery.
+// steady-state period has drifted past replanDrift away from the model's
+// prediction, or a latency or throughput SLO alert is firing, and the
+// re-split placement wins back enough of the predicted bottleneck, the
+// distributed slot rolls onto the recommended placement through the
+// ordinary recycle machinery.
 
 // planAlpha is the EWMA weight of each online calibration step: 1 adopts
 // every observation outright, smaller values smooth over noisy windows.
 const planAlpha = 0.5
+
+// replanDrift is the fractional observed-vs-predicted period drift that
+// arms a roll.
+const replanDrift = 0.25
 
 // replanMinGain is the minimal fractional reduction of the predicted
 // bottleneck (max per-process busy-time sum) that justifies rolling a
@@ -50,11 +55,7 @@ type planner struct {
 // startPlanner initializes the calibration state and, when Replan is on,
 // spins the replanning loop up. Called from New.
 func (s *Server) startPlanner() {
-	m := paragon.HostScale()
-	if s.cfg.PlanMachine != nil {
-		m = *s.cfg.PlanMachine
-	}
-	s.planner = &planner{machine: m, stop: make(chan struct{})}
+	s.planner = &planner{machine: paragon.HostScale(), stop: make(chan struct{})}
 	if !s.cfg.Replan {
 		return
 	}
@@ -143,7 +144,7 @@ func (s *Server) planReportFor(slot *replicaSlot) *plan.Report {
 		ReplansTotal:  s.metrics.replans.Load(),
 	}
 	if s.cfg.Replan {
-		rep.ReplanDrift = s.cfg.ReplanDrift
+		rep.ReplanDrift = replanDrift
 	}
 	placement := s.slotPlacement(slot)
 	if placement != nil {
@@ -256,19 +257,18 @@ func (s *Server) planReportFor(slot *replicaSlot) *plan.Report {
 // replanPass is one tick of the replanning loop: observe and re-calibrate
 // every distributed slot, and roll any whose observed period has drifted
 // past the threshold while the recommended placement wins back enough.
-// With Config.SLOReplan, a firing latency or throughput SLO alert also
-// arms the roll: a breach whose cause the calibrated model already
-// predicts produces no drift, but is exactly the moment a winning
-// placement should be taken.
+// A firing latency or throughput SLO alert also arms the roll: a breach
+// whose cause the calibrated model already predicts produces no drift,
+// but is exactly the moment a winning placement should be taken.
 func (s *Server) replanPass() {
-	pressure := s.cfg.SLOReplan && s.sloPressure()
+	pressure := s.sloPressure()
 	for _, slot := range s.slots {
 		if slot.cluster == nil {
 			continue
 		}
 		rep := s.planReportFor(slot)
 		rec := rep.Recommended
-		if rec == nil || (rep.DriftFrac <= s.cfg.ReplanDrift && !pressure) {
+		if rec == nil || (rep.DriftFrac <= replanDrift && !pressure) {
 			continue
 		}
 		if rec.Placement == rep.Placement || rec.GainFrac <= replanMinGain {

@@ -368,11 +368,10 @@ func TestSlotLifeTimeoutRetiresSlot(t *testing.T) {
 		Scene:  sc,
 		Assign: pipeline.NewAssignment(1, 1, 2, 1, 1, 2, 1),
 		DistClusters: []dist.ClusterConfig{{
-			Name:         "c0",
-			Nodes:        []string{addr1, addr2},
-			Placement:    placement,
-			Secret:       secret,
-			ReadyTimeout: 10 * time.Second,
+			Name:      "c0",
+			Nodes:     []string{addr1, addr2},
+			Placement: placement,
+			Secret:    secret,
 			// The coordinator's first raw frame to member 1 (the Doppler
 			// node): all of CPI 0, one Doppler worker's slab.
 			Fault: fault.MustParsePlan("link:1:0:slowlink(60s)").Injector(1),

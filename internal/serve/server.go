@@ -14,9 +14,7 @@ import (
 	"pstap/internal/cube"
 	"pstap/internal/dist"
 	"pstap/internal/fault"
-	"pstap/internal/history"
 	"pstap/internal/obs"
-	"pstap/internal/paragon"
 	"pstap/internal/pipeline"
 	"pstap/internal/radar"
 	"pstap/internal/slo"
@@ -112,47 +110,31 @@ type Config struct {
 	// replica error (worker fault, watchdog timeout, lost cluster replica)
 	// dumps the slot's span journal, slow-CPI log, link state and the last
 	// federated node snapshots to a flightrec-*.json here before the slot
-	// recycles.
+	// recycles. The oldest records beyond obs.DefaultFlightKeep are
+	// pruned after every dump.
 	FlightDir string
-	// FlightKeep bounds how many flightrec-*.json files FlightDir retains:
-	// after every dump the oldest records beyond the newest FlightKeep are
-	// pruned (obs.DefaultFlightKeep when <= 0).
-	FlightKeep int
-	// PlanMachine seeds the placement planner's cost model (see
-	// internal/plan); nil uses the coarse host-scale profile,
-	// paragon.HostScale. The model re-calibrates online from the pool's
-	// observed span journals on every /plan report and replanner pass.
-	PlanMachine *paragon.Machine
 	// Replan enables the background replanner: every ReplanInterval the
 	// server re-observes each distributed slot, re-calibrates the cost
-	// model, and — when the observed steady-state period has drifted more
-	// than ReplanDrift away from the model's prediction and a re-split
-	// placement wins back enough of the predicted bottleneck — rolls the
-	// slot onto the recommended placement through the ordinary recycle
-	// machinery. The /plan endpoint reports without acting even when this
-	// is off.
+	// model (seeded from paragon.HostScale), and — when the observed
+	// steady-state period has drifted more than 25% away from the
+	// model's prediction, or a latency or throughput SLO alert is firing,
+	// and a re-split placement wins back enough of the predicted
+	// bottleneck — rolls the slot onto the recommended placement through
+	// the ordinary recycle machinery. The /plan endpoint reports without
+	// acting even when this is off.
 	Replan bool
 	// ReplanInterval is the replanner's pass period (default 2s).
 	ReplanInterval time.Duration
-	// ReplanDrift is the fractional observed-vs-predicted period drift
-	// that arms a roll (default 0.25).
-	ReplanDrift float64
 	// SLOs declares the server's service-level objectives, evaluated as
 	// multi-window burn rates over the metric history (see internal/slo).
 	// Firing alerts surface on /alerts.json and /metrics.prom; a breach
 	// start dumps a flight record with the lead-up history embedded.
 	SLOs []slo.Spec
-	// SLOReplan, with Replan, also arms a placement roll while a latency
-	// or throughput SLO alert is firing — the drift trigger alone never
-	// sees a breach whose cause the calibrated model already predicts.
-	SLOReplan bool
 	// HistoryInterval is the metric-history sampling period (default 1s;
 	// tests tighten it). Every tick records the full gauge surface into
-	// the bounded ring store behind /history.json and evaluates the SLOs.
+	// the bounded ring store behind /history.json (5 min of 1 s samples,
+	// 1 h of 10 s, 24 h of 60 s) and evaluates the SLOs.
 	HistoryInterval time.Duration
-	// HistoryConfig sizes the history store's per-series rings
-	// (defaults: 5 min of 1 s samples, 1 h of 10 s, 24 h of 60 s).
-	HistoryConfig history.Config
 	// Logf, when non-nil, receives server log lines.
 	Logf func(format string, args ...any)
 }
@@ -321,9 +303,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.ReplanInterval <= 0 {
 		cfg.ReplanInterval = 2 * time.Second
-	}
-	if cfg.ReplanDrift <= 0 {
-		cfg.ReplanDrift = 0.25
 	}
 	if cfg.HistoryInterval <= 0 {
 		cfg.HistoryInterval = time.Second
@@ -1014,7 +993,7 @@ func (s *Server) flightRecord(slot *replicaSlot, cause error) {
 		}
 	}
 	rec.History = s.historyLeadUp(slot.idx)
-	path, err := obs.WriteFlightRecordKeep(s.cfg.FlightDir, rec, s.cfg.FlightKeep)
+	path, err := obs.WriteFlightRecord(s.cfg.FlightDir, rec)
 	if err != nil {
 		s.cfg.Logf("stapd: replica %d flight record: %v", slot.idx, err)
 		return

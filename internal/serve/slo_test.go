@@ -74,12 +74,11 @@ func TestSLOBurnRateFires(t *testing.T) {
 		Scene:  sc,
 		Assign: pipeline.NewAssignment(2, 1, 2, 1, 1, 2, 1),
 		DistClusters: []dist.ClusterConfig{{
-			Name:         "c0",
-			Nodes:        []string{addr1, addr2},
-			Placement:    placement,
-			Secret:       secret,
-			Heartbeat:    50 * time.Millisecond,
-			ReadyTimeout: 5 * time.Second,
+			Name:      "c0",
+			Nodes:     []string{addr1, addr2},
+			Placement: placement,
+			Secret:    secret,
+			Heartbeat: 50 * time.Millisecond,
 			// Fire-once rules: each of the first job's three CPIs pays one
 			// 500 ms CFAR stall, then the plan is spent and later jobs run
 			// clean — the controllable fault that clears itself.

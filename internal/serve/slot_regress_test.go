@@ -51,7 +51,7 @@ func TestSlotLifeDeadSiblingDoesNotDrain(t *testing.T) {
 		Replicas: 1,
 		DistClusters: []dist.ClusterConfig{{
 			Name: "c0", Nodes: []string{addr1, addr2}, Placement: placement, Secret: secret,
-			Heartbeat: 50 * time.Millisecond, ReadyTimeout: 5 * time.Second,
+			Heartbeat: 50 * time.Millisecond,
 		}},
 		Window:           2,
 		CPITimeout:       20 * time.Second,

@@ -60,14 +60,13 @@ func TestChaosSoakCluster(t *testing.T) {
 	}
 	cluster := func(name string, nodes []string, faults string, seed int64) dist.ClusterConfig {
 		return dist.ClusterConfig{
-			Name:         name,
-			Nodes:        nodes,
-			Placement:    placement,
-			Secret:       secret,
-			Heartbeat:    100 * time.Millisecond,
-			ReadyTimeout: 10 * time.Second,
-			FaultPlan:    faults,
-			Seed:         seed,
+			Name:      name,
+			Nodes:     nodes,
+			Placement: placement,
+			Secret:    secret,
+			Heartbeat: 100 * time.Millisecond,
+			FaultPlan: faults,
+			Seed:      seed,
 		}
 	}
 	s := startServer(t, Config{

@@ -46,7 +46,7 @@ func startSurfaceFixture(t *testing.T) (*Server, *dist.Node) {
 		Replicas: 1,
 		DistClusters: []dist.ClusterConfig{{
 			Name: "c0", Nodes: []string{addr1, addr2}, Placement: placement, Secret: secret,
-			Heartbeat: 200 * time.Millisecond, ReadyTimeout: 5 * time.Second,
+			Heartbeat: 200 * time.Millisecond,
 		}},
 		CPITimeout: 20 * time.Second,
 		// Only the fixture's own tick below samples, so the per-CPI
