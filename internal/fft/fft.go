@@ -1,11 +1,13 @@
 // Package fft provides complex fast Fourier transforms and window
 // functions used by the STAP processing chain.
 //
-// The package implements an iterative radix-2 decimation-in-time FFT for
-// power-of-two lengths and falls back to Bluestein's chirp-z algorithm for
-// arbitrary lengths, so every transform length used by the radar code
-// (Doppler FFTs of length N, pulse-compression FFTs of length K) is exact
-// to floating-point accuracy. A quadratic reference DFT is provided for
+// The package implements an iterative radix-2² decimation-in-time FFT for
+// power-of-two lengths (two radix-2 stages fused per pass over the data,
+// one plain radix-2 stage first when log2 n is odd; bit for bit the
+// stage-by-stage radix-2 result) and falls back to Bluestein's chirp-z
+// algorithm for arbitrary lengths, so every transform length used by the
+// radar code (Doppler FFTs of length N, pulse-compression FFTs of length
+// K) is exact to floating-point accuracy. A quadratic reference DFT is provided for
 // testing.
 package fft
 
@@ -23,7 +25,7 @@ import (
 type Plan struct {
 	n       int
 	logn    int
-	perm    []int        // bit-reversal permutation
+	swaps   []int32      // bit-reversal permutation as index pairs i < j to swap
 	twiddle []complex128 // forward twiddle factors, n/2 entries
 	inverse []complex128 // inverse twiddle factors, n/2 entries
 
@@ -39,7 +41,7 @@ func NewPlan(n int) (*Plan, error) {
 	p := &Plan{n: n}
 	if isPow2(n) {
 		p.logn = bits.TrailingZeros(uint(n))
-		p.perm = bitReversePerm(n)
+		p.swaps = bitReverseSwaps(n)
 		p.twiddle = make([]complex128, n/2)
 		p.inverse = make([]complex128, n/2)
 		for k := 0; k < n/2; k++ {
@@ -71,13 +73,17 @@ func (p *Plan) Len() int { return p.n }
 
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
-func bitReversePerm(n int) []int {
+// bitReverseSwaps lists the bit-reversal permutation of length n as the
+// pairs it exchanges, so applying it takes no branch per index.
+func bitReverseSwaps(n int) []int32 {
 	logn := bits.TrailingZeros(uint(n))
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = int(bits.Reverse(uint(i)) >> (bits.UintSize - logn))
+	var swaps []int32
+	for i := 0; i < n; i++ {
+		if j := int(bits.Reverse(uint(i)) >> (bits.UintSize - logn)); i < j {
+			swaps = append(swaps, int32(i), int32(j))
+		}
 	}
-	return perm
+	return swaps
 }
 
 // Forward computes the in-place forward DFT of x. len(x) must equal the
@@ -109,29 +115,49 @@ func (p *Plan) transform(x []complex128, inv bool) {
 		p.bs.transform(x, inv)
 		return
 	}
-	// Bit-reversal permutation.
-	for i, j := range p.perm {
-		if i < j {
-			x[i], x[j] = x[j], x[i]
-		}
+	for k := 0; k+1 < len(p.swaps); k += 2 {
+		i, j := p.swaps[k], p.swaps[k+1]
+		x[i], x[j] = x[j], x[i]
 	}
 	tw := p.twiddle
 	if inv {
 		tw = p.inverse
 	}
 	n := p.n
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
+	size := 4
+	if p.logn&1 == 1 {
+		// Odd log2 n: one radix-2 stage of size 2 (twiddle tw[0]) first.
+		w := tw[0]
+		for i := 0; i+1 < n; i += 2 {
+			a := x[i]
+			b := x[i+1] * w
+			x[i] = a + b
+			x[i+1] = a - b
+		}
+		size = 8
+	}
+	// Each pass runs the radix-2 stages of sizes size/2 and size. Points
+	// i0..i3 are closed under both stages, so the pass does stage size/2's
+	// two butterflies on them and then stage size's two, with the twiddles
+	// (tw[0] included) the stage-by-stage loop would multiply by: the same
+	// arithmetic in one sweep over x instead of two.
+	for ; size <= n; size <<= 2 {
+		quarter, half := size>>2, size>>1
 		step := n / size
-		for start := 0; start < n; start += size {
-			k := 0
-			for off := start; off < start+half; off++ {
-				w := tw[k]
-				a := x[off]
-				b := x[off+half] * w
-				x[off] = a + b
-				x[off+half] = a - b
-				k += step
+		for j := 0; j < quarter; j++ {
+			w1 := tw[2*j*step]
+			w2 := tw[j*step]
+			w3 := tw[(j+quarter)*step]
+			for i0 := j; i0 < n; i0 += size {
+				i1, i2, i3 := i0+quarter, i0+half, i0+half+quarter
+				a0, b0 := x[i0], x[i1]*w1
+				a1, b1 := x[i2], x[i3]*w1
+				y0, y1 := a0+b0, a0-b0
+				y2, y3 := a1+b1, a1-b1
+				t := y2 * w2
+				x[i0], x[i2] = y0+t, y0-t
+				u := y3 * w3
+				x[i1], x[i3] = y1+u, y1-u
 			}
 		}
 	}
@@ -181,9 +207,8 @@ func newBluestein(n int) (*bluestein, error) {
 
 func (bs *bluestein) transform(x []complex128, inv bool) {
 	n, m := bs.n, bs.m
-	w, winv, bHat := bs.w, bs.winv, bs.bHat
+	w, bHat := bs.w, bs.bHat
 	if inv {
-		w, winv = winv, w
 		// bHat corresponds to the forward chirp; for the inverse we can
 		// use conjugation symmetry: IDFT(x) = conj(DFT(conj(x)))/n, but we
 		// avoid the /n here because Plan.Inverse applies scaling.
@@ -208,7 +233,6 @@ func (bs *bluestein) transform(x []complex128, inv bool) {
 	for k := 0; k < n; k++ {
 		x[k] = a[k] * w[k]
 	}
-	_ = winv
 }
 
 // planCache shares plans by length across the process: plans are immutable

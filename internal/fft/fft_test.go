@@ -2,6 +2,7 @@ package fft
 
 import (
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"math/rand"
 	"sync"
@@ -365,20 +366,104 @@ func TestBluesteinMatchesPow2(t *testing.T) {
 	}
 }
 
-func BenchmarkFFT128(b *testing.B) {
-	p := MustPlan(128)
-	x := randVec(rand.New(rand.NewSource(1)), 128)
+// radix2Reference is the transform the fused one replaced: the
+// bit-reversal permutation by a branch per index, then one radix-2 pass
+// per stage of size 2, 4, ..., n.
+func radix2Reference(p *Plan, x []complex128, inv bool) {
+	for i := range x {
+		if j := int(bits.Reverse(uint(i)) >> (bits.UintSize - p.logn)); i < j {
+			x[i], x[j] = x[j], x[i]
+		}
+	}
+	tw := p.twiddle
+	if inv {
+		tw = p.inverse
+	}
+	n := p.n
+	for size := 2; size <= n; size <<= 1 {
+		half := size >> 1
+		step := n / size
+		for start := 0; start < n; start += size {
+			k := 0
+			for off := start; off < start+half; off++ {
+				w := tw[k]
+				a := x[off]
+				b := x[off+half] * w
+				x[off] = a + b
+				x[off+half] = a - b
+				k += step
+			}
+		}
+	}
+}
+
+// sameBits reports whether two floats have the same bits, except that any
+// NaN matches any NaN. The payload a NaN result carries depends on the
+// operand order the compiler picks for + and *, not on the algorithm: fed
+// NaNs of distinct payloads, the two loops differ even at n = 2, where both
+// run the same single butterfly. So NaNs compare by position only.
+func sameBits(a, b float64) bool {
+	if math.IsNaN(a) || math.IsNaN(b) {
+		return math.IsNaN(a) && math.IsNaN(b)
+	}
+	return math.Float64bits(a) == math.Float64bits(b)
+}
+
+// TestTransformBitExact holds the fused radix-2² transform to the
+// stage-by-stage radix-2 loop, bit for bit, forward and inverse, for every
+// power of two from 1 to 4096: on random inputs, on inputs salted with
+// signed zeros, infinities, subnormals and ±1e308, and on inputs of signed
+// zeros only.
+func TestTransformBitExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		5e-324, -5e-324, 2.5e-310, 1e308, -1e308}
+	pick := func() float64 { return specials[rng.Intn(len(specials))] }
+	for n := 1; n <= 4096; n <<= 1 {
+		salted := randVec(rng, n)
+		for i := range salted {
+			switch rng.Intn(4) {
+			case 0:
+				salted[i] = complex(pick(), imag(salted[i]))
+			case 1:
+				salted[i] = complex(real(salted[i]), pick())
+			case 2:
+				salted[i] = complex(pick(), pick())
+			}
+		}
+		zeros := make([]complex128, n)
+		for i := range zeros {
+			zeros[i] = complex(specials[rng.Intn(2)], specials[rng.Intn(2)])
+		}
+		p := MustPlan(n)
+		for name, in := range map[string][]complex128{"random": randVec(rng, n), "salted": salted, "zeros": zeros} {
+			for _, inv := range []bool{false, true} {
+				got := append([]complex128(nil), in...)
+				want := append([]complex128(nil), in...)
+				p.transform(got, inv)
+				radix2Reference(p, want, inv)
+				for i := range got {
+					if !sameBits(real(got[i]), real(want[i])) || !sameBits(imag(got[i]), imag(want[i])) {
+						t.Fatalf("n=%d %s inverse=%v: element %d = %v, radix-2 loop gives %v", n, name, inv, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+func benchmarkFFT(b *testing.B, n int) {
+	p := MustPlan(n)
+	x := randVec(rand.New(rand.NewSource(1)), n)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Forward(x)
 	}
 }
 
-func BenchmarkFFT512(b *testing.B) {
-	p := MustPlan(512)
-	x := randVec(rand.New(rand.NewSource(1)), 512)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.Forward(x)
-	}
-}
+func BenchmarkFFT16(b *testing.B)  { benchmarkFFT(b, 16) }
+func BenchmarkFFT64(b *testing.B)  { benchmarkFFT(b, 64) }
+func BenchmarkFFT128(b *testing.B) { benchmarkFFT(b, 128) }
+func BenchmarkFFT256(b *testing.B) { benchmarkFFT(b, 256) }
+func BenchmarkFFT512(b *testing.B) { benchmarkFFT(b, 512) }

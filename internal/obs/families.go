@@ -171,13 +171,19 @@ func HeapAllocBytes() uint64 {
 
 // RuntimeFamilies declares the Go runtime gauges of the calling process,
 // read with runtime/metrics (no stop-the-world, so a 1 Hz sampler can
-// afford them) — the quantities an "allocates nothing" claim is judged on.
+// afford them) — the quantities an "allocates nothing" claim is judged on,
+// and the CPU classes that tell an idle-bound process (cores waiting on
+// hand-offs) from a kernel-bound one: the busy share between two readings
+// is 1 − Δidle/Δtotal. The runtime updates the CPU classes at each GC
+// cycle, so they are as fresh as the last GC.
 func RuntimeFamilies() []Family {
 	rows := []struct{ name, typ, help, key string }{
 		{"goroutines", "gauge", "Live goroutines.", "/sched/goroutines:goroutines"},
 		{"heap_alloc_bytes_total", "counter", "Cumulative bytes allocated on the heap.", "/gc/heap/allocs:bytes"},
 		{"heap_alloc_objects_total", "counter", "Cumulative objects allocated on the heap.", "/gc/heap/allocs:objects"},
 		{"gc_pause_cpu_seconds_total", "counter", "Cumulative CPU time the application was paused by the GC (pause x GOMAXPROCS).", "/cpu/classes/gc/pause:cpu-seconds"},
+		{"cpu_total_seconds_total", "counter", "Cumulative CPU time available to Go code (wall x GOMAXPROCS), as of the last GC cycle.", "/cpu/classes/total:cpu-seconds"},
+		{"cpu_idle_seconds_total", "counter", "Cumulative CPU time no Go code ran in (part of cpu_total), as of the last GC cycle.", "/cpu/classes/idle:cpu-seconds"},
 	}
 	samples := make([]metrics.Sample, len(rows))
 	for i, r := range rows {

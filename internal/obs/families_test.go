@@ -3,9 +3,11 @@ package obs
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // WriteProm and WriteAttrProm are what the exposition tests call: the
@@ -109,7 +111,36 @@ func TestRuntimeFamilies(t *testing.T) {
 			t.Errorf("%s = %v, want > 0 (all: %v)", name, got[name], got)
 		}
 	}
-	if _, ok := got["runtime/gc_pause_cpu_seconds_total"]; !ok || len(got) != 4 {
-		t.Errorf("runtime series %v, want the four declared", got)
+	if _, ok := got["runtime/gc_pause_cpu_seconds_total"]; !ok || len(got) != 6 {
+		t.Errorf("runtime series %v, want the six declared", got)
+	}
+}
+
+// TestRuntimeCPUClasses checks the two CPU-class rows render on the
+// exposition, idle never exceeds total, and neither goes backwards across
+// two reads with work between them.
+func TestRuntimeCPUClasses(t *testing.T) {
+	read := func() (total, idle float64) {
+		got := map[string]float64{}
+		ObserveFamilies(RuntimeFamilies(), func(series string, v float64) { got[series] = v })
+		total, idle = got["runtime/cpu_total_seconds_total"], got["runtime/cpu_idle_seconds_total"]
+		if idle > total {
+			t.Errorf("cpu idle %v s exceeds cpu total %v s", idle, total)
+		}
+		return total, idle
+	}
+	var buf bytes.Buffer
+	WriteFamilies(&buf, RuntimeFamilies())
+	for _, want := range []string{"# TYPE stap_runtime_cpu_total_seconds_total counter", "# TYPE stap_runtime_cpu_idle_seconds_total counter"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, buf.String())
+		}
+	}
+	total0, idle0 := read()
+	runtime.GC()
+	time.Sleep(10 * time.Millisecond)
+	total1, idle1 := read()
+	if total1 < total0 || idle1 < idle0 {
+		t.Errorf("CPU classes went backwards: total %v → %v s, idle %v → %v s", total0, total1, idle0, idle1)
 	}
 }

@@ -134,7 +134,14 @@ func matrices(segs, bins int) [][]*linalg.Matrix {
 	return t
 }
 
-// dopplerOut is one ring slot of a Doppler worker's payloads.
+// dopplerOut is one ring slot of a Doppler worker's payloads. Each buffer's
+// layout, row-major with the last axis unit stride:
+//   - easy[dw][bi], hard[dw][seg][bi]: training cell x channel (J easy, 2J
+//     hard), cells in ascending range order.
+//   - pieces[side][bw]: bin x range x channel (radar.BeamformInOrder) over
+//     the bw-th worker's bins and this worker's ranges. The worker's own
+//     slab is range x channel x Doppler (radar.StaggeredOrder), so filling
+//     a piece is the corner turn (redist.PackForBeamformInto).
 type dopplerOut struct {
 	easy   [][]*linalg.Matrix   // [easy weight worker][binIdx]: training rows
 	hard   [][][]*linalg.Matrix // [hard weight worker][segment][binIdx]

@@ -64,9 +64,13 @@ func IntersectList(list []int, blk cube.Block) (lo, hi int) {
 // unstaggered spectrum), producing a piece in Doppler-major layout:
 // len(bins) x Kblk x channels with channels unit stride.
 //
-// This is exactly the Figure 8 reorganization; the innermost gather is a
-// strided read from the source slab. It is PackForBeamformInto a fresh
-// cube.
+// This is exactly the Figure 8 reorganization, a corner turn: the gather
+// reads the slab across its Doppler rows (stride N), so the loop order
+// decides the cache misses the paper prices it by. It runs range outermost:
+// one range's 2J x N plane of the slab (16 KB at Medium) stays in L1 while
+// every bin of the piece is gathered from it, and the slab is read once,
+// plane by plane, instead of once per bin. It is PackForBeamformInto a
+// fresh cube.
 func PackForBeamform(p radar.Params, slab *cube.Cube, slabBlk cube.Block, bins []int, channels int) *cube.Cube {
 	out := cube.New(radar.BeamformInOrder, len(bins), slabBlk.Size(), channels)
 	PackForBeamformInto(out, p, slab, slabBlk, bins, channels)
@@ -89,11 +93,14 @@ func PackForBeamformInto(dst *cube.Cube, p radar.Params, slab *cube.Cube, slabBl
 	if dst.Axes != radar.BeamformInOrder || dst.Dim != [3]int{len(bins), slabBlk.Size(), channels} {
 		panic(fmt.Sprintf("redist: pack into %v %v, want [%d %d %d]", dst.Axes, dst.Dim, len(bins), slabBlk.Size(), channels))
 	}
-	for bi, d := range bins {
-		for r := 0; r < slabBlk.Size(); r++ {
+	nd := slab.Dim[2]
+	plane := slab.Dim[1] * nd
+	for r := 0; r < slabBlk.Size(); r++ {
+		src := slab.Data[r*plane : (r+1)*plane]
+		for bi, d := range bins {
 			out := dst.Vec(bi, r)
-			for j := 0; j < channels; j++ {
-				out[j] = slab.At(r, j, d)
+			for j := range out {
+				out[j] = src[j*nd+d]
 			}
 		}
 	}
@@ -129,10 +136,11 @@ func AssembleBeamformInputInto(dst *cube.Cube, p radar.Params, pieces []*cube.Cu
 		if piece.Dim != [3]int{nBins, blk.Size(), channels} {
 			panic(fmt.Sprintf("redist: piece %d dims %v, want [%d %d %d]", i, piece.Dim, nBins, blk.Size(), channels))
 		}
+		// A bin's rows of one piece are one run in both cubes.
+		run := blk.Size() * channels
 		for b := 0; b < nBins; b++ {
-			for r := 0; r < blk.Size(); r++ {
-				copy(dst.Vec(b, blk.Lo+r), piece.Vec(b, r))
-			}
+			off := (b*p.K + blk.Lo) * channels
+			copy(dst.Data[off:off+run], piece.Data[b*run:(b+1)*run])
 		}
 	}
 }

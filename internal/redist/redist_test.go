@@ -1,6 +1,8 @@
 package redist
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -352,5 +354,125 @@ func BenchmarkPackForBeamformPaper(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		PackForBeamform(p, slab, blk, bins, 2*p.J)
+	}
+}
+
+// BenchmarkPackForBeamformMedium is one Doppler worker's corner turn per
+// CPI under the A10 assignment at Medium: a 128-range slab packed for the
+// one easy and the one hard beamforming worker.
+func BenchmarkPackForBeamformMedium(b *testing.B) {
+	p := radar.Medium()
+	blk := cube.Block{Lo: 0, Hi: p.K / 2}
+	slab := cube.New(radar.StaggeredOrder, blk.Size(), 2*p.J, p.N)
+	for i := range slab.Data {
+		slab.Data[i] = complex(float64(i%13), float64(i%7))
+	}
+	easy, hard := p.EasyBins(), p.HardBins()
+	easyPiece := cube.New(radar.BeamformInOrder, len(easy), blk.Size(), p.J)
+	hardPiece := cube.New(radar.BeamformInOrder, len(hard), blk.Size(), 2*p.J)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		PackForBeamformInto(easyPiece, p, slab, blk, easy, p.J)
+		PackForBeamformInto(hardPiece, p, slab, blk, hard, 2*p.J)
+	}
+}
+
+// packReference is the bins-outer corner turn PackForBeamformInto
+// replaced: for each bin, every range's channels read with At.
+func packReference(dst, slab *cube.Cube, bins []int, channels int) {
+	for bi, d := range bins {
+		for r := 0; r < slab.Dim[0]; r++ {
+			out := dst.Vec(bi, r)
+			for j := 0; j < channels; j++ {
+				out[j] = slab.At(r, j, d)
+			}
+		}
+	}
+}
+
+// assembleReference is the per-row unpack AssembleBeamformInputInto
+// replaced: one copy per (piece, bin, range).
+func assembleReference(dst *cube.Cube, pieces []*cube.Cube, blocks []cube.Block) {
+	for i, piece := range pieces {
+		for b := 0; b < piece.Dim[0]; b++ {
+			for r := 0; r < blocks[i].Size(); r++ {
+				copy(dst.Vec(b, blocks[i].Lo+r), piece.Vec(b, r))
+			}
+		}
+	}
+}
+
+// sameBytes reports the first element at which two cubes' storage differs
+// bit for bit, or -1.
+func sameBytes(a, b *cube.Cube) int {
+	for i := range a.Data {
+		if math.Float64bits(real(a.Data[i])) != math.Float64bits(real(b.Data[i])) ||
+			math.Float64bits(imag(a.Data[i])) != math.Float64bits(imag(b.Data[i])) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestCornerTurnByteExact holds the range-outer pack and the run-per-bin
+// assemble to the loops they replaced, byte for byte, on every piece and
+// every assembled slab of every (side, Doppler worker, beamforming worker)
+// block layout of A7 (also the one-worker layout of the serial golden
+// scenes), A10 and three uneven assignments from the pipeline tests, at
+// Small, Medium and Paper.
+func TestCornerTurnByteExact(t *testing.T) {
+	layouts := []struct {
+		name                    string
+		doppler, easyBF, hardBF int
+	}{
+		{"A7", 1, 1, 1},
+		{"A10", 2, 1, 1},
+		{"3,2,2,3,3,4,3", 3, 3, 3},
+		{"1,3,6,5,2,1,4", 1, 5, 2},
+		{"8,4,28,4,7,4,4", 8, 4, 7},
+	}
+	for _, p := range []radar.Params{radar.Small(), radar.Medium(), radar.Paper()} {
+		// Every element a distinct value, so a misplaced one shows.
+		full := cube.New(radar.StaggeredOrder, p.K, 2*p.J, p.N)
+		for i := range full.Data {
+			full.Data[i] = complex(float64(i), -float64(i)-0.5)
+		}
+		sides := []struct {
+			name     string
+			bins     []int
+			channels int
+		}{{"easy", p.EasyBins(), p.J}, {"hard", p.HardBins(), 2 * p.J}}
+		for _, l := range layouts {
+			kBlocks := cube.BlockPartition(p.K, l.doppler)
+			for _, sd := range sides {
+				nBF := l.easyBF
+				if sd.name == "hard" {
+					nBF = l.hardBF
+				}
+				for bw, pos := range cube.BlockPartition(len(sd.bins), nBF) {
+					where := fmt.Sprintf("%dx%dx%d %s %s bf worker %d", p.K, p.J, p.N, l.name, sd.name, bw)
+					bins := sd.bins[pos.Lo:pos.Hi]
+					pieces := make([]*cube.Cube, len(kBlocks))
+					for dw, blk := range kBlocks {
+						slab := full.ViewAxis0(blk)
+						pieces[dw] = cube.New(radar.BeamformInOrder, len(bins), blk.Size(), sd.channels)
+						want := cube.New(radar.BeamformInOrder, len(bins), blk.Size(), sd.channels)
+						PackForBeamformInto(pieces[dw], p, slab, blk, bins, sd.channels)
+						packReference(want, slab, bins, sd.channels)
+						if i := sameBytes(pieces[dw], want); i >= 0 {
+							t.Fatalf("%s, Doppler worker %d: piece element %d = %v, bins-outer loop gives %v", where, dw, i, pieces[dw].Data[i], want.Data[i])
+						}
+					}
+					got := cube.New(radar.BeamformInOrder, len(bins), p.K, sd.channels)
+					want := cube.New(radar.BeamformInOrder, len(bins), p.K, sd.channels)
+					AssembleBeamformInputInto(got, p, pieces, kBlocks, sd.channels)
+					assembleReference(want, pieces, kBlocks)
+					if i := sameBytes(got, want); i >= 0 {
+						t.Fatalf("%s: assembled element %d = %v, per-row copy gives %v", where, i, got.Data[i], want.Data[i])
+					}
+				}
+			}
+		}
 	}
 }

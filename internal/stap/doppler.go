@@ -63,7 +63,6 @@ func DopplerFilter(p radar.Params, raw *cube.Cube, rangeGain []float64) *cube.Cu
 // dimension K.
 func (w *Workspace) filterRanges(p radar.Params, raw *cube.Cube, rangeGain []float64, out *cube.Cube, lo, hi, inOff, outOff int) {
 	plan, win := w.doppler(p)
-	buf := w.lineBuf(p.N)
 	for r := lo; r < hi; r++ {
 		outR, inR := r-outOff, r-inOff
 		gain := 1.0
@@ -72,7 +71,9 @@ func (w *Workspace) filterRanges(p radar.Params, raw *cube.Cube, rangeGain []flo
 		}
 		for j := 0; j < p.J; j++ {
 			in := raw.Vec(inR, j)
-			// First window: pulses [0, N-stagger).
+			// First window: pulses [0, N-stagger), windowed, zero-padded
+			// and transformed in place in the output row.
+			buf := out.Vec(outR, j)
 			for t := 0; t < p.N-p.Stagger; t++ {
 				buf[t] = in[t] * complex(gain*win[t], 0)
 			}
@@ -80,8 +81,8 @@ func (w *Workspace) filterRanges(p radar.Params, raw *cube.Cube, rangeGain []flo
 				buf[t] = 0
 			}
 			plan.Forward(buf)
-			copy(out.Vec(outR, j), buf)
 			// Second (staggered) window: pulses [stagger, N).
+			buf = out.Vec(outR, j+p.J)
 			for t := 0; t < p.N-p.Stagger; t++ {
 				buf[t] = in[t+p.Stagger] * complex(gain*win[t], 0)
 			}
@@ -89,7 +90,6 @@ func (w *Workspace) filterRanges(p radar.Params, raw *cube.Cube, rangeGain []flo
 				buf[t] = 0
 			}
 			plan.Forward(buf)
-			copy(out.Vec(outR, j+p.J), buf)
 		}
 	}
 }

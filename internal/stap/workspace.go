@@ -8,9 +8,9 @@ import (
 )
 
 // Workspace is one worker's scratch memory for the per-CPI kernels: the
-// Doppler taper and FFT plan and line, the beamformer's gathered block,
-// weight transpose and product, the CFAR prefix sums and ordered-statistic
-// window, and the training-cell list of the row extraction. Every buffer
+// Doppler taper and FFT plan, the pulse-compression FFT line, the
+// beamformer's gathered block, weight transpose and product, the CFAR
+// prefix sums and ordered-statistic window, and the training-cell list of the row extraction. Every buffer
 // is sized on first use and reused afterwards, so the Workspace methods —
 // the forms a pipeline worker calls every CPI, writing into buffers the
 // caller owns — allocate nothing once warm. The package-level kernels
@@ -25,7 +25,7 @@ type Workspace struct {
 	plan      *fft.Plan // Doppler FFT plan (length N)
 	taper     []float64 // Doppler window of length N-stagger
 	taperKind fft.WindowKind
-	line      []complex128 // one FFT line (N for Doppler, K for pulse compression)
+	line      []complex128 // one pulse-compression FFT line (length K)
 
 	x, y, wh linalg.Matrix // beamforming: gathered channels, product, weights^H
 
