@@ -68,6 +68,7 @@ import (
 
 	"pstap/internal/dist"
 	"pstap/internal/fault"
+	"pstap/internal/obs"
 	"pstap/internal/pipeline"
 	"pstap/internal/plan"
 	"pstap/internal/radar"
@@ -87,7 +88,7 @@ var (
 	flagThreads  = flag.Int("threads", 1, "threads per worker")
 	flagTraceDir = flag.String("tracedir", "", "directory for per-job traces (empty disables)")
 	flagDrain    = flag.Duration("drain", 30*time.Second, "graceful shutdown deadline")
-	flagObsWin   = flag.Int("obswindow", 0, "live gauge window in CPIs (0 = default 32)")
+	flagObsWin   = flag.Int("obswindow", obs.DefaultWindow, "live gauge window in CPIs")
 	flagSlowMult = flag.Float64("slowmult", 0, "log worker spans slower than this multiple of the task median (0 disables)")
 
 	flagDistNodes  = flag.String("distnodes", "", "comma-separated stapnode addresses forming one distributed replica (empty disables)")

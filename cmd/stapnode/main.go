@@ -52,7 +52,7 @@ var (
 	flagSecret    = flag.String("secret", "", "shared cluster secret (must match the coordinator)")
 	flagObs       = flag.String("obs", "", "telemetry HTTP listen address (empty disables)")
 	flagName      = flag.String("name", "", "node label in traces and flight records (default: listen address)")
-	flagObsWin    = flag.Int("obswindow", 0, "live gauge window in CPIs (0 = default 32)")
+	flagObsWin    = flag.Int("obswindow", obs.DefaultWindow, "live gauge window in CPIs")
 	flagFlightDir = flag.String("flightdir", "", "directory for fault flight records and the final telemetry flush (empty disables)")
 )
 

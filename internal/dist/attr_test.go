@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"net"
 	"testing"
 	"time"
 
@@ -162,5 +163,43 @@ func TestNodeBottlenecksPartial(t *testing.T) {
 		if wire <= 0 {
 			t.Errorf("node %d: hop table wire cost %d, want > 0", i+1, wire)
 		}
+	}
+}
+
+// TestNodeBottlenecksWindow checks a node's /bottlenecks.json averages
+// over the node's own gauge window (NodeConfig.ObsWindow, stapnode
+// -obswindow), not the obs default: a node hosting the whole pipeline
+// completes every CPI of a 16-CPI job locally, and its report may hold at
+// most the 4 its window allows.
+func TestNodeBottlenecksWindow(t *testing.T) {
+	leakcheck.Check(t)
+	sc := radar.DefaultScene(radar.Small())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := NewNode(ln, NodeConfig{Secret: testSecret, Logf: t.Logf, ObsWindow: 4})
+	go node.Serve()
+	t.Cleanup(node.Close)
+
+	cfg := testCluster(t, []string{ln.Addr().String()}, sc)
+	if cfg.Placement, err = ParsePlacement("0-6", 1); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := cfg.Connect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	if _, err := rep.ProcessJob(makeJob(sc, 16)); err != nil {
+		t.Fatal(err)
+	}
+
+	nrep := node.Bottlenecks()
+	if nrep == nil {
+		t.Fatal("nil report after a session")
+	}
+	if nrep.WindowCPIs == 0 || nrep.WindowCPIs > 4 {
+		t.Errorf("report window %d CPIs, want 1 to 4 (the node's ObsWindow)", nrep.WindowCPIs)
 	}
 }

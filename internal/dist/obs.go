@@ -78,13 +78,14 @@ func (n *Node) Snapshot() NodeSnapshot {
 // recent session's journals. On a node hosting only part of the latency
 // path no CPI ever completes locally, so the waterfall view is empty and
 // the hop table carries the wire costs measured here; a node hosting the
-// whole pipeline reports full waterfalls. Nil before the first session.
+// whole pipeline reports full waterfalls. The window is the session
+// collector's, as for the node's gauges. Nil before the first session.
 func (n *Node) Bottlenecks() *obs.BottleneckReport {
 	s := n.lastSession()
 	if s == nil {
 		return nil
 	}
-	return obs.BuildBottleneckReport(pipeline.AttrConfig(s.man.Assign), s.col.Journal(), s.col.WireJournal(), 0, 0)
+	return obs.BuildBottleneckReport(pipeline.AttrConfig(s.man.Assign), s.col.Journal(), s.col.WireJournal(), s.col.Window(), 0)
 }
 
 // nodeHistoryInterval is the node sampler's period (a variable so tests
@@ -107,7 +108,7 @@ func (n *Node) startHistory() {
 	if closed {
 		return
 	}
-	n.hist = history.NewStore(history.Config{})
+	n.hist = history.NewStore()
 	n.histStop = make(chan struct{})
 	n.histDone = make(chan struct{})
 	go func(st *history.Store, stop, done chan struct{}) {

@@ -152,37 +152,24 @@ type series struct {
 	r60  rollup
 }
 
-// Config sizes the per-series rings. Zero fields take defaults.
-type Config struct {
-	Tier0Cap  int // raw 1 s samples kept per series (default 300 → 5 min)
-	Tier10Cap int // 10 s buckets kept per series (default 360 → 1 h)
-	Tier60Cap int // 60 s buckets kept per series (default 1440 → 24 h)
-}
-
-func (c Config) withDefaults() Config {
-	if c.Tier0Cap <= 0 {
-		c.Tier0Cap = 300
-	}
-	if c.Tier10Cap <= 0 {
-		c.Tier10Cap = 360
-	}
-	if c.Tier60Cap <= 0 {
-		c.Tier60Cap = 1440
-	}
-	return c
-}
+// Per-series ring capacities: 5 min of raw 1 s samples, 1 h of 10 s
+// buckets and 24 h of 60 s buckets.
+const (
+	tier0Cap  = 300
+	tier10Cap = 360
+	tier60Cap = 1440
+)
 
 // Store is a bounded multi-series time-series store.
 type Store struct {
-	cfg   Config
 	mu    sync.RWMutex
 	names map[string]int
 	all   []*series
 }
 
 // NewStore builds an empty store.
-func NewStore(cfg Config) *Store {
-	return &Store{cfg: cfg.withDefaults(), names: make(map[string]int)}
+func NewStore() *Store {
+	return &Store{names: make(map[string]int)}
 }
 
 // Register adds a series (idempotent) and returns its id for Observe.
@@ -196,9 +183,9 @@ func (s *Store) Register(name string) int {
 	s.names[name] = id
 	s.all = append(s.all, &series{
 		name: name,
-		raw:  newRing(s.cfg.Tier0Cap),
-		r10:  rollup{width: int64(10 * time.Second), ring: newRing(s.cfg.Tier10Cap)},
-		r60:  rollup{width: int64(60 * time.Second), ring: newRing(s.cfg.Tier60Cap)},
+		raw:  newRing(tier0Cap),
+		r10:  rollup{width: int64(10 * time.Second), ring: newRing(tier10Cap)},
+		r60:  rollup{width: int64(60 * time.Second), ring: newRing(tier60Cap)},
 	})
 	return id
 }

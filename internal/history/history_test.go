@@ -9,39 +9,41 @@ import (
 
 const sec = int64(time.Second)
 
-// TestRingWraparound fills a tiny raw ring far past capacity and checks only
-// the newest Tier0Cap samples survive, in order.
+// TestRingWraparound fills the rings far past capacity and checks only
+// the newest tier0Cap samples survive, in order.
 func TestRingWraparound(t *testing.T) {
-	st := NewStore(Config{Tier0Cap: 8, Tier10Cap: 4, Tier60Cap: 4})
+	st := NewStore()
 	id := st.Register("x")
-	for i := 0; i < 100; i++ {
+	n := 10*tier10Cap + 400 // 400 buckets past the 10 s ring's capacity
+	for i := 0; i < n; i++ {
 		st.Observe(id, int64(i)*sec, float64(i))
 	}
 	pts := st.Range("x", Tier0, 0, 0)
-	if len(pts) != 8 {
-		t.Fatalf("got %d raw points, want ring cap 8", len(pts))
+	if len(pts) != tier0Cap {
+		t.Fatalf("got %d raw points, want ring cap %d", len(pts), tier0Cap)
 	}
 	for i, p := range pts {
-		want := int64(92+i) * sec
-		if p.T != want || p.Mean != float64(92+i) {
-			t.Fatalf("point %d = %+v, want T=%d mean=%d", i, p, want, 92+i)
+		want := n - tier0Cap + i
+		if p.T != int64(want)*sec || p.Mean != float64(want) {
+			t.Fatalf("point %d = %+v, want T=%ds mean=%d", i, p, want, want)
 		}
 	}
-	// Rollup rings wrap too: 100 samples → 10 full 10 s buckets, ring keeps
-	// the latest 4 closed ones plus the in-progress bucket.
+	// Rollup rings wrap too: n samples → n/10 full 10 s buckets, the ring
+	// keeps the latest tier10Cap closed ones plus the in-progress bucket.
 	p10 := st.Range("x", Tier10, 0, 0)
-	if len(p10) != 5 {
-		t.Fatalf("got %d 10s buckets, want 4 closed + 1 open", len(p10))
+	if len(p10) != tier10Cap+1 {
+		t.Fatalf("got %d 10s buckets, want %d closed + 1 open", len(p10), tier10Cap)
 	}
-	if p10[0].T != 50*sec || p10[len(p10)-1].T != 90*sec {
-		t.Fatalf("10s bucket range [%d, %d], want [50s, 90s]", p10[0].T, p10[len(p10)-1].T)
+	first, last := int64(n-10*(tier10Cap+1))*sec, int64(n-10)*sec
+	if p10[0].T != first || p10[len(p10)-1].T != last {
+		t.Fatalf("10s bucket range [%d, %d], want [%d, %d]", p10[0].T, p10[len(p10)-1].T, first, last)
 	}
 }
 
 // TestTierBoundaryAlignment drops a sample exactly on a rollup edge and
 // checks it starts the new bucket rather than closing into the old one.
 func TestTierBoundaryAlignment(t *testing.T) {
-	st := NewStore(Config{})
+	st := NewStore()
 	id := st.Register("x")
 	base := int64(1000) * sec // aligned to both 10 s and 60 s
 	st.Observe(id, base+9*sec, 1)
@@ -73,9 +75,9 @@ func TestTierBoundaryAlignment(t *testing.T) {
 // oldest retained sample: the evicted portion is silently absent and the
 // retained tail comes back intact.
 func TestRangeStraddlesEvictedData(t *testing.T) {
-	st := NewStore(Config{Tier0Cap: 10})
+	st := NewStore()
 	id := st.Register("x")
-	for i := 0; i < 50; i++ {
+	for i := 0; i < tier0Cap+40; i++ {
 		st.Observe(id, int64(i)*sec, float64(i))
 	}
 	// Samples 0..39 are evicted; ask for [20 s, 45 s].
@@ -97,7 +99,7 @@ func TestRangeStraddlesEvictedData(t *testing.T) {
 }
 
 func TestHandlerRangeQuery(t *testing.T) {
-	st := NewStore(Config{Tier0Cap: 16})
+	st := NewStore()
 	a, b := st.Register("a"), st.Register("b")
 	for i := 0; i < 10; i++ {
 		st.Observe(a, int64(i)*sec, float64(i))
@@ -136,7 +138,7 @@ func TestHandlerRangeQuery(t *testing.T) {
 }
 
 func TestDumpPrefix(t *testing.T) {
-	st := NewStore(Config{})
+	st := NewStore()
 	st.ObserveName("r0/lat", sec, 1)
 	st.ObserveName("r0/thr", sec, 2)
 	st.ObserveName("r1/lat", sec, 3)

@@ -433,7 +433,7 @@ type BottleneckReport struct {
 // with the topK slowest kept as exemplars.
 func BuildBottleneckReport(cfg AttributeConfig, spans []SpanEvent, wire []WireEvent, window, topK int) *BottleneckReport {
 	if window <= 0 {
-		window = 32
+		window = DefaultWindow
 	}
 	if topK <= 0 {
 		topK = 5

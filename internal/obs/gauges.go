@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// PhaseMeans is one task's mean per-CPI phase times over the gauge
-// window — the live analogue of pipeline.TaskStats.
+// PhaseMeans is one task's mean per-CPI phase times over a window of
+// CPIs (see Measure).
 type PhaseMeans struct {
 	Name             string
 	Recv, Comp, Send time.Duration
@@ -17,10 +17,10 @@ type PhaseMeans struct {
 // Total returns the task's mean per-CPI execution time T_i.
 func (p PhaseMeans) Total() time.Duration { return p.Recv + p.Comp + p.Send }
 
-// GaugeSet is the live derived view over the sliding window: the paper's
-// eq. (1) throughput, eq. (2) latency bound and eq. (3) real latency,
-// computed from the journal exactly as the post-hoc evaluation computes
-// them from a finished run's spans.
+// GaugeSet is the derived view over a window of CPIs: the paper's eq. (1)
+// throughput, eq. (2) latency bound and eq. (3) real latency. Measure
+// computes it, for the live gauges over a sliding window and for a
+// finished run over its measured CPIs alike.
 type GaugeSet struct {
 	// WindowCPIs is the number of distinct CPIs the window actually holds.
 	WindowCPIs int
@@ -40,7 +40,15 @@ type GaugeSet struct {
 	// RealThroughput is the measured completion-gap rate over the
 	// window's complete CPIs, in CPIs/second.
 	RealThroughput float64
+	// Latencies holds each complete CPI's measured eq. 3 latency, in CPI
+	// order.
+	Latencies []time.Duration
 }
+
+// DefaultWindow is the gauge window in CPIs wherever none is configured:
+// the collector's, and with it the live gauges', the bottleneck report's
+// and the planner's.
+const DefaultWindow = 32
 
 // Gauges derives the live gauge set from the last Window CPIs present in
 // the journal.
@@ -51,81 +59,92 @@ func (c *Collector) Gauges() GaugeSet {
 // ComputeGauges derives a gauge set from an arbitrary event set — the
 // shared core behind Collector.Gauges and the cluster-merged timeline
 // (internal/serve), where journals from several processes are corrected
-// onto one clock before the paper metrics are evaluated. Events whose
-// task index falls outside tasks are ignored, so journals from a
-// mismatched configuration cannot panic the exporter.
+// onto one clock before the paper metrics are evaluated. It is Measure
+// over the window LastCPIs picks.
 func ComputeGauges(tasks []TaskMeta, window int, path [][]int, evs []SpanEvent) GaugeSet {
-	g := GaugeSet{Tasks: make([]PhaseMeans, len(tasks))}
-	for t, tm := range tasks {
-		g.Tasks[t].Name = tm.Name
-	}
-	if len(evs) == 0 {
-		return g
-	}
-	if window <= 0 {
-		window = 32
-	}
+	return Measure(tasks, path, evs, LastCPIs(evs, tasks, window))
+}
 
-	// The window is the highest Window distinct CPI indices journaled.
+// LastCPIs is the one rule for which CPIs a window holds: the highest n
+// distinct CPI indices among the events of known tasks (0 <= Task <
+// len(tasks)), ascending. n <= 0 means DefaultWindow.
+func LastCPIs(evs []SpanEvent, tasks []TaskMeta, n int) []int {
+	if n <= 0 {
+		n = DefaultWindow
+	}
 	seen := make(map[int]struct{})
 	for _, ev := range evs {
-		seen[ev.CPI] = struct{}{}
+		if ev.Task >= 0 && ev.Task < len(tasks) {
+			seen[ev.CPI] = struct{}{}
+		}
 	}
 	cpis := make([]int, 0, len(seen))
 	for cpi := range seen {
 		cpis = append(cpis, cpi)
 	}
 	sort.Ints(cpis)
-	if len(cpis) > window {
-		cpis = cpis[len(cpis)-window:]
+	if len(cpis) > n {
+		cpis = cpis[len(cpis)-n:]
 	}
-	keep := make(map[int]struct{}, len(cpis))
-	for _, cpi := range cpis {
-		keep[cpi] = struct{}{}
+	return cpis
+}
+
+// Measure is the one reader of a span journal: it reduces the spans of the
+// given CPIs (ascending, as from LastCPIs) to each task's mean phase times
+// and the paper's eq. (1), eq. (2) and eq. (3) — the live gauges, a
+// finished run's Result and the planner's observations are all this
+// function over different CPI sets. Events whose task index falls outside
+// tasks are ignored, so journals from a mismatched configuration cannot
+// panic the exporter.
+//
+// path is the latency path of eq. (2) (see Config.LatencyPath); its first
+// and last stages, or the first and last tasks when it is empty, are the
+// first and final tasks of eq. (3). Eq. (3), the real throughput and
+// Latencies count only complete CPIs: every first-task and final-task
+// worker's span journaled (a partially in-flight CPI would bias the
+// ready/done extremes). A CPI is ready when its first first-task worker
+// enters its loop and done when its last final-task worker has sent its
+// output.
+func Measure(tasks []TaskMeta, path [][]int, evs []SpanEvent, cpis []int) GaugeSet {
+	g := GaugeSet{WindowCPIs: len(cpis), Tasks: make([]PhaseMeans, len(tasks))}
+	for t, tm := range tasks {
+		g.Tasks[t].Name = tm.Name
 	}
-	g.WindowCPIs = len(cpis)
+	at := make(map[int]int, len(cpis)) // CPI index → position in cpis
+	for i, cpi := range cpis {
+		at[cpi] = i
+	}
 
 	// Per-task phase sums, and per-CPI ready/done extremes for eq. 3.
 	type ends struct {
-		readyNs, doneNs int64
-		readyN, doneN   int
-		haveReady, have bool
+		ready, done   int64
+		readyN, doneN int
 	}
-	var recv, comp, send = make([]int64, len(g.Tasks)), make([]int64, len(g.Tasks)), make([]int64, len(g.Tasks))
+	recv, comp, send := make([]int64, len(tasks)), make([]int64, len(tasks)), make([]int64, len(tasks))
 	firstTasks, finalTasks := pathEnds(tasks, path)
-	perCPI := make(map[int]*ends, len(cpis))
+	perCPI := make([]ends, len(cpis))
 	for _, ev := range evs {
 		if ev.Task < 0 || ev.Task >= len(tasks) {
 			continue
 		}
-		if _, ok := keep[ev.CPI]; !ok {
+		i, ok := at[ev.CPI]
+		if !ok {
 			continue
 		}
 		recv[ev.Task] += ev.T1 - ev.T0
 		comp[ev.Task] += ev.T2 - ev.T1
 		send[ev.Task] += ev.T3 - ev.T2
 		g.Tasks[ev.Task].Samples++
+		e := &perCPI[i]
 		if inSet(firstTasks, ev.Task) {
-			e := perCPI[ev.CPI]
-			if e == nil {
-				e = &ends{}
-				perCPI[ev.CPI] = e
-			}
-			if !e.haveReady || ev.T0 < e.readyNs {
-				e.readyNs = ev.T0
-				e.haveReady = true
+			if e.readyN == 0 || ev.T0 < e.ready {
+				e.ready = ev.T0
 			}
 			e.readyN++
 		}
 		if inSet(finalTasks, ev.Task) {
-			e := perCPI[ev.CPI]
-			if e == nil {
-				e = &ends{}
-				perCPI[ev.CPI] = e
-			}
-			if !e.have || ev.T3 > e.doneNs {
-				e.doneNs = ev.T3
-				e.have = true
+			if e.doneN == 0 || ev.T3 > e.done {
+				e.done = ev.T3
 			}
 			e.doneN++
 		}
@@ -163,30 +182,31 @@ func ComputeGauges(tasks []TaskMeta, window int, path [][]int, evs []SpanEvent) 
 		g.Eq2Latency += stageT
 	}
 
-	// Eq. 3 and real throughput need complete CPIs: every first-task and
-	// final-task worker's span journaled (a partially-in-flight CPI would
-	// bias ready/done extremes).
+	// Eq. 3 and the real throughput, over the complete CPIs.
 	wantReady, wantDone := workerSum(tasks, firstTasks), workerSum(tasks, finalTasks)
-	if wantReady > 0 && wantDone > 0 {
-		var latSum int64
-		var dones []int64
-		for _, cpi := range cpis {
-			e := perCPI[cpi]
-			if e == nil || e.readyN < wantReady || e.doneN < wantDone {
-				continue
-			}
-			latSum += e.doneNs - e.readyNs
-			dones = append(dones, e.doneNs)
+	if wantReady == 0 || wantDone == 0 {
+		return g
+	}
+	var latSum, firstDone, lastDone int64
+	for _, e := range perCPI {
+		if e.readyN < wantReady || e.doneN < wantDone {
+			continue
 		}
-		if n := len(dones); n > 0 {
-			g.Eq3Latency = time.Duration(latSum / int64(n))
-			g.Eq3Samples = n
-			if n >= 2 {
-				sort.Slice(dones, func(i, j int) bool { return dones[i] < dones[j] })
-				if span := dones[n-1] - dones[0]; span > 0 {
-					g.RealThroughput = float64(n-1) / (time.Duration(span).Seconds())
-				}
-			}
+		lat := e.done - e.ready
+		g.Latencies = append(g.Latencies, time.Duration(lat))
+		latSum += lat
+		if len(g.Latencies) == 1 || e.done < firstDone {
+			firstDone = e.done
+		}
+		if e.done > lastDone {
+			lastDone = e.done
+		}
+	}
+	if n := len(g.Latencies); n > 0 {
+		g.Eq3Latency = time.Duration(latSum / int64(n))
+		g.Eq3Samples = n
+		if span := lastDone - firstDone; n >= 2 && span > 0 {
+			g.RealThroughput = float64(n-1) / time.Duration(span).Seconds()
 		}
 	}
 	return g

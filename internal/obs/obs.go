@@ -38,11 +38,11 @@ type Config struct {
 	// journal must hold Window CPIs' worth of spans (one per worker per
 	// CPI) for the gauges to see a full window.
 	RingSize int
-	// Window is the sliding gauge window in CPIs (default 32). A window
-	// the ring cannot hold (Window × total workers > RingSize) would make
-	// the gauges silently average a partial window, so New clamps it to
-	// RingSize / total workers (at least 1) and reports the clamp through
-	// Logf.
+	// Window is the sliding gauge window in CPIs (default DefaultWindow).
+	// A window the ring cannot hold (Window × total workers > RingSize)
+	// would make the gauges silently average a partial window, so New
+	// clamps it to RingSize / total workers (at least 1) and reports the
+	// clamp through Logf.
 	Window int
 	// WireRingSize is the wire-event journal capacity (default RingSize).
 	// Wire events are recorded by the distributed transport — one per link
@@ -195,7 +195,7 @@ func New(cfg Config) *Collector {
 		cfg.RingSize = 4096
 	}
 	if cfg.Window <= 0 {
-		cfg.Window = 32
+		cfg.Window = DefaultWindow
 	}
 	if cfg.WireRingSize <= 0 {
 		cfg.WireRingSize = cfg.RingSize

@@ -356,13 +356,22 @@ func TestSlowLogRing(t *testing.T) {
 
 func TestComputeGaugesIgnoresForeignTasks(t *testing.T) {
 	tasks := testConfig().Tasks
+	path := [][]int{{0}, {2}}
 	evs := []SpanEvent{
 		{Task: 0, Worker: 0, CPI: 0, T0: 0, T1: 1, T2: 2, T3: 3},
 		{Task: 9, Worker: 0, CPI: 0, T0: 0, T1: 1, T2: 2, T3: 3}, // foreign journal
+		{Task: 9, Worker: 0, CPI: 7, T0: 4, T1: 5, T2: 6, T3: 7}, // foreign, above every real CPI
 	}
-	g := ComputeGauges(tasks, 8, [][]int{{0}, {2}}, evs)
+	g := ComputeGauges(tasks, 8, path, evs)
 	if g.Tasks[0].Samples != 1 {
 		t.Errorf("task 0 samples %d, want 1", g.Tasks[0].Samples)
+	}
+	if g.WindowCPIs != 1 {
+		t.Errorf("window holds %d CPIs, want 1: a foreign task's CPI must not count", g.WindowCPIs)
+	}
+	// A one-CPI window is the highest real CPI, not the foreign one.
+	if g := ComputeGauges(tasks, 1, path, evs); g.Tasks[0].Samples != 1 {
+		t.Errorf("one-CPI window: task 0 samples %d, want 1", g.Tasks[0].Samples)
 	}
 }
 

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"math"
 	"testing"
 	"time"
 
@@ -34,22 +33,23 @@ func TestObsGaugesAgreeWithResult(t *testing.T) {
 	if g.WindowCPIs != 8 {
 		t.Fatalf("window CPIs %d, want 8", g.WindowCPIs)
 	}
-	relClose := func(name string, got, want, tol float64) {
-		t.Helper()
-		if want == 0 {
-			t.Fatalf("%s: reference value is 0", name)
-		}
-		if math.Abs(got-want)/math.Abs(want) > tol {
-			t.Errorf("%s: live %v vs post-hoc %v", name, got, want)
-		}
+	// One reader (obs.Measure) over the same spans and the same complete
+	// CPIs: the numbers agree exactly, not within a tolerance.
+	if g.Eq1Throughput != res.EquationThroughput() || g.Eq1Throughput == 0 {
+		t.Errorf("eq1 throughput: live %v vs post-hoc %v", g.Eq1Throughput, res.EquationThroughput())
 	}
-	relClose("eq1 throughput", g.Eq1Throughput, res.EquationThroughput(), 0.01)
-	relClose("eq2 latency", g.Eq2Latency.Seconds(), res.EquationLatency().Seconds(), 0.01)
-	relClose("eq3 latency", g.Eq3Latency.Seconds(), res.Latency.Seconds(), 0.01)
-	relClose("real throughput", g.RealThroughput, res.Throughput, 0.01)
+	if g.Eq2Latency != res.EquationLatency() || g.Eq2Latency == 0 {
+		t.Errorf("eq2 latency: live %v vs post-hoc %v", g.Eq2Latency, res.EquationLatency())
+	}
+	if g.Eq3Latency != res.Latency || g.Eq3Latency == 0 {
+		t.Errorf("eq3 latency: live %v vs post-hoc %v", g.Eq3Latency, res.Latency)
+	}
+	if g.RealThroughput != res.Throughput || g.RealThroughput == 0 {
+		t.Errorf("real throughput: live %v vs post-hoc %v", g.RealThroughput, res.Throughput)
+	}
 	for task := 0; task < NumTasks; task++ {
-		if d := g.Tasks[task].Total() - res.Stats[task].Total(); d < -time.Microsecond || d > time.Microsecond {
-			t.Errorf("task %d mean total: live %v vs post-hoc %v", task, g.Tasks[task].Total(), res.Stats[task].Total())
+		if g.Tasks[task] != res.Stats[task] {
+			t.Errorf("task %d phase means: live %+v vs post-hoc %+v", task, g.Tasks[task], res.Stats[task])
 		}
 	}
 

@@ -26,7 +26,6 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -134,51 +133,23 @@ type Config struct {
 	Fault *fault.Injector
 }
 
-// Span is one worker's absolute phase timestamps for one CPI, following
-// the Figure 10 loop: T0 = loop start (receive begins), T1 = input ready
-// (compute begins), T2 = compute done (send/pack begins), T3 = loop end.
-type Span struct {
-	T0, T1, T2, T3 time.Time
-}
-
-// Times converts a span to phase durations.
-func (s Span) Times() TaskTimes {
-	return TaskTimes{Recv: s.T1.Sub(s.T0), Comp: s.T2.Sub(s.T1), Send: s.T3.Sub(s.T2)}
-}
-
-// TaskTimes is one worker's timing for one CPI, split per Figure 10:
-// receive (including waiting and unpacking), compute, and send (packing +
-// posting).
-type TaskTimes struct {
-	Recv, Comp, Send time.Duration
-}
-
-// Total returns the sum of the three phases.
-func (t TaskTimes) Total() time.Duration { return t.Recv + t.Comp + t.Send }
-
-// TaskStats is a task's timing averaged over its workers and the measured
-// CPI window.
-type TaskStats struct {
-	Recv, Comp, Send time.Duration
-}
-
-// Total returns the averaged per-CPI execution time T_i of the task.
-func (s TaskStats) Total() time.Duration { return s.Recv + s.Comp + s.Send }
-
 // Result is everything a pipeline run produces.
 type Result struct {
 	// Detections[i] is the sorted detection report of CPI i.
 	Detections [][]stap.Detection
-	// Stats[t] is task t's averaged timing.
-	Stats [NumTasks]TaskStats
+	// Stats[t] is task t's timing averaged over its workers and the
+	// measured CPIs [Warmup, NumCPIs−Cooldown): receive (including waiting
+	// and unpacking), compute, and send (packing and posting), per Figure
+	// 10.
+	Stats [NumTasks]obs.PhaseMeans
 	// Throughput is the measured rate in CPIs/second, from the completion
-	// time gaps of the measured window (the paper's "real" throughput).
+	// time gaps of the measured CPIs (the paper's "real" throughput).
 	Throughput float64
 	// Latency is the measured input-ready-to-report time averaged over the
-	// window (the paper's "real" latency).
+	// measured CPIs (the paper's "real" latency, eq. 3).
 	Latency time.Duration
-	// Latencies holds the per-CPI measured latencies of the window, in CPI
-	// order (for percentile analysis).
+	// Latencies holds the per-CPI measured latencies of the measured CPIs,
+	// in CPI order (for percentile analysis).
 	Latencies []time.Duration
 	// Elapsed is the total wall time of the run, read after every worker
 	// has exited, so it bounds every span in Spans — the weight tasks'
@@ -196,33 +167,18 @@ type Result struct {
 	Start time.Time
 
 	tasks []obs.TaskMeta
+	eq1   float64
+	eq2   time.Duration
 }
 
-// EquationThroughput evaluates the paper's equation (1) on the measured
-// task times: 1 / max_i T_i.
-func (r *Result) EquationThroughput() float64 {
-	var maxT time.Duration
-	for _, s := range r.Stats {
-		if s.Total() > maxT {
-			maxT = s.Total()
-		}
-	}
-	if maxT == 0 {
-		return 0
-	}
-	return 1 / maxT.Seconds()
-}
+// EquationThroughput is the paper's equation (1) on the measured task
+// times: 1 / max_i T_i.
+func (r *Result) EquationThroughput() float64 { return r.eq1 }
 
-// EquationLatency evaluates the paper's equation (2) on the measured task
-// times: T0 + max(T3, T4) + T5 + T6 (weight tasks excluded thanks to the
-// temporal decoupling).
-func (r *Result) EquationLatency() time.Duration {
-	bf := r.Stats[TaskEasyBF].Total()
-	if h := r.Stats[TaskHardBF].Total(); h > bf {
-		bf = h
-	}
-	return r.Stats[TaskDoppler].Total() + bf + r.Stats[TaskPulseComp].Total() + r.Stats[TaskCFAR].Total()
-}
+// EquationLatency is the paper's equation (2) on the measured task times:
+// T0 + max(T3, T4) + T5 + T6 (weight tasks excluded thanks to the temporal
+// decoupling).
+func (r *Result) EquationLatency() time.Duration { return r.eq2 }
 
 // message stream identifiers; the wire tag is stream<<20 | cpi.
 const (
@@ -414,11 +370,11 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("pipeline: warmup %d + cooldown %d >= CPIs %d",
 			cfg.Warmup, cfg.Cooldown, n)
 	}
+	ocfg := DefaultObsConfig(cfg.Assign)
 	col, need := cfg.Obs, cfg.Assign.Total()*n
 	if col == nil {
-		oc := DefaultObsConfig(cfg.Assign)
-		oc.RingSize = need
-		col = obs.New(oc)
+		ocfg.RingSize = need
+		col = obs.New(ocfg)
 	} else if col.RingSize() < need {
 		return nil, fmt.Errorf("pipeline: Obs journal holds %d spans, run needs %d (%d workers x %d CPIs)",
 			col.RingSize(), need, cfg.Assign.Total(), n)
@@ -471,54 +427,17 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("pipeline: journal holds %d of the run's %d spans (collector shared with another pipeline?)",
 			len(res.Spans), need)
 	}
-	res.measure(cfg.Warmup, n-cfg.Cooldown)
+	// The measured CPIs are [Warmup, n−Cooldown); every one of them is
+	// complete, since the journal holds every worker's span of every CPI.
+	cpis := make([]int, 0, n-cfg.Warmup-cfg.Cooldown)
+	for cpi := cfg.Warmup; cpi < n-cfg.Cooldown; cpi++ {
+		cpis = append(cpis, cpi)
+	}
+	g := obs.Measure(ocfg.Tasks, ocfg.LatencyPath, res.Spans, cpis)
+	copy(res.Stats[:], g.Tasks)
+	res.Throughput, res.Latency, res.Latencies = g.RealThroughput, g.Eq3Latency, g.Latencies
+	res.eq1, res.eq2 = g.Eq1Throughput, g.Eq2Latency
 	return res, nil
-}
-
-// measure fills the timing fields from the span journal over the CPI
-// window [lo, hi). A CPI is ready when its first Doppler worker enters
-// its loop and complete when its last CFAR worker has sent its report
-// (stamping at the workers avoids collector-goroutine scheduling noise).
-func (r *Result) measure(lo, hi int) {
-	ready := make([]int64, hi)
-	for i := range ready {
-		ready[i] = math.MaxInt64
-	}
-	complete := make([]int64, hi)
-	var sum [NumTasks]TaskStats
-	var count [NumTasks]int
-	for _, ev := range r.Spans {
-		if ev.CPI < lo || ev.CPI >= hi {
-			continue
-		}
-		t := ev.Task
-		sum[t].Recv += time.Duration(ev.T1 - ev.T0)
-		sum[t].Comp += time.Duration(ev.T2 - ev.T1)
-		sum[t].Send += time.Duration(ev.T3 - ev.T2)
-		count[t]++
-		if t == TaskDoppler && ev.T0 < ready[ev.CPI] {
-			ready[ev.CPI] = ev.T0
-		}
-		if t == TaskCFAR && ev.T3 > complete[ev.CPI] {
-			complete[ev.CPI] = ev.T3
-		}
-	}
-	for t, c := range count {
-		d := time.Duration(c)
-		r.Stats[t] = TaskStats{Recv: sum[t].Recv / d, Comp: sum[t].Comp / d, Send: sum[t].Send / d}
-	}
-	// Measured throughput: completion gaps inside the window.
-	if span := complete[hi-1] - complete[lo]; hi-lo >= 2 && span > 0 {
-		r.Throughput = float64(hi-lo-1) / time.Duration(span).Seconds()
-	}
-	// Measured latency: first-task-ready to report, averaged.
-	var latSum time.Duration
-	for cpi := lo; cpi < hi; cpi++ {
-		l := time.Duration(complete[cpi] - ready[cpi])
-		r.Latencies = append(r.Latencies, l)
-		latSum += l
-	}
-	r.Latency = latSum / time.Duration(hi-lo)
 }
 
 // LatencyPercentile returns the q-quantile (0..1) of the measured per-CPI

@@ -29,14 +29,6 @@ type env struct {
 	depth   int // slots in every sender's ring: the in-flight window + 1 (see ring)
 }
 
-// emit journals one worker-CPI span. tr is the control message the worker
-// received for this CPI — its trace/hop lineage labels the span.
-func (e *env) emit(task, w, cpi int, s Span, tr ctl) {
-	if e.obs != nil {
-		e.obs.RecordTracedSpan(task, w, cpi, tr.Trace, tr.Hop, s.T0, s.T1, s.T2, s.T3)
-	}
-}
-
 // stage is one worker's per-CPI behaviour — the receive, compute and send
 // phases of the Figure 10 loop — as three callables that runStage drives.
 // A stage constructor keeps the worker's state (communicator, weight
@@ -78,7 +70,11 @@ func (e *env) runStage(task, w int, st stage) {
 		t2 := time.Now()
 		st.send(cpi, c.next())
 		t3 := time.Now()
-		e.emit(task, w, cpi, Span{T0: t0, T1: t1, T2: t2, T3: t3}, c)
+		if e.obs != nil {
+			// The CPI's control message labels the span with its
+			// trace/hop lineage.
+			e.obs.RecordTracedSpan(task, w, cpi, c.Trace, c.Hop, t0, t1, t2, t3)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"math"
 	"time"
 
 	"pstap/internal/obs"
@@ -21,7 +22,6 @@ import (
 // in every one of its receive phases, floor included.
 type Observation struct {
 	Recv, Comp, Send float64 // seconds
-	Total            float64 // mean full-span seconds (≈ observed period)
 	Samples          int
 
 	// Deser is the mean receiver-side deserialize cost of this task's
@@ -41,8 +41,8 @@ func (o Observation) Busy() float64 { return o.Recv + o.Comp + o.Send + o.Deser 
 
 // ObserveJournal digests a span journal (one collector's, or the
 // cluster-merged clock-corrected one) into per-task observations over
-// the last window distinct CPIs (default 32, like obs.ComputeGauges).
-// ok is false unless every pipeline task journaled at least one span —
+// the window obs.LastCPIs picks (obs.DefaultWindow when window <= 0),
+// with Comp, Send and Samples from obs.Measure. ok is false unless every pipeline task journaled at least one span —
 // a partial journal (federation still warming up, a node down) must not
 // drive calibration.
 //
@@ -64,38 +64,22 @@ func ObserveJournal(window int, evs []obs.SpanEvent) (o [pipeline.NumTasks]Obser
 // pipeline.RankTasks). A nil wire journal or rank map degrades to the
 // span-only digest.
 func ObserveJournalWire(window int, evs []obs.SpanEvent, wire []obs.WireEvent, rankTask []int) (o [pipeline.NumTasks]Observation, ok bool) {
-	if window <= 0 {
-		window = 32
-	}
-	seen := make(map[int]struct{})
-	for _, ev := range evs {
-		if ev.Task >= 0 && ev.Task < pipeline.NumTasks {
-			seen[ev.CPI] = struct{}{}
-		}
-	}
-	if len(seen) == 0 {
+	tasks := make([]obs.TaskMeta, pipeline.NumTasks)
+	cpis := obs.LastCPIs(evs, tasks, window)
+	if len(cpis) == 0 {
 		return o, false
 	}
-	cpis := make([]int, 0, len(seen))
-	for cpi := range seen {
-		cpis = append(cpis, cpi)
-	}
-	// Keep the highest `window` CPI indices.
-	for len(cpis) > window {
-		lo, at := cpis[0], 0
-		for i, c := range cpis {
-			if c < lo {
-				lo, at = c, i
-			}
-		}
-		cpis[at] = cpis[len(cpis)-1]
-		cpis = cpis[:len(cpis)-1]
-	}
+	g := obs.Measure(tasks, nil, evs, cpis)
+	// What only the calibration needs: each task's receive minimum and the
+	// window's traces, over the same CPIs.
 	keep := make(map[int]struct{}, len(cpis))
 	for _, c := range cpis {
 		keep[c] = struct{}{}
 	}
-	var recvMin, compSum, sendSum, totSum [pipeline.NumTasks]int64
+	var recvMin [pipeline.NumTasks]int64
+	for t := range recvMin {
+		recvMin[t] = math.MaxInt64
+	}
 	traces := make(map[uint64]struct{})
 	for _, ev := range evs {
 		if ev.Task < 0 || ev.Task >= pipeline.NumTasks {
@@ -107,14 +91,7 @@ func ObserveJournalWire(window int, evs []obs.SpanEvent, wire []obs.WireEvent, r
 		if ev.Trace != 0 {
 			traces[ev.Trace] = struct{}{}
 		}
-		t := ev.Task
-		if r := ev.T1 - ev.T0; o[t].Samples == 0 || r < recvMin[t] {
-			recvMin[t] = r
-		}
-		compSum[t] += ev.T2 - ev.T1
-		sendSum[t] += ev.T3 - ev.T2
-		totSum[t] += ev.T3 - ev.T0
-		o[t].Samples++
+		recvMin[ev.Task] = min(recvMin[ev.Task], ev.T1-ev.T0)
 	}
 	// Receiver-side deserialize, attributed to the sending task (whose
 	// PackTime the model charges it to) and windowed by the span traces.
@@ -137,17 +114,19 @@ func ObserveJournalWire(window int, evs []obs.SpanEvent, wire []obs.WireEvent, r
 	}
 	sec := func(ns int64) float64 { return float64(ns) / float64(time.Second) }
 	ok = true
-	for t := range o {
-		n := o[t].Samples
+	for t, pm := range g.Tasks {
+		n := pm.Samples
 		if n == 0 {
 			ok = false
 			continue
 		}
-		o[t].Recv = sec(recvMin[t])
-		o[t].Comp = sec(compSum[t] / int64(n))
-		o[t].Send = sec(sendSum[t] / int64(n))
-		o[t].Total = sec(totSum[t] / int64(n))
-		o[t].Deser = sec(deserSum[t]) / float64(n)
+		o[t] = Observation{
+			Recv:    sec(recvMin[t]),
+			Comp:    sec(int64(pm.Comp)),
+			Send:    sec(int64(pm.Send)),
+			Samples: n,
+			Deser:   sec(deserSum[t]) / float64(n),
+		}
 	}
 	return o, ok
 }

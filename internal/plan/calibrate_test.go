@@ -27,7 +27,6 @@ func synthObs(truth paragon.Machine, p radar.Params, a pipeline.Assignment) [pip
 			Send:    mo.PackTime(t, a[t]),
 			Samples: 8,
 		}
-		o[t].Total = o[t].Busy()
 	}
 	return o
 }

@@ -52,7 +52,7 @@ func (s *Server) slotWire(slot *replicaSlot) []obs.WireEvent {
 // window.
 func (s *Server) slotBottlenecks(slot *replicaSlot) *obs.BottleneckReport {
 	return obs.BuildBottleneckReport(pipeline.AttrConfig(s.cfg.Assign),
-		s.slotSpans(slot), s.slotWire(slot), s.cfg.ObsWindow, 0)
+		s.slotSpans(slot), s.slotWire(slot), slot.window(), 0)
 }
 
 // BottleneckReport builds the report for the server's primary slot — the

@@ -221,7 +221,7 @@ func (s *Server) clusterEvents(slot *replicaSlot) []obs.SpanEvent {
 // single collector's live gauges.
 func (s *Server) clusterGauges(slot *replicaSlot) obs.GaugeSet {
 	ocfg := pipeline.DefaultObsConfig(s.cfg.Assign)
-	return obs.ComputeGauges(ocfg.Tasks, s.cfg.ObsWindow, ocfg.LatencyPath, s.clusterEvents(slot))
+	return obs.ComputeGauges(ocfg.Tasks, slot.window(), ocfg.LatencyPath, s.clusterEvents(slot))
 }
 
 // WriteClusterTrace writes every distributed slot's merged trace as one

@@ -82,7 +82,7 @@ func (a *allocRate) family() obs.Family {
 // built; errors come only from invalid SLO specs.
 func (s *Server) startSampler() error {
 	sa := &sampler{
-		store: history.NewStore(history.Config{}),
+		store: history.NewStore(),
 		alloc: allocRate{bytes: obs.HeapAllocBytes()},
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),

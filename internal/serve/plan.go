@@ -164,7 +164,7 @@ func (s *Server) planReportFor(slot *replicaSlot) *plan.Report {
 	// each task's output (windowed by trace, attributed to the sender)
 	// joins the span phases, so the comm fit calibrates from direct
 	// measurements instead of the pack-time proxy alone.
-	o, ok := plan.ObserveJournalWire(s.cfg.ObsWindow, s.planEvents(slot),
+	o, ok := plan.ObserveJournalWire(slot.window(), s.planEvents(slot),
 		s.slotWire(slot), pipeline.RankTasks(s.cfg.Assign))
 	if !ok {
 		// Not every task has been observed yet; report the model side only.

@@ -58,8 +58,9 @@ type Config struct {
 	// Perfetto-loadable Chrome trace (plus a Gantt text companion).
 	TraceDir string
 	// ObsWindow is each replica collector's gauge window in CPIs
-	// (default 32): the live eq. (1)-(3) gauges on /metrics.prom are
-	// computed over the last ObsWindow CPIs.
+	// (default obs.DefaultWindow): the live eq. (1)-(3) gauges on
+	// /metrics.prom, /bottlenecks.json and /plan are computed over the
+	// last ObsWindow CPIs.
 	ObsWindow int
 	// SlowMultiple, when > 0, logs any worker span slower than this
 	// multiple of its task's recent median through Logf.
@@ -197,6 +198,16 @@ func (sl *replicaSlot) record() slotState {
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
 	return sl.state
+}
+
+// window is the CPI window every reader of the slot's journals uses (the
+// gauges, /bottlenecks.json, /plan): its collector's, already clamped to
+// what the ring holds; 0, the obs default, before it has one.
+func (sl *replicaSlot) window() int {
+	if col := sl.record().col; col != nil {
+		return col.Window()
+	}
+	return 0
 }
 
 // linkStats returns the per-link transfer counters of a record whose

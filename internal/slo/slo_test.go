@@ -20,7 +20,7 @@ func latencySpec() Spec {
 }
 
 func TestBurnRateFiresAndResolves(t *testing.T) {
-	st := history.NewStore(history.Config{})
+	st := history.NewStore()
 	id := st.Register("r0/eq2_latency_seconds")
 	e, err := NewEngine(st, []Spec{latencySpec()})
 	if err != nil {
@@ -75,7 +75,7 @@ func TestBurnRateFiresAndResolves(t *testing.T) {
 }
 
 func TestMinSamplesGate(t *testing.T) {
-	st := history.NewStore(history.Config{})
+	st := history.NewStore()
 	id := st.Register("r0/eq2_latency_seconds")
 	e, _ := NewEngine(st, []Spec{latencySpec()})
 	now := int64(1000) * sec
@@ -87,7 +87,7 @@ func TestMinSamplesGate(t *testing.T) {
 }
 
 func TestThroughputFloorDirection(t *testing.T) {
-	st := history.NewStore(history.Config{})
+	st := history.NewStore()
 	id := st.Register("r0/eq1_throughput")
 	spec := Spec{
 		Name: "thr", Series: "r0/eq1_throughput", Kind: ThroughputFloor,
@@ -127,7 +127,7 @@ func TestSpecValidation(t *testing.T) {
 			t.Fatalf("spec %d should be invalid: %+v", i, s)
 		}
 	}
-	if _, err := NewEngine(history.NewStore(history.Config{}), bad[:1]); err == nil {
+	if _, err := NewEngine(history.NewStore(), bad[:1]); err == nil {
 		t.Fatal("engine accepted invalid spec")
 	}
 }

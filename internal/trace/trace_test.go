@@ -195,12 +195,3 @@ func TestEventUtilization(t *testing.T) {
 		}
 	}
 }
-
-func TestSpanTimes(t *testing.T) {
-	base := time.Now()
-	s := pipeline.Span{T0: base, T1: base.Add(time.Millisecond), T2: base.Add(3 * time.Millisecond), T3: base.Add(4 * time.Millisecond)}
-	tt := s.Times()
-	if tt.Recv != time.Millisecond || tt.Comp != 2*time.Millisecond || tt.Send != time.Millisecond {
-		t.Errorf("Times() = %+v", tt)
-	}
-}
