@@ -1,5 +1,6 @@
 // Command stapbench regenerates every table and figure of the paper's
-// evaluation section from this repository's implementation:
+// evaluation section from this repository's implementation, each beside
+// the published values of internal/paperdata, as markdown:
 //
 //	Table 1     flop counts per task (model vs paper)
 //	Tables 2-6  inter-task communication times (Paragon model vs paper)
@@ -9,13 +10,13 @@
 //	Figure 11   per-task computation time and speedup vs node count
 //
 // The Paragon numbers come from the calibrated machine model in
-// internal/paragon (the machine itself is long gone); pass -real to also
-// run the actual Go pipeline on the host at a scaled-down problem size and
-// report measured wall-clock throughput/latency scaling.
+// internal/paragon (the machine itself is long gone); -real also runs the
+// actual Go pipeline on the host at a scaled-down problem size and
+// reports measured wall-clock throughput/latency scaling.
 //
 // Usage:
 //
-//	stapbench -all
+//	stapbench -all > report.md   # the complete reproduction report
 //	stapbench -table 8
 //	stapbench -figure 11
 //	stapbench -real
@@ -31,6 +32,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 
 	"pstap/internal/dessim"
@@ -61,59 +64,54 @@ var (
 // The paper's three integrated-system cases, largest first.
 var cases = []pipeline.Assignment{paperdata.Case1, paperdata.Case2, paperdata.Case3}
 
-func main() {
-	flag.Parse()
-	mo := paragon.NewModel(paragon.AFRLParagon(), radar.Paper())
+// section is one part of the report. id names the flag that selects it
+// alone ("table N", "figure N", "verify", "real"); -all selects every
+// section, and the title only with it.
+type section struct {
+	id    string
+	print func(w io.Writer, mo *paragon.Model)
+}
+
+// sections is the report in order.
+var sections = []section{
+	{"", title},
+	{"table 1", table1},
+	{"table 2", func(w io.Writer, mo *paragon.Model) { commTable(w, mo, 2) }},
+	{"table 3", func(w io.Writer, mo *paragon.Model) { commTable(w, mo, 3) }},
+	{"table 4", func(w io.Writer, mo *paragon.Model) { commTable(w, mo, 4) }},
+	{"table 5", func(w io.Writer, mo *paragon.Model) { commTable(w, mo, 5) }},
+	{"table 6", func(w io.Writer, mo *paragon.Model) { commTable(w, mo, 6) }},
+	{"table 7", table7},
+	{"table 8", table8},
+	{"table 9", func(w io.Writer, mo *paragon.Model) { table9or10(w, mo, 9) }},
+	{"table 10", func(w io.Writer, mo *paragon.Model) { table9or10(w, mo, 10) }},
+	{"figure 11", figure11},
+	{"baseline", baseline},
+	{"verify", verify},
+	{"real", realPipeline},
+}
+
+// writeReport prints the sections sel picks, in report order, and
+// reports whether it printed any.
+func writeReport(w io.Writer, mo *paragon.Model, sel func(id string) bool) bool {
 	printed := false
-	want := func(t int) bool {
-		return *flagAll || *flagTable == t
-	}
-	if want(1) {
-		table1()
-		printed = true
-	}
-	if want(2) {
-		table2(mo)
-		printed = true
-	}
-	for t := 3; t <= 6; t++ {
-		if want(t) {
-			commTable(mo, t)
+	for _, s := range sections {
+		if sel(s.id) {
+			s.print(w, mo)
 			printed = true
 		}
 	}
-	if want(7) {
-		table7(mo)
-		printed = true
-	}
-	if want(8) {
-		table8(mo)
-		printed = true
-	}
-	if want(9) {
-		table9or10(mo, 9)
-		printed = true
-	}
-	if want(10) {
-		table9or10(mo, 10)
-		printed = true
-	}
-	if *flagAll || *flagFigure == 11 {
-		figure11(mo)
-		printed = true
-	}
-	if *flagAll {
-		baseline(mo)
-		printed = true
-	}
-	if *flagAll || *flagVerify {
-		verify(mo)
-		printed = true
-	}
-	if *flagReal || *flagAll {
-		realPipeline()
-		printed = true
-	}
+	return printed
+}
+
+func main() {
+	flag.Parse()
+	mo := paragon.NewModel(paragon.AFRLParagon(), radar.Paper())
+	printed := writeReport(os.Stdout, mo, func(id string) bool {
+		return *flagAll || id != "" && (id == fmt.Sprintf("table %d", *flagTable) ||
+			id == fmt.Sprintf("figure %d", *flagFigure) ||
+			id == "verify" && *flagVerify || id == "real" && *flagReal)
+	})
 	if *flagQuality {
 		if !runQuality(*flagQSize, *flagQSeed, *flagQOut) {
 			os.Exit(1)
@@ -126,192 +124,158 @@ func main() {
 	}
 }
 
-func table1() {
-	fmt.Println("== Table 1: floating point operations per CPI ==")
+// pct is got's relative error against the published want.
+func pct(got, want float64) string {
+	return fmt.Sprintf("%+.2f%%", 100*(got-want)/want)
+}
+
+func title(w io.Writer, _ *paragon.Model) {
+	fmt.Fprintln(w, "# Reproduction report: Parallel Pipelined STAP (IPPS 1998)")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Generated by `go run ./cmd/stapbench -all` from the implementation in this repository.")
+	fmt.Fprintln(w, "Paragon figures come from the calibrated machine model (internal/paragon); the")
+	fmt.Fprintln(w, "paper's published values (internal/paperdata) stand beside them.")
+	fmt.Fprintln(w)
+}
+
+func table1(w io.Writer, _ *paragon.Model) {
+	fmt.Fprintln(w, "## Table 1: floating point operations per CPI")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "| task | model | paper | err |")
+	fmt.Fprintln(w, "|---|---:|---:|---:|")
 	got := stap.CountFlops(radar.Paper())
-	paper := stap.PaperTable1()
-	g, p := got.PerTask(), paper.PerTask()
-	fmt.Printf("%-22s %15s %15s %8s\n", "task", "model", "paper", "err%")
-	for i := range g {
-		fmt.Printf("%-22s %15d %15d %7.2f%%\n", stap.TaskNames[i], g[i], p[i],
-			100*(float64(g[i])-float64(p[i]))/float64(p[i]))
+	for t, g := range got.PerTask() {
+		p := paperdata.Table1[t]
+		fmt.Fprintf(w, "| %s | %d | %d | %s |\n", stap.TaskNames[t], g, p, pct(float64(g), float64(p)))
 	}
-	fmt.Printf("%-22s %15d %15d %7.2f%%\n\n", "Total", got.Total(), paper.Total(),
-		100*(float64(got.Total())-float64(paper.Total()))/float64(paper.Total()))
+	fmt.Fprintf(w, "| **total** | %d | %d | %s |\n\n", got.Total(), paperdata.Table1Total,
+		pct(float64(got.Total()), float64(paperdata.Table1Total)))
 }
 
-// commCase describes one of the paper's inter-task communication tables.
-type commCase struct {
-	title    string
-	src, dst int
-	srcN     []int
-	dstN     []int
-	// paper[dstIdx][srcIdx] = {send, recv}
-	paper [][][2]float64
-}
-
-// table2 prints all five successor columns of the paper's Table 2.
-func table2(mo *paragon.Model) {
-	fmt.Println("== Table 2: Doppler filter -> successor tasks ==")
-	fmt.Println("(context: case-2 assignment for unlisted tasks; times in seconds)")
-	cols := []struct {
-		name  string
-		dst   int
-		dstN  int
-		paper [3][2]float64 // per Doppler node count {send, recv}
-	}{
-		{"easy weight(16)", pipeline.TaskEasyWeight, 16, [3][2]float64{{.1332, .4339}, {.0679, .1780}, {.0340, .0511}}},
-		{"hard weight(56)", pipeline.TaskHardWeight, 56, [3][2]float64{{.1332, .3603}, {.0679, .1048}, {.0332, .0034}}},
-		{"hard weight(112)", pipeline.TaskHardWeight, 112, [3][2]float64{{.1332, .4441}, {.0679, .1837}, {.0340, .0563}}},
-		{"easy BF(16)", pipeline.TaskEasyBF, 16, [3][2]float64{{.1332, .4509}, {.0679, .1955}, {.0340, .0646}}},
-		{"hard BF(16)", pipeline.TaskHardBF, 16, [3][2]float64{{.1332, .4395}, {.0679, .1843}, {.0340, .0519}}},
-	}
-	for _, c := range cols {
-		fmt.Printf("--- Doppler -> %s ---\n", c.name)
-		fmt.Printf("%10s | %9s %9s | %9s %9s\n", "#doppler", "send", "recv", "send(p)", "recv(p)")
-		for si, p0 := range []int{8, 16, 32} {
-			send, recv := mo.PairComm(pipeline.TaskDoppler, c.dst, p0, c.dstN, paperdata.Case2)
-			fmt.Printf("%10d | %9.4f %9.4f | %9.4f %9.4f\n",
-				p0, send, recv, c.paper[si][0], c.paper[si][1])
+// commTable prints one of the paper's inter-task communication tables
+// (2-6) beside the model's prediction of every entry.
+func commTable(w io.Writer, mo *paragon.Model, n int) {
+	c := paperdata.CommTables[n]
+	fmt.Fprintf(w, "## Table %d: %s\n\n", n, c.Title)
+	fmt.Fprintln(w, "Seconds per CPI; the tasks the table does not vary keep case 2's assignment.")
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "| to | %s nodes | send | send (paper) | recv | recv (paper) |\n", stap.TaskNames[c.Src])
+	fmt.Fprintln(w, "|---|---:|---:|---:|---:|---:|")
+	for _, b := range c.Blocks {
+		for si, sn := range c.SrcNodes {
+			send, recv := mo.PairComm(c.Src, b.Dst, sn, b.DstNodes, paperdata.Case2)
+			fmt.Fprintf(w, "| %s (%d) | %d | %.4f | %.4f | %.4f | %.4f |\n",
+				stap.TaskNames[b.Dst], b.DstNodes, sn, send, b.Times[si][0], recv, b.Times[si][1])
 		}
 	}
-	fmt.Println("((p) columns are the paper's measured values; the paper's 112-node hard-weight")
-	fmt.Println(" column appears to carry the easy-BF timing — our model reports the prediction)")
-	fmt.Println()
-}
-
-func commTables() map[int]commCase {
-	return map[int]commCase{
-		3: {
-			title: "Table 3: easy weight -> easy beamforming",
-			src:   pipeline.TaskEasyWeight, dst: pipeline.TaskEasyBF,
-			srcN: []int{4, 8, 16}, dstN: []int{8, 16},
-			paper: [][][2]float64{
-				{{.0005, .1956}, {.0088, .0883}, {.0768, .0807}},
-				{{.0007, .2570}, {.0004, .0905}, {.0003, .0660}},
-			},
-		},
-		4: {
-			title: "Table 4: hard weight -> hard beamforming",
-			src:   pipeline.TaskHardWeight, dst: pipeline.TaskHardBF,
-			srcN: []int{28, 56, 112}, dstN: []int{8, 16},
-			paper: [][][2]float64{
-				{{.0007, .1798}, {.0100, .1468}, {.1824, .1398}},
-				{{.0007, .2485}, {.0065, .0765}, {.0005, .0543}},
-			},
-		},
-		5: {
-			title: "Table 5: easy beamforming -> pulse compression",
-			src:   pipeline.TaskEasyBF, dst: pipeline.TaskPulseComp,
-			srcN: []int{4, 8, 16}, dstN: []int{8, 16},
-			paper: [][][2]float64{
-				{{.0069, .5016}, {.0036, .1379}, {.0580, .0771}},
-				{{.0069, .5714}, {.0036, .2090}, {.0022, .0569}},
-			},
-		},
-		6: {
-			title: "Table 6: pulse compression -> CFAR",
-			src:   pipeline.TaskPulseComp, dst: pipeline.TaskCFAR,
-			srcN: []int{4, 8, 16}, dstN: []int{4, 8},
-			paper: [][][2]float64{
-				{{.0099, .3351}, {.0053, .0662}, {.1256, .0435}},
-				{{.0098, .3348}, {.0051, .1750}, {.0028, .1783}},
-			},
-		},
+	fmt.Fprintln(w)
+	if c.Note != "" {
+		fmt.Fprintln(w, c.Note)
+		fmt.Fprintln(w)
 	}
 }
 
-func commTable(mo *paragon.Model, n int) {
-	c := commTables()[n]
-	fmt.Printf("== %s ==\n", c.title)
-	fmt.Printf("(context: case-2 assignment for unlisted tasks; times in seconds)\n")
-	for di, dn := range c.dstN {
-		fmt.Printf("--- %s nodes = %d ---\n", stap.TaskNames[c.dst], dn)
-		fmt.Printf("%10s | %9s %9s | %9s %9s\n", "#src", "send", "recv", "send(p)", "recv(p)")
-		for si, sn := range c.srcN {
-			send, recv := mo.PairComm(c.src, c.dst, sn, dn, paperdata.Case2)
-			fmt.Printf("%10d | %9.4f %9.4f | %9.4f %9.4f\n",
-				sn, send, recv, c.paper[di][si][0], c.paper[di][si][1])
+// taskTable prints a simulated assignment's per-task phase times; paper,
+// when non-nil, adds the published compute time of each task.
+func taskTable(w io.Writer, res paragon.SimResult, paper *[7]float64) {
+	if paper != nil {
+		fmt.Fprintln(w, "| task | nodes | recv | comp | comp (paper) | send | total |")
+		fmt.Fprintln(w, "|---|---:|---:|---:|---:|---:|---:|")
+	} else {
+		fmt.Fprintln(w, "| task | nodes | recv | comp | send | total |")
+		fmt.Fprintln(w, "|---|---:|---:|---:|---:|---:|")
+	}
+	for t, ts := range res.Tasks {
+		fmt.Fprintf(w, "| %s | %d | %.4f | %.4f ", stap.TaskNames[t], ts.Nodes, ts.Recv, ts.Comp)
+		if paper != nil {
+			fmt.Fprintf(w, "| %.4f ", paper[t])
 		}
+		fmt.Fprintf(w, "| %.4f | %.4f |\n", ts.Send, ts.Total)
 	}
-	fmt.Println("((p) columns are the paper's measured values))")
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
-func table7(mo *paragon.Model) {
-	fmt.Println("== Table 7: integrated system performance (model, seconds) ==")
+func table7(w io.Writer, mo *paragon.Model) {
+	fmt.Fprintln(w, "## Table 7: integrated system performance (model, seconds)")
+	fmt.Fprintln(w)
 	for i, a := range cases {
 		res := mo.Simulate(a)
-		fmt.Printf("--- case %d: total nodes = %d ---\n", i+1, a.Total())
-		fmt.Printf("%-16s %6s %8s %8s %8s %8s\n", "task", "#nodes", "recv", "comp", "send", "total")
-		for t, ts := range res.Tasks {
-			fmt.Printf("%-16s %6d %8.4f %8.4f %8.4f %8.4f\n",
-				stap.TaskNames[t], ts.Nodes, ts.Recv, ts.Comp, ts.Send, ts.Total)
-		}
-		fmt.Printf("throughput %8.4f CPI/s   latency %8.4f s\n\n", res.Throughput, res.RealLatency)
+		fmt.Fprintf(w, "### Case %d: %d nodes\n\n", i+1, a.Total())
+		taskTable(w, res, &paperdata.Table7Comp[i])
+		fmt.Fprintf(w, "Throughput %.4f CPI/s, latency %.4f s.\n\n", res.Throughput, res.RealLatency)
 	}
 }
 
-func table8(mo *paragon.Model) {
-	fmt.Println("== Table 8: throughput and latency, equation vs real ==")
-	fmt.Printf("%8s | %9s %9s %9s %9s | %9s %9s %9s %9s\n",
-		"#nodes", "thr(eq)", "thr", "lat(eq)", "lat", "p.thr(eq)", "p.thr", "p.lat(eq)", "p.lat")
+func table8(w io.Writer, mo *paragon.Model) {
+	fmt.Fprintln(w, "## Table 8: throughput and latency, equation vs real")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "| nodes | thr (eq) | thr | paper thr (eq) | paper thr | err | lat (eq) | lat | paper lat (eq) | paper lat | err |")
+	fmt.Fprintln(w, "|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|")
 	for i, a := range cases {
 		res := mo.Simulate(a)
 		p := paperdata.Table8[i]
-		fmt.Printf("%8d | %9.4f %9.4f %9.4f %9.4f | %9.4f %9.4f %9.4f %9.4f\n",
-			a.Total(), res.Throughput, res.Throughput, res.EqLatency, res.RealLatency,
-			p.ThroughputEq, p.ThroughputReal, p.LatencyEq, p.LatencyReal)
+		fmt.Fprintf(w, "| %d | %.4f | %.4f | %.4f | %.4f | %s | %.4f | %.4f | %.4f | %.4f | %s |\n",
+			a.Total(), res.Throughput, res.Throughput, p.ThroughputEq, p.ThroughputReal,
+			pct(res.Throughput, p.ThroughputReal),
+			res.EqLatency, res.RealLatency, p.LatencyEq, p.LatencyReal,
+			pct(res.RealLatency, p.LatencyReal))
 	}
-	fmt.Println("(model throughput is the steady-state 1/period for both columns)")
-	fmt.Println()
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Model throughput is the steady-state 1/period in both columns; err compares the real columns.")
+	fmt.Fprintln(w)
 }
 
-func table9or10(mo *paragon.Model, n int) {
+func table9or10(w io.Writer, mo *paragon.Model, n int) {
 	a := paperdata.Table9
 	paperThr, paperLat := paperdata.Table9Throughput, paperdata.Table9Latency
-	title := "Table 9: case 2 + 4 Doppler nodes (122 total)"
+	heading := "case 2 + 4 Doppler nodes (122 total)"
 	if n == 10 {
 		a = paperdata.Tbl10
 		paperThr, paperLat = paperdata.Table10Throughput, paperdata.Table10Latency
-		title = "Table 10: Table 9 + 16 pulse-compression/CFAR nodes (138 total)"
+		heading = "Table 9 + 16 pulse-compression/CFAR nodes (138 total)"
 	}
-	fmt.Printf("== %s ==\n", title)
+	fmt.Fprintf(w, "## Table %d: %s\n\n", n, heading)
 	res := mo.Simulate(a)
-	fmt.Printf("%-16s %6s %8s %8s %8s %8s\n", "task", "#nodes", "recv", "comp", "send", "total")
-	for t, ts := range res.Tasks {
-		fmt.Printf("%-16s %6d %8.4f %8.4f %8.4f %8.4f\n",
-			stap.TaskNames[t], ts.Nodes, ts.Recv, ts.Comp, ts.Send, ts.Total)
-	}
-	fmt.Printf("throughput %.4f (paper %.4f)   latency %.4f (paper %.4f)\n",
-		res.Throughput, paperThr, res.RealLatency, paperLat)
+	taskTable(w, res, nil)
 	base := mo.Simulate(paperdata.Case2)
-	fmt.Printf("vs case 2: throughput %+.1f%%, latency %+.1f%%\n\n",
-		100*(res.Throughput/base.Throughput-1), 100*(res.RealLatency/base.RealLatency-1))
+	fmt.Fprintln(w, "| | model | paper | err | vs case 2 |")
+	fmt.Fprintln(w, "|---|---:|---:|---:|---:|")
+	fmt.Fprintf(w, "| throughput (CPI/s) | %.4f | %.4f | %s | %s |\n",
+		res.Throughput, paperThr, pct(res.Throughput, paperThr), pct(res.Throughput, base.Throughput))
+	fmt.Fprintf(w, "| latency (s) | %.4f | %.4f | %s | %s |\n",
+		res.RealLatency, paperLat, pct(res.RealLatency, paperLat), pct(res.RealLatency, base.RealLatency))
+	fmt.Fprintln(w)
 }
 
-func figure11(mo *paragon.Model) {
-	fmt.Println("== Figure 11: computation time and speedup vs nodes (model) ==")
+func figure11(w io.Writer, mo *paragon.Model) {
+	fmt.Fprintln(w, "## Figure 11: computation time and speedup vs nodes (model)")
+	fmt.Fprintln(w)
 	nodes := []int{1, 2, 4, 8, 16, 32, 64, 128}
-	fmt.Printf("%-16s", "task\\nodes")
+	fmt.Fprint(w, "| task \\ nodes |")
 	for _, n := range nodes {
-		fmt.Printf(" %9d", n)
+		fmt.Fprintf(w, " %d |", n)
 	}
-	fmt.Println()
+	fmt.Fprint(w, "\n|---|")
+	for range nodes {
+		fmt.Fprint(w, "---:|")
+	}
+	fmt.Fprintln(w)
 	for t := 0; t < pipeline.NumTasks; t++ {
-		fmt.Printf("%-16s", stap.TaskNames[t])
+		fmt.Fprintf(w, "| %s |", stap.TaskNames[t])
 		for _, n := range nodes {
-			fmt.Printf(" %9.4f", mo.CompTime(t, n))
+			fmt.Fprintf(w, " %.4f |", mo.CompTime(t, n))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Printf("%-16s", "speedup(any)")
+	fmt.Fprint(w, "| speedup (any) |")
 	for _, n := range nodes {
-		fmt.Printf(" %9.1f", mo.CompTime(0, 1)/mo.CompTime(0, n))
+		fmt.Fprintf(w, " %.1f |", mo.CompTime(0, 1)/mo.CompTime(0, n))
 	}
-	fmt.Println("\n(linear speedup: computation partitions without intra-task communication)")
-	fmt.Println()
-	fmt.Println("computation time vs nodes (log-log; straight diagonals = linear speedup):")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Linear speedup: computation partitions without intra-task communication.")
+	fmt.Fprintln(w, "Computation time vs nodes (log-log; straight diagonals = linear speedup):")
+	fmt.Fprintln(w)
 	series := make([]plot.Series, 0, 3)
 	for _, t := range []int{pipeline.TaskDoppler, pipeline.TaskHardWeight, pipeline.TaskCFAR} {
 		xs := make([]float64, len(nodes))
@@ -322,48 +286,56 @@ func figure11(mo *paragon.Model) {
 		}
 		series = append(series, plot.Series{Name: stap.TaskNames[t], X: xs, Y: ys})
 	}
-	fmt.Println(plot.LogLog(series, 64, 16))
+	fmt.Fprintf(w, "```text\n%s```\n\n", plot.LogLog(series, 64, 16))
 
 	// Bonus: the optimizer's scaling curve (Section 4.1.2 automated).
-	fmt.Println("optimized assignments (plan):")
+	fmt.Fprintln(w, "Optimized assignments (internal/plan):")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "| nodes | assignment | thr | lat |")
+	fmt.Fprintln(w, "|---:|---|---:|---:|")
 	for _, budget := range []int{59, 118, 236} {
 		ranked, err := plan.Optimize(plan.Request{Model: mo, Nodes: budget, Top: 1})
 		if err != nil {
 			break
 		}
 		c := ranked[0]
-		fmt.Printf("  %3d nodes -> %v  thr=%.3f lat=%.3f\n", budget, c.Assign, c.Throughput, c.RealLatency)
+		fmt.Fprintf(w, "| %d | %v | %.3f | %.3f |\n", budget, c.Assign, c.Throughput, c.RealLatency)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
-func baseline(mo *paragon.Model) {
-	fmt.Println("== Baseline: RTMCARM round-robin (Section 2) vs parallel pipeline ==")
-	nodes, flightThr, flightLat := roundrobin.RTMCARMReference()
-	fmt.Printf("flight demonstration reference: %d nodes, %.0f CPI/s, %.2f s latency\n",
-		nodes, flightThr, flightLat)
-	fmt.Printf("%8s | %22s | %22s\n", "#nodes", "round-robin thr/lat", "pipeline thr/lat")
+func baseline(w io.Writer, mo *paragon.Model) {
+	fmt.Fprintln(w, "## Baseline: RTMCARM round-robin (Section 2) vs parallel pipeline")
+	fmt.Fprintln(w)
+	flight := paperdata.RTMCARM
+	fmt.Fprintf(w, "Flight demonstration reference (paper): %d nodes, %.0f CPI/s, %.2f s latency.\n\n",
+		flight.Nodes, flight.Throughput, flight.Latency)
+	fmt.Fprintln(w, "| nodes | round-robin thr | round-robin lat (s) | pipeline thr | pipeline lat (s) | latency gap |")
+	fmt.Fprintln(w, "|---:|---:|---:|---:|---:|---:|")
 	for i := len(cases) - 1; i >= 0; i-- {
 		a := cases[i]
 		rrThr, rrLat := roundrobin.SimulateModel(mo, a.Total())
 		res := mo.Simulate(a)
-		fmt.Printf("%8d | %9.2f  %9.2f s | %9.2f  %9.2f s\n",
-			a.Total(), rrThr, rrLat, res.Throughput, res.RealLatency)
+		fmt.Fprintf(w, "| %d | %.2f | %.2f | %.2f | %.3f | %.0fx |\n",
+			a.Total(), rrThr, rrLat, res.Throughput, res.RealLatency, rrLat/res.RealLatency)
 	}
-	fmt.Println("(round-robin throughput scales with nodes but latency is pinned at the")
-	fmt.Println(" single-node serial time — the limitation the paper's pipeline removes)")
-	fmt.Println()
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Round-robin throughput scales with nodes but latency is pinned at the")
+	fmt.Fprintln(w, "single-node serial time: the limitation the paper's pipeline removes.")
 	rep := 4
 	n, thr, lat := mo.SimulateReplicated(paperdata.Case3, rep)
-	fmt.Printf("multiple pipelines (future work): %d x case-3 = %d nodes -> %.2f CPI/s at %.3f s latency\n\n",
+	fmt.Fprintf(w, "Multiple pipelines (future work): %d x case 3 = %d nodes -> %.2f CPI/s at %.3f s latency.\n\n",
 		rep, n, thr, lat)
 }
 
-func verify(mo *paragon.Model) {
-	fmt.Println("== Model verification: discrete-event simulation & mesh contention ==")
-	fmt.Printf("%8s | %10s %10s | %10s %10s | %12s\n",
-		"#nodes", "DES thr", "model thr", "DES fill", "model lat", "max link B")
+func verify(w io.Writer, mo *paragon.Model) {
+	fmt.Fprintln(w, "## Model verification: discrete-event simulation and mesh contention")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "| nodes | DES thr | model thr | DES fill | model lat | max link B |")
+	fmt.Fprintln(w, "|---:|---:|---:|---:|---:|---:|")
 	msh := mesh.AFRL()
+	maxRel := 0.0
+	var links []int64 // busiest link's per-CPI load, smallest case first
 	for i := len(cases) - 1; i >= 0; i-- {
 		a := cases[i]
 		des, err := dessim.Simulate(mo, a, 50)
@@ -372,19 +344,25 @@ func verify(mo *paragon.Model) {
 			os.Exit(1)
 		}
 		ana := mo.Simulate(a)
+		maxRel = math.Max(maxRel, math.Abs(des.Throughput-ana.Throughput)/ana.Throughput)
 		rep := msh.Analyze(mesh.PipelineTraffic(mo, a))
-		fmt.Printf("%8d | %10.4f %10.4f | %10.4f %10.4f | %12d\n",
+		links = append(links, rep.MaxLinkLoad)
+		fmt.Fprintf(w, "| %d | %.4f | %.4f | %.4f | %.4f | %d |\n",
 			a.Total(), des.Throughput, ana.Throughput, des.FirstLatency, ana.RealLatency, rep.MaxLinkLoad)
 	}
-	fmt.Println("(DES derives the steady-state period from the event recurrence; it matches")
-	fmt.Println(" the analytic max-busy-time model to machine precision. The busiest mesh")
-	fmt.Println(" link's per-CPI load drops superlinearly as groups grow — the contention")
-	fmt.Println(" mechanism behind Tables 2-6.)")
-	fmt.Println()
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "Discrete-event simulation vs analytic steady state: max relative throughput deviation %.1e.\n", maxRel)
+	fmt.Fprintf(w, "Mesh link contention: the busiest link carries %.1fx less per CPI at %d nodes than at %d,\n",
+		float64(links[0])/float64(links[len(links)-1]), cases[0].Total(), cases[len(cases)-1].Total())
+	fmt.Fprintln(w, "the contention relief behind Tables 2-6.")
+	fmt.Fprintln(w)
 }
 
-func realPipeline() {
-	fmt.Println("== Real Go pipeline (host cores, reduced problem size) ==")
+func realPipeline(w io.Writer, _ *paragon.Model) {
+	fmt.Fprintln(w, "## Real Go pipeline (host cores, reduced problem size)")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "| workers | total | thr (CPI/s) | latency | eq. thr (CPI/s) | bytes |")
+	fmt.Fprintln(w, "|---|---:|---:|---:|---:|---:|")
 	sc := radar.DefaultScene(radar.Small())
 	for _, a := range []pipeline.Assignment{
 		pipeline.NewAssignment(1, 1, 1, 1, 1, 1, 1),
@@ -398,8 +376,8 @@ func realPipeline() {
 			fmt.Fprintln(os.Stderr, "pipeline:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("workers %v (total %2d): throughput %8.1f CPI/s  latency %10v  eqThr %8.1f  bytes %d\n",
+		fmt.Fprintf(w, "| %v | %d | %.1f | %v | %.1f | %d |\n",
 			a, a.Total(), res.Throughput, res.Latency, res.EquationThroughput(), res.BytesSent)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }

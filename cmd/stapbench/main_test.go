@@ -1,9 +1,12 @@
 package main
 
 import (
+	"fmt"
 	"os"
+	"strings"
 	"testing"
 
+	"pstap/internal/paperdata"
 	"pstap/internal/paragon"
 	"pstap/internal/radar"
 )
@@ -38,37 +41,58 @@ func captureStdout(t *testing.T, f func()) int64 {
 
 func TestTablesPrintWithoutPanic(t *testing.T) {
 	mo := paragon.NewModel(paragon.AFRLParagon(), radar.Paper())
-	sections := map[string]func(){
-		"table1":   func() { table1() },
-		"table2":   func() { table2(mo) },
-		"table3":   func() { commTable(mo, 3) },
-		"table4":   func() { commTable(mo, 4) },
-		"table5":   func() { commTable(mo, 5) },
-		"table6":   func() { commTable(mo, 6) },
-		"table7":   func() { table7(mo) },
-		"table8":   func() { table8(mo) },
-		"table9":   func() { table9or10(mo, 9) },
-		"table10":  func() { table9or10(mo, 10) },
-		"figure11": func() { figure11(mo) },
-		"baseline": func() { baseline(mo) },
-		"verify":   func() { verify(mo) },
-	}
-	for name, f := range sections {
-		if n := captureStdout(t, f); n < 100 {
-			t.Errorf("%s printed only %d bytes", name, n)
+	for _, sec := range sections {
+		var b strings.Builder
+		if !writeReport(&b, mo, func(id string) bool { return id == sec.id }) {
+			t.Errorf("section %q not selected by its own id", sec.id)
+		}
+		if b.Len() < 100 {
+			t.Errorf("section %q printed only %d bytes", sec.id, b.Len())
 		}
 	}
 }
 
-func TestCommTablesDataConsistent(t *testing.T) {
-	for id, c := range commTables() {
-		if len(c.paper) != len(c.dstN) {
-			t.Errorf("table %d: %d paper blocks for %d dst configs", id, len(c.paper), len(c.dstN))
+// TestReportContainsEverySection checks the -all report holds every
+// section and every published value of internal/paperdata, formatted as
+// the tables print them.
+func TestReportContainsEverySection(t *testing.T) {
+	var b strings.Builder
+	writeReport(&b, paragon.NewModel(paragon.AFRLParagon(), radar.Paper()), func(string) bool { return true })
+	out := b.String()
+	want := []string{
+		"# Reproduction report",
+		"## Table 1:", "## Table 2:", "## Table 3:", "## Table 4:", "## Table 5:",
+		"## Table 6:", "## Table 7:", "## Table 8:", "## Table 9:", "## Table 10:",
+		"## Figure 11:", "## Baseline:", "## Model verification:", "## Real Go pipeline",
+		"Discrete-event simulation vs analytic steady state",
+		fmt.Sprintf("| %d |", paperdata.Table1Total),
+		fmt.Sprintf("%d nodes, %.0f CPI/s, %.2f s latency", paperdata.RTMCARM.Nodes,
+			paperdata.RTMCARM.Throughput, paperdata.RTMCARM.Latency),
+	}
+	four := func(v float64) string { return fmt.Sprintf("| %.4f |", v) }
+	for _, v := range paperdata.Table1 {
+		want = append(want, fmt.Sprintf("| %d |", v))
+	}
+	for _, c := range paperdata.Table7Comp {
+		for _, v := range c {
+			want = append(want, four(v))
 		}
-		for di := range c.paper {
-			if len(c.paper[di]) != len(c.srcN) {
-				t.Errorf("table %d dst %d: %d rows for %d src configs", id, di, len(c.paper[di]), len(c.srcN))
+	}
+	for _, r := range paperdata.Table8 {
+		want = append(want, four(r.ThroughputEq), four(r.ThroughputReal), four(r.LatencyEq), four(r.LatencyReal))
+	}
+	want = append(want, four(paperdata.Table9Throughput), four(paperdata.Table9Latency),
+		four(paperdata.Table10Throughput), four(paperdata.Table10Latency))
+	for _, c := range paperdata.CommTables {
+		for _, blk := range c.Blocks {
+			for _, sr := range blk.Times {
+				want = append(want, four(sr[0]), four(sr[1]))
 			}
+		}
+	}
+	for _, s := range want {
+		if !strings.Contains(out, s) {
+			t.Errorf("report missing %q", s)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -17,15 +18,8 @@ import (
 // BENCH_quality.json report, and returns whether every scenario passed
 // its pinned thresholds.
 func runQuality(size string, seed int64, out string) bool {
-	var p radar.Params
-	switch size {
-	case "small":
-		p = radar.Small()
-	case "medium":
-		p = radar.Medium()
-	case "paper":
-		p = radar.Paper()
-	default:
+	p, err := radar.ParamsFor(size)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "unknown quality size %q\n", size)
 		return false
 	}
@@ -35,19 +29,6 @@ func runQuality(size string, seed int64, out string) bool {
 		fmt.Fprintln(os.Stderr, "quality sweep:", err)
 		return false
 	}
-
-	fmt.Println("== Detection quality sweep (parallel pipeline vs scenario ground truth) ==")
-	fmt.Printf("%-16s %8s %10s %9s %9s %9s  %s\n",
-		"scenario", "Pd", "Pfa", "Pfa/dsgn", "SINR(avg)", "SINR(max)", "status")
-	for _, r := range results {
-		status := "PASS"
-		if !r.Pass {
-			status = "FAIL: " + strings.Join(r.Failures, "; ")
-		}
-		fmt.Printf("%-16s %8.4f %10.3g %8.2fx %8.2fdB %8.2fdB  %s\n",
-			r.Scenario, r.Pd, r.Pfa, r.PfaRatio, r.MeanSINRLossDB, r.MaxSINRLossDB, status)
-	}
-	fmt.Printf("design Pfa %.3g; thresholds pinned per scenario (DESIGN.md §13)\n", score.DesignPfa(p))
 
 	report := score.QualityReport{
 		Benchmark:   "QualityScenarioSweep",
@@ -81,8 +62,37 @@ func runQuality(size string, seed int64, out string) bool {
 		fmt.Fprintln(os.Stderr, err)
 		return false
 	}
-	fmt.Printf("wrote %s (pass=%v)\n\n", out, pass)
+	qualityTable(os.Stdout, &report)
+	fmt.Printf("Wrote %s.\n\n", out)
 	return pass
+}
+
+// qualityTable renders a sweep's report: every scenario's scores beside
+// its pinned thresholds, then the gate's verdict.
+func qualityTable(w io.Writer, rep *score.QualityReport) {
+	fmt.Fprintln(w, "## Detection quality: scenario sweep")
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "`%s`: pipeline detections (cube %v) scored against scenario ground truth;\n",
+		rep.Command, rep.Config["cube"])
+	fmt.Fprintf(w, "design P_fa %.3g, thresholds pinned per scenario (DESIGN.md §13).\n\n", rep.Config["design_pfa"])
+	fmt.Fprintln(w, "| scenario | P_d | min P_d | P_fa | ×design | max ×design | SINR loss mean / max (dB) | max loss (dB) | status |")
+	fmt.Fprintln(w, "|---|---:|---:|---:|---:|---:|---:|---:|---|")
+	for _, r := range rep.Results {
+		status := "pass"
+		if !r.Pass {
+			status = "**FAIL** (" + strings.Join(r.Failures, "; ") + ")"
+		}
+		fmt.Fprintf(w, "| %s | %.4f | %.2f | %.3g | %.2fx | %.1fx | %.2f / %.2f | %.1f | %s |\n",
+			r.Scenario, r.Pd, r.Thresholds.MinPd, r.Pfa, r.PfaRatio, r.Thresholds.MaxPfaRatio,
+			r.MeanSINRLossDB, r.MaxSINRLossDB, r.Thresholds.MaxSINRLossDB, status)
+	}
+	fmt.Fprintln(w)
+	if rep.Pass {
+		fmt.Fprintln(w, "All scenarios within pinned thresholds.")
+	} else {
+		fmt.Fprintln(w, "**Quality gate failing**: see the per-scenario failures above.")
+	}
+	fmt.Fprintln(w)
 }
 
 // cpuModel best-effort reads the host CPU model for the report envelope.

@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pstap/internal/score"
@@ -45,5 +47,42 @@ func TestRunQuality(t *testing.T) {
 func TestRunQualityBadSize(t *testing.T) {
 	if runQuality("huge", 1, filepath.Join(t.TempDir(), "x.json")) {
 		t.Error("unknown size accepted")
+	}
+}
+
+// TestQualitySection renders the committed sweep report: every scenario's
+// scores beside its pinned thresholds, then the verdict.
+func TestQualitySection(t *testing.T) {
+	blob, err := os.ReadFile("../../BENCH_quality.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep score.QualityReport
+	if err := json.Unmarshal(blob, &rep); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	qualityTable(&b, &rep)
+	out := b.String()
+	want := []string{
+		"## Detection quality", "| baseline |", "| swarm |", "| crossers |",
+		"All scenarios within pinned thresholds.",
+	}
+	for _, r := range rep.Results {
+		th := r.Thresholds
+		want = append(want, fmt.Sprintf("| %s | %.4f | %.2f |", r.Scenario, r.Pd, th.MinPd),
+			fmt.Sprintf("x | %.1fx |", th.MaxPfaRatio), fmt.Sprintf(" | %.1f | pass |", th.MaxSINRLossDB))
+	}
+	for _, s := range want {
+		if !strings.Contains(out, s) {
+			t.Errorf("quality section missing %q", s)
+		}
+	}
+
+	rep.Pass, rep.Results[0].Pass, rep.Results[0].Failures = false, false, []string{"Pd 0.5 < 0.9"}
+	b.Reset()
+	qualityTable(&b, &rep)
+	if !strings.Contains(b.String(), "**FAIL** (Pd 0.5 < 0.9)") || !strings.Contains(b.String(), "Quality gate failing") {
+		t.Error("a failing scenario is not rendered as failing")
 	}
 }

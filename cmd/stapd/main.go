@@ -134,16 +134,9 @@ func main() {
 	log.SetPrefix("stapd: ")
 	log.SetFlags(log.Ldate | log.Ltime)
 
-	var p radar.Params
-	switch *flagSize {
-	case "small":
-		p = radar.Small()
-	case "medium":
-		p = radar.Medium()
-	case "paper":
-		p = radar.Paper()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown size %q\n", *flagSize)
+	p, err := radar.ParamsFor(*flagSize)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	a, err := parseNodes(*flagNodes)

@@ -45,7 +45,7 @@ func main() {
 		}
 		return
 	}
-	p, err := sizeParams(*flagSize)
+	p, err := radar.ParamsFor(*flagSize)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -91,18 +91,6 @@ func main() {
 	}
 	fmt.Printf("wrote %d CPIs (%s, %d targets) to %s (%d bytes)\n",
 		len(file.CPIs), *flagSize, len(file.Targets), *flagOut, st.Size())
-}
-
-func sizeParams(size string) (radar.Params, error) {
-	switch size {
-	case "small":
-		return radar.Small(), nil
-	case "medium":
-		return radar.Medium(), nil
-	case "paper":
-		return radar.Paper(), nil
-	}
-	return radar.Params{}, fmt.Errorf("unknown size %q", size)
 }
 
 // parseTargets parses and validates the -targets quadruples, reporting

@@ -158,16 +158,9 @@ func main() {
 	log.SetPrefix("stapload: ")
 	log.SetFlags(0)
 
-	var p radar.Params
-	switch *flagSize {
-	case "small":
-		p = radar.Small()
-	case "medium":
-		p = radar.Medium()
-	case "paper":
-		p = radar.Paper()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown size %q\n", *flagSize)
+	p, err := radar.ParamsFor(*flagSize)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	if *flagRate <= 0 || *flagJobs <= 0 || *flagCPIs <= 0 || *flagConns <= 0 || *flagPool <= 0 {

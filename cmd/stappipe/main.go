@@ -55,15 +55,9 @@ func main() {
 			*flagCPIs = len(replay.CPIs)
 		}
 	} else {
-		switch *flagSize {
-		case "small":
-			p = radar.Small()
-		case "medium":
-			p = radar.Medium()
-		case "paper":
-			p = radar.Paper()
-		default:
-			fmt.Fprintf(os.Stderr, "unknown size %q\n", *flagSize)
+		var err error
+		if p, err = radar.ParamsFor(*flagSize); err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
 	}

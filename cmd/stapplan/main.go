@@ -61,16 +61,9 @@ func run(args []string, out, errw io.Writer) int {
 		return 2
 	}
 
-	var p radar.Params
-	switch *flagSize {
-	case "small":
-		p = radar.Small()
-	case "medium":
-		p = radar.Medium()
-	case "paper":
-		p = radar.Paper()
-	default:
-		fmt.Fprintf(errw, "unknown size %q\n", *flagSize)
+	p, err := radar.ParamsFor(*flagSize)
+	if err != nil {
+		fmt.Fprintln(errw, err)
 		return 2
 	}
 	var m paragon.Machine

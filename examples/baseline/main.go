@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 
+	"pstap/internal/paperdata"
 	"pstap/internal/paragon"
 	"pstap/internal/pipeline"
 	"pstap/internal/radar"
@@ -52,19 +53,15 @@ func main() {
 	mo := paragon.NewModel(paragon.AFRLParagon(), radar.Paper())
 	fmt.Println("paper scale (Paragon model), equal node budgets:")
 	fmt.Printf("%8s | %28s | %28s\n", "nodes", "round-robin (thr, lat)", "pipeline (thr, lat)")
-	for _, a := range []pipeline.Assignment{
-		pipeline.NewAssignment(8, 4, 28, 4, 7, 4, 4),
-		pipeline.NewAssignment(16, 8, 56, 8, 14, 8, 8),
-		pipeline.NewAssignment(32, 16, 112, 16, 28, 16, 16),
-	} {
+	for _, a := range []pipeline.Assignment{paperdata.Case3, paperdata.Case2, paperdata.Case1} {
 		rrThr, rrLat := roundrobin.SimulateModel(mo, a.Total())
 		res := mo.Simulate(a)
 		fmt.Printf("%8d | %10.2f CPI/s %8.2f s | %10.2f CPI/s %8.3f s\n",
 			a.Total(), rrThr, rrLat, res.Throughput, res.RealLatency)
 	}
-	_, flightThr, flightLat := roundrobin.RTMCARMReference()
-	fmt.Printf("\n1996 flight demonstration (25 tri-processor nodes): %.0f CPI/s at %.2f s latency;\n",
-		flightThr, flightLat)
+	flight := paperdata.RTMCARM
+	fmt.Printf("\n1996 flight demonstration (%d tri-processor nodes): %.0f CPI/s at %.2f s latency;\n",
+		flight.Nodes, flight.Throughput, flight.Latency)
 	fmt.Println("round-robin can match pipeline throughput by adding nodes, but its latency")
 	fmt.Println("never improves — the paper's pipeline cuts it by more than an order of magnitude.")
 }

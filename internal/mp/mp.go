@@ -3,8 +3,8 @@
 // implementation language is ANSI C + MPI). It carries exactly the
 // primitive pair every pipeline task's receive → compute → send loop
 // (Figure 10) is built from: an asynchronous Send and a blocking Recv
-// matched on (source, tag), plus byte accounting for the communication
-// model. No rank ever waits at a barrier. The overlap the paper buys with
+// matched on (source, tag), plus a per-send observer hook through which
+// the caller counts messages and bytes. No rank ever waits at a barrier. The overlap the paper buys with
 // double buffering comes from the asynchronous Send into the receiver's
 // mailbox, bounded by the pipeline's in-flight CPI window.
 //
@@ -89,17 +89,15 @@ type World struct {
 	hosted Group     // ranks whose mailboxes live in this process
 	trans  Transport // carries traffic for non-hosted ranks (nil = full world)
 
-	bytesSent atomic.Int64
-	msgsSent  atomic.Int64
-
 	// abortCause, when set by AbortWith, explains why the world died
 	// (e.g. a dist link failure); readers use AbortCause.
 	abortCause atomic.Value // abortReason
 
 	// observer, when non-nil, is called on every Send with the payload's
-	// wire size (0 for non-Sizer payloads) — the hook the observability
-	// layer (internal/obs) uses for live message/byte accounting. Set it
-	// with SetObserver before any rank goroutine starts.
+	// wire size (0 for non-Sizer payloads). It is the world's only
+	// message/byte accounting: the pipeline installs obs.Collector.OnSend,
+	// and its Result reads the collector. Set it with SetObserver before
+	// any rank goroutine starts.
 	observer func(bytes int64)
 
 	// sendHook, when non-nil, intercepts the message plane for fault
@@ -251,13 +249,6 @@ func (w *World) Done() <-chan struct{} { return w.done }
 // Size returns the number of ranks.
 func (w *World) Size() int { return len(w.boxes) }
 
-// BytesSent returns the cumulative payload bytes sent through the world
-// (payloads implementing Sizer only).
-func (w *World) BytesSent() int64 { return w.bytesSent.Load() }
-
-// MessagesSent returns the cumulative message count.
-func (w *World) MessagesSent() int64 { return w.msgsSent.Load() }
-
 // SetObserver installs a per-send accounting hook. It must be called
 // before any rank goroutine starts sending; the hook itself must be safe
 // for concurrent use (ranks send in parallel).
@@ -331,17 +322,17 @@ func (b *mailbox) enqueue(src, tag int, data any) {
 	b.cond.Broadcast()
 }
 
-// account applies the send-side byte/message accounting and observer hook.
+// account reports a send to the observer: the world keeps no counters of
+// its own, so the observer is the one count of messages and bytes.
 func (w *World) account(data any) {
-	w.msgsSent.Add(1)
+	if w.observer == nil {
+		return
+	}
 	var size int64
 	if s, ok := data.(Sizer); ok {
 		size = s.Bytes()
-		w.bytesSent.Add(size)
 	}
-	if w.observer != nil {
-		w.observer(size)
-	}
+	w.observer(size)
 }
 
 // Deliver injects a message that arrived from a remote process into dst's

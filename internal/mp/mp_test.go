@@ -71,16 +71,21 @@ func TestSourceFiltering(t *testing.T) {
 	}
 }
 
+// TestByteAccounting: a partial world reports sends routed through its
+// transport to the observer exactly like local ones.
 func TestByteAccounting(t *testing.T) {
-	w := NewWorld(2)
+	w := NewPartialWorld(3, Group{First: 0, N: 2}, stubTransport{})
+	var msgs, bytes atomic.Int64
+	w.SetObserver(func(b int64) { msgs.Add(1); bytes.Add(b) })
 	c := cube.New(cube.Order{cube.Range, cube.Channel, cube.Pulse}, 2, 2, 2)
-	w.Comm(0).Send(1, 1, c)
-	w.Comm(0).Send(1, 2, "untracked")
-	if w.BytesSent() != c.Bytes() {
-		t.Errorf("bytes %d, want %d", w.BytesSent(), c.Bytes())
+	w.Comm(0).Send(1, 1, c) // local
+	w.Comm(0).Send(2, 1, c) // remote
+	w.Comm(0).Send(2, 2, "untracked")
+	if bytes.Load() != 2*c.Bytes() {
+		t.Errorf("bytes %d, want %d", bytes.Load(), 2*c.Bytes())
 	}
-	if w.MessagesSent() != 2 {
-		t.Errorf("messages %d, want 2", w.MessagesSent())
+	if msgs.Load() != 3 {
+		t.Errorf("messages %d, want 3", msgs.Load())
 	}
 }
 

@@ -54,3 +54,21 @@ func TestRTMCARMReference(t *testing.T) {
 		t.Error("flight constants")
 	}
 }
+
+func TestCommTablesDataConsistent(t *testing.T) {
+	for id := 2; id <= 6; id++ {
+		c, ok := CommTables[id]
+		if !ok {
+			t.Errorf("table %d missing", id)
+			continue
+		}
+		for bi, b := range c.Blocks {
+			if len(b.Times) != len(c.SrcNodes) {
+				t.Errorf("table %d block %d: %d rows for %d src configs", id, bi, len(b.Times), len(c.SrcNodes))
+			}
+		}
+	}
+	if len(CommTables) != 5 {
+		t.Errorf("%d communication tables, want Tables 2-6", len(CommTables))
+	}
+}

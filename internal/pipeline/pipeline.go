@@ -155,10 +155,11 @@ type Result struct {
 	// has exited, so it bounds every span in Spans — the weight tasks'
 	// spans for a job's last CPI included, which nothing else waits for.
 	Elapsed time.Duration
-	// BytesSent counts all inter-task payload bytes.
+	// BytesSent counts the run's inter-task payload bytes and Messages
+	// its inter-task messages: the growth of the collector's counts over
+	// the run.
 	BytesSent int64
-	// Messages counts inter-task messages.
-	Messages int64
+	Messages  int64
 	// Spans is the run's span journal — one event per worker per CPI, in
 	// completion order, offsets relative to Start, trace/hop lineage
 	// included — for tracing (see internal/trace, obs.WriteChromeTrace).
@@ -385,6 +386,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	start := time.Now()
+	msgs0, bytes0 := col.Messages(), col.Bytes()
 	s, err := NewStream(StreamConfig{
 		Scene: cfg.Scene, Assign: cfg.Assign, Window: cfg.Window,
 		Threads: cfg.Threads, Obs: col, Fault: cfg.Fault,
@@ -415,8 +417,8 @@ func Run(cfg Config) (*Result, error) {
 	res := &Result{
 		Detections: detections,
 		Elapsed:    elapsed,
-		BytesSent:  s.world.BytesSent(),
-		Messages:   s.world.MessagesSent(),
+		BytesSent:  col.Bytes() - bytes0,
+		Messages:   col.Messages() - msgs0,
 		// This run's spans are the journal entries since start (a caller's
 		// collector may still hold an earlier run's).
 		Spans: obs.SpansSince(col.Journal(), start.Sub(col.Start()).Nanoseconds()),

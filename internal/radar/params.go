@@ -120,6 +120,20 @@ func Small() Params {
 	}
 }
 
+// ParamsFor returns the named preset: "small", "medium" or "paper", the
+// values every command's -size flag takes.
+func ParamsFor(size string) (Params, error) {
+	switch size {
+	case "small":
+		return Small(), nil
+	case "medium":
+		return Medium(), nil
+	case "paper":
+		return Paper(), nil
+	}
+	return Params{}, fmt.Errorf("unknown size %q", size)
+}
+
 // Validate checks internal consistency of the parameter set.
 func (p Params) Validate() error {
 	if p.K <= 0 || p.J <= 0 || p.N <= 0 || p.M <= 0 {

@@ -41,6 +41,18 @@ func TestMediumParamsValid(t *testing.T) {
 	}
 }
 
+func TestParamsFor(t *testing.T) {
+	for size, want := range map[string]Params{"small": Small(), "medium": Medium(), "paper": Paper()} {
+		got, err := ParamsFor(size)
+		if err != nil || got.K != want.K || got.J != want.J || got.N != want.N {
+			t.Errorf("ParamsFor(%q) = %dx%dx%d, %v", size, got.K, got.J, got.N, err)
+		}
+	}
+	if _, err := ParamsFor("huge"); err == nil || err.Error() != `unknown size "huge"` {
+		t.Errorf("ParamsFor(huge) error %v", err)
+	}
+}
+
 func TestValidateCatchesErrors(t *testing.T) {
 	base := Small()
 	cases := []func(*Params){

@@ -124,10 +124,3 @@ func SimulateModel(mo *paragon.Model, replicas int) (throughput, latency float64
 	}
 	return float64(replicas) / service, service
 }
-
-// RTMCARMReference returns the flight-demonstration numbers the paper
-// reports for the original system: 25 compute nodes (3 i860s each)
-// processing up to 10 CPIs/second at 2.35 s latency per CPI.
-func RTMCARMReference() (nodes int, throughput, latency float64) {
-	return 25, 10, 2.35
-}

@@ -130,13 +130,6 @@ func paragonCase1() (a [7]int) {
 	return [7]int{32, 16, 112, 16, 28, 16, 16}
 }
 
-func TestRTMCARMReference(t *testing.T) {
-	n, thr, lat := RTMCARMReference()
-	if n != 25 || thr != 10 || lat != 2.35 {
-		t.Error("flight reference constants")
-	}
-}
-
 func BenchmarkRoundRobinSmall(b *testing.B) {
 	sc := radar.DefaultScene(radar.Small())
 	for i := 0; i < b.N; i++ {

@@ -109,16 +109,3 @@ func CountFlops(p radar.Params) FlopCounts {
 
 	return f
 }
-
-// PaperTable1 returns the paper's published Table 1 values for comparison.
-func PaperTable1() FlopCounts {
-	return FlopCounts{
-		Doppler:    79691776,
-		HardWeight: 197038464,
-		EasyWeight: 13851792,
-		EasyBF:     28311552,
-		HardBF:     44040192,
-		PulseComp:  38928384,
-		CFAR:       1690368,
-	}
-}
