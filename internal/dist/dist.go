@@ -42,6 +42,15 @@ import (
 // (ClusterConfig.Heartbeat, shipped in the manifest); every link uses
 // DefaultWindow at both ends, and Connect's phases are bounded by the two
 // timeouts.
+//
+// Besides the credit window's frames, a link's reader keeps the messages
+// it decodes in slots (edgeSlots): pipeline.RingDepth of the session's
+// in-flight window (the manifest's Window, 8 by default, so 9) per edge.
+// That is at most depth × the edge's largest message, summed over the
+// edges a member receives: at radar.Medium() under A10 split 0-2/3-6 and
+// window 8, 9 × 2.1 MB of raw slabs on node 1 and 9 × 3.2 MB of pieces and
+// weights on node 2, 45.6 MiB on the nodes. No data frame is longer than
+// the session's largest message (maxDataBytes), refused at its header.
 const (
 	DefaultHeartbeat    = 500 * time.Millisecond
 	DefaultWindow       = 64 // per-link, per-direction data-frame credits
@@ -89,6 +98,8 @@ func openSession(man *Manifest, member int, col *obs.Collector, inj *fault.Injec
 		world.Abort()
 		return hosted{}, err
 	}
+	// The stream has validated the scene and the assignment they derive from.
+	tr.depth, tr.maxData = pipeline.RingDepth(man.Window), maxDataBytes(man)
 	return hosted{tr: tr, world: world, st: st}, nil
 }
 

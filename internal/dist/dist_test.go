@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -472,7 +473,7 @@ func TestCrossProcessBarrier(t *testing.T) {
 	// member 2 ranks 2-3.
 	owners := []int{1, 1, 2, 2, 0}
 	mk := func(self int) *Transport {
-		return newTransport(self, 2, owners, 0, nil) // no heartbeat in this harness
+		return testTransport(self, 2, owners)
 	}
 	t0, t1, t2 := mk(0), mk(1), mk(2)
 	trans := map[int]*Transport{0: t0, 1: t1, 2: t2}
@@ -536,6 +537,15 @@ func TestCrossProcessBarrier(t *testing.T) {
 	}
 }
 
+// testTransport is a transport without heartbeats or faults whose links
+// keep the default window's slots and take data frames up to the frame
+// limit, for tests that wire links by hand.
+func testTransport(self, members int, owners []int) *Transport {
+	tr := newTransport(self, members, owners, 0, nil)
+	tr.depth, tr.maxData = pipeline.RingDepth(0), wire.MaxFrameBytes
+	return tr
+}
+
 // tcpPair returns two ends of one loopback TCP connection.
 func tcpPair(t *testing.T) (net.Conn, net.Conn) {
 	t.Helper()
@@ -564,16 +574,77 @@ func tcpPair(t *testing.T) (net.Conn, net.Conn) {
 	return a, r.c
 }
 
-// readFrame reads one link frame from r the way a link's reader does: the
-// kind from the header, then the body into a frame of that kind.
+// testMaxData is the longest data frame body of a testCluster session
+// over radar.Small() (maxDataBytes).
+var testMaxData = dataFieldBytes + pipeline.MaxMessageBytes(radar.Small(), pipeline.NewAssignment(2, 1, 2, 1, 1, 2, 1))
+
+// readFrame reads one link frame from r the way a link's reader does in a
+// testCluster session over radar.Small(): the kind from the header, which
+// checkHeader may refuse, then the body into a frame of that kind.
 func readFrame(r io.Reader) (frame, error) {
 	fr := wire.NewReader(r)
-	k, _, err := fr.Next()
+	k, n, err := fr.Next()
 	f := frame{Kind: frameKind(k)}
+	if err == nil {
+		err = checkHeader(f.Kind, n, testMaxData)
+	}
 	if err == nil {
 		_, err = fr.Decode(&f)
 	}
 	return f, err
+}
+
+// TestOversizedDataFrameRefusedAtHeader: a peer's data frame header that
+// claims more than any message of the session (512 MiB here, against
+// ~80 KB) kills the link with a typed LinkError naming the length, before
+// a byte of the body is read: the 32 MiB of body the peer goes on to send
+// do not reach the heap.
+func TestOversizedDataFrameRefusedAtHeader(t *testing.T) {
+	leakcheck.Check(t)
+	owners := []int{0, 1}
+	tr := testTransport(1, 1, owners)
+	tr.maxData = testMaxData
+	w := mp.NewPartialWorld(2, mp.Group{First: 1, N: 1}, tr)
+	tr.world = w
+	peer, conn := tcpPair(t)
+	defer peer.Close()
+	t.Cleanup(func() { tr.Close("") })
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tr.runLink(0, "peer", conn)
+	const claimed = 512 << 20
+	hdr := []byte{wire.FormatVersion, byte(frameData), 0, 0, 0, 0}
+	binary.BigEndian.PutUint32(hdr[2:], claimed)
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		chunk := make([]byte, 1<<20)
+		if _, err := peer.Write(hdr); err != nil {
+			return
+		}
+		for i := 0; i < 32; i++ {
+			if _, err := peer.Write(chunk); err != nil {
+				return
+			}
+		}
+	}()
+	select {
+	case <-w.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("a 512 MiB data frame header did not kill the link")
+	}
+	<-sent
+	var le *LinkError
+	if err := w.AbortCause(); !errors.As(err, &le) || !strings.Contains(err.Error(), fmt.Sprint("data frame of ", claimed, " bytes")) {
+		t.Fatalf("link died of %v, want a LinkError naming the %d-byte frame", err, claimed)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapInuse) - int64(before.HeapInuse); grew > 4<<20 {
+		t.Errorf("HeapInuse grew by %d bytes reading a refused frame", grew)
+	}
 }
 
 // TestOtherBuildRefusedAtHello: every frame starts with the wire format

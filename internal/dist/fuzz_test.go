@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"io"
 	"testing"
+
+	"pstap/internal/wire"
 )
 
 // FuzzLinkFrame feeds arbitrary bytes to a link's frame reader — the kind
 // from the header, then the body into a frame of that kind — the way a
-// node reads what any TCP peer sends it. Seeds: at least one frame of
-// each of the seven kinds, which the seed loop checks, so a kind added or
-// removed later cannot leave the corpus stale. Any input is an error or a
+// node reads what any TCP peer sends it, checking the header against a
+// Small session's bound. Seeds: at least one frame of each of the seven
+// kinds, which the seed loop checks, so a kind added or removed later
+// cannot leave the corpus stale, and a data header claiming 512 MiB. Any input is an error or a
 // frame, never a panic or a runaway allocation, and a frame that decodes
 // re-encodes to exactly its own bytes: the flat form is canonical, so
 // nothing was lost or invented on the way in. Run it with
@@ -37,6 +40,8 @@ func FuzzLinkFrame(f *testing.F) {
 		f.Add(b.Bytes())
 		seeded[fr.Kind] = true
 	}
+	// A data frame header claiming 512 MiB, refused before its body.
+	f.Add([]byte{wire.FormatVersion, byte(frameData), 0x20, 0, 0, 0})
 	for k := frameHello; k <= frameGoodbye; k++ {
 		if !seeded[k] {
 			f.Fatalf("no seed of frame kind %d", k)

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"net"
@@ -62,6 +63,10 @@ type frame struct {
 	// ObsAddr, on ready frames, advertises the node's telemetry HTTP
 	// listener to the coordinator (empty when the node runs without one).
 	ObsAddr string
+
+	// in is not on the wire: on a link reader's frame it holds the
+	// messages data frames decode into; nil decodes into fresh memory.
+	in *edgeSlots
 }
 
 // AppendFlat implements wire.Flattener: the fields of f's kind, the
@@ -103,14 +108,23 @@ func (f *frame) AppendFlat(e *wire.Enc) error {
 // caller set from the frame header. The reads on each line run in field
 // order: Go evaluates an assignment's calls left to right.
 func (f *frame) DecodeFlat(d *wire.Dec) (err error) {
-	*f = frame{Kind: f.Kind}
+	*f = frame{Kind: f.Kind, in: f.in}
 	switch f.Kind {
 	case frameHello:
 		f.Session, f.From, f.To = d.Text(), d.Int(), d.Int()
 		f.Manifest, f.Auth = wire.GetSlice(d, 1, (*wire.Dec).Byte), wire.GetSlice(d, 1, (*wire.Dec).Byte)
 	case frameData:
 		f.Seq, f.Src, f.Dst, f.Tag, f.Deadline = d.Int(), d.Int(), d.Int(), d.Int(), d.Int64()
-		f.Data, err = pipeline.DecodeMessage(d)
+		if err := d.Err(); err != nil {
+			return err
+		}
+		slot, err := f.in.slot(f.Src, f.Dst, f.Tag)
+		if err != nil {
+			return err
+		}
+		*slot, err = pipeline.DecodeMessageInto(d, *slot)
+		f.Data = *slot
+		return err
 	case frameCredit:
 		f.Credits = d.Int()
 	case framePing:
@@ -125,6 +139,88 @@ func (f *frame) DecodeFlat(d *wire.Dec) (err error) {
 		return fmt.Errorf("dist: unknown frame kind %d", f.Kind)
 	}
 	return err
+}
+
+// dataFieldBytes is a data frame's own fields ahead of its message: Seq,
+// Src, Dst, Tag and Deadline.
+const dataFieldBytes = 5 * 8
+
+// maxDataBytes is the longest data frame body a session of man can send:
+// its own fields and the session's largest message.
+func maxDataBytes(man *Manifest) int {
+	return dataFieldBytes + pipeline.MaxMessageBytes(man.Scene.Params, man.Assign)
+}
+
+// checkHeader refuses, on its header alone, a data frame longer than
+// maxData bytes (maxDataBytes): nothing a peer of the session sends is
+// that long, so its body is never read.
+func checkHeader(k frameKind, n, maxData int) error {
+	if k == frameData && n > maxData {
+		return fmt.Errorf("dist: data frame of %d bytes, the session's messages fit in %d", n, maxData)
+	}
+	return nil
+}
+
+// edge is one message stream between two ranks.
+type edge struct{ src, dst, stream int }
+
+// edgeRing is one edge's slots and the count of its messages so far.
+type edgeRing struct {
+	n    int
+	msgs []any
+}
+
+// edgeSlots is the memory a link's reader decodes data into: per edge, a
+// ring of depth slots (pipeline.RingDepth of the session's window). The
+// edge's k-th message is decoded into slot k % depth, over the message
+// that arrived depth messages before it on the same edge
+// (pipeline.DecodeMessageInto), so a warm link decodes without
+// allocating. The reuse is pipeline's ring argument carried across the
+// link:
+//
+//   - An edge's messages arrive in CPI order, at most one per CPI: one
+//     sender sends them in order on one stream over one connection.
+//   - So when message k carries CPI c, message k+depth carries a CPI of
+//     at least c+depth, which its sender processed only after the feeder
+//     admitted it — after CPI c+depth−window = c+1 completed.
+//   - By then the ring argument already requires every consumer to be
+//     done with CPI c's payloads (weights shipped at CPI c are applied at
+//     CPI c+1), so message k and its slot are dead. No consumer changes.
+//
+// A slot is chosen by the edge's arrival count, not by the tag's CPI:
+// that wraps at 2^20 CPIs (pipeline's tagCPIMask), where cpi % depth
+// would jump and hand out a live slot. The slots hold at most depth times
+// each edge's largest message; see DefaultWindow for the sum.
+type edgeSlots struct {
+	depth    int
+	owners   []int // rank → member
+	from, to int   // the sending peer and this member
+	rings    map[edge]*edgeRing
+}
+
+// slot returns the slot the next message of the edge (src, dst, the tag's
+// stream) decodes into; on a nil receiver, a fresh one. A frame for an
+// edge the link does not carry — src not the peer's, dst not this
+// member's, or a tag of no stream — is an error.
+func (s *edgeSlots) slot(src, dst, tag int) (*any, error) {
+	if s == nil {
+		return new(any), nil
+	}
+	stream, ok := pipeline.TagStream(tag)
+	if !ok || src < 0 || src >= len(s.owners) || dst < 0 || dst >= len(s.owners) ||
+		s.owners[src] != s.from || s.owners[dst] != s.to {
+		return nil, fmt.Errorf("dist: data frame from rank %d to rank %d, tag %#x, is not on the link from member %d to member %d",
+			src, dst, tag, s.from, s.to)
+	}
+	e := edge{src, dst, stream}
+	r := s.rings[e]
+	if r == nil {
+		r = &edgeRing{msgs: make([]any, s.depth)}
+		s.rings[e] = r
+	}
+	slot := &r.msgs[r.n%s.depth]
+	r.n++
+	return slot, nil
 }
 
 // writeFrame writes f to a connection that has no link yet: a hello, or
@@ -150,6 +246,13 @@ var errClosedGracefully = &goodbyeError{reason: "session closed"}
 // counters. The reader loop lives on the Transport, which owns dispatch.
 // Each direction owns one frame buffer (wire.Writer, wire.Reader), grown
 // to the largest frame the link has carried and reused for every frame.
+// The reader reads the connection through a linkReadBuffer, so a header
+// and a small body arrive in one read; a body longer than the buffer goes
+// straight into the frame buffer. Nothing else reads the connection once
+// the link runs (a node's handshake reads the hello unbuffered, before).
+// It decodes each data frame's message into its edge's slot (edgeSlots),
+// memory the receiver owns, and refuses at its header a data frame longer
+// than any message of the session (checkHeader).
 //
 // Flow control is one constant at both ends. A sender starts each
 // direction with DefaultWindow credits and spends one per data frame; the
@@ -177,6 +280,7 @@ type link struct {
 	fw  *wire.Writer // guarded by wmu
 	out frame        // the frame being written, guarded by wmu
 	fr  *wire.Reader // owned by the Transport's reader loop
+	in  *edgeSlots   // owned by the Transport's reader loop
 
 	// credits gates outbound data frames; the peer returns tokens with
 	// credit frames as it drains.
@@ -211,13 +315,17 @@ type link struct {
 	stallNs        atomic.Int64
 }
 
-func newLink(member int, addr string, conn net.Conn) *link {
+// linkReadBuffer is the buffer a link reads its connection through.
+const linkReadBuffer = 64 << 10
+
+func newLink(member int, addr string, conn net.Conn, in *edgeSlots) *link {
 	l := &link{
 		member:  member,
 		addr:    addr,
 		conn:    conn,
 		fw:      wire.NewWriter(conn),
-		fr:      wire.NewReader(conn),
+		fr:      wire.NewReader(bufio.NewReaderSize(conn, linkReadBuffer)),
+		in:      in,
 		credits: DefaultWindow,
 		pings:   make(map[int]time.Time),
 	}

@@ -14,9 +14,13 @@ import (
 // through a replica split 0-2/3-6 across two loopback nodes: at in-flight
 // windows 1 and 2, 72 CPIs over 15 jobs must equal the serial reference
 // bit for bit. The node-local hops (Doppler to the weight tasks, the
-// beamformers onward) still pass payloads from the senders' rings by
-// reference, so under -race a ring shallower than window+1 is a reported
-// race here too; the hops between processes encode inside Send.
+// beamformers onward) pass payloads from the senders' rings by reference;
+// the hops between processes encode inside Send and decode into the
+// receiving link's slots, a ring of the same depth per edge (edgeSlots).
+// So under -race a sender's ring or a receiver's slots shallower than
+// window+1 is a reported race here, or else a report that differs: the
+// weights a beamformer applies at CPI c+1 are overwritten in their slot
+// by the weights of CPI c+1.
 func TestRingDepthSplitReplica(t *testing.T) {
 	leakcheck.Check(t)
 	sc := radar.DefaultScene(radar.Small())

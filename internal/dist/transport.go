@@ -33,6 +33,10 @@ type Transport struct {
 
 	world *mp.World      // bound before any link reader starts
 	obs   *obs.Collector // wire-cost journal sink; set before any link attaches
+	// From the session's manifest, set before any link attaches: the
+	// slots per inbound edge (edgeSlots) and the longest data frame body
+	// (checkHeader).
+	depth, maxData int
 
 	// deadline is the current job's absolute deadline (coordinator unix
 	// nanos, 0 = none): the coordinator sets it around each job and every
@@ -192,7 +196,8 @@ func (t *Transport) runLink(member int, addr string, conn net.Conn) {
 		conn.Close()
 		return
 	}
-	l := newLink(member, addr, conn)
+	l := newLink(member, addr, conn, &edgeSlots{depth: t.depth, owners: t.owners, from: member, to: t.self,
+		rings: make(map[edge]*edgeRing)})
 	t.links[member] = l
 	t.mu.Unlock()
 	t.cond.Broadcast()
@@ -202,12 +207,16 @@ func (t *Transport) runLink(member int, addr string, conn net.Conn) {
 }
 
 // readLoop dispatches every inbound frame of one link until it dies,
-// decoding each into the same frame value.
+// decoding each into the same frame value and each data frame's message
+// into its edge's slot.
 func (t *Transport) readLoop(l *link) {
 	defer t.wg.Done()
-	var f frame
+	f := frame{in: l.in}
 	for {
-		k, _, err := l.fr.Next()
+		k, n, err := l.fr.Next()
+		if err == nil {
+			err = checkHeader(frameKind(k), n, t.maxData)
+		}
 		if err != nil {
 			t.linkDied(l, err)
 			return

@@ -52,11 +52,11 @@ func TestJobBoundaryStopsTheWeightEdges(t *testing.T) {
 				case tagEasyW, tagHardW:
 					weights.Add(1)
 				case tagEasyTrain:
-					if m := data.(easyTrainMsg); m.Ctl.Last && m.Rows != nil {
+					if m := data.(*easyTrainMsg); m.Ctl.Last && m.Rows != nil {
 						lastRows.Add(1)
 					}
 				case tagHardTrain:
-					if m := data.(hardTrainMsg); m.Ctl.Last && m.Rows != nil {
+					if m := data.(*hardTrainMsg); m.Ctl.Last && m.Rows != nil {
 						lastRows.Add(1)
 					}
 				}

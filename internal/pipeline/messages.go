@@ -5,6 +5,7 @@ import (
 
 	"pstap/internal/cube"
 	"pstap/internal/linalg"
+	"pstap/internal/radar"
 	"pstap/internal/redist"
 	"pstap/internal/stap"
 	"pstap/internal/wire"
@@ -12,14 +13,15 @@ import (
 
 // Message payloads. Every type reports its wire size (mp.Sizer) so the
 // world can account communication volume against the Paragon cost model.
-// The messages are plain data that the in-process mailboxes pass by
-// reference; a distributed transport (internal/dist) ships them between
-// processes in the flat form of AppendMessage/DecodeMessage, whose
-// decoded payload is structurally identical to the original — the cubes
-// and matrices cross as their float64 bit patterns, which keeps a split
-// pipeline bit-exact. What a payload's bytes are is decided by the four
-// types inside them (cube.Cube, cube.RealCube, linalg.Matrix and
-// stap.Detection; internal/wire's flat.go) and by the two switches below.
+// The messages are plain data sent as pointers, which the in-process
+// mailboxes pass by reference; a distributed transport (internal/dist)
+// ships them between processes in the flat form of
+// AppendMessage/DecodeMessageInto, whose decoded payload is structurally
+// identical to the original — the cubes and matrices cross as their
+// float64 bit patterns, which keeps a split pipeline bit-exact. What a
+// payload's bytes are is decided by the four types inside them
+// (cube.Cube, cube.RealCube, linalg.Matrix and stap.Detection;
+// internal/wire's flat.go) and by the two switches below.
 
 // Message kinds, the first byte of a message's flat form.
 const (
@@ -42,40 +44,40 @@ func AppendMessage(e *wire.Enc, m any) error {
 	switch m := m.(type) {
 	case nil:
 		e.Byte(kindNil)
-	case rawMsg:
+	case *rawMsg:
 		e.Byte(kindRaw)
 		e.Cube(m.Slab)
 		m.Ctl.put(e)
-	case easyTrainMsg:
+	case *easyTrainMsg:
 		e.Byte(kindEasyTrain)
 		wire.PutSlice(e, m.Rows, (*wire.Enc).Matrix)
 		m.Ctl.put(e)
-	case hardTrainMsg:
+	case *hardTrainMsg:
 		e.Byte(kindHardTrain)
 		putSegments(e, m.Rows)
 		m.Ctl.put(e)
-	case bfDataMsg:
+	case *bfDataMsg:
 		e.Byte(kindBFData)
 		e.Cube(m.Piece)
 		m.Ctl.put(e)
-	case easyWeightsMsg:
+	case *easyWeightsMsg:
 		e.Byte(kindEasyWeights)
 		wire.PutSlice(e, m.Ws, (*wire.Enc).Matrix)
-	case hardWeightsMsg:
+	case *hardWeightsMsg:
 		e.Byte(kindHardWeights)
 		putSegments(e, m.Ws)
-	case beamMsg:
+	case *beamMsg:
 		e.Byte(kindBeam)
 		e.Cube(m.Slab)
 		wire.PutSlice(e, m.GlobalBins, (*wire.Enc).Int)
 		m.Ctl.put(e)
-	case powerMsg:
+	case *powerMsg:
 		e.Byte(kindPower)
 		e.RealCube(m.Slab)
 		e.Int(m.Blk.Lo)
 		e.Int(m.Blk.Hi)
 		m.Ctl.put(e)
-	case detMsg:
+	case *detMsg:
 		e.Byte(kindDet)
 		e.Detections(m.Dets)
 		m.Ctl.put(e)
@@ -85,32 +87,58 @@ func AppendMessage(e *wire.Enc, m any) error {
 	return nil
 }
 
-// DecodeMessage reads one message AppendMessage wrote. Corrupt input is
-// an error (the Dec's), never a panic; the caller checks that the body
-// ends where the message does. The reads inside each composite literal
-// run in field order: Go evaluates an expression's calls left to right.
-func DecodeMessage(d *wire.Dec) (any, error) {
+// DecodeMessageInto reads one message AppendMessage wrote. When prev is
+// a message of the same kind, the message is decoded into prev itself —
+// its struct, cubes, matrices and slices keep their memory where the
+// sizes match (wire's …Into forms) — and prev is returned; otherwise
+// (prev nil, say) into fresh memory. prev must be dead to every reader: a dist link
+// passes the slot of the message that arrived depth messages earlier on
+// the same edge (see RingDepth). Corrupt input is an error (the Dec's),
+// never a panic; the caller checks that the body ends where the message
+// does. The reads on each line run in field order: Go evaluates an
+// assignment's calls left to right.
+func DecodeMessageInto(d *wire.Dec, prev any) (any, error) {
 	var m any
 	switch k := d.Byte(); k {
 	case kindNil:
 	case kindRaw:
-		m = rawMsg{Slab: d.Cube(), Ctl: getCtl(d)}
+		r := reuse[rawMsg](prev)
+		r.Slab, r.Ctl = d.CubeInto(r.Slab), getCtl(d)
+		m = r
 	case kindEasyTrain:
-		m = easyTrainMsg{Rows: wire.GetSlice(d, 1, (*wire.Dec).Matrix), Ctl: getCtl(d)}
+		r := reuse[easyTrainMsg](prev)
+		r.Rows, r.Ctl = getMatrices(d, r.Rows), getCtl(d)
+		m = r
 	case kindHardTrain:
-		m = hardTrainMsg{Rows: getSegments(d), Ctl: getCtl(d)}
+		r := reuse[hardTrainMsg](prev)
+		r.Rows, r.Ctl = getSegments(d, r.Rows), getCtl(d)
+		m = r
 	case kindBFData:
-		m = bfDataMsg{Piece: d.Cube(), Ctl: getCtl(d)}
+		r := reuse[bfDataMsg](prev)
+		r.Piece, r.Ctl = d.CubeInto(r.Piece), getCtl(d)
+		m = r
 	case kindEasyWeights:
-		m = easyWeightsMsg{Ws: wire.GetSlice(d, 1, (*wire.Dec).Matrix)}
+		r := reuse[easyWeightsMsg](prev)
+		r.Ws = getMatrices(d, r.Ws)
+		m = r
 	case kindHardWeights:
-		m = hardWeightsMsg{Ws: getSegments(d)}
+		r := reuse[hardWeightsMsg](prev)
+		r.Ws = getSegments(d, r.Ws)
+		m = r
 	case kindBeam:
-		m = beamMsg{Slab: d.Cube(), GlobalBins: wire.GetSlice(d, 8, (*wire.Dec).Int), Ctl: getCtl(d)}
+		r := reuse[beamMsg](prev)
+		r.Slab = d.CubeInto(r.Slab)
+		r.GlobalBins = wire.GetSliceInto(d, r.GlobalBins, 8, func(d *wire.Dec, _ int) int { return d.Int() })
+		r.Ctl = getCtl(d)
+		m = r
 	case kindPower:
-		m = powerMsg{Slab: d.RealCube(), Blk: cube.Block{Lo: d.Int(), Hi: d.Int()}, Ctl: getCtl(d)}
+		r := reuse[powerMsg](prev)
+		r.Slab, r.Blk, r.Ctl = d.RealCubeInto(r.Slab), cube.Block{Lo: d.Int(), Hi: d.Int()}, getCtl(d)
+		m = r
 	case kindDet:
-		m = detMsg{Dets: d.Detections(), Ctl: getCtl(d)}
+		r := reuse[detMsg](prev)
+		r.Dets, r.Ctl = d.DetectionsInto(r.Dets), getCtl(d)
+		m = r
 	default:
 		d.Fail(fmt.Errorf("pipeline: unknown message kind %d", k))
 	}
@@ -120,6 +148,71 @@ func DecodeMessage(d *wire.Dec) (any, error) {
 	return m, nil
 }
 
+// reuse returns prev when it is a *T, else a new T.
+func reuse[T any](prev any) *T {
+	if m, ok := prev.(*T); ok {
+		return m
+	}
+	return new(T)
+}
+
+// RingDepth is the depth of every payload ring of a stream whose in-flight
+// window is window (0 means the default): window + 1 slots, the fewest
+// the ring argument allows (see ring). A dist link keeps the messages it
+// decodes in per-edge slots of the same depth.
+func RingDepth(window int) int {
+	if window <= 0 {
+		window = defaultWindow
+	}
+	return window + 1
+}
+
+// Flat sizes of the parts of a message: its kind byte, a ctl, a slice
+// count, the fixed fields of a cube (presence, axes, dims, count) and of
+// a matrix (presence, rows, cols, count), and one detection.
+const (
+	kindBytes   = 1
+	ctlBytes    = 3 + 8 + 1
+	countBytes  = 8
+	cubeBytes   = 1 + 3*8 + 3*8 + countBytes
+	matrixBytes = 1 + 2*8 + countBytes
+	detBytes    = 5 * 8
+)
+
+// MaxMessageBytes bounds the flat size of any message a stream over p and
+// a sends: the largest, over every edge, of what its sender can put in
+// one message. A bin's training rows hold at most one row per range cell
+// of their Doppler worker's block over all segments, and a detection
+// report at most one detection per cell of its CFAR worker's bins. A dist
+// link refuses a longer data frame at its header.
+func MaxMessageBytes(p radar.Params, a Assignment) int {
+	t := newTopology(p, a)
+	k := largest(t.kBlocks)
+	n := kindBytes + cubeBytes + 16*k*p.J*p.N + ctlBytes // raw slab
+	for _, sd := range t.sides() {
+		w, bf := largest(sd.wPos), largest(sd.bfPos)
+		table := countBytes + sd.segs*(countBytes+w*matrixBytes) // [segment][binIdx] matrix headers
+		n = max(n,
+			kindBytes+table+w*16*k*sd.channels+ctlBytes,                // training rows
+			kindBytes+table+sd.segs*w*16*sd.channels*p.M,               // weights
+			kindBytes+cubeBytes+16*bf*k*sd.channels+ctlBytes,           // Doppler-major piece
+			kindBytes+cubeBytes+16*bf*p.M*p.K+countBytes+8*bf+ctlBytes) // beam rows
+	}
+	n = max(n,
+		kindBytes+cubeBytes+8*largest(t.pcBlocks)*p.M*p.K+2*8+ctlBytes,     // power rows
+		kindBytes+countBytes+detBytes*largest(t.cfBlocks)*p.M*p.K+ctlBytes) // detections
+	return n
+}
+
+// largest is the size of the largest block.
+func largest(blocks []cube.Block) int {
+	n := 0
+	for _, b := range blocks {
+		n = max(n, b.Size())
+	}
+	return n
+}
+
 // putSegments appends a [segment][binIdx] matrix table.
 func putSegments(e *wire.Enc, segs [][]*linalg.Matrix) {
 	wire.PutSlice(e, segs, func(e *wire.Enc, seg []*linalg.Matrix) {
@@ -127,11 +220,14 @@ func putSegments(e *wire.Enc, segs [][]*linalg.Matrix) {
 	})
 }
 
-// getSegments reads a putSegments table.
-func getSegments(d *wire.Dec) [][]*linalg.Matrix {
-	return wire.GetSlice(d, 8, func(d *wire.Dec) []*linalg.Matrix {
-		return wire.GetSlice(d, 1, (*wire.Dec).Matrix)
-	})
+// getMatrices reads a list of matrices into ms's memory.
+func getMatrices(d *wire.Dec, ms []*linalg.Matrix) []*linalg.Matrix {
+	return wire.GetSliceInto(d, ms, 1, (*wire.Dec).MatrixInto)
+}
+
+// getSegments reads a putSegments table into segs' memory.
+func getSegments(d *wire.Dec, segs [][]*linalg.Matrix) [][]*linalg.Matrix {
+	return wire.GetSliceInto(d, segs, 8, getMatrices)
 }
 
 // ctl carries per-CPI stream control alongside the data. Reset marks the
@@ -210,13 +306,13 @@ func getCtl(d *wire.Dec) ctl {
 // per-hop wire costs (serialize/transmit/deserialize) to the CPI whose
 // data crossed the link. The weight messages deliberately do not
 // implement it — they carry no ctl, being a different lineage.
-func (m rawMsg) ObsTrace() uint64       { return m.Ctl.Trace }
-func (m easyTrainMsg) ObsTrace() uint64 { return m.Ctl.Trace }
-func (m hardTrainMsg) ObsTrace() uint64 { return m.Ctl.Trace }
-func (m bfDataMsg) ObsTrace() uint64    { return m.Ctl.Trace }
-func (m beamMsg) ObsTrace() uint64      { return m.Ctl.Trace }
-func (m powerMsg) ObsTrace() uint64     { return m.Ctl.Trace }
-func (m detMsg) ObsTrace() uint64       { return m.Ctl.Trace }
+func (m *rawMsg) ObsTrace() uint64       { return m.Ctl.Trace }
+func (m *easyTrainMsg) ObsTrace() uint64 { return m.Ctl.Trace }
+func (m *hardTrainMsg) ObsTrace() uint64 { return m.Ctl.Trace }
+func (m *bfDataMsg) ObsTrace() uint64    { return m.Ctl.Trace }
+func (m *beamMsg) ObsTrace() uint64      { return m.Ctl.Trace }
+func (m *powerMsg) ObsTrace() uint64     { return m.Ctl.Trace }
+func (m *detMsg) ObsTrace() uint64       { return m.Ctl.Trace }
 
 // rawMsg carries one Doppler worker's range slab of a raw CPI.
 type rawMsg struct {
@@ -225,7 +321,7 @@ type rawMsg struct {
 }
 
 // Bytes implements mp.Sizer.
-func (m rawMsg) Bytes() int64 {
+func (m *rawMsg) Bytes() int64 {
 	if m.Slab == nil {
 		return 0
 	}
@@ -241,7 +337,7 @@ type easyTrainMsg struct {
 }
 
 // Bytes implements mp.Sizer.
-func (m easyTrainMsg) Bytes() int64 { return redist.RowsBytes(m.Rows) }
+func (m *easyTrainMsg) Bytes() int64 { return redist.RowsBytes(m.Rows) }
 
 // hardTrainMsg carries collected hard training rows, [segment][binIdx].
 type hardTrainMsg struct {
@@ -250,7 +346,7 @@ type hardTrainMsg struct {
 }
 
 // Bytes implements mp.Sizer.
-func (m hardTrainMsg) Bytes() int64 {
+func (m *hardTrainMsg) Bytes() int64 {
 	var n int64
 	for _, seg := range m.Rows {
 		n += redist.RowsBytes(seg)
@@ -266,7 +362,7 @@ type bfDataMsg struct {
 }
 
 // Bytes implements mp.Sizer.
-func (m bfDataMsg) Bytes() int64 {
+func (m *bfDataMsg) Bytes() int64 {
 	if m.Piece == nil {
 		return 0
 	}
@@ -278,13 +374,13 @@ func (m bfDataMsg) Bytes() int64 {
 type easyWeightsMsg struct{ Ws []*linalg.Matrix }
 
 // Bytes implements mp.Sizer.
-func (m easyWeightsMsg) Bytes() int64 { return redist.WeightsBytes(m.Ws) }
+func (m *easyWeightsMsg) Bytes() int64 { return redist.WeightsBytes(m.Ws) }
 
 // hardWeightsMsg carries 2J x M weight matrices, [segment][binIdx].
 type hardWeightsMsg struct{ Ws [][]*linalg.Matrix }
 
 // Bytes implements mp.Sizer.
-func (m hardWeightsMsg) Bytes() int64 {
+func (m *hardWeightsMsg) Bytes() int64 {
 	var n int64
 	for _, seg := range m.Ws {
 		n += redist.WeightsBytes(seg)
@@ -301,7 +397,7 @@ type beamMsg struct {
 }
 
 // Bytes implements mp.Sizer.
-func (m beamMsg) Bytes() int64 {
+func (m *beamMsg) Bytes() int64 {
 	if m.Slab == nil {
 		return 0
 	}
@@ -317,7 +413,7 @@ type powerMsg struct {
 }
 
 // Bytes implements mp.Sizer.
-func (m powerMsg) Bytes() int64 {
+func (m *powerMsg) Bytes() int64 {
 	if m.Slab == nil {
 		return 0
 	}
@@ -332,4 +428,4 @@ type detMsg struct {
 
 // Bytes implements mp.Sizer; a detection report entry is 3 int32 plus 2
 // float32 on the wire (20 bytes).
-func (m detMsg) Bytes() int64 { return int64(len(m.Dets)) * 20 }
+func (m *detMsg) Bytes() int64 { return int64(len(m.Dets)) * 20 }

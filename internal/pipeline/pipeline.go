@@ -194,6 +194,7 @@ const (
 	tagHardBeam
 	tagPower
 	tagDet
+	numStreams
 )
 
 // tagCPIMask wraps the CPI index into the tag's low bits. A stream counts
@@ -202,6 +203,14 @@ const (
 const tagCPIMask = 1<<20 - 1
 
 func tag(stream, cpi int) int { return stream<<20 | (cpi & tagCPIMask) }
+
+// TagStream returns the message stream a tag names, and whether it is one
+// of the pipeline's streams. Between two ranks, the messages of one stream
+// are sent in CPI order.
+func TagStream(tag int) (stream int, ok bool) {
+	stream = tag >> 20
+	return stream, tag >= 0 && stream < numStreams
+}
 
 // topology precomputes every partitioning and routing decision shared by
 // the workers.
@@ -271,7 +280,7 @@ func newTopology(p radar.Params, a Assignment) *topology {
 		trainTag: tagEasyTrain, dataTag: tagEasyBFData, wTag: tagEasyW, beamTag: tagEasyBeam,
 		bins: p.EasyBins(), channels: p.J, segs: 1,
 		rows: func(msg any, dst [][]*linalg.Matrix) ctl {
-			m := msg.(easyTrainMsg)
+			m := msg.(*easyTrainMsg)
 			dst[0] = m.Rows
 			return m.Ctl
 		},
@@ -285,8 +294,8 @@ func newTopology(p radar.Params, a Assignment) *topology {
 				reset: state.Reset,
 			}
 		},
-		weightsMsg: func(ws [][]*linalg.Matrix) any { return easyWeightsMsg{Ws: ws[0]} },
-		weights:    func(msg any, _ int) []*linalg.Matrix { return msg.(easyWeightsMsg).Ws },
+		weightsMsg: func(ws [][]*linalg.Matrix) any { return &easyWeightsMsg{Ws: ws[0]} },
+		weights:    func(msg any, _ int) []*linalg.Matrix { return msg.(*easyWeightsMsg).Ws },
 		steer:      func(s *stap.Weights) [][]*linalg.Matrix { return [][]*linalg.Matrix{s.Easy} },
 		beamform: func(w *stap.Workspace, p radar.Params, slab *cube.Cube, ws [][]*linalg.Matrix, out *cube.Cube, threads int) {
 			w.BeamformEasySlab(p, slab, ws[0], out, threads)
@@ -297,7 +306,7 @@ func newTopology(p radar.Params, a Assignment) *topology {
 		trainTag: tagHardTrain, dataTag: tagHardBFData, wTag: tagHardW, beamTag: tagHardBeam,
 		bins: p.HardBins(), channels: 2 * p.J, segs: p.NumSegments(),
 		rows: func(msg any, dst [][]*linalg.Matrix) ctl {
-			m := msg.(hardTrainMsg)
+			m := msg.(*hardTrainMsg)
 			copy(dst, m.Rows)
 			return m.Ctl
 		},
@@ -311,8 +320,8 @@ func newTopology(p radar.Params, a Assignment) *topology {
 				reset: state.Reset,
 			}
 		},
-		weightsMsg: func(ws [][]*linalg.Matrix) any { return hardWeightsMsg{Ws: ws} },
-		weights:    func(msg any, seg int) []*linalg.Matrix { return msg.(hardWeightsMsg).Ws[seg] },
+		weightsMsg: func(ws [][]*linalg.Matrix) any { return &hardWeightsMsg{Ws: ws} },
+		weights:    func(msg any, seg int) []*linalg.Matrix { return msg.(*hardWeightsMsg).Ws[seg] },
 		steer:      func(s *stap.Weights) [][]*linalg.Matrix { return s.Hard },
 		beamform:   (*stap.Workspace).BeamformHardSlab,
 	}

@@ -69,9 +69,9 @@ func TestRingDepthHoldsTheWindow(t *testing.T) {
 // every stage's buffers and payloads are sized once, so what is left is
 // the message plane and the driver, not the kernels. The 28.25 measured
 // break down, by an allocation profile of the warm loop, into:
-//   - 19 payloads boxed into `any` by Send on every CPI: 2 raw slabs (the
-//     feeder), 10 Doppler sends (2 workers × 3 training + 2 beamforming
-//     messages), 4 beam slabs, 2 power slabs, 1 report;
+//   - 19 messages allocated by their senders on every CPI: 2 raw slabs
+//     (the feeder), 10 Doppler sends (2 workers × 3 training + 2
+//     beamforming messages), 4 beam slabs, 2 power slabs, 1 report;
 //   - 2.25 weight messages: 3 on a CPI that trains (one per
 //     weight→beamformer edge: easy 1→1, hard 2→1) and none on a job's
 //     last CPI, ¾ × 3 on 4-CPI jobs;

@@ -154,7 +154,7 @@ func NewHostedStream(cfg StreamConfig, h Hosting) (*Stream, error) {
 		sup:     newSupervisor(cfg.Assign),
 		gain:    make([]float64, p.K),
 		beamAz:  cfg.Scene.BeamAzimuths(),
-		depth:   window + 1,
+		depth:   RingDepth(window),
 	}
 	for r := range e.gain {
 		e.gain[r] = 1 / cfg.Scene.RangeGain(r)
@@ -211,12 +211,12 @@ func NewHostedStream(cfg StreamConfig, h Hosting) (*Stream, error) {
 						c.Trace = obs.NewTraceID()
 						for w, blk := range topo.kBlocks {
 							feeder.Send(topo.groups[TaskDoppler].Global(w), tag(tagRaw, cpi),
-								rawMsg{Slab: item.raw.ViewAxis0(blk), Ctl: c})
+								&rawMsg{Slab: item.raw.ViewAxis0(blk), Ctl: c})
 						}
 						cpi++
 					case <-s.quit:
 						for w := range topo.kBlocks {
-							feeder.Send(topo.groups[TaskDoppler].Global(w), tag(tagRaw, cpi), rawMsg{Ctl: ctl{EOF: true}})
+							feeder.Send(topo.groups[TaskDoppler].Global(w), tag(tagRaw, cpi), &rawMsg{Ctl: ctl{EOF: true}})
 						}
 						return
 					case <-world.Done():
@@ -270,7 +270,7 @@ func NewHostedStream(cfg StreamConfig, h Hosting) (*Stream, error) {
 				var merged []stap.Detection
 				eof := false
 				for _, src := range cfar {
-					msg := collector.Recv(src, tag(tagDet, cpi)).(detMsg)
+					msg := collector.Recv(src, tag(tagDet, cpi)).(*detMsg)
 					if msg.Ctl.EOF {
 						eof = true
 						continue

@@ -85,15 +85,15 @@ func TestHopSaturates(t *testing.T) {
 func TestObsTraceOnPayloads(t *testing.T) {
 	c := ctl{Trace: 42}
 	traced := []any{
-		rawMsg{Ctl: c}, easyTrainMsg{Ctl: c}, hardTrainMsg{Ctl: c},
-		bfDataMsg{Ctl: c}, beamMsg{Ctl: c}, powerMsg{Ctl: c}, detMsg{Ctl: c},
+		&rawMsg{Ctl: c}, &easyTrainMsg{Ctl: c}, &hardTrainMsg{Ctl: c},
+		&bfDataMsg{Ctl: c}, &beamMsg{Ctl: c}, &powerMsg{Ctl: c}, &detMsg{Ctl: c},
 	}
 	for _, m := range traced {
 		if got := obs.TraceOf(m); got != 42 {
 			t.Errorf("TraceOf(%T) = %d, want 42", m, got)
 		}
 	}
-	for _, m := range []any{easyWeightsMsg{}, hardWeightsMsg{}} {
+	for _, m := range []any{&easyWeightsMsg{}, &hardWeightsMsg{}} {
 		if got := obs.TraceOf(m); got != 0 {
 			t.Errorf("TraceOf(%T) = %d, want 0 (weights are off-lineage)", m, got)
 		}

@@ -9,10 +9,14 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"pstap/internal/cube"
 	"pstap/internal/linalg"
+	"pstap/internal/mp"
+	"pstap/internal/radar"
 	"pstap/internal/stap"
 	"pstap/internal/wire"
 )
@@ -26,7 +30,7 @@ func roundTrip(t *testing.T, m any) any {
 		t.Fatalf("encode %T: %v", m, err)
 	}
 	d := wire.NewDec(e.Bytes())
-	got, err := DecodeMessage(d)
+	got, err := DecodeMessageInto(d, nil)
 	if err == nil {
 		err = d.End()
 	}
@@ -109,50 +113,50 @@ func wireCases() []any {
 	}
 	return []any{
 		nil, // a droppayload fault's payload
-		rawMsg{Slab: testCube(), Ctl: ctl{Reset: true, Trace: 0xdeadbeefcafe, Hop: 0}},
-		rawMsg{Slab: odd, Ctl: ctl{Reset: true, EOF: true, Trace: math.MaxUint64, Hop: 255}},
-		rawMsg{Ctl: ctl{EOF: true}}, // nil Slab: the EOF control message
-		rawMsg{Slab: testCube(), Ctl: ctl{Last: true, Trace: 8}},
-		rawMsg{Slab: testCube(), Ctl: ctl{Reset: true, Last: true, Trace: 9}},
-		rawMsg{Slab: short},
-		rawMsg{Slab: &cube.Cube{Dim: [3]int{0, 4, 4}}}, // nil Data
-		rawMsg{Slab: &cube.Cube{Data: []complex128{}}}, // empty Data
-		easyTrainMsg{Rows: []*linalg.Matrix{m, nil, linalg.NewMatrix(0, 3)}, Ctl: ctl{Reset: true, Trace: 7, Hop: 1}},
-		easyTrainMsg{Ctl: ctl{Last: true, Trace: 8, Hop: 1}}, // a job's last CPI: flags, no rows
-		easyTrainMsg{Rows: []*linalg.Matrix{}},
-		easyTrainMsg{},
-		hardTrainMsg{Rows: [][]*linalg.Matrix{{m, m}, nil, {}}},
-		hardTrainMsg{},
-		hardTrainMsg{Ctl: ctl{Reset: true, Last: true, Trace: 9, Hop: 1}}, // a 1-CPI job
-		bfDataMsg{Piece: testCube(), Ctl: ctl{Trace: 1<<63 + 5, Hop: 1}},
-		bfDataMsg{Ctl: ctl{EOF: true}},
-		bfDataMsg{Piece: testCube(), Ctl: ctl{Last: true, Trace: 8, Hop: 1}},
-		easyWeightsMsg{Ws: []*linalg.Matrix{m}},
-		easyWeightsMsg{},
-		hardWeightsMsg{Ws: [][]*linalg.Matrix{{m}, {}}},
-		hardWeightsMsg{Ws: [][]*linalg.Matrix{}},
-		beamMsg{Slab: testCube(), GlobalBins: []int{0, 3, -5, math.MaxInt}, Ctl: ctl{Trace: 42, Hop: 2}},
-		beamMsg{GlobalBins: []int{}, Ctl: ctl{EOF: true}},
-		beamMsg{Slab: testCube(), GlobalBins: []int{7}, Ctl: ctl{Reset: true, Last: true, Trace: 9, Hop: 2}},
-		powerMsg{Slab: rc, Blk: cube.Block{Lo: 1, Hi: 2}, Ctl: ctl{Trace: 42, Hop: 3}},
-		powerMsg{Ctl: ctl{EOF: true}},
-		detMsg{Dets: dets, Ctl: ctl{Trace: 42, Hop: 4}},
-		detMsg{Dets: []stap.Detection{}},
-		detMsg{Ctl: ctl{EOF: true}},
+		&rawMsg{Slab: testCube(), Ctl: ctl{Reset: true, Trace: 0xdeadbeefcafe, Hop: 0}},
+		&rawMsg{Slab: odd, Ctl: ctl{Reset: true, EOF: true, Trace: math.MaxUint64, Hop: 255}},
+		&rawMsg{Ctl: ctl{EOF: true}}, // nil Slab: the EOF control message
+		&rawMsg{Slab: testCube(), Ctl: ctl{Last: true, Trace: 8}},
+		&rawMsg{Slab: testCube(), Ctl: ctl{Reset: true, Last: true, Trace: 9}},
+		&rawMsg{Slab: short},
+		&rawMsg{Slab: &cube.Cube{Dim: [3]int{0, 4, 4}}}, // nil Data
+		&rawMsg{Slab: &cube.Cube{Data: []complex128{}}}, // empty Data
+		&easyTrainMsg{Rows: []*linalg.Matrix{m, nil, linalg.NewMatrix(0, 3)}, Ctl: ctl{Reset: true, Trace: 7, Hop: 1}},
+		&easyTrainMsg{Ctl: ctl{Last: true, Trace: 8, Hop: 1}}, // a job's last CPI: flags, no rows
+		&easyTrainMsg{Rows: []*linalg.Matrix{}},
+		&easyTrainMsg{},
+		&hardTrainMsg{Rows: [][]*linalg.Matrix{{m, m}, nil, {}}},
+		&hardTrainMsg{},
+		&hardTrainMsg{Ctl: ctl{Reset: true, Last: true, Trace: 9, Hop: 1}}, // a 1-CPI job
+		&bfDataMsg{Piece: testCube(), Ctl: ctl{Trace: 1<<63 + 5, Hop: 1}},
+		&bfDataMsg{Ctl: ctl{EOF: true}},
+		&bfDataMsg{Piece: testCube(), Ctl: ctl{Last: true, Trace: 8, Hop: 1}},
+		&easyWeightsMsg{Ws: []*linalg.Matrix{m}},
+		&easyWeightsMsg{},
+		&hardWeightsMsg{Ws: [][]*linalg.Matrix{{m}, {}}},
+		&hardWeightsMsg{Ws: [][]*linalg.Matrix{}},
+		&beamMsg{Slab: testCube(), GlobalBins: []int{0, 3, -5, math.MaxInt}, Ctl: ctl{Trace: 42, Hop: 2}},
+		&beamMsg{GlobalBins: []int{}, Ctl: ctl{EOF: true}},
+		&beamMsg{Slab: testCube(), GlobalBins: []int{7}, Ctl: ctl{Reset: true, Last: true, Trace: 9, Hop: 2}},
+		&powerMsg{Slab: rc, Blk: cube.Block{Lo: 1, Hi: 2}, Ctl: ctl{Trace: 42, Hop: 3}},
+		&powerMsg{Ctl: ctl{EOF: true}},
+		&detMsg{Dets: dets, Ctl: ctl{Trace: 42, Hop: 4}},
+		&detMsg{Dets: []stap.Detection{}},
+		&detMsg{Ctl: ctl{EOF: true}},
 	}
 }
 
 // TestWireRoundTrip checks every inter-task message survives the flat
 // form as a structurally identical concrete value, bit for bit — the
 // property that keeps a split replica bit-exact and keeps worker type
-// assertions (msg.(rawMsg) etc.) working on decoded traffic. Every
+// assertions (msg.(*rawMsg) etc.) working on decoded traffic. Every
 // message type declared in messages.go must appear in the table, so a
 // type missing from either switch fails here.
 func TestWireRoundTrip(t *testing.T) {
 	covered := map[string]bool{}
 	for _, want := range wireCases() {
 		if want != nil {
-			covered[reflect.TypeOf(want).Name()] = true
+			covered[reflect.TypeOf(want).Elem().Name()] = true
 		}
 		got := roundTrip(t, want)
 		if !sameBits(reflect.ValueOf(&got).Elem(), reflect.ValueOf(&want).Elem()) {
@@ -169,7 +173,7 @@ func TestWireRoundTrip(t *testing.T) {
 	if err := AppendMessage(&e, struct{ Slab *cube.Cube }{}); err == nil {
 		t.Error("a non-message type encoded without error")
 	}
-	if _, err := DecodeMessage(wire.NewDec([]byte{kindDet + 1})); err == nil {
+	if _, err := DecodeMessageInto(wire.NewDec([]byte{kindDet + 1}), nil); err == nil {
 		t.Error("an unknown message kind decoded without error")
 	}
 }
@@ -212,6 +216,77 @@ func TestNoGobRegistration(t *testing.T) {
 		}
 		if strings.Contains(string(src), "gob.Register") {
 			t.Errorf("%s calls gob.Register", name)
+		}
+	}
+}
+
+// TestWarmSlotDecodeAllocatesNothing: a dist link decodes each message
+// into the slot of the message depth arrivals before it on the same edge,
+// which on a warm link has the same kind and shape. Such a decode, of
+// every kind of the round-trip table, allocates nothing.
+func TestWarmSlotDecodeAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under -race are the race runtime's")
+	}
+	const runs = 20
+	for _, m := range wireCases() {
+		var e wire.Enc
+		if err := AppendMessage(&e, m); err != nil {
+			t.Fatal(err)
+		}
+		slot := roundTrip(t, m)
+		decs := make([]*wire.Dec, runs+1) // AllocsPerRun warms up with one extra run
+		for i := range decs {
+			decs[i] = wire.NewDec(e.Bytes())
+		}
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			got, err := DecodeMessageInto(decs[next], slot)
+			next++
+			if err != nil || got != slot {
+				t.Fatalf("%T: warm decode returned %p (%v), not its slot", m, got, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%T: a warm decode allocates %.1f times", m, allocs)
+		}
+	}
+}
+
+// TestMaxMessageBytesBoundsEveryMessage sends streams of Small jobs under
+// several assignments and holds the flat size of every message sent to
+// MaxMessageBytes — the bound a dist link refuses a longer data frame by.
+func TestMaxMessageBytesBoundsEveryMessage(t *testing.T) {
+	sc := radar.DefaultScene(radar.Small())
+	jobs, _ := serialJobs(sc, []int{1, 3, 4})
+	for _, a := range []Assignment{NewAssignment(1, 1, 1, 1, 1, 1, 1), NewAssignment(2, 1, 2, 1, 1, 2, 1), NewAssignment(3, 2, 3, 2, 2, 3, 2)} {
+		bound := MaxMessageBytes(sc.Params, a)
+		world := mp.NewWorld(a.Total() + 1)
+		var largest atomic.Int64
+		world.SetSendHook(func(_, _, _ int, data any) (any, bool) {
+			var e wire.Enc
+			if err := AppendMessage(&e, data); err != nil {
+				t.Error(err)
+			}
+			for n := int64(len(e.Bytes())); n > largest.Load(); {
+				largest.CompareAndSwap(largest.Load(), n)
+			}
+			return data, false
+		})
+		st, err := NewHostedStream(StreamConfig{Scene: sc, Assign: a, CPITimeout: 5 * time.Second},
+			Hosting{World: world, Driver: true, Tasks: func(int) bool { return true }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cpis := range jobs {
+			if _, err := st.ProcessJob(cpis); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st.Close()
+		t.Logf("%v: largest message %d bytes, bound %d", a, largest.Load(), bound)
+		if largest.Load() > int64(bound) {
+			t.Errorf("%v: a message of %d bytes, MaxMessageBytes %d", a, largest.Load(), bound)
 		}
 	}
 }

@@ -97,8 +97,10 @@ func (e *env) runStage(task, w int, st stage) {
 //     in-flight window). The slot's previous payload is CPI c−window−1's,
 //     dead since CPI c−window completed.
 //   - A payload crossing to another process is encoded synchronously
-//     inside Send (dist's link.sendData), so it is dead when Send returns
-//     and the bound covers a split replica too.
+//     inside Send (dist's link.sendData), so it is dead when Send returns.
+//     The receiving process decodes it into a slot of its own per-edge
+//     ring of the same depth (dist's edgeSlots), which the same bound
+//     makes safe, so it covers a split replica too.
 //
 // A shallower ring lets a sender overwrite a payload its receiver is still
 // reading. sync.Pool is not used: its reuse depends on GC timing, the
@@ -176,7 +178,7 @@ func (e *env) dopplerStage(w int) stage {
 	})
 	return stage{
 		recv: func(cpi int) ctl {
-			msg := comm.Recv(topo.driver, tag(tagRaw, cpi)).(rawMsg)
+			msg := comm.Recv(topo.driver, tag(tagRaw, cpi)).(*rawMsg)
 			raw = msg.Slab
 			return msg.Ctl
 		},
@@ -184,7 +186,7 @@ func (e *env) dopplerStage(w int) stage {
 		send: func(cpi int, fwd ctl) {
 			o := out.at(cpi)
 			for dw, pos := range topo.easy.wPos {
-				m := easyTrainMsg{Ctl: fwd}
+				m := &easyTrainMsg{Ctl: fwd}
 				if fwd.trains() {
 					ws.ExtractEasyRows(o.easy[dw], p, stag, blk, binsAt(topo.easy.bins, pos))
 					m.Rows = o.easy[dw]
@@ -192,7 +194,7 @@ func (e *env) dopplerStage(w int) stage {
 				comm.Send(topo.groups[TaskEasyWeight].Global(dw), tag(tagEasyTrain, cpi), m)
 			}
 			for dw, pos := range topo.hard.wPos {
-				m := hardTrainMsg{Ctl: fwd}
+				m := &hardTrainMsg{Ctl: fwd}
 				if fwd.trains() {
 					ws.ExtractHardRows(o.hard[dw], p, stag, blk, binsAt(topo.hard.bins, pos))
 					m.Rows = o.hard[dw]
@@ -201,7 +203,7 @@ func (e *env) dopplerStage(w int) stage {
 			}
 			for si, sd := range topo.sides() {
 				for dw, pos := range sd.bfPos {
-					m := bfDataMsg{Ctl: fwd}
+					m := &bfDataMsg{Ctl: fwd}
 					if !fwd.EOF {
 						m.Piece = o.pieces[si][dw]
 						redist.PackForBeamformInto(m.Piece, p, stag, blk, binsAt(sd.bins, pos), sd.channels)
@@ -346,7 +348,7 @@ func (e *env) bfStage(sd *side, w int) stage {
 		recv: func(cpi int) ctl {
 			var c ctl
 			for s := range pieces {
-				msg := comm.Recv(topo.groups[TaskDoppler].Global(s), tag(sd.dataTag, cpi)).(bfDataMsg)
+				msg := comm.Recv(topo.groups[TaskDoppler].Global(s), tag(sd.dataTag, cpi)).(*bfDataMsg)
 				pieces[s], c = msg.Piece, msg.Ctl
 			}
 			if c.EOF {
@@ -379,7 +381,7 @@ func (e *env) bfStage(sd *side, w int) stage {
 				if lo >= hi {
 					continue
 				}
-				m := beamMsg{Ctl: fwd}
+				m := &beamMsg{Ctl: fwd}
 				if !fwd.EOF {
 					m.Slab, m.GlobalBins = cur.views[pw], bins[lo:hi]
 				}
@@ -434,7 +436,7 @@ func (e *env) pulseCompStage(w int) stage {
 		recv: func(cpi int) ctl {
 			var c ctl
 			for _, s := range senders {
-				msg := comm.Recv(s.rank, tag(s.stream, cpi)).(beamMsg)
+				msg := comm.Recv(s.rank, tag(s.stream, cpi)).(*beamMsg)
 				c = c.merge(msg.Ctl)
 				for i, d := range msg.GlobalBins {
 					for m := 0; m < p.M; m++ {
@@ -452,7 +454,7 @@ func (e *env) pulseCompStage(w int) stage {
 				if ov.Size() == 0 {
 					continue
 				}
-				m := powerMsg{Ctl: fwd}
+				m := &powerMsg{Ctl: fwd}
 				if !fwd.EOF {
 					m.Slab, m.Blk = cur.views[cw], ov
 				}
@@ -484,7 +486,7 @@ func (e *env) cfarStage(w int) stage {
 		recv: func(cpi int) ctl {
 			var c ctl
 			for _, src := range senders {
-				msg := comm.Recv(src, tag(tagPower, cpi)).(powerMsg)
+				msg := comm.Recv(src, tag(tagPower, cpi)).(*powerMsg)
 				c = c.merge(msg.Ctl)
 				if !msg.Ctl.EOF {
 					local.PasteAxis0(cube.Block{Lo: msg.Blk.Lo - blk.Lo, Hi: msg.Blk.Hi - blk.Lo}, msg.Slab)
@@ -498,7 +500,7 @@ func (e *env) cfarStage(w int) stage {
 			cws.CFARRows(p, local, blk.Lo, blk.Hi, true, cur, e.threads)
 		},
 		send: func(cpi int, fwd ctl) {
-			m := detMsg{Ctl: fwd}
+			m := &detMsg{Ctl: fwd}
 			if !fwd.EOF {
 				m.Dets = *cur
 			}

@@ -37,6 +37,8 @@ func failoverPool(t *testing.T, sc *radar.Scene, nodeFaults string) (*Server, [2
 		t.Fatal(err)
 	}
 	flightDir := t.TempDir()
+	distHold = make(chan struct{})
+	t.Cleanup(func() { distHold = nil }) // after Shutdown: cleanups run last-registered first
 	s := startServer(t, Config{
 		Scene:    sc,
 		Assign:   pipeline.NewAssignment(2, 1, 2, 1, 1, 2, 1),
@@ -63,9 +65,10 @@ func failoverPool(t *testing.T, sc *radar.Scene, nodeFaults string) (*Server, [2
 }
 
 // occupyInproc submits cpis in the background and blocks until slot 0's
-// in-process pipeline is visibly computing it, so the next submission
-// deterministically lands on the distributed slot (the only idle one).
-// The returned channel delivers the job's response.
+// in-process pipeline is visibly computing it — the distributed slot is
+// held (failoverPool's distHold) until then — and releases the
+// distributed slot, so the next submission deterministically lands on it
+// (the only idle one). The returned channel delivers the job's response.
 func occupyInproc(t *testing.T, s *Server, cl *Client, cpis []*cube.Cube) <-chan [][]stap.Detection {
 	t.Helper()
 	done := make(chan [][]stap.Detection, 1)
@@ -84,6 +87,7 @@ func occupyInproc(t *testing.T, s *Server, cl *Client, cpis []*cube.Cube) <-chan
 		}
 		time.Sleep(time.Millisecond)
 	}
+	close(distHold)
 	return done
 }
 

@@ -140,6 +140,12 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// distHold, when non-nil as a server starts, keeps its distributed slots
+// from taking a job until it is closed. Every slot pulls from one queue,
+// so which takes the first job is otherwise up to the scheduler; a test
+// that needs it on an in-process replica holds the others.
+var distHold chan struct{}
+
 // job is one admitted request flowing from a connection to a replica —
 // possibly several replicas, when failover re-dispatches it.
 type job struct {
@@ -742,6 +748,12 @@ func (s *Server) validate(req *Request) error {
 // ReplicaLost their exhausted failover earned).
 func (s *Server) replicaLoop(slot *replicaSlot) {
 	defer s.replWG.Done()
+	if hold := distHold; slot.cluster != nil && hold != nil {
+		select {
+		case <-hold:
+		case <-s.draining:
+		}
+	}
 	for {
 		st := slot.record()
 		switch {
@@ -1074,6 +1086,23 @@ func (s *Server) process(slot *replicaSlot, j *job) (dets [][]stap.Detection, tr
 	start, firstCPI := time.Now(), int(st.rep.CPIsProcessed())
 	dets, err = st.rep.ProcessJobOpts(req.CPIs, opts)
 	if err == nil && req.Trace && s.cfg.TraceDir != "" {
+		journal := s.settledJournal(slot, st, firstCPI+len(req.CPIs)-1)
+		traceFile, err = s.writeJobTrace(st.col, journal, start, firstCPI, len(req.CPIs))
+	}
+	return dets, traceFile, st.gen, err
+}
+
+// traceSettle bounds how long a traced job waits for its last spans.
+const traceSettle = time.Second
+
+// settledJournal returns the span journal of the slot's replica st once
+// it holds every worker's span of stream CPI last, or after traceSettle.
+// A worker journals a CPI's span after its send, so a job can complete
+// before a task upstream of the collector has journaled its span of the
+// job's last CPI.
+func (s *Server) settledJournal(slot *replicaSlot, st slotState, last int) []obs.SpanEvent {
+	deadline := time.Now().Add(traceSettle)
+	for {
 		journal := st.col.Journal()
 		if _, ok := st.rep.(*dist.Replica); ok {
 			// The workers' journals live on the nodes: poll them now and
@@ -1081,9 +1110,17 @@ func (s *Server) process(slot *replicaSlot, j *job) (dets [][]stap.Detection, tr
 			s.pollNodes()
 			journal = s.clusterEvents(slot)
 		}
-		traceFile, err = s.writeJobTrace(st.col, journal, start, firstCPI, len(req.CPIs))
+		spans := 0
+		for _, ev := range journal {
+			if ev.CPI == last {
+				spans++
+			}
+		}
+		if spans >= s.cfg.Assign.Total() || time.Now().After(deadline) {
+			return journal
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
-	return dets, traceFile, st.gen, err
 }
 
 // writeJobTrace cuts one served job's trace out of its replica's span

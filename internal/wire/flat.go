@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 
 	"pstap/internal/cube"
 	"pstap/internal/linalg"
@@ -99,24 +100,69 @@ func PutSlice[T any](e *Enc, s []T, put func(*Enc, T)) {
 	}
 }
 
-// complexes appends v's samples in one pass.
-func (e *Enc) complexes(v []complex128) {
-	e.count(len(v), v == nil)
-	p := e.grow(16 * len(v))
+// nativeLE reports whether this host keeps a float64 in memory as its
+// little-endian bits — the samples' flat form — so that a block of
+// samples moves between memory and a body with one copy of its bytes.
+var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// sampleBytes is the memory of v's samples as bytes. It is the package's
+// one view of typed memory as bytes: on a nativeLE host those bytes are
+// the samples' flat form.
+func sampleBytes[T complex128 | float64](v []T) []byte {
+	var z T
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*int(unsafe.Sizeof(z)))
+}
+
+// putComplexes writes v's flat form into p element by element. With
+// getComplexes, putFloats and getFloats it defines the samples' layout,
+// and it is the path of a host that is not nativeLE; elsewhere one copy
+// of sampleBytes writes the same bytes.
+func putComplexes(p []byte, v []complex128) {
 	for i, c := range v {
 		binary.LittleEndian.PutUint64(p[16*i:], math.Float64bits(real(c)))
 		binary.LittleEndian.PutUint64(p[16*i+8:], math.Float64bits(imag(c)))
 	}
 }
 
-// floats appends v's samples in one pass.
-func (e *Enc) floats(v []float64) {
-	e.count(len(v), v == nil)
-	p := e.grow(8 * len(v))
+// getComplexes reads putComplexes' bytes into v.
+func getComplexes(v []complex128, p []byte) {
+	for i := range v {
+		v[i] = complex(math.Float64frombits(binary.LittleEndian.Uint64(p[16*i:])),
+			math.Float64frombits(binary.LittleEndian.Uint64(p[16*i+8:])))
+	}
+}
+
+// putFloats writes v's flat form into p element by element.
+func putFloats(p []byte, v []float64) {
 	for i, f := range v {
 		binary.LittleEndian.PutUint64(p[8*i:], math.Float64bits(f))
 	}
 }
+
+// getFloats reads putFloats' bytes into v.
+func getFloats(v []float64, p []byte) {
+	for i := range v {
+		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
+	}
+}
+
+// putSamples appends v's count and its samples of size bytes each: one
+// copy on a nativeLE host, else the loop.
+func putSamples[T complex128 | float64](e *Enc, v []T, size int, loop func([]byte, []T)) {
+	e.count(len(v), v == nil)
+	p := e.grow(size * len(v))
+	if nativeLE {
+		copy(p, sampleBytes(v))
+	} else {
+		loop(p, v)
+	}
+}
+
+// complexes appends v's samples in one pass.
+func (e *Enc) complexes(v []complex128) { putSamples(e, v, 16, putComplexes) }
+
+// floats appends v's samples in one pass.
+func (e *Enc) floats(v []float64) { putSamples(e, v, 8, putFloats) }
 
 // shape appends a cube's axis order and dimensions.
 func (e *Enc) shape(axes cube.Order, dim [3]int) {
@@ -312,39 +358,33 @@ func GetSliceInto[T any](d *Dec, s []T, min int, get func(*Dec, T) T) []T {
 	return s
 }
 
-// complexesInto reads samples into v's memory when it was made for this
-// count (its capacity), else into a fresh slice of exactly the count, so
-// the result never holds more memory than the samples that came.
-func (d *Dec) complexesInto(v []complex128) []complex128 {
-	n := d.count(16)
+// getSamples reads a putSamples into v's memory when it was made for
+// this count (its capacity), else into a fresh slice of exactly the
+// count, so the result never holds more memory than the samples that
+// came.
+func getSamples[T complex128 | float64](d *Dec, v []T, size int, loop func([]T, []byte)) []T {
+	n := d.count(size)
 	if n < 0 {
 		return nil
 	}
-	p := d.take(16 * n) // count checked that the bytes are there
+	p := d.take(size * n) // count checked that the bytes are there
 	if v == nil || cap(v) != n {
-		v = make([]complex128, n)
+		v = make([]T, n)
 	}
 	v = v[:n]
-	for i := range v {
-		v[i] = complex(math.Float64frombits(binary.LittleEndian.Uint64(p[16*i:])),
-			math.Float64frombits(binary.LittleEndian.Uint64(p[16*i+8:])))
+	if nativeLE {
+		copy(sampleBytes(v), p)
+	} else {
+		loop(v, p)
 	}
 	return v
 }
 
-// floats reads samples into a fresh slice.
-func (d *Dec) floats() []float64 {
-	n := d.count(8)
-	if n < 0 {
-		return nil
-	}
-	p := d.take(8 * n) // count checked that the bytes are there
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
-	}
-	return v
-}
+// complexesInto reads complex samples into v's memory (getSamples).
+func (d *Dec) complexesInto(v []complex128) []complex128 { return getSamples(d, v, 16, getComplexes) }
+
+// floatsInto reads real samples into v's memory (getSamples).
+func (d *Dec) floatsInto(v []float64) []float64 { return getSamples(d, v, 8, getFloats) }
 
 // shape reads a cube's axis order and dimensions.
 func (d *Dec) shape() (axes cube.Order, dim [3]int) {
@@ -384,35 +424,56 @@ func (d *Dec) CubeInto(c *cube.Cube) *cube.Cube {
 	return c
 }
 
-// RealCube reads a real cube (nil when absent or on error).
-func (d *Dec) RealCube() *cube.RealCube {
+// RealCubeInto is CubeInto for a real cube: it reads one into c when c
+// is non-nil (nil when absent or on error).
+func (d *Dec) RealCubeInto(c *cube.RealCube) *cube.RealCube {
 	if !d.Bool() {
 		return nil
 	}
 	axes, dim := d.shape()
-	data := d.floats()
+	var prev []float64
+	if c != nil {
+		prev = c.Data
+	}
+	data := d.floatsInto(prev)
 	if d.err != nil {
 		return nil
 	}
-	return &cube.RealCube{Axes: axes, Dim: dim, Data: data}
+	if c == nil {
+		c = new(cube.RealCube)
+	}
+	*c = cube.RealCube{Axes: axes, Dim: dim, Data: data}
+	return c
 }
 
-// Matrix reads a matrix (nil when absent or on error).
-func (d *Dec) Matrix() *linalg.Matrix {
+// MatrixInto is CubeInto for a matrix: it reads one into m when m is
+// non-nil (nil when absent or on error).
+func (d *Dec) MatrixInto(m *linalg.Matrix) *linalg.Matrix {
 	if !d.Bool() {
 		return nil
 	}
 	rows, cols := d.Int(), d.Int()
-	data := d.complexesInto(nil)
+	var prev []complex128
+	if m != nil {
+		prev = m.Data
+	}
+	data := d.complexesInto(prev)
 	if d.err != nil {
 		return nil
 	}
-	return &linalg.Matrix{Rows: rows, Cols: cols, Data: data}
+	if m == nil {
+		m = new(linalg.Matrix)
+	}
+	*m = linalg.Matrix{Rows: rows, Cols: cols, Data: data}
+	return m
 }
 
 // Detections reads a detection report.
-func (d *Dec) Detections() []stap.Detection {
-	return GetSlice(d, detectionBytes, func(d *Dec) stap.Detection {
+func (d *Dec) Detections() []stap.Detection { return d.DetectionsInto(nil) }
+
+// DetectionsInto reads a detection report into ds's memory (GetSliceInto).
+func (d *Dec) DetectionsInto(ds []stap.Detection) []stap.Detection {
+	return GetSliceInto(d, ds, detectionBytes, func(d *Dec, _ stap.Detection) stap.Detection {
 		return stap.Detection{Range: d.Int(), DopplerBin: d.Int(), Beam: d.Int(),
 			Power: math.Float64frombits(d.Uint64()), Threshold: math.Float64frombits(d.Uint64())}
 	})
@@ -439,16 +500,13 @@ func appendFlat(e *Enc, v any) error {
 	return fmt.Errorf("wire: %T has no flat form", v)
 }
 
-// decodeFlat decodes a whole flat body into v.
-func decodeFlat(body []byte, v any) error {
-	d := Dec{b: body}
+// decodeFlat decodes d's whole body into v.
+func decodeFlat(d *Dec, v any) error {
 	switch v := v.(type) {
 	case FlatDecoder:
-		d.Fail(v.DecodeFlat(&d))
+		d.Fail(v.DecodeFlat(d))
 	case *cube.Cube:
-		if c := d.Cube(); c != nil {
-			*v = *c
-		} else {
+		if d.CubeInto(v) == nil {
 			d.Fail(errNilCube)
 		}
 	default:

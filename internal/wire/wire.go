@@ -21,12 +21,18 @@
 // connection encodes into and reads through the same memory frame after
 // frame; WriteFrame/ReadFrame are the one-shot forms. A Reader's buffer
 // never shrinks, so it suits a link whose frames stay alike in size (a
-// dist link). A receiver that bounds its memory some other way reads
-// each body into a buffer it owns instead (DecodeBuf: stapd reads every
-// request into one slot of a pool sized by its admission bound), and
-// decodes into values it reuses (Dec.CubeInto, GetSliceInto), or drops
-// a body it refuses through a small fixed buffer (Skip). Decoded values
-// never alias the body they were read from.
+// dist link, which also reads its connection through a bufio.Reader so
+// that a header and a small body arrive in one read). A receiver that
+// bounds its memory some other way reads each body into a buffer it owns
+// instead (DecodeBuf: stapd reads every request into one slot of a pool
+// sized by its admission bound), or drops a body it refuses through a
+// small fixed buffer (Skip). Either decodes into values it owns and
+// reuses (the …Into forms and GetSliceInto: stapd's request slots, a dist
+// link's per-edge message slots), so a warm receiver allocates nothing.
+// Decoded values never alias the body they were read from. On a
+// little-endian host a block of samples moves between a value and a body
+// with one copy, since its memory is its flat form; the element-by-element
+// loops that define the form run elsewhere.
 //
 // Every decoding path is hardened against corrupt or truncated input: it
 // returns a descriptive error, never panics, refuses a frame whose
@@ -92,8 +98,8 @@ type FrameTiming struct {
 // every frame. It is not safe for concurrent use: callers serialize
 // WriteFrame (a link's or connection's writer lock).
 type Writer struct {
-	w   io.Writer
-	buf []byte
+	w io.Writer
+	e Enc // its buffer is the frame buffer
 }
 
 // NewWriter returns a Writer on w.
@@ -105,10 +111,9 @@ func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 func (fw *Writer) WriteFrame(k Kind, v any) (FrameTiming, error) {
 	var t FrameTiming
 	encStart := time.Now()
-	e := Enc{b: append(fw.buf[:0], FormatVersion, byte(k), 0, 0, 0, 0)}
-	err := appendFlat(&e, v)
-	b := e.b
-	fw.buf = b
+	fw.e.b = append(fw.e.b[:0], FormatVersion, byte(k), 0, 0, 0, 0)
+	err := appendFlat(&fw.e, v)
+	b := fw.e.b
 	if err != nil {
 		return t, fmt.Errorf("wire: encode frame: %w", err)
 	}
@@ -134,12 +139,17 @@ type Reader struct {
 	r   io.Reader
 	buf []byte
 	n   int // body length of the announced frame
+	// The header and the decoder live in the Reader, so that reading a
+	// frame allocates neither.
+	hdr [headerBytes]byte
+	dec Dec
 }
 
 // NewReader returns a Reader on r. It reads exactly one frame's bytes per
-// frame, so a connection can change hands between frames. Its own buffer
-// is allocated by the first Decode; a reader that only announces frames
-// (Next) and reads their bodies with DecodeBuf or Skip holds none.
+// frame from r, so a connection read directly can change hands between
+// frames; one read through a buffer (a bufio.Reader) cannot. Its own
+// buffer is allocated by the first Decode; a reader that only announces
+// frames (Next) and reads their bodies with DecodeBuf or Skip holds none.
 func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 
 // Next blocks until the next frame's header has arrived and returns its
@@ -148,8 +158,8 @@ func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 // ends cleanly at a frame boundary; a frame of another format version is
 // a *VersionError.
 func (fr *Reader) Next() (Kind, int, error) {
-	var hdr [headerBytes]byte
-	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
+	hdr := fr.hdr[:]
+	if _, err := io.ReadFull(fr.r, hdr); err != nil {
 		if err == io.EOF {
 			return 0, 0, io.EOF
 		}
@@ -187,7 +197,10 @@ func (fr *Reader) DecodeBuf(buf *[]byte, v any) (t FrameTiming, err error) {
 	}
 	t.IONs = time.Since(ioStart).Nanoseconds()
 	decStart := time.Now()
-	if err := decodeFlat(body, v); err != nil {
+	fr.dec = Dec{b: body}
+	err = decodeFlat(&fr.dec, v)
+	fr.dec = Dec{}
+	if err != nil {
 		return t, err
 	}
 	t.CodecNs = time.Since(decStart).Nanoseconds()

@@ -12,6 +12,7 @@ import (
 
 	"pstap/internal/cube"
 	"pstap/internal/linalg"
+	"pstap/internal/radar"
 	"pstap/internal/stap"
 )
 
@@ -52,7 +53,7 @@ func (p *payload) AppendFlat(e *Enc) error {
 }
 
 func (p *payload) DecodeFlat(d *Dec) error {
-	p.C, p.RC, p.M, p.D = d.Cube(), d.RealCube(), d.Matrix(), d.Detections()
+	p.C, p.RC, p.M, p.D = d.Cube(), d.RealCubeInto(nil), d.MatrixInto(nil), d.Detections()
 	return nil
 }
 
@@ -296,7 +297,7 @@ func TestFlatCountRefusedBeforeAllocating(t *testing.T) {
 	e.shape(cube.Order{}, [3]int{1 << 20, 1 << 20, 1 << 20})
 	e.Int(1 << 60) // samples claimed; none follow
 	body := e.Bytes()
-	err := decodeFlat(body, &cube.Cube{})
+	err := decodeFlat(NewDec(body), &cube.Cube{})
 	if err == nil || !strings.Contains(err.Error(), "cannot fit") {
 		t.Fatalf("huge sample count: got %v", err)
 	}
@@ -305,15 +306,15 @@ func TestFlatCountRefusedBeforeAllocating(t *testing.T) {
 	e.RealCube(nil)
 	e.Matrix(nil)
 	e.Int(-7) // the detection count
-	if err := decodeFlat(e.Bytes(), &payload{}); err == nil || !strings.Contains(err.Error(), "negative count") {
+	if err := decodeFlat(NewDec(e.Bytes()), &payload{}); err == nil || !strings.Contains(err.Error(), "negative count") {
 		t.Fatalf("negative count: got %v", err)
 	}
-	if err := decodeFlat([]byte{2}, &cube.Cube{}); err == nil {
+	if err := decodeFlat(NewDec([]byte{2}), &cube.Cube{}); err == nil {
 		t.Fatal("a bad presence byte decoded")
 	}
 	var ok Enc
 	(&payload{}).AppendFlat(&ok)
-	if err := decodeFlat(append(ok.Bytes(), 0), &payload{}); err == nil || !strings.Contains(err.Error(), "trailing") {
+	if err := decodeFlat(NewDec(append(ok.Bytes(), 0)), &payload{}); err == nil || !strings.Contains(err.Error(), "trailing") {
 		t.Fatalf("trailing byte: got %v", err)
 	}
 }
@@ -481,5 +482,103 @@ func TestSkipKeepsTheHeadOnly(t *testing.T) {
 	fr.Next()
 	if n, err := fr.Skip(head[:]); err == nil || n != 3 {
 		t.Fatalf("truncated body skipped: %d bytes, %v", n, err)
+	}
+}
+
+// edgeSamples are the float64s a codec must carry bit for bit: ±0, ±Inf,
+// subnormals of both signs, and NaNs of both signs with distinct payloads,
+// quiet and signalling.
+var edgeSamples = []float64{
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1, -2.5, math.MaxFloat64,
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.Float64frombits(0x000f_ffff_ffff_ffff),
+	math.Float64frombits(0x7ff8_0000_0000_0001), math.Float64frombits(0x7ff0_0000_dead_beef),
+	math.Float64frombits(0xfff8_0000_0000_0ace), math.Float64frombits(0xfff4_0000_0000_0000),
+}
+
+// TestSampleCopyIsTheLoop: where a block of samples moves with one copy
+// (nativeLE), the copy writes exactly the bytes of the element-by-element
+// definition of the format, and reads back exactly the bits it reads, for
+// complex and real samples over edgeSamples.
+func TestSampleCopyIsTheLoop(t *testing.T) {
+	if !nativeLE {
+		t.Skip("this host moves samples with the loops alone")
+	}
+	var cs []complex128
+	for _, re := range edgeSamples {
+		for _, im := range edgeSamples {
+			cs = append(cs, complex(re, im))
+		}
+	}
+	bits := func(fs ...float64) (b []uint64) {
+		for _, f := range fs {
+			b = append(b, math.Float64bits(f))
+		}
+		return b
+	}
+	complexBits := func(cs []complex128) (b []uint64) {
+		for _, c := range cs {
+			b = append(b, bits(real(c), imag(c))...)
+		}
+		return b
+	}
+
+	loop := make([]byte, 16*len(cs))
+	putComplexes(loop, cs)
+	var e Enc
+	e.complexes(cs)
+	if !bytes.Equal(e.Bytes()[8:], loop) {
+		t.Error("complex samples: the copy writes other bytes than the loop")
+	}
+	fromLoop := make([]complex128, len(cs))
+	getComplexes(fromLoop, loop)
+	fromCopy := NewDec(e.Bytes()).complexesInto(nil)
+	if want := complexBits(cs); !reflect.DeepEqual(complexBits(fromCopy), want) || !reflect.DeepEqual(complexBits(fromLoop), want) {
+		t.Error("complex samples: the copy or the loop reads back other bits")
+	}
+
+	loop = make([]byte, 8*len(edgeSamples))
+	putFloats(loop, edgeSamples)
+	e = Enc{}
+	e.floats(edgeSamples)
+	if !bytes.Equal(e.Bytes()[8:], loop) {
+		t.Error("real samples: the copy writes other bytes than the loop")
+	}
+	fs := make([]float64, len(edgeSamples))
+	getFloats(fs, loop)
+	if want := bits(edgeSamples...); !reflect.DeepEqual(bits(NewDec(e.Bytes()).floatsInto(nil)...), want) || !reflect.DeepEqual(bits(fs...), want) {
+		t.Error("real samples: the copy or the loop reads back other bits")
+	}
+}
+
+// BenchmarkMediumPieceFrame encodes and decodes one Doppler-major piece
+// of radar.Medium() — what each of A10's two Doppler workers sends the
+// hard beamformer per CPI, 0.9 MB — through a warm Writer and Reader into
+// a warm cube: a dist link's codec, per frame, without the socket.
+func BenchmarkMediumPieceFrame(b *testing.B) {
+	p := radar.Medium()
+	piece := cube.New(radar.BeamformInOrder, p.Nhard, p.K/2, 2*p.J)
+	for i := range piece.Data {
+		piece.Data[i] = complex(float64(i), -float64(i))
+	}
+	var link bytes.Buffer
+	fw, fr := NewWriter(&link), NewReader(&link)
+	warm := new(cube.Cube)
+	frame := func() {
+		if _, err := fw.WriteFrame(Plain, piece); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := fr.ReadFrame(warm); err != nil {
+			b.Fatal(err)
+		}
+	}
+	frame() // size the buffers and the cube
+	b.SetBytes(16 * int64(len(piece.Data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frame()
+	}
+	if !sameCube(warm, piece) {
+		b.Fatal("the piece did not survive the frame")
 	}
 }
