@@ -22,8 +22,9 @@
 // to the coordinator on the ready frame. With -flightdir, a session that
 // dies of a fault dumps a flight record there; the newest 16 are kept.
 //
-// Every link runs dist.DefaultWindow credits at both ends. The window is
-// not a setting because the two ends of a link must agree on it.
+// A link has no flow control of its own: the session's in-flight window
+// (the coordinator's, shipped in the manifest) bounds what it carries and
+// sizes the memory its data decodes into, and TCP does the rest.
 //
 // A stapd with matching -distnodes/-distsecret flags (or any
 // dist.ClusterConfig) drives a set of these agents as one pipeline

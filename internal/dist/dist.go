@@ -6,15 +6,16 @@
 // pipeline.Stream), members 1..M are stapnode agents each hosting a
 // contiguous run of task groups per a Placement. Worker code is untouched:
 // internal/pipeline spawns the same worker bodies against a partial
-// mp.World whose non-hosted traffic rides internal/wire frames with
-// per-link credit-based flow control and heartbeats. Every frame is flat:
-// its header names its kind (hello, data, credit, ping/pong, ready,
-// goodbye) and its body holds exactly that kind's
-// fields — a data frame's pipeline message in pipeline.AppendMessage's
-// form, samples as float64 bit patterns. Every frame starts with the wire
-// format version, so every process of a replica must be the same build:
-// a node or coordinator from another build is refused at the hello with
-// an error naming both versions — never a mis-decode.
+// mp.World whose non-hosted traffic rides internal/wire frames over one
+// heartbeat-watched link per member pair; the stream's in-flight window is
+// the only flow control. Every frame is flat: its header names its kind
+// (hello, data, ping/pong, ready, goodbye) and its body holds exactly that
+// kind's fields — a data frame's pipeline message in
+// pipeline.AppendMessage's form, samples as float64 bit patterns. Every
+// frame starts with the wire format version, so every process of a
+// replica must be the same build: a node or coordinator from another
+// build is refused at the hello with an error naming both versions —
+// never a mis-decode.
 //
 // Wiring: the coordinator and each node open their share of a session the
 // same way (openSession). The coordinator dials every node and sends the
@@ -38,22 +39,11 @@ import (
 	"pstap/internal/pipeline"
 )
 
-// Link timings and the credit window. Only the heartbeat is tunable
-// (ClusterConfig.Heartbeat, shipped in the manifest); every link uses
-// DefaultWindow at both ends, and Connect's phases are bounded by the two
+// Link timings. Only the heartbeat is tunable (ClusterConfig.Heartbeat,
+// shipped in the manifest); Connect's phases are bounded by the two
 // timeouts.
-//
-// Besides the credit window's frames, a link's reader keeps the messages
-// it decodes in slots (edgeSlots): pipeline.RingDepth of the session's
-// in-flight window (the manifest's Window, 8 by default, so 9) per edge.
-// That is at most depth × the edge's largest message, summed over the
-// edges a member receives: at radar.Medium() under A10 split 0-2/3-6 and
-// window 8, 9 × 2.1 MB of raw slabs on node 1 and 9 × 3.2 MB of pieces and
-// weights on node 2, 45.6 MiB on the nodes. No data frame is longer than
-// the session's largest message (maxDataBytes), refused at its header.
 const (
 	DefaultHeartbeat    = 500 * time.Millisecond
-	DefaultWindow       = 64 // per-link, per-direction data-frame credits
 	DefaultDialTimeout  = 5 * time.Second
 	DefaultReadyTimeout = 10 * time.Second
 )
@@ -158,17 +148,12 @@ type LinkStats struct {
 	OffsetNs int64 `json:"offset_ns"`
 	// Cumulative wire-cost counters for data frames on this link, in
 	// nanoseconds: flat encode on send (SerNs), flat decode on receive
-	// (DeserNs), socket copy in both directions (XmitNs), and sender time
-	// blocked on the credit window (StallNs) — the per-link running totals
-	// behind the attribution engine's per-hop wire-tax view.
+	// (DeserNs), socket copy in both directions (XmitNs), and the time
+	// data senders waited for the link's writer while another frame left
+	// (StallNs) — the per-link running totals behind the attribution
+	// engine's per-hop wire-tax view.
 	SerNs   int64 `json:"ser_ns"`
 	DeserNs int64 `json:"deser_ns"`
 	XmitNs  int64 `json:"xmit_ns"`
 	StallNs int64 `json:"stall_ns"`
-	// Credits is the sender's remaining data-frame tokens and Window the
-	// per-direction total (DefaultWindow) — the flow-control state the
-	// flight recorder dumps to show whether a death was a stall or a wire
-	// loss.
-	Credits int `json:"credits"`
-	Window  int `json:"window"`
 }

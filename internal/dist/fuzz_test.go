@@ -11,7 +11,7 @@ import (
 // FuzzLinkFrame feeds arbitrary bytes to a link's frame reader — the kind
 // from the header, then the body into a frame of that kind — the way a
 // node reads what any TCP peer sends it, checking the header against a
-// Small session's bound. Seeds: at least one frame of each of the seven
+// Small session's bound. Seeds: at least one frame of each of the six
 // kinds, which the seed loop checks, so a kind added or removed later
 // cannot leave the corpus stale, and a data header claiming 512 MiB. Any input is an error or a
 // frame, never a panic or a runaway allocation, and a frame that decodes
@@ -25,7 +25,6 @@ func FuzzLinkFrame(f *testing.F) {
 		{Kind: frameHello, Session: "0123abcd", To: 2, Manifest: []byte("signed form"), Auth: []byte{1, 2, 3}},
 		{Kind: frameHello, Session: "0123abcd", From: 2, To: 1, Auth: []byte{}},
 		{Kind: frameData, Seq: 7, Src: 1, Dst: 9, Tag: 3 << 20, Deadline: -1}, // a nil payload
-		{Kind: frameCredit, Credits: 32},
 		{Kind: framePing, Seq: 4, Deadline: 1 << 62},
 		{Kind: framePong, Seq: 4, T: 1700000000000000000},
 		{Kind: frameReady, ObsAddr: "[::]:7443"},

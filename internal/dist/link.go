@@ -21,7 +21,6 @@ type frameKind uint8
 const (
 	frameHello   frameKind = iota // first frame on every connection
 	frameData                     // one mp message: (Src, Dst, Tag, Data)
-	frameCredit                   // returns Credits send tokens to the peer
 	framePing                     // heartbeat probe (Seq matches the pong)
 	framePong                     // heartbeat echo
 	frameReady                    // node finished wiring its session
@@ -47,8 +46,7 @@ type frame struct {
 	Src, Dst, Tag int
 	Data          any
 
-	Credits int    // frameCredit
-	Reason  string // frameGoodbye: non-empty when a fault caused it
+	Reason string // frameGoodbye: non-empty when a fault caused it
 
 	// T is the sender's wall clock in unix nanoseconds, stamped on pong
 	// frames: the responder's clock reading between the probe's send and
@@ -86,8 +84,6 @@ func (f *frame) AppendFlat(e *wire.Enc) error {
 		e.Int(f.Tag)
 		e.Int64(f.Deadline)
 		return pipeline.AppendMessage(e, f.Data)
-	case frameCredit:
-		e.Int(f.Credits)
 	case framePing:
 		e.Int(f.Seq)
 		e.Int64(f.Deadline)
@@ -125,8 +121,6 @@ func (f *frame) DecodeFlat(d *wire.Dec) (err error) {
 		*slot, err = pipeline.DecodeMessageInto(d, *slot)
 		f.Data = *slot
 		return err
-	case frameCredit:
-		f.Credits = d.Int()
 	case framePing:
 		f.Seq, f.Deadline = d.Int(), d.Int64()
 	case framePong:
@@ -189,8 +183,12 @@ type edgeRing struct {
 //
 // A slot is chosen by the edge's arrival count, not by the tag's CPI:
 // that wraps at 2^20 CPIs (pipeline's tagCPIMask), where cpi % depth
-// would jump and hand out a live slot. The slots hold at most depth times
-// each edge's largest message; see DefaultWindow for the sum.
+// would jump and hand out a live slot.
+//
+// The slots hold at most depth times each edge's largest message, summed
+// over the edges a member receives: at radar.Medium() under A10 split
+// 0-2/3-6 and window 8 (depth 9), 9 × 2.1 MB of raw slabs on node 1 and
+// 9 × 3.2 MB of pieces and weights on node 2, 45.6 MiB on the nodes.
 type edgeSlots struct {
 	depth    int
 	owners   []int // rank → member
@@ -241,9 +239,9 @@ func (e *goodbyeError) Error() string { return fmt.Sprintf("peer reported: %s", 
 // world as a failure.
 var errClosedGracefully = &goodbyeError{reason: "session closed"}
 
-// link is one full-duplex connection to a peer member: a locked writer, a
-// credit gate for outbound data frames, heartbeat bookkeeping and transfer
-// counters. The reader loop lives on the Transport, which owns dispatch.
+// link is one full-duplex connection to a peer member: a writer that
+// frames take turns on, heartbeat bookkeeping and transfer counters. The
+// reader loop lives on the Transport, which owns dispatch.
 // Each direction owns one frame buffer (wire.Writer, wire.Reader), grown
 // to the largest frame the link has carried and reused for every frame.
 // The reader reads the connection through a linkReadBuffer, so a header
@@ -254,47 +252,41 @@ var errClosedGracefully = &goodbyeError{reason: "session closed"}
 // memory the receiver owns, and refuses at its header a data frame longer
 // than any message of the session (checkHeader).
 //
-// Flow control is one constant at both ends. A sender starts each
-// direction with DefaultWindow credits and spends one per data frame; the
-// receiver delivers each frame into its world and grants the delivered
-// count back once it reaches DefaultWindow/2. Per direction, at every
-// instant,
+// A link has no flow control of its own. The stream's in-flight window
+// bounds what an edge carries — the same bound that sizes the edge's slots
+// (edgeSlots) — and TCP holds a sender in its socket write while the
+// peer's buffers are full.
 //
-//	credits + written-undelivered + delivered-ungranted + granted-in-flight = DefaultWindow,
-//
-// so a link holds at most DefaultWindow data frames of flow-control
-// memory per direction: in socket buffers, in the reader, or delivered
-// and not yet granted back. Delivered-ungranted stays below
-// DefaultWindow/2, so a sender at zero credits either has a grant in
-// flight or has more than DefaultWindow/2 frames still undelivered, and
-// delivering them brings the grant it waits for. Because the window is
-// one constant, no two ends can disagree on it: a receiver whose grant
-// threshold exceeded the sender's credits would leave the sender waiting
-// for a grant that never comes.
+// A sender blocked in that write must not hide a dead peer, so nothing
+// that judges the peer waits for the writer or blocks in a write past the
+// silence limit (writeControl). The reader answers a ping only when the
+// writer is free, so a blocked data write never stops it draining the
+// socket. The heartbeat checks the silence before it pings and skips a
+// ping while the writer is busy; a peer that stops reading is killed
+// after heartbeatMisses silent intervals, and killing closes the
+// connection, which fails the blocked write. A goodbye waits for the
+// writer a bounded time (goodbye).
 type link struct {
 	member int
 	addr   string
 	conn   net.Conn
 
-	wmu sync.Mutex   // serializes frame writes
+	wmu sync.Mutex   // the writer: serializes frame writes
 	fw  *wire.Writer // guarded by wmu
 	out frame        // the frame being written, guarded by wmu
 	fr  *wire.Reader // owned by the Transport's reader loop
 	in  *edgeSlots   // owned by the Transport's reader loop
 
-	// credits gates outbound data frames; the peer returns tokens with
-	// credit frames as it drains.
-	cmu     sync.Mutex
-	cond    *sync.Cond
-	credits int
-	seq     int // outbound data-frame sequence
+	// silence is heartbeatMisses heartbeat intervals, how long the peer
+	// may say nothing, or read nothing, before the link is dead; 0 without
+	// a heartbeat.
+	silence time.Duration
 
-	// delivered counts inbound data frames not yet acknowledged with a
-	// credit grant; the reader returns tokens in DefaultWindow/2 batches.
-	delivered int
+	seq atomic.Int64 // outbound data-frame sequence (fault addressing)
 
-	dead    atomic.Bool
-	deadErr error // set before dead flips true; read after Dead() only
+	// death is the link's typed death cause, nil while it lives; the
+	// first kill sets it.
+	death atomic.Pointer[LinkError]
 
 	// pings maps outstanding ping sequence → send time (heartbeat RTT).
 	pmu       sync.Mutex
@@ -309,7 +301,7 @@ type link struct {
 
 	// Cumulative wire-cost counters for data frames: flat encode (ser) and
 	// decode (deser), socket copy both directions (xmit), and time senders
-	// spent blocked on the credit window (stall).
+	// waited for the writer while another frame left (stall).
 	serNs, deserNs atomic.Int64
 	xmitNs         atomic.Int64
 	stallNs        atomic.Int64
@@ -318,7 +310,7 @@ type link struct {
 // linkReadBuffer is the buffer a link reads its connection through.
 const linkReadBuffer = 64 << 10
 
-func newLink(member int, addr string, conn net.Conn, in *edgeSlots) *link {
+func newLink(member int, addr string, conn net.Conn, in *edgeSlots, hb time.Duration) *link {
 	l := &link{
 		member:  member,
 		addr:    addr,
@@ -326,21 +318,34 @@ func newLink(member int, addr string, conn net.Conn, in *edgeSlots) *link {
 		fw:      wire.NewWriter(conn),
 		fr:      wire.NewReader(bufio.NewReaderSize(conn, linkReadBuffer)),
 		in:      in,
-		credits: DefaultWindow,
+		silence: heartbeatMisses * hb,
 		pings:   make(map[int]time.Time),
 	}
-	l.cond = sync.NewCond(&l.cmu)
 	l.lastHeard.Store(time.Now().UnixNano())
 	return l
 }
 
-// write sends one frame under the writer lock, counting its bytes and
-// returning the codec/IO split for the wire-cost accounting. The frame is
-// encoded from the link's own copy, so a send allocates nothing, and the
-// copy is cleared after so the link pins no payload between sends.
-func (l *link) write(f frame) (wire.FrameTiming, error) {
-	l.wmu.Lock()
-	defer l.wmu.Unlock()
+// write sends one frame once the writer is free. It returns the codec/IO
+// split for the wire-cost accounting and how long it waited for the
+// writer: 0 when the writer was free, so an uncontended write reads no
+// clock. A holder blocked in its socket write frees the writer when the
+// link is killed.
+func (l *link) write(f frame) (ft wire.FrameTiming, waitNs int64, err error) {
+	if !l.wmu.TryLock() {
+		t0 := time.Now()
+		l.wmu.Lock()
+		waitNs = time.Since(t0).Nanoseconds()
+	}
+	ft, err = l.put(f)
+	l.wmu.Unlock()
+	return ft, waitNs, err
+}
+
+// put writes one frame, counting its bytes; the caller holds the writer.
+// The frame is encoded from the link's own copy, so a send allocates
+// nothing, and the copy is cleared after so the link pins no payload
+// between sends.
+func (l *link) put(f frame) (wire.FrameTiming, error) {
 	l.out = f
 	ft, err := l.fw.WriteFrame(wire.Kind(f.Kind), &l.out)
 	l.out = frame{}
@@ -351,47 +356,75 @@ func (l *link) write(f frame) (wire.FrameTiming, error) {
 	return ft, nil
 }
 
-// sendData ships one mp message, blocking on the credit window. A nil
-// return means the frame was written; any error means the link is (now)
-// dead and the caller should treat the peer as lost. inj, when non-nil,
-// runs the link-plane fault rules against (member, seq) — including any
-// active partition/flap hold, which blocks the frame until the window
-// clears. col, when non-nil, journals the send's wire-cost event
-// (serialize, socket write, credit stall) under the payload's trace id.
-// deadline, when nonzero, stamps the frame with the current job deadline.
-func (l *link) sendData(src, dst, tag int, data any, deadline int64, inj *fault.Injector, col *obs.Collector) error {
-	var stallNs int64
-	l.cmu.Lock()
-	if l.credits == 0 && !l.dead.Load() {
-		t0 := time.Now()
-		for l.credits == 0 && !l.dead.Load() {
-			l.cond.Wait()
-		}
-		stallNs = time.Since(t0).Nanoseconds()
+// writeControl writes a ping or a pong if the writer is free; a frame
+// the writer is too busy for is dropped, not an error. The write fails at
+// the silence limit, so a peer that reads nothing cannot hold the caller
+// — the heartbeat or the reader — in it.
+func (l *link) writeControl(f frame) error {
+	if !l.wmu.TryLock() {
+		return nil
 	}
-	if l.dead.Load() {
-		l.cmu.Unlock()
+	defer l.wmu.Unlock()
+	l.conn.SetWriteDeadline(l.silenceLimit())
+	defer l.conn.SetWriteDeadline(time.Time{})
+	_, err := l.put(f)
+	return err
+}
+
+// goodbye writes a goodbye frame carrying reason if it can leave by
+// until, then kills the link. At until the link is killed in any case,
+// which frees a writer stuck in its socket write, and the goodbye is
+// dropped.
+func (l *link) goodbye(reason string, until time.Time) {
+	stop := time.AfterFunc(time.Until(until), func() { l.kill(errClosedGracefully) })
+	l.wmu.Lock()
+	if !l.dead() {
+		l.conn.SetWriteDeadline(until)
+		l.put(frame{Kind: frameGoodbye, Reason: reason})
+	}
+	l.wmu.Unlock()
+	stop.Stop()
+	l.kill(errClosedGracefully)
+}
+
+// silenceLimit is when the link is dead unless the peer is heard from
+// again: l.silence after it was last heard (zero without a heartbeat). A
+// ping or pong must leave by then: a peer that reads nothing that long is
+// as dead as one that says nothing.
+func (l *link) silenceLimit() time.Time {
+	if l.silence <= 0 {
+		return time.Time{}
+	}
+	return time.Unix(0, l.lastHeard.Load()).Add(l.silence)
+}
+
+// sendData ships one mp message, waiting for the writer. A nil return
+// means the frame was written; any error means the link is (now) dead and
+// the caller should treat the peer as lost. inj, when non-nil, runs the
+// link-plane fault rules against (member, seq) — including any active
+// partition/flap hold, which blocks the frame until the window clears.
+// col, when non-nil, journals the send's wire-cost event (serialize,
+// socket write, writer wait) under the payload's trace id. deadline, when
+// nonzero, stamps the frame with the current job deadline.
+func (l *link) sendData(src, dst, tag int, data any, deadline int64, inj *fault.Injector, col *obs.Collector) error {
+	if l.dead() {
 		return l.deathErr()
 	}
-	l.credits--
-	seq := l.seq
-	l.seq++
-	l.cmu.Unlock()
-	l.stallNs.Add(stallNs)
-
+	seq := int(l.seq.Add(1) - 1)
 	if inj != nil {
 		inj.LinkHold(l.member)
 		if err := inj.LinkSend(l.member, seq); err != nil {
 			return err
 		}
 	}
-	ft, err := l.write(frame{Kind: frameData, Seq: seq, Src: src, Dst: dst, Tag: tag, Deadline: deadline, Data: data})
+	ft, stallNs, err := l.write(frame{Kind: frameData, Seq: seq, Src: src, Dst: dst, Tag: tag, Deadline: deadline, Data: data})
 	if err != nil {
 		return err
 	}
 	l.msgsSent.Add(1)
 	l.serNs.Add(ft.CodecNs)
 	l.xmitNs.Add(ft.IONs)
+	l.stallNs.Add(stallNs)
 	if col != nil {
 		col.RecordWire(obs.WireEvent{
 			Dir: obs.WireSend, Src: src, Dst: dst, Tag: tag,
@@ -402,56 +435,28 @@ func (l *link) sendData(src, dst, tag int, data any, deadline int64, inj *fault.
 	return nil
 }
 
-// addCredits banks tokens returned by the peer and wakes blocked senders.
-func (l *link) addCredits(n int) {
-	l.cmu.Lock()
-	l.credits += n
-	l.cmu.Unlock()
-	l.cond.Broadcast()
-}
-
-// noteDelivered counts an inbound data frame and returns how many tokens
-// to grant back now (0 when the batch threshold is not reached).
-func (l *link) noteDelivered() int {
-	l.cmu.Lock()
-	defer l.cmu.Unlock()
-	l.delivered++
-	if l.delivered >= DefaultWindow/2 {
-		n := l.delivered
-		l.delivered = 0
-		return n
-	}
-	return 0
-}
-
-// kill marks the link dead with the given error, closes the connection
-// and releases credit waiters. It reports whether this call was the first
-// (the winning cause).
+// kill marks the link dead with the given error and closes the
+// connection, which fails a write blocked in it. It reports whether this
+// call was the first (the winning cause).
 func (l *link) kill(err error) bool {
-	l.cmu.Lock()
-	if l.dead.Load() {
-		l.cmu.Unlock()
+	if !l.death.CompareAndSwap(nil, &LinkError{Member: l.member, Addr: l.addr, Err: err}) {
 		return false
 	}
-	l.deadErr = err
-	l.dead.Store(true)
-	l.cmu.Unlock()
 	l.conn.Close()
-	l.cond.Broadcast()
 	return true
 }
 
-// deathErr wraps the link's death cause as a typed LinkError.
-func (l *link) deathErr() error {
-	l.cmu.Lock()
-	err := l.deadErr
-	l.cmu.Unlock()
-	return &LinkError{Member: l.member, Addr: l.addr, Err: err}
-}
+// dead reports whether the link has been killed.
+func (l *link) dead() bool { return l.death.Load() != nil }
 
-// ping sends one heartbeat probe, stamped with the current job deadline
-// (0 when none) so an idle link still propagates deadline arms and
-// clears.
+// deathErr is the link's death cause, a typed LinkError; call it only
+// once the link is dead.
+func (l *link) deathErr() error { return l.death.Load() }
+
+// ping sends one heartbeat probe if the writer is free, stamped with the
+// current job deadline (0 when none) so an idle link still propagates
+// deadline arms and clears. A probe not sent stays in pings, unanswered,
+// until pruned.
 func (l *link) ping(deadline int64) error {
 	l.pmu.Lock()
 	l.pingSeq++
@@ -465,8 +470,7 @@ func (l *link) ping(deadline int64) error {
 		}
 	}
 	l.pmu.Unlock()
-	_, err := l.write(frame{Kind: framePing, Seq: seq, Deadline: deadline})
-	return err
+	return l.writeControl(frame{Kind: framePing, Seq: seq, Deadline: deadline})
 }
 
 // pong matches a heartbeat echo to its probe, folds the round-trip into
@@ -503,11 +507,8 @@ func (l *link) pong(seq int, peerT int64) {
 	}
 }
 
-// stats snapshots the link's transfer counters and flow/clock state.
+// stats snapshots the link's transfer counters and clock state.
 func (l *link) stats() LinkStats {
-	l.cmu.Lock()
-	credits := l.credits
-	l.cmu.Unlock()
 	return LinkStats{
 		Member:    l.member,
 		Addr:      l.addr,
@@ -521,7 +522,5 @@ func (l *link) stats() LinkStats {
 		DeserNs:   l.deserNs.Load(),
 		XmitNs:    l.xmitNs.Load(),
 		StallNs:   l.stallNs.Load(),
-		Credits:   credits,
-		Window:    DefaultWindow,
 	}
 }

@@ -377,7 +377,7 @@ func (n *Node) runSession(s *session, coordConn net.Conn) {
 	}
 
 	if l, lerr := h.tr.waitLink(0); lerr == nil {
-		if _, werr := l.write(frame{Kind: frameReady, ObsAddr: n.cfg.ObsAddr}); werr != nil {
+		if _, _, werr := l.write(frame{Kind: frameReady, ObsAddr: n.cfg.ObsAddr}); werr != nil {
 			h.tr.linkDied(l, werr)
 		}
 	}

@@ -32,7 +32,7 @@ type NodeSnapshot struct {
 	Counters    *obs.Snapshot   `json:"counters,omitempty"`
 	Links       []LinkStats     `json:"links,omitempty"`
 	// Wire is the node's wire-cost event journal (per-message serialize,
-	// transmit, deserialize and credit-stall durations). Durations are
+	// transmit, deserialize and writer-wait durations). Durations are
 	// single-clock, so the federation merger consumes them without any
 	// offset correction.
 	Wire []obs.WireEvent `json:"wire,omitempty"`

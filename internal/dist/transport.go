@@ -79,8 +79,8 @@ func newTransport(self, members int, owners []int, hb time.Duration, inj *fault.
 
 // Send implements mp.Transport: it routes one message to the member
 // hosting dst, blocking on link registration (peers may still be dialing
-// in) and on the link's credit window. Any returned error means the peer
-// is lost; mp turns it into a world abort with this error as the cause.
+// in) and on the link's writer. Any returned error means the peer is
+// lost; mp turns it into a world abort with this error as the cause.
 func (t *Transport) Send(src, dst, tag int, data any) error {
 	if dst < 0 || dst >= len(t.owners) {
 		return fmt.Errorf("dist: send to rank %d outside world of %d", dst, len(t.owners))
@@ -100,8 +100,8 @@ func (t *Transport) Send(src, dst, tag int, data any) error {
 // deadline in unix nanoseconds. The coordinator calls it around each
 // deadline-bounded job; subsequent data and ping frames carry the value
 // to the nodes. Clearing also fires an immediate ping on every live link
-// so idle nodes disarm their monitors promptly instead of waiting out a
-// heartbeat interval.
+// whose writer is free, so idle nodes disarm their monitors promptly
+// instead of waiting out a heartbeat interval.
 func (t *Transport) SetDeadline(ns int64) {
 	old := t.deadline.Swap(ns)
 	if ns != 0 {
@@ -112,7 +112,7 @@ func (t *Transport) SetDeadline(ns int64) {
 		return
 	}
 	for _, l := range t.linkList() {
-		if !l.dead.Load() {
+		if !l.dead() {
 			l.ping(0)
 		}
 	}
@@ -172,7 +172,7 @@ func (t *Transport) waitLink(member int) (*link, error) {
 	defer t.mu.Unlock()
 	for {
 		if l, ok := t.links[member]; ok {
-			if l.dead.Load() {
+			if l.dead() {
 				return nil, l.deathErr()
 			}
 			return l, nil
@@ -197,7 +197,7 @@ func (t *Transport) runLink(member int, addr string, conn net.Conn) {
 		return
 	}
 	l := newLink(member, addr, conn, &edgeSlots{depth: t.depth, owners: t.owners, from: member, to: t.self,
-		rings: make(map[edge]*edgeRing)})
+		rings: make(map[edge]*edgeRing)}, t.hb)
 	t.links[member] = l
 	t.mu.Unlock()
 	t.cond.Broadcast()
@@ -234,7 +234,7 @@ func (t *Transport) readLoop(l *link) {
 			} else {
 				t.inj.LinkHoldPassive(l.member)
 			}
-			if l.dead.Load() {
+			if l.dead() {
 				return
 			}
 		}
@@ -261,19 +261,13 @@ func (t *Transport) readLoop(l *link) {
 				})
 			}
 			t.world.Deliver(f.Src, f.Dst, f.Tag, f.Data)
-			if n := l.noteDelivered(); n > 0 {
-				if _, err := l.write(frame{Kind: frameCredit, Credits: n}); err != nil {
-					t.linkDied(l, err)
-					return
-				}
-			}
-		case frameCredit:
-			l.addCredits(f.Credits)
 		case framePing:
 			t.noteDeadline(f.Deadline, l.offsetNs.Load())
 			// Stamp the local clock on the echo: the probe's sender uses it
-			// for NTP-style offset estimation.
-			if _, err := l.write(frame{Kind: framePong, Seq: f.Seq, T: time.Now().UnixNano()}); err != nil {
+			// for NTP-style offset estimation. The echo is dropped while a
+			// data frame holds the writer — the reader never waits for it —
+			// and the prober hears that frame instead.
+			if err := l.writeControl(frame{Kind: framePong, Seq: f.Seq, T: time.Now().UnixNano()}); err != nil {
 				t.linkDied(l, err)
 				return
 			}
@@ -302,7 +296,10 @@ func (t *Transport) readLoop(l *link) {
 
 // heartbeat pings the peer every interval and kills the link after
 // heartbeatMisses intervals of silence — the detector for a peer that
-// vanished without closing its socket.
+// vanished without closing its socket, or stopped reading it. It never
+// waits for the writer, nor blocks in a ping past the silence limit
+// (link.ping), so a sender blocked in a socket write cannot hold the
+// silence check off.
 func (t *Transport) heartbeat(l *link) {
 	defer t.wg.Done()
 	if t.hb <= 0 {
@@ -313,10 +310,10 @@ func (t *Transport) heartbeat(l *link) {
 	for {
 		select {
 		case <-tick.C:
-			if l.dead.Load() {
+			if l.dead() {
 				return
 			}
-			if silent := time.Now().UnixNano() - l.lastHeard.Load(); silent > int64(heartbeatMisses)*int64(t.hb) {
+			if silent := time.Now().UnixNano() - l.lastHeard.Load(); silent > int64(l.silence) {
 				t.linkDied(l, fmt.Errorf("dist: heartbeat: peer silent for %v", time.Duration(silent)))
 				return
 			}
@@ -327,7 +324,7 @@ func (t *Transport) heartbeat(l *link) {
 				continue
 			}
 			if err := l.ping(t.deadline.Load()); err != nil {
-				t.linkDied(l, err)
+				t.linkDied(l, fmt.Errorf("dist: heartbeat: ping: %w", err))
 				return
 			}
 		case <-t.stop:
@@ -409,8 +406,11 @@ func (t *Transport) dropConns() {
 
 // Close tears the transport down: a best-effort goodbye frame (carrying
 // reason when the local world died of a fault) on every link, then the
-// links are killed and every goroutine joined. Idempotent. Close itself
-// does not abort the bound world — callers sequence that.
+// links are killed and every goroutine joined. Idempotent. A goodbye
+// must leave within one heartbeat interval of Close, waiting for its
+// link's writer included, or it is dropped; so a writer stuck in a socket
+// write delays Close by at most that. Close itself does not abort the
+// bound world — callers sequence that.
 func (t *Transport) Close(reason string) {
 	t.closeOne.Do(func() {
 		t.disarmDeadline()
@@ -419,11 +419,9 @@ func (t *Transport) Close(reason string) {
 		t.mu.Unlock()
 		t.cond.Broadcast()
 		close(t.stop)
+		until := time.Now().Add(t.hb)
 		for _, l := range t.linkList() {
-			if !l.dead.Load() {
-				l.write(frame{Kind: frameGoodbye, Reason: reason})
-			}
-			l.kill(errClosedGracefully)
+			l.goodbye(reason, until)
 		}
 	})
 	t.wg.Wait()

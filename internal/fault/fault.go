@@ -516,7 +516,7 @@ func (in *Injector) LinkHold(member int) {
 
 // LinkHoldPassive blocks like LinkHold while a window covering the link
 // to member is dark, but never anchors a new one: control frames (ready,
-// credit, ping echoes) ride out an open partition without starting one.
+// pings and their echoes) ride out an open partition without starting one.
 func (in *Injector) LinkHoldPassive(member int) {
 	in.linkHold(member, false)
 }

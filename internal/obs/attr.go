@@ -19,7 +19,7 @@ import (
 // critical worker span — recv overlap is queue wait, compute overlap is
 // compute, send overlap starts as local send work — and refined with the
 // wire events whose endpoints touch the stage: deserialize and payload
-// read carve queue wait down, serialize/credit-stall/socket-write carve
+// read carve queue wait down, serialize/writer-wait/socket-write carve
 // the send share, all with clamped subtraction so the per-segment sum is
 // preserved. What no measurement claims is stall: pipeline idle time.
 //
@@ -51,7 +51,7 @@ type AttributeConfig struct {
 // Queue is time blocked waiting for input, Compute the task's own work
 // (including local packing), Serialize/Deserialize the codec costs on
 // distributed links, Transmit the socket copy time, and Stall everything
-// no measurement claims — flow-control (credit) waits and pipeline idle.
+// no measurement claims — waits for a link's writer and pipeline idle.
 type Components struct {
 	Queue       int64 `json:"queue_ns"`
 	Compute     int64 `json:"compute_ns"`
@@ -90,9 +90,9 @@ func (c Components) Total() int64 {
 
 // WireNs returns the wire-tax share: the costs the transfer machinery
 // measured (codec and socket copy). Stall is excluded — the component
-// mixes credit waits with plain pipeline idle, and an in-process replica
+// mixes writer waits with plain pipeline idle, and an in-process replica
 // with zero wire events must report a zero wire tax (the per-hop
-// HopAttr.WireNs, built from wire events alone, does count credit stall).
+// HopAttr.WireNs, built from wire events alone, does count writer waits).
 func (c Components) WireNs() int64 {
 	return c.Serialize + c.Deserialize + c.Transmit
 }

@@ -25,7 +25,7 @@ type FlightRecord struct {
 	Counters    *Snapshot   `json:"counters,omitempty"`
 	Events      []SpanEvent `json:"events"`
 	SlowLog     []string    `json:"slow_log,omitempty"`
-	Links       any         `json:"links,omitempty"`   // per-link credit/RTT/offset state (dist.LinkStats)
+	Links       any         `json:"links,omitempty"`   // per-link counters and RTT/offset state (dist.LinkStats)
 	Pending     []int       `json:"pending,omitempty"` // per-rank mailbox depths at death (-1 = not hosted)
 	Nodes       any         `json:"nodes,omitempty"`   // last federated node snapshots (coordinator side)
 	// History, when attached, is the lead-up: the faulted replica's recent

@@ -7,12 +7,13 @@
 //
 // The core is a Collector: per-task/per-worker atomic counters (CPIs
 // processed, receive/compute/send nanoseconds), world-level message and
-// byte counters (fed by internal/mp's send hook), and a fixed-size
-// lock-free ring journal of span events. Recording a span costs a handful
-// of atomic adds and one atomic pointer store; the journal is read only by
-// exporters (Gauges, Chrome trace, Prometheus exposition), never by the
-// data path. The package is stdlib-only and imports nothing from the rest
-// of the repository, so every layer can depend on it.
+// byte counters (fed by internal/mp's send hook), and fixed-size ring
+// journals of span and wire events (journal). Recording a span costs a
+// handful of atomic adds and one uncontended slot lock, and allocates
+// nothing; the journals are read only by exporters (Gauges, Chrome trace,
+// Prometheus exposition), never by the data path. The package is
+// stdlib-only and imports nothing from the rest of the repository, so
+// every layer can depend on it.
 package obs
 
 import (
@@ -34,9 +35,10 @@ type Config struct {
 	// Tasks names the pipeline tasks and their worker counts, in task
 	// order. RecordSpan indices must stay within these bounds.
 	Tasks []TaskMeta
-	// RingSize is the span journal capacity in events (default 4096). The
-	// journal must hold Window CPIs' worth of spans (one per worker per
-	// CPI) for the gauges to see a full window.
+	// RingSize is the capacity in events of the span journal and of the
+	// wire-event journal (default 4096). The span journal must hold
+	// Window CPIs' worth of spans (one per worker per CPI) for the gauges
+	// to see a full window.
 	RingSize int
 	// Window is the sliding gauge window in CPIs (default DefaultWindow).
 	// A window the ring cannot hold (Window × total workers > RingSize)
@@ -44,11 +46,6 @@ type Config struct {
 	// clamps it to RingSize / total workers (at least 1) and reports the
 	// clamp through Logf.
 	Window int
-	// WireRingSize is the wire-event journal capacity (default RingSize).
-	// Wire events are recorded by the distributed transport — one per link
-	// send and one per link receive — and feed the per-hop cost accounting
-	// of the attribution engine (see Attribute).
-	WireRingSize int
 	// LatencyPath is the latency chain of eq. (2): each element is a set
 	// of alternative tasks whose slowest member contributes one stage
 	// (e.g. [[0],[3,4],[5],[6]] for the paper's T0+max(T3,T4)+T5+T6). The
@@ -103,7 +100,7 @@ type WorkerCounters struct {
 // Wire-event direction: one event is recorded on each side of a
 // distributed link transfer.
 const (
-	WireSend = iota // sender side: serialize, transmit, credit stall
+	WireSend = iota // sender side: serialize, transmit, writer wait
 	WireRecv        // receiver side: payload read, deserialize
 )
 
@@ -113,11 +110,12 @@ const (
 // node, no cross-node correction needed); At is nanoseconds since the
 // recording collector's start.
 //
-// Sender side (Dir == WireSend): SerNs is gob encode, XmitNs the socket
-// write, StallNs the credit-window wait that preceded them. Receiver
-// side (Dir == WireRecv): XmitNs is the payload read off the socket
-// (header wait is excluded — between frames it is idle time, not
-// transfer cost) and DeserNs the gob decode.
+// Sender side (Dir == WireSend): SerNs is the flat encode, XmitNs the
+// socket write, StallNs the wait for the link's writer — for another
+// sender's frame to leave — that preceded them. Receiver side (Dir ==
+// WireRecv): XmitNs is the payload read off the socket (header wait is
+// excluded — between frames it is idle time, not transfer cost) and
+// DeserNs the flat decode.
 type WireEvent struct {
 	Dir      int // WireSend or WireRecv
 	Src, Dst int // mp ranks of the payload's endpoints
@@ -174,11 +172,8 @@ type Collector struct {
 	msgs     atomic.Int64
 	bytes    atomic.Int64
 
-	ring []atomic.Pointer[SpanEvent]
-	head atomic.Uint64
-
-	wireRing []atomic.Pointer[WireEvent]
-	wireHead atomic.Uint64
+	spans journal[SpanEvent]
+	wire  journal[WireEvent]
 
 	slow []slowTracker // per task
 
@@ -197,9 +192,6 @@ func New(cfg Config) *Collector {
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultWindow
 	}
-	if cfg.WireRingSize <= 0 {
-		cfg.WireRingSize = cfg.RingSize
-	}
 	if total := cfg.workerTotal(); total > 0 && cfg.Window*total > cfg.RingSize {
 		clamped := cfg.RingSize / total
 		if clamped < 1 {
@@ -216,8 +208,8 @@ func New(cfg Config) *Collector {
 		cfg:      cfg,
 		start:    time.Now(),
 		counters: make([][]*WorkerCounters, len(cfg.Tasks)),
-		ring:     make([]atomic.Pointer[SpanEvent], cfg.RingSize),
-		wireRing: make([]atomic.Pointer[WireEvent], cfg.WireRingSize),
+		spans:    newJournal[SpanEvent](cfg.RingSize),
+		wire:     newJournal[WireEvent](cfg.RingSize),
 		slow:     make([]slowTracker, len(cfg.Tasks)),
 	}
 	for t, tm := range cfg.Tasks {
@@ -241,7 +233,7 @@ func (c *Collector) Tasks() []TaskMeta { return c.cfg.Tasks }
 func (c *Collector) Window() int { return c.cfg.Window }
 
 // RingSize returns the span journal's capacity in events.
-func (c *Collector) RingSize() int { return len(c.ring) }
+func (c *Collector) RingSize() int { return len(c.spans.slots) }
 
 // RecordSpan journals one worker-CPI span and bumps the counters. The
 // timestamps follow the Figure-10 loop: t0 loop start (receive begins),
@@ -260,7 +252,7 @@ func (c *Collector) RecordTracedSpan(task, worker, cpi int, trace uint64, hop ui
 	wc.RecvNs.Add(t1.Sub(t0).Nanoseconds())
 	wc.CompNs.Add(t2.Sub(t1).Nanoseconds())
 	wc.SendNs.Add(t3.Sub(t2).Nanoseconds())
-	ev := &SpanEvent{
+	ev := SpanEvent{
 		Task: task, Worker: worker, CPI: cpi,
 		Trace: trace, Hop: hop,
 		T0: t0.Sub(c.start).Nanoseconds(),
@@ -268,8 +260,7 @@ func (c *Collector) RecordTracedSpan(task, worker, cpi int, trace uint64, hop ui
 		T2: t2.Sub(c.start).Nanoseconds(),
 		T3: t3.Sub(c.start).Nanoseconds(),
 	}
-	idx := c.head.Add(1) - 1
-	c.ring[idx%uint64(len(c.ring))].Store(ev)
+	c.spans.record(ev)
 	if c.cfg.SlowMultiple > 0 {
 		c.noteSlow(task, worker, cpi, ev.T3-ev.T0)
 	}
@@ -339,30 +330,15 @@ func (c *Collector) OnWait(task, worker int, ns int64) {
 }
 
 // RecordWire journals one wire cost event, stamping its At offset. Like
-// span recording it is lock-free: one atomic add and a pointer store.
+// span recording it allocates nothing.
 func (c *Collector) RecordWire(ev WireEvent) {
 	ev.At = time.Since(c.start).Nanoseconds()
-	idx := c.wireHead.Add(1) - 1
-	c.wireRing[idx%uint64(len(c.wireRing))].Store(&ev)
+	c.wire.record(ev)
 }
 
 // WireJournal returns the wire-event ring's contents, oldest first, with
 // the same concurrent-writer caveats as Journal.
-func (c *Collector) WireJournal() []WireEvent {
-	n := c.wireHead.Load()
-	size := uint64(len(c.wireRing))
-	lo := uint64(0)
-	if n > size {
-		lo = n - size
-	}
-	out := make([]WireEvent, 0, n-lo)
-	for i := lo; i < n; i++ {
-		if p := c.wireRing[i%size].Load(); p != nil {
-			out = append(out, *p)
-		}
-	}
-	return out
-}
+func (c *Collector) WireJournal() []WireEvent { return c.wire.read() }
 
 // Messages returns the cumulative message count seen through OnSend.
 func (c *Collector) Messages() int64 { return c.msgs.Load() }
@@ -371,20 +347,57 @@ func (c *Collector) Messages() int64 { return c.msgs.Load() }
 func (c *Collector) Bytes() int64 { return c.bytes.Load() }
 
 // Journal returns the ring's events, oldest first. Events being written
-// concurrently may be missed or (across a wrap) replaced by newer ones;
-// every returned event is internally consistent.
-func (c *Collector) Journal() []SpanEvent {
-	n := c.head.Load()
-	size := uint64(len(c.ring))
+// concurrently, or overwritten across a wrap while the read runs, may be
+// missed; every returned event is internally consistent.
+func (c *Collector) Journal() []SpanEvent { return c.spans.read() }
+
+// journal is a fixed-size ring of events that any number of recorders
+// write and exporters read. A slot holds its event by value, so a record
+// allocates nothing, behind the slot's own lock, so a reader never copies
+// an event half written; the lock is uncontended unless a reader or a
+// writer one wrap ahead is on the same slot. seq names the event a slot
+// holds, so a reader takes an event only from the slot it was written to
+// and skips one still being written or already overwritten.
+type journal[T any] struct {
+	slots []journalSlot[T]
+	head  atomic.Uint64 // events recorded so far
+}
+
+type journalSlot[T any] struct {
+	mu  sync.Mutex
+	seq uint64 // 1 + the index of the event held, 0 while empty
+	ev  T
+}
+
+func newJournal[T any](size int) journal[T] {
+	return journal[T]{slots: make([]journalSlot[T], size)}
+}
+
+// record appends ev, overwriting the oldest event once the ring is full.
+func (j *journal[T]) record(ev T) {
+	i := j.head.Add(1) - 1
+	s := &j.slots[i%uint64(len(j.slots))]
+	s.mu.Lock()
+	s.seq, s.ev = i+1, ev
+	s.mu.Unlock()
+}
+
+// read returns the ring's events, oldest first.
+func (j *journal[T]) read() []T {
+	n := j.head.Load()
+	size := uint64(len(j.slots))
 	lo := uint64(0)
 	if n > size {
 		lo = n - size
 	}
-	out := make([]SpanEvent, 0, n-lo)
+	out := make([]T, 0, n-lo)
 	for i := lo; i < n; i++ {
-		if p := c.ring[i%size].Load(); p != nil {
-			out = append(out, *p)
+		s := &j.slots[i%size]
+		s.mu.Lock()
+		if s.seq == i+1 {
+			out = append(out, s.ev)
 		}
+		s.mu.Unlock()
 	}
 	return out
 }

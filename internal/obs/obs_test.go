@@ -72,6 +72,29 @@ func TestJournalOrderAndWraparound(t *testing.T) {
 	}
 }
 
+// TestRecordAllocatesNothing: a journal slot holds its event by value, so
+// recording a span or a wire event allocates nothing — 100 records into a
+// ring of 8 wrap it many times over.
+func TestRecordAllocatesNothing(t *testing.T) {
+	cfg := testConfig()
+	cfg.RingSize = 8
+	c := New(cfg)
+	t0 := c.Start()
+	t1 := t0.Add(time.Microsecond)
+	if n := testing.AllocsPerRun(100, func() { c.RecordTracedSpan(0, 1, 3, 7, 2, t0, t1, t1, t1) }); n != 0 {
+		t.Errorf("RecordTracedSpan: %v allocations per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.RecordWire(WireEvent{Dir: WireSend, Trace: 7, Bytes: 64}) }); n != 0 {
+		t.Errorf("RecordWire: %v allocations per call, want 0", n)
+	}
+	if evs := c.Journal(); len(evs) != 8 || evs[7].Trace != 7 || evs[7].Hop != 2 {
+		t.Errorf("span journal after the runs: %+v", evs)
+	}
+	if evs := c.WireJournal(); len(evs) != 8 || evs[7].Bytes != 64 {
+		t.Errorf("wire journal after the runs: %+v", evs)
+	}
+}
+
 func TestGaugesMatchHandComputation(t *testing.T) {
 	c := New(testConfig())
 	base := c.Start()
