@@ -165,16 +165,13 @@ func (r *Replica) ProcessJob(cpis []*cube.Cube) ([][]stap.Detection, error) {
 	return r.ProcessJobOpts(cpis, pipeline.JobOpts{})
 }
 
-// ProcessJobOpts is ProcessJob with per-job options. A nonzero deadline
-// is installed on the transport for the job's duration, so every data
-// and ping frame carries it and the nodes arm their own abort monitors —
-// a partitioned node stops burning CPU on a dead job without hearing
-// from the coordinator again.
+// ProcessJobOpts is ProcessJob with per-job options. A job deadline is
+// the driver's alone: the nodes never see it. A replica whose job
+// returned pipeline.ErrDeadlineExceeded is dead and must be aborted, as
+// the serving layer's recycle does; the goodbye that Abort writes ends
+// every node's session. Until then its nodes finish at most the window's
+// in-flight CPIs and then sit idle.
 func (r *Replica) ProcessJobOpts(cpis []*cube.Cube, opts pipeline.JobOpts) ([][]stap.Detection, error) {
-	if !opts.Deadline.IsZero() {
-		r.tr.SetDeadline(opts.Deadline.UnixNano())
-		defer r.tr.SetDeadline(0)
-	}
 	dets, err := r.st.ProcessJobOpts(cpis, opts)
 	if err == nil {
 		return dets, nil

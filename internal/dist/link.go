@@ -42,9 +42,10 @@ type frame struct {
 	Auth     []byte // the hello's MAC: over Manifest from the coordinator, peerAuth from a node
 
 	// Data fields.
-	Seq           int // per-link outbound data sequence (fault addressing)
 	Src, Dst, Tag int
 	Data          any
+
+	Seq int // ping and pong: the probe's sequence number
 
 	Reason string // frameGoodbye: non-empty when a fault caused it
 
@@ -52,12 +53,6 @@ type frame struct {
 	// frames: the responder's clock reading between the probe's send and
 	// receive, which is exactly what NTP-style offset estimation needs.
 	T int64
-	// Deadline is the current job's absolute deadline in the
-	// coordinator's unix nanoseconds (0 = none), stamped on data and ping
-	// frames. Nodes arm a local abort monitor from it so past-deadline
-	// CPIs stop consuming CPU even when the coordinator cannot reach them
-	// to say so; a zero stamp after a nonzero one disarms the monitor.
-	Deadline int64
 	// ObsAddr, on ready frames, advertises the node's telemetry HTTP
 	// listener to the coordinator (empty when the node runs without one).
 	ObsAddr string
@@ -78,15 +73,12 @@ func (f *frame) AppendFlat(e *wire.Enc) error {
 		wire.PutSlice(e, f.Manifest, (*wire.Enc).Byte)
 		wire.PutSlice(e, f.Auth, (*wire.Enc).Byte)
 	case frameData:
-		e.Int(f.Seq)
 		e.Int(f.Src)
 		e.Int(f.Dst)
 		e.Int(f.Tag)
-		e.Int64(f.Deadline)
 		return pipeline.AppendMessage(e, f.Data)
 	case framePing:
 		e.Int(f.Seq)
-		e.Int64(f.Deadline)
 	case framePong:
 		e.Int(f.Seq)
 		e.Int64(f.T)
@@ -110,7 +102,7 @@ func (f *frame) DecodeFlat(d *wire.Dec) (err error) {
 		f.Session, f.From, f.To = d.Text(), d.Int(), d.Int()
 		f.Manifest, f.Auth = wire.GetSlice(d, 1, (*wire.Dec).Byte), wire.GetSlice(d, 1, (*wire.Dec).Byte)
 	case frameData:
-		f.Seq, f.Src, f.Dst, f.Tag, f.Deadline = d.Int(), d.Int(), d.Int(), d.Int(), d.Int64()
+		f.Src, f.Dst, f.Tag = d.Int(), d.Int(), d.Int()
 		if err := d.Err(); err != nil {
 			return err
 		}
@@ -122,7 +114,7 @@ func (f *frame) DecodeFlat(d *wire.Dec) (err error) {
 		f.Data = *slot
 		return err
 	case framePing:
-		f.Seq, f.Deadline = d.Int(), d.Int64()
+		f.Seq = d.Int()
 	case framePong:
 		f.Seq, f.T = d.Int(), d.Int64()
 	case frameReady:
@@ -135,9 +127,9 @@ func (f *frame) DecodeFlat(d *wire.Dec) (err error) {
 	return err
 }
 
-// dataFieldBytes is a data frame's own fields ahead of its message: Seq,
-// Src, Dst, Tag and Deadline.
-const dataFieldBytes = 5 * 8
+// dataFieldBytes is a data frame's own fields ahead of its message: Src,
+// Dst and Tag.
+const dataFieldBytes = 3 * 8
 
 // maxDataBytes is the longest data frame body a session of man can send:
 // its own fields and the session's largest message.
@@ -282,7 +274,7 @@ type link struct {
 	// a heartbeat.
 	silence time.Duration
 
-	seq atomic.Int64 // outbound data-frame sequence (fault addressing)
+	seq atomic.Int64 // outbound data-frame sequence (fault addressing), not on the wire
 
 	// death is the link's typed death cause, nil while it lives; the
 	// first kill sets it.
@@ -404,9 +396,9 @@ func (l *link) silenceLimit() time.Time {
 // link-plane fault rules against (member, seq) — including any active
 // partition/flap hold, which blocks the frame until the window clears.
 // col, when non-nil, journals the send's wire-cost event (serialize,
-// socket write, writer wait) under the payload's trace id. deadline, when
-// nonzero, stamps the frame with the current job deadline.
-func (l *link) sendData(src, dst, tag int, data any, deadline int64, inj *fault.Injector, col *obs.Collector) error {
+// socket write, writer wait) under the payload's trace id. A data frame
+// carries only its message's address (Src, Dst, Tag) and the message.
+func (l *link) sendData(src, dst, tag int, data any, inj *fault.Injector, col *obs.Collector) error {
 	if l.dead() {
 		return l.deathErr()
 	}
@@ -417,7 +409,7 @@ func (l *link) sendData(src, dst, tag int, data any, deadline int64, inj *fault.
 			return err
 		}
 	}
-	ft, stallNs, err := l.write(frame{Kind: frameData, Seq: seq, Src: src, Dst: dst, Tag: tag, Deadline: deadline, Data: data})
+	ft, stallNs, err := l.write(frame{Kind: frameData, Src: src, Dst: dst, Tag: tag, Data: data})
 	if err != nil {
 		return err
 	}
@@ -439,11 +431,17 @@ func (l *link) sendData(src, dst, tag int, data any, deadline int64, inj *fault.
 // connection, which fails a write blocked in it. It reports whether this
 // call was the first (the winning cause).
 func (l *link) kill(err error) bool {
-	if !l.death.CompareAndSwap(nil, &LinkError{Member: l.member, Addr: l.addr, Err: err}) {
+	if !l.mark(err) {
 		return false
 	}
 	l.conn.Close()
 	return true
+}
+
+// mark records err as the link's death cause, leaving the connection
+// open, and reports whether this call was the first.
+func (l *link) mark(err error) bool {
+	return l.death.CompareAndSwap(nil, &LinkError{Member: l.member, Addr: l.addr, Err: err})
 }
 
 // dead reports whether the link has been killed.
@@ -453,11 +451,10 @@ func (l *link) dead() bool { return l.death.Load() != nil }
 // once the link is dead.
 func (l *link) deathErr() error { return l.death.Load() }
 
-// ping sends one heartbeat probe if the writer is free, stamped with the
-// current job deadline (0 when none) so an idle link still propagates
-// deadline arms and clears. A probe not sent stays in pings, unanswered,
-// until pruned.
-func (l *link) ping(deadline int64) error {
+// ping sends one heartbeat probe, carrying only its sequence number, if
+// the writer is free. A probe not sent stays in pings, unanswered, until
+// pruned.
+func (l *link) ping() error {
 	l.pmu.Lock()
 	l.pingSeq++
 	seq := l.pingSeq
@@ -470,7 +467,7 @@ func (l *link) ping(deadline int64) error {
 		}
 	}
 	l.pmu.Unlock()
-	return l.writeControl(frame{Kind: framePing, Seq: seq, Deadline: deadline})
+	return l.writeControl(frame{Kind: framePing, Seq: seq})
 }
 
 // pong matches a heartbeat echo to its probe, folds the round-trip into

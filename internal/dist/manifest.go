@@ -2,9 +2,7 @@ package dist
 
 import (
 	"bytes"
-	"crypto/hmac"
 	"crypto/rand"
-	"crypto/sha256"
 	"encoding/gob"
 	"encoding/hex"
 	"errors"
@@ -13,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"pstap/internal/mac"
 	"pstap/internal/mp"
 	"pstap/internal/pipeline"
 	"pstap/internal/radar"
@@ -205,7 +204,7 @@ func (m *Manifest) Sign(secret []byte) ([]byte, error) {
 	if err := gob.NewEncoder(&buf).Encode(&c); err != nil {
 		return nil, err
 	}
-	m.Sig = manifestMAC(secret, buf.Bytes())
+	m.Sig = mac.Sum(secret, buf.Bytes())
 	return buf.Bytes(), nil
 }
 
@@ -213,7 +212,7 @@ func (m *Manifest) Sign(secret []byte) ([]byte, error) {
 // signed form exactly as received, and only then decodes it — bytes from
 // a peer that does not hold the cluster secret never reach the decoder.
 func verifyManifest(secret, signed, sig []byte) (*Manifest, error) {
-	if !hmac.Equal(manifestMAC(secret, signed), sig) {
+	if !mac.Valid(secret, signed, sig) {
 		return nil, errors.New("dist: manifest signature does not verify under the cluster secret")
 	}
 	m := new(Manifest)
@@ -224,20 +223,11 @@ func verifyManifest(secret, signed, sig []byte) (*Manifest, error) {
 	return m, nil
 }
 
-// manifestMAC is the HMAC-SHA256 of a manifest's signed form.
-func manifestMAC(secret, signed []byte) []byte {
-	h := hmac.New(sha256.New, secret)
-	h.Write(signed)
-	return h.Sum(nil)
-}
-
 // peerAuth authenticates a node→node hello: an HMAC over the session and
 // the (from, to) member pair, so a parked peer connection can be verified
 // before the manifest that names it has even arrived.
 func peerAuth(secret []byte, session string, from, to int) []byte {
-	h := hmac.New(sha256.New, secret)
-	fmt.Fprintf(h, "peer|%s|%d|%d", session, from, to)
-	return h.Sum(nil)
+	return mac.Sum(secret, fmt.Appendf(nil, "peer|%s|%d|%d", session, from, to))
 }
 
 // newSessionID returns a fresh random session identifier.

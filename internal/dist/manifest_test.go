@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"pstap/internal/leakcheck"
+	"pstap/internal/mac"
 	"pstap/internal/pipeline"
 	"pstap/internal/radar"
 )
@@ -198,7 +199,7 @@ func TestManifestSignVerify(t *testing.T) {
 	if _, err := verifyManifest(secret, garbage, man.Sig); err == nil || !strings.Contains(err.Error(), "signature") {
 		t.Errorf("garbage under a wrong MAC: %v, want a signature error", err)
 	}
-	if _, err := verifyManifest(secret, garbage, manifestMAC(secret, garbage)); err == nil || !strings.Contains(err.Error(), "decode") {
+	if _, err := verifyManifest(secret, garbage, mac.Sum(secret, garbage)); err == nil || !strings.Contains(err.Error(), "decode") {
 		t.Errorf("garbage under its own MAC: %v, want a decode error", err)
 	}
 }

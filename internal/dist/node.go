@@ -391,19 +391,14 @@ func (n *Node) runSession(s *session, coordConn net.Conn) {
 	// Explain the death to the peers that have not seen it themselves: a
 	// local worker fault or abort cause rides the goodbye frame.
 	reason := ""
-	deadlined := false
 	if faults := h.st.Faults(); len(faults) > 0 {
 		reason = faults[0].String()
 	} else if cause := h.world.AbortCause(); cause != nil {
 		reason = cause.Error()
-		// A job deadline expiring is the client's bound, not a node
-		// fault: say why on the goodbye, but keep the flight recorder for
-		// real post-mortems.
-		deadlined = errors.Is(cause, pipeline.ErrDeadlineExceeded)
 	}
 	h.tr.Close(reason)
 	h.st.Abort()
-	if reason != "" && !deadlined && n.cfg.FlightDir != "" {
+	if reason != "" && n.cfg.FlightDir != "" {
 		rec := obs.NewFlightRecord(n.name(), s.id, reason, s.col)
 		rec.Links = h.tr.Stats()
 		rec.Pending = h.world.QueueDepths()

@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pstap/internal/fault"
 	"pstap/internal/mp"
 	"pstap/internal/obs"
-	"pstap/internal/pipeline"
 )
 
 // errTransportClosed is what operations on a closed transport return; it
@@ -38,15 +36,6 @@ type Transport struct {
 	// (checkHeader).
 	depth, maxData int
 
-	// deadline is the current job's absolute deadline (coordinator unix
-	// nanos, 0 = none): the coordinator sets it around each job and every
-	// outbound data and ping frame carries it, so the stamp propagates
-	// hop by hop. Receivers fold inbound stamps into their own deadline
-	// and arm the local abort monitor below.
-	deadline atomic.Int64
-	dlMu     sync.Mutex
-	dlCancel func() // disarms the world's AbortAt monitor
-
 	mu       sync.Mutex
 	cond     *sync.Cond
 	links    map[int]*link
@@ -54,7 +43,9 @@ type Transport struct {
 	failure  error          // first link failure, sticky
 	obsAddrs map[int]string // member → telemetry addr from ready frames
 
-	ready chan int // coordinator: members that reported ready
+	// wiring is the coordinator's news of its members, in arrival order:
+	// each reports ready once and its link dies once, hence two per link.
+	wiring chan wiringEvent
 
 	stop     chan struct{} // ends heartbeat loops
 	closeOne sync.Once
@@ -70,7 +61,7 @@ func newTransport(self, members int, owners []int, hb time.Duration, inj *fault.
 		inj:      inj,
 		links:    make(map[int]*link),
 		obsAddrs: make(map[int]string),
-		ready:    make(chan int, members+1),
+		wiring:   make(chan wiringEvent, 2*(members+1)),
 		stop:     make(chan struct{}),
 	}
 	t.cond = sync.NewCond(&t.mu)
@@ -89,33 +80,11 @@ func (t *Transport) Send(src, dst, tag int, data any) error {
 	if err != nil {
 		return err
 	}
-	if err := l.sendData(src, dst, tag, data, t.deadline.Load(), t.inj, t.obs); err != nil {
+	if err := l.sendData(src, dst, tag, data, t.inj, t.obs); err != nil {
 		t.linkDied(l, err)
 		return l.deathErr()
 	}
 	return nil
-}
-
-// SetDeadline installs (or, with 0, clears) the current job's absolute
-// deadline in unix nanoseconds. The coordinator calls it around each
-// deadline-bounded job; subsequent data and ping frames carry the value
-// to the nodes. Clearing also fires an immediate ping on every live link
-// whose writer is free, so idle nodes disarm their monitors promptly
-// instead of waiting out a heartbeat interval.
-func (t *Transport) SetDeadline(ns int64) {
-	old := t.deadline.Swap(ns)
-	if ns != 0 {
-		return
-	}
-	t.disarmDeadline()
-	if old == 0 {
-		return
-	}
-	for _, l := range t.linkList() {
-		if !l.dead() {
-			l.ping(0)
-		}
-	}
 }
 
 // linkList snapshots the registered links.
@@ -127,41 +96,6 @@ func (t *Transport) linkList() []*link {
 		links = append(links, l)
 	}
 	return links
-}
-
-// noteDeadline folds an inbound frame's deadline stamp into the local
-// state: a new nonzero value re-arms the abort monitor (converted to the
-// local clock through the link's offset EWMA, plus two heartbeats of
-// grace for a clear that is still in flight); a zero stamp after a
-// nonzero one disarms it. The monitor is the node-side guarantee that
-// past-deadline CPIs stop consuming CPU even when the coordinator cannot
-// reach this process to abort it.
-func (t *Transport) noteDeadline(ns, offsetNs int64) {
-	if t.deadline.Swap(ns) == ns {
-		return
-	}
-	if ns == 0 {
-		t.disarmDeadline()
-		return
-	}
-	local := time.Unix(0, ns-offsetNs).Add(2 * t.hb)
-	cause := fmt.Errorf("dist: deadline monitor: %w", pipeline.ErrDeadlineExceeded)
-	t.dlMu.Lock()
-	if t.dlCancel != nil {
-		t.dlCancel()
-	}
-	t.dlCancel = t.world.AbortAt(local, cause)
-	t.dlMu.Unlock()
-}
-
-// disarmDeadline cancels the abort monitor, if armed.
-func (t *Transport) disarmDeadline() {
-	t.dlMu.Lock()
-	if t.dlCancel != nil {
-		t.dlCancel()
-		t.dlCancel = nil
-	}
-	t.dlMu.Unlock()
 }
 
 // waitLink returns the link to a member, blocking until it is registered.
@@ -249,7 +183,6 @@ func (t *Transport) readLoop(l *link) {
 		l.bytesRecv.Add(ft.Bytes)
 		switch f.Kind {
 		case frameData:
-			t.noteDeadline(f.Deadline, l.offsetNs.Load())
 			l.msgsRecv.Add(1)
 			l.deserNs.Add(ft.CodecNs)
 			l.xmitNs.Add(ft.IONs)
@@ -262,7 +195,6 @@ func (t *Transport) readLoop(l *link) {
 			}
 			t.world.Deliver(f.Src, f.Dst, f.Tag, f.Data)
 		case framePing:
-			t.noteDeadline(f.Deadline, l.offsetNs.Load())
 			// Stamp the local clock on the echo: the probe's sender uses it
 			// for NTP-style offset estimation. The echo is dropped while a
 			// data frame holds the writer — the reader never waits for it —
@@ -279,10 +211,7 @@ func (t *Transport) readLoop(l *link) {
 				t.obsAddrs[l.member] = f.ObsAddr
 				t.mu.Unlock()
 			}
-			select {
-			case t.ready <- l.member:
-			default:
-			}
+			t.noteWiring(wiringEvent{member: l.member})
 		case frameGoodbye:
 			if f.Reason != "" {
 				t.linkDied(l, &goodbyeError{reason: f.Reason})
@@ -323,7 +252,7 @@ func (t *Transport) heartbeat(l *link) {
 			if t.inj != nil && t.inj.LinkHeld(l.member) {
 				continue
 			}
-			if err := l.ping(t.deadline.Load()); err != nil {
+			if err := l.ping(); err != nil {
 				t.linkDied(l, fmt.Errorf("dist: heartbeat: ping: %w", err))
 				return
 			}
@@ -336,11 +265,15 @@ func (t *Transport) heartbeat(l *link) {
 // linkDied handles a link failure exactly once: it records the sticky
 // transport failure, wakes everyone waiting on links, and
 // aborts the bound world — with the typed LinkError as the cause for real
-// failures, plainly for a graceful goodbye.
+// failures, plainly for a graceful goodbye — and only then closes the
+// connection. The peer sees the close and tells the other members, whose
+// goodbyes come back on other links; by then this world holds the first
+// cause, not their echo of it.
 func (t *Transport) linkDied(l *link, err error) {
-	if !l.kill(err) {
+	if !l.mark(err) {
 		return
 	}
+	defer l.conn.Close()
 	graceful := errors.Is(err, errClosedGracefully)
 	t.mu.Lock()
 	if t.failure == nil && !graceful {
@@ -348,6 +281,7 @@ func (t *Transport) linkDied(l *link, err error) {
 	}
 	t.mu.Unlock()
 	t.cond.Broadcast()
+	t.noteWiring(wiringEvent{member: l.member, err: l.deathErr()})
 	if w := t.world; w != nil {
 		if graceful {
 			w.Abort()
@@ -357,24 +291,40 @@ func (t *Transport) linkDied(l *link, err error) {
 	}
 }
 
+// wiringEvent is a member that reported ready (err nil) or whose link
+// died (err its *LinkError).
+type wiringEvent struct {
+	member int
+	err    error
+}
+
+// noteWiring queues ev for awaitReady without blocking: only a
+// coordinator reads the events, and a link yields at most two, bar a peer
+// that repeats its ready frame.
+func (t *Transport) noteWiring(ev wiringEvent) {
+	select {
+	case t.wiring <- ev:
+	default:
+	}
+}
+
 // awaitReady blocks until n distinct members have reported ready, or the
-// deadline passes, or a link dies.
+// timeout passes, or the link to a member that has not reported ready
+// dies: that node failed, or said goodbye, while it wired up, and the
+// wait ends at once with the link's typed *LinkError. A member that dies
+// after its ready frame had finished wiring: its death is the replica's,
+// and the first job reports it.
 func (t *Transport) awaitReady(n int, timeout time.Duration) error {
 	seen := make(map[int]bool)
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
-	check := time.NewTicker(20 * time.Millisecond)
-	defer check.Stop()
 	for len(seen) < n {
 		select {
-		case m := <-t.ready:
-			seen[m] = true
-		case <-check.C:
-			t.mu.Lock()
-			err := t.failure
-			t.mu.Unlock()
-			if err != nil {
-				return err
+		case ev := <-t.wiring:
+			if ev.err == nil {
+				seen[ev.member] = true
+			} else if !seen[ev.member] {
+				return ev.err
 			}
 		case <-deadline.C:
 			return fmt.Errorf("dist: %d of %d nodes ready after %v", len(seen), n, timeout)
@@ -413,7 +363,6 @@ func (t *Transport) dropConns() {
 // bound world — callers sequence that.
 func (t *Transport) Close(reason string) {
 	t.closeOne.Do(func() {
-		t.disarmDeadline()
 		t.mu.Lock()
 		t.closed = true
 		t.mu.Unlock()

@@ -201,11 +201,10 @@ func (w *World) AbortWith(cause error) {
 
 // AbortAt arms a one-shot deadline on the world: when t arrives and the
 // returned cancel has not run, the world aborts with cause — the per-job
-// deadline seam shared by a local pipeline stream and a distributed
-// node's transport monitor. A zero t is a no-op (cancel still safe to
-// call). cancel is idempotent and returns only after any pending abort
-// decision is settled, so callers can sequence "cancel, then reuse the
-// world" without racing the timer.
+// deadline of a pipeline stream's driver, its only caller. A zero t is a
+// no-op (cancel still safe to call). cancel is idempotent and returns
+// only after any pending abort decision is settled, so callers can
+// sequence "cancel, then reuse the world" without racing the timer.
 func (w *World) AbortAt(t time.Time, cause error) (cancel func()) {
 	if t.IsZero() {
 		return func() {}

@@ -61,7 +61,9 @@ const DefaultFlightKeep = 16
 // WriteFlightRecord writes rec as flightrec-<unixnanos>-<process>.json
 // under dir (created if missing), prunes all but the newest
 // DefaultFlightKeep records, and returns the file path. Repeatedly
-// faulted replicas therefore cannot fill the disk with post-mortems.
+// faulted replicas therefore cannot fill the disk with post-mortems. The
+// record is written under another name and renamed into place, so a
+// reader that sees the file sees all of it.
 func WriteFlightRecord(dir string, rec FlightRecord) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
@@ -71,7 +73,10 @@ func WriteFlightRecord(dir string, rec FlightRecord) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if err := os.WriteFile(name, data, 0o644); err != nil {
+	if err := os.WriteFile(name+".tmp", data, 0o644); err != nil {
+		return "", err
+	}
+	if err := os.Rename(name+".tmp", name); err != nil {
 		return "", err
 	}
 	rotateFlightRecords(dir)

@@ -26,7 +26,6 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"pstap/internal/cube"
@@ -347,20 +346,6 @@ func (t *topology) locate(rank int) (task, worker int) {
 
 // binsAt returns list[blk.Lo:blk.Hi].
 func binsAt(list []int, blk cube.Block) []int { return list[blk.Lo:blk.Hi] }
-
-// sortDetections orders a merged report like stap.CFAR does.
-func sortDetections(dets []stap.Detection) {
-	sort.Slice(dets, func(i, j int) bool {
-		a, b := dets[i], dets[j]
-		if a.DopplerBin != b.DopplerBin {
-			return a.DopplerBin < b.DopplerBin
-		}
-		if a.Beam != b.Beam {
-			return a.Beam < b.Beam
-		}
-		return a.Range < b.Range
-	})
-}
 
 // Run executes the pipeline over NumCPIs CPIs and blocks until every one
 // has been processed: one job on a private Stream, with the timing of

@@ -27,9 +27,10 @@ var ErrCPITimeout = errors.New("pipeline: CPI timeout exceeded")
 
 // ErrDeadlineExceeded is returned by Stream.ProcessJobOpts when the job's
 // deadline passed before its last CPI completed. Like the watchdog, the
-// deadline aborts the pipeline world so every worker — local or on a
-// remote node of a distributed replica — stops burning CPU on dead work;
-// the stream is unusable afterwards and the serving layer rebuilds it.
+// deadline aborts the driver's world, so every worker it hosts stops
+// burning CPU on dead work; the stream is unusable afterwards and the
+// serving layer rebuilds it. The workers of a distributed replica stop
+// when that rebuild aborts the replica and its goodbye reaches them.
 var ErrDeadlineExceeded = errors.New("pipeline: job deadline exceeded")
 
 // defaultWindow bounds the CPIs in flight when Window is 0.
@@ -280,7 +281,7 @@ func NewHostedStream(cfg StreamConfig, h Hosting) (*Stream, error) {
 				if eof {
 					return
 				}
-				sortDetections(merged)
+				stap.SortDetections(merged)
 				s.cpis.Add(1)
 				select {
 				case s.out <- merged:
@@ -355,9 +356,8 @@ func (s *Stream) processJob(n int, at func(i int) *cube.Cube, opts JobOpts) ([][
 		return nil, s.deathErr()
 	}
 	// Arm the job deadline before the first CPI is submitted: expiry
-	// aborts the world (stopping every worker, including remote ones via
-	// the transport teardown) with the typed cause the collection loop
-	// below surfaces.
+	// aborts the world (stopping every worker it hosts) with the typed
+	// cause the collection loop below surfaces.
 	cancelDeadline := s.world.AbortAt(opts.Deadline, ErrDeadlineExceeded)
 	defer cancelDeadline()
 	// Submit from a separate goroutine so the bounded in-flight window

@@ -1063,8 +1063,9 @@ func (s *Server) drainFailover() {
 }
 
 // process runs one job on the slot's warm stream. It carries the job's
-// deadline into the pipeline (and, for distributed slots, onto the wire)
-// and journals every delivered CPI result on the job — the high-water mark
+// deadline into the pipeline — the driver's world, wherever the workers
+// run: a distributed slot's nodes stop when the recycle after the expiry
+// aborts the replica — and journals every delivered CPI result on the job — the high-water mark
 // a failover replay splices against. The journal only fills entries the
 // previous attempts never delivered, so first-attempt results always win
 // the splice. A completed job that asked for a trace gets one cut from the

@@ -1,11 +1,9 @@
 package slo
 
 import (
-	"crypto/hmac"
-	"crypto/sha256"
-	"encoding/json"
 	"fmt"
-	"os"
+
+	"pstap/internal/mac"
 )
 
 // File is the signed SLO document loaded via `stapd -slofile`. Like the
@@ -36,58 +34,20 @@ func (f *File) Validate() error {
 	return nil
 }
 
-// signingBytes is the canonical JSON the signature covers (Sig nil).
-func (f *File) signingBytes() ([]byte, error) {
-	c := *f
-	c.Sig = nil
-	return json.Marshal(&c)
-}
+// fileSig addresses an SLO file's signature field.
+func fileSig(f *File) *[]byte { return &f.Sig }
 
 // Sign computes and stores the file's HMAC under the cluster secret.
-func (f *File) Sign(secret []byte) error {
-	b, err := f.signingBytes()
-	if err != nil {
-		return err
-	}
-	h := hmac.New(sha256.New, secret)
-	h.Write(b)
-	f.Sig = h.Sum(nil)
-	return nil
-}
+func (f *File) Sign(secret []byte) error { return mac.Sign(f, fileSig, secret) }
 
 // Verify checks the file's signature under the cluster secret.
-func (f *File) Verify(secret []byte) bool {
-	b, err := f.signingBytes()
-	if err != nil {
-		return false
-	}
-	h := hmac.New(sha256.New, secret)
-	h.Write(b)
-	return hmac.Equal(h.Sum(nil), f.Sig)
-}
+func (f *File) Verify(secret []byte) bool { return mac.Verify(f, fileSig, secret) }
 
 // WriteFile signs the document under secret and writes indented JSON.
 func WriteFile(path string, f *File, secret []byte) error {
-	if err := f.Sign(secret); err != nil {
-		return err
-	}
-	b, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return mac.WriteFile(path, f, fileSig, secret)
 }
 
 // ReadFile loads an SLO file without verifying it — call Verify with the
 // cluster secret before trusting the contents.
-func ReadFile(path string) (*File, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var f File
-	if err := json.Unmarshal(b, &f); err != nil {
-		return nil, fmt.Errorf("slo: parse %s: %w", path, err)
-	}
-	return &f, nil
-}
+func ReadFile(path string) (*File, error) { return mac.ReadFile[File](path, "slo") }

@@ -1,8 +1,9 @@
 package stap
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pstap/internal/cube"
 	"pstap/internal/radar"
@@ -38,17 +39,17 @@ func CFAR(p radar.Params, power *cube.RealCube) []Detection {
 	}
 	var out []Detection
 	CFARRows(p, power, 0, p.N, false, &out)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.DopplerBin != b.DopplerBin {
-			return a.DopplerBin < b.DopplerBin
-		}
-		if a.Beam != b.Beam {
-			return a.Beam < b.Beam
-		}
-		return a.Range < b.Range
-	})
+	SortDetections(out)
 	return out
+}
+
+// SortDetections orders detections by (Doppler bin, beam, range), the
+// order every CFAR report is returned in. The key is unique within a CPI,
+// so the order is total.
+func SortDetections(dets []Detection) {
+	slices.SortFunc(dets, func(a, b Detection) int {
+		return cmp.Or(cmp.Compare(a.DopplerBin, b.DopplerBin), cmp.Compare(a.Beam, b.Beam), cmp.Compare(a.Range, b.Range))
+	})
 }
 
 // CFARRows scans Doppler bins [lo, hi). When local is true the cube is a

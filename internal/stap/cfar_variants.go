@@ -137,15 +137,6 @@ func CFARWith(p radar.Params, power *cube.RealCube, kind CFARKind) []Detection {
 	p.CFARKind = int(kind)
 	var out []Detection
 	new(Workspace).cfarScan(p, power, 0, 0, p.N, false, &out)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.DopplerBin != b.DopplerBin {
-			return a.DopplerBin < b.DopplerBin
-		}
-		if a.Beam != b.Beam {
-			return a.Beam < b.Beam
-		}
-		return a.Range < b.Range
-	})
+	SortDetections(out)
 	return out
 }

@@ -60,7 +60,7 @@ const MaxFrameBytes = 1 << 30
 // the first frame instead of mis-decoding. A bump also re-stamps the first
 // byte of every checked-in fuzz seed under testdata/fuzz, or the seeds stop
 // at the header check (TestFuzzSeedsSpeakThisVersion).
-const FormatVersion = 5
+const FormatVersion = 6
 
 // headerBytes is the frame header: version, kind, uint32 body length.
 const headerBytes = 6
