@@ -547,7 +547,7 @@ func testTransport(self, members int, owners []int) *Transport {
 }
 
 // tcpPair returns two ends of one loopback TCP connection.
-func tcpPair(t *testing.T) (net.Conn, net.Conn) {
+func tcpPair(t testing.TB) (net.Conn, net.Conn) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

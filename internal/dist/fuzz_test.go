@@ -5,6 +5,7 @@ import (
 	"io"
 	"testing"
 
+	"pstap/internal/cube"
 	"pstap/internal/wire"
 )
 
@@ -13,7 +14,9 @@ import (
 // node reads what any TCP peer sends it, checking the header against a
 // Small session's bound. Seeds: at least one frame of each of the six
 // kinds, which the seed loop checks, so a kind added or removed later
-// cannot leave the corpus stale, and a data header claiming 512 MiB. Any input is an error or a
+// cannot leave the corpus stale; a data header claiming 512 MiB; a data
+// frame cut inside its sample block; and one whose header and sample
+// count claim 64 KiB of samples where 1 KiB follows. Any input is an error or a
 // frame, never a panic or a runaway allocation, and a frame that decodes
 // re-encodes to exactly its own bytes: the flat form is canonical, so
 // nothing was lost or invented on the way in. Run it with
@@ -41,6 +44,16 @@ func FuzzLinkFrame(f *testing.F) {
 	}
 	// A data frame header claiming 512 MiB, refused before its body.
 	f.Add([]byte{wire.FormatVersion, byte(frameData), 0x20, 0, 0, 0})
+	// A raw message of 4096 samples within the session's bound: its frame
+	// cut inside the sample block, and a header and count claiming all
+	// 4096 samples where 1 KiB follows.
+	var raw bytes.Buffer
+	if err := writeFrame(&raw, &frame{Kind: frameData, Src: 0, Dst: 1, Data: cubeMessage(f, kindRaw, cube.New(cube.Order{}, 64, 4, 16))}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw.Bytes()[:raw.Len()/2])
+	body := raw.Bytes()[6:]
+	f.Add(append(raw.Bytes()[:6:6], body[:len(body)-16*4096+1<<10]...))
 	for k := frameHello; k <= frameGoodbye; k++ {
 		if !seeded[k] {
 			f.Fatalf("no seed of frame kind %d", k)

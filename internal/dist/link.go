@@ -234,15 +234,18 @@ var errClosedGracefully = &goodbyeError{reason: "session closed"}
 // link is one full-duplex connection to a peer member: a writer that
 // frames take turns on, heartbeat bookkeeping and transfer counters. The
 // reader loop lives on the Transport, which owns dispatch.
-// Each direction owns one frame buffer (wire.Writer, wire.Reader), grown
-// to the largest frame the link has carried and reused for every frame.
-// The reader reads the connection through a linkReadBuffer, so a header
-// and a small body arrive in one read; a body longer than the buffer goes
-// straight into the frame buffer. Nothing else reads the connection once
-// the link runs (a node's handshake reads the hello unbuffered, before).
-// It decodes each data frame's message into its edge's slot (edgeSlots),
-// memory the receiver owns, and refuses at its header a data frame longer
-// than any message of the session (checkHeader).
+// The writer (wire.Writer) encodes a frame's fields into one buffer it
+// reuses and borrows the message's large sample blocks, so a frame leaves
+// in one writev from the sender's own memory. The reader reads the
+// connection through a linkReadBuffer, so a header and a small body
+// arrive in one read, and decodes each data frame's message into its
+// edge's slot (edgeSlots), memory the receiver owns, as the body arrives:
+// a warm slot's samples are read from the socket straight into it. So on
+// each side the kernel's copy is the only one a sample block takes.
+// Nothing else reads the connection once the link runs (a node's
+// handshake reads the hello unbuffered, before). The reader refuses at
+// its header a data frame longer than any message of the session
+// (checkHeader).
 //
 // A link has no flow control of its own. The stream's in-flight window
 // bounds what an edge carries — the same bound that sizes the edge's slots
@@ -336,7 +339,12 @@ func (l *link) write(f frame) (ft wire.FrameTiming, waitNs int64, err error) {
 // put writes one frame, counting its bytes; the caller holds the writer.
 // The frame is encoded from the link's own copy, so a send allocates
 // nothing, and the copy is cleared after so the link pins no payload
-// between sends.
+// between sends. The writer borrows the payload's large sample blocks
+// rather than copy them. That is safe because the payload is live until
+// Send returns: the sending worker is inside Send, so its ring cannot
+// reuse the payload, and put has written the whole frame before it
+// returns. The borrow reads the payload within the same call the copy it
+// replaced did, and l.out is still cleared.
 func (l *link) put(f frame) (wire.FrameTiming, error) {
 	l.out = f
 	ft, err := l.fw.WriteFrame(wire.Kind(f.Kind), &l.out)

@@ -159,13 +159,31 @@ func closeWithin(t *testing.T, tr *Transport, d time.Duration) {
 }
 
 // mediumRawSlab is a raw message carrying a whole radar.Medium() CPI
-// (2 MiB of samples), made by decoding its flat form: the kind byte of a
-// raw message, the cube, then the ctl's three flags, trace and hop.
+// (2 MiB of samples).
 func mediumRawSlab(t *testing.T) any {
 	p := radar.Medium()
+	m := cubeMessage(t, kindRaw, cube.New(cube.Order{cube.Range, cube.Channel, cube.Pulse}, p.K, p.J, p.N))
+	var again wire.Enc
+	if err := pipeline.AppendMessage(&again, m); err != nil || len(again.Bytes()) < 2<<20 {
+		t.Fatalf("%T of %d bytes (%v), want a raw message of 2 MiB", m, len(again.Bytes()), err)
+	}
+	return m
+}
+
+// The kind bytes of the pipeline messages the tests build from their flat
+// form: a raw slab and a beamforming data piece.
+const (
+	kindRaw     = 1
+	kindBFPiece = 4
+)
+
+// cubeMessage is the pipeline message of the given kind carrying c, made
+// by decoding its flat form: the kind byte, the cube, then the ctl's
+// three flags, trace and hop.
+func cubeMessage(tb testing.TB, kind byte, c *cube.Cube) any {
 	var e wire.Enc
-	e.Byte(1)
-	e.Cube(cube.New(cube.Order{cube.Range, cube.Channel, cube.Pulse}, p.K, p.J, p.N))
+	e.Byte(kind)
+	e.Cube(c)
 	e.Bool(false)
 	e.Bool(false)
 	e.Bool(false)
@@ -173,11 +191,7 @@ func mediumRawSlab(t *testing.T) any {
 	e.Byte(0)
 	m, err := pipeline.DecodeMessageInto(wire.NewDec(e.Bytes()), nil)
 	if err != nil {
-		t.Fatal(err)
-	}
-	var again wire.Enc
-	if err := pipeline.AppendMessage(&again, m); err != nil || len(again.Bytes()) < 2<<20 {
-		t.Fatalf("%T of %d bytes (%v), want a raw message of 2 MiB", m, len(again.Bytes()), err)
+		tb.Fatal(err)
 	}
 	return m
 }

@@ -1,25 +1,15 @@
 package serve
 
-import (
-	"sync"
-
-	"pstap/internal/wire"
-)
+import "sync"
 
 // requestSlot is the memory one request lives in from its frame header to
-// its final response: the buffer its body is read into and the Request
-// decoded from that body, whose cubes keep their memory for the next
-// request of the same shape. Once admitted it is the job's input journal: the
-// cubes a replica reads in place and a failover replays from CPI 0.
+// its final response: the Request its body is decoded into as it arrives
+// (wire.Reader.Decode), whose cubes keep their memory for the next request
+// of the same shape and take their samples straight from the connection.
+// Once admitted it is the job's input journal: the cubes a replica reads
+// in place and a failover replays from CPI 0.
 type requestSlot struct {
-	body []byte
-	req  Request
-}
-
-// decode reads the body of the frame fr announced into the slot.
-func (sl *requestSlot) decode(fr *wire.Reader) error {
-	_, err := fr.DecodeBuf(&sl.body, &sl.req)
-	return err
+	req Request
 }
 
 // requestSlots is the server's pool of request slots: a request takes one
@@ -42,14 +32,14 @@ func (sl *requestSlot) decode(fr *wire.Reader) error {
 //     and the request is Busy at its header — the answer the full queue
 //     would have given it after its body.
 //
-// A slot's memory is its body buffer (at most wire.MaxFrameBytes, grown
-// only as bytes arrive) plus the cubes of the last request decoded into
-// it: a cube keeps its samples only for a request whose cube has the same
+// A slot's memory is the cubes of the last request decoded into it: a
+// cube keeps its samples only for a request whose cube has the same
 // sample count, and cubes past the request's count are dropped, so they
 // hold no more samples than that request's body carried (at most
-// wire.MaxFrameBytes), and nothing grows before the body's counts are
-// checked. The pool holds at most limit × 2 × wire.MaxFrameBytes plus its
-// cube lists' 8 bytes an entry, and an idle connection holds none of it.
+// wire.MaxFrameBytes), and what a decode makes grows only as the body's
+// bytes arrive. The pool holds at most limit × wire.MaxFrameBytes plus its
+// cube lists' 8 bytes an entry, and an idle connection holds none of it
+// (it keeps only its Reader's read-ahead, at most 64 KiB).
 // Slots are allocated lazily on first take; the free list is LIFO, so a
 // lightly loaded server reuses its warmest slots.
 //

@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -561,7 +562,7 @@ func (s *Server) handleConn(conn net.Conn) {
 				RetryAfterMs: s.cfg.RetryAfter.Milliseconds(), Err: "serve: every request slot is held"}
 			continue
 		}
-		if err := sl.decode(fr); err != nil {
+		if _, err := fr.Decode(&sl.req); err != nil {
 			s.reqs.release(sl, true)
 			break // truncated, stalled or corrupt body
 		}
@@ -872,10 +873,16 @@ func (s *Server) runJob(slot *replicaSlot, j *job) {
 		resp.TraceFile = traceFile
 	}
 	s.metrics.observe(time.Since(j.enq))
-	s.answer(j, resp, err == nil)
-	if fatal {
-		s.recycle(slot, ev)
+	if !fatal {
+		s.answer(j, resp, err == nil)
+		return
 	}
+	// The fault moves the slot out of live before the client hears of it,
+	// so the client's next request is refused busy rather than admitted
+	// while the slot is torn down.
+	st, eff := s.moveSlot(slot, ev)
+	s.answer(j, resp, false)
+	s.rebuild(slot, st, eff)
 }
 
 // failoverEligible reports whether a fatally-failed job should be
@@ -953,19 +960,34 @@ func (s *Server) classify(err error) (Status, bool) {
 	}
 }
 
-// recycle applies a fault or planned event observed on the slot and, if
-// that moved it to restarting, discards the old instance and rebuilds —
-// one attempt per backoff the record schedules, until the record says
-// live or dead (restart budget and in-process fallback are its rules,
-// see next). An event the record refuses (a stale generation: a roll
-// raced a job failure, or two failures raced each other) only waits out
-// the recycle that got there first. It reports whether the slot is live.
+// recycle applies a fault or planned event observed on the slot and
+// rebuilds the slot if that moved it to restarting (rebuild).
 func (s *Server) recycle(slot *replicaSlot, ev slotEvent) bool {
+	st, eff := s.moveSlot(slot, ev)
+	return s.rebuild(slot, st, eff)
+}
+
+// rebuild finishes a recycle whose event moveSlot has applied, giving st
+// and eff: it discards the old instance and rebuilds — one attempt per
+// backoff the record schedules, until the record says live or dead
+// (restart budget and in-process fallback are its rules, see next). An
+// event the record refused (a stale generation: a roll raced a job
+// failure, or two failures raced each other) only waits out the recycle
+// that got there first, so a replica loop does not pull a job while
+// another recycler rebuilds its slot. It reports whether the slot is
+// live.
+func (s *Server) rebuild(slot *replicaSlot, st slotState, eff slotEffects) bool {
 	slot.recycleMu.Lock()
 	defer slot.recycleMu.Unlock()
-	st, eff := s.moveSlot(slot, ev)
-	if !eff.applied {
-		return st.phase == phaseLive
+	for !eff.applied {
+		// The recycler that moved the slot to restarting holds recycleMu
+		// until the slot leaves it, once it has taken it.
+		if st = slot.record(); st.phase != phaseRestarting {
+			return st.phase == phaseLive
+		}
+		slot.recycleMu.Unlock()
+		runtime.Gosched()
+		slot.recycleMu.Lock()
 	}
 	st.rep.Abort()
 	for _, f := range st.rep.Faults() {

@@ -1,11 +1,14 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"slices"
+	"time"
 	"unsafe"
 
 	"pstap/internal/cube"
@@ -44,11 +47,63 @@ type FlatDecoder interface {
 // detectionBytes is one stap.Detection's flat size.
 const detectionBytes = 5 * 8
 
-// Enc appends values in the flat form to a byte slice.
-type Enc struct{ b []byte }
+// Enc appends values in the flat form to a byte slice. A Writer's Enc
+// gathers instead: where its host keeps samples in their flat form
+// (nativeLE) it borrows a block of at least gatherMin bytes of samples
+// rather than copy it, and the Writer sends its buffer and the borrowed
+// blocks in order. The value an Enc borrows from must stay unchanged
+// until the frame is written.
+type Enc struct {
+	b      []byte
+	gather bool
+	lent   []loan
+}
 
-// Bytes returns everything appended so far.
+// loan is a borrowed block of samples and its place in the frame: the
+// length of the Enc's buffer when it was borrowed.
+type loan struct {
+	at int
+	p  []byte
+}
+
+// gatherMin is the smallest sample block a gathering Enc borrows. Below
+// it, copying the block into the frame buffer costs less than the writev
+// entry borrowing adds, and a frame of small blocks stays one contiguous
+// write. Over loopback TCP on a 2-vCPU x86-64 host, a frame of four
+// blocks cost 10–30% more borrowed than copied at 1–2 KiB a block, the
+// same at 4 KiB, and 8–15% less at 8–32 KiB.
+const gatherMin = 8 << 10
+
+// Bytes returns everything appended so far: on a gathering Enc, all but
+// the borrowed blocks.
 func (e *Enc) Bytes() []byte { return e.b }
+
+// size is the length of the flat form appended so far, borrowed blocks
+// included.
+func (e *Enc) size() int {
+	n := len(e.b)
+	for _, l := range e.lent {
+		n += len(l.p)
+	}
+	return n
+}
+
+// pieces appends to iov the flat form appended so far, in order: the
+// runs of the buffer between borrowed blocks, and the blocks.
+func (e *Enc) pieces(iov [][]byte) [][]byte {
+	at := 0
+	for _, l := range e.lent {
+		if l.at > at {
+			iov = append(iov, e.b[at:l.at])
+		}
+		iov = append(iov, l.p)
+		at = l.at
+	}
+	if at < len(e.b) {
+		iov = append(iov, e.b[at:])
+	}
+	return iov
+}
 
 // grow extends the slice by n bytes and returns them for writing.
 func (e *Enc) grow(n int) []byte {
@@ -147,14 +202,17 @@ func getFloats(v []float64, p []byte) {
 }
 
 // putSamples appends v's count and its samples of size bytes each: one
-// copy on a nativeLE host, else the loop.
+// copy on a nativeLE host (none when a gathering Enc borrows the block),
+// else the loop.
 func putSamples[T complex128 | float64](e *Enc, v []T, size int, loop func([]byte, []T)) {
 	e.count(len(v), v == nil)
-	p := e.grow(size * len(v))
-	if nativeLE {
-		copy(p, sampleBytes(v))
-	} else {
-		loop(p, v)
+	switch {
+	case !nativeLE:
+		loop(e.grow(size*len(v)), v)
+	case e.gather && size*len(v) >= gatherMin:
+		e.lent = append(e.lent, loan{at: len(e.b), p: sampleBytes(v)})
+	default:
+		copy(e.grow(size*len(v)), sampleBytes(v))
 	}
 }
 
@@ -214,11 +272,22 @@ func (e *Enc) Detections(ds []stap.Detection) {
 	}
 }
 
-// Dec reads values in the flat form. The first error sticks: every later
-// read returns a zero value, and End or Err reports it.
+// Dec reads values in the flat form, from a body in memory (NewDec) or
+// from a stream as the body arrives (Reader.Decode). The first error
+// sticks: every later read returns a zero value, and End or Err reports
+// it.
 type Dec struct {
-	b   []byte
-	err error
+	// b is the bytes at hand: the whole body in memory, or on a stream
+	// the unconsumed tail of the held bytes.
+	b []byte
+	// A streamed body's rest is in br: held bytes peeked into its buffer
+	// (b's), then left bytes still to come. Held bytes are discarded
+	// before br is read again.
+	br         *bufio.Reader
+	held, left int
+	ioNs       int64 // time spent reading past br's buffer
+	cut        error // the read error that cut a streamed body short
+	err        error
 }
 
 // NewDec returns a Dec reading b. Decoded values never alias b.
@@ -234,27 +303,104 @@ func (d *Dec) Fail(err error) {
 	}
 }
 
+// remaining is how many bytes of the body are still to be read.
+func (d *Dec) remaining() int { return len(d.b) + d.left }
+
 // End returns the first decoding error, or an error when bytes remain
 // unread: a well-formed body is consumed exactly.
 func (d *Dec) End() error {
-	if d.err == nil && len(d.b) > 0 {
-		d.err = fmt.Errorf("wire: %d trailing bytes after the flat body", len(d.b))
+	if n := d.remaining(); d.err == nil && n > 0 {
+		d.err = fmt.Errorf("wire: %d trailing bytes after the flat body", n)
 	}
 	return d.err
 }
 
-// take consumes n bytes, or records truncation and returns nil.
-func (d *Dec) take(n int) []byte {
+// need records truncation unless n more bytes of the body remain.
+func (d *Dec) need(n int) bool {
 	if d.err != nil {
+		return false
+	}
+	if n > d.remaining() {
+		d.err = fmt.Errorf("wire: flat body truncated: need %d bytes, %d left", n, d.remaining())
+		return false
+	}
+	return true
+}
+
+// readFailed records that the stream ended, or failed, before the body
+// did.
+func (d *Dec) readFailed(err error) {
+	if err == nil || err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	d.cut = err
+	d.Fail(err)
+}
+
+// window is the most bytes take can return at once.
+func (d *Dec) window() int {
+	if d.br == nil {
+		return len(d.b)
+	}
+	return d.br.Size()
+}
+
+// take consumes n bytes, or records truncation and returns nil. On a
+// stream, n is at most window, and bytes not yet at hand are peeked into
+// br's buffer: all it holds of the body, at least n.
+func (d *Dec) take(n int) []byte {
+	if !d.need(n) {
 		return nil
 	}
 	if n > len(d.b) {
-		d.err = fmt.Errorf("wire: flat body truncated: need %d bytes, %d left", n, len(d.b))
-		return nil
+		if n > d.window() {
+			d.Fail(fmt.Errorf("wire: %d contiguous bytes exceed the %d-byte read-ahead", n, d.window()))
+			return nil
+		}
+		d.br.Discard(d.held - len(d.b))
+		d.held = len(d.b)
+		want := min(d.remaining(), max(n, d.br.Buffered()), d.br.Size())
+		var p []byte
+		var err error
+		if want > d.br.Buffered() {
+			start := time.Now()
+			p, err = d.br.Peek(want)
+			d.ioNs += time.Since(start).Nanoseconds()
+		} else {
+			p, _ = d.br.Peek(want)
+		}
+		d.left -= len(p) - d.held
+		d.held, d.b = len(p), p
+		if len(p) < n {
+			d.readFailed(err)
+			return nil
+		}
 	}
 	p := d.b[:n:n]
 	d.b = d.b[n:]
 	return p
+}
+
+// read consumes len(p) bytes into p: the bytes at hand, then the rest of
+// them read from the stream straight into p.
+func (d *Dec) read(p []byte) {
+	if !d.need(len(p)) {
+		return
+	}
+	k := copy(p, d.b)
+	d.b = d.b[k:]
+	if k == len(p) {
+		return
+	}
+	d.br.Discard(d.held)
+	d.held = 0
+	start := time.Now()
+	m, err := io.ReadFull(d.br, p[k:])
+	d.ioNs += time.Since(start).Nanoseconds()
+	d.left -= m
+	if err != nil {
+		d.readFailed(err)
+	}
 }
 
 // Byte reads one byte.
@@ -299,7 +445,10 @@ func (d *Dec) Text() string {
 		d.Fail(fmt.Errorf("wire: nil string"))
 		return ""
 	}
-	return string(d.take(n))
+	if n <= d.window() {
+		return string(d.take(n))
+	}
+	return string(arriving(d, n, 1, d.read))
 }
 
 // count reads a slice count, −1 for nil. A count the remaining bytes
@@ -313,26 +462,42 @@ func (d *Dec) count(min int) int {
 	case n < -1:
 		d.Fail(fmt.Errorf("wire: negative count %d", n))
 		return -1
-	case n > int64(len(d.b)/min):
-		d.Fail(fmt.Errorf("wire: count %d cannot fit in the %d bytes left", n, len(d.b)))
+	case n > int64(d.remaining()/min):
+		d.Fail(fmt.Errorf("wire: count %d cannot fit in the %d bytes left", n, d.remaining()))
 		return -1
 	}
 	return int(n)
 }
 
-// GetSlice reads a PutSlice: its count, then get for each element. min
-// is the fewest bytes one element occupies, so a count the body cannot
-// hold is refused before the slice is made.
-func GetSlice[T any](d *Dec, min int, get func(*Dec) T) []T {
-	n := d.count(min)
-	if n < 0 {
+// arriving reads n elements of size bytes each through fill into memory
+// of its own of exactly n elements. When their bytes are not all at hand,
+// that memory grows as they arrive, from one read-ahead's worth, so a
+// count that overstates what follows costs no more than what came. It
+// returns nil on error.
+func arriving[T any](d *Dec, n, size int, fill func([]T)) []T {
+	c := n
+	if n*size > len(d.b) {
+		c = min(n, max(1, aheadBytes/size))
+	}
+	v := make([]T, c)
+	fill(v)
+	for d.err == nil && c < n {
+		grown := make([]T, min(n, 2*c))
+		copy(grown, v)
+		fill(grown[c:])
+		v, c = grown, len(grown)
+	}
+	if d.err != nil {
 		return nil
 	}
-	s := make([]T, n)
-	for i := range s {
-		s[i] = get(d)
-	}
-	return s
+	return v
+}
+
+// GetSlice reads a PutSlice: its count, then get for each element. least
+// is the fewest bytes one element occupies, so a count the body cannot
+// hold is refused before the slice is made.
+func GetSlice[T any](d *Dec, least int, get func(*Dec) T) []T {
+	return GetSliceInto(d, nil, least, func(d *Dec, _ T) T { return get(d) })
 }
 
 // GetSliceInto is GetSlice decoding into s's memory: the result reuses
@@ -340,42 +505,68 @@ func GetSlice[T any](d *Dec, min int, get func(*Dec) T) []T {
 // of exactly the count holding s's elements, and get receives each
 // element's previous value to decode into. Elements past the count are
 // dropped, so the result holds the values of this decode only. The count
-// is checked before anything grows, and the values are GetSlice's: nil
-// for a nil slice, a non-nil empty one for count 0.
-func GetSliceInto[T any](d *Dec, s []T, min int, get func(*Dec, T) T) []T {
-	n := d.count(min)
+// is checked before anything grows, and a new array grows as its
+// elements arrive (arriving). The values are GetSlice's: nil for a nil
+// slice, a non-nil empty one for count 0; on error the result holds the
+// elements decoded before it.
+func GetSliceInto[T any](d *Dec, s []T, least int, get func(*Dec, T) T) []T {
+	n := d.count(least)
 	if n < 0 {
 		return nil
 	}
-	if s == nil || n > cap(s) {
-		s = append(make([]T, 0, n), s[:cap(s)]...)
+	if s != nil && n <= cap(s) {
+		clear(s[n:cap(s)])
+		s = s[:n]
+	} else {
+		// Start from s's elements and what the bytes at hand can hold.
+		c := max(cap(s), min(n, len(d.b)/least))
+		s = append(make([]T, 0, c), s[:cap(s)]...)[:c]
 	}
-	clear(s[n:cap(s)])
-	s = s[:n]
-	for i := range s {
+	for i := 0; i < n; i++ {
+		if i == len(s) {
+			c := min(n, max(1, 2*i))
+			s = append(make([]T, 0, c), s...)[:c]
+		}
 		s[i] = get(d, s[i])
+		if d.err != nil {
+			return s[:i]
+		}
 	}
 	return s
 }
 
 // getSamples reads a putSamples into v's memory when it was made for
-// this count (its capacity), else into a fresh slice of exactly the
-// count, so the result never holds more memory than the samples that
-// came.
+// this count (its capacity): on a stream, straight from the stream. Else
+// it reads into memory of its own of exactly the count, grown as the
+// samples arrive (arriving), so the result never holds more memory than
+// the samples that came.
 func getSamples[T complex128 | float64](d *Dec, v []T, size int, loop func([]T, []byte)) []T {
 	n := d.count(size)
 	if n < 0 {
 		return nil
 	}
-	p := d.take(size * n) // count checked that the bytes are there
+	fill := func(v []T) {
+		if nativeLE {
+			d.read(sampleBytes(v))
+			return
+		}
+		for len(v) > 0 {
+			k := max(1, min(len(v), d.window()/size))
+			p := d.take(k * size)
+			if p == nil {
+				return
+			}
+			loop(v[:k], p)
+			v = v[k:]
+		}
+	}
 	if v == nil || cap(v) != n {
-		v = make([]T, n)
+		return arriving(d, n, size, fill)
 	}
 	v = v[:n]
-	if nativeLE {
-		copy(sampleBytes(v), p)
-	} else {
-		loop(v, p)
+	fill(v)
+	if d.err != nil {
+		return nil
 	}
 	return v
 }

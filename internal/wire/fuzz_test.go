@@ -15,7 +15,8 @@ import (
 // FuzzReadFrame feeds arbitrary bytes to ReadFrame into a cube, a
 // message of all four payload types and a small message, the way a
 // receiver that does not trust its peer would: any input is an error or a
-// value, never a panic or a runaway allocation. A frame that decodes
+// value, never a panic or a runaway allocation, also when a count claims
+// far more samples than follow or the stream ends inside a block. A frame that decodes
 // re-encodes to exactly its own bytes — the flat form is canonical, so
 // nothing was lost or invented on the way in. Run it with
 //
@@ -34,6 +35,12 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(header(FormatVersion+1, Plain, 0))                               // another build
 	f.Add(header(FormatVersion, 'x', 0))                                   // another kind
 	f.Add(append(header(FormatVersion, Plain, 4), 0xff, 0xfe, 0xfd, 0xfc)) // garbage body
+	f.Add(overstatedFrame())                                               // a 512 MiB count, 1 KiB of samples
+	var large bytes.Buffer
+	if err := WriteFrame(&large, cube.New(cube.Order{}, 64, 4, 16)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(large.Bytes()[:large.Len()/2]) // truncated mid-block
 	f.Fuzz(func(t *testing.T, b []byte) {
 		for _, v := range []any{&cube.Cube{}, &payload{}, &msg{}} {
 			if ReadFrame(bytes.NewReader(b), v) != nil {

@@ -17,36 +17,38 @@
 // from them as fixed-width fields, samples as little-endian IEEE-754 bit
 // patterns, so every bit survives and a split replica stays bit-exact.
 //
-// A Writer and a Reader own one reusable buffer each, so a long-lived
-// connection encodes into and reads through the same memory frame after
-// frame; WriteFrame/ReadFrame are the one-shot forms. A Reader's buffer
-// never shrinks, so it suits a link whose frames stay alike in size (a
-// dist link, which also reads its connection through a bufio.Reader so
-// that a header and a small body arrive in one read). A receiver that
-// bounds its memory some other way reads each body into a buffer it owns
-// instead (DecodeBuf: stapd reads every request into one slot of a pool
-// sized by its admission bound), or drops a body it refuses through a
-// small fixed buffer (Skip). Either decodes into values it owns and
-// reuses (the …Into forms and GetSliceInto: stapd's request slots, a dist
-// link's per-edge message slots), so a warm receiver allocates nothing.
-// Decoded values never alias the body they were read from. On a
-// little-endian host a block of samples moves between a value and a body
-// with one copy, since its memory is its flat form; the element-by-element
-// loops that define the form run elsewhere.
+// A Writer encodes every frame into one buffer it reuses, except that on
+// a little-endian host (nativeLE), whose memory holds samples in their
+// flat form, it borrows a block of samples of at least gatherMin bytes
+// from the value being written instead of copying it, and writes the
+// buffer and the borrowed blocks in order (writev on a TCP connection).
+// A Reader streams a body: its fields come through a read-ahead of at
+// most aheadBytes, and a block of samples is read from the stream
+// straight into the memory of the value it decodes into when that memory
+// was made for the block's count (a warm receiver: stapd's request slots,
+// a dist link's per-edge message slots). Only what the read-ahead already
+// holds at a block's two ends is copied once more, so for a large block
+// the kernel's copy on each side is all but the only one. Decoding into
+// values the receiver owns and reuses (the …Into forms and GetSliceInto),
+// a warm receiver allocates nothing. Decoded values never alias the
+// stream's buffers. WriteFrame/ReadFrame are the one-shot forms. A
+// receiver can also drop a body it refuses through a small fixed buffer
+// (Skip).
 //
 // Every decoding path is hardened against corrupt or truncated input: it
 // returns a descriptive error, never panics, refuses a frame whose
 // declared length exceeds MaxFrameBytes, and refuses any count inside a
-// flat body that the body's remaining bytes cannot hold — a corrupt
-// prefix must not drive an allocation.
+// flat body that the body's remaining bytes cannot hold. A header that
+// overstates its length drives no allocation either: what a decode makes
+// for bytes that are still to come grows only as they arrive.
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
-	"slices"
 	"time"
 )
 
@@ -82,11 +84,13 @@ func (e *VersionError) Error() string {
 	return fmt.Sprintf("wire: peer speaks frame format version %d, this build speaks format version %d (stapd, stapnode and clients must be the same build)", e.Got, e.Want)
 }
 
-// FrameTiming is the measured cost of one frame codec operation: CodecNs
-// the encode or decode time, IONs the socket I/O time (the single write
-// on the send side; the body read — not the header wait, which between
-// frames is idle time — on the receive side), Bytes the frame's total
-// size on the wire including the header. The distributed transport feeds
+// FrameTiming is the measured cost of one frame codec operation: IONs
+// the time spent in socket I/O (the write of the whole frame on the send
+// side; on the receive side the reads of the body that went to the
+// stream, not the header wait, which between frames is idle time),
+// CodecNs the rest of the operation, Bytes the frame's total size on the
+// wire including the header. Samples read straight into the receiver's
+// memory are read time, not decode time. The distributed transport feeds
 // these into the wire-tax accounting (obs.WireEvent).
 type FrameTiming struct {
 	CodecNs int64
@@ -95,62 +99,104 @@ type FrameTiming struct {
 }
 
 // Writer writes frames to one stream through one buffer it reuses for
-// every frame. It is not safe for concurrent use: callers serialize
-// WriteFrame (a link's or connection's writer lock).
+// every frame, plus the sample blocks it borrows (see Enc). It is not
+// safe for concurrent use: callers serialize WriteFrame (a link's or
+// connection's writer lock), which also keeps a frame written in several
+// Write calls contiguous on the stream.
 type Writer struct {
-	w io.Writer
-	e Enc // its buffer is the frame buffer
+	w   io.Writer
+	e   Enc         // its buffer is the frame buffer
+	iov net.Buffers // the frame's pieces in order, reused
+	out net.Buffers // iov as WriteTo consumes it
 }
 
 // NewWriter returns a Writer on w.
-func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
+func NewWriter(w io.Writer) *Writer { return &Writer{w: w, e: Enc{gather: true}} }
 
 // WriteFrame encodes v in its flat form (see flat.go) and writes it as
-// one frame of kind k in one Write call, returning the measured encode
-// and write costs.
+// one frame of kind k, returning the measured encode and write costs. A
+// frame that borrowed sample blocks leaves as one net.Buffers write:
+// writev on a TCP connection, ordered Write calls on another stream.
+// Either way the borrowed memory is read before WriteFrame returns and
+// is not kept.
 func (fw *Writer) WriteFrame(k Kind, v any) (FrameTiming, error) {
 	var t FrameTiming
+	defer fw.forget()
 	encStart := time.Now()
-	fw.e.b = append(fw.e.b[:0], FormatVersion, byte(k), 0, 0, 0, 0)
-	err := appendFlat(&fw.e, v)
-	b := fw.e.b
-	if err != nil {
+	e := &fw.e
+	e.b = append(e.b[:0], FormatVersion, byte(k), 0, 0, 0, 0)
+	if err := appendFlat(e, v); err != nil {
 		return t, fmt.Errorf("wire: encode frame: %w", err)
 	}
-	t.CodecNs = time.Since(encStart).Nanoseconds()
-	n := len(b) - headerBytes
+	n := e.size() - headerBytes
 	if n > MaxFrameBytes {
 		return t, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, MaxFrameBytes)
 	}
-	binary.BigEndian.PutUint32(b[2:headerBytes], uint32(n))
-	t.Bytes = int64(len(b))
+	binary.BigEndian.PutUint32(e.b[2:headerBytes], uint32(n))
+	t.Bytes = int64(headerBytes + n)
+	fw.iov = e.pieces(fw.iov)
+	fw.out = fw.iov
+	t.CodecNs = time.Since(encStart).Nanoseconds()
 	ioStart := time.Now()
-	if _, err := fw.w.Write(b); err != nil {
+	var err error
+	if len(fw.out) == 1 {
+		_, err = fw.w.Write(e.b)
+	} else {
+		_, err = fw.out.WriteTo(fw.w)
+	}
+	if err != nil {
 		return t, fmt.Errorf("wire: write frame: %w", err)
 	}
 	t.IONs = time.Since(ioStart).Nanoseconds()
 	return t, nil
 }
 
-// Reader reads frames from one stream into one buffer it reuses for
-// every frame. One goroutine owns it: Next announces a frame, Decode
-// reads and decodes that frame's body.
+// forget drops the Writer's references to the memory a frame borrowed,
+// so it pins no payload between frames.
+func (fw *Writer) forget() {
+	clear(fw.e.lent)
+	fw.e.lent = fw.e.lent[:0]
+	clear(fw.iov)
+	fw.iov = fw.iov[:0]
+}
+
+// aheadBytes bounds the read-ahead a Reader reads a body's fields
+// through: 64 KiB, like a dist link's read buffer, so a body up to that
+// size is one read. Of a larger sample block the read-ahead holds at most
+// the start and the end, which are copied once more on their way to the
+// value.
+const aheadBytes = 64 << 10
+
+// Reader reads frames from one stream. One goroutine owns it: Next
+// announces a frame, Decode reads and decodes that frame's body.
 type Reader struct {
-	r   io.Reader
-	buf []byte
-	n   int // body length of the announced frame
+	r io.Reader
+	n int // body length of the announced frame
 	// The header and the decoder live in the Reader, so that reading a
 	// frame allocates neither.
 	hdr [headerBytes]byte
 	dec Dec
+	// buffered is r itself when the caller buffers the stream, and its
+	// buffer is the read-ahead; else the first Decode makes own, a
+	// read-ahead of at most aheadBytes over lim, which ends each body
+	// at the frame's end.
+	buffered *bufio.Reader
+	own      *bufio.Reader
+	lim      io.LimitedReader
 }
 
-// NewReader returns a Reader on r. It reads exactly one frame's bytes per
-// frame from r, so a connection read directly can change hands between
-// frames; one read through a buffer (a bufio.Reader) cannot. Its own
-// buffer is allocated by the first Decode; a reader that only announces
-// frames (Next) and reads their bodies with DecodeBuf or Skip holds none.
-func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
+// NewReader returns a Reader on r. On a *bufio.Reader it reads bodies
+// through that reader's buffer, which reads ahead across frames (a dist
+// link: a header and a small body arrive in one read). On any other
+// stream it reads exactly one frame's bytes per frame, so a connection
+// read directly can change hands between frames; its read-ahead is
+// allocated by the first Decode, so a reader that only announces frames
+// (Next) and drops their bodies (Skip) holds none.
+func NewReader(r io.Reader) *Reader {
+	fr := &Reader{r: r}
+	fr.buffered, _ = r.(*bufio.Reader)
+	return fr
+}
 
 // Next blocks until the next frame's header has arrived and returns its
 // kind and body length, so the caller can refuse the frame before its
@@ -176,53 +222,35 @@ func (fr *Reader) Next() (Kind, int, error) {
 	return Kind(hdr[1]), fr.n, nil
 }
 
-// Decode reads the body of the frame Next announced into the Reader's
-// own buffer and decodes it into v, a pointer to one of the flat types or
-// a FlatDecoder. Truncation and corrupt content are descriptive errors,
-// never panics.
-func (fr *Reader) Decode(v any) (FrameTiming, error) { return fr.DecodeBuf(&fr.buf, v) }
-
-// DecodeBuf is Decode reading the body into *buf, a buffer the caller
-// owns and keeps for its next frame: it is reused when its capacity
-// holds the body and grows only as bytes arrive, doubling from 64 KiB,
-// so a header that overstates its length costs no more memory than the
-// bytes that came.
-func (fr *Reader) DecodeBuf(buf *[]byte, v any) (t FrameTiming, err error) {
+// Decode reads the body of the frame Next announced and decodes it into
+// v, a pointer to one of the flat types or a FlatDecoder, as the bytes
+// arrive. Truncation and corrupt content are descriptive errors, never
+// panics; after one the stream is not at a frame boundary, and the
+// caller drops it.
+func (fr *Reader) Decode(v any) (t FrameTiming, err error) {
 	t.Bytes = int64(headerBytes + fr.n)
-	ioStart := time.Now()
-	body, err := fr.readBody((*buf)[:0])
-	*buf = body
-	if err != nil {
-		return t, fmt.Errorf("wire: frame truncated (want %d bytes): %w", fr.n, err)
-	}
-	t.IONs = time.Since(ioStart).Nanoseconds()
-	decStart := time.Now()
-	fr.dec = Dec{b: body}
-	err = decodeFlat(&fr.dec, v)
-	fr.dec = Dec{}
-	if err != nil {
-		return t, err
-	}
-	t.CodecNs = time.Since(decStart).Nanoseconds()
-	return t, nil
-}
-
-// readBody reads the announced body into b, growing it only as bytes
-// arrive. On error it returns what arrived.
-func (fr *Reader) readBody(b []byte) ([]byte, error) {
-	for len(b) < fr.n {
-		step := min(fr.n-len(b), cap(b)-len(b))
-		if step == 0 {
-			step = min(fr.n-len(b), max(len(b), 64<<10))
-			b = slices.Grow(b, step)
+	start := time.Now()
+	br := fr.buffered
+	if br == nil {
+		fr.lim = io.LimitedReader{R: fr.r, N: int64(fr.n)}
+		if size := min(fr.n, aheadBytes); fr.own == nil || fr.own.Size() < size {
+			fr.own = bufio.NewReaderSize(&fr.lim, size)
+		} else {
+			fr.own.Reset(&fr.lim)
 		}
-		k, err := io.ReadFull(fr.r, b[len(b):len(b)+step])
-		b = b[:len(b)+k]
-		if err != nil {
-			return b, err
-		}
+		br = fr.own
 	}
-	return b, nil
+	d := &fr.dec
+	*d = Dec{br: br, left: fr.n}
+	err = decodeFlat(d, v)
+	br.Discard(d.held)
+	t.IONs = d.ioNs
+	t.CodecNs = time.Since(start).Nanoseconds() - t.IONs
+	if d.cut != nil {
+		err = fmt.Errorf("wire: frame truncated (want %d bytes): %w", fr.n, d.cut)
+	}
+	*d = Dec{}
+	return t, err
 }
 
 // Skip reads the body of the frame Next announced without keeping it:
@@ -254,7 +282,7 @@ func (fr *Reader) ReadFrame(v any) (FrameTiming, error) {
 	return fr.Decode(v)
 }
 
-// ReadFrame reads one Plain frame from r through a fresh buffer and
+// ReadFrame reads one Plain frame from r through a fresh Reader and
 // decodes it into v (a pointer). It returns io.EOF — and only io.EOF —
 // when the stream ends cleanly at a frame boundary. A receiver that
 // reads many frames keeps a Reader instead.
@@ -263,9 +291,9 @@ func ReadFrame(r io.Reader, v any) error {
 	return err
 }
 
-// WriteFrame writes v to w as one Plain frame through a fresh buffer, in
-// one Write call so concurrent writers interleave only at frame
-// boundaries when the callers serialize above this layer.
+// WriteFrame writes v to w as one Plain frame through a fresh Writer.
+// Concurrent writers interleave only at frame boundaries when the callers
+// serialize above this layer.
 func WriteFrame(w io.Writer, v any) error {
 	_, err := NewWriter(w).WriteFrame(Plain, v)
 	return err

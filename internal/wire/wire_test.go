@@ -7,8 +7,10 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"pstap/internal/cube"
 	"pstap/internal/linalg"
@@ -319,6 +321,45 @@ func TestFlatCountRefusedBeforeAllocating(t *testing.T) {
 	}
 }
 
+// overstatedFrame is a cube frame whose header and sample count claim
+// 512 MiB of samples, of which 1 KiB follows before the stream ends.
+func overstatedFrame() []byte {
+	const claimed = 512 << 20
+	var e Enc
+	e.Bool(true)
+	e.shape(cube.Order{cube.Range, cube.Channel, cube.Pulse}, [3]int{claimed / 16, 1, 1})
+	e.Int(claimed / 16)
+	body := append(e.Bytes(), make([]byte, 1<<10)...)
+	return append(header(FormatVersion, Plain, uint32(len(e.Bytes())+claimed)), body...)
+}
+
+// TestOverstatedCountCostsWhatCame: a body whose sample count overstates
+// the bytes that follow is an error, not a panic, and the memory its
+// decode makes grows only with the bytes that came — the 1 KiB of
+// overstatedFrame costs well under 4 MiB of heap, read at once or a byte
+// at a time, into a fresh cube or one of another size.
+func TestOverstatedCountCostsWhatCame(t *testing.T) {
+	frame := overstatedFrame()
+	for _, r := range []func() io.Reader{
+		func() io.Reader { return bytes.NewReader(frame) },
+		func() io.Reader { return iotest.OneByteReader(bytes.NewReader(frame)) },
+	} {
+		for _, into := range []*cube.Cube{{}, testCube()} {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			err := ReadFrame(r(), into)
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), "truncated") {
+				t.Fatalf("a 512 MiB count with 1 KiB of samples: got %v, want a truncation error", err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+				t.Errorf("decoding 1 KiB of a 512 MiB claim allocated %d bytes", grew)
+			}
+		}
+	}
+}
+
 func TestTimedFramesMeasure(t *testing.T) {
 	var buf bytes.Buffer
 	m := msg{ID: 9, Body: make([]float64, 4096)}
@@ -386,8 +427,8 @@ func (c *cubes) DecodeFlat(d *Dec) error {
 	return nil
 }
 
-// TestDecodeIntoWarmValues reads a run of frames through one body buffer
-// (DecodeBuf) into one reused value: each decode equals a one-shot decode
+// TestDecodeIntoWarmValues reads a run of frames through one Reader into
+// one reused value: each decode equals a one-shot decode
 // of the same frame bit for bit (their flat forms are equal) — nil and
 // empty lists and samples, a Dim that disagrees with Data. Samples of the
 // count a cube was made for land in its memory; any other count gets
@@ -414,7 +455,6 @@ func TestDecodeIntoWarmValues(t *testing.T) {
 		}
 	}
 	fr := NewReader(bytes.NewReader(stream.Bytes()))
-	var body []byte
 	var warm cubes
 	for i, f := range frames {
 		var fresh cubes
@@ -430,7 +470,7 @@ func TestDecodeIntoWarmValues(t *testing.T) {
 		if _, _, err := fr.Next(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fr.DecodeBuf(&body, &warm); err != nil {
+		if _, err := fr.Decode(&warm); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		var a, b bytes.Buffer
@@ -453,9 +493,6 @@ func TestDecodeIntoWarmValues(t *testing.T) {
 			}
 		}
 	}
-	if fr.buf != nil {
-		t.Error("DecodeBuf used the Reader's own buffer")
-	}
 }
 
 // TestSkipKeepsTheHeadOnly reads past a frame's body, keeping its first
@@ -472,8 +509,8 @@ func TestSkipKeepsTheHeadOnly(t *testing.T) {
 	if n, err := fr.Skip(head[:]); err != nil || n != 8 || NewDec(head[:]).Uint64() != 42 {
 		t.Fatalf("skip: %d bytes, %v, head %x", n, err, head)
 	}
-	if fr.buf != nil {
-		t.Error("Skip used the Reader's own buffer")
+	if fr.own != nil {
+		t.Error("Skip made the Reader's read-ahead")
 	}
 	var m msg
 	if _, err := fr.ReadFrame(&m); err != nil || m.ID != 43 {
