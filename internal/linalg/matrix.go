@@ -9,22 +9,15 @@
 // (exponentially forgotten) QR update for the hard bins.
 //
 // Each factorization exists once, in a workspace form — QRFactorInto,
-// RFactorInto, UpdateRInto, BackSubstituteInto, plus VStackInto and HInto
-// — that writes into a caller-owned destination (reshaped with
-// Matrix.Reshape, reusing its storage) and takes its scratch from a
-// Workspace, so a caller that keeps both factorizes every CPI without
-// allocating. QRFactor, RFactor, UpdateR, BackSubstitute, VStack and H are
-// thin wrappers that pass fresh ones.
+// DampedQRInto, RFactorInto, UpdateRInto, BackSubstituteInto, plus
+// VStackInto and HInto — that writes into a caller-owned destination
+// (reshaped with Matrix.Reshape, reusing its storage) and takes its
+// scratch from a Workspace, so a caller that keeps both factorizes every
+// CPI without allocating. QRFactor, RFactor, UpdateR, BackSubstitute,
+// VStack and H are thin wrappers that pass fresh ones.
 //
-// The three factorizations share one Householder loop. It builds reflector
-// k over its support: pivot row k and the rows below it whose first
-// nonzero input column is at most k. For the hard task's [λR; X] that is
-// row k and the new rows; for a damped [R; κI] it is row k and identity
-// rows 0..k; for a dense matrix it is every row from k down. The rows it
-// skips are untouched zeros in column k, and the loop keeps the dense
-// loop's order on the rest, so R and Q are bit-identical to the dense
-// loop's for finite input (the one exception, an input -0 in a skipped
-// row, is stated at the loop).
+// The factorizations share one Householder loop, told by its caller the
+// shape of the stack it reduces (see stack and householder).
 package linalg
 
 import (

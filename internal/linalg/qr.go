@@ -13,21 +13,15 @@ type QR struct {
 	R *Matrix
 }
 
-// Workspace is the scratch memory of the factorizations in this file: each
-// row's profile, the support of the reflector at hand, its column
-// products, the reflector store QR accumulates Q from, and the working
-// copy of the matrix being reduced (for UpdateRInto, the stacked
-// [λ·R; rows]). Every slice grows to the largest problem seen and is then
-// reused, so a warm workspace factorizes without allocating. The zero
-// value is ready to use; a Workspace must not be shared by concurrent
-// calls.
+// Workspace is the scratch memory of the factorizations in this file.
+// Every slice grows to the largest problem seen and is then reused, so a
+// warm workspace factorizes without allocating. The zero value is ready
+// to use; a Workspace must not be shared by concurrent calls.
 type Workspace struct {
-	prof    []int        // row i's first nonzero column in the input
-	rows    []int        // the support of the reflector at hand
 	dot     []complex128 // reflect's column products
-	refl    []complex128 // the reflectors, k-th at [k*m, k*m+len(support k))
+	refl    []complex128 // the reflectors, k-th at [k*m, k*m+1+hi-lo) for its span [lo, hi)
 	applied []bool       // refl[k] holds a reflector
-	work    Matrix       // the matrix being reduced in place
+	work    Matrix       // the matrix (or built stack) reduced in place
 }
 
 // grow returns s resized to n, reusing its storage when large enough. The
@@ -37,6 +31,22 @@ func grow[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
+}
+
+// A stack is the shape of the m x n matrix the Householder loop reduces,
+// stated by the caller that built it: reflector k spans pivot row k and
+// rows [max(k+1, lo), hi+k*diag). Dense is {0, m, 0}; UpdateRInto's
+// [λR; X] over top rows of λR is {top, top+rows(X), 0}; DampedQRInto's
+// [data; κI] over t data rows is {0, t+1, 1}, or {n, n+1, 1} for a
+// triangular R (identity row j joins at reflector j). Rows left out hold
+// their builder's +0: R's cleared lower triangle, the identity's cleared
+// off-diagonal, a cold start's zero padding.
+type stack struct{ lo, hi, diag int }
+
+// span returns the rows [lo, hi) below pivot k that reflector k spans.
+func (s stack) span(k int) (lo, hi int) {
+	lo = max(k+1, s.lo)
+	return lo, max(lo, s.hi+k*s.diag)
 }
 
 // QRFactor computes the thin QR factorization of a (m x n, m >= n) using
@@ -59,39 +69,65 @@ func QRFactorInto(w *Workspace, dst *QR, a *Matrix) error {
 	if m < n {
 		return fmt.Errorf("linalg: QRFactor needs rows >= cols, got %dx%d", m, n)
 	}
-	r := w.work.Reshape(m, n)
-	copy(r.Data, a.Data)
-	w.householder(r)
+	copy(w.work.Reshape(m, n).Data, a.Data)
+	w.qr(dst, stack{0, m, 0})
+	return nil
+}
+
+// DampedQRInto is QRFactorInto of the constrained solve's damped stack
+// [data; k·I], built in w. data is t x n; when upper is set it is an n x n
+// triangular factor whose strictly lower triangle is not read.
+func DampedQRInto(w *Workspace, dst *QR, data *Matrix, k complex128, upper bool) error {
+	t, n := data.Rows, data.Cols
+	s := stack{0, t + 1, 1}
+	if upper {
+		if t != n {
+			return fmt.Errorf("linalg: DampedQR triangular data %dx%d is not square", t, n)
+		}
+		s.lo = n
+	}
+	a := w.work.Reshape(t+n, n)
+	clear(a.Data)
+	for i := 0; i < t; i++ {
+		j := min(i, s.lo) // row i of a triangular R starts at column i
+		copy(a.Row(i)[j:], data.Row(i)[j:])
+	}
+	for j := 0; j < n; j++ {
+		a.Data[(t+j)*n+j] = k // the entries of Identity(n).Scale(k), bit for bit
+	}
+	w.qr(dst, s)
+	return nil
+}
+
+// qr factorizes w.work, shaped s, into dst.
+func (w *Workspace) qr(dst *QR, s stack) {
+	r := &w.work
+	m, n := r.Rows, r.Cols
+	w.householder(r, s)
 	if dst.Q == nil {
 		dst.Q = new(Matrix)
 	}
 	if dst.R == nil {
 		dst.R = new(Matrix)
 	}
-	// Zero out strictly-lower part and keep the top n x n block as R.
-	rOut := dst.R.Reshape(n, n)
-	clear(rOut.Data)
+	rOut := dst.R.Reshape(n, n) // the top n x n block's upper triangle
 	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			rOut.Set(i, j, r.At(i, j))
-		}
+		clear(rOut.Row(i)[:i])
+		copy(rOut.Row(i)[i:], r.Row(i)[i:n])
 	}
-	// Accumulate Q by applying the reflectors, each on the support it was
-	// built over, to the first n columns of I. Reflector k's entry for a
-	// row outside its support is zero, so the dense product would leave
-	// that row of q as it is (q never holds a -0 for it to turn into +0).
+	// Q is each reflector, on its span, applied to I's first n columns (q
+	// holds no -0 for the dense loop to turn into +0 outside a span).
 	q := dst.Q.Reshape(m, n)
 	clear(q.Data)
 	for i := 0; i < n; i++ {
-		q.Set(i, i, 1)
+		q.Data[i*n+i] = 1
 	}
 	for k := n - 1; k >= 0; k-- {
 		if w.applied[k] {
-			rows := w.support(k)
-			w.reflect(q, w.refl[k*m:k*m+len(rows)], rows, k)
+			lo, hi := s.span(k)
+			w.reflect(q, w.refl[k*m:k*m+1+hi-lo], k, lo)
 		}
 	}
-	return nil
 }
 
 // RFactor computes only the triangular factor R of the thin QR of a,
@@ -114,149 +150,111 @@ func RFactorInto(w *Workspace, dst, a *Matrix) error {
 	if m < n {
 		return fmt.Errorf("linalg: RFactor needs rows >= cols, got %dx%d", m, n)
 	}
-	r := w.work.Reshape(m, n)
-	copy(r.Data, a.Data)
-	w.reduceR(dst, r)
+	copy(w.work.Reshape(m, n).Data, a.Data)
+	w.reduceR(dst, &w.work, stack{0, m, 0})
 	return nil
 }
 
-// reduceR triangularizes r (m x n, m >= n) in place and writes its
-// normalized n x n factor into dst.
-func (w *Workspace) reduceR(dst, r *Matrix) {
+// reduceR triangularizes r (m x n, m >= n), shaped s, in place and writes
+// its normalized n x n factor into dst.
+func (w *Workspace) reduceR(dst, r *Matrix, s stack) {
 	n := r.Cols
-	w.householder(r)
+	w.householder(r, s)
 	out := dst.Reshape(n, n)
-	clear(out.Data)
 	for i := 0; i < n; i++ {
 		// Householder with our beta convention leaves diag real negative or
 		// positive; normalize rows so diag >= 0 for uniqueness.
-		d := r.At(i, i)
+		row, src, d := out.Row(i), r.Row(i)[:n], r.At(i, i)
 		phase := complex(1, 0)
 		if d != 0 {
 			phase = complex(cmplx.Abs(d), 0) / d
 		}
+		clear(row[:i])
 		for j := i; j < n; j++ {
-			out.Set(i, j, phase*r.At(i, j))
+			row[j] = phase * src[j]
 		}
 	}
 }
 
 // householder is the one Householder loop: it triangularizes r (m x n,
-// m >= n) in place, keeping reflector k in w.refl and whether it was
-// applied in w.applied[k].
-//
-// Reflector k is built over, and applied to, its support only: pivot row k
-// and the rows below it whose profile — first nonzero column of the input —
-// is at most k. For [λR; X] that is row k and the new rows; for a damped
-// stack [R; κI] it is row k and identity rows 0..k; for a dense matrix it is
-// rows k..m-1. A row outside the support has not been touched by any
-// earlier reflector (a row joins the support at its profile and stays), so
-// its column-k entry is still an input zero and its entry of the dense
-// loop's reflector is a signed zero. Every skipped term is then a product
-// with an exact zero added to a sum that starts at +0 and so is never -0,
-// which leaves the sum's bits as they are; on the support the loop does the
-// dense loop's operations in the dense loop's order. R and Q are therefore
-// bit-identical to the dense loop's for finite input, with one exception:
-// a -0 entry in a row outside the support, which the dense loop may turn
-// into +0 and this loop leaves alone.
-func (w *Workspace) householder(r *Matrix) {
+// m >= n), shaped s, in place, keeping reflector k in w.refl and whether
+// it was applied in w.applied[k]. A row s leaves out of reflector k is
+// untouched, its column-k entry its builder's +0, so each skipped term is
+// an exact-zero product added to a sum that starts at +0, is never -0 and
+// keeps its bits; the span gets the dense loop's operations in its order.
+// R and Q are the dense loop's bit for bit for finite input, but for a -0
+// input in a row left out, which the dense loop may make +0.
+func (w *Workspace) householder(r *Matrix, s stack) {
 	m, n := r.Rows, r.Cols
-	w.profile(r)
 	w.refl = grow(w.refl, n*m)
 	w.applied = grow(w.applied, n)
 	for k := 0; k < n; k++ {
-		rows := w.support(k)
-		v := w.refl[k*m : k*m+len(rows)]
-		w.applied[k] = householderColumn(r, k, rows, v)
+		lo, hi := s.span(k)
+		v := w.refl[k*m : k*m+1+hi-lo]
+		w.applied[k] = householderColumn(r, k, lo, v)
 		if w.applied[k] {
-			w.reflect(r, v, rows, k)
+			w.reflect(r, v, k, lo)
 		}
 	}
 }
 
-// profile records each row's first nonzero column (r.Cols for a zero
-// row) in w.prof.
-func (w *Workspace) profile(r *Matrix) {
-	w.prof = grow(w.prof, r.Rows)
-	for i := range w.prof {
-		row := r.Row(i)
-		p := 0
-		for p < len(row) && row[p] == 0 {
-			p++
-		}
-		w.prof[i] = p
-	}
-}
-
-// support returns reflector k's rows in ascending order: k, then every row
-// below it whose profile is at most k.
-func (w *Workspace) support(k int) []int {
-	rows := grow(w.rows, len(w.prof))[:1]
-	rows[0] = k
-	for i := k + 1; i < len(w.prof); i++ {
-		if w.prof[i] <= k {
-			rows = append(rows, i)
-		}
-	}
-	w.rows = rows
-	return rows
-}
-
-// householderColumn builds in v (one entry per support row) the unit
-// Householder vector that annihilates column k of r on the rows below the
-// pivot. Returns false, leaving v unspecified, if the column is already
-// zero there.
-func householderColumn(r *Matrix, k int, rows []int, v []complex128) bool {
-	for t, i := range rows {
-		v[t] = r.At(i, k)
+// householderColumn builds in v the unit Householder vector annihilating
+// column k of r below the pivot (v[0] for row k, v[1+t] for row lo+t), or
+// returns false, v unspecified, if the column is already zero there.
+func householderColumn(r *Matrix, k, lo int, v []complex128) bool {
+	n := r.Cols
+	v[0] = r.Data[k*n+k]
+	for t, i := 1, lo*n+k; t < len(v); t, i = t+1, i+n {
+		v[t] = r.Data[i]
 	}
 	alpha := Norm2(v)
 	if alpha == 0 {
 		return false
 	}
 	// beta = -sign(x0)*|x|, with complex sign = x0/|x0|.
-	var beta complex128
-	if x0 := v[0]; x0 == 0 {
-		beta = complex(-alpha, 0)
-	} else {
-		beta = -(x0 / complex(cmplx.Abs(x0), 0)) * complex(alpha, 0)
+	beta := complex(-alpha, 0)
+	if x0 := v[0]; x0 != 0 {
+		beta = -divReal(x0, cmplx.Abs(x0)) * complex(alpha, 0)
 	}
 	v[0] -= beta
-	nv := Norm2(v)
-	if nv < 1e-300 {
-		return false
-	}
-	inv := complex(1/nv, 0)
-	for i := range v {
-		v[i] *= inv
-	}
-	return true
+	return !(Normalize(v) < 1e-300) // a NaN norm still applies
 }
 
-// reflect applies (I - 2 v v^H) to the given rows of a, columns k.., where
-// v is the unit Householder vector of pivot k with one entry per row. It
-// is the only place a reflector is applied. It forms every column's
-// product first and then updates, two rows at a time for locality. Each
-// column's product is still summed in row order, and updating column j
-// never feeds column j+1's product, so this is the column-at-a-time
+// divReal is x / complex(a, 0) for a real a > 0: the runtime's Smith
+// branch with ratio 0/a = +0 and denominator a + 0*0 = a, whose zero
+// products keep the signs of zero, so finite x give the same bits.
+func divReal(x complex128, a float64) complex128 {
+	re, im := real(x), imag(x)
+	return complex((re+im*0)/a, (im-re*0)/a)
+}
+
+// reflect, the only place a reflector is applied, applies (I - 2 v v^H)
+// to columns k.. of pivot row k (v[0]) and rows lo+t (v[1+t]). It forms
+// every column's product, then updates, four rows at a time. Each product
+// is still summed in row order, no update feeds a later product, and a
+// column whose product is 0 is skipped, so this is the column-at-a-time
 // loop's arithmetic, bit for bit.
-func (w *Workspace) reflect(a *Matrix, v []complex128, rows []int, k int) {
+func (w *Workspace) reflect(a *Matrix, v []complex128, k, lo int) {
 	n := a.Cols
 	w.dot = grow(w.dot, n)
 	dot := w.dot[k:n]
-	clear(dot)
-	t := 0
-	for ; t+1 < len(rows); t += 2 {
-		c0, c1 := cmplx.Conj(v[t]), cmplx.Conj(v[t+1])
-		r0 := a.Row(rows[t])[k:n][:len(dot)]
-		r1 := a.Row(rows[t+1])[k:n][:len(dot)]
+	piv, span := a.Data[k*n+k:][:len(dot)], a.Data[lo*n:] // v[1+i]'s row at span[i*n:]
+	c := cmplx.Conj(v[0])
+	for j, x := range piv {
+		dot[j] = c * x // +0 + c·x but for a zero's sign; a zero column is skipped
+	}
+	t := 1
+	for ; t+3 < len(v); t += 4 {
+		c0, c1, c2, c3 := cmplx.Conj(v[t]), cmplx.Conj(v[t+1]), cmplx.Conj(v[t+2]), cmplx.Conj(v[t+3])
+		o := (t-1)*n + k
+		r0, r1 := span[o:][:len(dot)], span[o+n:][:len(dot)]
+		r2, r3 := span[o+2*n:][:len(dot)], span[o+3*n:][:len(dot)]
 		for j := range dot {
-			dot[j] = dot[j] + c0*r0[j] + c1*r1[j]
+			dot[j] = dot[j] + c0*r0[j] + c1*r1[j] + c2*r2[j] + c3*r3[j]
 		}
 	}
-	if t < len(rows) {
-		c := cmplx.Conj(v[t])
-		r := a.Row(rows[t])[k:n][:len(dot)]
+	for ; t < len(v); t++ {
+		c, r := cmplx.Conj(v[t]), span[(t-1)*n+k:][:len(dot)]
 		for j := range dot {
 			dot[j] += c * r[j]
 		}
@@ -264,20 +262,27 @@ func (w *Workspace) reflect(a *Matrix, v []complex128, rows []int, k int) {
 	for j := range dot {
 		dot[j] *= 2
 	}
-	for t = 0; t+1 < len(rows); t += 2 {
-		v0, v1 := v[t], v[t+1]
-		r0 := a.Row(rows[t])[k:n][:len(dot)]
-		r1 := a.Row(rows[t+1])[k:n][:len(dot)]
+	for j, d := range dot {
+		if d != 0 {
+			piv[j] -= d * v[0]
+		}
+	}
+	for t = 1; t+3 < len(v); t += 4 {
+		v0, v1, v2, v3 := v[t], v[t+1], v[t+2], v[t+3]
+		o := (t-1)*n + k
+		r0, r1 := span[o:][:len(dot)], span[o+n:][:len(dot)]
+		r2, r3 := span[o+2*n:][:len(dot)], span[o+3*n:][:len(dot)]
 		for j, d := range dot {
 			if d != 0 {
 				r0[j] -= d * v0
 				r1[j] -= d * v1
+				r2[j] -= d * v2
+				r3[j] -= d * v3
 			}
 		}
 	}
-	if t < len(rows) {
-		vt := v[t]
-		r := a.Row(rows[t])[k:n][:len(dot)]
+	for ; t < len(v); t++ {
+		vt, r := v[t], span[(t-1)*n+k:][:len(dot)]
 		for j, d := range dot {
 			if d != 0 {
 				r[j] -= d * vt
@@ -350,14 +355,11 @@ func LeastSquares(a *Matrix, b []complex128) ([]complex128, error) {
 	if err != nil {
 		return nil, err
 	}
-	// x = R^{-1} Q^H b
-	qhb := make([]complex128, a.Cols)
-	for j := 0; j < a.Cols; j++ {
-		var sum complex128
-		for i := 0; i < a.Rows; i++ {
-			sum += cmplx.Conj(qr.Q.At(i, j)) * b[i]
+	qhb := make([]complex128, a.Cols) // x = R^{-1} Q^H b, summed down Q's rows
+	for i, bi := range b {
+		for j, q := range qr.Q.Row(i) {
+			qhb[j] += cmplx.Conj(q) * bi
 		}
-		qhb[j] = sum
 	}
 	return BackSubstitute(qr.R, qhb)
 }
@@ -379,8 +381,9 @@ func UpdateR(rOld *Matrix, lambda float64, newRows *Matrix) (*Matrix, error) {
 }
 
 // UpdateRInto is UpdateR writing the n x n factor into dst (reshaped),
-// stacking [lambda*rOld; newRows] in w instead of allocating it. dst may
-// alias rOld: the stack is built before dst is written.
+// stacking [lambda*rOld; newRows] in w instead of allocating it. rOld's
+// strictly lower triangle is not read. dst may alias rOld: the stack is
+// built before dst is written.
 func UpdateRInto(w *Workspace, dst, rOld *Matrix, lambda float64, newRows *Matrix) error {
 	n := newRows.Cols
 	top := 0
@@ -392,24 +395,28 @@ func UpdateRInto(w *Workspace, dst, rOld *Matrix, lambda float64, newRows *Matri
 	}
 	// Pad with zero rows so the factorization is defined even for a cold
 	// start with fewer samples than channels.
-	stacked := w.work.Reshape(max(top+newRows.Rows, n), n)
+	end := top + newRows.Rows
+	stacked := w.work.Reshape(max(end, n), n)
 	s := complex(lambda, 0)
-	for i := 0; i < top*n; i++ {
-		stacked.Data[i] = rOld.Data[i] * s
+	for i := 0; i < top; i++ {
+		row, src := stacked.Row(i), rOld.Row(i)
+		clear(row[:i])
+		for j := i; j < n; j++ {
+			row[j] = src[j] * s
+		}
 	}
 	copy(stacked.Data[top*n:], newRows.Data)
-	clear(stacked.Data[(top+newRows.Rows)*n:])
-	w.reduceR(dst, stacked)
+	clear(stacked.Data[end*n:])
+	w.reduceR(dst, stacked, stack{top, end, 0})
 	return nil
 }
 
 // FlopsQR returns the flop-count convention for a complex Householder QR of
 // an m x n (m >= n) matrix without forming Q: 8*n^2*(m - n/3). The real
 // count is 4x the classic real-QR 2n^2(m-n/3) because complex multiplies
-// cost 6 flops and adds 2. It counts a dense matrix: the Householder loop
-// here reflects only each reflector's support, so on a stack with known
-// zeros ([λR; X], [R; κI]) it executes less. At the hard task's Medium
-// stacks the executed arithmetic is about half what the dense loop did.
+// cost 6 flops and adds 2. It counts a dense matrix: on a stack whose shape
+// leaves rows out ([λR; X], [R; κI]) the loop here executes less, about
+// half at the hard task's Medium stacks.
 func FlopsQR(m, n int) int64 {
 	if m < n {
 		m = n

@@ -70,9 +70,9 @@ func TestWorkspaceFormsMatchWrappers(t *testing.T) {
 // TestWorkspaceFormsAllocateNothing pins the zero-allocation contract of
 // the workspace forms once the workspace and the destinations have seen
 // the problem's shape. The hard task's stacks at Small and Medium size
-// ([λR; X] for the update, [R; κI] for the damped solve) share one
-// workspace, so its profile, support and column-product slices are
-// reused across both shapes.
+// ([λR; X] for the update, [R; κI] for the damped solve) and the easy
+// task's [train; κI] share one workspace, so its reflector store,
+// column products and working stack are reused across every shape.
 func TestWorkspaceFormsAllocateNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under -race are the race runtime's")
@@ -102,12 +102,13 @@ func TestWorkspaceFormsAllocateNothing(t *testing.T) {
 		n, k int
 	}{{"Small", 8, 10}, {"Medium", 16, 40}} {
 		rOld, fresh := hardStack(rng, s.n, s.k)
-		damped := VStack(rOld, Identity(s.n).Scale(0.5))
+		train := randMatrix(rng, 3*s.k, s.n/2)
 		var hr Matrix
-		var hqr QR
+		var hqr, eqr QR
 		cases = append(cases,
 			kernel{s.name + " [λR; X] UpdateRInto", func() { _ = UpdateRInto(&w, &hr, rOld, 0.6, fresh) }},
-			kernel{s.name + " [R; κI] QRFactorInto", func() { _ = QRFactorInto(&w, &hqr, damped) }})
+			kernel{s.name + " [R; κI] DampedQRInto", func() { _ = DampedQRInto(&w, &hqr, rOld, 0.5, true) }},
+			kernel{s.name + " [train; κI] DampedQRInto", func() { _ = DampedQRInto(&w, &eqr, train, 0.5, false) }})
 	}
 	for _, c := range cases {
 		c.f() // size the workspace and destinations

@@ -254,8 +254,7 @@ func (s *EasyWeightState) ComputeInto(out []*linalg.Matrix) {
 // shared by both weight tasks, sized by the first solve and reused by
 // every later one.
 type solver struct {
-	lw     linalg.Workspace
-	a      linalg.Matrix // the stacked [data; k·I]
+	lw     linalg.Workspace // holds the stacked [data; k·I]
 	qr     linalg.QR
 	qhb, x []complex128
 }
@@ -280,7 +279,7 @@ func (sv *solver) constrained(dst, train *linalg.Matrix, steer [][]complex128, c
 	if rms == 0 {
 		return fmt.Errorf("stap: zero training data")
 	}
-	return sv.solve(dst, train, steer, complex(constraintWt*rms, 0))
+	return sv.solve(dst, train, false, steer, complex(constraintWt*rms, 0))
 }
 
 // constrainedWeightsFromR is constrainedWeights with the data block already
@@ -299,23 +298,17 @@ func (sv *solver) fromR(dst, r *linalg.Matrix, steer [][]complex128, kEff float6
 	if kEff <= 0 {
 		return fmt.Errorf("stap: non-positive constraint scale")
 	}
-	return sv.solve(dst, r, steer, complex(kEff, 0))
+	return sv.solve(dst, r, true, steer, complex(kEff, 0))
 }
 
-// solve stacks [data; k I], factors it once and, per steering vector ws,
-// solves the least squares problem whose right-hand side is k ws on the
-// constraint rows and zero on the data rows, writing the unit-norm
-// solution as column b of dst (nch x len(steer)).
-func (sv *solver) solve(dst, data *linalg.Matrix, steer [][]complex128, k complex128) error {
+// solve factors [data; k I] once (data triangular when upper is set) and,
+// per steering vector ws, solves the least squares problem whose
+// right-hand side is k ws on the constraint rows and zero on the data
+// rows, writing the unit-norm solution as column b of dst (nch x
+// len(steer)).
+func (sv *solver) solve(dst, data *linalg.Matrix, upper bool, steer [][]complex128, k complex128) error {
 	nch := data.Cols
-	a := sv.a.Reshape(data.Rows+nch, nch)
-	copy(a.Data, data.Data)
-	ident := a.Data[len(data.Data):]
-	clear(ident)
-	for j := 0; j < nch; j++ {
-		ident[j*nch+j] = k // the entries of Identity(nch).Scale(k), bit for bit
-	}
-	if err := linalg.QRFactorInto(&sv.lw, &sv.qr, a); err != nil {
+	if err := linalg.DampedQRInto(&sv.lw, &sv.qr, data, k, upper); err != nil {
 		return err
 	}
 	if len(sv.x) != nch {
@@ -328,23 +321,25 @@ func (sv *solver) solve(dst, data *linalg.Matrix, steer [][]complex128, k comple
 		}
 		// rhs is zero on the data rows, so Q^H b only touches the constraint
 		// block: (Q^H b)[c] = sum_j conj(Q[data.Rows+j, c]) * k * ws[j].
-		// Constraint row j joins the reflectors' supports at reflector j, so
+		// Constraint row j joins the reflectors' spans at reflector j, so
 		// its entries in columns c < j are exact zeros and the sum stops at
 		// the diagonal; the terms it skips would add signed zeros to a sum
-		// that is never -0, leaving its bits as they are.
-		for c := 0; c < nch; c++ {
-			var sum complex128
-			for j := 0; j <= c; j++ {
-				sum += conj(sv.qr.Q.At(data.Rows+j, c)) * k * ws[j]
+		// that is never -0, leaving its bits as they are. Walking Q by row
+		// adds each column's terms in the same j order.
+		clear(sv.qhb)
+		for j := 0; j < nch; j++ {
+			row, kw := sv.qr.Q.Row(data.Rows + j)[j:], ws[j]
+			sum := sv.qhb[j:]
+			for c, q := range row {
+				sum[c] += conj(q) * k * kw
 			}
-			sv.qhb[c] = sum
 		}
 		if err := linalg.BackSubstituteInto(sv.x, sv.qr.R, sv.qhb); err != nil {
 			return err
 		}
 		linalg.Normalize(sv.x)
-		for j := 0; j < nch; j++ {
-			out.Set(j, b, sv.x[j])
+		for j, x := range sv.x {
+			out.Data[j*out.Cols+b] = x
 		}
 	}
 	return nil

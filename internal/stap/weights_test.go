@@ -5,6 +5,7 @@ import (
 	"math/cmplx"
 	"testing"
 
+	"pstap/internal/cube"
 	"pstap/internal/linalg"
 	"pstap/internal/radar"
 )
@@ -369,18 +370,45 @@ func BenchmarkHardWeightsSmall(b *testing.B) { benchHardWeights(b, radar.Small()
 
 func BenchmarkHardWeightsMedium(b *testing.B) { benchHardWeights(b, radar.Medium()) }
 
-// benchHardWeights times one CPI of the hard weight task: the recursive
-// update and the constrained solve of every (segment, hard bin) pair.
+// benchHardWeights times one CPI of the hard weight task as its worker
+// runs it: ObserveRows over training rows already extracted (the Doppler
+// task's payload) and ComputeInto matrices the worker owns, so a warm
+// state allocates nothing.
 func benchHardWeights(b *testing.B, p radar.Params) {
 	sc := radar.DefaultScene(p)
 	hs := NewHardWeightState(p, sc.BeamAzimuths())
-	d := DopplerFilter(p, sc.GenerateCPI(0), nil)
-	hs.Observe(d)
+	rows := ExtractHardRows(p, DopplerFilter(p, sc.GenerateCPI(0), nil), cube.Block{Lo: 0, Hi: p.K}, hs.Bins())
+	out := hs.Compute()
+	for i := 0; i < 2; i++ { // fill both of each factor's buffers
+		hs.ObserveRows(rows)
+		hs.ComputeInto(out)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hs.Observe(d)
-		hs.Compute()
+		hs.ObserveRows(rows)
+		hs.ComputeInto(out)
+	}
+}
+
+// BenchmarkEasyWeightsMedium times one CPI of the easy weight task the
+// same way: ObserveRows over extracted rows into a full history, then
+// ComputeInto owned matrices.
+func BenchmarkEasyWeightsMedium(b *testing.B) {
+	p := radar.Medium()
+	sc := radar.DefaultScene(p)
+	es := NewEasyWeightState(p, sc.BeamAzimuths())
+	rows := ExtractEasyRows(p, DopplerFilter(p, sc.GenerateCPI(0), nil), cube.Block{Lo: 0, Hi: p.K}, es.Bins())
+	out := es.Compute()
+	for i := 0; i < p.EasyTrainingCPIs; i++ {
+		es.ObserveRows(rows)
+	}
+	es.ComputeInto(out)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		es.ObserveRows(rows)
+		es.ComputeInto(out)
 	}
 }
 
