@@ -95,6 +95,14 @@ type Replica struct {
 	closeOnce sync.Once
 }
 
+// Validate reports what Connect would refuse in the config itself,
+// without dialing: no nodes, no scene, or a placement that does not fit
+// the nodes.
+func (c *ClusterConfig) Validate() error {
+	_, err := c.defaults()
+	return err
+}
+
 // Connect dials the cluster's nodes, distributes the signed manifest,
 // waits for every node to wire up and report ready, and returns the live
 // replica. On any failure everything already dialed is torn down.
@@ -168,7 +176,7 @@ func (r *Replica) ProcessJob(cpis []*cube.Cube) ([][]stap.Detection, error) {
 // ProcessJobOpts is ProcessJob with per-job options. A job deadline is
 // the driver's alone: the nodes never see it. A replica whose job
 // returned pipeline.ErrDeadlineExceeded is dead and must be aborted, as
-// the serving layer's recycle does; the goodbye that Abort writes ends
+// the serving layer's rebuild does; the goodbye that Abort writes ends
 // every node's session. Until then its nodes finish at most the window's
 // in-flight CPIs and then sit idle.
 func (r *Replica) ProcessJobOpts(cpis []*cube.Cube, opts pipeline.JobOpts) ([][]stap.Detection, error) {

@@ -131,16 +131,24 @@ func (n *Node) name() string {
 func (n *Node) Serve() error {
 	for {
 		conn, err := n.ln.Accept()
-		if err != nil {
-			n.mu.Lock()
-			closed := n.closed
-			n.mu.Unlock()
-			if closed {
-				return nil
+		// Add under mu, where shutdown marks the node closed before its
+		// Wait: a connection accepted as the node closes is dropped, not
+		// counted into a WaitGroup already being waited on.
+		n.mu.Lock()
+		closed := n.closed
+		if err == nil && !closed {
+			n.wg.Add(1)
+		}
+		n.mu.Unlock()
+		switch {
+		case closed:
+			if err == nil {
+				conn.Close()
 			}
+			return nil
+		case err != nil:
 			return err
 		}
-		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
 			n.handshake(conn)

@@ -53,7 +53,7 @@ func TestGoodbyeWhileWiringFailsConnect(t *testing.T) {
 
 // TestDeadlineEndsNodeSessions: a dist job whose deadline passes returns
 // pipeline.ErrDeadlineExceeded, and aborting the replica, as the serving
-// layer's recycle does, ends every node's session through the goodbye:
+// layer's rebuild does, ends every node's session through the goodbye:
 // within 500 ms, where the heartbeat alone would take 3 s.
 func TestDeadlineEndsNodeSessions(t *testing.T) {
 	leakcheck.Check(t)

@@ -71,6 +71,33 @@ func TestFaultStreamWorkerFault(t *testing.T) {
 	}
 }
 
+// TestFaultStreamFiresUnderItsJob checks where a compute fault for CPI 0
+// fires: once CPI 0's inputs arrive, under the job that submitted it. A
+// stream armed with one records no fault while no job has fed it, and
+// its first job is the one that fails, naming CPI 0.
+func TestFaultStreamFiresUnderItsJob(t *testing.T) {
+	leakcheck.Check(t)
+	sc := radar.DefaultScene(radar.Small())
+	inj := fault.MustParsePlan("doppler:0:0:panic").Injector(1)
+	st, err := NewStream(StreamConfig{Scene: sc, Assign: NewAssignment(1, 1, 1, 1, 1, 1, 1), Fault: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st.Abort)
+	time.Sleep(100 * time.Millisecond) // time enough for a fault at birth to be recorded
+	if fs := st.Faults(); len(fs) != 0 {
+		t.Fatalf("idle stream recorded %v before any CPI was submitted", fs)
+	}
+	_, err = st.ProcessJob(job(sc, 0, 2))
+	var fe *FaultError
+	if !errors.As(err, &fe) {
+		t.Fatalf("first job = %v, want *FaultError", err)
+	}
+	if fe.Fault.Task != TaskDoppler || fe.Fault.Worker != 0 || fe.Fault.CPI != 0 {
+		t.Errorf("fault = %+v, want Doppler worker 0 at cpi 0", fe.Fault)
+	}
+}
+
 // TestFaultStreamDropPayload checks the message-plane fault path: a
 // dropped payload panics the receiver's type assertion, which supervision
 // attributes to the receiving worker.

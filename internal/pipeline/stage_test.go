@@ -47,9 +47,9 @@ func (h *stageHarness) run(t *testing.T, task int, feed []ctl) {
 	var cur ctl
 	st := stage{
 		recv: func(cpi int) ctl {
-			// faultPoint has already marked this CPI as the one in progress.
+			// The loop has already marked this CPI as the one in progress.
 			if got := h.e.sup.cur[task][0].Load(); got != int64(cpi) {
-				t.Errorf("recv(%d) ran with the fault point at cpi %d", cpi, got)
+				t.Errorf("recv(%d) ran with the supervisor at cpi %d", cpi, got)
 			}
 			cur = dst.Recv(0, cpi).(ctl)
 			h.log = append(h.log, fmt.Sprintf("recv %d", cpi))
@@ -66,9 +66,9 @@ func (h *stageHarness) run(t *testing.T, task int, feed []ctl) {
 	superviseWorker(h.world, h.e.sup, task, 0, func() { h.e.runStage(task, 0, st) })
 }
 
-// TestStageLoopProtocol pins what one CPI iteration of a stage is: fault
-// point → receive → compute → send → span, with EOF forwarded exactly
-// once, unspanned, as the loop's only exit.
+// TestStageLoopProtocol pins what one CPI iteration of a stage is:
+// receive → fault point → compute → send → span, with EOF forwarded
+// exactly once, unspanned, as the loop's only exit.
 func TestStageLoopProtocol(t *testing.T) {
 	feed := []ctl{
 		{Reset: true, Trace: 11, Hop: 3},
@@ -106,13 +106,14 @@ func TestStageLoopProtocol(t *testing.T) {
 	}
 }
 
-// TestStageLoopFaultPoint pins the fault address task:worker:cpi to the
-// top of that CPI's iteration: an injected panic fires before the receive.
+// TestStageLoopFaultPoint pins the fault address task:worker:cpi to that
+// CPI's iteration, between its receive and its compute: an injected
+// panic fires once the CPI's inputs have arrived.
 func TestStageLoopFaultPoint(t *testing.T) {
 	h := newStageHarness(fault.MustParsePlan("cfar:0:1:panic").Injector(1))
 	h.run(t, TaskCFAR, []ctl{{Reset: true}, {}, {EOF: true}})
 
-	want := []string{"recv 0", "compute", "send 0 eof=false"}
+	want := []string{"recv 0", "compute", "send 0 eof=false", "recv 1"}
 	if !reflect.DeepEqual(h.log, want) {
 		t.Errorf("calls before the fault\n got %v\nwant %v", h.log, want)
 	}

@@ -114,17 +114,6 @@ func superviseWorker(world *mp.World, sup *supervisor, task, w int, body func())
 	body()
 }
 
-// faultPoint marks the top of a worker's CPI loop: it records the CPI for
-// fault attribution and runs any injected compute-phase faults for this
-// (task, worker, cpi) — the pipeline-side half of the fault plane (the
-// other half corrupts messages through the mp send hook).
-func (e *env) faultPoint(task, w, cpi int) {
-	e.sup.enter(task, w, cpi)
-	if e.fault != nil {
-		e.fault.Compute(task, w, cpi)
-	}
-}
-
 // installFaultHooks wires an injector into a freshly created world: hang
 // and slow faults become reapable by the world's abort, and droppayload
 // rules corrupt messages by destination — the send hook resolves the

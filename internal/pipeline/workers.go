@@ -52,20 +52,29 @@ type stage struct {
 	send func(cpi int, fwd ctl)
 }
 
-// runStage is the worker loop of every task: per CPI, fault point →
-// receive → compute → send → span. It is the only place an iteration is
-// timed, a compute fault fires (after T0, before the receive) and a loop
-// ends: on the EOF control message, after forwarding it downstream.
+// runStage is the worker loop of every task: per CPI, receive → compute
+// fault → compute → send → span. It is the only place an iteration is
+// timed, a compute fault fires and a loop ends: on the EOF control
+// message, after forwarding it downstream. The supervisor marks a CPI in
+// progress before its receive, so a fault or stall in any phase is
+// attributed to it. An injected compute fault for (task, worker, c) —
+// the pipeline-side half of the fault plane; the mp send hook corrupts
+// messages — fires after T1, once c's inputs have arrived (a slow one is
+// compute time), so it fires under the job that submitted c, never in a
+// stream no job has fed that far.
 func (e *env) runStage(task, w int, st stage) {
 	for cpi := 0; ; cpi++ {
 		t0 := time.Now()
-		e.faultPoint(task, w, cpi)
+		e.sup.enter(task, w, cpi)
 		c := st.recv(cpi)
 		if c.EOF {
 			st.send(cpi, c.next())
 			return
 		}
 		t1 := time.Now()
+		if e.fault != nil {
+			e.fault.Compute(task, w, cpi)
+		}
 		st.compute()
 		t2 := time.Now()
 		st.send(cpi, c.next())

@@ -137,7 +137,9 @@ func TestChaosFaultMatrix(t *testing.T) {
 
 // TestChaosPromCounters checks the robustness counters reach the
 // Prometheus exposition: after one injected panic and recovery, the
-// restart and fault totals read exactly one.
+// restart and fault totals read exactly one. The poisoned job has two
+// CPIs: hard weights trained on CPI 0 are first used by CPI 1's
+// beamformer, so a one-CPI job can complete before the fault fires.
 func TestChaosPromCounters(t *testing.T) {
 	sc := radar.DefaultScene(radar.Small())
 	s := chaosServer(t, sc, "hardweight:0:0:panic", 0)
@@ -148,10 +150,10 @@ func TestChaosPromCounters(t *testing.T) {
 	defer cl.Close()
 
 	var je *JobError
-	if _, err := cl.Submit([]*cube.Cube{sc.GenerateCPI(0)}); !errors.As(err, &je) || je.Code != StatusReplicaLost {
+	if _, err := cl.Submit([]*cube.Cube{sc.GenerateCPI(0), sc.GenerateCPI(1)}); !errors.As(err, &je) || je.Code != StatusReplicaLost {
 		t.Fatalf("poisoned job: err = %v, want replica-lost JobError", err)
 	}
-	submitRecover(t, cl, []*cube.Cube{sc.GenerateCPI(1)})
+	submitRecover(t, cl, []*cube.Cube{sc.GenerateCPI(2)})
 
 	rec := httptest.NewRecorder()
 	s.PromHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics.prom", nil))

@@ -78,9 +78,9 @@ func (a *allocRate) family() obs.Family {
 }
 
 // startSampler builds the store (and engine, when SLOs are configured)
-// and spins the 1 s sampling loop up. Called from New after the pool is
-// built; errors come only from invalid SLO specs.
-func (s *Server) startSampler() error {
+// and spins the 1 s sampling loop up. Called from New after each slot's
+// first build attempt.
+func (s *Server) startSampler() {
 	sa := &sampler{
 		store: history.NewStore(),
 		alloc: allocRate{bytes: obs.HeapAllocBytes()},
@@ -88,12 +88,9 @@ func (s *Server) startSampler() error {
 		done:  make(chan struct{}),
 	}
 	if len(s.cfg.SLOs) > 0 {
-		eng, err := slo.NewEngine(sa.store, s.cfg.SLOs)
-		if err != nil {
-			return err
-		}
-		eng.OnBreachStart = s.sloBreach
-		sa.engine = eng
+		// New has validated every spec, the engine's only error.
+		sa.engine, _ = slo.NewEngine(sa.store, s.cfg.SLOs)
+		sa.engine.OnBreachStart = s.sloBreach
 	}
 	s.sampler = sa
 	go func() {
@@ -112,7 +109,6 @@ func (s *Server) startSampler() error {
 			}
 		}
 	}()
-	return nil
 }
 
 // stopSampler ends the sampling loop and joins it.

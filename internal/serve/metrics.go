@@ -27,8 +27,8 @@ type Metrics struct {
 	cpis      atomic.Int64
 
 	// workerFaults counts supervised worker deaths across all replicas;
-	// replicaRestarts counts replica recycles (both fault- and
-	// timeout-triggered) — the two headline robustness counters.
+	// replicaRestarts counts build attempts charged against restart
+	// budgets (slotState.charged) — the two headline robustness counters.
 	workerFaults    atomic.Int64
 	replicaRestarts atomic.Int64
 	// replans counts planned placement rolls by the replanner (these do
@@ -94,7 +94,7 @@ type ReplicaSnapshot struct {
 	// Utilization is the fraction of the server's lifetime this replica
 	// spent processing jobs (busy time / wall time).
 	Utilization float64 `json:"utilization"`
-	// Restarts counts how often this replica slot was recycled.
+	// Restarts counts the slot's charged build attempts (slotState.charged).
 	Restarts int64 `json:"restarts"`
 	// Health is "live", "restarting" or "dead".
 	Health string `json:"health"`

@@ -25,8 +25,8 @@ import (
 // steady-state period has drifted past replanDrift away from the model's
 // prediction, or a latency or throughput SLO alert is firing, and the
 // re-split placement wins back enough of the predicted bottleneck, the
-// distributed slot rolls onto the recommended placement through the
-// ordinary recycle machinery.
+// distributed slot rolls onto the recommended placement through a planned
+// restart that the slot's own loop rebuilds.
 
 // planAlpha is the EWMA weight of each online calibration step: 1 adopts
 // every observation outright, smaller values smooth over noisy windows.
@@ -284,19 +284,23 @@ func (s *Server) replanPass() {
 }
 
 // rollSlot applies a recommended placement to a distributed slot and
-// recycles it, as a planned event, so the next session connects under the
-// new split. The event's generation makes the roll safe against a job
-// failure observed concurrently on the old incarnation.
+// restarts it with a planned event, counted in stapd_replans_total then,
+// and wakes the slot's loop to rebuild under the new split. The event's
+// generation makes the roll safe against a job failure observed
+// concurrently on the old incarnation; a slot not live counts no roll and
+// takes the placement at its next build attempt.
 func (s *Server) rollSlot(slot *replicaSlot, from string, to dist.Placement) {
 	slot.mu.Lock()
 	gen := slot.state.gen
 	slot.cluster.Placement = to
 	slot.mu.Unlock()
 	s.cfg.Logf("stapd: replica %d replan: rolling placement %s -> %s", slot.idx, from, to)
-	if s.recycle(slot, slotEvent{kind: evPlanned, gen: gen}) {
+	if _, eff := s.moveSlot(slot, slotEvent{kind: evPlanned, gen: gen}); eff.applied {
 		s.metrics.replans.Add(1)
-	} else {
-		s.cfg.Logf("stapd: replica %d replan: roll failed, slot dead", slot.idx)
+		select {
+		case slot.wake <- struct{}{}:
+		default:
+		}
 	}
 }
 

@@ -18,9 +18,9 @@ import (
 // families builds the server's metric table from one read of each
 // source: the Metrics snapshot for the stapd_* serving rows, then per
 // replica slot its link plane, its collector's stap_* counters and live
-// eq. (1)-(3) gauges, its stap_attr_* attribution report and — for a
-// distributed slot — the federated node rows; then the SLO rows and the
-// process runtime.
+// eq. (1)-(3) gauges (none while the slot has never been live), its
+// stap_attr_* attribution report and — for a distributed slot — the
+// federated node rows; then the SLO rows and the process runtime.
 func (s *Server) families() []obs.Family {
 	const g, c = "gauge", "counter"
 	snap := s.metrics.Snapshot()
@@ -36,8 +36,8 @@ func (s *Server) families() []obs.Family {
 		obs.Sample("stapd_jobs_failed_total", c, "Jobs that failed in processing.", "serve/jobs_failed_total", nil, float64(snap.Failed)),
 		obs.Sample("stapd_cpis_processed_total", c, "CPIs processed across all completed jobs.", "serve/cpis_processed_total", nil, float64(snap.CPIsProcessed)),
 		obs.Sample("stapd_worker_faults_total", c, "Supervised worker goroutine deaths across all replicas.", "serve/worker_faults_total", nil, float64(snap.WorkerFaults)),
-		obs.Sample("stapd_replica_restarts_total", c, "Replica recycles after a fault or watchdog timeout.", "serve/replica_restarts_total", nil, float64(snap.ReplicaRestarts)),
-		obs.Sample("stapd_replans_total", c, "Planned placement rolls by the replanner.", "serve/replans_total", nil, float64(snap.Replans)),
+		obs.Sample("stapd_replica_restarts_total", c, "Replica build attempts charged against restart budgets (a slot's first attempt is free).", "serve/replica_restarts_total", nil, float64(snap.ReplicaRestarts)),
+		obs.Sample("stapd_replans_total", c, "Planned placement rolls by the replanner, counted when the roll takes the slot out of live.", "serve/replans_total", nil, float64(snap.Replans)),
 		obs.Sample("stapd_job_failovers_total", c, "Jobs re-dispatched onto another replica after theirs died mid-flight.", "serve/job_failovers_total", nil, float64(snap.Failovers)),
 		obs.Sample("stapd_deadline_exceeded_total", c, "Jobs rejected or aborted because their client deadline expired.", "serve/deadline_exceeded_total", nil, float64(snap.DeadlineExc)),
 		obs.Sample("stapd_live_replicas", g, "Replicas currently healthy and serving.", "serve/live_replicas", nil, float64(snap.LiveReplicas)),
@@ -56,7 +56,7 @@ func (s *Server) families() []obs.Family {
 			obs.Sample("stapd_replica_jobs_total", c, "Jobs processed per replica.", "r{replica}/jobs_total", l, float64(r.Jobs)),
 			obs.Sample("stapd_replica_utilization", g, "Fraction of server lifetime each replica spent processing.", "r{replica}/utilization", l, r.Utilization),
 			obs.Sample("stapd_replica_up", g, "Replica health (1 live, 0 restarting or dead).", "r{replica}/up", l, b2f(r.state.phase == phaseLive)),
-			obs.Sample("stapd_replica_restarts", c, "Recycles per replica slot.", "r{replica}/restarts", l, float64(r.Restarts)),
+			obs.Sample("stapd_replica_restarts", c, "Charged build attempts per replica slot.", "r{replica}/restarts", l, float64(r.Restarts)),
 			obs.Sample("stapd_breaker_state", g, "Dispatch circuit-breaker state per replica slot (0 closed, 1 open, 2 half-open).", "r{replica}/breaker_state", l, float64(r.state.breaker)),
 		)
 		for to, n := range r.moves {
@@ -69,8 +69,10 @@ func (s *Server) families() []obs.Family {
 		if slot.cluster != nil && s.fed != nil {
 			fams = append(fams, s.clusterFamilies(slot, l)...)
 		}
-		fams = append(fams, obs.CollectorFamilies(l, col)...)
-		fams = append(fams, obs.GaugeFamilies("stap_", "r{replica}/", nil, l, col.Gauges())...)
+		if col != nil {
+			fams = append(fams, obs.CollectorFamilies(l, col)...)
+			fams = append(fams, obs.GaugeFamilies("stap_", "r{replica}/", nil, l, col.Gauges())...)
+		}
 		fams = append(fams, obs.AttrFamilies("r{replica}/attr/", l, func() *obs.BottleneckReport { return s.slotBottlenecks(slot) })...)
 	}
 	fams = append(fams, sloFamilies(s.Alerts())...)
@@ -100,11 +102,14 @@ func (s *Server) PromHandler() http.Handler {
 
 // WriteTrace writes the replicas' current span journals as one
 // Perfetto-loadable Chrome trace. Each replica's tasks render under a
-// "rN/" process-name prefix with disjoint pid ranges.
+// "rN/" process-name prefix with disjoint pid ranges; a slot that has
+// never been live has none.
 func (s *Server) WriteTrace(w io.Writer) error {
 	var ct obs.ChromeTrace
 	for i, col := range s.Collectors() {
-		ct.AddCollector(col, i*len(col.Tasks()), "r"+strconv.Itoa(i)+"/")
+		if col != nil {
+			ct.AddCollector(col, i*len(col.Tasks()), "r"+strconv.Itoa(i)+"/")
+		}
 	}
 	return ct.Write(w)
 }

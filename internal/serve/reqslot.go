@@ -23,7 +23,7 @@ type requestSlot struct {
 //   - the queue holds at most QueueDepth jobs (its capacity);
 //   - a replica loop holds one job at a time (runJob, or failDead when it
 //     drains a dead pool), and hands a job to failover only as it stops
-//     holding it to recycle. A loop that pulls again takes the failover
+//     holding it to rebuild. A loop that pulls again takes the failover
 //     channel first, so its own hand-off is gone from the channel (taken
 //     by it or by another loop) before it holds a new job: the jobs in
 //     the channel and the jobs the loops hold are at most one per loop;
@@ -52,7 +52,7 @@ type requestSlot struct {
 // keeps its slot. Every other end — a fatal error, or success after a
 // failover — retires the slot instead (release with reuse false): the
 // failed incarnation's workers may still be reading its cubes until
-// recycle's Abort joins them, so the slot is dropped and the pool
+// the rebuild's Abort joins them, so the slot is dropped and the pool
 // refills lazily. Until that Abort, a retired slot's memory lives on
 // beside the bound, one slot per incarnation being torn down.
 type requestSlots struct {

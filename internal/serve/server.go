@@ -7,7 +7,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,8 +41,8 @@ type Config struct {
 	// internal/dist), pooled beside the in-process replicas. Scene,
 	// Assign, Window, Threads, CPITimeout and Logf are filled in from
 	// this Config; the cluster config supplies nodes, placement and
-	// secret. A lost cluster replica recycles through the same restart
-	// budget and backoff as a faulted local one — Connect is the restart.
+	// secret. Connect builds a cluster replica, at the start as at every
+	// restart, under the same restart budget and backoff as a local one.
 	DistClusters []dist.ClusterConfig
 	// QueueDepth bounds the admission queue (default 2 per replica).
 	// When the queue is full, jobs are rejected with StatusBusy and a
@@ -68,7 +67,7 @@ type Config struct {
 	SlowMultiple float64
 	// CPITimeout, when positive, bounds each CPI's processing time on a
 	// replica. A job that stalls past it is answered StatusTimeout and
-	// the replica is reaped and recycled — the watchdog against hung
+	// the replica is reaped and rebuilt — the watchdog against hung
 	// workers.
 	CPITimeout time.Duration
 	// FaultPlan, when non-nil, injects deterministic faults into every
@@ -77,7 +76,8 @@ type Config struct {
 	// a spent rule. FaultSeed seeds the probabilistic rules.
 	FaultPlan *fault.Plan
 	FaultSeed int64
-	// RestartBudget caps automatic restarts per replica slot (default 5).
+	// RestartBudget caps automatic restarts per replica slot (default 5),
+	// the start included: each build attempt but the first is a restart.
 	// A slot that exhausts it is marked dead; when every slot is dead the
 	// server degrades to rejecting jobs.
 	RestartBudget int
@@ -103,16 +103,16 @@ type Config struct {
 	// dispatch before a half-open probe job (default 1s).
 	BreakerCooldown time.Duration
 	// FallbackInproc, when set, backfills a distributed slot whose
-	// restart budget is exhausted with a warm in-process replica instead
-	// of marking it dead — capacity degrades to local compute rather
-	// than disappearing. The degraded replica gets a fresh restart
-	// budget; the slot stays in-process until the daemon restarts.
+	// restart budget is exhausted, the first build included, with a warm
+	// in-process replica instead of marking it dead — capacity degrades to
+	// local compute rather than disappearing. The degraded replica gets a
+	// fresh restart budget; the slot stays in-process until the daemon restarts.
 	FallbackInproc bool
 	// FlightDir, when set, enables the flight recorder: every fatal
 	// replica error (worker fault, watchdog timeout, lost cluster replica)
 	// dumps the slot's span journal, slow-CPI log, link state and the last
 	// federated node snapshots to a flightrec-*.json here before the slot
-	// recycles. The oldest records beyond obs.DefaultFlightKeep are
+	// rebuilds. The oldest records beyond obs.DefaultFlightKeep are
 	// pruned after every dump.
 	FlightDir string
 	// Replan enables the background replanner: every ReplanInterval the
@@ -122,7 +122,7 @@ type Config struct {
 	// model's prediction, or a latency or throughput SLO alert is firing,
 	// and a re-split placement wins back enough of the predicted
 	// bottleneck — rolls the slot onto the recommended placement through
-	// the ordinary recycle machinery. The /plan endpoint reports without
+	// a planned restart of the slot. The /plan endpoint reports without
 	// acting even when this is off.
 	Replan bool
 	// ReplanInterval is the replanner's pass period (default 2s).
@@ -188,16 +188,16 @@ type Replica interface {
 // the mutex; the slot identity — index and cluster binding — is stable.
 type replicaSlot struct {
 	idx int
-	// cluster, when non-nil, makes this a distributed slot: recycling
-	// re-Connects the cluster instead of building a local stream.
+	// cluster, when non-nil, makes this a distributed slot: a build
+	// Connects the cluster instead of building a local stream.
 	cluster *dist.ClusterConfig
 
 	mu    sync.Mutex
 	state slotState
 
-	// recycleMu serializes the slot's recycles: whoever holds it runs the
-	// rebuild loop, and a second recycler waits for the outcome.
-	recycleMu sync.Mutex
+	// wake (capacity 1) gets the slot's idle loop off its pull when an
+	// event from outside the loop, a roll, has left the slot restarting.
+	wake chan struct{}
 }
 
 // record returns the slot's current state record.
@@ -276,8 +276,9 @@ type Server struct {
 	shutdownErr  error
 }
 
-// New validates the configuration and builds the server with its replica
-// pool warm. The listener is not started yet.
+// New validates the configuration and makes each slot's first build
+// attempt, so a pool that can be built is warm when it returns; a slot
+// whose attempt failed is left restarting. The listener is not started yet.
 func New(cfg Config) (*Server, error) {
 	if cfg.Scene == nil {
 		return nil, fmt.Errorf("serve: nil scene")
@@ -330,6 +331,12 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
+	for _, cc := range cfg.DistClusters {
+		cc.Scene = cfg.Scene
+		if err := cc.Validate(); err != nil {
+			return nil, err
+		}
+	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -344,39 +351,39 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.metrics = newMetrics(total, func() int { return len(s.queue) }, func(i int) slotState { return s.slots[i].record() })
 	for i := 0; i < total; i++ {
-		slot := &replicaSlot{idx: i, state: slotState{budget: cfg.RestartBudget, dist: i >= cfg.Replicas}}
+		slot := &replicaSlot{idx: i, state: slotState{budget: cfg.RestartBudget, dist: i >= cfg.Replicas}, wake: make(chan struct{}, 1)}
 		if i >= cfg.Replicas {
 			slot.cluster = &cfg.DistClusters[i-cfg.Replicas]
 		}
-		st, col, err := s.newSlotReplica(slot)
-		if err != nil {
-			for _, prev := range s.slots {
-				prev.record().rep.Abort()
-			}
-			return nil, err
-		}
-		slot.state.rep, slot.state.col = st, col
 		s.slots = append(s.slots, slot)
+		s.attempt(slot)
 	}
-	s.live.Store(int32(total))
 	if len(cfg.DistClusters) > 0 {
 		s.startFederation()
 	}
 	s.startPlanner()
-	if err := s.startSampler(); err != nil {
-		s.stopPlanner()
-		s.stopFederation()
-		for _, prev := range s.slots {
-			prev.record().rep.Abort()
-		}
-		return nil, err
-	}
-	for i := 0; i < total; i++ {
+	s.startSampler()
+	for _, slot := range s.slots {
 		s.replWG.Add(1)
-		go s.replicaLoop(s.slots[i])
+		go s.replicaLoop(slot)
 	}
 	s.admitting.Store(true)
 	return s, nil
+}
+
+// attempt makes one build attempt for a restarting slot and applies its
+// outcome to the record: rebuilt with the fresh replica, or rebuildFailed.
+// It is the one place a replica is built: New makes each slot's first
+// attempt, the slot's rebuild loop every later one.
+func (s *Server) attempt(slot *replicaSlot) slotState {
+	rep, col, err := s.newSlotReplica(slot)
+	ev := slotEvent{kind: evRebuilt, rep: rep, col: col}
+	if err != nil {
+		s.cfg.Logf("stapd: replica %d build failed: %v", slot.idx, err)
+		ev.kind = evRebuildFailed
+	}
+	st, _ := s.moveSlot(slot, ev)
+	return st
 }
 
 // newSlotReplica builds the slot's replica: a local warm pipeline for
@@ -450,8 +457,9 @@ func (s *Server) newReplica() (Replica, *obs.Collector, error) {
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Collectors returns the per-replica telemetry collectors, in replica
-// order — the feed behind WritePrometheus and WriteTrace. A recycled
-// replica contributes its fresh collector.
+// order — the feed behind WritePrometheus and WriteTrace. A rebuilt
+// replica contributes its fresh collector; a slot that has never been
+// live, nil.
 func (s *Server) Collectors() []*obs.Collector {
 	out := make([]*obs.Collector, len(s.slots))
 	for i, sl := range s.slots {
@@ -622,12 +630,15 @@ func (s *Server) admit(sl *requestSlot, replies chan<- *Response, inflight *sync
 	}
 	live := int(s.live.Load())
 	if live == 0 {
-		if eta, ok := s.restartETA(); ok {
-			s.metrics.rejected.Add(1)
-			return &Response{ID: req.ID, Status: StatusBusy, RetryAfterMs: eta.Milliseconds(),
-				Err: "serve: no live replicas (restarting)"}
+		// A slot that came live since the count was read is neither
+		// restarting nor dead: busy, with the plain retry hint.
+		eta, ok := s.restartETA()
+		if !ok && s.allDead() {
+			return &Response{ID: req.ID, Status: StatusError, Err: "serve: no live replicas"}
 		}
-		return &Response{ID: req.ID, Status: StatusError, Err: "serve: no live replicas"}
+		s.metrics.rejected.Add(1)
+		return &Response{ID: req.ID, Status: StatusBusy, RetryAfterMs: max(eta, s.cfg.RetryAfter).Milliseconds(),
+			Err: "serve: no live replicas (restarting)"}
 	}
 	depth := s.cfg.QueueDepth * live / len(s.slots)
 	if depth < 1 {
@@ -734,19 +745,18 @@ func (s *Server) validate(req *Request) error {
 	return nil
 }
 
-// replicaLoop is one replica's job pump: it pulls from the failover
-// channel (jobs orphaned by a dying replica, served first so they meet
-// their deadlines) and the shared admission queue, and runs each job on
-// the slot's warm pipeline instance. The slot's circuit breaker gates
-// every pull: an open breaker parks the loop for the cooldown instead
-// of feeding jobs to a flapping replica. A fatal processing error
-// (worker fault, watchdog timeout) recycles the slot's pipeline under
-// its restart budget. A slot that died for good leaves the queue to its
-// siblings — one merely restarting serves it when it is back — unless
-// the whole pool is dead: then the loop stays as a drainer, so admitted
-// work is never silently dropped (jobs that raced past the admission
-// check get their answer, jobs orphaned by the last death the
-// ReplicaLost their exhausted failover earned).
+// replicaLoop is one replica's job pump and the slot's only rebuilder: a
+// restarting slot (first build failed, fault, deadline abort or roll)
+// rebuilds before the next pull. It pulls from the failover channel (jobs
+// orphaned by a dying replica, served first so they meet their deadlines)
+// and the admission queue, and runs each job on the slot's warm replica. The slot's circuit breaker gates every
+// pull: an open breaker parks the loop for the cooldown instead of
+// feeding jobs to a flapping replica. A slot that died for good leaves
+// the queue to its siblings — one merely restarting serves it when it is
+// back — unless the whole pool is dead: then the loop stays as a
+// drainer, so admitted work is never silently dropped (jobs that raced
+// past the admission check get their answer, jobs orphaned by the last
+// death the ReplicaLost their exhausted failover earned).
 func (s *Server) replicaLoop(slot *replicaSlot) {
 	defer s.replWG.Done()
 	if hold := distHold; slot.cluster != nil && hold != nil {
@@ -758,16 +768,21 @@ func (s *Server) replicaLoop(slot *replicaSlot) {
 	for {
 		st := slot.record()
 		switch {
+		case st.phase == phaseRestarting:
+			s.rebuild(slot, st)
+			continue
 		case st.phase == phaseDead && !s.allDead():
 			return
 		case st.phase != phaseDead && st.breaker == breakerOpen:
 			// Parked. Shutdown ends the park early: nothing admitted may
 			// wait out a cooldown, so the probe is whatever is still
 			// queued, and the pull below exits on the closed queue if
-			// nothing is.
+			// nothing is. A roll ends it too, for the rebuild.
 			select {
 			case <-time.After(s.cfg.BreakerCooldown - time.Since(st.openedAt)):
 			case <-s.draining:
+			case <-slot.wake:
+				continue
 			}
 			s.moveSlot(slot, slotEvent{kind: evCooldownElapsed})
 		}
@@ -777,6 +792,8 @@ func (s *Server) replicaLoop(slot *replicaSlot) {
 		default:
 			select {
 			case j = <-s.failover:
+			case <-slot.wake:
+				continue
 			case qj, qok := <-s.queue:
 				if !qok {
 					return
@@ -784,9 +801,15 @@ func (s *Server) replicaLoop(slot *replicaSlot) {
 				j = qj
 			}
 		}
-		if st.phase == phaseDead {
+		switch {
+		case st.phase == phaseDead:
 			s.failDead(j)
-		} else {
+		case slot.record().phase == phaseRestarting:
+			// A roll landed as the loop pulled (pull and wake were ready at
+			// once): the job goes back, first in line, for a sibling or the
+			// rebuilt slot, never onto the incarnation rolled away.
+			s.failover <- j
+		default:
 			s.runJob(slot, j)
 		}
 	}
@@ -804,7 +827,8 @@ func (s *Server) allDead() bool {
 	return true
 }
 
-// runJob runs one job on the slot and answers or fails it over.
+// runJob runs one job on the slot, applies its outcome to the record (a
+// fatal one leaves the slot restarting) and answers or fails it over.
 func (s *Server) runJob(slot *replicaSlot, j *job) {
 	stats := s.metrics.replicas[slot.idx]
 	if !j.deadline.IsZero() && !time.Now().Before(j.deadline) {
@@ -839,17 +863,17 @@ func (s *Server) runJob(slot *replicaSlot, j *job) {
 		} else if fatal {
 			ev.flaky = s.slotFlaky(slot)
 		}
-		if fatal && s.failoverEligible(j, code) {
-			// Hand the job back to the pool before recycling: another
-			// live replica replays it from its input journal and the
-			// client never sees this replica's death.
+		if fatal && s.failoverEligible(slot, j, code) {
+			// Hand the job back to the pool: another live replica replays
+			// it from its input journal and the client never sees this
+			// replica's death.
+			ev.handedOff = true
+			s.moveSlot(slot, ev)
 			j.attempts++
 			s.metrics.failovers.Add(1)
 			s.cfg.Logf("stapd: replica %d lost job %d mid-flight (%v); failover attempt %d/%d",
 				slot.idx, j.req.ID, err, j.attempts, s.cfg.FailoverBudget)
 			s.failover <- j
-			ev.handedOff = true
-			s.recycle(slot, ev)
 			return
 		}
 		s.metrics.failed.Add(1)
@@ -873,39 +897,31 @@ func (s *Server) runJob(slot *replicaSlot, j *job) {
 		resp.TraceFile = traceFile
 	}
 	s.metrics.observe(time.Since(j.enq))
-	if !fatal {
-		s.answer(j, resp, err == nil)
-		return
+	if fatal {
+		// The fault moves the slot out of live before the client hears of
+		// it, so the client's next request is refused busy rather than
+		// admitted while the slot is torn down.
+		s.moveSlot(slot, ev)
 	}
-	// The fault moves the slot out of live before the client hears of it,
-	// so the client's next request is refused busy rather than admitted
-	// while the slot is torn down.
-	st, eff := s.moveSlot(slot, ev)
-	s.answer(j, resp, false)
-	s.rebuild(slot, st, eff)
+	s.answer(j, resp, err == nil)
 }
 
 // failoverEligible reports whether a fatally-failed job should be
 // re-dispatched instead of answered: the failure must be the replica's
 // (lost or hung — not the job's own deadline), the job must have budget
 // and deadline headroom left, another replica must be live to take it
-// (the caller's slot still counts itself, hence >= 2 — a job handed off
-// with nobody else to run it would wait out the whole recycle instead
-// of failing fast).
-func (s *Server) failoverEligible(j *job, code Status) bool {
-	if code != StatusReplicaLost && code != StatusTimeout {
-		return false
+// (a job handed off with nobody else to run it would wait out the whole
+// rebuild instead of failing fast; the caller's slot is live, and counts
+// itself, unless a roll landed under the job).
+func (s *Server) failoverEligible(slot *replicaSlot, j *job, code Status) bool {
+	others := s.live.Load()
+	if slot.record().phase == phaseLive {
+		others--
 	}
-	if j.attempts >= s.cfg.FailoverBudget {
-		return false
-	}
-	if !j.deadline.IsZero() && !time.Now().Before(j.deadline) {
-		return false
-	}
-	if s.live.Load() < 2 {
-		return false
-	}
-	return true
+	return (code == StatusReplicaLost || code == StatusTimeout) &&
+		j.attempts < s.cfg.FailoverBudget &&
+		(j.deadline.IsZero() || time.Now().Before(j.deadline)) &&
+		others > 0
 }
 
 // slotFlaky reports link-plane evidence that a distributed slot's
@@ -929,14 +945,14 @@ func (s *Server) slotFlaky(slot *replicaSlot) bool {
 }
 
 // classify maps a processing error to its wire status and whether the
-// replica that produced it is unusable and must be recycled.
+// replica that produced it is unusable and must be rebuilt.
 func (s *Server) classify(err error) (Status, bool) {
 	var fe *pipeline.FaultError
 	var rle *dist.ReplicaLostError
 	switch {
 	case errors.Is(err, pipeline.ErrDeadlineExceeded):
 		// The job's own deadline aborted the stream mid-CPI; the replica
-		// is unwound and must be recycled (runJob makes it a planned event).
+		// is unwound and must be rebuilt (runJob makes it a planned event).
 		return StatusDeadlineExceeded, true
 	case errors.Is(err, pipeline.ErrCPITimeout):
 		return StatusTimeout, true
@@ -944,12 +960,12 @@ func (s *Server) classify(err error) (Status, bool) {
 		return StatusReplicaLost, true
 	case errors.As(err, &rle):
 		// A distributed replica lost a node or link; the session is gone
-		// and recycling re-Connects the cluster.
+		// and the rebuild re-Connects the cluster.
 		return StatusReplicaLost, true
 	case errors.Is(err, pipeline.ErrStreamClosed):
 		if !s.admitting.Load() {
 			// Shutdown tore the stream down under the job; the pool's
-			// teardown is already in progress, nothing to recycle.
+			// teardown is already in progress, nothing to rebuild.
 			return StatusAborted, false
 		}
 		return StatusReplicaLost, true
@@ -960,56 +976,28 @@ func (s *Server) classify(err error) (Status, bool) {
 	}
 }
 
-// recycle applies a fault or planned event observed on the slot and
-// rebuilds the slot if that moved it to restarting (rebuild).
-func (s *Server) recycle(slot *replicaSlot, ev slotEvent) bool {
-	st, eff := s.moveSlot(slot, ev)
-	return s.rebuild(slot, st, eff)
-}
-
-// rebuild finishes a recycle whose event moveSlot has applied, giving st
-// and eff: it discards the old instance and rebuilds — one attempt per
-// backoff the record schedules, until the record says live or dead
-// (restart budget and in-process fallback are its rules, see next). An
-// event the record refused (a stale generation: a roll raced a job
-// failure, or two failures raced each other) only waits out the recycle
-// that got there first, so a replica loop does not pull a job while
-// another recycler rebuilds its slot. It reports whether the slot is
-// live.
-func (s *Server) rebuild(slot *replicaSlot, st slotState, eff slotEffects) bool {
-	slot.recycleMu.Lock()
-	defer slot.recycleMu.Unlock()
-	for !eff.applied {
-		// The recycler that moved the slot to restarting holds recycleMu
-		// until the slot leaves it, once it has taken it.
-		if st = slot.record(); st.phase != phaseRestarting {
-			return st.phase == phaseLive
+// rebuild, run only by the slot's own replicaLoop, aborts the incarnation
+// st holds, if any, then makes a build attempt at each nextAttempt until
+// the record says live or dead (restart budget and fallback: see next).
+// Hard shutdown ends a backoff, as does any shutdown of a slot never live.
+func (s *Server) rebuild(slot *replicaSlot, st slotState) {
+	stop := s.draining
+	if st.rep != nil {
+		stop = s.stopping
+		st.rep.Abort()
+		for _, f := range st.rep.Faults() {
+			s.metrics.workerFaults.Add(1)
+			s.cfg.Logf("stapd: replica %d worker fault: %s", slot.idx, f)
 		}
-		slot.recycleMu.Unlock()
-		runtime.Gosched()
-		slot.recycleMu.Lock()
-	}
-	st.rep.Abort()
-	for _, f := range st.rep.Faults() {
-		s.metrics.workerFaults.Add(1)
-		s.cfg.Logf("stapd: replica %d worker fault: %s", slot.idx, f)
 	}
 	for st.phase == phaseRestarting {
 		select {
-		case <-time.After(eff.wait):
-		case <-s.stopping:
-			st, eff = s.moveSlot(slot, slotEvent{kind: evStopping})
-			continue
+		case <-time.After(time.Until(st.nextAttempt)):
+			st = s.attempt(slot)
+		case <-stop:
+			st, _ = s.moveSlot(slot, slotEvent{kind: evStopping})
 		}
-		rep, col, err := s.newSlotReplica(slot)
-		if err != nil {
-			s.cfg.Logf("stapd: replica %d rebuild failed: %v", slot.idx, err)
-			st, eff = s.moveSlot(slot, slotEvent{kind: evRebuildFailed})
-			continue
-		}
-		st, eff = s.moveSlot(slot, slotEvent{kind: evRebuilt, rep: rep, col: col})
 	}
-	return st.phase == phaseLive
 }
 
 // flightRecord dumps a fatally-failed slot's final telemetry — the span
@@ -1086,7 +1074,7 @@ func (s *Server) drainFailover() {
 
 // process runs one job on the slot's warm stream. It carries the job's
 // deadline into the pipeline — the driver's world, wherever the workers
-// run: a distributed slot's nodes stop when the recycle after the expiry
+// run: a distributed slot's nodes stop when the rebuild after the expiry
 // aborts the replica — and journals every delivered CPI result on the job — the high-water mark
 // a failover replay splices against. The journal only fills entries the
 // previous attempts never delivered, so first-attempt results always win
@@ -1188,15 +1176,16 @@ func (s *Server) writeJobTrace(col *obs.Collector, journal []obs.SpanEvent, star
 
 // Shutdown stops the server gracefully: it stops accepting connections
 // and admitting jobs, lets every already-admitted job complete and its
-// reply flush, then drains the pipeline replicas and returns. If ctx
+// reply flush, then drains the pipeline replicas and returns (a slot
+// never live stops at once; one restarting keeps its backoffs). If ctx
 // expires first, the replicas are aborted and connections force-closed;
 // Shutdown still waits for every goroutine to exit before returning the
-// context's error.
+// context's error, which it returns too if ctx expired as the drain ended.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.shutdownOnce.Do(func() {
 		s.admitting.Store(false)
 		close(s.draining)
-		// The replanner recycles slots, the sampler scrapes them, and the
+		// The replanner rolls slots, the sampler scrapes them, and the
 		// federation poller dials them; stop all three before the pool
 		// starts tearing them down.
 		s.stopSampler()
@@ -1217,7 +1206,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 				hard.Store(true)
 				close(s.stopping) // interrupt restart backoffs
 				for _, sl := range s.slots {
-					sl.record().rep.Abort()
+					if rep := sl.record().rep; rep != nil {
+						rep.Abort()
+					}
 				}
 				s.closeConns()
 			case <-done:
@@ -1236,18 +1227,20 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 		// All producers are gone: close the queue, drain the replicas,
 		// retire the warm pipelines (Close is idempotent, so slots the
-		// hard path already aborted are fine).
+		// hard path already aborted are fine; a slot never live has none).
 		close(s.queue)
 		s.replWG.Wait()
 		// Replica loops are gone; answer anything a dying loop handed to
 		// failover that nobody picked up.
 		s.drainFailover()
 		for _, sl := range s.slots {
-			sl.record().rep.Close()
+			if rep := sl.record().rep; rep != nil {
+				rep.Close()
+			}
 		}
 		close(done)
 		<-watcher
-		if hard.Load() {
+		if hard.Load() || ctx.Err() != nil {
 			s.shutdownErr = ctx.Err()
 		}
 		s.cfg.Logf("stapd: shutdown complete (%d jobs served, %d rejected)",

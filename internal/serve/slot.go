@@ -11,11 +11,11 @@ import (
 // its side effects (moveSlot). DESIGN.md §7 holds the states × events
 // table this file implements.
 
-// Slot phases (the zero value is live: a fresh pool starts healthy) and
-// dispatch circuit-breaker states.
+// Slot phases and dispatch circuit-breaker states. The zero record is a
+// fresh slot: restarting, breaker closed, its first build attempt free.
 const (
-	phaseLive int32 = iota
-	phaseRestarting
+	phaseRestarting int32 = iota
+	phaseLive
 	phaseDead
 )
 const (
@@ -27,7 +27,7 @@ const (
 // moveNames are the destinations stapd_slot_transitions_total counts: a
 // phase, a breaker state (at moveBreaker + state) or the fallback grant.
 // The first six double as the JSON health and breaker strings.
-var moveNames = [...]string{"live", "restarting", "dead", "closed", "open", "half-open", "fallback"}
+var moveNames = [...]string{"restarting", "live", "dead", "closed", "open", "half-open", "fallback"}
 
 const moveBreaker, moveFallback = 3, 6
 
@@ -39,9 +39,10 @@ func breakerName(state int32) string { return moveNames[moveBreaker+state] }
 type slotState struct {
 	phase int32
 	// gen counts the slot's replica incarnations; rep and col are the
-	// current one and its telemetry collector. A fault or planned event
-	// observed on an older one is a no-op, so a placement roll and a job
-	// failure seen on the same incarnation cannot recycle it twice.
+	// current one and its telemetry collector, both nil until the slot's
+	// first build succeeds. A fault or planned event observed on an older
+	// incarnation is a no-op, so a placement roll and a job failure seen
+	// on the same incarnation cannot restart it twice.
 	gen int64
 	rep Replica
 	col *obs.Collector
@@ -60,9 +61,10 @@ type slotState struct {
 	// under Config.FallbackInproc and rebuilds in-process from then on.
 	restarts, budget int
 	dist, fallback   bool
-	// free marks the next rebuild attempt as taken without backoff and
-	// without charge: the first one after a planned event.
-	free bool
+	// charged marks the next rebuild attempt as charged against budget
+	// and taken after its backoff: every attempt but the first after the
+	// start or a planned event, which are free.
+	charged bool
 	// nextAttempt is when a restarting slot next tries to rebuild, the
 	// basis of honest retry-after hints while nothing is live.
 	nextAttempt time.Time
@@ -75,9 +77,9 @@ const (
 	evPlanned                              // nobody's fault: a replan roll, or a job's own deadline aborting the stream
 	evJobOK                                // a job completed without a fatal fault
 	evCooldownElapsed                      // an open breaker's park ended: the next job is the probe
-	evRebuilt                              // a restarting slot's rebuild attempt succeeded
+	evRebuilt                              // a restarting slot's build attempt succeeded
 	evRebuildFailed                        // ... or failed
-	evStopping                             // hard shutdown interrupted a restart backoff
+	evStopping                             // shutdown interrupted a restart backoff (a soft one only before the first build)
 )
 
 // slotEvent is one input of next.
@@ -97,9 +99,8 @@ type slotEvent struct {
 // slotEffects is what a transition asks of its caller beyond storing the
 // new state.
 type slotEffects struct {
-	applied bool          // fault, planned: false on a stale generation or a slot not live
-	record  bool          // write the fault's flight record
-	wait    time.Duration // backoff before the next rebuild attempt
+	applied bool // fault, planned: false on a stale generation or a slot not live
+	record  bool // write the fault's flight record
 }
 
 // next is the slot transition function: pure, so the whole table is
@@ -127,7 +128,7 @@ func next(st slotState, ev slotEvent, cfg *Config) (slotState, slotEffects) {
 		}
 		eff.applied = true
 		st.phase = phaseRestarting
-		st.free = ev.kind == evPlanned
+		st.charged = ev.kind == evFault
 		if ev.kind == evFault {
 			eff.record = !ev.handedOff
 			st.faults++
@@ -144,10 +145,10 @@ func next(st slotState, ev slotEvent, cfg *Config) (slotState, slotEffects) {
 		if st.phase != phaseRestarting {
 			return st, eff
 		}
-		if !st.free {
+		if st.charged {
 			st.restarts++
 		}
-		st.free = false
+		st.charged = true
 		if ev.kind == evRebuilt {
 			st.phase = phaseLive
 			st.gen++
@@ -166,18 +167,18 @@ func next(st slotState, ev slotEvent, cfg *Config) (slotState, slotEffects) {
 		st.fallback = true
 		st.budget += cfg.RestartBudget
 	}
-	if !st.free {
-		eff.wait = cfg.RestartBackoff << uint(min(st.restarts, 10))
+	st.nextAttempt = ev.at
+	if st.charged {
+		st.nextAttempt = ev.at.Add(cfg.RestartBackoff << uint(min(st.restarts, 10)))
 	}
-	st.nextAttempt = ev.at.Add(eff.wait)
 	return st, eff
 }
 
 // moveSlot applies one event to the slot's record. It is the only writer
-// of the record and of Server.live after New, and the one place a move
-// is counted, logged with the slot's effective budget, and — for a fault
-// whose job was not handed off — black-boxed in a flight record (before
-// recycle discards the instance).
+// of the record and of Server.live, and the one place a move is counted,
+// logged with the slot's effective budget, and — for a fault whose job
+// was not handed off — black-boxed in a flight record (before the
+// rebuild discards the instance).
 func (s *Server) moveSlot(slot *replicaSlot, ev slotEvent) (slotState, slotEffects) {
 	ev.at = time.Now()
 	slot.mu.Lock()

@@ -78,25 +78,28 @@ func TestSlotLifeDeadSiblingDoesNotDrain(t *testing.T) {
 		waitReplica(t, s, 0, "live", func(r ReplicaSnapshot) bool { return r.Health == "live" })
 	}
 
-	// Take slot 1's node away and roll the slot: it sits in restarting,
-	// failing to reconnect.
+	// Take slot 1's node away and roll the slot: the roll returns at once
+	// with the slot restarting, and its loop fails to reconnect. Once the
+	// loop has taken the roll's wake it pulls no job until it is rebuilt,
+	// so no job runs on the rolled-away session.
 	node2.Kill()
-	rolled := make(chan struct{})
-	go func() {
-		defer close(rolled)
-		s.rollSlot(s.slots[1], "0-2/3-6", placement)
-	}()
-	waitReplica(t, s, 1, "restarting", func(r ReplicaSnapshot) bool { return r.Health == "restarting" })
+	jobs1 := s.Metrics().Snapshot().Replicas[1].Jobs
+	s.rollSlot(s.slots[1], "0-2/3-6", placement)
+	if h := s.Metrics().Snapshot().Replicas[1].Health; h != "restarting" {
+		t.Fatalf("slot 1 is %s after the roll returned, want restarting", h)
+	}
+	for len(s.slots[1].wake) > 0 {
+		time.Sleep(time.Millisecond)
+	}
 
-	// Slot 0's next fault is its last. (Slot 1's loop may take one job
-	// first and fail it on the rolled-away stream.)
+	// Slot 0's next fault is its last.
 	for i := 0; s.Metrics().Snapshot().Replicas[0].Health != "dead"; i++ {
 		if _, err := cl.Submit(job); err == nil || i > 100 {
 			t.Fatalf("submit %d with no healthy replica: err = %v", i, err)
 		}
 	}
-	if h := s.Metrics().Snapshot().Replicas[1].Health; h != "restarting" {
-		t.Fatalf("slot 1 is %s, want restarting while slot 0 died", h)
+	if r := s.Metrics().Snapshot().Replicas[1]; r.Health != "restarting" || r.Jobs != jobs1 {
+		t.Fatalf("slot 1 is %s with %d jobs run since the roll, want restarting with none", r.Health, r.Jobs-jobs1)
 	}
 
 	// The node comes back on its address; the roll's next attempt connects.
@@ -114,7 +117,6 @@ func TestSlotLifeDeadSiblingDoesNotDrain(t *testing.T) {
 		go node2b.Serve()
 	}
 	t.Cleanup(node2b.Close)
-	<-rolled
 	waitReplica(t, s, 1, "live", func(r ReplicaSnapshot) bool { return r.Health == "live" })
 
 	// One live replica: every job is served, whoever else is dead.
@@ -125,6 +127,122 @@ func TestSlotLifeDeadSiblingDoesNotDrain(t *testing.T) {
 	}
 	if snap := s.Metrics().Snapshot(); snap.LiveReplicas != 1 || snap.Replicas[0].Health != "dead" {
 		t.Errorf("pool ended at %d live, slot 0 %s; want 1 live, slot 0 dead", snap.LiveReplicas, snap.Replicas[0].Health)
+	}
+}
+
+// TestSlotLifeIdleRoll: a roll of an idle slot wakes its loop, which
+// rebuilds the slot onto the new placement with no job to pull.
+func TestSlotLifeIdleRoll(t *testing.T) {
+	leakcheck.Check(t)
+	secret := []byte("slot-life-secret")
+	sc := radar.DefaultScene(radar.Small())
+	node1, addr1 := startDistNode(t, secret, "127.0.0.1:0")
+	node2, addr2 := startDistNode(t, secret, "127.0.0.1:0")
+	t.Cleanup(func() { node1.Close(); node2.Close() })
+	from, err := dist.ParsePlacement("0-2/3-6", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	to, err := dist.ParsePlacement("0-3/4-6", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := startServer(t, Config{
+		Scene:  sc,
+		Assign: pipeline.NewAssignment(1, 1, 1, 1, 1, 1, 1),
+		DistClusters: []dist.ClusterConfig{{
+			Name: "c0", Nodes: []string{addr1, addr2}, Placement: from, Secret: secret,
+			Heartbeat: 50 * time.Millisecond,
+		}},
+		Window:         2,
+		RetryAfter:     5 * time.Millisecond,
+		RestartBackoff: 10 * time.Millisecond,
+	})
+	t.Cleanup(func() { s.Shutdown(context.Background()) })
+	if h := s.Metrics().Snapshot().Replicas[0].Health; h != "live" {
+		t.Fatalf("slot is %s after New, want live", h)
+	}
+
+	s.rollSlot(s.slots[0], from.String(), to)
+	if h := s.Metrics().Snapshot().Replicas[0].Health; h != "restarting" {
+		t.Fatalf("slot is %s after the roll returned, want restarting", h)
+	}
+	waitReplica(t, s, 0, "live", func(r ReplicaSnapshot) bool { return r.Health == "live" })
+	snap := s.Metrics().Snapshot()
+	if snap.Replans != 1 || snap.Replicas[0].Jobs != 0 {
+		t.Errorf("after an idle roll: replans %d, jobs %d; want 1, 0", snap.Replans, snap.Replicas[0].Jobs)
+	}
+	if got := s.slotPlacement(s.slots[0]).String(); got != to.String() {
+		t.Errorf("slot placement %s after the roll, want %s", got, to)
+	}
+
+	cl, err := Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cpis := []*cube.Cube{sc.GenerateCPI(0), sc.GenerateCPI(1)}
+	want := serialReference(sc, cpis)
+	got, err := cl.Submit(cpis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if !sameDetections(got[i], want[i]) {
+			t.Fatalf("CPI %d: rolled slot's detections differ from serial reference", i)
+		}
+	}
+}
+
+// TestSlotLifeRollEndsPark: a roll of a slot parked behind an open
+// breaker ends the park: the loop rebuilds the slot at once, not after
+// the cooldown. The slot is cluster-bound but serves in-process (its
+// cluster is unreachable, and FallbackInproc), so the server's fault
+// plan reaches it and opens its breaker.
+func TestSlotLifeRollEndsPark(t *testing.T) {
+	leakcheck.Check(t)
+	sc := radar.DefaultScene(radar.Small())
+	placement, err := dist.ParsePlacement("0-6", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := startServer(t, Config{
+		Scene:  sc,
+		Assign: pipeline.NewAssignment(1, 1, 1, 1, 1, 1, 1),
+		DistClusters: []dist.ClusterConfig{{
+			Name: "c0", Nodes: []string{deadAddr(t)}, Placement: placement, Secret: []byte("slot-life-secret"),
+		}},
+		Window:           2,
+		RetryAfter:       5 * time.Millisecond,
+		FaultPlan:        fault.MustParsePlan("doppler:0:0:panic"),
+		RestartBudget:    3,
+		RestartBackoff:   5 * time.Millisecond,
+		FallbackInproc:   true,
+		BreakerThreshold: 1,
+		BreakerCooldown:  time.Minute,
+	})
+	t.Cleanup(func() { s.Shutdown(context.Background()) })
+	waitReplica(t, s, 0, "live in-process", func(r ReplicaSnapshot) bool { return r.Health == "live" })
+	cl, err := Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.Submit([]*cube.Cube{sc.GenerateCPI(0)}); err == nil {
+		t.Fatal("poisoned job succeeded")
+	}
+	waitReplica(t, s, 0, "live behind an open breaker", func(r ReplicaSnapshot) bool {
+		return r.Health == "live" && r.Breaker == "open"
+	})
+	lives := s.Metrics().Snapshot().Replicas[0].moves[phaseLive]
+
+	start := time.Now()
+	s.rollSlot(s.slots[0], placement.String(), placement)
+	waitReplica(t, s, 0, "rebuilt after the roll", func(r ReplicaSnapshot) bool {
+		return r.Health == "live" && r.moves[phaseLive] > lives
+	})
+	if took := time.Since(start); took > 10*time.Second {
+		t.Errorf("rolled slot came back after %v behind a 1m breaker cooldown", took)
 	}
 }
 

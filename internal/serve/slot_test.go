@@ -13,7 +13,7 @@ func TestSlotLifeTransitions(t *testing.T) {
 	cfg := func(threshold int, fallback bool) *Config {
 		return &Config{BreakerThreshold: threshold, RestartBudget: 2, RestartBackoff: backoff, FallbackInproc: fallback}
 	}
-	fresh := slotState{budget: 2}
+	start, fresh := slotState{budget: 2}, slotState{phase: phaseLive, budget: 2}
 	fault, flaky := slotEvent{kind: evFault, at: t0}, slotEvent{kind: evFault, at: t0, flaky: true}
 	planned, rebuilt, failed := slotEvent{kind: evPlanned, at: t0}, slotEvent{kind: evRebuilt, at: t0}, slotEvent{kind: evRebuildFailed, at: t0}
 	// run feeds events through next, re-stamping fault and planned events
@@ -36,13 +36,43 @@ func TestSlotLifeTransitions(t *testing.T) {
 		evs   []slotEvent
 		check func(t *testing.T, st slotState, eff slotEffects)
 	}{
+		{"the zero record is a fresh slot whose first build is free", start, cfg(3, false), []slotEvent{rebuilt},
+			func(t *testing.T, st slotState, _ slotEffects) {
+				if st.phase != phaseLive || st.gen != 1 || st.restarts != 0 || st.breaker != breakerClosed {
+					t.Errorf("got %+v", st)
+				}
+			}},
+		{"a failed first build is retried after one backoff", start, cfg(3, false), []slotEvent{failed},
+			func(t *testing.T, st slotState, _ slotEffects) {
+				if st.phase != phaseRestarting || st.restarts != 0 || !st.charged || !st.nextAttempt.Equal(t0.Add(backoff)) {
+					t.Errorf("got %+v", st)
+				}
+			}},
+		{"a start that never builds spends the budget", start, cfg(3, false), []slotEvent{failed, failed, failed},
+			func(t *testing.T, st slotState, _ slotEffects) {
+				if st.phase != phaseDead || st.restarts != 2 || st.gen != 0 {
+					t.Errorf("got %+v", st)
+				}
+			}},
+		{"a dist start that never builds falls back in-process", slotState{budget: 2, dist: true}, cfg(3, true), []slotEvent{failed, failed, failed, rebuilt},
+			func(t *testing.T, st slotState, _ slotEffects) {
+				if st.phase != phaseLive || !st.fallback || st.budget != 4 || st.restarts != 3 || st.gen != 1 {
+					t.Errorf("got %+v", st)
+				}
+			}},
+		{"a fault or roll on a slot never live is a no-op", start, cfg(1, false), []slotEvent{fault, planned},
+			func(t *testing.T, st slotState, eff slotEffects) {
+				if st != start || eff.applied {
+					t.Errorf("got %+v, %+v", st, eff)
+				}
+			}},
 		{"two faults leave the breaker closed", fresh, cfg(3, false), []slotEvent{fault, rebuilt, fault},
 			func(t *testing.T, st slotState, eff slotEffects) {
 				if st.breaker != breakerClosed || st.faults != 2 || !eff.record {
 					t.Errorf("got breaker %s, run %d, record %v", breakerName(st.breaker), st.faults, eff.record)
 				}
 			}},
-		{"third consecutive fault trips", slotState{budget: 9}, cfg(3, false), []slotEvent{fault, rebuilt, fault, rebuilt, fault},
+		{"third consecutive fault trips", slotState{phase: phaseLive, budget: 9}, cfg(3, false), []slotEvent{fault, rebuilt, fault, rebuilt, fault},
 			func(t *testing.T, st slotState, _ slotEffects) {
 				if st.breaker != breakerOpen || !st.openedAt.Equal(t0) || st.phase != phaseRestarting {
 					t.Errorf("got breaker %s opened %v, phase %s", breakerName(st.breaker), st.openedAt, healthName(st.phase))
@@ -60,19 +90,19 @@ func TestSlotLifeTransitions(t *testing.T) {
 					t.Errorf("got breaker %s, run %d", breakerName(st.breaker), st.faults)
 				}
 			}},
-		{"cooldown elapsed admits the probe", slotState{budget: 2, breaker: breakerOpen}, cfg(3, false), []slotEvent{{kind: evCooldownElapsed}},
+		{"cooldown elapsed admits the probe", slotState{phase: phaseLive, budget: 2, breaker: breakerOpen}, cfg(3, false), []slotEvent{{kind: evCooldownElapsed}},
 			func(t *testing.T, st slotState, eff slotEffects) {
 				if st.breaker != breakerHalfOpen {
 					t.Errorf("got breaker %s", breakerName(st.breaker))
 				}
 			}},
-		{"a fault during the half-open probe reopens at once", slotState{budget: 2, breaker: breakerHalfOpen}, cfg(3, false), []slotEvent{fault},
+		{"a fault during the half-open probe reopens at once", slotState{phase: phaseLive, budget: 2, breaker: breakerHalfOpen}, cfg(3, false), []slotEvent{fault},
 			func(t *testing.T, st slotState, _ slotEffects) {
 				if st.breaker != breakerOpen || st.faults != 1 || !st.openedAt.Equal(t0) {
 					t.Errorf("got breaker %s, run %d, opened %v", breakerName(st.breaker), st.faults, st.openedAt)
 				}
 			}},
-		{"jobOK closes and zeroes the run", slotState{budget: 2, breaker: breakerHalfOpen, faults: 3}, cfg(3, false), []slotEvent{{kind: evJobOK}},
+		{"jobOK closes and zeroes the run", slotState{phase: phaseLive, budget: 2, breaker: breakerHalfOpen, faults: 3}, cfg(3, false), []slotEvent{{kind: evJobOK}},
 			func(t *testing.T, st slotState, _ slotEffects) {
 				if st.breaker != breakerClosed || st.faults != 0 {
 					t.Errorf("got breaker %s, run %d", breakerName(st.breaker), st.faults)
@@ -84,9 +114,9 @@ func TestSlotLifeTransitions(t *testing.T) {
 					t.Errorf("got %+v", st)
 				}
 			}},
-		{"planned charges nothing and rebuilds at once", slotState{budget: 2, breaker: breakerHalfOpen}, cfg(1, false), []slotEvent{planned},
+		{"planned charges nothing and rebuilds at once", slotState{phase: phaseLive, budget: 2, breaker: breakerHalfOpen}, cfg(1, false), []slotEvent{planned},
 			func(t *testing.T, st slotState, eff slotEffects) {
-				if st.phase != phaseRestarting || st.faults != 0 || st.breaker != breakerHalfOpen || eff.wait != 0 || eff.record {
+				if st.phase != phaseRestarting || st.faults != 0 || st.breaker != breakerHalfOpen || !st.nextAttempt.Equal(t0) || eff.record {
 					t.Errorf("got %+v, %+v", st, eff)
 				}
 			}},
@@ -98,41 +128,41 @@ func TestSlotLifeTransitions(t *testing.T) {
 			}},
 		{"only the first planned rebuild skips backoff and charge", fresh, cfg(3, false), []slotEvent{planned, failed},
 			func(t *testing.T, st slotState, eff slotEffects) {
-				if st.restarts != 0 || st.free || eff.wait != backoff || !st.nextAttempt.Equal(t0.Add(backoff)) {
+				if st.restarts != 0 || !st.charged || !st.nextAttempt.Equal(t0.Add(backoff)) {
 					t.Errorf("got %+v, %+v", st, eff)
 				}
 			}},
-		{"the second attempt after a planned event is charged", slotState{budget: 9}, cfg(3, false), []slotEvent{planned, failed, failed},
+		{"the second attempt after a planned event is charged", slotState{phase: phaseLive, budget: 9}, cfg(3, false), []slotEvent{planned, failed, failed},
 			func(t *testing.T, st slotState, eff slotEffects) {
-				if st.restarts != 1 || eff.wait != backoff<<1 {
-					t.Errorf("got restarts %d, wait %v", st.restarts, eff.wait)
+				if st.restarts != 1 || !st.nextAttempt.Equal(t0.Add(backoff<<1)) {
+					t.Errorf("got restarts %d, next attempt %v", st.restarts, st.nextAttempt)
 				}
 			}},
-		{"backoff doubles per restart, capped at <<10", slotState{budget: 99, restarts: 12}, cfg(3, false), []slotEvent{fault},
+		{"backoff doubles per restart, capped at <<10", slotState{phase: phaseLive, budget: 99, restarts: 12}, cfg(3, false), []slotEvent{fault},
 			func(t *testing.T, st slotState, eff slotEffects) {
-				if eff.wait != backoff<<10 || !st.nextAttempt.Equal(t0.Add(backoff<<10)) {
-					t.Errorf("wait %v, next attempt %v", eff.wait, st.nextAttempt)
+				if !st.nextAttempt.Equal(t0.Add(backoff << 10)) {
+					t.Errorf("next attempt %v", st.nextAttempt)
 				}
 			}},
-		{"exhaustion on a dist slot with FallbackInproc grants one fresh budget", slotState{budget: 2, restarts: 2, dist: true}, cfg(3, true), []slotEvent{fault},
+		{"exhaustion on a dist slot with FallbackInproc grants one fresh budget", slotState{phase: phaseLive, budget: 2, restarts: 2, dist: true}, cfg(3, true), []slotEvent{fault},
 			func(t *testing.T, st slotState, eff slotEffects) {
-				if st.phase != phaseRestarting || !st.fallback || st.budget != 4 || eff.wait != backoff<<2 {
+				if st.phase != phaseRestarting || !st.fallback || st.budget != 4 || !st.nextAttempt.Equal(t0.Add(backoff<<2)) {
 					t.Errorf("got %+v, %+v", st, eff)
 				}
 			}},
-		{"the fallback is granted exactly once", slotState{budget: 4, restarts: 4, dist: true, fallback: true}, cfg(3, true), []slotEvent{fault},
+		{"the fallback is granted exactly once", slotState{phase: phaseLive, budget: 4, restarts: 4, dist: true, fallback: true}, cfg(3, true), []slotEvent{fault},
 			func(t *testing.T, st slotState, _ slotEffects) {
 				if st.phase != phaseDead || st.budget != 4 {
 					t.Errorf("got %+v", st)
 				}
 			}},
-		{"exhaustion of an in-process slot is death", slotState{budget: 2, restarts: 2}, cfg(3, true), []slotEvent{fault},
+		{"exhaustion of an in-process slot is death", slotState{phase: phaseLive, budget: 2, restarts: 2}, cfg(3, true), []slotEvent{fault},
 			func(t *testing.T, st slotState, _ slotEffects) {
 				if st.phase != phaseDead || st.fallback {
 					t.Errorf("got %+v", st)
 				}
 			}},
-		{"exhaustion of a dist slot without FallbackInproc is death", slotState{budget: 2, restarts: 1, dist: true}, cfg(3, false), []slotEvent{fault, failed},
+		{"exhaustion of a dist slot without FallbackInproc is death", slotState{phase: phaseLive, budget: 2, restarts: 1, dist: true}, cfg(3, false), []slotEvent{fault, failed},
 			func(t *testing.T, st slotState, _ slotEffects) {
 				if st.phase != phaseDead || st.fallback || st.restarts != 2 {
 					t.Errorf("got %+v", st)
@@ -159,7 +189,7 @@ func TestSlotLifeTransitions(t *testing.T) {
 	}
 
 	t.Run("a stale generation is a no-op", func(t *testing.T) {
-		st := slotState{budget: 2, gen: 5}
+		st := slotState{phase: phaseLive, budget: 2, gen: 5}
 		for _, kind := range []slotEventKind{evFault, evPlanned} {
 			got, eff := next(st, slotEvent{kind: kind, gen: 4, at: t0}, cfg(1, false))
 			if got != st || eff != (slotEffects{}) {

@@ -142,6 +142,7 @@ func (fw *Writer) WriteFrame(k Kind, v any) (FrameTiming, error) {
 	if len(fw.out) == 1 {
 		_, err = fw.w.Write(e.b)
 	} else {
+		raceReleaseIO()
 		_, err = fw.out.WriteTo(fw.w)
 	}
 	if err != nil {
@@ -211,6 +212,7 @@ func (fr *Reader) Next() (Kind, int, error) {
 		}
 		return 0, 0, fmt.Errorf("wire: read frame header: %w", err)
 	}
+	raceAcquireIO()
 	if hdr[0] != FormatVersion {
 		return 0, 0, &VersionError{Got: hdr[0], Want: FormatVersion}
 	}
